@@ -383,7 +383,7 @@ func BenchmarkReplayMulti(b *testing.B) {
 }
 
 // BenchmarkStreamCapture measures the encode side: one full
-// generate + L1-filter + delta/varint-encode pass.
+// generate + L1-filter + delta-encode pass.
 func BenchmarkStreamCapture(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	var records, events, bytes float64

@@ -84,6 +84,12 @@ type Key struct {
 // the engine produces, since it dispatches a workload's jobs to
 // different workers back to back.
 //
+// Each resident stream is charged the bytes it actually holds: its
+// encoded event buffer at commit (Stream.FootprintBytes), plus each
+// derived view at its real size as replays materialize it (the growth
+// hook commit installs). A capture spills only when its encoded buffer
+// alone exceeds the whole budget.
+//
 // A cache built with NewPersistent additionally keeps a
 // content-addressed on-disk tier (see store): captures are persisted
 // under their key fingerprint, and later caches — including ones in
@@ -125,8 +131,9 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache with the given in-memory byte budget
-// (<= 0 means DefaultBudget). Captures that would exceed the whole
-// budget on their own spill to files in dir ("" = the OS temp dir).
+// (<= 0 means DefaultBudget). Captures whose encoded buffer would
+// exceed the whole budget on its own spill to files in dir ("" = the
+// OS temp dir).
 func NewCache(budget int64, dir string) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget

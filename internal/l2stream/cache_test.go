@@ -363,3 +363,54 @@ func TestCacheGaugeConsistency(t *testing.T) {
 		t.Errorf("streams gauge leaks %d after Close", d)
 	}
 }
+
+// TestCaptureBudgetChargesEncodedBuffer: the spill decision and the
+// cache's charge both see the encoded buffer alone. A budget of exactly
+// the buffer's size keeps the capture in memory and charges it exactly
+// that; one byte less spills it. The old rule — 32 B per event plus
+// 32 B per access on top of the buffer — would have spilled both.
+func TestCaptureBudgetChargesEncodedBuffer(t *testing.T) {
+	recs := testRecords(3000)
+	cfg := testConfig(5000)
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufBytes := int64(probe.MemBytes())
+	if old := bufBytes + int64(probe.Events()+probe.Accesses()+1)*32; old <= bufBytes {
+		t.Fatalf("test premise broken: old charge %d does not exceed the buffer %d", old, bufBytes)
+	}
+	capture := func(opts CaptureOptions) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, opts)
+	}
+
+	fits := NewCache(bufBytes, t.TempDir())
+	defer fits.Close()
+	s, err := fits.GetOrCapture(Key{Workload: "fits", Config: cfg}, capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Spilled() {
+		t.Fatal("a capture whose buffer fits the budget spilled")
+	}
+	if s.FootprintBytes() != bufBytes || fits.Used() != bufBytes {
+		t.Errorf("charged %d (cache.Used %d), want the %d-byte buffer", s.FootprintBytes(), fits.Used(), bufBytes)
+	}
+
+	spills0 := obsCacheSpills.Value()
+	over := NewCache(bufBytes-1, t.TempDir())
+	defer over.Close()
+	s, err = over.GetOrCapture(Key{Workload: "over", Config: cfg}, capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Spilled() {
+		t.Fatal("a capture whose buffer alone exceeds the budget stayed in memory")
+	}
+	if d := obsCacheSpills.Value() - spills0; d != 1 {
+		t.Errorf("spills delta = %d, want 1", d)
+	}
+	if over.Used() != 0 {
+		t.Errorf("spilled stream charged %d bytes, want 0", over.Used())
+	}
+}

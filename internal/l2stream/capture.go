@@ -9,10 +9,10 @@ import (
 
 // CaptureOptions bounds a capture.
 type CaptureOptions struct {
-	// MaxBytes caps the in-memory stream footprint — the encoded buffer
-	// plus the decoded views capture materializes (Stream.FootprintBytes);
-	// a capture that would exceed it restarts and spills the raw record
-	// prefix to a CHTR file instead. <= 0 means unlimited (never spill).
+	// MaxBytes caps the stream's encoded buffer (Stream.FootprintBytes);
+	// a capture whose buffer would exceed it restarts and spills the raw
+	// record prefix to a CHTR file instead. <= 0 means unlimited (never
+	// spill).
 	MaxBytes int64
 	// SpillDir is where spill files are created ("" = the OS temp dir).
 	SpillDir string
@@ -72,7 +72,7 @@ func Capture(src trace.Source, cfg Config, opts CaptureOptions) (*Stream, error)
 
 // capture is the single-pass worker behind Capture. With spill nil it
 // encodes events in memory, reporting overflow=true (and a nil stream)
-// as soon as the encoded size passes maxBytes; with spill non-nil it
+// as soon as the encoded buffer passes maxBytes; with spill non-nil it
 // writes each consumed record to the spill writer and keeps only the
 // run scalars.
 func capture(src trace.Source, cfg Config, maxBytes int64, spill *trace.Writer) (*Stream, bool, error) {
@@ -157,11 +157,11 @@ loop:
 				break loop
 			}
 		}
-		if maxBytes > 0 && footprint(&enc, s) > maxBytes {
+		if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
 			return nil, true, nil
 		}
 	}
-	if maxBytes > 0 && footprint(&enc, s) > maxBytes {
+	if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
 		return nil, true, nil
 	}
 
@@ -172,14 +172,4 @@ loop:
 	}
 	s.buf = enc.buf
 	return s, false, nil
-}
-
-// footprint mirrors Stream.FootprintBytes for an in-flight capture:
-// the encoded bytes plus both decoded views replays will memoize, at
-// their accounted per-event size. Checking the full footprint (not
-// just the encoded buffer) against MaxBytes matches what the cache
-// later charges the stream against, so a capture that could never be
-// held within budget spills instead of thrashing the cache.
-func footprint(enc *encoder, s *Stream) int64 {
-	return int64(len(enc.buf)) + int64(s.events+s.accesses+1)*eventBytes
 }

@@ -2,8 +2,8 @@
 // of the captured event stream plus a small configuration key — set
 // indices for a TLB geometry, folded predictor signature sequences,
 // prefetch fill schedules. They are memoized on the stream (single-
-// flight, like the decoded views), accounted against the owning
-// cache's byte budget, and — when the stream belongs to a persistent
+// flight), charged to the owning cache's byte budget at their real
+// size as they materialize, and — when the stream belongs to a persistent
 // capture store — persisted as content-addressed sidecar files so warm
 // sweeps across processes skip the computation entirely.
 //
@@ -32,7 +32,8 @@ type DerivedSpec struct {
 	Key string
 	// Build computes the view from the stream's events. It runs at
 	// most once per (stream, key) and may use the stream's decoders
-	// freely; the stream is immutable underneath it.
+	// freely (Stream.Decode; block-decode with NextBlock or
+	// NextAccessBlock); the stream is immutable underneath it.
 	Build func(s *Stream) (view any, err error)
 	// Bytes reports the view's in-memory footprint for cache budget
 	// accounting.
@@ -63,7 +64,7 @@ type derivedSlot struct {
 // returned view is shared between every caller and MUST be treated as
 // read-only. Spilled streams have no decodable event sequence, so
 // Derived fails on them; callers branch on Spilled first, as they do
-// for DecodeAll.
+// for Decode.
 func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 	if s.Spilled() {
 		return nil, fmt.Errorf("l2stream: derived view %q on a spilled stream", spec.Key)
@@ -115,8 +116,8 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 	return slot.view, slot.err
 }
 
-// noteGrowth reports a late footprint increase (a derived or decoded
-// view materializing after commit) to the owning cache, which adds it
+// noteGrowth reports a late footprint increase (a derived view
+// materializing after commit) to the owning cache, which adds it
 // to the stream's accounted bytes and rebalances the budget. Streams
 // outside any cache ignore it.
 func (s *Stream) noteGrowth(delta int64) {

@@ -23,7 +23,7 @@ func eventCountSpec(key string, builds *atomic.Int64) *DerivedSpec {
 			if builds != nil {
 				builds.Add(1)
 			}
-			evs, err := s.DecodeAll()
+			evs, err := decodeAll(s, DecodeBlockSize)
 			if err != nil {
 				return nil, err
 			}
@@ -260,9 +260,10 @@ func TestDerivedSpilledStreamErrors(t *testing.T) {
 	}
 }
 
-// TestDerivedGrowthAccounting: a derived view materializing on a
-// cached stream must grow the cache's accounted bytes by the view's
-// footprint and trigger the budget rebalance.
+// TestDerivedGrowthAccounting: a cached stream is charged its encoded
+// buffer at commit and nothing more; a derived view materializing on it
+// must grow the cache's accounted bytes by exactly the view's footprint
+// and trigger the budget rebalance.
 func TestDerivedGrowthAccounting(t *testing.T) {
 	cache := NewCache(1<<20, t.TempDir())
 	defer cache.Close()
@@ -278,6 +279,9 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 	used0 := cache.used
 	bytes0 := cache.entries[key].bytes
 	cache.mu.Unlock()
+	if bytes0 != int64(len(s.buf)) || used0 != bytes0 {
+		t.Fatalf("commit charged %d bytes (cache.used %d), want the %d-byte encoded buffer", bytes0, used0, len(s.buf))
+	}
 
 	const viewBytes = 4096
 	spec := eventCountSpec("test:grow", nil)

@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -134,37 +135,6 @@ func TestCaptureMatchesReference(t *testing.T) {
 	}
 	if s.MemBytes() == 0 || float64(s.MemBytes())/float64(s.Events()) > 6 {
 		t.Errorf("encoding too fat: %d bytes for %d events", s.MemBytes(), s.Events())
-	}
-}
-
-// TestFixedDecoderMatchesDecode pins the persistent-store sidecar
-// decode (FixedDecoder, what fused replays of loaded streams walk) to
-// the varint round-trip, field for field. Any divergence here would
-// silently break fused/solo bit-identity across a store round-trip.
-func TestFixedDecoderMatchesDecode(t *testing.T) {
-	recs := testRecords(5000)
-	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-	if _, ok := s.DecodeFixed(); ok {
-		t.Fatal("fresh capture must not carry a sidecar")
-	}
-	want, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := FixedDecoder{data: encodeSidecar(want), pageShift: cfg.PageShift}
-	got := make([]Event, len(want)+1)
-	n := fd.NextBlock(got)
-	if n != len(want) {
-		t.Fatalf("FixedDecoder produced %d events, want %d", n, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sidecar event %d = %+v, decoded %+v", i, got[i], want[i])
-		}
 	}
 }
 
@@ -347,6 +317,59 @@ func TestCacheRetriesFailedCapture(t *testing.T) {
 	}
 }
 
+// decodeAll is the test-only full decode: the whole stream as one
+// []Event, block-decoded with NextBlock into successive windows of a
+// zeroed slice (so fields NextBlock leaves untouched stay zero), and
+// checked against the stream's event count. block sets the window
+// length.
+func decodeAll(s *Stream, block int) ([]Event, error) {
+	evs := make([]Event, s.Events()+1)
+	d := s.Decode()
+	n := 0
+	for {
+		end := min(n+block, len(evs))
+		k := d.NextBlock(evs[n:end])
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if uint64(n) != s.Events() {
+		return nil, fmt.Errorf("decoded %d of %d events", n, s.Events())
+	}
+	return evs[:n], nil
+}
+
+// decodeAccesses is decodeAll's access-only counterpart over
+// NextAccessBlock, reusing one block buffer the way replay loops do.
+func decodeAccesses(s *Stream, block int) ([]Event, error) {
+	var out []Event
+	blk := make([]Event, block)
+	d := s.Decode()
+	for {
+		k := d.NextAccessBlock(blk)
+		if k == 0 {
+			break
+		}
+		for _, ev := range blk[:k] {
+			// Only Kind is valid on a warmup marker; only Kind, PC and
+			// VPN on an access.
+			if ev.Kind == EventWarmup {
+				out = append(out, Event{Kind: EventWarmup})
+			} else {
+				out = append(out, Event{Kind: ev.Kind, PC: ev.PC, VPN: ev.VPN})
+			}
+		}
+	}
+	return out, d.Err()
+}
+
+// TestDecodeAllMatchesNext: the block decoder must reproduce the
+// event-at-a-time decoder exactly, at every block length — including
+// lengths that split the stream at odd offsets.
 func TestDecodeAllMatchesNext(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
@@ -365,33 +388,26 @@ func TestDecodeAllMatchesNext(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
-	evs, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("DecodeAll returned %d events, Next produced %d", len(evs), len(want))
-	}
-	// DecodeAll decodes into a fresh zeroed slice, so fields NextBlock
-	// leaves untouched are zero — directly comparable to Next's output.
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("event %d: DecodeAll %+v, Next %+v", i, evs[i], want[i])
+	for _, block := range []int{1, 7, DecodeBlockSize, len(want) + 1} {
+		evs, err := decodeAll(s, block)
+		if err != nil {
+			t.Fatalf("block %d: %v", block, err)
 		}
-	}
-	// The decode is memoized: a second call returns the same slice.
-	again, err := s.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[0] != &evs[0] {
-		t.Error("DecodeAll re-decoded instead of returning the memoized slice")
+		if len(evs) != len(want) {
+			t.Fatalf("block %d: NextBlock produced %d events, Next %d", block, len(evs), len(want))
+		}
+		for i := range want {
+			if evs[i] != want[i] {
+				t.Fatalf("block %d, event %d: NextBlock %+v, Next %+v", block, i, evs[i], want[i])
+			}
+		}
 	}
 }
 
-// TestDecodeAccessesMatchesFilteredDecodeAll: the branch-free view
-// must be exactly the full view with branch events removed — same
-// order, same PCs, same VPNs, same warmup position.
+// TestDecodeAccessesMatchesFilteredDecodeAll: the access-only decoder
+// must yield exactly the full decode with branch events removed — same
+// order, same PCs, same VPNs, same warmup position — at every block
+// length. The stream is charged for its encoded buffer alone.
 func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
@@ -399,7 +415,7 @@ func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.DecodeAll()
+	full, err := decodeAll(s, DecodeBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,97 +425,53 @@ func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 			want = append(want, ev)
 		}
 	}
-	got, err := s.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
+	if uint64(len(want)) != s.Accesses()+1 {
+		t.Fatalf("filtered view holds %d events, want %d accesses plus the warmup marker", len(want), s.Accesses())
 	}
-	if len(got) != len(want) {
-		t.Fatalf("DecodeAccesses returned %d events, filtered DecodeAll %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: DecodeAccesses %+v, filtered %+v", i, got[i], want[i])
+	for _, block := range []int{1, 7, DecodeBlockSize} {
+		got, err := decodeAccesses(s, block)
+		if err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("block %d: NextAccessBlock produced %d events, filtered NextBlock %d", block, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("block %d, event %d: NextAccessBlock %+v, filtered %+v", block, i, got[i], want[i])
+			}
 		}
 	}
-	// The view is memoized: a second call returns the same slice.
-	again, err := s.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again[0] != &got[0] {
-		t.Error("DecodeAccesses re-decoded instead of returning the memoized slice")
-	}
-	// Both memoized views fit the accounted footprint.
-	if fp := s.FootprintBytes(); fp < int64(len(s.buf))+int64(len(full)+len(got))*eventBytes {
-		t.Errorf("FootprintBytes %d undercounts buf+both views", fp)
-	}
-	// A stream reconstructed without the capture-built views (the shape
-	// a spill reload produces) must varint-decode both views to slices
-	// identical to the eager ones.
-	cold := freshView(s)
-	coldFull, err := cold.DecodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coldFull) != len(full) {
-		t.Fatalf("cold DecodeAll returned %d events, eager %d", len(coldFull), len(full))
-	}
-	for i := range full {
-		if coldFull[i] != full[i] {
-			t.Fatalf("event %d: cold DecodeAll %+v, eager %+v", i, coldFull[i], full[i])
-		}
-	}
-	coldAcc, err := cold.DecodeAccesses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coldAcc) != len(got) {
-		t.Fatalf("cold DecodeAccesses returned %d events, eager %d", len(coldAcc), len(got))
-	}
-	for i := range got {
-		if coldAcc[i] != got[i] {
-			t.Fatalf("event %d: cold DecodeAccesses %+v, eager %+v", i, coldAcc[i], got[i])
-		}
+	if fp := s.FootprintBytes(); fp != int64(len(s.buf)) || fp != int64(s.MemBytes()) {
+		t.Errorf("FootprintBytes = %d, want the encoded buffer's %d bytes", fp, len(s.buf))
 	}
 }
 
-// TestDecodeViewsSingleFlight hammers both memoizations from many
-// goroutines; under -race this is the regression test for sharing one
-// stream across engine workers, and each view must come back as the
-// same materialized slice for every caller.
-func TestDecodeViewsSingleFlight(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 16
-	fulls := make([][]Event, workers)
-	accs := make([][]Event, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Alternate which view each goroutine touches first.
-			if i%2 == 0 {
-				fulls[i], _ = s.DecodeAll()
-				accs[i], _ = s.DecodeAccesses()
-			} else {
-				accs[i], _ = s.DecodeAccesses()
-				fulls[i], _ = s.DecodeAll()
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if len(fulls[i]) == 0 || &fulls[i][0] != &fulls[0][0] {
-			t.Fatalf("goroutine %d got a different DecodeAll slice", i)
+// TestAccessDecoderRejectsGarbage: the access-only decoder must stop
+// with an error on the same corruptions the full decoder rejects,
+// including ones inside branch events it does not store.
+func TestAccessDecoderRejectsGarbage(t *testing.T) {
+	blk := make([]Event, 4)
+	for _, buf := range [][]byte{
+		{0x07, 0xff},                                                         // unknown kind
+		{wireInstrAccess | wireTaken, 0x02},                                  // taken flag on an access
+		{wireWarmup | 1<<wirePCShift},                                        // width bits on the marker
+		{wireInstrAccess | 1<<wirePCShift, 2},                                // truncated 2-byte PC
+		{wireDataAccess | 2<<wireAuxShift, 0x02, 0x80},                       // truncated 4-byte VPN
+		{wireCondBranch | 1<<wireAuxShift, 0x02, 0x80},                       // truncated 2-byte target
+		{wireInstrAccess, 0x02, wireDirBranch | 1<<wireAuxShift, 0x02, 0x7f}, // truncated after a good event
+	} {
+		d := &Decoder{buf: buf, pageShift: 12}
+		for d.NextAccessBlock(blk) > 0 {
 		}
-		if len(accs[i]) == 0 || &accs[i][0] != &accs[0][0] {
-			t.Fatalf("goroutine %d got a different DecodeAccesses slice", i)
+		if d.Err() == nil {
+			t.Errorf("% x: NextAccessBlock reported no error", buf)
+		}
+		full := &Decoder{buf: buf, pageShift: 12}
+		for full.NextBlock(blk) > 0 {
+		}
+		if full.Err() == nil {
+			t.Errorf("% x: NextBlock reported no error", buf)
 		}
 	}
 }
@@ -513,28 +485,16 @@ func TestDecoderRejectsGarbage(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("decoder must report corruption")
 	}
-	// Truncated varint payload.
+	// Truncated payload: a data access needs a PC and a VPN byte.
 	d = &Decoder{buf: []byte{wireDataAccess, 0x80}, pageShift: 12}
 	if d.Next(&ev) || d.Err() == nil {
-		t.Fatal("decoder must reject a truncated varint")
+		t.Fatal("decoder must reject a truncated event")
 	}
 }
 
-// freshView returns a Stream sharing s's encoded buffer but with its
-// own decode memos, so benchmarks can measure a cold decode per
-// iteration without re-capturing.
-func freshView(s *Stream) *Stream {
-	return &Stream{
-		cfg: s.cfg, buf: s.buf,
-		records: s.records, instructions: s.instructions,
-		events: s.events, accesses: s.accesses,
-		warmed: s.warmed, warmupAt: s.warmupAt, warmInstrAt: s.warmInstrAt,
-		l1iMisses: s.l1iMisses, l1dMisses: s.l1dMisses,
-	}
-}
-
-// BenchmarkDecodeViews compares a cold decode of the full event view
-// against the branch-free access view non-observer policies replay.
+// BenchmarkDecodeViews compares a full block decode of the stream
+// against the access-only decode the replay view and non-observer
+// policies walk.
 func BenchmarkDecodeViews(b *testing.B) {
 	recs := testRecords(200000)
 	cfg := testConfig(0)
@@ -542,20 +502,29 @@ func BenchmarkDecodeViews(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var blk [DecodeBlockSize]Event
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evs, err := freshView(s).DecodeAll()
-			if err != nil || uint64(len(evs)) != s.Events() {
-				b.Fatalf("decoded %d events (%v)", len(evs), err)
+			d := s.Decode()
+			n := 0
+			for k := d.NextBlock(blk[:]); k > 0; k = d.NextBlock(blk[:]) {
+				n += k
+			}
+			if d.Err() != nil || uint64(n) != s.Events() {
+				b.Fatalf("decoded %d events (%v)", n, d.Err())
 			}
 		}
 		b.ReportMetric(float64(s.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 	})
 	b.Run("accesses", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evs, err := freshView(s).DecodeAccesses()
-			if err != nil || uint64(len(evs)) < s.Accesses() {
-				b.Fatalf("decoded %d events (%v)", len(evs), err)
+			d := s.Decode()
+			n := 0
+			for k := d.NextAccessBlock(blk[:]); k > 0; k = d.NextAccessBlock(blk[:]) {
+				n += k
+			}
+			if d.Err() != nil || uint64(n) < s.Accesses() {
+				b.Fatalf("decoded %d events (%v)", n, d.Err())
 			}
 		}
 		b.ReportMetric(float64(s.Accesses())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccesses/s")

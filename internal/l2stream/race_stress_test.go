@@ -53,7 +53,7 @@ func TestRaceDerivedCloseRetain(t *testing.T) {
 		specs[i] = &DerivedSpec{
 			Key: fmt.Sprintf("racestress/v1/%d", i),
 			Build: func(s *Stream) (any, error) {
-				evs, err := s.DecodeAll()
+				evs, err := decodeAll(s, DecodeBlockSize)
 				if err != nil {
 					return nil, err
 				}

@@ -18,30 +18,31 @@ import (
 // CodecVersion identifies the on-disk and in-memory event encoding.
 // It is folded into every persistent-store key, so bumping it after
 // an encoding change invalidates all previously persisted captures at
-// once — stale files are simply never addressed again.
-const CodecVersion = 2
+// once — stale files are simply never addressed again. Version 3
+// replaced the varint event encoding with tag-length-prefixed payloads
+// (see stream.go), dropped the pre-decoded 17-byte-per-event sidecar
+// that followed the event buffer in version 2, and added the buffer
+// checksum.
+const CodecVersion = 3
 
-// Store file format (".l2s"): a fixed 128-byte header, the stream's
-// delta/varint event buffer verbatim, then a fixed-width pre-decoded
-// event sidecar (storeEventSize bytes per event). Loading is one
-// os.ReadFile: the middle of that allocation IS the stream's encoded
-// buffer (zero-copy), and the sidecar decodes with a fixed-stride
-// loop — several times cheaper than the varint pass — into the
-// stream's memoized full event view, so warm replays never touch the
-// varint decoder at all. Spilled streams write a header-only .l2s
-// carrying the run scalars, with the raw CHTR record file adopted into
-// the store next to it as ".chtr".
+// Store file format (".l2s"): a fixed 128-byte header, then the
+// stream's encoded event buffer verbatim. The header holds the
+// magic, the codec version, the key fingerprint, a flag byte, a
+// CRC-32C of the event buffer, and the run scalars. Loading is one
+// os.ReadFile plus the checksum: the tail of that allocation IS the
+// stream's encoded buffer (zero-copy), and nothing is decoded until a
+// replay or view build walks it. Spilled streams write a header-only
+// .l2s carrying the run scalars, with the raw CHTR record file adopted
+// into the store next to it as ".chtr".
+//
+// Header layout: [0,4) magic, [4,8) codec version, [8,40) fingerprint,
+// 40 flags, [44,48) buffer CRC-32C, [48,128) ten uint64 scalars, the
+// last being the buffer length.
 const (
 	storeMagic      = "CHL2"
 	storeHeaderSize = 128
 	storeFlagSpill  = 1
-
-	// Sidecar record: kind+flag byte, PC, then the kind's auxiliary
-	// word (data-access VPN or branch target; unused otherwise).
-	storeEventSize = 17
-	storeFlagTaken = 1 << 4
-	storeFlagCond  = 1 << 5
-	storeFlagInd   = 1 << 6
+	storeCRCOffset  = 44
 )
 
 // store is the cache's persistent tier: a content-addressed directory
@@ -122,9 +123,10 @@ const (
 	DerivedFormatVersion = 2
 )
 
-// derivedCRC is the sidecar payload checksum table (Castagnoli, the
-// polynomial with hardware support on amd64 and arm64).
-var derivedCRC = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli is the checksum table for stream buffers and derived
+// sidecar payloads (CRC-32C, the polynomial with hardware support on
+// amd64 and arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // derivedPath returns the sidecar file path for a derived key: the
 // stream's content-addressed base plus a hash of the derived key.
@@ -220,7 +222,7 @@ func decodeDerivedFile(data []byte, dkey string) ([]byte, bool) {
 	if uint64(len(payload)) != payloadLen {
 		return nil, false
 	}
-	if uint64(crc32.Checksum(payload, derivedCRC)) != sum {
+	if uint64(crc32.Checksum(payload, castagnoli)) != sum {
 		return nil, false
 	}
 	return payload, true
@@ -235,7 +237,7 @@ func encodeDerivedFile(dkey string, payload []byte) []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(dkey)))
 	out = append(out, dkey...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, derivedCRC)))
+	out = binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, castagnoli)))
 	return append(out, payload...)
 }
 
@@ -394,19 +396,15 @@ func (st *store) load(key Key) (*Stream, error) {
 		s.spillPath = spill
 		return s, nil
 	}
-	if uint64(len(data)-storeHeaderSize) != buflen+s.events*storeEventSize {
+	// Zero-copy: the tail of the ReadFile allocation is the encoded
+	// event buffer. The checksum catches damage the framing cannot: a
+	// flipped byte inside the buffer would otherwise decode into wrong
+	// events and replay silently wrong results.
+	buf := data[storeHeaderSize:]
+	if uint64(len(buf)) != buflen || crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(data[storeCRCOffset:]) {
 		return nil, nil
 	}
-	// Zero-copy: the middle of the ReadFile allocation is the encoded
-	// event buffer and the tail is the fixed-width sidecar; no decode,
-	// no second copy. The sidecar is validated here once so FixedDecoder
-	// needs no error path.
-	s.buf = data[storeHeaderSize : storeHeaderSize+buflen]
-	side := data[storeHeaderSize+buflen:]
-	if !sidecarValid(side) {
-		return nil, nil
-	}
-	s.sidecar = side
+	s.buf = buf
 	st.attachDerived(s, key)
 	// Touch the metadata file so the GC's LRU order counts reads as
 	// uses, not just the original capture time. Best-effort, and only
@@ -419,85 +417,6 @@ func (st *store) load(key Key) (*Stream, error) {
 		_ = os.Chtimes(meta, now, now)
 	}
 	return s, nil
-}
-
-// sidecarValid scans the sidecar's kind bytes. A malformed record
-// reads as "absent" like any other corruption, so the cache
-// recaptures.
-func sidecarValid(data []byte) bool {
-	for i := 0; i < len(data); i += storeEventSize {
-		if data[i]&0x0f > byte(EventWarmup) {
-			return false
-		}
-	}
-	return true
-}
-
-// FixedDecoder iterates the fixed-width sidecar records of a
-// persistently loaded stream. It mirrors Decoder's NextBlock shape so
-// replay kernels can stream either encoding in blocks, but each record
-// decodes with three fixed-offset loads instead of a varint chain.
-type FixedDecoder struct {
-	data      []byte
-	pageShift uint
-	pos       int
-}
-
-// NextBlock decodes up to len(evs) events and returns how many it
-// produced; 0 means the sidecar is exhausted.
-func (d *FixedDecoder) NextBlock(evs []Event) int {
-	n := 0
-	for n < len(evs) && d.pos+storeEventSize <= len(d.data) {
-		rec := d.data[d.pos : d.pos+storeEventSize : d.pos+storeEventSize]
-		d.pos += storeEventSize
-		ev := &evs[n]
-		n++
-		*ev = Event{Kind: EventKind(rec[0] & 0x0f)}
-		pc := binary.LittleEndian.Uint64(rec[1:9])
-		aux := binary.LittleEndian.Uint64(rec[9:17])
-		switch ev.Kind {
-		case EventInstrAccess:
-			ev.PC, ev.VPN = pc, pc>>d.pageShift
-		case EventDataAccess:
-			ev.PC, ev.VPN = pc, aux
-		case EventBranch:
-			ev.PC, ev.Target = pc, aux
-			ev.Taken = rec[0]&storeFlagTaken != 0
-			ev.Conditional = rec[0]&storeFlagCond != 0
-			ev.Indirect = rec[0]&storeFlagInd != 0
-		}
-	}
-	return n
-}
-
-// encodeSidecar serializes the full event view in fixed-width form.
-func encodeSidecar(evs []Event) []byte {
-	out := make([]byte, len(evs)*storeEventSize)
-	for i := range evs {
-		ev := &evs[i]
-		rec := out[i*storeEventSize:]
-		b := byte(ev.Kind)
-		aux := uint64(0)
-		switch ev.Kind {
-		case EventDataAccess:
-			aux = ev.VPN
-		case EventBranch:
-			aux = ev.Target
-			if ev.Taken {
-				b |= storeFlagTaken
-			}
-			if ev.Conditional {
-				b |= storeFlagCond
-			}
-			if ev.Indirect {
-				b |= storeFlagInd
-			}
-		}
-		rec[0] = b
-		binary.LittleEndian.PutUint64(rec[1:9], ev.PC)
-		binary.LittleEndian.PutUint64(rec[9:17], aux)
-	}
-	return out
 }
 
 // save persists a freshly captured stream under key. In-memory
@@ -525,22 +444,14 @@ func (st *store) save(key Key, s *Stream) error {
 	copy(hdr, storeMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], CodecVersion)
 	copy(hdr[8:], h[:])
-	var buflen uint64
-	var sidecar []byte
 	if s.Spilled() {
 		hdr[40] = storeFlagSpill
-	} else {
-		buflen = uint64(len(s.buf))
-		evs, err := s.DecodeAll()
-		if err != nil {
-			return fmt.Errorf("l2stream: persisting capture: %w", err)
-		}
-		sidecar = encodeSidecar(evs)
 	}
+	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc32.Checksum(s.buf, castagnoli))
 	for i, v := range [10]uint64{
 		s.records, s.instructions, s.events, s.accesses,
 		s.warmupAt, s.warmInstrAt, s.l1iMisses, s.l1dMisses,
-		b2u(s.warmed), buflen,
+		b2u(s.warmed), uint64(len(s.buf)),
 	} {
 		binary.LittleEndian.PutUint64(hdr[48+8*i:], v)
 	}
@@ -553,9 +464,6 @@ func (st *store) save(key Key, s *Stream) error {
 	_, err = f.Write(hdr)
 	if err == nil && !s.Spilled() {
 		_, err = f.Write(s.buf)
-		if err == nil {
-			_, err = f.Write(sidecar)
-		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

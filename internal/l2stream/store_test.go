@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"encoding/binary"
 	"os"
 	"testing"
 
@@ -65,11 +66,11 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 			got.Warmed() != w.Warmed() {
 			t.Fatalf("loaded scalars diverge for %s", k.Workload)
 		}
-		ge, err := got.DecodeAll()
+		ge, err := decodeAll(got, DecodeBlockSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		we, err := w.DecodeAll()
+		we, err := decodeAll(w, DecodeBlockSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,9 +151,10 @@ func TestPersistentSpillAdoption(t *testing.T) {
 	}
 }
 
-// TestPersistentCorruptionRecaptures: a truncated, garbage, or
-// version-mismatched store file must read as absent — the cache
-// recaptures and atomically replaces it rather than erroring out.
+// TestPersistentCorruptionRecaptures: a truncated, garbage,
+// version-mismatched, or bit-flipped store file must read as absent —
+// the cache recaptures and atomically replaces it rather than erroring
+// out or replaying wrong events.
 func TestPersistentCorruptionRecaptures(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
@@ -183,6 +185,22 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 				t.Fatal(err)
 			}
 			data[4]++ // codec version bump invalidates the file
+			if err := os.WriteFile(meta, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"bit-flip", func(t *testing.T, meta string) {
+			// One byte flipped in the middle of the event buffer: the
+			// framing stays intact, so only the buffer checksum can tell.
+			data, err := os.ReadFile(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buflen := binary.LittleEndian.Uint64(data[48+8*9:])
+			if buflen == 0 {
+				t.Fatal("test premise broken: capture has an empty buffer")
+			}
+			data[storeHeaderSize+buflen/2] ^= 0xff
 			if err := os.WriteFile(meta, data, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -12,11 +12,15 @@
 // sequence; sim.ReplayTLBOnly then drives any number of L2 policies
 // over it, bit-identical to sim.RunTLBOnly.
 //
-// Streams are delta/varint-encoded in memory (a few bytes per event).
-// Streams that exceed the capture byte budget spill the raw record
-// prefix to a CHTR trace file instead (the same on-disk machinery as
-// internal/trace/file.go); replaying a spilled stream degrades to a
-// direct run over the file, which is bit-identical by construction.
+// Streams are delta-encoded in memory (a few bytes per event),
+// and that buffer is the only copy of the events a stream keeps:
+// replays and derived-view builds decode it in DecodeBlockSize blocks.
+// A cache charges each stream its buffer plus the derived views built
+// from it, each at its real size. A capture whose encoded buffer alone
+// exceeds the byte budget spills the raw record prefix to a CHTR trace
+// file instead (the same on-disk machinery as internal/trace/file.go);
+// replaying a spilled stream degrades to a direct run over the file,
+// which is bit-identical by construction.
 package l2stream
 
 import (
@@ -73,13 +77,20 @@ type Event struct {
 	Taken       bool
 }
 
-// Encoding: each event is a tag byte followed by varint payloads. The
-// tag's low 3 bits are the wire kind; bit 3 is the branch-taken flag.
-// PCs are signed deltas against the previous event's PC (shared across
-// kinds: consecutive events come from nearby code). Data-access VPNs
-// are signed deltas against the previous data VPN; instruction-access
-// VPNs are derived from the PC and not stored. Branch targets are
-// signed deltas against the branch's own PC.
+// Encoding: each event is a tag byte followed by fixed-width
+// little-endian payloads whose widths the tag records, so a decoder
+// knows where the next event starts from the tag alone instead of
+// walking varint continuation bits. The tag's low 3 bits are the wire
+// kind and bit 3 is the branch-taken flag; bits 4-5 code the PC
+// payload's width and bits 6-7 the auxiliary payload's (wirePCWidths,
+// wireAuxWidths). Payloads are zigzag-encoded signed deltas, each in
+// the narrowest width its code table offers. PCs are deltas against the
+// previous event's PC (shared across kinds: consecutive events come
+// from nearby code). Data-access VPNs are deltas against the previous
+// data VPN; instruction-access VPNs are derived from the PC and not
+// stored. Branch targets are deltas against the branch's own PC.
+// Instruction accesses carry no auxiliary payload, and the warmup
+// marker is a bare tag.
 const (
 	wireInstrAccess = 0
 	wireDataAccess  = 1
@@ -90,29 +101,104 @@ const (
 
 	wireKindMask = 0x07
 	wireTaken    = 1 << 3
+	wirePCShift  = 4
+	wireAuxShift = 6
 )
 
-// encoder appends delta/varint events to a byte buffer.
+// Payload width codes. PC deltas almost always fit 3 bytes; VPN and
+// target deltas range wider. The last code of each table holds any
+// delta.
+var (
+	wirePCWidths  = [4]uint8{1, 2, 3, 8}
+	wireAuxWidths = [4]uint8{1, 2, 4, 8}
+)
+
+// tagLayout is what a tag byte tells the decoder: the event's total
+// encoded size (0 for tags no valid event uses) and its payload widths.
+type tagLayout struct{ size, pcWidth, auxWidth uint8 }
+
+// wireLayouts is the decoder's tag table. Only the tags the encoder
+// emits are valid — branch-taken and width bits on a kind that has no
+// use for them read as corruption.
+var wireLayouts = func() (t [256]tagLayout) {
+	for tag := range t {
+		kind := tag & wireKindMask
+		pc := wirePCWidths[tag>>wirePCShift&3]
+		aux := wireAuxWidths[tag>>wireAuxShift]
+		switch {
+		case kind == wireWarmup && tag == wireWarmup:
+			t[tag] = tagLayout{size: 1}
+		case kind == wireInstrAccess && tag>>wireAuxShift == 0 && tag&wireTaken == 0:
+			t[tag] = tagLayout{size: 1 + pc, pcWidth: pc}
+		case kind == wireDataAccess && tag&wireTaken == 0,
+			kind == wireCondBranch, kind == wireDirBranch, kind == wireIndBranch:
+			t[tag] = tagLayout{size: 1 + pc + aux, pcWidth: pc, auxWidth: aux}
+		}
+	}
+	return t
+}()
+
+// widthMasks[w] keeps the low w bytes of a word.
+var widthMasks = [9]uint64{0, 0xff, 0xffff, 0xffffff, 0xffffffff,
+	0xffffffffff, 0xffffffffffff, 0xffffffffffffff, ^uint64(0)}
+
+// zigzag maps a signed delta (as its two's-complement bits) to an
+// unsigned value with small magnitudes near zero; unzigzag inverts it.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
+
+// widthCode returns the code of the narrowest width in widths that
+// holds u.
+func widthCode(u uint64, widths *[4]uint8) byte {
+	for c, w := range widths[:3] {
+		if u < 1<<(8*w) {
+			return byte(c)
+		}
+	}
+	return 3
+}
+
+// encoder appends tagged delta events to a byte buffer.
 type encoder struct {
 	buf     []byte
 	lastPC  uint64
 	lastVPN uint64
 }
 
-func (e *encoder) putPC(pc uint64) {
-	e.buf = binary.AppendVarint(e.buf, int64(pc-e.lastPC))
+// event appends one event: the tag with its width codes filled in, the
+// PC delta against the previous event, and — when hasAux — the
+// auxiliary delta.
+func (e *encoder) event(tag byte, pc, aux uint64, hasAux bool) {
+	p := zigzag(pc - e.lastPC)
 	e.lastPC = pc
+	pcCode := widthCode(p, &wirePCWidths)
+	tag |= pcCode << wirePCShift
+	var a uint64
+	var auxCode byte
+	if hasAux {
+		a = zigzag(aux)
+		auxCode = widthCode(a, &wireAuxWidths)
+		tag |= auxCode << wireAuxShift
+	}
+	e.buf = append(e.buf, tag)
+	e.put(p, wirePCWidths[pcCode])
+	if hasAux {
+		e.put(a, wireAuxWidths[auxCode])
+	}
+}
+
+// put appends the low width bytes of u, little-endian.
+func (e *encoder) put(u uint64, width uint8) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, u)
+	e.buf = e.buf[:len(e.buf)-8+int(width)]
 }
 
 func (e *encoder) access(pc, vpn uint64, instr bool) {
 	if instr {
-		e.buf = append(e.buf, wireInstrAccess)
-		e.putPC(pc)
+		e.event(wireInstrAccess, pc, 0, false)
 		return
 	}
-	e.buf = append(e.buf, wireDataAccess)
-	e.putPC(pc)
-	e.buf = binary.AppendVarint(e.buf, int64(vpn-e.lastVPN))
+	e.event(wireDataAccess, pc, vpn-e.lastVPN, true)
 	e.lastVPN = vpn
 }
 
@@ -126,9 +212,7 @@ func (e *encoder) branch(pc uint64, conditional, indirect, taken bool, target ui
 	if taken {
 		tag |= wireTaken
 	}
-	e.buf = append(e.buf, tag)
-	e.putPC(pc)
-	e.buf = binary.AppendVarint(e.buf, int64(target-pc))
+	e.event(tag, pc, target-pc, true)
 }
 
 func (e *encoder) warmup() { e.buf = append(e.buf, wireWarmup) }
@@ -145,64 +229,48 @@ type Decoder struct {
 }
 
 // Next fills ev with the next event and reports whether one was
-// available. Decoding errors stop the stream; check Err afterwards.
+// available; every field the event's Kind does not use is zero.
+// Decoding errors stop the stream; check Err afterwards.
 func (d *Decoder) Next(ev *Event) bool {
-	if d.err != nil || d.pos >= len(d.buf) {
+	var blk [1]Event
+	if d.nextBlock(blk[:], false) == 0 {
 		return false
 	}
-	tag := d.buf[d.pos]
-	d.pos++
-	kind := tag & wireKindMask
-	if kind == wireWarmup {
-		*ev = Event{Kind: EventWarmup}
-		return true
-	}
-	pcDelta, ok := d.varint()
-	if !ok {
-		return false
-	}
-	pc := d.lastPC + uint64(pcDelta)
-	d.lastPC = pc
-	switch kind {
-	case wireInstrAccess:
-		*ev = Event{Kind: EventInstrAccess, PC: pc, VPN: pc >> d.pageShift}
-	case wireDataAccess:
-		vpnDelta, ok := d.varint()
-		if !ok {
-			return false
-		}
-		vpn := d.lastVPN + uint64(vpnDelta)
-		d.lastVPN = vpn
-		*ev = Event{Kind: EventDataAccess, PC: pc, VPN: vpn}
-	case wireCondBranch, wireDirBranch, wireIndBranch:
-		tgtDelta, ok := d.varint()
-		if !ok {
-			return false
-		}
-		*ev = Event{
-			Kind:        EventBranch,
-			PC:          pc,
-			Target:      pc + uint64(tgtDelta),
-			Conditional: kind == wireCondBranch,
-			Indirect:    kind == wireIndBranch,
-			Taken:       tag&wireTaken != 0,
-		}
-	default:
-		d.err = fmt.Errorf("l2stream: corrupt stream: unknown event kind %d at offset %d", kind, d.pos-1)
-		return false
-	}
+	*ev = blk[0]
 	return true
 }
+
+// DecodeBlockSize is the block length the replay and view-build loops
+// decode in: large enough to amortize the per-call decoder state
+// load/store, small enough that a block of Events stays in L1 cache
+// (and on the caller's stack) between decode and use.
+const DecodeBlockSize = 256
 
 // NextBlock decodes up to len(evs) events and returns how many it
 // produced; 0 means the stream is exhausted (or broken — check Err).
 // It is the bulk counterpart of Next for replay loops: decode state
-// stays in locals, varints are open-coded, and — unlike Next — each
-// event's fields are stored selectively, so only the fields meaningful
-// for the decoded Kind are valid (an access event's Target, say, holds
-// whatever the buffer held before). Consumers must switch on Kind
-// before touching the rest, which every replay loop does anyway.
-func (d *Decoder) NextBlock(evs []Event) int {
+// stays in locals and — unlike Next — each event's fields are stored
+// selectively, so only the fields meaningful for the decoded Kind are
+// valid (an access event's Target, say, holds whatever the buffer held
+// before). Consumers must switch on Kind before touching the rest,
+// which every replay loop does anyway.
+func (d *Decoder) NextBlock(evs []Event) int { return d.nextBlock(evs, false) }
+
+// NextAccessBlock is NextBlock restricted to the access-and-warmup
+// subsequence — the branch-free view that the replay view and the
+// policies that ignore branches consume. Branch events still advance
+// the PC delta chain, but nothing is stored for them; they outnumber
+// L2 demand accesses by an order of magnitude on branchy workloads.
+func (d *Decoder) NextAccessBlock(evs []Event) int { return d.nextBlock(evs, true) }
+
+// nextBlock is the block decoder behind Next, NextBlock and
+// NextAccessBlock. An event's position depends only on the previous
+// tag (wireLayouts), and payloads are fixed-width loads, so decoding
+// one event never waits on the arithmetic of the last; accessesOnly is
+// fixed for a call, so its per-event test predicts perfectly.
+//
+//chirp:hotpath
+func (d *Decoder) nextBlock(evs []Event, accessesOnly bool) int {
 	if d.err != nil {
 		return 0
 	}
@@ -212,56 +280,46 @@ func (d *Decoder) NextBlock(evs []Event) int {
 	n := 0
 	for n < len(evs) && pos < len(buf) {
 		tag := buf[pos]
-		pos++
-		kind := tag & wireKindMask
+		l := &wireLayouts[tag]
+		if l.size == 0 {
+			d.badTag(tag, pos)
+			break
+		}
+		if pos+int(l.size) > len(buf) {
+			d.truncated(pos)
+			break
+		}
 		ev := &evs[n]
+		kind := tag & wireKindMask
 		if kind == wireWarmup {
 			ev.Kind = EventWarmup
+			pos++
 			n++
 			continue
 		}
-		delta, p, ok := decodeVarint(buf, pos)
-		if !ok {
-			d.err = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-			break
-		}
-		pos = p
-		pc := lastPC + uint64(delta)
-		lastPC = pc
+		lastPC += unzigzag(loadWord(buf, pos+1) & widthMasks[l.pcWidth])
+		aux := unzigzag(loadWord(buf, pos+1+int(l.pcWidth)) & widthMasks[l.auxWidth])
+		pos += int(l.size)
 		switch kind {
 		case wireInstrAccess:
 			ev.Kind = EventInstrAccess
-			ev.PC = pc
-			ev.VPN = pc >> shift
+			ev.PC = lastPC
+			ev.VPN = lastPC >> shift
 		case wireDataAccess:
-			delta, p, ok = decodeVarint(buf, pos)
-			if !ok {
-				d.err = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-				break
-			}
-			pos = p
-			lastVPN += uint64(delta)
+			lastVPN += aux
 			ev.Kind = EventDataAccess
-			ev.PC = pc
+			ev.PC = lastPC
 			ev.VPN = lastVPN
-		case wireCondBranch, wireDirBranch, wireIndBranch:
-			delta, p, ok = decodeVarint(buf, pos)
-			if !ok {
-				d.err = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-				break
+		default: // a branch; wireLayouts admits no other kind
+			if accessesOnly {
+				continue
 			}
-			pos = p
 			ev.Kind = EventBranch
-			ev.PC = pc
-			ev.Target = pc + uint64(delta)
+			ev.PC = lastPC
+			ev.Target = lastPC + aux
 			ev.Conditional = kind == wireCondBranch
 			ev.Indirect = kind == wireIndBranch
 			ev.Taken = tag&wireTaken != 0
-		default:
-			d.err = fmt.Errorf("l2stream: corrupt stream: unknown event kind %d at offset %d", kind, pos-1)
-		}
-		if d.err != nil {
-			break
 		}
 		n++
 	}
@@ -269,67 +327,31 @@ func (d *Decoder) NextBlock(evs []Event) int {
 	return n
 }
 
-// skipVarint advances past one varint without decoding its value —
-// the cheap path for payloads the access-only view discards (branch
-// target deltas).
-//
-//chirp:hotpath
-func skipVarint(buf []byte, pos int) (int, bool) {
-	for pos < len(buf) {
-		if buf[pos] < 0x80 {
-			return pos + 1, true
-		}
-		pos++
+// loadWord returns the 8 bytes at buf[pos:] as a little-endian word,
+// zero-filled past the end of buf.
+func loadWord(buf []byte, pos int) uint64 {
+	if pos+8 <= len(buf) {
+		return binary.LittleEndian.Uint64(buf[pos:])
 	}
-	return pos, false
+	return loadTail(buf, pos)
 }
 
-// decodeVarint is binary.Varint open-coded against (buf, pos): no
-// subslice construction per call, and a branch-light fast path for the
-// one- and two-byte encodings that dominate delta streams.
-//
-//chirp:hotpath
-func decodeVarint(buf []byte, pos int) (int64, int, bool) {
-	if pos+1 < len(buf) {
-		b := buf[pos]
-		if b < 0x80 {
-			u := uint64(b)
-			return int64(u>>1) ^ -int64(u&1), pos + 1, true
-		}
-		if b2 := buf[pos+1]; b2 < 0x80 {
-			u := uint64(b&0x7f) | uint64(b2)<<7
-			return int64(u>>1) ^ -int64(u&1), pos + 2, true
-		}
+func loadTail(buf []byte, pos int) uint64 {
+	var w uint64
+	for i := 0; pos+i < len(buf); i++ {
+		w |= uint64(buf[pos+i]) << (8 * i)
 	}
-	var u uint64
-	var shift uint
-	for pos < len(buf) {
-		b := buf[pos]
-		pos++
-		if b < 0x80 {
-			if shift == 63 && b > 1 {
-				return 0, pos, false // overflow
-			}
-			u |= uint64(b) << shift
-			return int64(u>>1) ^ -int64(u&1), pos, true
-		}
-		if shift == 63 {
-			return 0, pos, false // overflow
-		}
-		u |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	return 0, pos, false // truncated
+	return w
 }
 
-func (d *Decoder) varint() (int64, bool) {
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.err = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", d.pos)
-		return 0, false
-	}
-	d.pos += n
-	return v, true
+// truncated and badTag record a decode failure. They sit outside the
+// block decoder so the error formatting stays off the hot path.
+func (d *Decoder) truncated(pos int) {
+	d.err = fmt.Errorf("l2stream: corrupt stream: event at offset %d runs past the end of the buffer", pos)
+}
+
+func (d *Decoder) badTag(tag byte, pos int) {
+	d.err = fmt.Errorf("l2stream: corrupt stream: invalid event tag %#02x at offset %d", tag, pos)
 }
 
 // Err returns the first decoding error, if any.
@@ -338,29 +360,14 @@ func (d *Decoder) Err() error { return d.err }
 // Stream is one captured workload stream: either an in-memory encoded
 // event buffer or a spilled CHTR record file, plus the policy-invariant
 // run scalars (instruction totals, warmup position, L1 miss counts)
-// that every replay shares. Streams are immutable after capture and
-// safe for concurrent replays.
+// that every replay shares. Besides the buffer, an in-memory stream
+// holds only its derived views (see derived.go); replays and view
+// builds decode the buffer block by block and keep no decoded copy of
+// it. Streams are immutable after capture and safe for concurrent
+// replays.
 type Stream struct {
 	cfg Config
 	buf []byte // encoded events; nil when spilled
-
-	decodeOnce sync.Once
-	decoded    []Event // memoized DecodeAll result
-	decodeErr  error
-	// sidecar holds the fixed-width pre-decoded event records a
-	// persistent-store load carries (zero-copy into the store file's
-	// ReadFile allocation; see store.go). When present, replay kernels
-	// and DecodeAll read events from it with a fixed-stride loop
-	// instead of the varint decoder. Written only at construction.
-	sidecar []byte
-
-	// Second memoized view: access + warmup events only, for the
-	// policies that do not observe branches. Like decoded it is
-	// materialized single-flight (sync.Once) so concurrent replays of
-	// one stream from different engine workers share one decode.
-	accOnce sync.Once
-	accEvts []Event
-	accErr  error
 
 	// Derived views (see derived.go): keyed single-flight memos of
 	// precomputed arrays, plus the persistence and accounting hooks the
@@ -454,139 +461,11 @@ func (s *Stream) Decode() *Decoder {
 	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
 }
 
-// eventBytes is the in-memory cost of one decoded Event, used by
-// FootprintBytes to account the DecodeAll memo against cache budgets.
-const eventBytes = 32
-
-// DecodeFixed returns a decoder over the fixed-width pre-decoded
-// sidecar a persistent-store load carries, or ok=false when the
-// stream has none (fresh captures, spilled streams). The sidecar's
-// fixed-stride records decode several times cheaper than the varint
-// buffer and without materializing a view, so replay kernels prefer
-// it when present. The sidecar is validated at load time; the decoder
-// has no error path.
-func (s *Stream) DecodeFixed() (*FixedDecoder, bool) {
-	if s.sidecar == nil {
-		return nil, false
-	}
-	return &FixedDecoder{data: s.sidecar, pageShift: s.cfg.PageShift}, true
-}
-
-// DecodeAll returns the stream's full event sequence as one shared
-// slice, decoding and memoizing it on first use — so an N-policy
-// replay fan-out pays the decode once, not N times. The slice is
-// shared between every caller and MUST be treated as read-only.
-// Like Decode, it panics on spilled streams.
-func (s *Stream) DecodeAll() ([]Event, error) {
-	if s.Spilled() {
-		panic("l2stream: DecodeAll on a spilled stream; replay the spill file instead")
-	}
-	s.decodeOnce.Do(func() {
-		evs := make([]Event, s.events)
-		if s.sidecar != nil {
-			d := FixedDecoder{data: s.sidecar, pageShift: s.cfg.PageShift}
-			if n := d.NextBlock(evs); uint64(n) != s.events {
-				s.decodeErr = fmt.Errorf("l2stream: corrupt sidecar: decoded %d of %d events", n, s.events)
-				return
-			}
-			s.decoded = evs
-			return
-		}
-		d := s.Decode()
-		n := d.NextBlock(evs)
-		if err := d.Err(); err != nil {
-			s.decodeErr = err
-			return
-		}
-		if uint64(n) != s.events || d.pos != len(d.buf) {
-			s.decodeErr = fmt.Errorf("l2stream: corrupt stream: decoded %d of %d events", n, s.events)
-			return
-		}
-		s.decoded = evs
-	})
-	return s.decoded, s.decodeErr
-}
-
-// DecodeAccesses returns the stream's access-and-warmup event
-// subsequence — the branch-free view non-BranchObserver policies
-// replay over, skipping the branch events they would discard (branch
-// events outnumber L2 demand accesses by an order of magnitude on
-// branchy workloads). The slice is decoded directly from the encoded
-// buffer on first use (branch PC deltas are consumed to keep the
-// delta chain intact, target deltas are skipped undecoded), memoized
-// single-flight, shared between callers and MUST be treated as
-// read-only. Like DecodeAll, it panics on spilled streams.
-func (s *Stream) DecodeAccesses() ([]Event, error) {
-	if s.Spilled() {
-		panic("l2stream: DecodeAccesses on a spilled stream; replay the spill file instead")
-	}
-	s.accOnce.Do(func() {
-		n := s.accesses
-		if s.warmed && s.warmupAt > 0 {
-			n++ // the warmup marker survives into the filtered view
-		}
-		evs := make([]Event, 0, n)
-		buf := s.buf
-		shift := s.cfg.PageShift
-		var lastPC, lastVPN uint64
-		pos := 0
-		for pos < len(buf) {
-			tag := buf[pos]
-			pos++
-			kind := tag & wireKindMask
-			if kind == wireWarmup {
-				evs = append(evs, Event{Kind: EventWarmup})
-				continue
-			}
-			delta, p, ok := decodeVarint(buf, pos)
-			if !ok {
-				s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-				return
-			}
-			pos = p
-			lastPC += uint64(delta)
-			switch kind {
-			case wireInstrAccess:
-				evs = append(evs, Event{Kind: EventInstrAccess, PC: lastPC, VPN: lastPC >> shift})
-			case wireDataAccess:
-				delta, p, ok = decodeVarint(buf, pos)
-				if !ok {
-					s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-					return
-				}
-				pos = p
-				lastVPN += uint64(delta)
-				evs = append(evs, Event{Kind: EventDataAccess, PC: lastPC, VPN: lastVPN})
-			case wireCondBranch, wireDirBranch, wireIndBranch:
-				// The branch PC delta above kept the chain intact; the
-				// target delta carries no cross-event state, so skip it.
-				if pos, ok = skipVarint(buf, pos); !ok {
-					s.accErr = fmt.Errorf("l2stream: corrupt stream: truncated varint at offset %d", pos)
-					return
-				}
-			default:
-				s.accErr = fmt.Errorf("l2stream: corrupt stream: unknown event kind %d at offset %d", kind, pos-1)
-				return
-			}
-		}
-		if uint64(len(evs)) != n {
-			s.accErr = fmt.Errorf("l2stream: corrupt stream: decoded %d of %d access events", len(evs), n)
-			return
-		}
-		s.accEvts = evs
-	})
-	return s.accEvts, s.accErr
-}
-
-// FootprintBytes is the stream's total in-memory cost: the encoded
-// buffer plus both decoded views replays memoize (the full DecodeAll
-// slice and the branch-free DecodeAccesses slice), accounted at their
-// materialized size even before first decode so cache eviction never
-// undercounts. The cache accounts this, not just MemBytes, against
-// its budget.
-func (s *Stream) FootprintBytes() int64 {
-	return int64(len(s.buf)) + int64(len(s.sidecar)) + int64(s.events)*eventBytes + int64(s.accesses+1)*eventBytes
-}
+// FootprintBytes is the stream's in-memory cost at commit: its encoded
+// buffer, and nothing else (0 when spilled). Derived views are charged
+// separately, at their real size, as they materialize (the cache's
+// growth hook). The cache accounts this against its budget.
+func (s *Stream) FootprintBytes() int64 { return int64(len(s.buf)) }
 
 // Persistent reports whether the stream's backing file (spill case)
 // belongs to a persistent capture store, in which case Close never

@@ -3,17 +3,20 @@
 // captured l2stream.Stream plus a small configuration key, never of
 // TLB or policy state:
 //
-//   - replayView: the dense access sequence as struct-of-arrays (PC,
-//     VPN, set index for one L2 geometry, instruction-side flag), the
-//     warmup boundary's position in it, and the stride prefetcher's
-//     fill schedule as a CSR — stride decisions depend only on the
-//     demand stream, so they are computed once and only the per-policy
-//     Contains gate runs at replay time.
+//   - accessView: the dense access sequence as struct-of-arrays (PC,
+//     VPN, set index for one L2 geometry, instruction-side flag) and
+//     the warmup boundary's position in it.
+//   - prefetch schedule: the stride prefetcher's fill candidates per
+//     access, as a CSR. Stride decisions depend only on the demand
+//     stream, so they are computed once per prefetch distance — from
+//     an accessView's columns, without decoding the stream again — and
+//     only the per-policy Contains gate runs at replay time.
 //   - CHiRP signature sequence: per access, the Figure 5 demand
 //     signature (pre path-push) and the prefetch-fill signature (post
 //     path-push), packed into one uint32. Shared by every CHiRP
 //     variant that agrees on the signature-relevant config subset
-//     (core.Config.SignatureKey).
+//     (core.Config.SignatureKey). Variants with no branch history need
+//     only the access PCs, which the accessView already holds.
 //   - GHRP signature sequence: one uint64 per access; GHRP's histories
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
@@ -21,7 +24,9 @@
 // The views are memoized on the stream (l2stream.Derived: single-
 // flight, budget-accounted) and persisted as derived sidecars when the
 // stream belongs to a -capturedir store, so warm sweeps skip both the
-// decode and the signature recomputation.
+// decode and the signature recomputation. Builders that need the event
+// stream decode its buffer in l2stream.DecodeBlockSize blocks; no
+// decoded copy of the event sequence outlives a build.
 package sim
 
 import (
@@ -33,10 +38,44 @@ import (
 	"github.com/chirplab/chirp/internal/policy"
 )
 
-// replayView is the dense struct-of-arrays access view for one (L2
-// geometry, prefetch distance). All slices are indexed by demand
-// access ordinal; it is shared read-only across policies and replays.
+// replayView is what the dense walkers read for one (L2 geometry,
+// prefetch distance): an accessView's columns plus, when prefetching,
+// a prefetch schedule. It is assembled per ReplayMulti call from the
+// memoized views and owns none of the slices it holds.
 type replayView struct {
+	accessView
+
+	// Prefetch fill schedule, CSR over access ordinals: access i's
+	// fill candidates are pfVPN[pfOff[i]:pfOff[i+1]]. pfOff is nil
+	// when prefetching is off.
+	pfOff []uint32
+	pfVPN []uint64
+}
+
+// replayViewFor assembles the stream's dense replay view for cfg's L2
+// geometry and prefetch distance from the memoized (or persisted)
+// accessView and prefetch schedule.
+func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, error) {
+	sets := cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways
+	av, err := accessViewFor(stream, sets)
+	if err != nil {
+		return nil, err
+	}
+	v := &replayView{accessView: *av}
+	if pd := cfg.PrefetchDistance; pd > 0 {
+		ps, err := prefetchScheduleFor(stream, av, pd)
+		if err != nil {
+			return nil, err
+		}
+		v.pfOff, v.pfVPN = ps.off, ps.vpn
+	}
+	return v, nil
+}
+
+// accessView is the dense access sequence for one L2 geometry as
+// struct-of-arrays. All slices are indexed by demand access ordinal and
+// shared read-only across policies and replays.
+type accessView struct {
 	pc    []uint64
 	vpn   []uint64
 	set   []uint32 // VPN & setMask for the keyed geometry
@@ -47,164 +86,137 @@ type replayView struct {
 	// has no marker); replay latches warm stats right before access
 	// warmIdx, which is where the marker event sat.
 	warmIdx int
-
-	// Prefetch fill schedule, CSR over access ordinals: access i's
-	// fill candidates are pfVPN[pfOff[i]:pfOff[i+1]]. pfOff is nil
-	// when the view was built with prefetching off.
-	pfOff []uint32
-	pfVPN []uint64
 }
 
-func (v *replayView) bytes() int64 {
-	return int64(len(v.pc)*8+len(v.vpn)*8+len(v.set)*4+len(v.instr)) +
-		int64(len(v.pfOff)*4+len(v.pfVPN)*8)
+func (v *accessView) bytes() int64 {
+	return int64(len(v.pc)*8 + len(v.vpn)*8 + len(v.set)*4 + len(v.instr))
 }
 
-// replayViewFor materializes (or recalls) the stream's dense replay
-// view for cfg's L2 geometry and prefetch distance.
-func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, error) {
-	sets := cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways
-	pd := cfg.PrefetchDistance
+// accessViewFor materializes (or recalls) the stream's accessView for
+// an L2 geometry with sets sets.
+func accessViewFor(stream *l2stream.Stream, sets int) (*accessView, error) {
 	spec := &l2stream.DerivedSpec{
-		Key:   fmt.Sprintf("rv1:s%d:pd%d", sets, pd),
-		Build: func(s *l2stream.Stream) (any, error) { return buildReplayView(s, sets, pd) },
-		Bytes: func(view any) int64 { return view.(*replayView).bytes() },
-		Encode: func(view any) []byte {
-			return encodeReplayView(view.(*replayView))
-		},
+		Key:    fmt.Sprintf("av1:s%d", sets),
+		Build:  func(s *l2stream.Stream) (any, error) { return buildAccessView(s, sets) },
+		Bytes:  func(view any) int64 { return view.(*accessView).bytes() },
+		Encode: func(view any) []byte { return encodeAccessView(view.(*accessView)) },
 		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			return decodeReplayView(s, data, sets, pd)
+			return decodeAccessView(s, data, sets)
 		},
 	}
 	v, err := stream.Derived(spec)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*replayView), nil
+	return v.(*accessView), nil
 }
 
-// buildReplayView walks the branch-free access view once, running the
-// shared stride prefetcher exactly as a live replay would.
-func buildReplayView(s *l2stream.Stream, sets, pd int) (*replayView, error) {
-	evs, err := s.DecodeAccesses()
-	if err != nil {
+// buildAccessView decodes the stream's access events block by block
+// into the view's columns.
+func buildAccessView(s *l2stream.Stream, sets int) (*accessView, error) {
+	n := int(s.Accesses())
+	b := accessBuilder{
+		v: &accessView{
+			pc:      make([]uint64, n),
+			vpn:     make([]uint64, n),
+			set:     make([]uint32, n),
+			instr:   make([]uint8, n),
+			warmIdx: -1,
+		},
+		mask: uint64(sets - 1),
+	}
+	d := s.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		k := d.NextAccessBlock(blk[:])
+		if k == 0 {
+			break
+		}
+		if !b.fill(blk[:k]) {
+			return nil, fmt.Errorf("sim: access view decoded more accesses than the %d the stream reports", n)
+		}
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	n := int(s.Accesses())
-	v := &replayView{
-		pc:      make([]uint64, 0, n),
-		vpn:     make([]uint64, 0, n),
-		set:     make([]uint32, 0, n),
-		instr:   make([]uint8, 0, n),
-		warmIdx: -1,
+	if b.n != n {
+		return nil, fmt.Errorf("sim: access view decoded %d accesses, stream reports %d", b.n, n)
 	}
-	var pf *stridePrefetcher
-	if pd > 0 {
-		pf = newStridePrefetcher(pd)
-		v.pfOff = make([]uint32, 1, n+1)
-	}
-	mask := uint64(sets - 1)
+	return b.v, nil
+}
+
+// accessBuilder is buildAccessView's per-block state. The columns are
+// sized to the stream's access count up front, so the per-event fill
+// loop never allocates.
+type accessBuilder struct {
+	v    *accessView
+	mask uint64
+	n    int // accesses filled so far
+}
+
+// fill appends one decoded block of access events to the view. It
+// reports false when the block holds more accesses than the columns
+// have room for (a stream whose scalars disagree with its buffer).
+//
+//chirp:hotpath
+func (b *accessBuilder) fill(evs []l2stream.Event) bool {
+	v := b.v
+	j := b.n
 	for i := range evs {
 		ev := &evs[i]
 		if ev.Kind == l2stream.EventWarmup {
-			v.warmIdx = len(v.pc)
+			v.warmIdx = j
 			continue
 		}
-		v.pc = append(v.pc, ev.PC)
-		v.vpn = append(v.vpn, ev.VPN)
-		v.set = append(v.set, uint32(ev.VPN&mask))
+		if j >= len(v.pc) {
+			return false
+		}
+		v.pc[j] = ev.PC
+		v.vpn[j] = ev.VPN
+		v.set[j] = uint32(ev.VPN & b.mask)
 		if ev.Kind == l2stream.EventInstrAccess {
-			v.instr = append(v.instr, 1)
-		} else {
-			v.instr = append(v.instr, 0)
+			v.instr[j] = 1
 		}
-		if pf != nil {
-			v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
-			v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
-		}
+		j++
 	}
-	if len(v.pc) != n {
-		return nil, fmt.Errorf("sim: replay view decoded %d accesses, stream reports %d", len(v.pc), n)
-	}
-	return v, nil
+	b.n = j
+	return true
 }
 
-// encodeReplayView serializes the view for the derived sidecar. The
+// encodeAccessView serializes the view for the derived sidecar. The
 // set-index array is recomputed at decode (one mask per access) rather
 // than stored.
-func encodeReplayView(v *replayView) []byte {
+func encodeAccessView(v *accessView) []byte {
 	n := len(v.pc)
-	size := 8 + 8 + 1 + n*8 + n*8 + n
-	if v.pfOff != nil {
-		size += len(v.pfOff)*4 + len(v.pfVPN)*8
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, 16+n*17)
 	out = binary.LittleEndian.AppendUint64(out, uint64(n))
 	out = binary.LittleEndian.AppendUint64(out, uint64(int64(v.warmIdx)))
-	if v.pfOff != nil {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
 	out = appendU64s(out, v.pc)
 	out = appendU64s(out, v.vpn)
-	out = append(out, v.instr...)
-	if v.pfOff != nil {
-		out = appendU32s(out, v.pfOff)
-		out = appendU64s(out, v.pfVPN)
-	}
-	return out
+	return append(out, v.instr...)
 }
 
-// decodeReplayView validates a sidecar payload against the stream and
-// the view's configuration and rebuilds the in-memory form. ok=false
-// means corrupt or stale — the caller rebuilds from the stream.
-func decodeReplayView(s *l2stream.Stream, data []byte, sets, pd int) (*replayView, bool) {
-	if len(data) < 17 {
+// decodeAccessView validates a sidecar payload against the stream and
+// rebuilds the in-memory form for the geometry. ok=false means corrupt
+// or stale — the caller rebuilds from the stream.
+func decodeAccessView(s *l2stream.Stream, data []byte, sets int) (*accessView, bool) {
+	if len(data) < 16 {
 		return nil, false
 	}
 	n := int(binary.LittleEndian.Uint64(data))
 	warmIdx := int(int64(binary.LittleEndian.Uint64(data[8:])))
-	hasPF := data[16]
-	if uint64(n) != s.Accesses() || warmIdx < -1 || warmIdx > n {
+	if uint64(n) != s.Accesses() || warmIdx < -1 || warmIdx > n || len(data) != 16+n*17 {
 		return nil, false
 	}
-	if (hasPF != 0) != (pd > 0) || hasPF > 1 {
-		return nil, false
-	}
-	pos := 17
-	fixed := pos + n*8 + n*8 + n
-	if hasPF != 0 {
-		if len(data) < fixed+(n+1)*4 {
-			return nil, false
-		}
-		nPF := int(binary.LittleEndian.Uint32(data[fixed+n*4:]))
-		if len(data) != fixed+(n+1)*4+nPF*8 {
-			return nil, false
-		}
-	} else if len(data) != fixed {
-		return nil, false
-	}
-	v := &replayView{warmIdx: warmIdx}
+	v := &accessView{warmIdx: warmIdx}
+	pos := 16
 	v.pc, pos = readU64s(data, pos, n)
 	v.vpn, pos = readU64s(data, pos, n)
 	v.instr = append([]uint8(nil), data[pos:pos+n]...)
-	pos += n
-	for i := range v.instr {
-		if v.instr[i] > 1 {
+	for _, b := range v.instr {
+		if b > 1 {
 			return nil, false
 		}
-	}
-	if hasPF != 0 {
-		v.pfOff, pos = readU32s(data, pos, n+1)
-		last := uint32(0)
-		for _, o := range v.pfOff {
-			if o < last {
-				return nil, false
-			}
-			last = o
-		}
-		v.pfVPN, _ = readU64s(data, pos, int(last))
 	}
 	mask := uint64(sets - 1)
 	v.set = make([]uint32, n)
@@ -214,13 +226,94 @@ func decodeReplayView(s *l2stream.Stream, data []byte, sets, pd int) (*replayVie
 	return v, true
 }
 
+// prefetchSchedule is the stride prefetcher's fill schedule over the
+// demand access sequence, in replayView's CSR layout.
+type prefetchSchedule struct {
+	off []uint32
+	vpn []uint64
+}
+
+// prefetchScheduleFor materializes (or recalls) the schedule for
+// prefetch distance pd, building it from av's columns. The schedule
+// depends only on the access PCs and VPNs, not on the geometry av was
+// built for, so its key omits the geometry.
+func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*prefetchSchedule, error) {
+	spec := &l2stream.DerivedSpec{
+		Key:   fmt.Sprintf("pf1:pd%d", pd),
+		Build: func(*l2stream.Stream) (any, error) { return buildPrefetchSchedule(av, pd), nil },
+		Bytes: func(view any) int64 {
+			ps := view.(*prefetchSchedule)
+			return int64(len(ps.off)*4 + len(ps.vpn)*8)
+		},
+		Encode: func(view any) []byte {
+			ps := view.(*prefetchSchedule)
+			out := make([]byte, 0, 8+len(ps.off)*4+len(ps.vpn)*8)
+			out = binary.LittleEndian.AppendUint64(out, uint64(len(ps.off)-1))
+			out = appendU32s(out, ps.off)
+			return appendU64s(out, ps.vpn)
+		},
+		Decode: decodePrefetchSchedule,
+	}
+	v, err := stream.Derived(spec)
+	if err != nil {
+		return nil, err
+	}
+	return v.(*prefetchSchedule), nil
+}
+
+// buildPrefetchSchedule runs the shared stride prefetcher over the
+// access columns exactly as a live replay would.
+func buildPrefetchSchedule(av *accessView, pd int) *prefetchSchedule {
+	pf := newStridePrefetcher(pd)
+	ps := &prefetchSchedule{off: make([]uint32, len(av.pc)+1)}
+	for i, pc := range av.pc {
+		ps.vpn = append(ps.vpn, pf.observe(pc, av.vpn[i])...)
+		ps.off[i+1] = uint32(len(ps.vpn))
+	}
+	return ps
+}
+
+// decodePrefetchSchedule validates a schedule sidecar payload against
+// the stream. ok=false means corrupt or stale.
+func decodePrefetchSchedule(s *l2stream.Stream, data []byte) (any, bool) {
+	if len(data) < 8 {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint64(data))
+	if uint64(n) != s.Accesses() || len(data) < 8+(n+1)*4 {
+		return nil, false
+	}
+	ps := &prefetchSchedule{}
+	pos := 8
+	ps.off, pos = readU32s(data, pos, n+1)
+	last := uint32(0)
+	for _, o := range ps.off {
+		if o < last {
+			return nil, false
+		}
+		last = o
+	}
+	if ps.off[0] != 0 || len(data) != pos+int(last)*8 {
+		return nil, false
+	}
+	ps.vpn, _ = readU64s(data, pos, int(last))
+	return ps, true
+}
+
 // chirpSigsFor materializes (or recalls) the CHiRP signature sequence
 // for cfg's signature-relevant configuration: per access, demand
 // signature in the low half, prefetch-fill signature in the high half.
-func chirpSigsFor(stream *l2stream.Stream, cfg core.Config) ([]uint32, error) {
+// pcs is the stream's access PC sequence (an accessView column), which
+// is all a variant without branch history needs.
+func chirpSigsFor(stream *l2stream.Stream, cfg core.Config, pcs []uint64) ([]uint32, error) {
 	spec := &l2stream.DerivedSpec{
-		Key:   "chirp:" + cfg.SignatureKey(),
-		Build: func(s *l2stream.Stream) (any, error) { return buildCHiRPSigs(s, cfg) },
+		Key: "chirp:" + cfg.SignatureKey(),
+		Build: func(s *l2stream.Stream) (any, error) {
+			if !cfg.UseCondHistory && !cfg.UseIndirectHistory {
+				return chirpSigsFromPCs(cfg, pcs), nil
+			}
+			return buildCHiRPSigs(s, cfg)
+		},
 		Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
 		Encode: func(view any) []byte {
 			sigs := view.([]uint32)
@@ -246,30 +339,73 @@ func chirpSigsFor(stream *l2stream.Stream, cfg core.Config) ([]uint32, error) {
 	return v.([]uint32), nil
 }
 
-// buildCHiRPSigs replays the signature computation over the full event
-// view once, through the same Histories/signature code the live policy
-// runs (core.SigSequencer).
+// chirpSigsFromPCs computes the signature sequence of a CHiRP variant
+// that keeps no branch history. Its sequencer ignores every branch, so
+// the access PCs alone determine the sequence and the stream need not
+// be decoded.
+func chirpSigsFromPCs(cfg core.Config, pcs []uint64) []uint32 {
+	q := core.NewSigSequencer(cfg)
+	out := make([]uint32, len(pcs))
+	for i, pc := range pcs {
+		sig, psig := q.OnAccess(pc)
+		out[i] = uint32(sig) | uint32(psig)<<16
+	}
+	return out
+}
+
+// buildCHiRPSigs replays the signature computation over the stream's
+// events, decoded block by block, through the same Histories/signature
+// code the live policy runs (core.SigSequencer).
 func buildCHiRPSigs(s *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	evs, err := s.DecodeAll()
-	if err != nil {
+	b := chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
+	d := s.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		k := d.NextBlock(blk[:])
+		if k == 0 {
+			break
+		}
+		if !b.fill(blk[:k]) {
+			return nil, fmt.Errorf("sim: chirp signature view decoded more accesses than the %d the stream reports", s.Accesses())
+		}
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	q := core.NewSigSequencer(cfg)
-	out := make([]uint32, 0, s.Accesses())
+	if uint64(b.n) != s.Accesses() {
+		return nil, fmt.Errorf("sim: chirp signature view built %d entries, stream reports %d accesses", b.n, s.Accesses())
+	}
+	return b.out, nil
+}
+
+// chirpSigBuilder is buildCHiRPSigs' per-block state: the signature
+// sequencer and the pre-sized output it fills.
+type chirpSigBuilder struct {
+	q   *core.SigSequencer
+	out []uint32
+	n   int
+}
+
+// fill feeds one decoded block through the sequencer, reporting false
+// when the block holds more accesses than out has room for.
+//
+//chirp:hotpath
+func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			sig, psig := q.OnAccess(ev.PC)
-			out = append(out, uint32(sig)|uint32(psig)<<16)
+			if b.n >= len(b.out) {
+				return false
+			}
+			sig, psig := b.q.OnAccess(ev.PC)
+			b.out[b.n] = uint32(sig) | uint32(psig)<<16
+			b.n++
 		case l2stream.EventBranch:
-			q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
+			b.q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
 		}
 	}
-	if uint64(len(out)) != s.Accesses() {
-		return nil, fmt.Errorf("sim: chirp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())
-	}
-	return out, nil
+	return true
 }
 
 // ghrpSigsFor materializes (or recalls) the GHRP signature sequence:
@@ -304,26 +440,56 @@ func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
 	return v.([]uint64), nil
 }
 
+// buildGHRPSigs runs the GHRP history over the stream's events,
+// decoded block by block, recording each access's signature.
 func buildGHRPSigs(s *l2stream.Stream) (any, error) {
-	evs, err := s.DecodeAll()
-	if err != nil {
+	b := ghrpSigBuilder{out: make([]uint64, s.Accesses())}
+	d := s.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		k := d.NextBlock(blk[:])
+		if k == 0 {
+			break
+		}
+		if !b.fill(blk[:k]) {
+			return nil, fmt.Errorf("sim: ghrp signature view decoded more accesses than the %d the stream reports", s.Accesses())
+		}
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	var h policy.GHRPHistory
-	out := make([]uint64, 0, s.Accesses())
+	if uint64(b.n) != s.Accesses() {
+		return nil, fmt.Errorf("sim: ghrp signature view built %d entries, stream reports %d accesses", b.n, s.Accesses())
+	}
+	return b.out, nil
+}
+
+// ghrpSigBuilder is buildGHRPSigs' per-block state.
+type ghrpSigBuilder struct {
+	h   policy.GHRPHistory
+	out []uint64
+	n   int
+}
+
+// fill feeds one decoded block through the GHRP history, reporting
+// false when the block holds more accesses than out has room for.
+//
+//chirp:hotpath
+func (b *ghrpSigBuilder) fill(evs []l2stream.Event) bool {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			out = append(out, h.Signature(ev.PC))
+			if b.n >= len(b.out) {
+				return false
+			}
+			b.out[b.n] = b.h.Signature(ev.PC)
+			b.n++
 		case l2stream.EventBranch:
-			h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+			b.h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
 		}
 	}
-	if uint64(len(out)) != s.Accesses() {
-		return nil, fmt.Errorf("sim: ghrp signature view built %d entries, stream reports %d accesses", len(out), s.Accesses())
-	}
-	return out, nil
+	return true
 }
 
 func appendU64s(dst []byte, xs []uint64) []byte {

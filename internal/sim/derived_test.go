@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
@@ -174,4 +178,338 @@ func sidecarFiles(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// TestReplayMultiBudget pins the cache's byte accounting from the
+// replay side. A capture whose encoded buffer fits the budget stays in
+// memory even when the old charge (32 B per event plus 32 B per access
+// on top of the buffer) would have spilled it, and a capture whose
+// buffer alone exceeds the budget still spills. Either way ReplayMulti
+// must reproduce per-policy direct runs bit for bit.
+func TestReplayMultiBudget(t *testing.T) {
+	cfg := DefaultTLBOnlyConfig(200000)
+	cfg.PrefetchDistance = 2
+	const wname = "db-003"
+	open := func() (trace.Source, error) {
+		return trace.NewLimit(workloads.ByName(wname).Source(), cfg.Instructions), nil
+	}
+	probe := captureFor(t, wname, cfg)
+	bufBytes := int64(probe.MemBytes())
+	oldCharge := bufBytes + int64(probe.Events()+probe.Accesses()+1)*32
+
+	names := PolicyNames()
+	direct := make([]TLBOnlyResult, len(names))
+	for i, n := range names {
+		pol, err := NewPolicy(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := open()
+		if direct[i], err = RunTLBOnly(src, pol, cfg); err != nil {
+			t.Fatalf("%s direct: %v", n, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		budget  int64
+		spilled bool
+	}{
+		{"buffer-fits", (bufBytes + oldCharge) / 2, false},
+		{"buffer-over-budget", bufBytes - 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := l2stream.NewCache(tc.budget, t.TempDir())
+			defer cache.Close()
+			stream, err := StreamFor(cache, wname, "", cfg, open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stream.Spilled() != tc.spilled {
+				t.Fatalf("budget %d (buffer %d, old charge %d): spilled = %v, want %v",
+					tc.budget, bufBytes, oldCharge, stream.Spilled(), tc.spilled)
+			}
+			if !tc.spilled && cache.Used() != bufBytes {
+				t.Errorf("cache charged %d bytes at commit, want the %d-byte buffer", cache.Used(), bufBytes)
+			}
+			fused, err := ReplayMulti(stream, allPolicies(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range names {
+				if fused[i] != direct[i] {
+					t.Errorf("%s: ReplayMulti diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", n, direct[i], fused[i])
+				}
+			}
+		})
+	}
+}
+
+// blockTestRecords synthesises a randomized trace of n single-
+// instruction records (Skip 0, so record i ends at instruction i+1)
+// that misses the default L1s often — code and data spread over
+// thousands of pages — with branches of every kind, and ends in a run
+// of ALU records at one PC, which produce no access events after the
+// first.
+func blockTestRecords(seed uint64, n int) []trace.Record {
+	rng := trace.NewRNG(seed)
+	recs := make([]trace.Record, n)
+	pc := uint64(0x400000)
+	for i := range recs {
+		if i >= n-16 {
+			recs[i] = trace.Record{PC: pc, Class: trace.ClassALU}
+			continue
+		}
+		if rng.Intn(4) == 0 {
+			pc = 0x400000 + uint64(rng.Intn(4096))<<12 // jump to a cold code page
+		}
+		pc += uint64(4 * (1 + rng.Intn(4)))
+		cls := trace.Class(rng.Intn(trace.NumClasses))
+		rec := trace.Record{PC: pc, Class: cls}
+		switch {
+		case cls.IsMemory():
+			rec.EA = uint64(rng.Intn(4096)) << 12
+		case cls.IsBranch():
+			rec.Taken = rng.Bool(0.5) || cls != trace.ClassCondBranch
+			rec.Target = pc + uint64(rng.Intn(1<<16))
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// fullEvents is the test-only reference decode: the whole stream as one
+// fully populated []Event, decoded an event at a time.
+func fullEvents(t *testing.T, s *l2stream.Stream) []l2stream.Event {
+	t.Helper()
+	var evs []l2stream.Event
+	d := s.Decode()
+	var ev l2stream.Event
+	for d.Next(&ev) {
+		evs = append(evs, ev)
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	return evs
+}
+
+// refReplayView, refCHiRPSigs and refGHRPSigs compute each derived view
+// from a fully decoded event slice, one event at a time.
+func refReplayView(evs []l2stream.Event, sets, pd int) *replayView {
+	v := &replayView{accessView: accessView{warmIdx: -1}}
+	var pf *stridePrefetcher
+	if pd > 0 {
+		pf = newStridePrefetcher(pd)
+		v.pfOff = []uint32{0}
+	}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case l2stream.EventWarmup:
+			v.warmIdx = len(v.pc)
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			v.pc = append(v.pc, ev.PC)
+			v.vpn = append(v.vpn, ev.VPN)
+			v.set = append(v.set, uint32(ev.VPN&uint64(sets-1)))
+			instr := uint8(0)
+			if ev.Kind == l2stream.EventInstrAccess {
+				instr = 1
+			}
+			v.instr = append(v.instr, instr)
+			if pf != nil {
+				v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
+				v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
+			}
+		}
+	}
+	return v
+}
+
+func refCHiRPSigs(evs []l2stream.Event, cfg core.Config) []uint32 {
+	q := core.NewSigSequencer(cfg)
+	var out []uint32
+	for _, ev := range evs {
+		switch ev.Kind {
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			sig, psig := q.OnAccess(ev.PC)
+			out = append(out, uint32(sig)|uint32(psig)<<16)
+		case l2stream.EventBranch:
+			q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
+		}
+	}
+	return out
+}
+
+func refGHRPSigs(evs []l2stream.Event) []uint64 {
+	var h policy.GHRPHistory
+	var out []uint64
+	for _, ev := range evs {
+		switch ev.Kind {
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			out = append(out, h.Signature(ev.PC))
+		case l2stream.EventBranch:
+			h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+		}
+	}
+	return out
+}
+
+// markerIndex returns the warmup marker's position in evs, counting
+// only events keep accepts, or -1 without a marker.
+func markerIndex(evs []l2stream.Event, keep func(l2stream.EventKind) bool) int {
+	i := 0
+	for _, ev := range evs {
+		if ev.Kind == l2stream.EventWarmup {
+			return i
+		}
+		if keep(ev.Kind) {
+			i++
+		}
+	}
+	return -1
+}
+
+// TestBlockBuildersMatchReference checks each block-decoded derived-
+// view builder — the replay view (access columns over NextAccessBlock,
+// plus the prefetch schedule built from them) and the CHiRP and GHRP
+// signature sequences (over NextBlock, or the access PCs for CHiRP
+// variants without branch history) — against a reference computed from
+// the fully decoded event slice, on randomized streams, with prefetch
+// distance 0 and 4, and with the warmup marker absent, mid-stream,
+// trailing every access, and at the 256-event block boundary of either
+// decoder.
+func TestBlockBuildersMatchReference(t *testing.T) {
+	const n = 2048 // records; a power of two, so m/n is exact
+	sets := DefaultHierarchy().L2.Entries / DefaultHierarchy().L2.Ways
+	all := func(l2stream.EventKind) bool { return true }
+	accessOnly := func(k l2stream.EventKind) bool { return k != l2stream.EventBranch }
+
+	for _, seed := range []uint64{1, 2, 3} {
+		recs := blockTestRecords(seed, n)
+		// captureAt captures recs with the warmup boundary at the end of
+		// record m-1 (m = 0: no marker) and decodes it in full.
+		captureAt := func(m int) (*l2stream.Stream, []l2stream.Event) {
+			cfg := DefaultTLBOnlyConfig(n)
+			cfg.WarmupFraction = float64(m) / n
+			s, err := l2stream.Capture(trace.NewSliceSource(recs), CaptureConfig(cfg), l2stream.CaptureOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, fullEvents(t, s)
+		}
+		// boundaryAt finds the first boundary position whose marker sits
+		// at index DecodeBlockSize-1 or later under keep; the marker
+		// advances at most two events per record, so it lands on one of
+		// the two events either side of the block boundary.
+		boundaryAt := func(keep func(l2stream.EventKind) bool) int {
+			lo, hi := 1, n
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if _, evs := captureAt(mid); markerIndex(evs, keep) >= l2stream.DecodeBlockSize-1 {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			return lo
+		}
+		cases := []struct {
+			name string
+			m    int
+			keep func(l2stream.EventKind) bool
+		}{
+			{"absent", 0, nil},
+			{"mid-stream", n / 2, nil},
+			{"trailing", n - 4, nil},
+			{"full-block-boundary", boundaryAt(all), all},
+			{"access-block-boundary", boundaryAt(accessOnly), accessOnly},
+		}
+		for _, tc := range cases {
+			s, evs := captureAt(tc.m)
+			name := fmt.Sprintf("seed%d/%s", seed, tc.name)
+			switch {
+			case tc.keep != nil:
+				if i := markerIndex(evs, tc.keep); i != l2stream.DecodeBlockSize-1 && i != l2stream.DecodeBlockSize {
+					t.Fatalf("%s: marker at %d, not at the block boundary", name, i)
+				}
+			case tc.m == 0:
+				if markerIndex(evs, all) != -1 {
+					t.Fatalf("%s: stream has a warmup marker", name)
+				}
+			case tc.name == "trailing":
+				if markerIndex(evs, accessOnly) != int(s.Accesses()) {
+					t.Fatalf("%s: marker does not trail every access", name)
+				}
+			}
+			if s.Events() < 4*l2stream.DecodeBlockSize {
+				t.Fatalf("%s: %d events span too few blocks", name, s.Events())
+			}
+
+			for _, pd := range []int{0, 4} {
+				cfg := DefaultTLBOnlyConfig(n)
+				cfg.PrefetchDistance = pd
+				got, err := replayViewFor(s, cfg)
+				if err != nil {
+					t.Fatalf("%s pd=%d: %v", name, pd, err)
+				}
+				compareViews(t, fmt.Sprintf("%s pd=%d", name, pd), got, refReplayView(evs, sets, pd))
+			}
+			for _, ccfg := range chirpSigConfigs() {
+				want := refCHiRPSigs(evs, ccfg)
+				sigs, err := buildCHiRPSigs(s, ccfg)
+				if err != nil {
+					t.Fatalf("%s: chirp sigs: %v", name, err)
+				}
+				if !slices.Equal(sigs, want) {
+					t.Errorf("%s: chirp %s signature sequence diverges from the reference", name, ccfg.SignatureKey())
+				}
+				if !ccfg.UseCondHistory && !ccfg.UseIndirectHistory {
+					av, err := accessViewFor(s, sets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(chirpSigsFromPCs(ccfg, av.pc), want) {
+						t.Errorf("%s: chirp %s signatures from the access PCs diverge from the reference", name, ccfg.SignatureKey())
+					}
+				}
+			}
+			gsigs, err := buildGHRPSigs(s)
+			if err != nil {
+				t.Fatalf("%s: ghrp sigs: %v", name, err)
+			}
+			if want := refGHRPSigs(evs); !slices.Equal(gsigs.([]uint64), want) {
+				t.Errorf("%s: ghrp signature sequence diverges from the reference", name)
+			}
+		}
+	}
+}
+
+// chirpSigConfigs returns CHiRP configurations covering every history
+// mix the signature builders distinguish: none, path only, path and
+// conditional, and all three.
+func chirpSigConfigs() []core.Config {
+	var out []core.Config
+	for _, use := range [][3]bool{{false, false, false}, {true, false, false}, {true, true, false}, {true, true, true}} {
+		c := core.DefaultConfig()
+		c.UsePathHistory, c.UseCondHistory, c.UseIndirectHistory = use[0], use[1], use[2]
+		out = append(out, c)
+	}
+	return out
+}
+
+func compareViews(t *testing.T, name string, got, want *replayView) {
+	t.Helper()
+	if got.warmIdx != want.warmIdx {
+		t.Errorf("%s: warmIdx = %d, want %d", name, got.warmIdx, want.warmIdx)
+	}
+	if !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) ||
+		!slices.Equal(got.set, want.set) || !slices.Equal(got.instr, want.instr) {
+		t.Errorf("%s: access columns diverge from the reference", name)
+	}
+	if (got.pfOff == nil) != (want.pfOff == nil) {
+		t.Fatalf("%s: prefetch schedule present = %v, want %v", name, got.pfOff != nil, want.pfOff != nil)
+	}
+	if !slices.Equal(got.pfOff, want.pfOff) || !slices.Equal(got.pfVPN, want.pfVPN) {
+		t.Errorf("%s: prefetch schedule diverges from the reference", name)
+	}
 }

@@ -35,8 +35,8 @@ import (
 // once by the derived views through the same code the live policies
 // run; branch events matter only through those signatures, so fed
 // policies never walk them. A branch-observing policy outside the
-// known signature families falls back to a solo-shaped replay over the
-// memoized full event view.
+// known signature families falls back to a solo-shaped replay that
+// block-decodes the full event stream.
 func ReplayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
 	return replayMulti(stream, policies, cfg, runtime.GOMAXPROCS(0))
 }
@@ -128,12 +128,12 @@ func runPolicies(workers, n int, job func(j int)) {
 // replayOne replays a single policy over the shared derived views:
 // CHiRP and GHRP run in external-signature mode against their
 // precomputed sequences, other branch observers fall back to the
-// solo-shaped full-event replay (still over the memoized view), and
-// everything else walks the dense access view directly.
+// solo-shaped full-event replay, and everything else walks the dense
+// access view directly.
 func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
 	switch pp := p.(type) {
 	case *core.CHiRP:
-		sigs, err := chirpSigsFor(stream, pp.Config())
+		sigs, err := chirpSigsFor(stream, pp.Config(), rv.pc)
 		if err != nil {
 			return TLBOnlyResult{}, err
 		}
@@ -337,8 +337,8 @@ func (w *denseWalker) walkGHRP(v *replayView, p *policy.GHRP, sigs []uint64) {
 	}
 }
 
-// replayMultiSpilled replays a spilled stream: the event view never
-// materialized, so each policy re-runs the direct driver over the
+// replayMultiSpilled replays a spilled stream: there is no encoded
+// buffer to decode, so each policy re-runs the direct driver over the
 // record file — held retained for the whole fan-out so a racing
 // Cache.Close cannot delete it mid-read. Policies fan across the same
 // worker pool as the in-memory path; each opens its own reader.

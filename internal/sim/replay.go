@@ -88,27 +88,31 @@ func ReplayTLBOnly(stream *l2stream.Stream, l2p tlb.Policy, cfg TLBOnlyConfig) (
 		pf = newStridePrefetcher(cfg.PrefetchDistance)
 	}
 
-	// One decode per stream, shared across the policy fan-out: the
-	// first replay materializes the event slice, the rest iterate it.
-	// Policies that do not observe branches replay the branch-free
-	// access view, so they never touch the branch events they would
-	// discard (both views are memoized single-flight on the stream).
-	var evs []l2stream.Event
-	var err2 error
-	if observesBranches {
-		evs, err2 = stream.DecodeAll()
-	} else {
-		evs, err2 = stream.DecodeAccesses()
-	}
-	if err2 != nil {
-		return TLBOnlyResult{}, err2
-	}
+	// Decode block by block straight into the replay loop; policies
+	// that do not observe branches take the access-only decoder, which
+	// skips the branch payloads they would discard.
 	rs := &replayState{l2: l2, pf: pf, bo: bo}
-	warmStats := rs.replayEvents(evs)
+	d := stream.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		var k int
+		if observesBranches {
+			k = d.NextBlock(blk[:])
+		} else {
+			k = d.NextAccessBlock(blk[:])
+		}
+		if k == 0 {
+			break
+		}
+		rs.replayEvents(blk[:k])
+	}
+	if err := d.Err(); err != nil {
+		return TLBOnlyResult{}, err
+	}
 
 	l2.FlushAccounting()
 	publishRun(l2p, l2)
-	return replayResult(stream, l2p, l2, warmStats), nil
+	return replayResult(stream, l2p, l2, rs.warm), nil
 }
 
 // replayResult assembles a replayed policy's result from its finished
@@ -146,15 +150,15 @@ type replayState struct {
 	l2     *tlb.TLB
 	pf     *stridePrefetcher
 	bo     tlb.BranchObserver // nil when the policy ignores branches
+	warm   tlb.Stats          // L2 stats latched at the warmup marker
 	a2, pa tlb.Access
 }
 
-// replayEvents drives the decoded event sequence through the L2 TLB
-// and returns the L2 stats latched at the warmup marker.
+// replayEvents drives one decoded block of events through the L2 TLB,
+// latching the L2 stats into r.warm at the warmup marker.
 //
 //chirp:hotpath
-func (r *replayState) replayEvents(evs []l2stream.Event) tlb.Stats {
-	var warmStats tlb.Stats
+func (r *replayState) replayEvents(evs []l2stream.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -180,10 +184,9 @@ func (r *replayState) replayEvents(evs []l2stream.Event) tlb.Stats {
 				r.bo.OnBranch(ev.PC, ev.Conditional, ev.Indirect, ev.Taken, ev.Target)
 			}
 		case l2stream.EventWarmup:
-			warmStats = r.l2.Stats()
+			r.warm = r.l2.Stats()
 		}
 	}
-	return warmStats
 }
 
 // StreamVPNs extracts the L2 demand-access VPN sequence from a
@@ -207,18 +210,24 @@ func StreamVPNs(stream *l2stream.Stream, cfg TLBOnlyConfig) ([]uint64, error) {
 		defer fs.Close()
 		return CollectL2Stream(fs, cfg)
 	}
-	// The branch-free view is exactly the access sequence (plus the
-	// warmup marker), and it is the memo the OPT oracle's policy-side
-	// replays share.
-	evs, err := stream.DecodeAccesses()
-	if err != nil {
-		return nil, err
-	}
+	// The access-only decoder yields exactly the access sequence (plus
+	// the warmup marker, dropped here).
 	vpns := make([]uint64, 0, stream.Accesses())
-	for i := range evs {
-		if k := evs[i].Kind; k == l2stream.EventInstrAccess || k == l2stream.EventDataAccess {
-			vpns = append(vpns, evs[i].VPN)
+	d := stream.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		k := d.NextAccessBlock(blk[:])
+		if k == 0 {
+			break
 		}
+		for i := range blk[:k] {
+			if blk[i].Kind != l2stream.EventWarmup {
+				vpns = append(vpns, blk[i].VPN)
+			}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return vpns, nil
 }

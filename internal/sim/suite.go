@@ -109,7 +109,7 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // runSuiteFused is the capture/replay suite path: one engine job per
 // workload captures (or reuses) the stream and replays every policy in
 // a single fused pass (ReplayMulti), instead of len(pols) jobs that
-// each re-walk the decoded view. Results keep the workload-major,
+// each re-decode the stream. Results keep the workload-major,
 // policy-minor order the per-cell path guarantees, and a failed
 // workload still leaves its policy rows in place (zero-valued) so
 // callers indexing cell (i, j) stay correct.
