@@ -317,8 +317,9 @@ func BenchmarkRunTLBOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayTLBOnly is the replay path over a pre-captured
-// stream — what every policy after the first pays in a sweep.
+// BenchmarkReplayTLBOnly is a one-policy replay (ReplayMulti) over a
+// pre-captured stream whose derived views are memoized after the first
+// iteration — what every policy after the first pays in a sweep.
 func BenchmarkReplayTLBOnly(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
@@ -333,7 +334,7 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.ReplayTLBOnly(stream, p, cfg); err != nil {
+				if _, err := sim.ReplayMulti(stream, []tlb.Policy{p}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -341,11 +342,10 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayMulti compares the fused single-pass kernel against
-// the same policies replayed independently over one captured stream.
-// "independent" is N full decode-view passes (one per policy);
-// "fused" is one pass driving all N TLBs per event. The ratio is the
-// per-workload replay speedup a multi-policy sweep sees.
+// BenchmarkReplayMulti compares one N-policy ReplayMulti call against
+// the same policies replayed by N one-policy calls over one captured
+// stream. Both walk the same memoized views; the ratio is what the
+// policy-parallel fan-out inside one call buys a multi-policy sweep.
 func BenchmarkReplayMulti(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
@@ -367,7 +367,7 @@ func BenchmarkReplayMulti(b *testing.B) {
 	b.Run("independent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range build() {
-				if _, err := sim.ReplayTLBOnly(stream, p, cfg); err != nil {
+				if _, err := sim.ReplayMulti(stream, []tlb.Policy{p}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

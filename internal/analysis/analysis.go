@@ -17,8 +17,8 @@
 //     map-iteration-order-dependent output.
 //   - ctx-first: exported work-launching functions in internal/sim and
 //     internal/engine take a context.Context first.
-//   - no-deprecated: the pre-engine suite entry points may not gain new
-//     callers (this rule replaced the CI grep gate).
+//   - no-deprecated: workloads.NewGenerator may not be called outside
+//     the workloads packages (this rule replaced the CI grep gate).
 //
 // A second tier of rules runs a forward must/may dataflow analysis
 // over per-function control-flow graphs (cfg.go, dataflow.go):
@@ -64,7 +64,7 @@
 // acquires — are diagnosed by the same hygiene pass as //chirp:allow.
 //
 // Only non-test sources are analyzed: _test.go files may freely use
-// maps, wall clocks and deprecated compatibility wrappers.
+// maps, wall clocks and deprecated functions.
 package analysis
 
 import (

@@ -142,7 +142,7 @@ func TestDeterminismFixture(t *testing.T) {
 func TestCtxFirstFixture(t *testing.T) { testFixture(t, "ctx-first", "ctxfirst/internal/sim") }
 
 func TestDeprecatedFixture(t *testing.T) {
-	testFixture(t, "no-deprecated", "deprecated/app", "deprecated/internal/sim",
+	testFixture(t, "no-deprecated", "deprecated/app",
 		"deprecated/internal/workloads", "deprecated/internal/workloads/spec")
 }
 

@@ -16,8 +16,7 @@ import (
 //   - a function that launches goroutines must take a context.Context;
 //   - context.Background()/context.TODO() inside an exported function
 //     severs the caller's cancellation chain — thread the caller's
-//     context instead. (The deprecated pre-engine wrappers carry
-//     //chirp:allow directives; new code has no excuse.)
+//     context instead.
 type CtxFirstRule struct{}
 
 // ctxScopes are the packages whose exported functions launch

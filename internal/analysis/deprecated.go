@@ -8,11 +8,12 @@ import (
 )
 
 // DeprecatedRule replaces the CI grep gate that banned the pre-engine
-// suite entry points in cmd/ and examples/: any reference to a
-// deprecated function from outside its own definition, anywhere in the
-// module, is an error. Unlike the grep it is not fooled by aliasing,
-// wrapping, or taking the function's value instead of calling it —
-// and it covers every package, not just the reference callers.
+// suite entry points in cmd/ and examples/ (since deleted): any
+// reference to a deprecated function from outside its own definition
+// and its allowed packages, anywhere in the module, is an error.
+// Unlike the grep it is not fooled by aliasing, wrapping, or taking the
+// function's value instead of calling it — and it covers every
+// package, not just the reference callers.
 type DeprecatedRule struct{}
 
 // deprecatedFunc names one banned function and its replacement.
@@ -20,22 +21,18 @@ type DeprecatedRule struct{}
 // inScope, subpackages included) that may still reference the function
 // — the compat shim that owns it.
 type deprecatedFunc struct {
-	pkgSuffix string // module-relative defining package ("internal/sim")
+	pkgSuffix string // module-relative defining package ("internal/workloads")
 	name      string
 	instead   string
 	allowPkgs []string
 }
 
-// deprecatedFuncs is the ban list. These wrappers exist only for
-// source compatibility with pre-engine callers and will not grow new
-// options; everything routes through the context-first entry points.
-// NewGenerator is not going away, but direct construction bypasses the
-// redesigned workloads API (Workload.Source carries composite
-// multi-tenant workloads that have no single Program), so outside the
-// workloads packages it is treated the same way.
+// deprecatedFuncs is the ban list. NewGenerator is not going away, but
+// direct construction bypasses the redesigned workloads API
+// (Workload.Source carries composite multi-tenant workloads that have
+// no single Program), so outside the workloads packages it is treated
+// as deprecated.
 var deprecatedFuncs = []deprecatedFunc{
-	{"internal/sim", "RunSuiteTLBOnly", "RunSuiteTLBOnlyCtx (or sim.Run for a single cell)", nil},
-	{"internal/sim", "RunSuiteTiming", "RunSuiteTimingCtx", nil},
 	{"internal/workloads", "NewGenerator", "(*Workload).Source (or spec.Compile for spec-built programs)",
 		[]string{"internal/workloads"}},
 }
@@ -45,7 +42,7 @@ func (*DeprecatedRule) Name() string { return "no-deprecated" }
 
 // Doc implements Rule.
 func (*DeprecatedRule) Doc() string {
-	return "no references to the deprecated pre-engine suite entry points outside their own definitions"
+	return "no references to deprecated functions (direct workloads.NewGenerator construction) outside their allowed packages"
 }
 
 // Check implements Rule.

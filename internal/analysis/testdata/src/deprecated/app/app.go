@@ -4,16 +4,8 @@
 package app
 
 import (
-	sim "github.com/chirplab/chirp/internal/analysis/testdata/src/deprecated/internal/sim"
 	workloads "github.com/chirplab/chirp/internal/analysis/testdata/src/deprecated/internal/workloads"
 )
-
-// Sweep calls the banned entry points.
-func Sweep() int {
-	total := sim.RunSuiteTLBOnly(2) // want "RunSuiteTLBOnly is deprecated; use RunSuiteTLBOnlyCtx"
-	f := sim.RunSuiteTiming         // want "RunSuiteTiming is deprecated; use RunSuiteTimingCtx"
-	return total + f()
-}
 
 // Generate constructs a generator directly, outside the workloads
 // packages' allow scope.
@@ -21,8 +13,14 @@ func Generate() *workloads.Generator {
 	return workloads.NewGenerator() // want "NewGenerator is deprecated"
 }
 
+// Factory takes the constructor's value instead of calling it.
+func Factory() func() *workloads.Generator {
+	f := workloads.NewGenerator // want "NewGenerator is deprecated"
+	return f
+}
+
 // Pinned documents why one legacy call remains.
-func Pinned() int {
-	//chirp:allow no-deprecated fixture: golden-output comparison against the legacy runner
-	return sim.RunSuiteTiming()
+func Pinned() *workloads.Generator {
+	//chirp:allow no-deprecated fixture: golden-output comparison against a hand-built generator
+	return workloads.NewGenerator()
 }

@@ -360,8 +360,9 @@ type OptResult struct {
 func OptBound(o Options) (*OptResult, error) {
 	// One cache serves the lru/chirp suite pass AND the oracle jobs:
 	// the capture that replayed lru and chirp also yields the VPN
-	// sequence OPT's oracle needs and the event stream its run replays,
-	// so each workload's trace is generated exactly once.
+	// sequence OPT's oracle needs and the access view its run walks
+	// (one view build serves both), so each workload's trace is
+	// generated exactly once.
 	o, done := o.withCache()
 	defer done()
 	ws := o.suite()
@@ -390,11 +391,11 @@ func OptBound(o Options) (*OptResult, error) {
 				if err != nil {
 					return 0, err
 				}
-				r, err := sim.ReplayTLBOnly(stream, newOPT(vpns), cfg)
+				rs, err := sim.ReplayMulti(stream, []tlb.Policy{newOPT(vpns)}, cfg)
 				if err != nil {
 					return 0, err
 				}
-				return r.MPKI, nil
+				return rs[0].MPKI, nil
 			},
 		})
 	}

@@ -9,7 +9,7 @@
 // sequence of L2 demand accesses and the interleaved branch stream are
 // identical for every L2 replacement policy. Capture runs the
 // generator and the two L1 filters once and encodes that shared
-// sequence; sim.ReplayTLBOnly then drives any number of L2 policies
+// sequence; sim.ReplayMulti then drives any number of L2 policies
 // over it, bit-identical to sim.RunTLBOnly.
 //
 // Streams are delta-encoded in memory (a few bytes per event),

@@ -56,8 +56,7 @@ type replayView struct {
 // geometry and prefetch distance from the memoized (or persisted)
 // accessView and prefetch schedule.
 func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, error) {
-	sets := cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways
-	av, err := accessViewFor(stream, sets)
+	av, err := accessViewFor(stream, cfg.l2Sets())
 	if err != nil {
 		return nil, err
 	}
@@ -71,6 +70,9 @@ func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, err
 	}
 	return v, nil
 }
+
+// l2Sets is the L2 TLB's set count, the geometry key of an accessView.
+func (cfg TLBOnlyConfig) l2Sets() int { return cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways }
 
 // accessView is the dense access sequence for one L2 geometry as
 // struct-of-arrays. All slices are indexed by demand access ordinal and

@@ -52,28 +52,11 @@ func allPolicies(t *testing.T) []tlb.Policy {
 	return pols
 }
 
-func soloResults(t *testing.T, stream *l2stream.Stream, cfg TLBOnlyConfig) []TLBOnlyResult {
-	t.Helper()
-	names := PolicyNames()
-	out := make([]TLBOnlyResult, len(names))
-	for i, n := range names {
-		pol, err := NewPolicy(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i], err = ReplayTLBOnly(stream, pol, cfg)
-		if err != nil {
-			t.Fatalf("%s solo replay: %v", n, err)
-		}
-	}
-	return out
-}
-
 // TestReplayMultiPersistentWarmEquivalence gates the warm-persistent
 // path: a first fused replay persists derived sidecars next to the
 // capture; a second process (modelled by a fresh cache over the same
 // directory) loads the stream and its views from disk and must still
-// match every policy's solo replay bit for bit.
+// match every policy's direct run bit for bit.
 func TestReplayMultiPersistentWarmEquivalence(t *testing.T) {
 	const instructions = 200000
 	for _, pd := range []int{0, 4} {
@@ -95,10 +78,10 @@ func TestReplayMultiPersistentWarmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s pd=%d warm fused: %v", wname, pd, err)
 			}
-			want := soloResults(t, warm, cfg)
+			want := directResults(t, wname, cfg)
 			for i, pname := range PolicyNames() {
 				if fused[i] != want[i] {
-					t.Errorf("%s/%s pd=%d: warm-persistent fused replay diverged\n solo:  %+v\n fused: %+v",
+					t.Errorf("%s/%s pd=%d: warm-persistent fused replay diverged from RunTLBOnly\n direct: %+v\n fused:  %+v",
 						wname, pname, pd, want[i], fused[i])
 				}
 			}
@@ -118,27 +101,27 @@ func TestReplayMultiParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel fused replay: %v", err)
 	}
-	want := soloResults(t, stream, cfg)
+	want := directResults(t, "web-001", cfg)
 	for i, pname := range PolicyNames() {
 		if fused[i] != want[i] {
-			t.Errorf("%s: parallel fused replay diverged\n solo:  %+v\n fused: %+v", pname, want[i], fused[i])
+			t.Errorf("%s: parallel fused replay diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", pname, want[i], fused[i])
 		}
 	}
 }
 
 // TestReplayMultiDerivedCorruptionRecovers: damaged or truncated
 // sidecars must be treated as absent — the views rebuild from the
-// stream and the results do not change.
+// stream and the results still match the direct runs.
 func TestReplayMultiDerivedCorruptionRecovers(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(150000)
 	cfg.PrefetchDistance = 4
 	dir := t.TempDir()
 
 	_, cold := persistentStreamFor(t, dir, "sci-002", cfg)
-	want, err := ReplayMulti(cold, allPolicies(t), cfg)
-	if err != nil {
+	if _, err := ReplayMulti(cold, allPolicies(t), cfg); err != nil {
 		t.Fatal(err)
 	}
+	want := directResults(t, "sci-002", cfg)
 
 	sidecars := sidecarFiles(t, dir)
 	if len(sidecars) == 0 {
@@ -166,7 +149,7 @@ func TestReplayMultiDerivedCorruptionRecovers(t *testing.T) {
 	}
 	for i, pname := range PolicyNames() {
 		if fused[i] != want[i] {
-			t.Errorf("%s: replay after sidecar corruption diverged\n before: %+v\n after:  %+v", pname, want[i], fused[i])
+			t.Errorf("%s: replay after sidecar corruption diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", pname, want[i], fused[i])
 		}
 	}
 }
@@ -198,17 +181,7 @@ func TestReplayMultiBudget(t *testing.T) {
 	oldCharge := bufBytes + int64(probe.Events()+probe.Accesses()+1)*32
 
 	names := PolicyNames()
-	direct := make([]TLBOnlyResult, len(names))
-	for i, n := range names {
-		pol, err := NewPolicy(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, _ := open()
-		if direct[i], err = RunTLBOnly(src, pol, cfg); err != nil {
-			t.Fatalf("%s direct: %v", n, err)
-		}
-	}
+	direct := directResults(t, wname, cfg)
 
 	for _, tc := range []struct {
 		name    string

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,28 +16,30 @@ import (
 	"github.com/chirplab/chirp/internal/trace"
 )
 
-// ReplayMulti drives all N policies over a captured stream's derived
-// views: the dense access sequence (PC/VPN/set-index arrays plus the
-// precomputed stride-prefetch fill schedule) is materialized once per
-// (stream, geometry, prefetch distance) and every policy walks it
-// independently; predictive policies additionally consume their
-// precomputed signature sequence (tlb.SignatureFed), so no policy
-// maintains history registers at replay time. Policies are partitioned
-// across min(N, GOMAXPROCS) goroutines sharing the read-only views.
-// Results are bit-identical to calling ReplayTLBOnly once per policy,
-// in the same order as policies.
+// ReplayMulti is the replay path: it drives N policies (one is fine)
+// over a captured stream's derived views. The dense access sequence
+// (PC/VPN/set-index arrays plus the precomputed stride-prefetch fill
+// schedule) is materialized once per (stream, geometry, prefetch
+// distance) and every policy walks it independently; CHiRP and GHRP
+// additionally consume their precomputed signature sequence
+// (tlb.SignatureFed), so no policy maintains history registers at
+// replay time. Policies are partitioned across min(N, GOMAXPROCS)
+// goroutines sharing the read-only views. Results are bit-identical to
+// calling RunTLBOnly once per policy over the captured trace, in the
+// same order as policies.
 //
-// The equivalence argument: the captured event sequence is fixed and
-// policy state lives entirely inside each policy's own TLB, so each
-// policy's callback sequence — Lookup, Insert, prefetch fills, warmup
-// latch, in access order — is exactly the solo replay's. What the solo
-// replay derives per event (set indices, stride-prefetch decisions,
-// CHiRP/GHRP signatures) is a pure function of the stream, computed
-// once by the derived views through the same code the live policies
-// run; branch events matter only through those signatures, so fed
-// policies never walk them. A branch-observing policy outside the
-// known signature families falls back to a solo-shaped replay that
-// block-decodes the full event stream.
+// The equivalence argument: the L1 TLBs are policy-invariant, so the
+// L2 access sequence RunTLBOnly produces is exactly the captured one,
+// and policy state lives entirely inside each policy's own TLB. Each
+// policy therefore sees RunTLBOnly's callback sequence — Lookup,
+// Insert, prefetch fills, warmup latch, in access order. What
+// RunTLBOnly derives per access (set indices, stride-prefetch
+// decisions, CHiRP/GHRP signatures) is a pure function of the stream,
+// computed once by the derived views through the same code the live
+// policies run; branches matter only through those signatures. A
+// policy that observes branches but is neither *core.CHiRP nor
+// *policy.GHRP has no signature feed, so ReplayMulti rejects it with
+// an error naming it; RunMulti routes such policies to RunTLBOnly.
 func ReplayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
 	return replayMulti(stream, policies, cfg, runtime.GOMAXPROCS(0))
 }
@@ -49,6 +52,11 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 	}
 	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
 		return nil, fmt.Errorf("sim: stream captured under %+v cannot replay %+v", got, want)
+	}
+	for _, p := range policies {
+		if needsBranchEvents(p) {
+			return nil, fmt.Errorf("sim: policy %s (%T) observes branches but has no signature feed; a captured stream cannot replay it, run it with RunTLBOnly", p.Name(), p)
+		}
 	}
 	if stream.Spilled() {
 		return replayMultiSpilled(stream, policies, cfg, workers)
@@ -125,11 +133,22 @@ func runPolicies(workers, n int, job func(j int)) {
 	}
 }
 
+// needsBranchEvents reports whether p observes branches without a
+// precomputed signature feed: only RunTLBOnly, which walks the trace's
+// branches, can drive it.
+func needsBranchEvents(p tlb.Policy) bool {
+	switch p.(type) {
+	case *core.CHiRP, *policy.GHRP:
+		return false
+	}
+	_, observes := p.(tlb.BranchObserver)
+	return observes
+}
+
 // replayOne replays a single policy over the shared derived views:
 // CHiRP and GHRP run in external-signature mode against their
-// precomputed sequences, other branch observers fall back to the
-// solo-shaped full-event replay, and everything else walks the dense
-// access view directly.
+// precomputed sequences, and everything else (replayMulti has already
+// rejected unfed branch observers) walks the dense access view.
 func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
 	switch pp := p.(type) {
 	case *core.CHiRP:
@@ -159,9 +178,6 @@ func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnl
 		w.walkGHRP(rv, pp, sigs)
 		return finishReplay(stream, p, t, w.warm), nil
 	default:
-		if _, observes := p.(tlb.BranchObserver); observes {
-			return ReplayTLBOnly(stream, p, cfg)
-		}
 		t, err := tlb.New(cfg.Hierarchy.L2, p)
 		if err != nil {
 			return TLBOnlyResult{}, err
@@ -172,15 +188,35 @@ func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnl
 	}
 }
 
-// finishReplay closes out one policy's replayed TLB: accounting flush,
-// metric publication, result assembly — the same epilogue as the solo
-// replay, off the hot path.
+// finishReplay closes out one policy's replayed TLB off the hot path:
+// accounting flush, metric publication, and the result, assembled from
+// the finished TLB, the stats latched at the warmup marker, and the
+// policy-invariant scalars the capture recorded — field for field what
+// RunTLBOnly reports.
 //
 //chirp:releases tlbarrays
 func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.Stats) TLBOnlyResult {
 	t.FlushAccounting()
 	publishRun(p, t)
-	res := replayResult(stream, p, t, warm)
+	st := t.Stats()
+	res := TLBOnlyResult{
+		Policy:       p.Name(),
+		Instructions: stream.Instructions() - stream.WarmupInstructions(),
+		L2Accesses:   st.Accesses,
+		L2Misses:     st.Misses - warm.Misses,
+		Efficiency:   st.Efficiency(),
+		L1IMisses:    stream.L1IMisses(),
+		L1DMisses:    stream.L1DMisses(),
+	}
+	if res.Instructions > 0 {
+		res.MPKI = float64(res.L2Misses) / (float64(res.Instructions) / 1000)
+	}
+	if ta, ok := p.(tlb.TableAccounting); ok {
+		res.TableReads, res.TableWrites = ta.TableAccesses()
+		if st.Accesses > 0 {
+			res.TableAccessRate = float64(res.TableReads+res.TableWrites) / float64(st.Accesses)
+		}
+	}
 	t.Release()
 	return res
 }
@@ -369,33 +405,35 @@ func replayMultiSpilled(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBO
 
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
-// capture/replay path (capture once, then one fused ReplayMulti pass).
-// Without a cache it falls back to one direct run per policy — the
-// bit-identical but unfused shape. spec.Policy is ignored; factories
-// drives the fan-out. Results are ordered like factories.
+// capture/replay path (capture once, then one ReplayMulti pass).
+// Without a cache, or when any policy observes branches without a
+// signature feed (which a captured stream cannot drive), it runs
+// RunTLBOnly once per policy instead — the reference the replay path
+// reproduces bit for bit. spec.Policy is ignored; factories drives the
+// fan-out. Results are ordered like factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: RunMulti needs at least one policy")
 	}
-	if err := spec.validateTrace(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if spec.Cache != nil {
+	ps := make([]tlb.Policy, len(factories))
+	for i, f := range factories {
+		ps[i] = f()
+	}
+	if spec.Cache != nil && !slices.ContainsFunc(ps, needsBranchEvents) {
 		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
 		if err != nil {
 			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
 		}
-		ps := make([]tlb.Policy, len(factories))
-		for i, f := range factories {
-			ps[i] = f()
-		}
 		return ReplayMulti(stream, ps, spec.Config)
 	}
-	out := make([]TLBOnlyResult, len(factories))
-	for i, f := range factories {
+	out := make([]TLBOnlyResult, len(ps))
+	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -403,7 +441,8 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 		if err != nil {
 			return nil, err
 		}
-		out[i], err = RunTLBOnly(src, f(), spec.Config)
+		out[i], err = RunTLBOnly(src, p, spec.Config)
+		closeSource(src)
 		if err != nil {
 			return nil, err
 		}

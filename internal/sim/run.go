@@ -3,7 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
+	"io"
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/trace"
@@ -21,7 +21,8 @@ import (
 //     trace source (and the stream-cache key) from it.
 //   - Open returns a fresh bounded source per call — for trace files or
 //     custom generators. It may be called zero times (stream already
-//     cached) or once.
+//     cached), once per capture, or once per policy on the direct
+//     path. A source that is an io.Closer is closed after use.
 type RunSpec struct {
 	// Workload, when non-nil, supplies both the trace source and the
 	// run's name.
@@ -70,7 +71,8 @@ func (s *RunSpec) specHash() string {
 	return ""
 }
 
-// open returns a fresh bounded source for the spec.
+// open returns a fresh bounded source for the spec. Whoever opens it
+// closes it with closeSource once the run or capture is done.
 func (s *RunSpec) open() (trace.Source, error) {
 	if s.Workload != nil {
 		return trace.NewLimit(s.Workload.Source(), s.Config.Instructions), nil
@@ -78,17 +80,19 @@ func (s *RunSpec) open() (trace.Source, error) {
 	return s.Open()
 }
 
-// validate rejects specs that cannot run before any work starts.
-func (s *RunSpec) validate() error {
-	if s.Policy == nil {
-		return errors.New("sim: RunSpec.Policy is required")
+// closeSource closes src when it holds a resource (a trace file, or a
+// trace.Limit over one). Sources are read-only, so a close error
+// cannot change a result and is dropped.
+func closeSource(src trace.Source) {
+	if c, ok := src.(io.Closer); ok {
+		c.Close()
 	}
-	return s.validateTrace()
 }
 
-// validateTrace is validate minus the Policy requirement — the shared
-// part for RunMulti, whose policies arrive as a separate slice.
-func (s *RunSpec) validateTrace() error {
+// validate rejects trace specs that cannot run before any work starts.
+// Policy is checked by Run alone: RunMulti takes its policies as a
+// separate slice.
+func (s *RunSpec) validate() error {
 	switch {
 	case s.Workload == nil && s.Open == nil:
 		return errors.New("sim: RunSpec needs Workload or Open")
@@ -101,33 +105,23 @@ func (s *RunSpec) validateTrace() error {
 }
 
 // Run is the one TLB-only entry point: it measures spec.Policy over
-// spec's trace under spec.Config, choosing the capture/replay path when
-// spec.Cache is set and the direct path otherwise — the two are
-// bit-identical, so callers pick purely on cost. The context gates the
-// start of the run (simulations are CPU-bound and finish in bounded
-// time once started); suite drivers check it between jobs via the
-// engine.
+// spec's trace under spec.Config — a one-policy RunMulti, so it takes
+// the capture/replay path when spec.Cache is set and the direct path
+// otherwise. The two are bit-identical, so callers pick purely on
+// cost. The context gates the start of the run (simulations are
+// CPU-bound and finish in bounded time once started); suite drivers
+// check it between jobs via the engine.
 //
 // On success the run's TLB and predictor counters are published to the
 // default obs registry (see PublishMetrics on tlb.TLB and the policy
 // implementations).
 func Run(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
-	if err := spec.validate(); err != nil {
-		return TLBOnlyResult{}, err
+	if spec.Policy == nil {
+		return TLBOnlyResult{}, errors.New("sim: RunSpec.Policy is required")
 	}
-	if err := ctx.Err(); err != nil {
-		return TLBOnlyResult{}, err
-	}
-	if spec.Cache != nil {
-		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
-		if err != nil {
-			return TLBOnlyResult{}, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
-		}
-		return ReplayTLBOnly(stream, spec.Policy(), spec.Config)
-	}
-	src, err := spec.open()
+	rs, err := RunMulti(ctx, spec, []PolicyFactory{spec.Policy})
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	return RunTLBOnly(src, spec.Policy(), spec.Config)
+	return rs[0], nil
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRunEquivalence is the API-collapse contract: Run with a stream
-// cache (capture/replay) and Run without one (direct) must agree bit
-// for bit, for recency, signature and CHiRP policies alike — and both
-// must match the legacy RunTLBOnly entry point they replace.
+// cache (capture/replay) and Run without one (direct) must both match
+// RunTLBOnly bit for bit, for recency, signature and CHiRP policies
+// alike.
 func TestRunEquivalence(t *testing.T) {
 	const name = "db-000"
 	w := workloads.ByName(name)
@@ -30,23 +30,23 @@ func TestRunEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	for _, f := range factories {
+		want, err := RunTLBOnly(testSource(t, name), f.New(), cfg)
+		if err != nil {
+			t.Fatalf("%s RunTLBOnly: %v", f.Name, err)
+		}
 		direct, err := Run(ctx, RunSpec{Workload: w, Policy: f.New, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s direct: %v", f.Name, err)
+		}
+		if direct != want {
+			t.Errorf("%s: direct Run %+v != RunTLBOnly %+v", f.Name, direct, want)
 		}
 		replayed, err := Run(ctx, RunSpec{Workload: w, Policy: f.New, Config: cfg, Cache: cache})
 		if err != nil {
 			t.Fatalf("%s replay: %v", f.Name, err)
 		}
-		if direct != replayed {
-			t.Errorf("%s: direct %+v != replay %+v", f.Name, direct, replayed)
-		}
-		legacy, err := RunTLBOnly(testSource(t, name), f.New(), cfg)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", f.Name, err)
-		}
-		if direct != legacy {
-			t.Errorf("%s: Run %+v != RunTLBOnly %+v", f.Name, direct, legacy)
+		if replayed != want {
+			t.Errorf("%s: replayed Run %+v != RunTLBOnly %+v", f.Name, replayed, want)
 		}
 	}
 	if cache.Len() != 1 {
@@ -61,6 +61,10 @@ func TestRunOpenSpec(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(testInstr)
 	ctx := context.Background()
 
+	want, err := RunTLBOnly(testSource(t, "sci-000"), NewLRUFactory(t)(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct, err := Run(ctx, RunSpec{Open: open, Policy: NewLRUFactory(t), Config: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +75,73 @@ func TestRunOpenSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct != replayed {
-		t.Errorf("direct %+v != replay %+v", direct, replayed)
+	if direct != want || replayed != want {
+		t.Errorf("Run diverged from RunTLBOnly\n direct:   %+v\n replayed: %+v\n want:     %+v", direct, replayed, want)
+	}
+}
+
+// closeCounter hands out trace.Limit-wrapped sources that count their
+// own Close calls, the way chirpsim wraps a trace file.
+type closeCounter struct {
+	t      *testing.T
+	closes []*int // one per Open call
+}
+
+type countedSource struct {
+	trace.Source
+	closes *int
+}
+
+func (s countedSource) Close() error {
+	*s.closes++
+	return nil
+}
+
+func (c *closeCounter) open() (trace.Source, error) {
+	n := new(int)
+	c.closes = append(c.closes, n)
+	return trace.NewLimit(countedSource{Source: testSource(c.t, "spec-000"), closes: n}, testInstr), nil
+}
+
+// TestRunClosesOpenedSources: every source RunSpec.Open hands out is
+// closed exactly once, by Run and RunMulti, on the direct path and on
+// the capture path.
+func TestRunClosesOpenedSources(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultTLBOnlyConfig(testInstr)
+	lru, srrip := mustFactoryFor(t, "lru"), mustFactoryFor(t, "srrip")
+	for _, multi := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
+			c := &closeCounter{t: t}
+			spec := RunSpec{Open: c.open, Name: "spec-000", Config: cfg}
+			if cached {
+				spec.Cache = l2stream.NewCache(0, t.TempDir())
+				defer spec.Cache.Close()
+			}
+			var err error
+			if multi {
+				_, err = RunMulti(ctx, spec, []PolicyFactory{lru, srrip})
+			} else {
+				spec.Policy = lru
+				_, err = Run(ctx, spec)
+			}
+			if err != nil {
+				t.Fatalf("multi=%v cached=%v: %v", multi, cached, err)
+			}
+			// The direct path opens once per policy; a capture opens once.
+			wantOpens := 1
+			if multi && !cached {
+				wantOpens = 2
+			}
+			if len(c.closes) != wantOpens {
+				t.Errorf("multi=%v cached=%v: opened %d sources, want %d", multi, cached, len(c.closes), wantOpens)
+			}
+			for i, n := range c.closes {
+				if *n != 1 {
+					t.Errorf("multi=%v cached=%v: source %d closed %d times, want 1", multi, cached, i, *n)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/pipeline"
@@ -144,7 +145,7 @@ func TestRunSuiteTLBOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(testInstr)
-	results, err := RunSuiteTLBOnly(ws, pols, cfg, 2)
+	results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestRunSuiteTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pipeline.DefaultConfig(testInstr, 150)
-	results, err := RunSuiteTiming(ws, pols, cfg, 1)
+	results, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,18 +216,6 @@ func protectCell(ctx context.Context, w *workloads.Workload, p NamedFactory, cfg
 	return Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
 }
 
-// RunSuiteTLBOnly is RunSuiteTLBOnlyCtx without cancellation,
-// telemetry or checkpointing.
-//
-// Deprecated: use RunSuiteTLBOnlyCtx (or Run for a single cell). This
-// wrapper exists for source compatibility with pre-engine callers and
-// will not grow new options.
-//
-//chirp:allow ctx-first deprecated pre-engine wrapper; its signature cannot grow a ctx
-func RunSuiteTLBOnly(ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, workers int) ([]SuiteResult, error) {
-	return RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: workers})
-}
-
 // RunSuiteTimingCtx measures each workload under each policy with the
 // full timing model, with the same engine semantics as
 // RunSuiteTLBOnlyCtx.
@@ -246,15 +234,4 @@ func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []Nam
 		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}, nil
 	})
 	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
-}
-
-// RunSuiteTiming is RunSuiteTimingCtx without cancellation, telemetry
-// or checkpointing.
-//
-// Deprecated: use RunSuiteTimingCtx. This wrapper exists for source
-// compatibility with pre-engine callers and will not grow new options.
-//
-//chirp:allow ctx-first deprecated pre-engine wrapper; its signature cannot grow a ctx
-func RunSuiteTiming(ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, workers int) ([]TimingResult, error) {
-	return RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: workers})
 }

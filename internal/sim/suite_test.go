@@ -21,11 +21,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(150_000)
-	serial, err := RunSuiteTLBOnly(ws, pols, cfg, 1)
+	serial, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuiteTLBOnly(ws, pols, cfg, 4)
+	parallel, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	cfg := DefaultTLBOnlyConfig(120_000)
 
-	clean, err := RunSuiteTLBOnly(ws, pols, cfg, 1)
+	clean, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,10 @@
 // interesting records are compressed into a Skip count.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Class identifies the kind of a traced instruction. The distinctions
 // match exactly what the simulated structures need: loads and stores
@@ -158,6 +161,16 @@ func (l *Limit) Next(rec *Record) bool {
 func (l *Limit) Reset() {
 	l.seen = 0
 	l.Src.Reset()
+}
+
+// Close closes the wrapped source when it is an io.Closer (a trace
+// file), so whoever owns a bounded file source releases it through the
+// Limit. Other sources hold nothing to release.
+func (l *Limit) Close() error {
+	if c, ok := l.Src.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // SliceSource replays a fixed slice of records; useful in tests and for
