@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -235,7 +236,7 @@ func run() int {
 
 	// TLB-only runs capture the policy-invariant L2 event stream once
 	// and replay it under each policy (the timing model needs the full
-	// per-instruction stream, so -timing stays on the direct path).
+	// per-instruction stream, so -timing runs its own fused pass).
 	var streams *l2stream.Cache
 	if !*timing && *l2cache >= 0 {
 		if *capturedir != "" {
@@ -251,35 +252,71 @@ func run() int {
 		defer streams.Close()
 	}
 
-	var results []policyRow
-	if streams != nil {
-		// Fused TLB-only path: one engine job captures (or loads) the
-		// stream and replays every policy's TLB in a single pass over
-		// the event view (sim.ReplayMulti). Rows stay in -policies
-		// order, so the first policy remains the comparison baseline.
+	// fused runs every policy in one engine job: the timing pipeline
+	// drives all L2 TLBs from one front-end pass (pipeline.NewMulti),
+	// and TLB-only runs capture (or load) the stream and replay every
+	// policy's TLB in one pass over the event view (sim.ReplayMulti).
+	// Rows stay in -policies order, so the first policy remains the
+	// comparison baseline.
+	var fused func(context.Context) ([]policyRow, error)
+	switch {
+	case *timing:
+		fused = func(context.Context) ([]policyRow, error) {
+			l2 := make([]tlb.Policy, len(factories))
+			for i, f := range factories {
+				l2[i] = f.New()
+			}
+			src, err := openSource()
+			if err != nil {
+				return nil, err
+			}
+			if c, ok := src.(io.Closer); ok {
+				defer c.Close()
+			}
+			m, err := pipeline.NewMulti(pipeline.DefaultConfig(*instr, *penalty), l2,
+				func() tlb.Policy { return policy.NewLRU() })
+			if err != nil {
+				return nil, err
+			}
+			rs, err := m.RunMulti(src)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]policyRow, len(rs))
+			for i, res := range rs {
+				rows[i] = policyRow{MPKI: res.MPKI, IPC: res.IPC, BranchAccuracy: res.BranchAccuracy}
+			}
+			return rows, nil
+		}
+	case streams != nil:
 		pf := make([]sim.PolicyFactory, len(factories))
 		for i, f := range factories {
 			pf[i] = f.New
 		}
+		fused = func(jctx context.Context) ([]policyRow, error) {
+			rs, err := sim.RunMulti(jctx, sim.RunSpec{
+				Name:     subject,
+				SpecHash: specHash,
+				Open:     openSource,
+				Config:   sim.DefaultTLBOnlyConfig(*instr),
+				Cache:    streams,
+			}, pf)
+			if err != nil {
+				return nil, err
+			}
+			rows := make([]policyRow, len(rs))
+			for i, res := range rs {
+				rows[i] = policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}
+			}
+			return rows, nil
+		}
+	}
+
+	var results []policyRow
+	if fused != nil {
 		jobs := []engine.Job[[]policyRow]{{
 			Key: engine.Key{Workload: subject, Policy: strings.Join(names, "+")},
-			Run: func(jctx context.Context) ([]policyRow, error) {
-				rs, err := sim.RunMulti(jctx, sim.RunSpec{
-					Name:     subject,
-					SpecHash: specHash,
-					Open:     openSource,
-					Config:   sim.DefaultTLBOnlyConfig(*instr),
-					Cache:    streams,
-				}, pf)
-				if err != nil {
-					return nil, err
-				}
-				rows := make([]policyRow, len(rs))
-				for i, res := range rs {
-					rows[i] = policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}
-				}
-				return rows, nil
-			},
+			Run: fused,
 		}}
 		grouped, err := engine.Run(ctx, jobs, cfg)
 		if err != nil {
@@ -288,31 +325,15 @@ func run() int {
 		}
 		results = grouped[0]
 	} else {
-		// One engine job per policy; results stay in -policies order.
+		// Capture/replay is off (negative -l2cache): one engine job per
+		// policy runs the full trace directly; results stay in
+		// -policies order.
 		jobs := make([]engine.Job[policyRow], 0, len(factories))
 		for _, f := range factories {
 			f := f
 			jobs = append(jobs, engine.Job[policyRow]{
 				Key: engine.Key{Workload: subject, Policy: f.Name},
 				Run: func(jctx context.Context) (policyRow, error) {
-					if *timing {
-						src, err := openSource()
-						if err != nil {
-							return policyRow{}, err
-						}
-						m, err := pipeline.New(pipeline.DefaultConfig(*instr, *penalty), f.New(),
-							func() tlb.Policy { return policy.NewLRU() })
-						if err != nil {
-							return policyRow{}, err
-						}
-						res, err := m.Run(src)
-						if err != nil {
-							return policyRow{}, err
-						}
-						return policyRow{MPKI: res.MPKI, IPC: res.IPC, BranchAccuracy: res.BranchAccuracy}, nil
-					}
-					// Capture/replay is off (negative -l2cache): the direct
-					// path runs the full trace per policy.
 					res, err := sim.Run(jctx, sim.RunSpec{
 						Name:     subject,
 						SpecHash: specHash,

@@ -11,6 +11,7 @@ import (
 
 	"github.com/chirplab/chirp/internal/branch"
 	"github.com/chirplab/chirp/internal/mem"
+	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/paging"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
@@ -88,29 +89,62 @@ type Result struct {
 	DRAMAccesses   uint64
 }
 
-// Machine is one assembled simulated core; build with New, drive with
-// Run.
+// Machine is one assembled simulated core; build with New or
+// NewMulti, drive once with Run or RunMulti.
+//
+// A machine carries one front end — caches, branch unit, L1 TLBs and
+// the address space — and one or more L2 units, each an L2 TLB under
+// its own policy. Every unit sees the same L1-miss stream: the L1s run
+// LRU and are filled from the walked frame, which is the same under
+// every policy (frames are assigned at a page's first touch, and that
+// first touch is a compulsory L2 miss for every policy), and the flat
+// walk penalty adds latency without memory traffic. So one front-end
+// pass yields, per unit, exactly the result of a solo machine.
 type Machine struct {
-	cfg    Config
-	mem    *mem.Hierarchy
-	l1i    *tlb.TLB
-	l1d    *tlb.TLB
-	l2     *tlb.TLB
-	l2pol  tlb.Policy
-	bo     tlb.BranchObserver
-	hasBO  bool
-	space  *paging.Space
+	cfg   Config
+	mem   *mem.Hierarchy
+	l1i   *tlb.TLB
+	l1d   *tlb.TLB
+	units []l2Unit
+	// observers are the units' policies that consume the branch
+	// stream, in unit order.
+	observers []tlb.BranchObserver
+	space     *paging.Space
+	pred      *branch.Perceptron
+	btb       *branch.BTB
+	ind       *branch.Indirect
+	ran       bool
+}
+
+// l2Unit is one L2 TLB with its policy, page walker and translation
+// cycle total (L2 hit latency plus walk cycles).
+type l2Unit struct {
+	tlb    *tlb.TLB
+	pol    tlb.Policy
 	walker paging.Walker
-	pred   *branch.Perceptron
-	btb    *branch.BTB
-	ind    *branch.Indirect
+	cycles uint64
+
+	warmCyc, warmMiss uint64
 }
 
 // New assembles a machine around the injected L2 TLB policy. The L1
 // TLBs always run LRU, matching the paper's setup.
 func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine, error) {
-	if l1Factory == nil {
+	return NewMulti(cfg, []tlb.Policy{l2Policy}, l1Factory)
+}
+
+// NewMulti assembles one machine whose front end drives an L2 TLB per
+// policy in l2. The radix walker fetches PTEs through the shared cache
+// hierarchy, so walks under one policy would perturb the caches every
+// other policy sees; it is accepted only with a single policy.
+func NewMulti(cfg Config, l2 []tlb.Policy, l1Factory func() tlb.Policy) (*Machine, error) {
+	switch {
+	case l1Factory == nil:
 		return nil, fmt.Errorf("pipeline: nil L1 policy factory")
+	case len(l2) == 0:
+		return nil, fmt.Errorf("pipeline: no L2 policy")
+	case cfg.UseRadixWalker && len(l2) > 1:
+		return nil, fmt.Errorf("pipeline: the radix walker shares the cache hierarchy, so it runs one L2 policy per machine (got %d)", len(l2))
 	}
 	h, err := mem.NewHierarchy(cfg.Mem)
 	if err != nil {
@@ -125,65 +159,111 @@ func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine
 		l1i.Release()
 		return nil, err
 	}
-	l2, err := tlb.New(cfg.L2TLB, l2Policy)
-	if err != nil {
-		l1i.Release()
-		l1d.Release()
-		return nil, err
-	}
-	space := paging.NewSpace(cfg.Alloc, 1)
-	var walker paging.Walker
-	if cfg.UseRadixWalker {
-		// PTE fetches enter the hierarchy at the unified L2 cache, as
-		// hardware walkers do.
-		walker = paging.NewRadixWalker(space, h.L2, cfg.PSC)
-	} else {
-		walker = paging.NewFixedWalker(space, cfg.WalkPenalty)
-	}
 	m := &Machine{
-		cfg: cfg, mem: h, l1i: l1i, l1d: l1d, l2: l2, l2pol: l2Policy,
-		space: space, walker: walker,
-		pred: branch.NewPerceptron(branch.DefaultPerceptronConfig()),
-		btb:  branch.NewBTB(4096, 4),
-		ind:  branch.NewIndirect(4096),
+		cfg: cfg, mem: h, l1i: l1i, l1d: l1d,
+		space: paging.NewSpace(cfg.Alloc, 1),
+		pred:  branch.NewPerceptron(branch.DefaultPerceptronConfig()),
+		btb:   branch.NewBTB(4096, 4),
+		ind:   branch.NewIndirect(4096),
 	}
-	m.bo, m.hasBO = l2Policy.(tlb.BranchObserver)
+	m.units = make([]l2Unit, 0, len(l2))
+	for _, p := range l2 {
+		t, err := tlb.New(cfg.L2TLB, p)
+		if err != nil {
+			m.release()
+			return nil, err
+		}
+		var walker paging.Walker
+		if cfg.UseRadixWalker {
+			// PTE fetches enter the hierarchy at the unified L2 cache,
+			// as hardware walkers do.
+			walker = paging.NewRadixWalker(m.space, h.L2, cfg.PSC)
+		} else {
+			walker = paging.NewFixedWalker(m.space, cfg.WalkPenalty)
+		}
+		m.units = append(m.units, l2Unit{tlb: t, pol: p, walker: walker})
+		if bo, ok := p.(tlb.BranchObserver); ok {
+			m.observers = append(m.observers, bo)
+		}
+	}
 	return m, nil
 }
 
-// translate resolves va through the two-level TLB hierarchy, returning
-// the physical address and the translation cycles beyond an L1 TLB
-// hit.
-func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64, cycles uint64) {
-	vpn := va >> m.cfg.L2TLB.PageShift
+// release returns every TLB's arrays to the tlb pool.
+func (m *Machine) release() {
+	m.l1i.Release()
+	m.l1d.Release()
+	for i := range m.units {
+		m.units[i].tlb.Release()
+	}
+}
+
+// translate resolves va through the two-level TLB hierarchy and
+// returns the physical address. An L1 miss goes to every L2 unit,
+// each of which charges its own hit latency and walk cycles.
+func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64) {
+	shift := m.cfg.L2TLB.PageShift
+	vpn := va >> shift
 	a := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
 	if ppn, hit := l1.Lookup(&a); hit {
-		return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, 0
+		return ppn<<shift | va&0xfff
 	}
-	a2 := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
-	if ppn, hit := m.l2.Lookup(&a2); hit {
-		l1.Insert(&a, ppn)
-		return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, m.cfg.L2TLBHitLatency
+	var ppn uint64
+	for i := range m.units {
+		u := &m.units[i]
+		a2 := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+		u.cycles += m.cfg.L2TLBHitLatency
+		if p, hit := u.tlb.Lookup(&a2); hit {
+			ppn = p
+			continue
+		}
+		p, walkCycles := u.walker.Walk(vpn)
+		u.tlb.Insert(&a2, p)
+		u.cycles += walkCycles
+		ppn = p
 	}
-	ppn, walkCycles := m.walker.Walk(vpn)
-	m.l2.Insert(&a2, ppn)
 	l1.Insert(&a, ppn)
-	return ppn<<m.cfg.L2TLB.PageShift | va&0xfff, m.cfg.L2TLBHitLatency + walkCycles
+	return ppn<<shift | va&0xfff
+}
+
+// onBranch forwards a committed branch to every observing L2 policy.
+func (m *Machine) onBranch(pc uint64, conditional, indirect, taken bool, target uint64) {
+	for _, bo := range m.observers {
+		bo.OnBranch(pc, conditional, indirect, taken, target)
+	}
 }
 
 // Run drives src to completion (or the configured budget) and returns
-// the post-warmup result.
+// the post-warmup result of a one-policy machine.
 func (m *Machine) Run(src trace.Source) (Result, error) {
+	rs, err := m.RunMulti(src)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// RunMulti drives src to completion (or the configured budget) and
+// returns one post-warmup result per L2 policy, in NewMulti order. A
+// machine runs once: RunMulti releases its TLBs' arrays before
+// returning, and publishes the run's TLB and predictor counters to the
+// default obs registry on success.
+func (m *Machine) RunMulti(src trace.Source) ([]Result, error) {
+	if m.ran {
+		return nil, fmt.Errorf("pipeline: machine already ran")
+	}
+	m.ran = true
+	defer m.release()
+
 	var (
 		instructions uint64
-		cycles       uint64
+		cycles       uint64 // everything but L2-side translation cycles
 		rec          trace.Record
 
 		warmupAt  = uint64(float64(m.cfg.Instructions) * m.cfg.WarmupFraction)
 		warmed    = warmupAt == 0
 		warmInstr uint64
 		warmCyc   uint64
-		warmMiss  uint64
 	)
 	l1iLat := m.cfg.Mem.L1I.LatencyCycles
 	l1dLat := m.cfg.Mem.L1D.LatencyCycles
@@ -195,20 +275,21 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 		if !warmed && instructions >= warmupAt {
 			warmed = true
 			warmInstr, warmCyc = instructions, cycles
-			warmMiss = m.l2.Stats().Misses
+			for i := range m.units {
+				u := &m.units[i]
+				u.warmCyc, u.warmMiss = u.cycles, u.tlb.Stats().Misses
+			}
 		}
 
 		// Fetch: translation plus i-cache beyond the pipelined L1 hit.
-		pa, tcyc := m.translate(m.l1i, rec.PC, rec.PC, true)
-		cycles += tcyc
+		pa := m.translate(m.l1i, rec.PC, rec.PC, true)
 		if fl := m.mem.FetchLatency(pa); fl > l1iLat {
 			cycles += fl - l1iLat
 		}
 
 		switch {
 		case rec.Class.IsMemory():
-			pa, tcyc := m.translate(m.l1d, rec.PC, rec.EA, false)
-			cycles += tcyc
+			pa := m.translate(m.l1d, rec.PC, rec.EA, false)
 			if dl := m.mem.DataLatency(pa, rec.Class == trace.ClassStore); dl > l1dLat {
 				cycles += dl - l1dLat
 			}
@@ -226,27 +307,21 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 			if rec.Taken {
 				m.btb.Update(rec.PC, rec.Target)
 			}
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, true, false, rec.Taken, rec.Target)
-			}
+			m.onBranch(rec.PC, true, false, rec.Taken, rec.Target)
 		case rec.Class == trace.ClassUncondDirect:
 			target, btbHit := m.btb.Lookup(rec.PC)
 			if !btbHit || target != rec.Target {
 				cycles += m.cfg.MispredictPenalty
 			}
 			m.btb.Update(rec.PC, rec.Target)
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, false, false, true, rec.Target)
-			}
+			m.onBranch(rec.PC, false, false, true, rec.Target)
 		case rec.Class == trace.ClassUncondIndirect:
 			target, hit := m.ind.Predict(rec.PC)
 			if !hit || target != rec.Target {
 				cycles += m.cfg.MispredictPenalty
 			}
 			m.ind.Update(rec.PC, rec.Target)
-			if m.hasBO {
-				m.bo.OnBranch(rec.PC, false, true, true, rec.Target)
-			}
+			m.onBranch(rec.PC, false, true, true, rec.Target)
 		}
 
 		if m.cfg.Instructions > 0 && instructions >= m.cfg.Instructions {
@@ -254,31 +329,43 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 		}
 	}
 	if !warmed {
-		return Result{}, fmt.Errorf("pipeline: trace ended before warmup (%d < %d instructions)", instructions, warmupAt)
+		return nil, fmt.Errorf("pipeline: trace ended before warmup (%d < %d instructions)", instructions, warmupAt)
 	}
 
-	m.l2.FlushAccounting()
-	st := m.l2.Stats()
-	res := Result{
-		Policy:         m.l2pol.Name(),
+	shared := Result{
 		Instructions:   instructions - warmInstr,
-		Cycles:         cycles - warmCyc,
-		L2TLBMisses:    st.Misses - warmMiss,
-		L2TLBStats:     st,
-		Efficiency:     st.Efficiency(),
 		BranchAccuracy: m.pred.Accuracy(),
 		BTBHitRatio:    m.btb.HitRatio(),
 		IndirectHit:    m.ind.HitRatio(),
 		PageFaults:     m.space.PageFaults(),
 		DRAMAccesses:   m.mem.DRAM.Accesses(),
 	}
+	out := make([]Result, len(m.units))
+	for i := range m.units {
+		out[i] = m.unitResult(&m.units[i], shared, cycles-warmCyc)
+	}
+	m.publish()
+	return out, nil
+}
+
+// unitResult completes shared — the front end's post-warmup figures —
+// with u's L2 statistics and translation cycles.
+func (m *Machine) unitResult(u *l2Unit, shared Result, sharedCycles uint64) Result {
+	u.tlb.FlushAccounting()
+	st := u.tlb.Stats()
+	res := shared
+	res.Policy = u.pol.Name()
+	res.Cycles = sharedCycles + u.cycles - u.warmCyc
+	res.L2TLBMisses = st.Misses - u.warmMiss
+	res.L2TLBStats = st
+	res.Efficiency = st.Efficiency()
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
 	}
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.L2TLBMisses) / (float64(res.Instructions) / 1000)
 	}
-	switch w := m.walker.(type) {
+	switch w := u.walker.(type) {
 	case *paging.FixedWalker:
 		res.PageWalks = w.Walks()
 		res.AvgWalkCycles = float64(m.cfg.WalkPenalty)
@@ -287,7 +374,22 @@ func (m *Machine) Run(src trace.Source) (Result, error) {
 		res.PageWalks = walks
 		res.AvgWalkCycles = w.AverageLatency()
 	}
-	return res, nil
+	return res
+}
+
+// publish flushes the finished run's counters into the default obs
+// registry: every TLB's per-level stats plus whatever each L2 policy
+// publishes itself (CHiRP's predictor counters). Called once per run,
+// after the record loop.
+func (m *Machine) publish() {
+	m.l1i.PublishMetrics()
+	m.l1d.PublishMetrics()
+	for i := range m.units {
+		m.units[i].tlb.PublishMetrics()
+		if pub, ok := m.units[i].pol.(obs.Publisher); ok {
+			pub.PublishMetrics()
+		}
+	}
 }
 
 // fetchWrongPath models the fetches issued down the wrong path before
@@ -313,6 +415,3 @@ func (m *Machine) fetchWrongPath(pc, target uint64, taken bool) {
 
 // Mem exposes the cache hierarchy (for reports and tests).
 func (m *Machine) Mem() *mem.Hierarchy { return m.mem }
-
-// L2TLB exposes the second-level TLB (for reports and tests).
-func (m *Machine) L2TLB() *tlb.TLB { return m.l2 }

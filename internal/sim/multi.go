@@ -87,7 +87,7 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 // only synchronization is the shared work counter and the final join.
 // A panicking worker stops pulling jobs; its panic value is re-raised
 // on the caller's goroutine after the join, preserving the caller's
-// recover semantics (suite.go's protectMulti).
+// recover semantics (suite.go's recovered).
 func runPolicies(workers, n int, job func(j int)) {
 	if workers > n {
 		workers = n

@@ -90,88 +90,152 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 		cache = l2stream.NewCache(opts.StreamBudget, "")
 		defer cache.Close()
 	}
-	if cache != nil {
-		return runSuiteFused(ctx, ws, pols, cfg, cache, opts)
+	row := func(w *workloads.Workload, name string, res TLBOnlyResult) SuiteResult {
+		res.Policy = name
+		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
 	}
-	jobs := suiteJobs(ws, pols, opts.Scope, func(ctx context.Context, w *workloads.Workload, p NamedFactory) (SuiteResult, error) {
+	cell := func(ctx context.Context, w *workloads.Workload, p NamedFactory) (SuiteResult, error) {
+		res, err := Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
+		if err != nil {
+			return SuiteResult{}, err
+		}
+		return row(w, p.Name, res), nil
+	}
+	if cache == nil {
 		// Direct mode (capture/replay disabled): every cell is its own
 		// full trace run through the one Run entry point.
-		res, err := Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg})
+		return engine.Run(ctx, suiteJobs(ws, pols, opts.Scope, cell), opts.engineConfig())
+	}
+	factories := make([]PolicyFactory, len(pols))
+	for i, p := range pols {
+		factories[i] = p.New
+	}
+	// One job per workload captures (or reuses) the stream and replays
+	// every policy in a single pass (ReplayMulti), instead of len(pols)
+	// jobs that each re-decode it.
+	fused := func(ctx context.Context, w *workloads.Workload) ([]SuiteResult, error) {
+		rs, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
 		if err != nil {
-			return SuiteResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
+			return nil, err
 		}
-		res.Policy = p.Name
-		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}, nil
-	})
-	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
+		rows := make([]SuiteResult, len(rs))
+		for i := range rs {
+			rows[i] = row(w, pols[i].Name, rs[i])
+		}
+		return rows, nil
+	}
+	return runSuiteFused(ctx, ws, pols, opts, fused, cell)
 }
 
-// runSuiteFused is the capture/replay suite path: one engine job per
-// workload captures (or reuses) the stream and replays every policy in
-// a single fused pass (ReplayMulti), instead of len(pols) jobs that
-// each re-decode the stream. Results keep the workload-major,
+// RunSuiteTimingCtx measures each workload under each policy with the
+// full timing model, with the same engine semantics as
+// RunSuiteTLBOnlyCtx. With the paper's flat walk penalty the front end
+// (caches, branch unit, L1 TLBs) is policy-invariant, so one job per
+// workload drives every policy's L2 TLB from a single pass
+// (pipeline.NewMulti). The radix walker's PTE fetches go through the
+// shared caches, so that configuration runs one machine per cell.
+func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, opts SuiteOptions) ([]TimingResult, error) {
+	row := func(w *workloads.Workload, name string, res pipeline.Result) TimingResult {
+		res.Policy = name
+		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}
+	}
+	run := func(w *workloads.Workload, l2 []tlb.Policy) ([]pipeline.Result, error) {
+		m, err := pipeline.NewMulti(cfg, l2, func() tlb.Policy { return policy.NewLRU() })
+		if err != nil {
+			return nil, err
+		}
+		return m.RunMulti(trace.NewLimit(w.Source(), cfg.Instructions))
+	}
+	cell := func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
+		rs, err := run(w, []tlb.Policy{p.New()})
+		if err != nil {
+			return TimingResult{}, err
+		}
+		return row(w, p.Name, rs[0]), nil
+	}
+	if cfg.UseRadixWalker {
+		return engine.Run(ctx, suiteJobs(ws, pols, opts.Scope, cell), opts.engineConfig())
+	}
+	fused := func(_ context.Context, w *workloads.Workload) ([]TimingResult, error) {
+		l2 := make([]tlb.Policy, len(pols))
+		for i, p := range pols {
+			l2[i] = p.New()
+		}
+		rs, err := run(w, l2)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]TimingResult, len(rs))
+		for i := range rs {
+			rows[i] = row(w, pols[i].Name, rs[i])
+		}
+		return rows, nil
+	}
+	return runSuiteFused(ctx, ws, pols, opts, fused, cell)
+}
+
+// engineConfig maps the suite options onto the engine's.
+func (o SuiteOptions) engineConfig() engine.Config {
+	return engine.Config{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint}
+}
+
+// runSuiteFused schedules one engine job per workload, each running
+// every policy at once through fused. Results keep the workload-major,
 // policy-minor order the per-cell path guarantees, and a failed
 // workload still leaves its policy rows in place (zero-valued) so
 // callers indexing cell (i, j) stay correct.
 //
 // Checkpoint keys are per fused job — Policy is the "+"-joined policy
-// list — so a resumed run re-replays a half-finished workload instead
-// of trusting partial rows (replays are cheap; captures are what the
-// persistent cache tier saves).
-func runSuiteFused(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, cache *l2stream.Cache, opts SuiteOptions) ([]SuiteResult, error) {
-	factories := make([]PolicyFactory, len(pols))
+// list — so a resumed run reruns a half-finished workload instead of
+// trusting partial rows.
+func runSuiteFused[T any](ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, opts SuiteOptions,
+	fused func(ctx context.Context, w *workloads.Workload) ([]T, error),
+	cell func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) ([]T, error) {
 	names := make([]string, len(pols))
 	for i, p := range pols {
-		factories[i], names[i] = p.New, p.Name
+		names[i] = p.Name
 	}
 	joined := strings.Join(names, "+")
-	jobs := make([]engine.Job[[]SuiteResult], 0, len(ws))
+	jobs := make([]engine.Job[[]T], 0, len(ws))
 	for _, w := range ws {
 		w := w
-		jobs = append(jobs, engine.Job[[]SuiteResult]{
+		jobs = append(jobs, engine.Job[[]T]{
 			Key: engine.Key{Scope: opts.Scope, Workload: w.Name, Policy: joined},
-			Run: func(ctx context.Context) ([]SuiteResult, error) {
-				return runWorkloadFused(ctx, w, pols, factories, cfg, cache, opts.Scope)
+			Run: func(ctx context.Context) ([]T, error) {
+				return runWorkloadFused(ctx, w, pols, opts.Scope, fused, cell)
 			},
 		})
 	}
-	grouped, err := engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
-	flat := make([]SuiteResult, 0, len(ws)*len(pols))
+	grouped, err := engine.Run(ctx, jobs, opts.engineConfig())
+	flat := make([]T, 0, len(ws)*len(pols))
 	for _, rows := range grouped {
 		if rows == nil {
-			rows = make([]SuiteResult, len(pols))
+			rows = make([]T, len(pols))
 		}
 		flat = append(flat, rows...)
 	}
 	return flat, err
 }
 
-// runWorkloadFused runs one workload's fused job. The fast path is a
-// single ReplayMulti pass. If that pass fails — one broken policy
-// errors or panics mid-event, which necessarily takes the whole fused
-// group down — the job degrades to solo per-policy runs over the
-// (already captured) stream, so every healthy policy still delivers
-// its row and the error blames the precise (workload, policy) cell,
-// exactly as the per-cell scheduling used to. The returned rows
-// accompany the error; the engine keeps both.
-func runWorkloadFused(ctx context.Context, w *workloads.Workload, pols []NamedFactory, factories []PolicyFactory, cfg TLBOnlyConfig, cache *l2stream.Cache, scope string) ([]SuiteResult, error) {
-	row := func(res TLBOnlyResult, name string) SuiteResult {
-		res.Policy = name
-		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
-	}
-	rs, err := protectMulti(ctx, w, factories, cfg, cache)
+// runWorkloadFused runs one workload's fused job. If the fused pass
+// fails — one broken policy errors or panics mid-run, which
+// necessarily takes the whole group down — the job degrades to solo
+// per-policy cells, so every healthy policy still delivers its row
+// and the error blames the precise (workload, policy) cell, exactly as
+// per-cell scheduling would. The returned rows accompany the error;
+// the engine keeps both.
+func runWorkloadFused[T any](ctx context.Context, w *workloads.Workload, pols []NamedFactory, scope string,
+	fused func(ctx context.Context, w *workloads.Workload) ([]T, error),
+	cell func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) ([]T, error) {
+	rows, err := recovered(func() ([]T, error) { return fused(ctx, w) })
 	if err == nil {
-		rows := make([]SuiteResult, len(rs))
-		for i := range rs {
-			rows[i] = row(rs[i], pols[i].Name)
-		}
 		return rows, nil
 	}
 
-	rows := make([]SuiteResult, len(pols))
+	rows = make([]T, len(pols))
 	var firstErr error
 	for i, p := range pols {
-		res, rerr := protectCell(ctx, w, p, cfg, cache)
+		row, rerr := recovered(func() (T, error) { return cell(ctx, w, p) })
 		if rerr != nil {
 			if firstErr == nil {
 				firstErr = &engine.JobError{
@@ -181,57 +245,26 @@ func runWorkloadFused(ctx context.Context, w *workloads.Workload, pols []NamedFa
 			}
 			continue
 		}
-		rows[i] = row(res, p.Name)
+		rows[i] = row
 	}
 	if firstErr == nil {
 		// The fused pass failed but every solo rerun passed (a capture
 		// error that resolved, or a flaky policy): report the original
 		// failure rather than pretending it did not happen.
-		firstErr = fmt.Errorf("%s: fused replay failed (solo reruns passed): %w", w.Name, err)
+		firstErr = fmt.Errorf("%s: fused run failed (solo reruns passed): %w", w.Name, err)
 	}
 	return rows, firstErr
 }
 
-// protectMulti runs the fused pass, converting a policy panic into an
-// error so the job can fall back to solo runs instead of relying on
-// the engine's recovery (which would blame the whole fused key).
-func protectMulti(ctx context.Context, w *workloads.Workload, factories []PolicyFactory, cfg TLBOnlyConfig, cache *l2stream.Cache) (rs []TLBOnlyResult, err error) {
+// recovered runs f, converting a panic into an error carrying the
+// panic value and stack — the engine's own recovery, applied inside a
+// fused job so a panic in one policy can be blamed on its cell instead
+// of the whole fused key.
+func recovered[T any](f func() (T, error)) (res T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
-}
-
-// protectCell runs one (workload, policy) cell solo with the same
-// panic conversion the engine applies, so the fallback's blame carries
-// the panic value and stack.
-func protectCell(ctx context.Context, w *workloads.Workload, p NamedFactory, cfg TLBOnlyConfig, cache *l2stream.Cache) (res TLBOnlyResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
-}
-
-// RunSuiteTimingCtx measures each workload under each policy with the
-// full timing model, with the same engine semantics as
-// RunSuiteTLBOnlyCtx.
-func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, opts SuiteOptions) ([]TimingResult, error) {
-	jobs := suiteJobs(ws, pols, opts.Scope, func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
-		m, err := pipeline.New(cfg, p.New(), func() tlb.Policy { return policy.NewLRU() })
-		if err != nil {
-			return TimingResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
-		}
-		src := trace.NewLimit(w.Source(), cfg.Instructions)
-		res, err := m.Run(src)
-		if err != nil {
-			return TimingResult{}, fmt.Errorf("%s/%s: %w", w.Name, p.Name, err)
-		}
-		res.Policy = p.Name
-		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}, nil
-	})
-	return engine.Run(ctx, jobs, engine.Config{Workers: opts.Workers, Sink: opts.Sink, Checkpoint: opts.Checkpoint})
+	return f()
 }

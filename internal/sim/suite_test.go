@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/chirplab/chirp/internal/engine"
+	"github.com/chirplab/chirp/internal/pipeline"
+	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
+	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 )
 
@@ -169,6 +173,136 @@ func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 	if !bytes.Equal(cleanJSON, resumedJSON) {
 		t.Errorf("resumed output diverged from uninterrupted run:\nclean:   %s\nresumed: %s", cleanJSON, resumedJSON)
 	}
+}
+
+// timingCells is the per-cell reference for the timing suite: one
+// solo machine per (workload, policy), in workload-major order.
+func timingCells(t *testing.T, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config) []TimingResult {
+	t.Helper()
+	var out []TimingResult
+	for _, w := range ws {
+		for _, p := range pols {
+			m, err := pipeline.New(cfg, p.New(), func() tlb.Policy { return policy.NewLRU() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(trace.NewLimit(w.Source(), cfg.Instructions))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Policy = p.Name
+			out = append(out, TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res})
+		}
+	}
+	return out
+}
+
+// TestRunSuiteTimingFused pins the fused timing suite (one front-end
+// pass per workload) to the per-cell reference: same rows in the same
+// workload-major order, per-cell blame for a panicking policy with its
+// siblings' rows intact, and byte-identical rows after a checkpoint
+// resume.
+func TestRunSuiteTimingFused(t *testing.T) {
+	ws := workloads.SuiteN(3)
+	pols, err := Factories([]string{"lru", "srrip", "ghrp", "chirp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig(testInstr, 150)
+
+	t.Run("matches per-cell reference", func(t *testing.T) {
+		got, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := timingCells(t, ws, pols, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("fused suite diverged from per-cell reference:\ngot:  %+v\nwant: %+v", got, want)
+		}
+	})
+
+	t.Run("radix walker runs per cell", func(t *testing.T) {
+		radix := cfg
+		radix.UseRadixWalker = true
+		radix.PSC.EntriesPerLevel = 32
+		got, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[:2], radix, SuiteOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := timingCells(t, ws[:2], pols[:2], radix); !reflect.DeepEqual(got, want) {
+			t.Errorf("radix suite diverged from per-cell reference:\ngot:  %+v\nwant: %+v", got, want)
+		}
+	})
+
+	t.Run("panic blames its cell", func(t *testing.T) {
+		withPanic := []NamedFactory{pols[0], {Name: "panic-pol", New: func() tlb.Policy { return panicPolicy{} }}, pols[3]}
+		got, err := RunSuiteTimingCtx(context.Background(), ws[:1], withPanic, cfg, SuiteOptions{Workers: 1})
+		var je *engine.JobError
+		if !errors.As(err, &je) {
+			t.Fatalf("error %v carries no job identity", err)
+		}
+		if je.Key.Workload != ws[0].Name || je.Key.Policy != "panic-pol" {
+			t.Errorf("blamed %v, want %s/panic-pol", je.Key, ws[0].Name)
+		}
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("error %v does not expose the panic", err)
+		}
+		want := timingCells(t, ws[:1], []NamedFactory{pols[0], pols[3]}, cfg)
+		if len(got) != 3 || !reflect.DeepEqual(got[0], want[0]) || !reflect.DeepEqual(got[2], want[1]) {
+			t.Errorf("sibling rows differ from their solo runs:\ngot:  %+v\nwant: %+v", got, want)
+		}
+		if got[1] != (TimingResult{}) {
+			t.Errorf("panicking cell left a row: %+v", got[1])
+		}
+	})
+
+	t.Run("checkpoint resume", func(t *testing.T) {
+		clean, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := t.TempDir() + "/timing.ckpt"
+		ck, err := engine.Open(path, "timing-test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err = RunSuiteTimingCtx(ctx, ws, pols, cfg, SuiteOptions{Workers: 1, Sink: &cancelAfter{n: 1, cancel: cancel}, Checkpoint: ck})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+		}
+		// One job per workload: the checkpoint holds whole workloads.
+		if ck.Len() < 1 || ck.Len() >= len(ws) {
+			t.Fatalf("checkpoint holds %d rows, want a strict mid-run subset of %d", ck.Len(), len(ws))
+		}
+		ck.Close()
+
+		ck2, err := engine.Open(path, "timing-test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ck2.Close()
+		var c engine.Counters
+		resumed, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2, Sink: &c, Checkpoint: ck2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Resumed.Load() < 1 || int(c.Resumed.Load()+c.Done.Load()) != len(ws) {
+			t.Errorf("resume restored %d and ran %d jobs, want >= 1 restored of %d", c.Resumed.Load(), c.Done.Load(), len(ws))
+		}
+		cleanJSON, err := json.Marshal(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumedJSON, err := json.Marshal(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cleanJSON, resumedJSON) {
+			t.Errorf("resumed output diverged from uninterrupted run:\nclean:   %s\nresumed: %s", cleanJSON, resumedJSON)
+		}
+	})
 }
 
 func mustFactoryFor(t *testing.T, name string) PolicyFactory {
