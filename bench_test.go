@@ -322,11 +322,10 @@ func BenchmarkRunTLBOnly(b *testing.B) {
 // iteration — what every policy after the first pays in a sweep.
 func BenchmarkReplayTLBOnly(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
-	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
+	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stream.Close()
 	for _, name := range streamBenchPolicies {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -348,11 +347,10 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 // policy-parallel fan-out inside one call buys a multi-policy sweep.
 func BenchmarkReplayMulti(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
-	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
+	stream, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stream.Close()
 	build := func() []tlb.Policy {
 		pols := make([]tlb.Policy, len(streamBenchPolicies))
 		for i, name := range streamBenchPolicies {
@@ -388,14 +386,13 @@ func BenchmarkStreamCapture(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
 	var records, events, bytes float64
 	for i := 0; i < b.N; i++ {
-		s, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
+		s, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		records = float64(s.Records())
 		events = float64(s.Events())
-		bytes = float64(s.MemBytes())
-		s.Close()
+		bytes = float64(s.FootprintBytes())
 	}
 	b.ReportMetric(records*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 	b.ReportMetric(bytes/events, "bytes/event")
@@ -406,11 +403,10 @@ func BenchmarkStreamCapture(b *testing.B) {
 // record-at-a-time and the block decoder replay actually uses.
 func BenchmarkStreamDecode(b *testing.B) {
 	cfg := sim.DefaultTLBOnlyConfig(400_000)
-	s, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), l2stream.CaptureOptions{})
+	s, err := l2stream.Capture(streamBenchSource(cfg), sim.CaptureConfig(cfg), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	b.Run("event", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := s.Decode()
@@ -519,9 +515,7 @@ func BenchmarkSweepPersistent(b *testing.B) {
 		sim.SuiteOptions{Workers: 1, StreamCache: warm}); err != nil {
 		b.Fatal(err)
 	}
-	if err := warm.Close(); err != nil {
-		b.Fatal(err)
-	}
+	warm.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache, err := l2stream.NewPersistent(0, dir)
@@ -536,9 +530,7 @@ func BenchmarkSweepPersistent(b *testing.B) {
 		if len(rs) != len(ws)*len(pols) {
 			b.Fatalf("got %d results", len(rs))
 		}
-		if err := cache.Close(); err != nil {
-			b.Fatal(err)
-		}
+		cache.Close()
 	}
 }
 

@@ -153,7 +153,7 @@ func run() int {
 			}
 			streams.SetStoreMaxBytes(*capturedirMax)
 		} else {
-			streams = l2stream.NewCache(*l2cache<<20, "")
+			streams = l2stream.NewCache(*l2cache << 20)
 		}
 		defer streams.Close()
 		o.StreamCache = streams

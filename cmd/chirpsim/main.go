@@ -247,7 +247,7 @@ func run() int {
 			}
 			streams.SetStoreMaxBytes(*capturedirMax)
 		} else {
-			streams = l2stream.NewCache(*l2cache<<20, "")
+			streams = l2stream.NewCache(*l2cache << 20)
 		}
 		defer streams.Close()
 	}

@@ -23,7 +23,7 @@ func main() {
 	// A stream cache makes the policy comparison capture the workload's
 	// L2 event stream once and replay it per policy — bit-identical to
 	// a direct run, much cheaper from the second policy on.
-	cache := chirp.NewStreamCache(0, "")
+	cache := chirp.NewStreamCache(0)
 	defer cache.Close()
 
 	factories, err := chirp.Factories([]string{"lru", "chirp"})

@@ -27,7 +27,7 @@
 //     on all paths (or via defer), and no lock is held across a
 //     channel operation, select, or sync.WaitGroup.Wait.
 //   - pair-lifetime: values acquired through a //chirp:acquires
-//     function (pooled TLB arrays, spill refcounts) must reach a
+//     function (pooled TLB arrays, the tlbarrays pair) must reach a
 //     matching //chirp:releases call on every path, unless they
 //     escape the function.
 //   - atomic-mix: a struct field accessed through sync/atomic anywhere

@@ -44,8 +44,8 @@ func moduleFuncBodies(m *Module) []funcBody {
 }
 
 // objKey identifies a mutex, waitgroup, or tracked variable by its
-// root object plus the selector path used to reach it — `s.spillMu`
-// and `s.spillMu` in the same function agree; distinct receivers
+// root object plus the selector path used to reach it — `s.derivedMu`
+// and `s.derivedMu` in the same function agree; distinct receivers
 // differ by root object identity.
 type objKey struct {
 	root types.Object

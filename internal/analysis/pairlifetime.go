@@ -8,7 +8,7 @@ import (
 )
 
 // PairLifetimeRule tracks values produced by //chirp:acquires
-// functions (pooled TLB arrays, spill refcounts) through each
+// functions (pooled TLB arrays, the tlbarrays pair) through each
 // function's CFG and reports return paths on which no matching
 // //chirp:releases call has run. The analysis is intraprocedural and
 // may-leak:
@@ -21,7 +21,7 @@ import (
 //     is not a leak.
 //   - The site is released when a //chirp:releases function with the
 //     same token is called on (or passed) a holder variable, when a
-//     func-typed holder is itself called (the RetainSpill release
+//     func-typed holder is itself called (a returned release
 //     closure), or when either happens under defer.
 //   - The site escapes — tracking stops, no diagnostic — when a
 //     holder is returned, stored into a struct/slice/map/field,

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely since
@@ -192,6 +195,34 @@ func TestOptBound(t *testing.T) {
 	// The offline optimum must dominate both online policies.
 	if r.OptMeanMPKI > r.Averages[0].MeanMPKI || r.OptMeanMPKI > r.Averages[1].MeanMPKI {
 		t.Errorf("OPT mean %.3f above online policies %+v", r.OptMeanMPKI, r.Averages)
+	}
+}
+
+// TestOptBoundOverBudget: under a stream-cache budget no capture fits,
+// every job takes the direct fallback, and the bound must not move.
+func TestOptBoundOverBudget(t *testing.T) {
+	o := tiny()
+	o.Workloads = 4
+	want, err := OptBound(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StreamCache = l2stream.NewCache(1024)
+	defer o.StreamCache.Close()
+	overBudget := obs.Default.Counter("chirp_l2stream_cache_spills_total", "")
+	before := overBudget.Value()
+	got, err := OptBound(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One abandoned capture per workload: the OPT jobs reuse the
+	// remembered outcome of the suite pass instead of recapturing.
+	if d := overBudget.Value() - before; d != uint64(o.Workloads) {
+		t.Errorf("%d captures abandoned over budget, want %d", d, o.Workloads)
+	}
+	if got.OptMeanMPKI != want.OptMeanMPKI || got.Averages[1] != want.Averages[1] {
+		t.Errorf("over budget: OPT %v, chirp %+v; default budget: OPT %v, chirp %+v",
+			got.OptMeanMPKI, got.Averages[1], want.OptMeanMPKI, want.Averages[1])
 	}
 }
 

@@ -8,11 +8,8 @@ import (
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/engine"
-	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
-	"github.com/chirplab/chirp/internal/tlb"
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // Fig7Result is the Figure 7 data: the MPKI S-curve over the suite for
@@ -380,22 +377,9 @@ func OptBound(o Options) (*OptResult, error) {
 		w := w
 		jobs = append(jobs, engine.Job[float64]{
 			Key: engine.Key{Scope: "opt", Workload: w.Name, Policy: "opt"},
-			Run: func(context.Context) (float64, error) {
-				stream, err := sim.StreamFor(o.StreamCache, w.Name, w.SpecHash, cfg, func() (trace.Source, error) {
-					return trace.NewLimit(w.Source(), o.Instructions), nil
-				})
-				if err != nil {
-					return 0, err
-				}
-				vpns, err := sim.StreamVPNs(stream, cfg)
-				if err != nil {
-					return 0, err
-				}
-				rs, err := sim.ReplayMulti(stream, []tlb.Policy{newOPT(vpns)}, cfg)
-				if err != nil {
-					return 0, err
-				}
-				return rs[0].MPKI, nil
+			Run: func(ctx context.Context) (float64, error) {
+				r, err := sim.RunOPT(ctx, sim.RunSpec{Workload: w, Config: cfg, Cache: o.StreamCache})
+				return r.MPKI, err
 			},
 		})
 	}
@@ -420,12 +404,6 @@ func (r *OptResult) Write(w io.Writer) error {
 		fmt.Fprintf(w, "CHiRP captures %.1f%% of the optimal headroom\n", chirpRed/r.OptReductionPct*100)
 	}
 	return nil
-}
-
-// newOPT wraps the offline optimal policy around a pre-collected L2
-// access stream.
-func newOPT(stream []uint64) tlb.Policy {
-	return policy.NewOPT(policy.BuildOracle(stream))
 }
 
 // BaselinesResult is the extension X3 data: the paper's comparison

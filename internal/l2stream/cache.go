@@ -1,7 +1,7 @@
 package l2stream
 
 import (
-	"os"
+	"errors"
 	"sync"
 	"time"
 
@@ -34,8 +34,8 @@ var (
 		"Captures persisted to the capture directory.")
 	obsCacheDiskErrors = obs.Default.Counter("chirp_l2stream_cache_disk_errors_total",
 		"Failed persistent-store reads or writes (the run continues on the in-memory tier).")
-	obsCacheSpills = obs.Default.Counter("chirp_l2stream_cache_spills_total",
-		"Captures that overflowed the byte budget and spilled to disk.")
+	obsCacheOverBudget = obs.Default.Counter("chirp_l2stream_cache_spills_total",
+		"Captures abandoned because their encoded buffer exceeded the byte budget (those runs take the direct path).")
 	obsCacheEvictions = obs.Default.Counter("chirp_l2stream_cache_evictions_total",
 		"In-memory streams evicted to hold the byte budget.")
 	obsCaptureSeconds = obs.Default.Histogram("chirp_l2stream_capture_seconds",
@@ -87,32 +87,27 @@ type Key struct {
 // Each resident stream is charged the bytes it actually holds: its
 // encoded event buffer at commit (Stream.FootprintBytes), plus each
 // derived view at its real size as replays materialize it (the growth
-// hook commit installs). A capture spills only when its encoded buffer
-// alone exceeds the whole budget.
+// hook commit installs). A capture whose encoded buffer alone exceeds
+// the whole budget is abandoned with ErrOverBudget, and the cache
+// remembers that outcome for the key, so no later caller repeats the
+// doomed capture.
 //
 // A cache built with NewPersistent additionally keeps a
 // content-addressed on-disk tier (see store): captures are persisted
 // under their key fingerprint, and later caches — including ones in
 // other processes, on other days — load those files instead of
-// re-capturing. The spill fallback feeds the same tier: a spilled
-// capture's record file is adopted into the store rather than
-// deleted at Close.
+// re-capturing.
 //
-// Spilled streams cost the cache (almost) nothing in memory and are
-// never evicted; their files are deleted by Close — deferred past any
-// replay still holding the file (Stream.RetainSpill), and skipped
-// entirely for store-owned files. Evicting an in-memory stream only
-// drops the cache's reference — replays already holding the stream
-// keep working, and the bytes are reclaimed when they finish.
+// Evicting a stream only drops the cache's reference — replays already
+// holding the stream keep working, and the bytes are reclaimed when
+// they finish.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
-	dir     string
 	store   *store
 	used    int64
 	tick    uint64
 	entries map[Key]*cacheEntry
-	spills  []*Stream
 }
 
 // cacheEntry is one single-flight slot. The owning goroutine (the one
@@ -120,7 +115,9 @@ type Cache struct {
 // closes done; everyone else blocks on done. A failed capture deletes
 // the entry from the map before closing done, so woken waiters—and
 // any caller that read the entry just before the failure—re-check the
-// map and retry instead of inheriting the memoized error forever.
+// map and retry instead of inheriting the memoized error forever. The
+// one exception is ErrOverBudget: a recapture would overflow again, so
+// that entry stays and every caller gets the error back.
 type cacheEntry struct {
 	done    chan struct{} // closed once stream/err below are final
 	stream  *Stream
@@ -132,28 +129,25 @@ type cacheEntry struct {
 
 // NewCache returns a cache with the given in-memory byte budget
 // (<= 0 means DefaultBudget). Captures whose encoded buffer would
-// exceed the whole budget on its own spill to files in dir ("" = the
-// OS temp dir).
-func NewCache(budget int64, dir string) *Cache {
+// exceed the whole budget on its own fail with ErrOverBudget.
+func NewCache(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{budget: budget, dir: dir, entries: map[Key]*cacheEntry{}}
+	return &Cache{budget: budget, entries: map[Key]*cacheEntry{}}
 }
 
 // NewPersistent returns a cache backed by a persistent capture
 // directory: every capture is also written there (content-addressed
 // by key fingerprint + codec version, staged and atomically renamed),
 // and GetOrCapture consults the directory before capturing, so sweeps
-// across processes reuse captures instead of re-capturing. Spill
-// files are created inside the directory too, which keeps their
-// adoption into the store a same-filesystem rename.
+// across processes reuse captures instead of re-capturing.
 func NewPersistent(budget int64, captureDir string) (*Cache, error) {
 	st, err := newStore(captureDir)
 	if err != nil {
 		return nil, err
 	}
-	c := NewCache(budget, captureDir)
+	c := NewCache(budget)
 	c.store = st
 	return c, nil
 }
@@ -163,11 +157,12 @@ func (c *Cache) Budget() int64 { return c.budget }
 
 // GetOrCapture returns the cached stream for key, running capture
 // (once, even under concurrent callers) to produce it on first use.
-// The CaptureOptions passed to capture carry the cache's byte budget
-// and spill directory. A failed capture is not cached: every caller
-// that observed the failure — including ones that were already
-// blocked on it — retries through a fresh entry.
-func (c *Cache) GetOrCapture(key Key, capture func(CaptureOptions) (*Stream, error)) (*Stream, error) {
+// capture receives the cache's byte budget to pass on to Capture. A
+// failed capture is not cached: every caller that observed the failure
+// — including ones that were already blocked on it — retries through a
+// fresh entry. ErrOverBudget is the exception: it is remembered for
+// key, and every later caller gets it back without a recapture.
+func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
 	for {
 		c.mu.Lock()
 		e, ok := c.entries[key]
@@ -192,6 +187,9 @@ func (c *Cache) GetOrCapture(key Key, capture func(CaptureOptions) (*Stream, err
 			obsCacheWaits.Inc()
 			<-e.done
 		}
+		if errors.Is(e.err, ErrOverBudget) {
+			return nil, e.err
+		}
 		if e.err != nil {
 			// The owner deleted the failed entry before closing done;
 			// loop to re-check the map and retry (or join a retry
@@ -210,7 +208,7 @@ func (c *Cache) GetOrCapture(key Key, capture func(CaptureOptions) (*Stream, err
 // tier if one is attached, capture otherwise, publish the outcome,
 // and wake the waiters. stream/err are published before done is
 // closed, so waiters may read them without the lock.
-func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(CaptureOptions) (*Stream, error)) (*Stream, error) {
+func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
 	defer close(e.done)
 	if c.store != nil {
 		s, err := c.store.load(key)
@@ -226,21 +224,23 @@ func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(CaptureOptions) 
 
 	obsCacheMisses.Inc()
 	start := time.Now()
-	s, err := capture(CaptureOptions{MaxBytes: c.budget, SpillDir: c.dir})
+	s, err := capture(c.budget)
 	obsCaptureSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
+		overBudget := errors.Is(err, ErrOverBudget)
+		if overBudget {
+			obsCacheOverBudget.Inc()
+		}
 		c.mu.Lock()
 		e.err = err
 		// Drop the failed entry so every later (and currently waiting)
-		// caller retries against a fresh one.
-		if c.entries[key] == e {
+		// caller retries against a fresh one — unless the capture is
+		// over budget, which a retry would only repeat.
+		if !overBudget && c.entries[key] == e {
 			delete(c.entries, key)
 		}
 		c.mu.Unlock()
 		return nil, err
-	}
-	if s.Spilled() {
-		obsCacheSpills.Inc()
 	}
 	if c.store != nil {
 		if serr := c.store.save(key, s); serr != nil {
@@ -269,9 +269,6 @@ func (c *Cache) commit(key Key, e *cacheEntry, s *Stream) {
 	c.used += e.bytes
 	obsCacheBytes.Add(e.bytes)
 	obsCacheStreams.Inc()
-	if s.Spilled() {
-		c.spills = append(c.spills, s)
-	}
 	c.evictLocked(e)
 	c.tick++
 	e.lastUse = c.tick
@@ -299,7 +296,7 @@ func (c *Cache) growStream(key Key, s *Stream, delta int64) {
 
 // SetStoreMaxBytes bounds the persistent capture directory's total
 // size: after every store write, least-recently-used capture groups
-// (the .l2s stream plus its .chtr spill and .l2d derived sidecars) are
+// (the .l2s stream plus its .l2d derived sidecars) are
 // evicted oldest-mtime-first until the directory fits. Zero or
 // negative means unbounded. No-op on caches without a persistent tier.
 func (c *Cache) SetStoreMaxBytes(maxBytes int64) {
@@ -336,7 +333,7 @@ func (c *Cache) evictLocked(keep *cacheEntry) {
 }
 
 // Len returns the number of resident streams (including in-flight
-// captures). For tests and telemetry.
+// captures and remembered over-budget keys). For tests and telemetry.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -350,15 +347,12 @@ func (c *Cache) Used() int64 {
 	return c.used
 }
 
-// Close drops every entry and deletes the cache's spill files —
-// except files the persistent store owns, which later processes will
-// reuse, and except files a replay still holds retained, which delete
-// when the replay releases them. It is not safe to race Close with
-// GetOrCapture.
-func (c *Cache) Close() error {
+// Close drops every entry and resets the byte accounting. Replays
+// still holding a stream keep working. It is not safe to race Close
+// with GetOrCapture.
+func (c *Cache) Close() {
 	c.mu.Lock()
-	spills := c.spills
-	c.spills = nil
+	defer c.mu.Unlock()
 	resident := int64(0)
 	for _, e := range c.entries {
 		if e.ready {
@@ -369,13 +363,4 @@ func (c *Cache) Close() error {
 	obsCacheStreams.Add(-resident)
 	c.entries = map[Key]*cacheEntry{}
 	c.used = 0
-	c.mu.Unlock()
-
-	var first error
-	for _, s := range spills {
-		if err := s.Close(); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -1,8 +1,10 @@
 package l2stream
 
 import (
+	"errors"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +35,7 @@ func waitForCounter(t *testing.T, value func() uint64, base uint64) {
 func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 	recs := testRecords(500)
 	cfg := testConfig(800)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: cfg}
 
@@ -46,7 +48,7 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 	// Owner: starts capturing, then fails once released.
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrCapture(key, func(CaptureOptions) (*Stream, error) {
+		_, err := c.GetOrCapture(key, func(int64) (*Stream, error) {
 			mu.Lock()
 			captures++
 			mu.Unlock()
@@ -67,11 +69,11 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 	}
 	waiterGot := make(chan got, 1)
 	go func() {
-		s, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+		s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 			mu.Lock()
 			captures++
 			mu.Unlock()
-			return Capture(trace.NewSliceSource(recs), cfg, opts)
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 		})
 		waiterGot <- got{s, err}
 	}()
@@ -101,7 +103,7 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 func TestCacheWaitAccounting(t *testing.T) {
 	recs := testRecords(500)
 	cfg := testConfig(800)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: cfg}
 
@@ -110,18 +112,18 @@ func TestCacheWaitAccounting(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 2)
 	go func() {
-		_, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+		_, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 			close(started)
 			<-release
-			return Capture(trace.NewSliceSource(recs), cfg, opts)
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 		})
 		done <- err
 	}()
 	<-started
 	go func() {
-		_, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+		_, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 			t.Error("waiter ran a second capture")
-			return Capture(trace.NewSliceSource(recs), cfg, opts)
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 		})
 		done <- err
 	}()
@@ -133,7 +135,7 @@ func TestCacheWaitAccounting(t *testing.T) {
 		}
 	}
 	// A post-completion caller is a plain hit.
-	if _, err := c.GetOrCapture(key, func(CaptureOptions) (*Stream, error) {
+	if _, err := c.GetOrCapture(key, func(int64) (*Stream, error) {
 		t.Error("hit ran a capture")
 		return nil, os.ErrInvalid
 	}); err != nil {
@@ -150,89 +152,10 @@ func TestCacheWaitAccounting(t *testing.T) {
 	}
 }
 
-// TestRetainSpillDefersDeletion: Close while a replay holds the spill
-// file retained must leave the file on disk until the reference drops —
-// the "in-flight replays keep working" contract for spilled streams.
-func TestRetainSpillDefersDeletion(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	sp, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: 64, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sp.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
-	}
-	path, releaseA, err := sp.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, releaseB, err := sp.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatalf("Close with readers: %v", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close deleted the spill file under %d readers: %v", 2, err)
-	}
-	releaseA()
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("first release deleted the file while a reader remains")
-	}
-	releaseB()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("last release must delete the closed spill file")
-	}
-	if _, _, err := sp.RetainSpill(); err == nil {
-		t.Error("RetainSpill after Close must fail")
-	}
-}
-
-// TestCacheCloseRacesSpilledReplay drives the cache-level version of
-// the same contract: GetOrCapture hands out a spilled stream, a
-// "replay" retains it, Cache.Close runs, and the file must survive
-// until release.
-func TestCacheCloseRacesSpilledReplay(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	c := NewCache(64, t.TempDir())
-	s, err := c.GetOrCapture(Key{Workload: "w", Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Spilled() {
-		t.Fatal("64-byte cache budget must force a spill")
-	}
-	path, release, err := s.RetainSpill()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("Cache.Close: %v", err)
-	}
-	fs, err := trace.OpenFile(path)
-	if err != nil {
-		t.Fatalf("spill file unreadable after Cache.Close: %v", err)
-	}
-	n := len(trace.Collect(fs))
-	fs.Close()
-	if uint64(n) != s.Records() {
-		t.Errorf("read %d records mid-Close, want %d", n, s.Records())
-	}
-	release()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("release after Cache.Close must delete the spill file")
-	}
-}
-
 // TestEvictOversizedStreamStays: a single stream whose footprint
 // exceeds the whole budget must stay resident (there is nothing useful
-// to evict it for), not thrash in and out. Capture itself spills
-// rather than over-committing, so the oversized-resident case arises
+// to evict it for), not thrash in and out. Capture itself refuses to
+// over-commit (ErrOverBudget), so the oversized-resident case arises
 // through the persistent tier: a small-budget cache loading a capture
 // a bigger-budget process persisted.
 func TestEvictOversizedStreamStays(t *testing.T) {
@@ -243,33 +166,28 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := big.GetOrCapture(Key{Workload: "big", Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
+	seed, err := big.GetOrCapture(Key{Workload: "big", Config: cfg}, func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seed.Spilled() {
-		t.Fatal("default-budget capture must stay in memory")
-	}
-	if err := big.Close(); err != nil {
-		t.Fatal(err)
-	}
+	big.Close()
 
 	c, err := NewPersistent(seed.FootprintBytes()/2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(CaptureOptions) (*Stream, error) {
+	s, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(int64) (*Stream, error) {
 		t.Error("persisted capture was re-captured")
 		return nil, os.ErrInvalid
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Spilled() {
-		t.Fatal("persisted in-memory stream loaded as spilled")
+	if s.FootprintBytes() != seed.FootprintBytes() {
+		t.Fatalf("persisted stream loaded with %d bytes, want %d", s.FootprintBytes(), seed.FootprintBytes())
 	}
 	if c.Used() <= c.Budget() {
 		t.Fatalf("test premise broken: resident %d fits budget %d", c.Used(), c.Budget())
@@ -278,7 +196,7 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 		t.Fatalf("oversized stream evicted: cache holds %d entries, want 1", c.Len())
 	}
 	// And it is a hit on re-request, not a recapture.
-	if _, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(CaptureOptions) (*Stream, error) {
+	if _, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(int64) (*Stream, error) {
 		t.Error("oversized stream was recaptured")
 		return nil, os.ErrInvalid
 	}); err != nil {
@@ -292,15 +210,15 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 func TestEvictSparesKeep(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	probe, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := probe.FootprintBytes()
-	c := NewCache(one+one/2, t.TempDir())
+	c := NewCache(one + one/2)
 	defer c.Close()
-	capture := func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
+	capture := func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 	}
 	if _, err := c.GetOrCapture(Key{Workload: "old", Config: cfg}, capture); err != nil {
 		t.Fatal(err)
@@ -313,7 +231,7 @@ func TestEvictSparesKeep(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
 	}
-	if _, err := c.GetOrCapture(Key{Workload: "new", Config: cfg}, func(CaptureOptions) (*Stream, error) {
+	if _, err := c.GetOrCapture(Key{Workload: "new", Config: cfg}, func(int64) (*Stream, error) {
 		t.Error("keep entry was evicted by its own commit")
 		return nil, os.ErrInvalid
 	}); err != nil {
@@ -327,7 +245,7 @@ func TestEvictSparesKeep(t *testing.T) {
 func TestCacheGaugeConsistency(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	probe, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +253,9 @@ func TestCacheGaugeConsistency(t *testing.T) {
 	bytes0, streams0 := obsCacheBytes.Value(), obsCacheStreams.Value()
 	evict0 := obsCacheEvictions.Value()
 
-	c := NewCache(2*one+one/2, t.TempDir())
-	capture := func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
+	c := NewCache(2*one + one/2)
+	capture := func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 	}
 	for _, w := range []string{"a", "b", "c"} {
 		if _, err := c.GetOrCapture(Key{Workload: w, Config: cfg}, capture); err != nil {
@@ -353,9 +271,7 @@ func TestCacheGaugeConsistency(t *testing.T) {
 	if d := obsCacheStreams.Value() - streams0; d != int64(c.Len()) {
 		t.Errorf("streams gauge delta = %d, cache holds %d", d, c.Len())
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
+	c.Close()
 	if d := obsCacheBytes.Value() - bytes0; d != 0 {
 		t.Errorf("bytes gauge leaks %d after Close", d)
 	}
@@ -364,53 +280,178 @@ func TestCacheGaugeConsistency(t *testing.T) {
 	}
 }
 
-// TestCaptureBudgetChargesEncodedBuffer: the spill decision and the
+// TestCaptureBudgetChargesEncodedBuffer: the budget check and the
 // cache's charge both see the encoded buffer alone. A budget of exactly
 // the buffer's size keeps the capture in memory and charges it exactly
-// that; one byte less spills it. The old rule — 32 B per event plus
-// 32 B per access on top of the buffer — would have spilled both.
+// that. The old rule — 32 B per event plus 32 B per access on top of
+// the buffer — would not have fit.
 func TestCaptureBudgetChargesEncodedBuffer(t *testing.T) {
 	recs := testRecords(3000)
 	cfg := testConfig(5000)
-	probe, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufBytes := int64(probe.MemBytes())
+	bufBytes := probe.FootprintBytes()
 	if old := bufBytes + int64(probe.Events()+probe.Accesses()+1)*32; old <= bufBytes {
 		t.Fatalf("test premise broken: old charge %d does not exceed the buffer %d", old, bufBytes)
 	}
-	capture := func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
-	}
 
-	fits := NewCache(bufBytes, t.TempDir())
+	fits := NewCache(bufBytes)
 	defer fits.Close()
-	s, err := fits.GetOrCapture(Key{Workload: "fits", Config: cfg}, capture)
+	s, err := fits.GetOrCapture(Key{Workload: "fits", Config: cfg}, func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Spilled() {
-		t.Fatal("a capture whose buffer fits the budget spilled")
 	}
 	if s.FootprintBytes() != bufBytes || fits.Used() != bufBytes {
 		t.Errorf("charged %d (cache.Used %d), want the %d-byte buffer", s.FootprintBytes(), fits.Used(), bufBytes)
 	}
+}
 
-	spills0 := obsCacheSpills.Value()
-	over := NewCache(bufBytes-1, t.TempDir())
-	defer over.Close()
-	s, err = over.GetOrCapture(Key{Workload: "over", Config: cfg}, capture)
+// TestCaptureOverBudget extends the boundary check above: a budget one
+// byte below the buffer abandons the capture with ErrOverBudget. The
+// cache counts it once, charges nothing, and remembers the outcome, so
+// concurrent waiters and later callers get ErrOverBudget back without
+// running the capture again.
+func TestCaptureOverBudget(t *testing.T) {
+	recs := testRecords(3000)
+	cfg := testConfig(5000)
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Spilled() {
-		t.Fatal("a capture whose buffer alone exceeds the budget stayed in memory")
+	bufBytes := probe.FootprintBytes()
+	if s, err := Capture(trace.NewSliceSource(recs), cfg, bufBytes); err != nil || s.FootprintBytes() != bufBytes {
+		t.Fatalf("budget equal to the %d-byte buffer: stream %v, err %v", bufBytes, s, err)
 	}
-	if d := obsCacheSpills.Value() - spills0; d != 1 {
-		t.Errorf("spills delta = %d, want 1", d)
+	if _, err := Capture(trace.NewSliceSource(recs), cfg, bufBytes-1); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("budget one byte below the buffer: err = %v, want ErrOverBudget", err)
 	}
-	if over.Used() != 0 {
-		t.Errorf("spilled stream charged %d bytes, want 0", over.Used())
+
+	c := NewCache(bufBytes - 1)
+	defer c.Close()
+	key := Key{Workload: "over", Config: cfg}
+	var captures atomic.Int32
+	started := make(chan struct{})
+	release := make(chan struct{})
+	capture := func(maxBytes int64) (*Stream, error) {
+		if captures.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+	}
+	over0, waits0 := obsCacheOverBudget.Value(), obsCacheWaits.Value()
+
+	const waiters = 3
+	errs := make(chan error, waiters+1)
+	go func() {
+		_, err := c.GetOrCapture(key, capture)
+		errs <- err
+	}()
+	<-started
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := c.GetOrCapture(key, capture)
+			errs <- err
+		}()
+	}
+	waitForCounter(t, obsCacheWaits.Value, waits0+waiters-1)
+	close(release)
+	for i := 0; i < waiters+1; i++ {
+		if err := <-errs; !errors.Is(err, ErrOverBudget) {
+			t.Errorf("caller %d: err = %v, want ErrOverBudget", i, err)
+		}
+	}
+	if _, err := c.GetOrCapture(key, capture); !errors.Is(err, ErrOverBudget) {
+		t.Errorf("later caller: err = %v, want ErrOverBudget", err)
+	}
+	if n := captures.Load(); n != 1 {
+		t.Errorf("capture ran %d times, want 1", n)
+	}
+	if d := obsCacheOverBudget.Value() - over0; d != 1 {
+		t.Errorf("over-budget counter delta = %d, want 1", d)
+	}
+	if c.Used() != 0 {
+		t.Errorf("over-budget capture charged %d bytes, want 0", c.Used())
+	}
+}
+
+// TestCacheCloseKeepsHeldStreams: Close drops every entry, resident
+// streams and remembered over-budget keys alike, and returns the
+// cache's bytes and streams to the gauges. A stream a replay already
+// holds still decodes to the events it was captured with. After Close
+// the cache starts over, so both keys run their capture again.
+func TestCacheCloseKeepsHeldStreams(t *testing.T) {
+	recs, cfg := testRecords(3000), testConfig(5000)
+	bigRecs, bigCfg := testRecords(6000), testConfig(10000)
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeAll(probe, DecodeBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufBytes := probe.FootprintBytes()
+	if big, err := Capture(trace.NewSliceSource(bigRecs), bigCfg, 0); err != nil || big.FootprintBytes() <= bufBytes {
+		t.Fatalf("test premise broken: big capture %v, err %v, must exceed %d bytes", big, err, bufBytes)
+	}
+
+	c := NewCache(bufBytes)
+	defer c.Close()
+	fits := Key{Workload: "fits", Config: cfg}
+	over := Key{Workload: "over", Config: bigCfg}
+	var captures atomic.Int32
+	captureOf := func(recs []trace.Record, cfg Config) func(int64) (*Stream, error) {
+		return func(maxBytes int64) (*Stream, error) {
+			captures.Add(1)
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		}
+	}
+	bytes0, streams0 := obsCacheBytes.Value(), obsCacheStreams.Value()
+
+	held, err := c.GetOrCapture(fits, captureOf(recs, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("over key: err = %v, want ErrOverBudget", err)
+	}
+	if c.Len() != 2 || c.Used() != bufBytes {
+		t.Fatalf("before Close: Len %d Used %d, want 2 and %d", c.Len(), c.Used(), bufBytes)
+	}
+
+	c.Close()
+	if c.Len() != 0 || c.Used() != 0 {
+		t.Errorf("after Close: Len %d Used %d, want 0 and 0", c.Len(), c.Used())
+	}
+	if b, n := obsCacheBytes.Value(), obsCacheStreams.Value(); b != bytes0 || n != streams0 {
+		t.Errorf("after Close: gauges bytes %d streams %d, want %d and %d", b, n, bytes0, streams0)
+	}
+	got, err := decodeAll(held, DecodeBlockSize)
+	if err != nil {
+		t.Fatalf("held stream after Close: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("held stream decodes %d events after Close, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("held stream event %d diverged after Close", i)
+		}
+	}
+
+	captures.Store(0)
+	if _, err := c.GetOrCapture(fits, captureOf(recs, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+		t.Errorf("over key after Close: err = %v, want ErrOverBudget", err)
+	}
+	if n := captures.Load(); n != 2 {
+		t.Errorf("after Close ran %d captures, want 2 (one per key)", n)
 	}
 }

@@ -1,22 +1,16 @@
 package l2stream
 
 import (
-	"fmt"
-	"os"
+	"errors"
 
 	"github.com/chirplab/chirp/internal/trace"
 )
 
-// CaptureOptions bounds a capture.
-type CaptureOptions struct {
-	// MaxBytes caps the stream's encoded buffer (Stream.FootprintBytes);
-	// a capture whose buffer would exceed it restarts and spills the raw
-	// record prefix to a CHTR file instead. <= 0 means unlimited (never
-	// spill).
-	MaxBytes int64
-	// SpillDir is where spill files are created ("" = the OS temp dir).
-	SpillDir string
-}
+// ErrOverBudget reports a capture abandoned because its encoded buffer
+// would exceed the byte budget. No stream exists for it; callers fall
+// back to the direct reference path (sim.RunTLBOnly over fresh
+// sources), which needs no stream at all.
+var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
 
 // Capture runs src once through the two LRU L1 TLB filters and records
 // the policy-invariant L2 event stream. The record loop mirrors
@@ -27,66 +21,22 @@ type CaptureOptions struct {
 //
 // src is consumed like RunTLBOnly consumes it: until cfg.Instructions
 // is reached, or exhaustion when cfg.Instructions is 0 (callers must
-// bound infinite sources with trace.Limit, as usual). On byte-budget
-// overflow src.Reset is called and the same record prefix is written
-// to a spill file instead.
-func Capture(src trace.Source, cfg Config, opts CaptureOptions) (*Stream, error) {
-	s, overflow, err := capture(src, cfg, opts.MaxBytes, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !overflow {
-		return s, nil
-	}
-
-	// Spill: re-run the capture pass from the top, writing the raw
-	// record prefix through the CHTR trace writer instead of encoding
-	// events. The file holds exactly the records RunTLBOnly would
-	// consume, so replaying it is a direct run by construction.
-	src.Reset()
-	f, err := os.CreateTemp(opts.SpillDir, "l2stream-*.chtr")
-	if err != nil {
-		return nil, fmt.Errorf("l2stream: creating spill file: %w", err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	s, _, err = capture(src, cfg, 0, w)
-	if err == nil {
-		err = w.Close()
-	}
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	s.spillPath = f.Name()
-	return s, nil
-}
-
-// capture is the single-pass worker behind Capture. With spill nil it
-// encodes events in memory, reporting overflow=true (and a nil stream)
-// as soon as the encoded buffer passes maxBytes; with spill non-nil it
-// writes each consumed record to the spill writer and keeps only the
-// run scalars.
-func capture(src trace.Source, cfg Config, maxBytes int64, spill *trace.Writer) (*Stream, bool, error) {
+// bound infinite sources with trace.Limit, as usual). maxBytes caps the
+// stream's encoded buffer (Stream.FootprintBytes); a capture whose
+// buffer would exceed it stops and returns ErrOverBudget. maxBytes <= 0
+// means unlimited.
+func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
 	// The L1s are always LRU (that fixed choice is what makes the
 	// stream policy-invariant in the first place), so the capture path
 	// runs the specialized membership filter instead of two full
 	// tlb.TLB simulations; the hit/miss sequence is identical.
 	l1i, err := newL1Filter(cfg.L1I)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	l1d, err := newL1Filter(cfg.L1D)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	pageShift := cfg.PageShift
@@ -97,13 +47,10 @@ func capture(src trace.Source, cfg Config, maxBytes int64, spill *trace.Writer) 
 
 	s := &Stream{cfg: cfg, warmupAt: warmupAt, warmed: warmupAt == 0}
 	var (
-		enc          encoder
+		enc          = encoder{buf: make([]byte, 0, 64<<10)}
 		instructions uint64
 		warmI, warmD uint64 // L1 miss counts at the warmup boundary
 	)
-	if spill == nil {
-		enc.buf = make([]byte, 0, 64<<10)
-	}
 
 	bs := trace.Blocks(src)
 	var buf [trace.DefaultBlockSize]trace.Record
@@ -115,54 +62,45 @@ loop:
 		}
 		for i := 0; i < n; i++ {
 			rec := &buf[i]
-			if spill != nil {
-				if err := spill.Write(rec); err != nil {
-					return nil, false, err
-				}
-			}
 			s.records++
 			instructions += rec.Instructions()
 			if !s.warmed && instructions >= warmupAt {
 				s.warmed = true
 				s.warmInstrAt = instructions
 				warmI, warmD = l1i.misses, l1d.misses
-				if spill == nil {
-					enc.warmup()
-					s.events++
-				}
+				enc.warmup()
+				s.events++
 			}
 
-			if !l1i.access(rec.PC>>pageShift) && spill == nil {
+			if !l1i.access(rec.PC >> pageShift) {
 				enc.access(rec.PC, rec.PC>>pageShift, true)
 				s.events++
 				s.accesses++
 			}
 			switch {
 			case rec.Class.IsMemory():
-				if !l1d.access(rec.EA>>pageShift) && spill == nil {
+				if !l1d.access(rec.EA >> pageShift) {
 					enc.access(rec.PC, rec.EA>>pageShift, false)
 					s.events++
 					s.accesses++
 				}
 			case rec.Class.IsBranch():
-				if spill == nil {
-					enc.branch(rec.PC,
-						rec.Class == trace.ClassCondBranch,
-						rec.Class == trace.ClassUncondIndirect,
-						rec.Taken, rec.Target)
-					s.events++
-				}
+				enc.branch(rec.PC,
+					rec.Class == trace.ClassCondBranch,
+					rec.Class == trace.ClassUncondIndirect,
+					rec.Taken, rec.Target)
+				s.events++
 			}
 			if cfg.Instructions > 0 && instructions >= cfg.Instructions {
 				break loop
 			}
 		}
 		if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
-			return nil, true, nil
+			return nil, ErrOverBudget
 		}
 	}
 	if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
-		return nil, true, nil
+		return nil, ErrOverBudget
 	}
 
 	s.instructions = instructions
@@ -171,5 +109,5 @@ loop:
 		s.l1dMisses = l1d.misses - warmD
 	}
 	s.buf = enc.buf
-	return s, false, nil
+	return s, nil
 }

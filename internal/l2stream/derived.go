@@ -14,10 +14,7 @@
 // accounting, and the sidecar load/store protocol.
 package l2stream
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // DerivedSpec describes one derived-view family to Stream.Derived: an
 // invalidation key, a builder, and an optional persistence codec.
@@ -62,13 +59,8 @@ type derivedSlot struct {
 // codec), then Build runs and the result is persisted for the next
 // process. Concurrent calls for one key share a single build. The
 // returned view is shared between every caller and MUST be treated as
-// read-only. Spilled streams have no decodable event sequence, so
-// Derived fails on them; callers branch on Spilled first, as they do
-// for Decode.
+// read-only.
 func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
-	if s.Spilled() {
-		return nil, fmt.Errorf("l2stream: derived view %q on a spilled stream", spec.Key)
-	}
 	s.derivedMu.Lock()
 	if s.derived == nil {
 		s.derived = make(map[string]*derivedSlot)

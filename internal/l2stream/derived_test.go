@@ -48,8 +48,8 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 	}
 	t.Cleanup(func() { cache.Close() })
 	cfg := testConfig(instr)
-	s, err := cache.GetOrCapture(Key{Workload: workload, Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(testRecords(int(instr))), cfg, opts)
+	s, err := cache.GetOrCapture(Key{Workload: workload, Config: cfg}, func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(testRecords(int(instr))), cfg, maxBytes)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 // TestDerivedSingleFlight: concurrent Derived calls for one key build
 // once and share the view; a different key builds separately.
 func TestDerivedSingleFlight(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,34 +243,17 @@ func TestDerivedSidecarKeyed(t *testing.T) {
 	}
 }
 
-// TestDerivedSpilledStreamErrors: derived views need a decodable event
-// sequence, which spilled streams do not have.
-func TestDerivedSpilledStreamErrors(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(4000)), testConfig(6000),
-		CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if !s.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
-	}
-	if _, err := s.Derived(eventCountSpec("test:sp", nil)); err == nil {
-		t.Error("Derived succeeded on a spilled stream")
-	}
-}
-
 // TestDerivedGrowthAccounting: a cached stream is charged its encoded
 // buffer at commit and nothing more; a derived view materializing on it
 // must grow the cache's accounted bytes by exactly the view's footprint
 // and trigger the budget rebalance.
 func TestDerivedGrowthAccounting(t *testing.T) {
-	cache := NewCache(1<<20, t.TempDir())
+	cache := NewCache(1 << 20)
 	defer cache.Close()
 	cfg := testConfig(5000)
 	key := Key{Workload: "w", Config: cfg}
-	s, err := cache.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(testRecords(3000)), cfg, opts)
+	s, err := cache.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +327,8 @@ func TestStoreGC(t *testing.T) {
 	var streams []*Stream
 	var metas []string
 	for _, w := range []string{"a", "b", "c"} {
-		s, err := cache.GetOrCapture(Key{Workload: w, Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-			return Capture(trace.NewSliceSource(testRecords(3000)), cfg, opts)
+		s, err := cache.GetOrCapture(Key{Workload: w, Config: cfg}, func(maxBytes int64) (*Stream, error) {
+			return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +337,7 @@ func TestStoreGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		streams = append(streams, s)
-		meta, _ := cache.store.paths(Key{Workload: w, Config: cfg})
+		meta := cache.store.streamPath(Key{Workload: w, Config: cfg})
 		metas = append(metas, meta)
 	}
 	if got := len(derivedFiles(t, dir)); got != 3 {

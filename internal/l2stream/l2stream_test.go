@@ -106,12 +106,9 @@ func referenceEvents(t *testing.T, recs []trace.Record, cfg Config) []Event {
 func TestCaptureMatchesReference(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
-	}
-	if s.Spilled() {
-		t.Fatal("unbudgeted capture must not spill")
 	}
 	want := referenceEvents(t, recs, cfg)
 	if s.Events() != uint64(len(want)) {
@@ -133,15 +130,15 @@ func TestCaptureMatchesReference(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatalf("decode error: %v", d.Err())
 	}
-	if s.MemBytes() == 0 || float64(s.MemBytes())/float64(s.Events()) > 6 {
-		t.Errorf("encoding too fat: %d bytes for %d events", s.MemBytes(), s.Events())
+	if s.FootprintBytes() == 0 || float64(s.FootprintBytes())/float64(s.Events()) > 6 {
+		t.Errorf("encoding too fat: %d bytes for %d events", s.FootprintBytes(), s.Events())
 	}
 }
 
 func TestCaptureScalars(t *testing.T) {
 	recs := testRecords(3000)
 	cfg := testConfig(5000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,72 +162,24 @@ func TestCaptureScalars(t *testing.T) {
 func TestCaptureDeterministic(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	a, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	a, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	b, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MemBytes() != b.MemBytes() || a.Events() != b.Events() || a.Records() != b.Records() {
+	if a.FootprintBytes() != b.FootprintBytes() || a.Events() != b.Events() || a.Records() != b.Records() {
 		t.Fatalf("captures diverged: (%d B, %d ev) vs (%d B, %d ev)",
-			a.MemBytes(), a.Events(), b.MemBytes(), b.Events())
-	}
-}
-
-func TestCaptureSpills(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	mem, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{MaxBytes: 64, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	if !sp.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
-	}
-	if sp.MemBytes() != 0 {
-		t.Errorf("spilled stream holds %d in-memory bytes", sp.MemBytes())
-	}
-	// Scalars must match the in-memory capture exactly.
-	if sp.Records() != mem.Records() || sp.Instructions() != mem.Instructions() ||
-		sp.WarmupInstructions() != mem.WarmupInstructions() ||
-		sp.L1IMisses() != mem.L1IMisses() || sp.L1DMisses() != mem.L1DMisses() {
-		t.Errorf("spilled scalars diverge from in-memory capture")
-	}
-	// The spill file must hold exactly the consumed record prefix.
-	fs, err := trace.OpenFile(sp.SpillPath())
-	if err != nil {
-		t.Fatalf("opening spill file: %v", err)
-	}
-	got := trace.Collect(fs)
-	fs.Close()
-	if uint64(len(got)) != sp.Records() {
-		t.Fatalf("spill file holds %d records, capture consumed %d", len(got), sp.Records())
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("spilled record %d diverged", i)
-		}
-	}
-	path := sp.SpillPath()
-	if err := sp.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("Close must delete the spill file")
+			a.FootprintBytes(), a.Events(), b.FootprintBytes(), b.Events())
 	}
 }
 
 func TestCacheSingleFlight(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	var mu sync.Mutex
 	captures := 0
@@ -242,11 +191,11 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+			s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 				mu.Lock()
 				captures++
 				mu.Unlock()
-				return Capture(trace.NewSliceSource(recs), cfg, opts)
+				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 			})
 			if err != nil {
 				t.Error(err)
@@ -269,17 +218,17 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheEvictsLRU(t *testing.T) {
 	recs := testRecords(2000)
 	cfg := testConfig(3000)
-	probe, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := probe.FootprintBytes()
 	// Budget for two streams; insert three distinct keys.
-	c := NewCache(2*one+one/2, t.TempDir())
+	c := NewCache(2*one + one/2)
 	defer c.Close()
 	for _, w := range []string{"a", "b", "c"} {
-		if _, err := c.GetOrCapture(Key{Workload: w, Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
-			return Capture(trace.NewSliceSource(recs), cfg, opts)
+		if _, err := c.GetOrCapture(Key{Workload: w, Config: cfg}, func(maxBytes int64) (*Stream, error) {
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -293,11 +242,11 @@ func TestCacheEvictsLRU(t *testing.T) {
 }
 
 func TestCacheRetriesFailedCapture(t *testing.T) {
-	c := NewCache(0, t.TempDir())
+	c := NewCache(0)
 	defer c.Close()
 	key := Key{Workload: "w", Config: testConfig(100)}
 	calls := 0
-	fail := func(CaptureOptions) (*Stream, error) {
+	fail := func(int64) (*Stream, error) {
 		calls++
 		return nil, os.ErrPermission
 	}
@@ -306,9 +255,9 @@ func TestCacheRetriesFailedCapture(t *testing.T) {
 	}
 	recs := testRecords(500)
 	cfg := testConfig(100)
-	if _, err := c.GetOrCapture(Key{Workload: "w", Config: cfg}, func(opts CaptureOptions) (*Stream, error) {
+	if _, err := c.GetOrCapture(Key{Workload: "w", Config: cfg}, func(maxBytes int64) (*Stream, error) {
 		calls++
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 	}); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
@@ -373,7 +322,7 @@ func decodeAccesses(s *Stream, block int) ([]Event, error) {
 func TestDecodeAllMatchesNext(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +360,7 @@ func TestDecodeAllMatchesNext(t *testing.T) {
 func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +391,7 @@ func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 			}
 		}
 	}
-	if fp := s.FootprintBytes(); fp != int64(len(s.buf)) || fp != int64(s.MemBytes()) {
+	if fp := s.FootprintBytes(); fp != int64(len(s.buf)) {
 		t.Errorf("FootprintBytes = %d, want the encoded buffer's %d bytes", fp, len(s.buf))
 	}
 }
@@ -498,7 +447,7 @@ func TestDecoderRejectsGarbage(t *testing.T) {
 func BenchmarkDecodeViews(b *testing.B) {
 	recs := testRecords(200000)
 	cfg := testConfig(0)
-	s, err := Capture(trace.NewSliceSource(recs), cfg, CaptureOptions{})
+	s, err := Capture(trace.NewSliceSource(recs), cfg, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

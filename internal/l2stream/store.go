@@ -31,17 +31,18 @@ const CodecVersion = 3
 // CRC-32C of the event buffer, and the run scalars. Loading is one
 // os.ReadFile plus the checksum: the tail of that allocation IS the
 // stream's encoded buffer (zero-copy), and nothing is decoded until a
-// replay or view build walks it. Spilled streams write a header-only
-// .l2s carrying the run scalars, with the raw CHTR record file adopted
-// into the store next to it as ".chtr".
+// replay or view build walks it.
 //
 // Header layout: [0,4) magic, [4,8) codec version, [8,40) fingerprint,
 // 40 flags, [44,48) buffer CRC-32C, [48,128) ten uint64 scalars, the
-// last being the buffer length.
+// last being the buffer length. The flag byte is always written as
+// zero. Older binaries set it to mark a header-only file whose events
+// lived in a ".chtr" record file beside it; load rejects any non-zero
+// flag, so such a file reads as absent and is recaptured.
 const (
 	storeMagic      = "CHL2"
 	storeHeaderSize = 128
-	storeFlagSpill  = 1
+	storeFlagOffset = 40
 	storeCRCOffset  = 44
 )
 
@@ -99,11 +100,10 @@ func fingerprint(key Key) [sha256.Size]byte {
 	return sha256.Sum256([]byte(id))
 }
 
-// paths returns the metadata and spill-payload file paths for key.
-func (st *store) paths(key Key) (meta, spill string) {
+// streamPath returns the .l2s file path for key.
+func (st *store) streamPath(key Key) string {
 	h := fingerprint(key)
-	base := filepath.Join(st.dir, fmt.Sprintf("chirp-%x", h[:12]))
-	return base + ".l2s", base + ".chtr"
+	return filepath.Join(st.dir, fmt.Sprintf("chirp-%x.l2s", h[:12]))
 }
 
 // Derived sidecar format (".l2d"): magic, the derived-format and
@@ -131,10 +131,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // derivedPath returns the sidecar file path for a derived key: the
 // stream's content-addressed base plus a hash of the derived key.
 func (st *store) derivedPath(key Key, dkey string) string {
-	meta, _ := st.paths(key)
 	h := fnv.New64a()
 	h.Write([]byte(dkey))
-	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(meta, ".l2s"), h.Sum64())
+	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(st.streamPath(key), ".l2s"), h.Sum64())
 }
 
 // attachDerived wires the stream's derived-view persistence hooks to
@@ -266,13 +265,13 @@ func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
 }
 
 // gc holds the persistent directory to its byte budget: capture groups
-// — a stream's .l2s metadata plus its .chtr spill payload and .l2d
-// derived sidecars, which stand or fall together — are evicted
-// least-recently-used first (by the group's newest mtime; loads touch
-// the .l2s, so "used" means read or written) until the directory
-// fits. Concurrent processes sharing a directory may each run gc; the
-// worst race outcome is a double eviction of the same group, and a
-// load racing an eviction reads as absent and recaptures.
+// — a stream's .l2s file plus its .l2d derived sidecars, which stand or
+// fall together — are evicted least-recently-used first (by the
+// group's newest mtime; loads touch the .l2s, so "used" means read or
+// written) until the directory fits. Concurrent processes sharing a
+// directory may each run gc; the worst race outcome is a double
+// eviction of the same group, and a load racing an eviction reads as
+// absent and recaptures.
 func (st *store) gc() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -294,7 +293,9 @@ func (st *store) gc() {
 	for _, ent := range ents {
 		name := ent.Name()
 		// Group id = the content-address hex in "chirp-<hex>…". Temp
-		// files and foreign files are left alone.
+		// files and foreign files are left alone. ".chtr" record files
+		// that older binaries stored beside a header-only .l2s still
+		// group with it, so they are reclaimed with their group.
 		if !strings.HasPrefix(name, "chirp-") || strings.HasSuffix(name, ".tmp") {
 			continue
 		}
@@ -352,7 +353,7 @@ func (st *store) gc() {
 // mismatched file all read as "absent", so the caller recaptures and
 // save atomically replaces whatever was there.
 func (st *store) load(key Key) (*Stream, error) {
-	meta, spill := st.paths(key)
+	meta := st.streamPath(key)
 	data, err := os.ReadFile(meta)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -370,7 +371,9 @@ func (st *store) load(key Key) (*Stream, error) {
 	if string(data[8:8+sha256.Size]) != string(want[:]) {
 		return nil, nil
 	}
-	flags := data[40]
+	if data[storeFlagOffset] != 0 {
+		return nil, nil // a header-only file from an older binary
+	}
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[48+8*i:]) }
 	s := &Stream{
 		cfg:          key.Config,
@@ -383,25 +386,13 @@ func (st *store) load(key Key) (*Stream, error) {
 		l1iMisses:    u(6),
 		l1dMisses:    u(7),
 		warmed:       u(8) != 0,
-		persistent:   true,
-	}
-	buflen := u(9)
-	if flags&storeFlagSpill != 0 {
-		if buflen != 0 {
-			return nil, nil
-		}
-		if _, err := os.Stat(spill); err != nil {
-			return nil, nil // metadata without its payload: recapture
-		}
-		s.spillPath = spill
-		return s, nil
 	}
 	// Zero-copy: the tail of the ReadFile allocation is the encoded
 	// event buffer. The checksum catches damage the framing cannot: a
 	// flipped byte inside the buffer would otherwise decode into wrong
 	// events and replay silently wrong results.
 	buf := data[storeHeaderSize:]
-	if uint64(len(buf)) != buflen || crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(data[storeCRCOffset:]) {
+	if uint64(len(buf)) != u(9) || crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(data[storeCRCOffset:]) {
 		return nil, nil
 	}
 	s.buf = buf
@@ -419,34 +410,14 @@ func (st *store) load(key Key) (*Stream, error) {
 	return s, nil
 }
 
-// save persists a freshly captured stream under key. In-memory
-// streams write header+buffer to a temp file and rename into place;
-// spilled streams adopt their CHTR record file into the store (an
-// atomic rename when the capture spilled into the store directory,
-// which the cache arranges) and then write the header-only metadata.
-// After a successful save of a spilled stream, the stream's spill
-// path points into the store and the stream is marked persistent, so
-// Close never deletes what the store now owns.
+// save persists a freshly captured stream under key: header+buffer
+// go to a temp file that is renamed into place.
 func (st *store) save(key Key, s *Stream) error {
-	meta, spill := st.paths(key)
-	if s.Spilled() {
-		// Payload first: metadata must never address a missing file.
-		if err := os.Rename(s.spillPath, spill); err != nil {
-			return fmt.Errorf("l2stream: adopting spill file: %w", err)
-		}
-		s.spillMu.Lock()
-		s.spillPath = spill
-		s.persistent = true
-		s.spillMu.Unlock()
-	}
 	h := fingerprint(key)
 	hdr := make([]byte, storeHeaderSize)
 	copy(hdr, storeMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], CodecVersion)
 	copy(hdr[8:], h[:])
-	if s.Spilled() {
-		hdr[40] = storeFlagSpill
-	}
 	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc32.Checksum(s.buf, castagnoli))
 	for i, v := range [10]uint64{
 		s.records, s.instructions, s.events, s.accesses,
@@ -462,23 +433,20 @@ func (st *store) save(key Key, s *Stream) error {
 	}
 	tmp := f.Name()
 	_, err = f.Write(hdr)
-	if err == nil && !s.Spilled() {
+	if err == nil {
 		_, err = f.Write(s.buf)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, meta)
+		err = os.Rename(tmp, st.streamPath(key))
 	}
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("l2stream: persisting capture: %w", err)
 	}
-	if !s.Spilled() {
-		s.persistent = true
-		st.attachDerived(s, key)
-	}
+	st.attachDerived(s, key)
 	st.gc()
 	return nil
 }

@@ -2,8 +2,12 @@ package l2stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/chirplab/chirp/internal/trace"
 )
@@ -29,8 +33,8 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	}
 	want := make(map[string]*Stream)
 	for _, k := range keys {
-		s, err := first.GetOrCapture(k, func(opts CaptureOptions) (*Stream, error) {
-			return Capture(trace.NewSliceSource(recs), cfg, opts)
+		s, err := first.GetOrCapture(k, func(maxBytes int64) (*Stream, error) {
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -40,9 +44,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	if d := obsCacheDiskWrites.Value() - writes0; d != 2 {
 		t.Errorf("disk writes delta = %d, want 2", d)
 	}
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
+	first.Close()
 
 	second, err := NewPersistent(0, dir)
 	if err != nil {
@@ -51,7 +53,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	defer second.Close()
 	misses0, diskHits0 := obsCacheMisses.Value(), obsCacheDiskHits.Value()
 	for _, k := range keys {
-		got, err := second.GetOrCapture(k, func(CaptureOptions) (*Stream, error) {
+		got, err := second.GetOrCapture(k, func(int64) (*Stream, error) {
 			t.Errorf("second cache captured %s instead of loading it", k.Workload)
 			return nil, os.ErrInvalid
 		})
@@ -88,66 +90,6 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	}
 	if d := obsCacheDiskHits.Value() - diskHits0; d != 2 {
 		t.Errorf("disk hits delta = %d, want 2", d)
-	}
-}
-
-// TestPersistentSpillAdoption: a capture that spills inside a
-// persistent cache is adopted into the store (its record file renamed,
-// not copied), survives Close, and a later cache replays it from the
-// same file.
-func TestPersistentSpillAdoption(t *testing.T) {
-	recs := testRecords(4000)
-	cfg := testConfig(6000)
-	dir := t.TempDir()
-	c, err := NewPersistent(64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key{Workload: "w", Config: cfg}
-	s, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, opts)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Spilled() {
-		t.Fatal("64-byte budget must force a spill")
-	}
-	if !s.Persistent() {
-		t.Fatal("spilled capture was not adopted into the store")
-	}
-	path := s.SpillPath()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close deleted the store-owned spill file: %v", err)
-	}
-
-	c2, err := NewPersistent(64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s2, err := c2.GetOrCapture(key, func(CaptureOptions) (*Stream, error) {
-		t.Error("adopted spill was re-captured")
-		return nil, os.ErrInvalid
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Spilled() || s2.Records() != s.Records() {
-		t.Fatalf("loaded spill stream diverges: spilled=%v records=%d want %d",
-			s2.Spilled(), s2.Records(), s.Records())
-	}
-	fs, err := trace.OpenFile(s2.SpillPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(trace.Collect(fs))
-	fs.Close()
-	if uint64(n) != s.Records() {
-		t.Errorf("adopted file holds %d records, capture consumed %d", n, s.Records())
 	}
 }
 
@@ -222,15 +164,13 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
-				return Capture(trace.NewSliceSource(recs), cfg, opts)
+			if _, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
+				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			meta, _ := (&store{dir: dir}).paths(key)
+			c.Close()
+			meta := (&store{dir: dir}).streamPath(key)
 			tc.mod(t, meta)
 
 			c2, err := NewPersistent(0, dir)
@@ -239,9 +179,9 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			}
 			defer c2.Close()
 			captures := 0
-			s, err := c2.GetOrCapture(key, func(opts CaptureOptions) (*Stream, error) {
+			s, err := c2.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 				captures++
-				return Capture(trace.NewSliceSource(recs), cfg, opts)
+				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
 			})
 			if err != nil {
 				t.Fatalf("corrupted store file broke GetOrCapture: %v", err)
@@ -258,7 +198,7 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c3.Close()
-			if _, err := c3.GetOrCapture(key, func(CaptureOptions) (*Stream, error) {
+			if _, err := c3.GetOrCapture(key, func(int64) (*Stream, error) {
 				t.Error("store not healed; captured again")
 				return nil, os.ErrInvalid
 			}); err != nil {
@@ -290,5 +230,126 @@ func TestFingerprintSensitivity(t *testing.T) {
 			t.Errorf("key %d collides with %d", i, j)
 		}
 		seen[h] = i
+	}
+}
+
+// TestPersistentOverBudgetWritesNothing: a capture abandoned with
+// ErrOverBudget in a persistent cache leaves nothing in the capture
+// directory, and the over-budget outcome is remembered only by that
+// cache. A later cache with room for the stream captures it once and
+// persists it.
+func TestPersistentOverBudgetWritesNothing(t *testing.T) {
+	recs := testRecords(3000)
+	cfg := testConfig(5000)
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufBytes := probe.FootprintBytes()
+	dir := t.TempDir()
+	key := Key{Workload: "w", Config: cfg}
+	capture := func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+	}
+
+	small, err := NewPersistent(bufBytes-1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes0, diskErrs0 := obsCacheDiskWrites.Value(), obsCacheDiskErrors.Value()
+	if _, err := small.GetOrCapture(key, capture); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("err = %v, want ErrOverBudget", err)
+	}
+	small.Close()
+	if d := obsCacheDiskWrites.Value() - writes0; d != 0 {
+		t.Errorf("over-budget capture counted %d disk writes, want 0", d)
+	}
+	if d := obsCacheDiskErrors.Value() - diskErrs0; d != 0 {
+		t.Errorf("over-budget capture counted %d disk errors, want 0", d)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("over-budget capture left %s in the capture directory", e.Name())
+	}
+
+	roomy, err := NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer roomy.Close()
+	misses0 := obsCacheMisses.Value()
+	s, err := roomy.GetOrCapture(key, capture)
+	if err != nil {
+		t.Fatalf("cache with room for the stream: %v", err)
+	}
+	if d := obsCacheMisses.Value() - misses0; d != 1 {
+		t.Errorf("cache with room ran %d captures, want 1", d)
+	}
+	if s.FootprintBytes() != bufBytes {
+		t.Errorf("captured %d bytes, want %d", s.FootprintBytes(), bufBytes)
+	}
+	if _, err := os.Stat(roomy.store.streamPath(key)); err != nil {
+		t.Errorf("capture was not persisted: %v", err)
+	}
+}
+
+// TestStoreGCReclaimsSpillEraRecordFiles: older binaries stored a
+// capture that spilled as a header-only .l2s beside a .chtr record
+// file. The size-budget GC still groups the .chtr with its .l2s, so
+// evicting that group frees both files, and a newer current group
+// survives.
+func TestStoreGCReclaimsSpillEraRecordFiles(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	cfg := testConfig(5000)
+	cur := Key{Workload: "current", Config: cfg}
+	if _, err := cache.GetOrCapture(cur, func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	curPath := cache.store.streamPath(cur)
+	info, err := os.Stat(curPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	oldMeta := cache.store.streamPath(Key{Workload: "spill-era", Config: cfg})
+	oldRecords := strings.TrimSuffix(oldMeta, ".l2s") + ".chtr"
+	hdr := make([]byte, storeHeaderSize)
+	copy(hdr, storeMagic)
+	hdr[storeFlagOffset] = 1
+	if err := os.WriteFile(oldMeta, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldRecords, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	for _, p := range []string{oldMeta, oldRecords} {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	evict0 := obsStoreEvictions.Value()
+	cache.SetStoreMaxBytes(info.Size()) // room for the current group alone
+	if d := obsStoreEvictions.Value() - evict0; d != 1 {
+		t.Errorf("store evictions delta = %d, want 1", d)
+	}
+	for _, p := range []string{oldMeta, oldRecords} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("spill-era file %s survived GC (err=%v)", filepath.Base(p), err)
+		}
+	}
+	if _, err := os.Stat(curPath); err != nil {
+		t.Errorf("current group was evicted: %v", err)
 	}
 }

@@ -17,16 +17,14 @@
 // replays and derived-view builds decode it in DecodeBlockSize blocks.
 // A cache charges each stream its buffer plus the derived views built
 // from it, each at its real size. A capture whose encoded buffer alone
-// exceeds the byte budget spills the raw record prefix to a CHTR trace
-// file instead (the same on-disk machinery as internal/trace/file.go);
-// replaying a spilled stream degrades to a direct run over the file,
-// which is bit-identical by construction.
+// would exceed the byte budget stops with ErrOverBudget; its callers
+// run the direct reference path instead, so every stream is one
+// in-memory buffer.
 package l2stream
 
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 
 	"github.com/chirplab/chirp/internal/tlb"
@@ -357,17 +355,16 @@ func (d *Decoder) badTag(tag byte, pos int) {
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Stream is one captured workload stream: either an in-memory encoded
-// event buffer or a spilled CHTR record file, plus the policy-invariant
-// run scalars (instruction totals, warmup position, L1 miss counts)
-// that every replay shares. Besides the buffer, an in-memory stream
-// holds only its derived views (see derived.go); replays and view
-// builds decode the buffer block by block and keep no decoded copy of
-// it. Streams are immutable after capture and safe for concurrent
-// replays.
+// Stream is one captured workload stream: an in-memory encoded event
+// buffer plus the policy-invariant run scalars (instruction totals,
+// warmup position, L1 miss counts) that every replay shares. Besides
+// the buffer, a stream holds only its derived views (see derived.go);
+// replays and view builds decode the buffer block by block and keep no
+// decoded copy of it. Streams are immutable after capture and safe for
+// concurrent replays.
 type Stream struct {
 	cfg Config
-	buf []byte // encoded events; nil when spilled
+	buf []byte // encoded events
 
 	// Derived views (see derived.go): keyed single-flight memos of
 	// precomputed arrays, plus the persistence and accounting hooks the
@@ -384,20 +381,6 @@ type Stream struct {
 	dvSave    func(key string, payload []byte)
 	onGrow    func(delta int64)
 
-	spillPath string
-
-	// Spill-file lifetime. Replays of a spilled stream hold the file
-	// open for their whole pass, while Cache.Close (or an explicit
-	// Stream.Close) may run concurrently — the eviction contract
-	// promises in-flight replays keep working. RetainSpill/release
-	// refcount the file so deletion is deferred until the last reader
-	// is done; persistent streams' files belong to the capture store
-	// and are never deleted by Close at all.
-	spillMu    sync.Mutex
-	spillRefs  int
-	spillClose bool // Close ran; delete the file when refs reach zero
-	persistent bool // file owned by the on-disk capture store
-
 	records      uint64
 	instructions uint64
 	events       uint64
@@ -413,16 +396,11 @@ type Stream struct {
 // Config returns the capture configuration the stream was built under.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Spilled reports whether the stream overflowed its byte budget and
-// lives on disk as a raw record file instead of in memory.
-func (s *Stream) Spilled() bool { return s.spillPath != "" }
-
-// SpillPath returns the CHTR file path of a spilled stream ("" when
-// the stream is in memory).
-func (s *Stream) SpillPath() string { return s.spillPath }
-
-// MemBytes returns the in-memory encoded size (0 when spilled).
-func (s *Stream) MemBytes() int { return len(s.buf) }
+// Spilled always reports false: captures over the byte budget fail
+// with ErrOverBudget instead of spilling to disk. It remains only
+// because the benchmark harness (bench/traced.go) still calls it; the
+// next benchmark re-anchor removes both.
+func (s *Stream) Spilled() bool { return false }
 
 // Records returns how many trace records the capture consumed.
 func (s *Stream) Records() uint64 { return s.records }
@@ -430,10 +408,10 @@ func (s *Stream) Records() uint64 { return s.records }
 // Instructions returns the total committed instruction count.
 func (s *Stream) Instructions() uint64 { return s.instructions }
 
-// Events returns the captured event count (0 when spilled).
+// Events returns the captured event count.
 func (s *Stream) Events() uint64 { return s.events }
 
-// Accesses returns the L2 demand access count (0 when spilled).
+// Accesses returns the L2 demand access count.
 func (s *Stream) Accesses() uint64 { return s.accesses }
 
 // Warmed reports whether the capture reached the warmup boundary.
@@ -452,82 +430,13 @@ func (s *Stream) L1IMisses() uint64 { return s.l1iMisses }
 // L1DMisses returns the post-warmup L1 data-TLB miss count.
 func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 
-// Decode returns a fresh event iterator over an in-memory stream. It
-// panics on spilled streams — callers must branch on Spilled first.
+// Decode returns a fresh event iterator over the stream.
 func (s *Stream) Decode() *Decoder {
-	if s.Spilled() {
-		panic("l2stream: Decode on a spilled stream; replay the spill file instead")
-	}
 	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
 }
 
 // FootprintBytes is the stream's in-memory cost at commit: its encoded
-// buffer, and nothing else (0 when spilled). Derived views are charged
-// separately, at their real size, as they materialize (the cache's
-// growth hook). The cache accounts this against its budget.
+// buffer, and nothing else. Derived views are charged separately, at
+// their real size, as they materialize (the cache's growth hook). The
+// cache accounts this against its budget.
 func (s *Stream) FootprintBytes() int64 { return int64(len(s.buf)) }
-
-// Persistent reports whether the stream's backing file (spill case)
-// belongs to a persistent capture store, in which case Close never
-// deletes it.
-func (s *Stream) Persistent() bool { return s.persistent }
-
-// RetainSpill pins the spill file of a spilled stream and returns its
-// path with a release function. While retained, a concurrent Close
-// (from Cache.Close or cache eviction) defers the file deletion until
-// release runs, so a long replay cannot lose the file mid-pass. It
-// fails once Close has already run, which is the one clean error a
-// replay racing a cache shutdown should see.
-//
-//chirp:acquires spillref
-func (s *Stream) RetainSpill() (string, func(), error) {
-	if s.spillPath == "" {
-		return "", nil, fmt.Errorf("l2stream: RetainSpill on an in-memory stream")
-	}
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
-	if s.spillClose {
-		return "", nil, fmt.Errorf("l2stream: spilled stream already closed")
-	}
-	s.spillRefs++
-	return s.spillPath, s.releaseSpill, nil
-}
-
-// releaseSpill drops one spill reference, deleting the file if Close
-// already ran and this was the last reader.
-//
-//chirp:releases spillref
-func (s *Stream) releaseSpill() {
-	s.spillMu.Lock()
-	s.spillRefs--
-	remove := s.spillRefs == 0 && s.spillClose && !s.persistent
-	path := s.spillPath
-	s.spillMu.Unlock()
-	if remove {
-		os.Remove(path)
-	}
-}
-
-// Close releases the stream's spill file, if any. In-memory streams
-// need no cleanup and Close is a no-op for them, as it is for
-// persistent streams whose files the capture store owns. If replays
-// still hold the file via RetainSpill, deletion is deferred until the
-// last one releases it.
-func (s *Stream) Close() error {
-	if s.spillPath == "" {
-		return nil
-	}
-	s.spillMu.Lock()
-	if s.spillClose {
-		s.spillMu.Unlock()
-		return nil
-	}
-	s.spillClose = true
-	remove := s.spillRefs == 0 && !s.persistent
-	path := s.spillPath
-	s.spillMu.Unlock()
-	if remove {
-		return os.Remove(path)
-	}
-	return nil
-}

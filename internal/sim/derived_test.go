@@ -1,14 +1,20 @@
 package sim
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
@@ -96,7 +102,6 @@ func TestReplayMultiParallelEquivalence(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(200000)
 	cfg.PrefetchDistance = 4
 	stream := captureFor(t, "web-001", cfg)
-	defer stream.Close()
 	fused, err := replayMulti(stream, allPolicies(t), cfg, 4)
 	if err != nil {
 		t.Fatalf("parallel fused replay: %v", err)
@@ -163,55 +168,121 @@ func sidecarFiles(t *testing.T, dir string) []string {
 	return files
 }
 
+// TestStoreRejectsSpillEraCapture: older binaries stored a capture
+// that spilled as a header-only .l2s — flag byte 1, buffer length 0,
+// and so the CRC-32C of an empty buffer — beside a .chtr record file.
+// That header passes the length and checksum checks, so a store that
+// ignored the flag would load a stream with events but no buffer and
+// replay it as MPKI 0. The store must treat it as absent: the cache
+// recaptures, and the replay equals RunTLBOnly.
+func TestStoreRejectsSpillEraCapture(t *testing.T) {
+	const wname = "db-003"
+	cfg := DefaultTLBOnlyConfig(200000)
+	dir := t.TempDir()
+	persistentStreamFor(t, dir, wname, cfg)
+	metas, err := filepath.Glob(filepath.Join(dir, "*.l2s"))
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("want one stream file, got %v (%v)", metas, err)
+	}
+	data, err := os.ReadFile(metas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header layout: flag byte at 40, buffer CRC-32C at [44,48), the
+	// event count at [64,72), the buffer length at [120,128).
+	hdr := data[:128]
+	if binary.LittleEndian.Uint64(hdr[64:]) == 0 {
+		t.Fatal("test premise broken: the header counts no events")
+	}
+	hdr[40] = 1
+	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(nil, crc32.MakeTable(crc32.Castagnoli)))
+	binary.LittleEndian.PutUint64(hdr[120:], 0)
+	if err := os.WriteFile(metas[0], hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(strings.TrimSuffix(metas[0], ".l2s")+".chtr", []byte("CHTR"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := l2stream.NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	names := PolicyNames()
+	factories := make([]PolicyFactory, len(names))
+	for i, n := range names {
+		factories[i] = mustFactoryFor(t, n)
+	}
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	before := misses.Value()
+	got, err := RunMulti(context.Background(), RunSpec{Workload: workloads.ByName(wname), Config: cfg, Cache: cache}, factories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := misses.Value() - before; d != 1 {
+		t.Errorf("cache ran %d captures, want 1 (recapture past the spill-era header)", d)
+	}
+	want := directResults(t, wname, cfg)
+	for i, n := range names {
+		if got[i] != want[i] {
+			t.Errorf("%s: replay diverged from RunTLBOnly\n direct: %+v\n replay: %+v", n, want[i], got[i])
+		}
+	}
+}
+
 // TestReplayMultiBudget pins the cache's byte accounting from the
 // replay side. A capture whose encoded buffer fits the budget stays in
 // memory even when the old charge (32 B per event plus 32 B per access
-// on top of the buffer) would have spilled it, and a capture whose
-// buffer alone exceeds the budget still spills. Either way ReplayMulti
-// must reproduce per-policy direct runs bit for bit.
+// on top of the buffer) would not have fit, and a capture whose buffer
+// alone exceeds the budget is abandoned with ErrOverBudget. Either way
+// RunMulti must reproduce per-policy direct runs bit for bit.
 func TestReplayMultiBudget(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(200000)
 	cfg.PrefetchDistance = 2
 	const wname = "db-003"
+	w := workloads.ByName(wname)
 	open := func() (trace.Source, error) {
-		return trace.NewLimit(workloads.ByName(wname).Source(), cfg.Instructions), nil
+		return trace.NewLimit(w.Source(), cfg.Instructions), nil
 	}
 	probe := captureFor(t, wname, cfg)
-	bufBytes := int64(probe.MemBytes())
+	bufBytes := probe.FootprintBytes()
 	oldCharge := bufBytes + int64(probe.Events()+probe.Accesses()+1)*32
 
 	names := PolicyNames()
+	factories := make([]PolicyFactory, len(names))
+	for i, n := range names {
+		factories[i] = mustFactoryFor(t, n)
+	}
 	direct := directResults(t, wname, cfg)
 
 	for _, tc := range []struct {
-		name    string
-		budget  int64
-		spilled bool
+		name     string
+		budget   int64
+		wantErr  error
+		wantUsed int64
 	}{
-		{"buffer-fits", (bufBytes + oldCharge) / 2, false},
-		{"buffer-over-budget", bufBytes - 1, true},
+		{"buffer-fits", (bufBytes + oldCharge) / 2, nil, bufBytes},
+		{"buffer-over-budget", bufBytes - 1, l2stream.ErrOverBudget, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := l2stream.NewCache(tc.budget, t.TempDir())
+			cache := l2stream.NewCache(tc.budget)
 			defer cache.Close()
-			stream, err := StreamFor(cache, wname, "", cfg, open)
-			if err != nil {
-				t.Fatal(err)
+			_, err := StreamFor(cache, wname, "", cfg, open)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("budget %d (buffer %d, old charge %d): capture error %v, want %v",
+					tc.budget, bufBytes, oldCharge, err, tc.wantErr)
 			}
-			if stream.Spilled() != tc.spilled {
-				t.Fatalf("budget %d (buffer %d, old charge %d): spilled = %v, want %v",
-					tc.budget, bufBytes, oldCharge, stream.Spilled(), tc.spilled)
+			if cache.Used() != tc.wantUsed {
+				t.Errorf("cache charged %d bytes at commit, want %d", cache.Used(), tc.wantUsed)
 			}
-			if !tc.spilled && cache.Used() != bufBytes {
-				t.Errorf("cache charged %d bytes at commit, want the %d-byte buffer", cache.Used(), bufBytes)
-			}
-			fused, err := ReplayMulti(stream, allPolicies(t), cfg)
+			fused, err := RunMulti(context.Background(), RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, n := range names {
 				if fused[i] != direct[i] {
-					t.Errorf("%s: ReplayMulti diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", n, direct[i], fused[i])
+					t.Errorf("%s: RunMulti diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", n, direct[i], fused[i])
 				}
 			}
 		})
@@ -364,7 +435,7 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 		captureAt := func(m int) (*l2stream.Stream, []l2stream.Event) {
 			cfg := DefaultTLBOnlyConfig(n)
 			cfg.WarmupFraction = float64(m) / n
-			s, err := l2stream.Capture(trace.NewSliceSource(recs), CaptureConfig(cfg), l2stream.CaptureOptions{})
+			s, err := l2stream.Capture(trace.NewSliceSource(recs), CaptureConfig(cfg), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,6 @@ import (
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // ReplayMulti is the replay path: it drives N policies (one is fine)
@@ -57,9 +56,6 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 		if needsBranchEvents(p) {
 			return nil, fmt.Errorf("sim: policy %s (%T) observes branches but has no signature feed; a captured stream cannot replay it, run it with RunTLBOnly", p.Name(), p)
 		}
-	}
-	if stream.Spilled() {
-		return replayMultiSpilled(stream, policies, cfg, workers)
 	}
 	if !stream.Warmed() {
 		return nil, fmt.Errorf("sim: trace ended before warmup boundary (%d < %d instructions)", stream.Instructions(), stream.WarmupAt())
@@ -373,42 +369,13 @@ func (w *denseWalker) walkGHRP(v *replayView, p *policy.GHRP, sigs []uint64) {
 	}
 }
 
-// replayMultiSpilled replays a spilled stream: there is no encoded
-// buffer to decode, so each policy re-runs the direct driver over the
-// record file — held retained for the whole fan-out so a racing
-// Cache.Close cannot delete it mid-read. Policies fan across the same
-// worker pool as the in-memory path; each opens its own reader.
-func replayMultiSpilled(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig, workers int) ([]TLBOnlyResult, error) {
-	path, release, err := stream.RetainSpill()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	out := make([]TLBOnlyResult, len(policies))
-	errs := make([]error, len(policies))
-	runPolicies(workers, len(policies), func(j int) {
-		fs, err := trace.OpenFile(path)
-		if err != nil {
-			errs[j] = fmt.Errorf("sim: opening spilled stream: %w", err)
-			return
-		}
-		out[j], errs[j] = RunTLBOnly(fs, policies[j], cfg)
-		fs.Close()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
 // capture/replay path (capture once, then one ReplayMulti pass).
-// Without a cache, or when any policy observes branches without a
-// signature feed (which a captured stream cannot drive), it runs
-// RunTLBOnly once per policy instead — the reference the replay path
+// Without a cache, when any policy observes branches without a
+// signature feed (which a captured stream cannot drive), or when the
+// capture is over the cache's byte budget, it runs RunTLBOnly once per
+// policy over a fresh source instead — the reference the replay path
 // reproduces bit for bit. spec.Policy is ignored; factories drives the
 // fan-out. Results are ordered like factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
@@ -427,10 +394,12 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 	}
 	if spec.Cache != nil && !slices.ContainsFunc(ps, needsBranchEvents) {
 		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
-		if err != nil {
+		if err == nil {
+			return ReplayMulti(stream, ps, spec.Config)
+		}
+		if !errors.Is(err, l2stream.ErrOverBudget) {
 			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
 		}
-		return ReplayMulti(stream, ps, spec.Config)
 	}
 	out := make([]TLBOnlyResult, len(ps))
 	for i, p := range ps {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
@@ -46,41 +47,44 @@ func TestReplayMultiEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayMultiSpilledEquivalence: the spilled fallback (per-policy
-// direct runs over the retained record file) must match direct runs
-// over the generator.
-func TestReplayMultiSpilledEquivalence(t *testing.T) {
-	cfg := DefaultTLBOnlyConfig(200000)
-	cfg.PrefetchDistance = 2
-	w := workloads.ByName("db-003")
-	src := trace.NewLimit(w.Source(), cfg.Instructions)
-	stream, err := l2stream.Capture(src, CaptureConfig(cfg),
-		l2stream.CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
-	defer stream.Close()
-	if !stream.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
-	}
-	names := []string{"lru", "chirp", "ghrp"}
-	pols := make([]tlb.Policy, len(names))
+// TestRunMultiOverBudget: under a byte budget no capture fits, the
+// cache abandons each capture and RunMulti falls back to RunTLBOnly
+// per policy over fresh sources. Every registered policy, across
+// workload categories, with and without prefetching, must still equal
+// the direct reference bit for bit, and the cache must hold no bytes.
+func TestRunMultiOverBudget(t *testing.T) {
+	names := PolicyNames()
+	factories := make([]PolicyFactory, len(names))
 	for i, n := range names {
-		pols[i], _ = NewPolicy(n)
+		factories[i] = mustFactoryFor(t, n)
 	}
-	fused, err := ReplayMulti(stream, pols, cfg)
-	if err != nil {
-		t.Fatalf("spilled replay: %v", err)
-	}
-	for i, n := range names {
-		pol, _ := NewPolicy(n)
-		want, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), pol, cfg)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	overBudget := obs.Default.Counter("chirp_l2stream_cache_spills_total", "")
+	for _, pd := range []int{0, 4} {
+		cfg := DefaultTLBOnlyConfig(200000)
+		cfg.PrefetchDistance = pd
+		cache := l2stream.NewCache(1024)
+		before := overBudget.Value()
+		for _, wname := range equivalenceWorkloads {
+			got, err := RunMulti(ctx, RunSpec{Workload: workloads.ByName(wname), Config: cfg, Cache: cache}, factories)
+			if err != nil {
+				t.Fatalf("%s pd=%d: %v", wname, pd, err)
+			}
+			want := directResults(t, wname, cfg)
+			for i, n := range names {
+				if got[i] != want[i] {
+					t.Errorf("%s/%s pd=%d: over-budget RunMulti diverged from RunTLBOnly\n direct: %+v\n got:    %+v",
+						wname, n, pd, want[i], got[i])
+				}
+			}
 		}
-		if fused[i] != want {
-			t.Errorf("%s: spilled replay diverged from RunTLBOnly\n direct: %+v\n replay: %+v", n, want, fused[i])
+		if d := overBudget.Value() - before; d != uint64(len(equivalenceWorkloads)) {
+			t.Errorf("pd=%d: %d captures abandoned over budget, want %d", pd, d, len(equivalenceWorkloads))
 		}
+		if cache.Used() != 0 {
+			t.Errorf("pd=%d: over-budget cache charged %d bytes, want 0", pd, cache.Used())
+		}
+		cache.Close()
 	}
 }
 
@@ -100,7 +104,7 @@ func TestRunMultiMatchesRun(t *testing.T) {
 	for _, withCache := range []bool{true, false} {
 		var cache *l2stream.Cache
 		if withCache {
-			cache = l2stream.NewCache(0, t.TempDir())
+			cache = l2stream.NewCache(0)
 			defer cache.Close()
 		}
 		fused, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
@@ -147,7 +151,6 @@ func TestUnfedObserverRoutesToOracle(t *testing.T) {
 	ctx := context.Background()
 
 	stream := captureFor(t, name, cfg)
-	defer stream.Close()
 	if _, err := ReplayMulti(stream, []tlb.Policy{policy.NewLRU(), newWrappedCHiRP()}, cfg); err == nil {
 		t.Fatal("ReplayMulti accepted a branch observer with no signature feed")
 	} else if !strings.Contains(err.Error(), "wrapped-chirp") {
@@ -162,7 +165,7 @@ func TestUnfedObserverRoutesToOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	got, err := Run(ctx, RunSpec{Workload: w, Policy: newWrappedCHiRP, Config: cfg, Cache: cache})
 	if err != nil {

@@ -28,7 +28,7 @@ func captureFor(t *testing.T, name string, cfg TLBOnlyConfig) *l2stream.Stream {
 		t.Fatalf("workload %s missing", name)
 	}
 	src := trace.NewLimit(w.Source(), cfg.Instructions)
-	stream, err := l2stream.Capture(src, CaptureConfig(cfg), l2stream.CaptureOptions{})
+	stream, err := l2stream.Capture(src, CaptureConfig(cfg), 0)
 	if err != nil {
 		t.Fatalf("capture %s: %v", name, err)
 	}
@@ -101,38 +101,6 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplaySpilledEquivalence: a one-policy replay of a stream that
-// spilled to disk must match RunTLBOnly over the generator.
-func TestReplaySpilledEquivalence(t *testing.T) {
-	cfg := DefaultTLBOnlyConfig(200000)
-	cfg.PrefetchDistance = 2
-	w := workloads.ByName("db-003")
-	src := trace.NewLimit(w.Source(), cfg.Instructions)
-	stream, err := l2stream.Capture(src, CaptureConfig(cfg),
-		l2stream.CaptureOptions{MaxBytes: 1024, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
-	defer stream.Close()
-	if !stream.Spilled() {
-		t.Fatal("1 KiB budget must force a spill")
-	}
-	for _, pname := range []string{"lru", "chirp", "ghrp"} {
-		pol, _ := NewPolicy(pname)
-		direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), pol, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed, err := replaySolo(t, stream, pname, cfg)
-		if err != nil {
-			t.Fatalf("%s spilled replay: %v", pname, err)
-		}
-		if replayed != direct {
-			t.Errorf("%s: spilled replay diverged\n direct: %+v\n replay: %+v", pname, direct, replayed)
-		}
-	}
-}
-
 // TestPolicyParallelReplay replays one shared stream under every
 // registered policy from concurrent one-policy ReplayMulti calls — the
 // exact shape a Workers>1 engine sweep of per-cell Run calls produces —
@@ -142,7 +110,6 @@ func TestReplaySpilledEquivalence(t *testing.T) {
 func TestPolicyParallelReplay(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(300000)
 	stream := captureFor(t, "db-003", cfg)
-	defer stream.Close()
 
 	names := PolicyNames()
 	const rounds = 3 // several replays per policy race against each other too
@@ -216,7 +183,7 @@ func TestReplayUnwarmedMatchesRunError(t *testing.T) {
 	if directErr == nil {
 		t.Fatal("direct run must fail before warmup")
 	}
-	stream, err := l2stream.Capture(short(), CaptureConfig(cfg), l2stream.CaptureOptions{})
+	stream, err := l2stream.Capture(short(), CaptureConfig(cfg), 0)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -284,8 +251,31 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 	}
 }
 
+// TestRunOPTPaths: RunOPT gives one result on all three of its paths
+// — replay from a cached stream, the direct fallback when the capture
+// is over budget, and the direct path with no cache.
+func TestRunOPTPaths(t *testing.T) {
+	cfg := DefaultTLBOnlyConfig(100000)
+	spec := RunSpec{Workload: workloads.ByName("web-001"), Config: cfg}
+	want, err := RunOPT(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1024} {
+		spec.Cache = l2stream.NewCache(budget)
+		got, err := RunOPT(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if got != want {
+			t.Errorf("budget %d: RunOPT diverged from the direct path\n direct: %+v\n got:    %+v", budget, want, got)
+		}
+		spec.Cache.Close()
+	}
+}
+
 func TestSuiteUsesSharedStreamCache(t *testing.T) {
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	ws := []*workloads.Workload{workloads.ByName("spec-000"), workloads.ByName("db-001")}
 	pols, err := Factories([]string{"lru", "srrip"})

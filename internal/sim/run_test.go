@@ -25,7 +25,7 @@ func TestRunEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	ctx := context.Background()
 
@@ -69,7 +69,7 @@ func TestRunOpenSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	replayed, err := Run(ctx, RunSpec{Open: open, Name: "sci-000", Policy: NewLRUFactory(t), Config: cfg, Cache: cache})
 	if err != nil {
@@ -115,7 +115,7 @@ func TestRunClosesOpenedSources(t *testing.T) {
 			c := &closeCounter{t: t}
 			spec := RunSpec{Open: c.open, Name: "spec-000", Config: cfg}
 			if cached {
-				spec.Cache = l2stream.NewCache(0, t.TempDir())
+				spec.Cache = l2stream.NewCache(0)
 				defer spec.Cache.Close()
 			}
 			var err error
@@ -162,7 +162,7 @@ func TestRunSpecValidation(t *testing.T) {
 	lru := NewLRUFactory(t)
 	cfg := DefaultTLBOnlyConfig(testInstr)
 	open := func() (trace.Source, error) { return testSource(t, "db-000"), nil }
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 
 	cases := []struct {

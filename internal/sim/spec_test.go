@@ -45,7 +45,7 @@ func TestRunSpecWorkloadEndToEnd(t *testing.T) {
 	}
 	chirp := factories[0].New
 
-	cache := l2stream.NewCache(0, t.TempDir())
+	cache := l2stream.NewCache(0)
 	defer cache.Close()
 	ctx := context.Background()
 

@@ -87,7 +87,7 @@ func suiteJobs[T any](ws []*workloads.Workload, pols []NamedFactory, scope strin
 func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	cache := opts.StreamCache
 	if cache == nil && opts.StreamBudget >= 0 {
-		cache = l2stream.NewCache(opts.StreamBudget, "")
+		cache = l2stream.NewCache(opts.StreamBudget)
 		defer cache.Close()
 	}
 	row := func(w *workloads.Workload, name string, res TLBOnlyResult) SuiteResult {

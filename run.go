@@ -59,8 +59,9 @@ func DefaultTLBOnlyConfig(instructions uint64) TLBOnlyConfig {
 func Factories(names []string) ([]NamedFactory, error) { return sim.Factories(names) }
 
 // NewStreamCache builds a stream cache with the given in-memory byte
-// budget (<= 0 = 256 MiB) spilling to dir ("" = the OS temp dir).
-func NewStreamCache(budget int64, dir string) *StreamCache { return l2stream.NewCache(budget, dir) }
+// budget (<= 0 = 256 MiB). A workload whose capture would exceed the
+// budget runs on the direct path instead, with identical results.
+func NewStreamCache(budget int64) *StreamCache { return l2stream.NewCache(budget) }
 
 // CollectReuseSamples harvests up to max completed L2-entry lifetimes
 // (0 = unbounded) from src under LRU replacement — the training set of
