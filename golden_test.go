@@ -8,9 +8,13 @@ package chirp
 // experiment harness so EXPERIMENTS.md stays truthful.
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/pipeline"
+	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
+	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 )
@@ -95,5 +99,59 @@ func TestGoldenSuitePrefixShape(t *testing.T) {
 	if !(sum["chirp"] < sum["srrip"] && sum["srrip"] < sum["lru"]) {
 		t.Errorf("headline ordering violated: chirp=%.2f srrip=%.2f lru=%.2f",
 			sum["chirp"], sum["srrip"], sum["lru"])
+	}
+}
+
+// TestGoldenTiming pins the timing pipeline's exact figures at the
+// golden budget and the Fig. 8 walk penalty. The values were recorded
+// from the record-at-a-time pipeline that walked each L2 unit's misses
+// through a walker of its own, so they prove the fused, batched record
+// loop bit-identical to it rather than merely self-consistent. Cycles
+// and L2TLBMisses are post-warmup; PageWalks and PageFaults cover the
+// whole run. Each workload runs on one fused machine driving every
+// registered policy, the way the timing figures run.
+func TestGoldenTiming(t *testing.T) {
+	type pin struct{ cycles, misses, walks, faults uint64 }
+	for _, tc := range []struct {
+		workload, policy string
+		want             pin
+	}{
+		{"spec-000", "lru", pin{251489, 179, 646, 646}},
+		{"db-003", "chirp", pin{382023, 513, 1382, 1336}},
+		{"web-000", "ghrp", pin{349304, 315, 1234, 1208}},
+		{"sci-000", "srrip", pin{588119, 1489, 3019, 2121}},
+		{"crypto-000", "ship", pin{153238, 7, 66, 66}},
+		{"bigdata-000", "chirp", pin{408555, 577, 1569, 1465}},
+		{"ml-000", "random", pin{183708, 50, 339, 339}},
+	} {
+		w := workloads.ByName(tc.workload)
+		if w == nil {
+			t.Fatalf("workload %s missing", tc.workload)
+		}
+		names := sim.PolicyNames()
+		pols, err := sim.Factories(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2 := make([]tlb.Policy, len(pols))
+		for i, p := range pols {
+			l2[i] = p.New()
+		}
+		m, err := pipeline.NewMulti(pipeline.DefaultConfig(goldenInstr, 150), l2, func() tlb.Policy { return policy.NewLRU() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := m.RunMulti(trace.NewLimit(w.Source(), goldenInstr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.Index(names, tc.policy)
+		if i < 0 {
+			t.Fatalf("policy %s not registered", tc.policy)
+		}
+		r := rs[i]
+		if got := (pin{r.Cycles, r.L2TLBMisses, r.PageWalks, r.PageFaults}); got != tc.want {
+			t.Errorf("%s/%s timing = %+v, want %+v", tc.workload, tc.policy, got, tc.want)
+		}
 	}
 }

@@ -6,9 +6,11 @@
 //
 //   - hotpath-alloc: functions annotated //chirp:hotpath (the
 //     replay/direct inner loops, TLB lookup/insert, the SWAR recency
-//     stacks, the folded-history push) must stay allocation-free — the
-//     3.3x replay win in BENCH_hotpath.json dies silently if an alloc
-//     sneaks into a per-event function.
+//     stacks, the folded-history push, the timing pipeline's record
+//     body) must stay allocation-free — the 3.3x replay win in
+//     BENCH_hotpath.json dies silently if an alloc sneaks into a
+//     per-event function, including a local whose address a callee
+//     keeps.
 //   - obs-boundary: nothing reachable from a hotpath function may call
 //     into internal/obs; instrumented layers aggregate into plain
 //     counters and publish deltas at run boundaries.

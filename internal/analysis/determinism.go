@@ -11,9 +11,10 @@ import (
 // depends on it: the synthetic workload suite stands in for the CVP-1
 // traces only if every run of a workload is identical from its seed,
 // and the replay/direct equivalence tests diff results bit for bit.
-// In internal/workloads, internal/core, internal/trace and
-// internal/sim (the generator, predictor, trace and result paths) the
-// rule bans:
+// In internal/workloads, internal/core, internal/trace, internal/sim,
+// internal/pipeline and internal/experiments (the generator,
+// predictor, trace, timing and result paths, down to the figures'
+// reductions) the rule bans:
 //
 //   - time.Now and time.Since — wall-clock values leak into whatever
 //     they touch;
@@ -35,6 +36,8 @@ var determinismScopes = []string{
 	"internal/core",
 	"internal/trace",
 	"internal/sim",
+	"internal/experiments",
+	"internal/pipeline",
 }
 
 // Name implements Rule.

@@ -23,7 +23,11 @@ import (
 //   - string concatenation and string<->[]byte/[]rune conversions;
 //   - implicit conversions of concrete values to interface parameters
 //     (boxing allocates unless escape analysis saves it — on the hot
-//     path we do not gamble).
+//     path we do not gamble);
+//   - &x passed as a call argument where x is a function-local
+//     variable: a callee that keeps or forwards the pointer (a TLB
+//     handing its Access to a policy interface) moves x to the heap,
+//     once per call. Hoist x into a field of a long-lived receiver.
 //
 // Built-in calls like panic are exempt from the interface-boxing check:
 // a reached panic has already left the hot path.
@@ -122,6 +126,9 @@ func (*HotpathAllocRule) checkCall(info *types.Info, call *ast.CallExpr, name st
 	}
 	params := sig.Params()
 	for i, arg := range call.Args {
+		if x := addressedLocal(info, arg); x != nil {
+			report(arg.Pos(), "&%s passes a local's address in hot-path function %s; a callee that keeps it moves %s to the heap on every call (hoist it into a field)", x.Name(), name, x.Name())
+		}
 		var pt types.Type
 		switch {
 		case sig.Variadic() && i >= params.Len()-1:
@@ -145,4 +152,23 @@ func (*HotpathAllocRule) checkCall(info *types.Info, call *ast.CallExpr, name st
 		}
 		report(arg.Pos(), "argument boxes concrete %s into %s in hot-path function %s", at, pt, name)
 	}
+}
+
+// addressedLocal returns the variable x when arg is &x and x is local
+// to a function (a parameter or a variable declared in its body);
+// package-level variables and fields do not move per call.
+func addressedLocal(info *types.Info, arg ast.Expr) *types.Var {
+	u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil
+	}
+	id, ok := ast.Unparen(u.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Parent() == nil || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+		return nil
+	}
+	return v
 }

@@ -59,3 +59,32 @@ func cold(n int) []byte {
 	defer done()
 	return make([]byte, n)
 }
+
+type access struct{ vpn uint64 }
+
+// keeper stands for a policy interface: the compiler cannot see
+// whether keep retains its argument, so the pointer escapes.
+type keeper interface{ keep(a *access) }
+
+type probe struct {
+	k keeper
+	a access
+}
+
+// lookupLocal hands a local's address to a callee that may keep it:
+// a moves to the heap on every call.
+//
+//chirp:hotpath
+func (p *probe) lookupLocal(vpn uint64) {
+	a := access{vpn: vpn}
+	p.k.keep(&a) // want "&a passes a local's address in hot-path function probe.lookupLocal"
+}
+
+// lookupHoisted is the fix: the access lives in the long-lived
+// receiver, so passing its address allocates nothing.
+//
+//chirp:hotpath
+func (p *probe) lookupHoisted(vpn uint64) {
+	p.a = access{vpn: vpn}
+	p.k.keep(&p.a)
+}

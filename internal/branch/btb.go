@@ -1,15 +1,20 @@
 package branch
 
+import "math/bits"
+
 // BTB is a set-associative branch target buffer (4K entries in Table
 // II) with LRU replacement.
 type BTB struct {
 	entries int
 	ways    int
-	sets    int
-	tags    []uint64
-	targets []uint64
-	valid   []bool
-	lru     []uint8
+	// setMask and tagShift split pc>>2 into set index and tag;
+	// tagShift is log2(sets).
+	setMask  uint64
+	tagShift uint
+	tags     []uint64
+	targets  []uint64
+	valid    []bool
+	lru      []uint8
 
 	lookups uint64
 	hits    uint64
@@ -25,11 +30,13 @@ func NewBTB(entries, ways int) *BTB {
 		panic("branch: BTB set count must be a power of two")
 	}
 	b := &BTB{
-		entries: entries, ways: ways, sets: sets,
-		tags:    make([]uint64, entries),
-		targets: make([]uint64, entries),
-		valid:   make([]bool, entries),
-		lru:     make([]uint8, entries),
+		entries: entries, ways: ways,
+		setMask:  uint64(sets - 1),
+		tagShift: uint(bits.TrailingZeros(uint(sets))),
+		tags:     make([]uint64, entries),
+		targets:  make([]uint64, entries),
+		valid:    make([]bool, entries),
+		lru:      make([]uint8, entries),
 	}
 	for s := 0; s < sets; s++ {
 		for w := 0; w < ways; w++ {
@@ -41,7 +48,7 @@ func NewBTB(entries, ways int) *BTB {
 
 func (b *BTB) index(pc uint64) (set int, tag uint64) {
 	line := pc >> 2
-	return int(line & uint64(b.sets-1)), line >> uint(log2(b.sets))
+	return int(line & b.setMask), line >> b.tagShift
 }
 
 func (b *BTB) touch(base, way int) {
@@ -108,14 +115,6 @@ func (b *BTB) HitRatio() float64 {
 		return 0
 	}
 	return float64(b.hits) / float64(b.lookups)
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // Indirect predicts indirect-branch targets from a hash of the PC and

@@ -36,6 +36,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 	for i, w := range ws {
 		curve.Labels[i] = w.Name
 	}
+	//chirp:allow determinism each key writes only its own series, so order cannot escape
 	for name, rs := range byPolicy {
 		vals := make([]float64, len(ws))
 		for i, r := range rs {
@@ -96,6 +97,7 @@ func Fig1(o Options) (*Fig1Result, error) {
 	}
 	lruEffs := collect(byPolicy["lru"], func(r sim.SuiteResult) float64 { return r.Efficiency })
 	baseMean := stats.Mean(lruEffs)
+	//chirp:allow determinism each key writes only its own row and gain, so order cannot escape
 	for name, rs := range byPolicy {
 		effs := collect(rs, func(r sim.SuiteResult) float64 { return r.Efficiency })
 		res.Rows[name] = effs

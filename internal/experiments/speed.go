@@ -15,15 +15,11 @@ func (o Options) timingCfg(penalty uint64) pipeline.Config {
 	return pipeline.DefaultConfig(o.Instructions, penalty)
 }
 
-// speedups runs the timing suite for the named policies and returns,
-// per policy, the per-workload IPC ratios versus LRU (LRU must be in
-// the list).
-func speedups(o Options, scope string, policyNames []string, penalty uint64) (map[string][]float64, []string, error) {
+// speedups runs the timing suite for pols and returns, per policy
+// name, the per-workload IPC ratios versus the policy named "lru"
+// (which must be among pols), in suite order, plus the workload names.
+func speedups(o Options, scope string, pols []sim.NamedFactory, penalty uint64) (map[string][]float64, []string, error) {
 	ws := o.suite()
-	pols, err := sim.Factories(policyNames)
-	if err != nil {
-		return nil, nil, err
-	}
 	results, err := sim.RunSuiteTimingCtx(o.ctx(), ws, pols, o.timingCfg(penalty), o.suiteOpts(scope))
 	if err != nil {
 		return nil, nil, err
@@ -40,15 +36,15 @@ func speedups(o Options, scope string, policyNames []string, penalty uint64) (ma
 		names[i] = w.Name
 	}
 	out := map[string][]float64{}
-	for _, p := range policyNames {
+	for _, p := range pols {
 		ratios := make([]float64, len(names))
 		for i, wn := range names {
 			base := ipc["lru"][wn]
 			if base > 0 {
-				ratios[i] = ipc[p][wn] / base
+				ratios[i] = ipc[p.Name][wn] / base
 			}
 		}
-		out[p] = ratios
+		out[p.Name] = ratios
 	}
 	return out, names, nil
 }
@@ -70,7 +66,11 @@ type Fig8Result struct {
 
 // Fig8 reproduces Figure 8 (speedup for the suite at WalkPenalty).
 func Fig8(o Options) (*Fig8Result, error) {
-	ratios, names, err := speedups(o, "fig8", sim.PaperPolicies, o.WalkPenalty)
+	pols, err := sim.Factories(sim.PaperPolicies)
+	if err != nil {
+		return nil, err
+	}
+	ratios, names, err := speedups(o, "fig8", pols, o.WalkPenalty)
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +80,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 		GeoMeanPct: map[string]float64{},
 		Order:      sim.PaperPolicies,
 	}
+	//chirp:allow determinism each key writes only its own geomean, so order cannot escape
 	for p, rs := range ratios {
 		res.GeoMeanPct[p] = (stats.GeoMean(rs) - 1) * 100
 	}
@@ -120,13 +121,18 @@ type Fig10Result struct {
 // latencies predictive policies' advantage grows; CHiRP exceeds 10%
 // above ~320 cycles.
 func Fig10(o Options) (*Fig10Result, error) {
+	pols, err := sim.Factories(sim.PaperPolicies)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig10Result{Order: sim.PaperPolicies}
 	for _, penalty := range []uint64{20, 60, 100, 150, 200, 260, 320, 340} {
-		ratios, _, err := speedups(o, fmt.Sprintf("fig10/penalty=%d", penalty), sim.PaperPolicies, penalty)
+		ratios, _, err := speedups(o, fmt.Sprintf("fig10/penalty=%d", penalty), pols, penalty)
 		if err != nil {
 			return nil, err
 		}
 		pt := Fig10Point{Penalty: penalty, GeoMeanPct: map[string]float64{}}
+		//chirp:allow determinism each key writes only its own geomean, so order cannot escape
 		for p, rs := range ratios {
 			pt.GeoMeanPct[p] = (stats.GeoMean(rs) - 1) * 100
 		}
@@ -192,33 +198,18 @@ func Fig2(o Options) (*Fig2Result, error) {
 		combined := core.DefaultConfig()
 		combined.History.PathLength = length
 
-		ws := o.suite()
-		cfgT := o.timingCfg(o.WalkPenalty)
 		pols := []sim.NamedFactory{
 			{Name: "lru", New: mustFactory("lru")},
 			{Name: "path-only", New: sim.CHiRPFactory(pathOnly)},
 			{Name: "combined", New: sim.CHiRPFactory(combined)},
 		}
-		results, err := sim.RunSuiteTimingCtx(o.ctx(), ws, pols, cfgT, o.suiteOpts(fmt.Sprintf("fig2/len=%d", length)))
+		// speedups orders each policy's ratios by the suite, so the
+		// geomean's log-sum is the same on every run.
+		ratios, _, err := speedups(o, fmt.Sprintf("fig2/len=%d", length), pols, o.WalkPenalty)
 		if err != nil {
 			return nil, err
 		}
-		ipc := map[string]map[string]float64{}
-		for _, r := range results {
-			if ipc[r.Policy] == nil {
-				ipc[r.Policy] = map[string]float64{}
-			}
-			ipc[r.Policy][r.Workload] = r.IPC
-		}
-		ratio := func(p string) float64 {
-			var rs []float64
-			for wn, base := range ipc["lru"] {
-				if base > 0 {
-					rs = append(rs, ipc[p][wn]/base)
-				}
-			}
-			return (stats.GeoMean(rs) - 1) * 100
-		}
+		ratio := func(p string) float64 { return (stats.GeoMean(ratios[p]) - 1) * 100 }
 		res.Points = append(res.Points, Fig2Point{
 			Length:      length,
 			PathOnlyPct: ratio("path-only"),

@@ -6,7 +6,10 @@
 // served it; misses recurse into the next level.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -50,9 +53,9 @@ type Stats struct {
 // Cache is one set-associative, LRU-replaced cache level.
 type Cache struct {
 	cfg       Config
-	sets      int
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // log2(sets): line bits above the set index
 	tags      []uint64
 	valid     []bool
 	lru       []uint8
@@ -85,9 +88,9 @@ func NewCache(cfg Config, next Level) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
 		setMask:   uint64(sets - 1),
 		lineShift: lineShift,
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		tags:      make([]uint64, sets*cfg.Ways),
 		valid:     make([]bool, sets*cfg.Ways),
 		lru:       make([]uint8, sets*cfg.Ways),
@@ -126,7 +129,7 @@ func (c *Cache) Access(addr uint64, write bool) uint64 {
 	c.stats.Accesses++
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> uint(log2(c.sets))
+	tag := line >> c.tagShift
 	base := set * c.cfg.Ways
 
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -159,14 +162,6 @@ func (c *Cache) Access(addr uint64, write bool) uint64 {
 	c.valid[base+victim] = true
 	c.touch(base, victim)
 	return c.cfg.LatencyCycles + lower
-}
-
-func log2(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // Memory is the DRAM terminal level with a flat latency.

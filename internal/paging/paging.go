@@ -5,10 +5,11 @@
 // the MMU caches the paper's §I cites on Skylake).
 //
 // The paper's evaluation charges a flat, configurable page-walk
-// penalty (20–360 cycles swept); FixedWalker reproduces that. The
-// radix Walker is the substrate extension (DESIGN.md X2): its PTE
-// fetches traverse the simulated cache hierarchy, so walk latency
-// emerges from locality instead of being a constant.
+// penalty (20–360 cycles swept); the timing pipeline charges that
+// itself and uses Space only for the frame. RadixWalker is the
+// substrate extension (DESIGN.md X2): its PTE fetches traverse the
+// simulated cache hierarchy, so walk latency emerges from locality
+// instead of being a constant.
 package paging
 
 // PageShift is the 4 KB page geometry used throughout (§V).
@@ -134,36 +135,6 @@ func (s *Space) PageFaults() uint64 { return s.pageFaults }
 // Mapped returns how many pages have been touched.
 func (s *Space) Mapped() int { return len(s.mapping) }
 
-// Walker resolves TLB misses. Implementations return the walk latency
-// in cycles.
-type Walker interface {
-	// Walk translates vpn, returning its PPN and the cycles spent.
-	Walk(vpn uint64) (ppn uint64, cycles uint64)
-}
-
-// FixedWalker charges a flat penalty per walk — the paper's
-// evaluation model (20–360 cycles swept; 150 in the headline speedup).
-type FixedWalker struct {
-	Space   *Space
-	Penalty uint64
-	walks   uint64
-}
-
-// NewFixedWalker builds the paper's fixed-penalty walker.
-func NewFixedWalker(space *Space, penalty uint64) *FixedWalker {
-	return &FixedWalker{Space: space, Penalty: penalty}
-}
-
-// Walk implements Walker.
-func (w *FixedWalker) Walk(vpn uint64) (uint64, uint64) {
-	w.walks++
-	ppn, _ := w.Space.Translate(vpn)
-	return ppn, w.Penalty
-}
-
-// Walks returns the walk count.
-func (w *FixedWalker) Walks() uint64 { return w.walks }
-
 // MemAccessor abstracts the cache hierarchy for PTE fetches so the
 // radix walker can be tested without a full memory model.
 type MemAccessor interface {
@@ -246,8 +217,9 @@ func NewRadixWalker(space *Space, mem MemAccessor, cfg PSCConfig) *RadixWalker {
 	return w
 }
 
-// Walk implements Walker: start from the deepest PSC hit, then fetch
-// the remaining PTEs through the cache hierarchy.
+// Walk translates vpn and returns its PPN and the walk's cycles: it
+// starts from the deepest PSC hit, then fetches the remaining PTEs
+// through the cache hierarchy.
 func (w *RadixWalker) Walk(vpn uint64) (uint64, uint64) {
 	w.walks++
 	ppn, _ := w.space.Translate(vpn) // ensures the path exists

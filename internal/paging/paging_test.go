@@ -80,22 +80,6 @@ func TestFragmentedUniquenessProperty(t *testing.T) {
 	}
 }
 
-func TestFixedWalker(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
-	w := NewFixedWalker(s, 150)
-	ppn, cycles := w.Walk(42)
-	if cycles != 150 {
-		t.Errorf("walk cycles = %d, want 150", cycles)
-	}
-	want, _ := s.Translate(42)
-	if ppn != want {
-		t.Errorf("walk ppn = %d, want %d", ppn, want)
-	}
-	if w.Walks() != 1 {
-		t.Errorf("walks = %d, want 1", w.Walks())
-	}
-}
-
 // flatMem serves every PTE access with a fixed latency and counts
 // accesses.
 type flatMem struct {

@@ -1,0 +1,92 @@
+package pipeline_test
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/chirplab/chirp/internal/pipeline"
+	"github.com/chirplab/chirp/internal/sim"
+)
+
+type flatWalkVariant struct {
+	workload  string
+	wrongPath bool
+}
+
+// flatWalkVariants covers four workload categories with the wrong-path
+// model off and on: wrong-path fetches skip translation, so neither
+// fact below may depend on it.
+var flatWalkVariants = func() (out []flatWalkVariant) {
+	for _, w := range []string{"spec-000", "db-003", "web-000", "sci-000"} {
+		out = append(out, flatWalkVariant{w, false}, flatWalkVariant{w, true})
+	}
+	return out
+}()
+
+const flatWalkInstr = 400_000
+
+// fusedRun drives one machine carrying every registered policy and
+// returns its results in sim.PolicyNames order.
+func fusedRun(t *testing.T, workload string, penalty uint64, wrongPath bool) []pipeline.Result {
+	t.Helper()
+	pols, err := sim.Factories(sim.PolicyNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig(flatWalkInstr, penalty)
+	cfg.ModelWrongPath = wrongPath
+	rs, err := fusedMachine(t, cfg, pols).RunMulti(source(t, workload, flatWalkInstr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestTimingMissesMatchTLBOnly: under the flat walk penalty the L2 TLB
+// sees the same access stream as in a TLB-only run, so every policy's
+// post-warmup L2 misses in the timing pipeline equal RunTLBOnly's. This
+// is what lets a timing result take its miss count from the MPKI
+// figures' replay.
+func TestTimingMissesMatchTLBOnly(t *testing.T) {
+	names := sim.PolicyNames()
+	for _, v := range flatWalkVariants {
+		t.Run(fmt.Sprintf("%s/wrongpath=%v", v.workload, v.wrongPath), func(t *testing.T) {
+			rs := fusedRun(t, v.workload, 150, v.wrongPath)
+			for i, name := range names {
+				p, err := sim.NewPolicy(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := sim.RunTLBOnly(source(t, v.workload, flatWalkInstr), p, sim.DefaultTLBOnlyConfig(flatWalkInstr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs[i].L2TLBMisses != ref.L2Misses {
+					t.Errorf("%s: timing L2 misses %d, TLB-only %d", name, rs[i].L2TLBMisses, ref.L2Misses)
+				}
+			}
+		})
+	}
+}
+
+// TestTimingCyclesLinearInPenalty: the flat penalty adds latency and
+// nothing else, so two runs that differ only in penalty differ in
+// post-warmup cycles by exactly misses × the penalty difference.
+func TestTimingCyclesLinearInPenalty(t *testing.T) {
+	const lo, hi = 20, 150
+	names := sim.PolicyNames()
+	for _, v := range flatWalkVariants {
+		t.Run(fmt.Sprintf("%s/wrongpath=%v", v.workload, v.wrongPath), func(t *testing.T) {
+			low, high := fusedRun(t, v.workload, lo, v.wrongPath), fusedRun(t, v.workload, hi, v.wrongPath)
+			for i, name := range names {
+				if low[i].L2TLBMisses != high[i].L2TLBMisses {
+					t.Errorf("%s: L2 misses moved with the penalty: %d at %d, %d at %d", name, low[i].L2TLBMisses, lo, high[i].L2TLBMisses, hi)
+					continue
+				}
+				if got, want := high[i].Cycles-low[i].Cycles, high[i].L2TLBMisses*(hi-lo); got != want {
+					t.Errorf("%s: Cycles(%d) - Cycles(%d) = %d, want misses %d × %d = %d", name, hi, lo, got, high[i].L2TLBMisses, hi-lo, want)
+				}
+			}
+		})
+	}
+}

@@ -39,6 +39,21 @@ func soloRun(t *testing.T, cfg pipeline.Config, workload string, p tlb.Policy) p
 	return res
 }
 
+// fusedMachine builds one machine driving a fresh instance of every
+// policy in pols.
+func fusedMachine(t *testing.T, cfg pipeline.Config, pols []sim.NamedFactory) *pipeline.Machine {
+	t.Helper()
+	l2 := make([]tlb.Policy, len(pols))
+	for i, p := range pols {
+		l2[i] = p.New()
+	}
+	m, err := pipeline.NewMulti(cfg, l2, lruL1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestTimingMultiMatchesSolo is the fused timing pipeline's exactness
 // gate: one front-end pass driving every registered policy's L2 TLB
 // must give each policy the whole Result a solo machine gives it.
@@ -69,15 +84,7 @@ func TestTimingMultiMatchesSolo(t *testing.T) {
 		cfg.Alloc = v.alloc
 		cfg.ModelWrongPath = v.wrongPath
 		t.Run(fmt.Sprintf("%s/instr=%d/alloc=%d/wrongpath=%v", v.workload, v.instr, v.alloc, v.wrongPath), func(t *testing.T) {
-			l2 := make([]tlb.Policy, len(pols))
-			for i, p := range pols {
-				l2[i] = p.New()
-			}
-			m, err := pipeline.NewMulti(cfg, l2, lruL1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused, err := m.RunMulti(source(t, v.workload, v.instr))
+			fused, err := fusedMachine(t, cfg, pols).RunMulti(source(t, v.workload, v.instr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,15 +188,8 @@ func TestRunMultiPublishesL2Lookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := make([]tlb.Policy, len(pols))
-	for i, p := range pols {
-		l2[i] = p.New()
-	}
 	cfg := pipeline.DefaultConfig(150_000, 150)
-	m, err := pipeline.NewMulti(cfg, l2, lruL1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fusedMachine(t, cfg, pols)
 	before := obs.Default.Snapshot()
 	rs, err := m.RunMulti(source(t, "db-000", cfg.Instructions))
 	if err != nil {
@@ -202,5 +202,44 @@ func TestRunMultiPublishesL2Lookups(t *testing.T) {
 	got := obs.Default.Snapshot().Delta(before)[series]
 	if want == 0 || got != float64(want) {
 		t.Errorf("%s moved by %v, want the units' summed L2 accesses %d", series, got, want)
+	}
+}
+
+// TestRunMultiAllocationFree: the record loop allocates nothing per
+// record. Machines and materialised sources are built before counting,
+// so a count covers RunMulti alone; a run over twice the instructions
+// may allocate at most one object more than the shorter run (a
+// page-table node for a newly touched region), where an allocation per
+// translation would add tens of thousands.
+func TestRunMultiAllocationFree(t *testing.T) {
+	pols, err := sim.Factories(sim.PolicyNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(workload string, instr uint64) float64 {
+		recs := trace.Collect(source(t, workload, instr))
+		cfg := pipeline.DefaultConfig(instr, 150)
+		cfg.ModelWrongPath = true
+		const runs = 3
+		// AllocsPerRun makes one warm-up call before the counted runs.
+		machines := make([]*pipeline.Machine, runs+1)
+		srcs := make([]*trace.SliceSource, runs+1)
+		for i := range machines {
+			machines[i] = fusedMachine(t, cfg, pols)
+			srcs[i] = trace.NewSliceSource(recs)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := machines[next].RunMulti(srcs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	for _, workload := range []string{"spec-000", "db-000", "web-000", "ml-000"} {
+		short, long := allocs(workload, 200_000), allocs(workload, 400_000)
+		if long > short+1 {
+			t.Errorf("%s: RunMulti allocated %v objects over 400k instructions, %v over 200k; the record loop allocates", workload, long, short)
+		}
 	}
 }

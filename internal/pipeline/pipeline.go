@@ -114,15 +114,32 @@ type Machine struct {
 	btb       *branch.BTB
 	ind       *branch.Indirect
 	ran       bool
+
+	// a is the L1 TLB access of the translation in flight. It lives
+	// here rather than in translate's frame because it escapes into
+	// the L1 policy's interface calls, which would heap-allocate a
+	// per-call value once per reference.
+	a tlb.Access
+	// cycles accumulates everything but the units' L2-side
+	// translation cycles.
+	cycles uint64
 }
 
-// l2Unit is one L2 TLB with its policy, page walker and translation
-// cycle total (L2 hit latency plus walk cycles).
+// l2Unit is one L2 TLB with its policy and translation cycle total
+// (L2 hit latency plus walk cycles). Under the flat penalty the unit
+// counts its own walks; with the radix walker, radix does the walking
+// and the counting.
 type l2Unit struct {
 	tlb    *tlb.TLB
 	pol    tlb.Policy
-	walker paging.Walker
+	radix  *paging.RadixWalker
 	cycles uint64
+	walks  uint64
+	// a is the unit's L2 access of the translation in flight, hoisted
+	// for the same reason as Machine.a; missed marks a Lookup that
+	// still owes its Insert.
+	a      tlb.Access
+	missed bool
 
 	warmCyc, warmMiss uint64
 }
@@ -173,15 +190,13 @@ func NewMulti(cfg Config, l2 []tlb.Policy, l1Factory func() tlb.Policy) (*Machin
 			m.release()
 			return nil, err
 		}
-		var walker paging.Walker
+		u := l2Unit{tlb: t, pol: p}
 		if cfg.UseRadixWalker {
 			// PTE fetches enter the hierarchy at the unified L2 cache,
 			// as hardware walkers do.
-			walker = paging.NewRadixWalker(m.space, h.L2, cfg.PSC)
-		} else {
-			walker = paging.NewFixedWalker(m.space, cfg.WalkPenalty)
+			u.radix = paging.NewRadixWalker(m.space, h.L2, cfg.PSC)
 		}
-		m.units = append(m.units, l2Unit{tlb: t, pol: p, walker: walker})
+		m.units = append(m.units, u)
 		if bo, ok := p.(tlb.BranchObserver); ok {
 			m.observers = append(m.observers, bo)
 		}
@@ -201,29 +216,73 @@ func (m *Machine) release() {
 // translate resolves va through the two-level TLB hierarchy and
 // returns the physical address. An L1 miss goes to every L2 unit,
 // each of which charges its own hit latency and walk cycles.
+//
+//chirp:hotpath
 func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64) {
 	shift := m.cfg.L2TLB.PageShift
 	vpn := va >> shift
-	a := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
-	if ppn, hit := l1.Lookup(&a); hit {
+	m.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	if ppn, hit := l1.Lookup(&m.a); hit {
 		return ppn<<shift | va&0xfff
 	}
 	var ppn uint64
+	if u := &m.units[0]; u.radix != nil {
+		ppn = m.walkRadix(u, pc, vpn, instr)
+	} else {
+		ppn = m.walkFlat(pc, vpn, instr)
+	}
+	l1.Insert(&m.a, ppn)
+	return ppn<<shift | va&0xfff
+}
+
+// walkFlat sends an L1 miss to every unit under the flat walk penalty
+// and returns the page's frame. A frame is assigned at a page's first
+// touch and never remapped, so any unit that hits holds the frame
+// every missing unit needs; only when no unit hits does the address
+// space translate, once, for all of them. Each missing unit then
+// fills, charges the penalty and counts a walk of its own.
+//
+//chirp:hotpath
+func (m *Machine) walkFlat(pc, vpn uint64, instr bool) uint64 {
+	var ppn uint64
+	found := false
 	for i := range m.units {
 		u := &m.units[i]
-		a2 := tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+		u.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
 		u.cycles += m.cfg.L2TLBHitLatency
-		if p, hit := u.tlb.Lookup(&a2); hit {
-			ppn = p
-			continue
+		p, hit := u.tlb.Lookup(&u.a)
+		u.missed = !hit
+		if hit && !found {
+			ppn, found = p, true
 		}
-		p, walkCycles := u.walker.Walk(vpn)
-		u.tlb.Insert(&a2, p)
-		u.cycles += walkCycles
-		ppn = p
 	}
-	l1.Insert(&a, ppn)
-	return ppn<<shift | va&0xfff
+	if !found {
+		ppn, _ = m.space.Translate(vpn)
+	}
+	for i := range m.units {
+		if u := &m.units[i]; u.missed {
+			u.tlb.Insert(&u.a, ppn)
+			u.cycles += m.cfg.WalkPenalty
+			u.walks++
+		}
+	}
+	return ppn
+}
+
+// walkRadix sends an L1 miss to the one unit a radix-walker machine
+// has; a miss walks the page table through the cache hierarchy.
+//
+//chirp:hotpath
+func (m *Machine) walkRadix(u *l2Unit, pc, vpn uint64, instr bool) uint64 {
+	u.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	u.cycles += m.cfg.L2TLBHitLatency
+	if p, hit := u.tlb.Lookup(&u.a); hit {
+		return p
+	}
+	p, walkCycles := u.radix.Walk(vpn)
+	u.tlb.Insert(&u.a, p)
+	u.cycles += walkCycles
+	return p
 }
 
 // onBranch forwards a committed branch to every observing L2 policy.
@@ -257,75 +316,37 @@ func (m *Machine) RunMulti(src trace.Source) ([]Result, error) {
 
 	var (
 		instructions uint64
-		cycles       uint64 // everything but L2-side translation cycles
-		rec          trace.Record
 
 		warmupAt  = uint64(float64(m.cfg.Instructions) * m.cfg.WarmupFraction)
 		warmed    = warmupAt == 0
 		warmInstr uint64
 		warmCyc   uint64
 	)
-	l1iLat := m.cfg.Mem.L1I.LatencyCycles
-	l1dLat := m.cfg.Mem.L1D.LatencyCycles
-
-	for src.Next(&rec) {
-		instructions += rec.Instructions()
-		cycles += uint64(rec.Skip) + 1 // base CPI of 1
-
-		if !warmed && instructions >= warmupAt {
-			warmed = true
-			warmInstr, warmCyc = instructions, cycles
-			for i := range m.units {
-				u := &m.units[i]
-				u.warmCyc, u.warmMiss = u.cycles, u.tlb.Stats().Misses
-			}
+	bs := trace.Blocks(src)
+	var buf [trace.DefaultBlockSize]trace.Record
+loop:
+	for {
+		n := bs.NextBlock(buf[:])
+		if n == 0 {
+			break
 		}
+		for i := 0; i < n; i++ {
+			rec := &buf[i]
+			instructions += rec.Instructions()
+			m.cycles += uint64(rec.Skip) + 1 // base CPI of 1
 
-		// Fetch: translation plus i-cache beyond the pipelined L1 hit.
-		pa := m.translate(m.l1i, rec.PC, rec.PC, true)
-		if fl := m.mem.FetchLatency(pa); fl > l1iLat {
-			cycles += fl - l1iLat
-		}
-
-		switch {
-		case rec.Class.IsMemory():
-			pa := m.translate(m.l1d, rec.PC, rec.EA, false)
-			if dl := m.mem.DataLatency(pa, rec.Class == trace.ClassStore); dl > l1dLat {
-				cycles += dl - l1dLat
-			}
-		case rec.Class == trace.ClassCondBranch:
-			m.pred.Predict(rec.PC) // latches state consumed by Train
-			target, btbHit := m.btb.Lookup(rec.PC)
-			correct := m.pred.Train(rec.Taken)
-			// A taken branch also needs the right target from the BTB.
-			if !correct || (rec.Taken && (!btbHit || target != rec.Target)) {
-				cycles += m.cfg.MispredictPenalty
-				if m.cfg.ModelWrongPath {
-					m.fetchWrongPath(rec.PC, rec.Target, rec.Taken)
+			if !warmed && instructions >= warmupAt {
+				warmed = true
+				warmInstr, warmCyc = instructions, m.cycles
+				for j := range m.units {
+					u := &m.units[j]
+					u.warmCyc, u.warmMiss = u.cycles, u.tlb.Stats().Misses
 				}
 			}
-			if rec.Taken {
-				m.btb.Update(rec.PC, rec.Target)
+			m.step(rec)
+			if m.cfg.Instructions > 0 && instructions >= m.cfg.Instructions {
+				break loop
 			}
-			m.onBranch(rec.PC, true, false, rec.Taken, rec.Target)
-		case rec.Class == trace.ClassUncondDirect:
-			target, btbHit := m.btb.Lookup(rec.PC)
-			if !btbHit || target != rec.Target {
-				cycles += m.cfg.MispredictPenalty
-			}
-			m.btb.Update(rec.PC, rec.Target)
-			m.onBranch(rec.PC, false, false, true, rec.Target)
-		case rec.Class == trace.ClassUncondIndirect:
-			target, hit := m.ind.Predict(rec.PC)
-			if !hit || target != rec.Target {
-				cycles += m.cfg.MispredictPenalty
-			}
-			m.ind.Update(rec.PC, rec.Target)
-			m.onBranch(rec.PC, false, true, true, rec.Target)
-		}
-
-		if m.cfg.Instructions > 0 && instructions >= m.cfg.Instructions {
-			break
 		}
 	}
 	if !warmed {
@@ -342,10 +363,60 @@ func (m *Machine) RunMulti(src trace.Source) ([]Result, error) {
 	}
 	out := make([]Result, len(m.units))
 	for i := range m.units {
-		out[i] = m.unitResult(&m.units[i], shared, cycles-warmCyc)
+		out[i] = m.unitResult(&m.units[i], shared, m.cycles-warmCyc)
 	}
 	m.publish()
 	return out, nil
+}
+
+// step charges one record's fetch, data access and branch resolution
+// beyond its base CPI: the front end's cycles go to m.cycles, each L2
+// unit's translation cycles to the unit.
+//
+//chirp:hotpath
+func (m *Machine) step(rec *trace.Record) {
+	// Fetch: translation plus i-cache beyond the pipelined L1 hit.
+	pa := m.translate(m.l1i, rec.PC, rec.PC, true)
+	if fl, l1iLat := m.mem.FetchLatency(pa), m.cfg.Mem.L1I.LatencyCycles; fl > l1iLat {
+		m.cycles += fl - l1iLat
+	}
+
+	switch {
+	case rec.Class.IsMemory():
+		pa := m.translate(m.l1d, rec.PC, rec.EA, false)
+		if dl, l1dLat := m.mem.DataLatency(pa, rec.Class == trace.ClassStore), m.cfg.Mem.L1D.LatencyCycles; dl > l1dLat {
+			m.cycles += dl - l1dLat
+		}
+	case rec.Class == trace.ClassCondBranch:
+		m.pred.Predict(rec.PC) // latches state consumed by Train
+		target, btbHit := m.btb.Lookup(rec.PC)
+		correct := m.pred.Train(rec.Taken)
+		// A taken branch also needs the right target from the BTB.
+		if !correct || (rec.Taken && (!btbHit || target != rec.Target)) {
+			m.cycles += m.cfg.MispredictPenalty
+			if m.cfg.ModelWrongPath {
+				m.fetchWrongPath(rec.PC, rec.Target, rec.Taken)
+			}
+		}
+		if rec.Taken {
+			m.btb.Update(rec.PC, rec.Target)
+		}
+		m.onBranch(rec.PC, true, false, rec.Taken, rec.Target)
+	case rec.Class == trace.ClassUncondDirect:
+		target, btbHit := m.btb.Lookup(rec.PC)
+		if !btbHit || target != rec.Target {
+			m.cycles += m.cfg.MispredictPenalty
+		}
+		m.btb.Update(rec.PC, rec.Target)
+		m.onBranch(rec.PC, false, false, true, rec.Target)
+	case rec.Class == trace.ClassUncondIndirect:
+		target, hit := m.ind.Predict(rec.PC)
+		if !hit || target != rec.Target {
+			m.cycles += m.cfg.MispredictPenalty
+		}
+		m.ind.Update(rec.PC, rec.Target)
+		m.onBranch(rec.PC, false, true, true, rec.Target)
+	}
 }
 
 // unitResult completes shared — the front end's post-warmup figures —
@@ -365,14 +436,12 @@ func (m *Machine) unitResult(u *l2Unit, shared Result, sharedCycles uint64) Resu
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.L2TLBMisses) / (float64(res.Instructions) / 1000)
 	}
-	switch w := u.walker.(type) {
-	case *paging.FixedWalker:
-		res.PageWalks = w.Walks()
+	if u.radix != nil {
+		res.PageWalks, _, _, _ = u.radix.Stats()
+		res.AvgWalkCycles = u.radix.AverageLatency()
+	} else {
+		res.PageWalks = u.walks
 		res.AvgWalkCycles = float64(m.cfg.WalkPenalty)
-	case *paging.RadixWalker:
-		walks, _, _, _ := w.Stats()
-		res.PageWalks = walks
-		res.AvgWalkCycles = w.AverageLatency()
 	}
 	return res
 }
