@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -33,6 +34,18 @@ type runner struct {
 	name string
 	desc string
 	run  func(experiments.Options) error
+}
+
+// report adapts an experiment that returns a printable result into a
+// runner that writes it to out.
+func report[R interface{ Write(io.Writer) error }](out io.Writer, exp func(experiments.Options) (R, error)) func(experiments.Options) error {
+	return func(o experiments.Options) error {
+		r, err := exp(o)
+		if err != nil {
+			return err
+		}
+		return r.Write(out)
+	}
 }
 
 func main() { os.Exit(run()) }
@@ -176,128 +189,26 @@ func run() int {
 
 	out := os.Stdout
 	runners := []runner{
-		{"fig1", "TLB efficiency heat map (§VI-D)", func(o experiments.Options) error {
-			r, err := experiments.Fig1(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig2", "speedup vs PC history length (§III)", func(o experiments.Options) error {
-			r, err := experiments.Fig2(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig3", "ADALINE PC-bit salience (§III-A)", func(o experiments.Options) error {
-			r, err := experiments.Fig3(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig6", "feature/optimisation ablation (§III)", func(o experiments.Options) error {
-			r, err := experiments.Fig6(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig7", "MPKI S-curve and averages (§VI-A)", func(o experiments.Options) error {
-			r, err := experiments.Fig7(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig8", "speedup at the headline walk penalty (§VI-C)", func(o experiments.Options) error {
-			r, err := experiments.Fig8(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig9", "prediction-table size sweep (§VI-F)", func(o experiments.Options) error {
-			r, err := experiments.Fig9(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig10", "speedup vs walk penalty (§VI-C)", func(o experiments.Options) error {
-			r, err := experiments.Fig10(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"fig11", "prediction-table access-rate density (§VI-B)", func(o experiments.Options) error {
-			r, err := experiments.Fig11(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"table1", "CHiRP storage budget", func(o experiments.Options) error {
-			r, err := experiments.Table1(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
+		{"fig1", "TLB efficiency heat map (§VI-D)", report(out, experiments.Fig1)},
+		{"fig2", "speedup vs PC history length (§III)", report(out, experiments.Fig2)},
+		{"fig3", "ADALINE PC-bit salience (§III-A)", report(out, experiments.Fig3)},
+		{"fig6", "feature/optimisation ablation (§III)", report(out, experiments.Fig6)},
+		{"fig7", "MPKI S-curve and averages (§VI-A)", report(out, experiments.Fig7)},
+		{"fig8", "speedup at the headline walk penalty (§VI-C)", report(out, experiments.Fig8)},
+		{"fig9", "prediction-table size sweep (§VI-F)", report(out, experiments.Fig9)},
+		{"fig10", "speedup vs walk penalty (§VI-C)", report(out, experiments.Fig10)},
+		{"fig11", "prediction-table access-rate density (§VI-B)", report(out, experiments.Fig11)},
+		{"table1", "CHiRP storage budget", report(out, experiments.Table1)},
 		{"table2", "simulation parameters", func(o experiments.Options) error {
 			return experiments.Table2(o, out)
 		}},
-		{"opt", "Bélády OPT upper bound (extension X1)", func(o experiments.Options) error {
-			r, err := experiments.OptBound(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"walker", "radix page-walker vs fixed penalty (extension X2)", func(o experiments.Options) error {
-			r, err := experiments.Walker(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"baselines", "extended baseline comparison (extension X3)", func(o experiments.Options) error {
-			r, err := experiments.Baselines(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"mixed", "mixed 4KB/2MB page sizes (extension X4)", func(o experiments.Options) error {
-			r, err := experiments.Mixed(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"consolidated", "ASID-tagged consolidation (extension X5)", func(o experiments.Options) error {
-			r, err := experiments.Consolidated(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"prefetch", "sequential prefetch × replacement (extension X6)", func(o experiments.Options) error {
-			r, err := experiments.Prefetch(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
-		{"categories", "per-category MPKI breakdown", func(o experiments.Options) error {
-			r, err := experiments.Categories(o)
-			if err != nil {
-				return err
-			}
-			return r.Write(out)
-		}},
+		{"opt", "Bélády OPT upper bound (extension X1)", report(out, experiments.OptBound)},
+		{"walker", "radix page-walker vs fixed penalty (extension X2)", report(out, experiments.Walker)},
+		{"baselines", "extended baseline comparison (extension X3)", report(out, experiments.Baselines)},
+		{"mixed", "mixed 4KB/2MB page sizes (extension X4)", report(out, experiments.Mixed)},
+		{"consolidated", "ASID-tagged consolidation (extension X5)", report(out, experiments.Consolidated)},
+		{"prefetch", "sequential prefetch × replacement (extension X6)", report(out, experiments.Prefetch)},
+		{"categories", "per-category MPKI breakdown", report(out, experiments.Categories)},
 	}
 
 	want := map[string]bool{}

@@ -22,20 +22,22 @@ import (
 // replaced the varint event encoding with tag-length-prefixed payloads
 // (see stream.go), dropped the pre-decoded 17-byte-per-event sidecar
 // that followed the event buffer in version 2, and added the buffer
-// checksum.
-const CodecVersion = 3
+// checksum. Version 4 extended the store file's checksum over the
+// header's run scalars, which version 3 left unchecked.
+const CodecVersion = 4
 
 // Store file format (".l2s"): a fixed 128-byte header, then the
 // stream's encoded event buffer verbatim. The header holds the
 // magic, the codec version, the key fingerprint, a flag byte, a
-// CRC-32C of the event buffer, and the run scalars. Loading is one
-// os.ReadFile plus the checksum: the tail of that allocation IS the
-// stream's encoded buffer (zero-copy), and nothing is decoded until a
-// replay or view build walks it.
+// CRC-32C, and the run scalars. Loading is one os.ReadFile plus the
+// checksum: the tail of that allocation IS the stream's encoded buffer
+// (zero-copy), and nothing is decoded until a replay or view build
+// walks it.
 //
 // Header layout: [0,4) magic, [4,8) codec version, [8,40) fingerprint,
-// 40 flags, [44,48) buffer CRC-32C, [48,128) ten uint64 scalars, the
-// last being the buffer length. The flag byte is always written as
+// 40 flags, [44,48) CRC-32C of bytes [48,end) — the scalars and the
+// event buffer — and [48,128) ten uint64 scalars, the last being the
+// buffer length. The flag byte is always written as
 // zero. Older binaries set it to mark a header-only file whose events
 // lived in a ".chtr" record file beside it; load rejects any non-zero
 // flag, so such a file reads as absent and is recaptured.
@@ -44,6 +46,7 @@ const (
 	storeHeaderSize = 128
 	storeFlagOffset = 40
 	storeCRCOffset  = 44
+	storeScalarsAt  = 48
 )
 
 // store is the cache's persistent tier: a content-addressed directory
@@ -374,7 +377,14 @@ func (st *store) load(key Key) (*Stream, error) {
 	if data[storeFlagOffset] != 0 {
 		return nil, nil // a header-only file from an older binary
 	}
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[48+8*i:]) }
+	// The checksum catches damage the framing cannot: a flipped bit in
+	// a run scalar would feed a wrong instruction count into MPKI, and
+	// one inside the buffer would decode into wrong events; either
+	// would replay silently wrong results.
+	if crc32.Checksum(data[storeScalarsAt:], castagnoli) != binary.LittleEndian.Uint32(data[storeCRCOffset:]) {
+		return nil, nil
+	}
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(data[storeScalarsAt+8*i:]) }
 	s := &Stream{
 		cfg:          key.Config,
 		records:      u(0),
@@ -388,11 +398,9 @@ func (st *store) load(key Key) (*Stream, error) {
 		warmed:       u(8) != 0,
 	}
 	// Zero-copy: the tail of the ReadFile allocation is the encoded
-	// event buffer. The checksum catches damage the framing cannot: a
-	// flipped byte inside the buffer would otherwise decode into wrong
-	// events and replay silently wrong results.
+	// event buffer.
 	buf := data[storeHeaderSize:]
-	if uint64(len(buf)) != u(9) || crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(data[storeCRCOffset:]) {
+	if uint64(len(buf)) != u(9) {
 		return nil, nil
 	}
 	s.buf = buf
@@ -418,14 +426,15 @@ func (st *store) save(key Key, s *Stream) error {
 	copy(hdr, storeMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], CodecVersion)
 	copy(hdr[8:], h[:])
-	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc32.Checksum(s.buf, castagnoli))
 	for i, v := range [10]uint64{
 		s.records, s.instructions, s.events, s.accesses,
 		s.warmupAt, s.warmInstrAt, s.l1iMisses, s.l1dMisses,
 		b2u(s.warmed), uint64(len(s.buf)),
 	} {
-		binary.LittleEndian.PutUint64(hdr[48+8*i:], v)
+		binary.LittleEndian.PutUint64(hdr[storeScalarsAt+8*i:], v)
 	}
+	crc := crc32.Update(crc32.Checksum(hdr[storeScalarsAt:], castagnoli), castagnoli, s.buf)
+	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc)
 
 	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
 	if err != nil {

@@ -3,6 +3,7 @@ package l2stream
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,6 +144,31 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 				t.Fatal("test premise broken: capture has an empty buffer")
 			}
 			data[storeHeaderSize+buflen/2] ^= 0xff
+			if err := os.WriteFile(meta, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"scalar-flip", func(t *testing.T, meta string) {
+			// One bit flipped in the persisted instruction count: the
+			// file still frames and its buffer still checks out, but
+			// MPKI would be computed from the wrong denominator.
+			data, err := os.ReadFile(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[storeScalarsAt+8*1] ^= 0x01
+			if err := os.WriteFile(meta, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"buffer-only-crc", func(t *testing.T, meta string) {
+			// A header whose checksum covers only the event buffer, as
+			// version 3 wrote it: it must not pass for a checked one.
+			data, err := os.ReadFile(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(data[storeCRCOffset:], crc32.Checksum(data[storeHeaderSize:], castagnoli))
 			if err := os.WriteFile(meta, data, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -113,11 +113,52 @@ func accessViewFor(stream *l2stream.Stream, sets int) (*accessView, error) {
 	return v.(*accessView), nil
 }
 
-// buildAccessView decodes the stream's access events block by block
-// into the view's columns.
+// blockFiller is a view builder's per-block state, driven by
+// decodeBlocks. fill consumes one decoded block and reports false when
+// it holds more accesses than the pre-sized view has room for (a
+// stream whose scalars disagree with its buffer); filled is the number
+// of accesses consumed so far.
+type blockFiller interface {
+	fill(evs []l2stream.Event) bool
+	filled() int
+}
+
+// decodeBlocks decodes the stream in l2stream.DecodeBlockSize blocks —
+// access and warmup events only when accessesOnly, every event
+// otherwise — and feeds each block to f, then checks that f consumed
+// exactly the stream's access count. view names the view being built
+// in errors.
+func decodeBlocks(s *l2stream.Stream, accessesOnly bool, f blockFiller, view string) error {
+	d := s.Decode()
+	var blk [l2stream.DecodeBlockSize]l2stream.Event
+	for {
+		var k int
+		if accessesOnly {
+			k = d.NextAccessBlock(blk[:])
+		} else {
+			k = d.NextBlock(blk[:])
+		}
+		if k == 0 {
+			break
+		}
+		if !f.fill(blk[:k]) {
+			return fmt.Errorf("sim: %s decoded more accesses than the %d the stream reports", view, s.Accesses())
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := f.filled(); uint64(n) != s.Accesses() {
+		return fmt.Errorf("sim: %s decoded %d accesses, stream reports %d", view, n, s.Accesses())
+	}
+	return nil
+}
+
+// buildAccessView decodes the stream's access events into the view's
+// columns.
 func buildAccessView(s *l2stream.Stream, sets int) (*accessView, error) {
 	n := int(s.Accesses())
-	b := accessBuilder{
+	b := &accessBuilder{
 		v: &accessView{
 			pc:      make([]uint64, n),
 			vpn:     make([]uint64, n),
@@ -127,22 +168,8 @@ func buildAccessView(s *l2stream.Stream, sets int) (*accessView, error) {
 		},
 		mask: uint64(sets - 1),
 	}
-	d := s.Decode()
-	var blk [l2stream.DecodeBlockSize]l2stream.Event
-	for {
-		k := d.NextAccessBlock(blk[:])
-		if k == 0 {
-			break
-		}
-		if !b.fill(blk[:k]) {
-			return nil, fmt.Errorf("sim: access view decoded more accesses than the %d the stream reports", n)
-		}
-	}
-	if err := d.Err(); err != nil {
+	if err := decodeBlocks(s, true, b, "access view"); err != nil {
 		return nil, err
-	}
-	if b.n != n {
-		return nil, fmt.Errorf("sim: access view decoded %d accesses, stream reports %d", b.n, n)
 	}
 	return b.v, nil
 }
@@ -156,9 +183,9 @@ type accessBuilder struct {
 	n    int // accesses filled so far
 }
 
-// fill appends one decoded block of access events to the view. It
-// reports false when the block holds more accesses than the columns
-// have room for (a stream whose scalars disagree with its buffer).
+func (b *accessBuilder) filled() int { return b.n }
+
+// fill appends one decoded block of access events to the view.
 //
 //chirp:hotpath
 func (b *accessBuilder) fill(evs []l2stream.Event) bool {
@@ -356,26 +383,12 @@ func chirpSigsFromPCs(cfg core.Config, pcs []uint64) []uint32 {
 }
 
 // buildCHiRPSigs replays the signature computation over the stream's
-// events, decoded block by block, through the same Histories/signature
-// code the live policy runs (core.SigSequencer).
+// events through the same Histories/signature code the live policy
+// runs (core.SigSequencer).
 func buildCHiRPSigs(s *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	b := chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
-	d := s.Decode()
-	var blk [l2stream.DecodeBlockSize]l2stream.Event
-	for {
-		k := d.NextBlock(blk[:])
-		if k == 0 {
-			break
-		}
-		if !b.fill(blk[:k]) {
-			return nil, fmt.Errorf("sim: chirp signature view decoded more accesses than the %d the stream reports", s.Accesses())
-		}
-	}
-	if err := d.Err(); err != nil {
+	b := &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
+	if err := decodeBlocks(s, false, b, "chirp signature view"); err != nil {
 		return nil, err
-	}
-	if uint64(b.n) != s.Accesses() {
-		return nil, fmt.Errorf("sim: chirp signature view built %d entries, stream reports %d accesses", b.n, s.Accesses())
 	}
 	return b.out, nil
 }
@@ -388,8 +401,9 @@ type chirpSigBuilder struct {
 	n   int
 }
 
-// fill feeds one decoded block through the sequencer, reporting false
-// when the block holds more accesses than out has room for.
+func (b *chirpSigBuilder) filled() int { return b.n }
+
+// fill feeds one decoded block through the sequencer.
 //
 //chirp:hotpath
 func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
@@ -443,25 +457,11 @@ func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
 }
 
 // buildGHRPSigs runs the GHRP history over the stream's events,
-// decoded block by block, recording each access's signature.
+// recording each access's signature.
 func buildGHRPSigs(s *l2stream.Stream) (any, error) {
-	b := ghrpSigBuilder{out: make([]uint64, s.Accesses())}
-	d := s.Decode()
-	var blk [l2stream.DecodeBlockSize]l2stream.Event
-	for {
-		k := d.NextBlock(blk[:])
-		if k == 0 {
-			break
-		}
-		if !b.fill(blk[:k]) {
-			return nil, fmt.Errorf("sim: ghrp signature view decoded more accesses than the %d the stream reports", s.Accesses())
-		}
-	}
-	if err := d.Err(); err != nil {
+	b := &ghrpSigBuilder{out: make([]uint64, s.Accesses())}
+	if err := decodeBlocks(s, false, b, "ghrp signature view"); err != nil {
 		return nil, err
-	}
-	if uint64(b.n) != s.Accesses() {
-		return nil, fmt.Errorf("sim: ghrp signature view built %d entries, stream reports %d accesses", b.n, s.Accesses())
 	}
 	return b.out, nil
 }
@@ -473,8 +473,9 @@ type ghrpSigBuilder struct {
 	n   int
 }
 
-// fill feeds one decoded block through the GHRP history, reporting
-// false when the block holds more accesses than out has room for.
+func (b *ghrpSigBuilder) filled() int { return b.n }
+
+// fill feeds one decoded block through the GHRP history.
 //
 //chirp:hotpath
 func (b *ghrpSigBuilder) fill(evs []l2stream.Event) bool {

@@ -169,11 +169,11 @@ func sidecarFiles(t *testing.T, dir string) []string {
 }
 
 // TestStoreRejectsSpillEraCapture: older binaries stored a capture
-// that spilled as a header-only .l2s — flag byte 1, buffer length 0,
-// and so the CRC-32C of an empty buffer — beside a .chtr record file.
-// That header passes the length and checksum checks, so a store that
-// ignored the flag would load a stream with events but no buffer and
-// replay it as MPKI 0. The store must treat it as absent: the cache
+// that spilled as a header-only .l2s — flag byte 1, buffer length 0 —
+// beside a .chtr record file. Rewritten with a checksum that covers
+// its scalars, such a header passes the length and checksum checks, so
+// a store that ignored the flag would load a stream with events but no
+// buffer and replay it as MPKI 0. The store must treat it as absent: the cache
 // recaptures, and the replay equals RunTLBOnly.
 func TestStoreRejectsSpillEraCapture(t *testing.T) {
 	const wname = "db-003"
@@ -188,15 +188,16 @@ func TestStoreRejectsSpillEraCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header layout: flag byte at 40, buffer CRC-32C at [44,48), the
-	// event count at [64,72), the buffer length at [120,128).
+	// Header layout: flag byte at 40, CRC-32C of everything from byte
+	// 48 on at [44,48), the event count at [64,72), the buffer length
+	// at [120,128).
 	hdr := data[:128]
 	if binary.LittleEndian.Uint64(hdr[64:]) == 0 {
 		t.Fatal("test premise broken: the header counts no events")
 	}
 	hdr[40] = 1
-	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(nil, crc32.MakeTable(crc32.Castagnoli)))
 	binary.LittleEndian.PutUint64(hdr[120:], 0)
+	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(hdr[48:], crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(metas[0], hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}

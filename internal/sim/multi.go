@@ -141,47 +141,38 @@ func needsBranchEvents(p tlb.Policy) bool {
 	return observes
 }
 
-// replayOne replays a single policy over the shared derived views:
-// CHiRP and GHRP run in external-signature mode against their
+// replayOne replays a single policy over the shared derived views. The
+// only thing that differs between policies is the walker's signature
+// feed: CHiRP and GHRP run in external-signature mode against their
 // precomputed sequences, and everything else (replayMulti has already
-// rejected unfed branch observers) walks the dense access view.
+// rejected unfed branch observers) walks the dense access view bare.
 func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
+	var (
+		w   denseWalker
+		fed tlb.SignatureFed
+		err error
+	)
 	switch pp := p.(type) {
 	case *core.CHiRP:
-		sigs, err := chirpSigsFor(stream, pp.Config(), rv.pc)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		pp.BeginExternalSignatures()
-		w := denseWalker{t: t}
-		w.walkCHiRP(rv, pp, sigs)
-		return finishReplay(stream, p, t, w.warm), nil
+		w.chirp, fed = pp, pp
+		w.chirpSigs, err = chirpSigsFor(stream, pp.Config(), rv.pc)
 	case *policy.GHRP:
-		sigs, err := ghrpSigsFor(stream)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		pp.BeginExternalSignatures()
-		w := denseWalker{t: t}
-		w.walkGHRP(rv, pp, sigs)
-		return finishReplay(stream, p, t, w.warm), nil
-	default:
-		t, err := tlb.New(cfg.Hierarchy.L2, p)
-		if err != nil {
-			return TLBOnlyResult{}, err
-		}
-		w := denseWalker{t: t}
-		w.walkPlain(rv)
-		return finishReplay(stream, p, t, w.warm), nil
+		w.ghrp, fed = pp, pp
+		w.ghrpSigs, err = ghrpSigsFor(stream)
 	}
+	if err != nil {
+		return TLBOnlyResult{}, err
+	}
+	t, err := tlb.New(cfg.Hierarchy.L2, p)
+	if err != nil {
+		return TLBOnlyResult{}, err
+	}
+	if fed != nil {
+		fed.BeginExternalSignatures()
+	}
+	w.t = t
+	w.walk(rv)
+	return finishReplay(stream, p, t, w.warm), nil
 }
 
 // finishReplay closes out one policy's replayed TLB off the hot path:
@@ -221,25 +212,35 @@ func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.St
 // Access structs live in the struct: they escape into the policy
 // interface calls, so loop-locals would heap-allocate per access.
 //
-// The walkers update a and pa with field writes rather than struct
-// literals, skipping the per-access zeroing stores. That relies on two
+// The walker carries at most one signature feed: CHiRP's packed
+// demand/prefetch pairs or GHRP's per-access signatures, each with its
+// concrete policy so the SetSignatures call stays devirtualized. A
+// policy with neither walks the view bare.
+//
+// walk updates a and pa with field writes rather than struct literals,
+// skipping the per-access zeroing stores. That relies on two
 // invariants: ASID stays at its zero value for the walk's lifetime
-// (replay views are single-address-space), and the fields a walker
-// does not write are either never read stale (pa.Set and pa.Prefetch
-// are overwritten by InsertPrefetch before use) or never written by
-// the TLB at all (a.Prefetch on the demand path).
+// (replay views are single-address-space), and the fields walk does
+// not write are either never read stale (pa.Set and pa.Prefetch are
+// overwritten by InsertPrefetch before use) or never written by the
+// TLB at all (a.Prefetch on the demand path).
 type denseWalker struct {
 	t     *tlb.TLB
 	warm  tlb.Stats
 	a, pa tlb.Access
+
+	chirp     *core.CHiRP
+	chirpSigs []uint32 // demand signature in the low half, prefetch in the high
+	ghrp      *policy.GHRP
+	ghrpSigs  []uint64
 }
 
-// walkPlain replays the dense view into a policy with no signature
-// feed: the demand walk plus Contains-gated prefetch fills, with the
-// warm stats latched where the warmup marker sat.
+// walk replays the dense view: the signature feed (if any), the demand
+// walk, and Contains-gated prefetch fills, with the warm stats latched
+// where the warmup marker sat.
 //
 //chirp:hotpath
-func (w *denseWalker) walkPlain(v *replayView) {
+func (w *denseWalker) walk(v *replayView) {
 	t := w.t
 	pcs := v.pc
 	// The reslices pin every column to len(pcs) so the loop indexes
@@ -248,100 +249,18 @@ func (w *denseWalker) walkPlain(v *replayView) {
 	sets := v.set[:len(pcs)]
 	instrs := v.instr[:len(pcs)]
 	pfOff, pfVPN := v.pfOff, v.pfVPN
+	chirp, chirpSigs := w.chirp, w.chirpSigs
+	ghrp, ghrpSigs := w.ghrp, w.ghrpSigs
 	for i := range pcs {
 		if i == v.warmIdx {
 			w.warm = t.Stats()
 		}
-		instr := instrs[i] != 0
-		vpn := vpns[i]
-		w.a.PC = pcs[i]
-		w.a.VPN = vpn
-		w.a.Set = sets[i]
-		w.a.Instr = instr
-		if _, hit := t.LookupIndexed(&w.a); !hit {
-			t.Insert(&w.a, vpn)
+		if chirp != nil {
+			s := chirpSigs[i]
+			chirp.SetSignatures(uint64(s&0xffff), uint64(s>>16))
+		} else if ghrp != nil {
+			ghrp.SetSignatures(ghrpSigs[i], 0)
 		}
-		if pfOff != nil {
-			for k := pfOff[i]; k < pfOff[i+1]; k++ {
-				pv := pfVPN[k]
-				if t.Contains(pv) {
-					continue
-				}
-				w.pa.PC = pcs[i]
-				w.pa.VPN = pv
-				w.pa.Instr = instr
-				t.InsertPrefetch(&w.pa, pv)
-			}
-		}
-	}
-	if v.warmIdx == len(pcs) {
-		w.warm = t.Stats()
-	}
-}
-
-// walkCHiRP is walkPlain feeding CHiRP its precomputed signature pair
-// per access (demand in the low half, prefetch in the high half). The
-// concrete receiver keeps the SetSignatures call devirtualized.
-//
-//chirp:hotpath
-func (w *denseWalker) walkCHiRP(v *replayView, p *core.CHiRP, sigs []uint32) {
-	t := w.t
-	pcs := v.pc
-	vpns := v.vpn[:len(pcs)]
-	sets := v.set[:len(pcs)]
-	instrs := v.instr[:len(pcs)]
-	sigs = sigs[:len(pcs)]
-	pfOff, pfVPN := v.pfOff, v.pfVPN
-	for i := range pcs {
-		if i == v.warmIdx {
-			w.warm = t.Stats()
-		}
-		s := sigs[i]
-		p.SetSignatures(uint64(s&0xffff), uint64(s>>16))
-		instr := instrs[i] != 0
-		vpn := vpns[i]
-		w.a.PC = pcs[i]
-		w.a.VPN = vpn
-		w.a.Set = sets[i]
-		w.a.Instr = instr
-		if _, hit := t.LookupIndexed(&w.a); !hit {
-			t.Insert(&w.a, vpn)
-		}
-		if pfOff != nil {
-			for k := pfOff[i]; k < pfOff[i+1]; k++ {
-				pv := pfVPN[k]
-				if t.Contains(pv) {
-					continue
-				}
-				w.pa.PC = pcs[i]
-				w.pa.VPN = pv
-				w.pa.Instr = instr
-				t.InsertPrefetch(&w.pa, pv)
-			}
-		}
-	}
-	if v.warmIdx == len(pcs) {
-		w.warm = t.Stats()
-	}
-}
-
-// walkGHRP is walkPlain feeding GHRP its precomputed signature per
-// access.
-//
-//chirp:hotpath
-func (w *denseWalker) walkGHRP(v *replayView, p *policy.GHRP, sigs []uint64) {
-	t := w.t
-	pcs := v.pc
-	vpns := v.vpn[:len(pcs)]
-	sets := v.set[:len(pcs)]
-	instrs := v.instr[:len(pcs)]
-	sigs = sigs[:len(pcs)]
-	pfOff, pfVPN := v.pfOff, v.pfVPN
-	for i := range pcs {
-		if i == v.warmIdx {
-			w.warm = t.Stats()
-		}
-		p.SetSignatures(sigs[i], 0)
 		instr := instrs[i] != 0
 		vpn := vpns[i]
 		w.a.PC = pcs[i]

@@ -60,26 +60,12 @@ type SuiteOptions struct {
 	StreamBudget int64
 }
 
-// suiteJobs builds one engine job per (workload, policy) pair, in
-// workload-major order — the result ordering both runners guarantee.
-func suiteJobs[T any](ws []*workloads.Workload, pols []NamedFactory, scope string,
-	run func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) []engine.Job[T] {
-	jobs := make([]engine.Job[T], 0, len(ws)*len(pols))
-	for _, w := range ws {
-		for _, p := range pols {
-			w, p := w, p
-			jobs = append(jobs, engine.Job[T]{
-				Key: engine.Key{Scope: scope, Workload: w.Name, Policy: p.Name},
-				Run: func(ctx context.Context) (T, error) { return run(ctx, w, p) },
-			})
-		}
-	}
-	return jobs
-}
-
 // RunSuiteTLBOnlyCtx measures each workload under each policy with
-// the fast TLB-only driver, fanning (workload, policy) pairs across
-// the engine's worker pool. Results are ordered by workload then
+// the fast TLB-only driver, fanning workloads across the engine's
+// worker pool: one job per workload measures every policy through
+// RunMulti — one capture and one ReplayMulti pass, or, with
+// capture/replay disabled (opts.StreamBudget < 0), one direct
+// RunTLBOnly run per policy. Results are ordered by workload then
 // policy. On failure (including a panicking policy, which surfaces as
 // an error naming its pair instead of crashing the process) the
 // completed results are still returned — and still checkpointed, when
@@ -101,18 +87,10 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 		}
 		return row(w, p.Name, res), nil
 	}
-	if cache == nil {
-		// Direct mode (capture/replay disabled): every cell is its own
-		// full trace run through the one Run entry point.
-		return engine.Run(ctx, suiteJobs(ws, pols, opts.Scope, cell), opts.engineConfig())
-	}
 	factories := make([]PolicyFactory, len(pols))
 	for i, p := range pols {
 		factories[i] = p.New
 	}
-	// One job per workload captures (or reuses) the stream and replays
-	// every policy in a single pass (ReplayMulti), instead of len(pols)
-	// jobs that each re-decode it.
 	fused := func(ctx context.Context, w *workloads.Workload) ([]SuiteResult, error) {
 		rs, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
 		if err != nil {
@@ -133,7 +111,8 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // (caches, branch unit, L1 TLBs) is policy-invariant, so one job per
 // workload drives every policy's L2 TLB from a single pass
 // (pipeline.NewMulti). The radix walker's PTE fetches go through the
-// shared caches, so that configuration runs one machine per cell.
+// shared caches, so under it the workload's job runs one machine per
+// policy, in sequence.
 func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, opts SuiteOptions) ([]TimingResult, error) {
 	row := func(w *workloads.Workload, name string, res pipeline.Result) TimingResult {
 		res.Policy = name
@@ -153,10 +132,17 @@ func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []Nam
 		}
 		return row(w, p.Name, rs[0]), nil
 	}
-	if cfg.UseRadixWalker {
-		return engine.Run(ctx, suiteJobs(ws, pols, opts.Scope, cell), opts.engineConfig())
-	}
-	fused := func(_ context.Context, w *workloads.Workload) ([]TimingResult, error) {
+	fused := func(ctx context.Context, w *workloads.Workload) ([]TimingResult, error) {
+		if cfg.UseRadixWalker {
+			rows := make([]TimingResult, len(pols))
+			for i, p := range pols {
+				var err error
+				if rows[i], err = cell(ctx, w, p); err != nil {
+					return nil, err
+				}
+			}
+			return rows, nil
+		}
 		l2 := make([]tlb.Policy, len(pols))
 		for i, p := range pols {
 			l2[i] = p.New()
@@ -180,10 +166,10 @@ func (o SuiteOptions) engineConfig() engine.Config {
 }
 
 // runSuiteFused schedules one engine job per workload, each running
-// every policy at once through fused. Results keep the workload-major,
-// policy-minor order the per-cell path guarantees, and a failed
-// workload still leaves its policy rows in place (zero-valued) so
-// callers indexing cell (i, j) stay correct.
+// every policy through fused; every suite runs on it. Results are in
+// workload-major, policy-minor order, and a failed workload still
+// leaves its policy rows in place (zero-valued) so callers indexing
+// cell (i, j) stay correct.
 //
 // Checkpoint keys are per fused job — Policy is the "+"-joined policy
 // list — so a resumed run reruns a half-finished workload instead of

@@ -57,10 +57,20 @@ func (panicPolicy) OnHit(uint32, int, *tlb.Access)    {}
 func (panicPolicy) Victim(uint32, *tlb.Access) int    { return 0 }
 func (panicPolicy) OnInsert(uint32, int, *tlb.Access) {}
 
+// suiteModes are the TLB-only suite's two execution modes, which share
+// one job shape: capture/replay (the default) and direct RunTLBOnly.
+var suiteModes = []struct {
+	name string
+	opts SuiteOptions
+}{
+	{"replay", SuiteOptions{}},
+	{"direct", SuiteOptions{StreamBudget: -1}},
+}
+
 // TestSuitePanicSurfacesJobIdentity is the regression test for the
 // old fanOut, where a panicking policy tore down the whole process:
 // the panic must convert into an error naming the (workload, policy)
-// pair, and results completed before it must survive.
+// pair, and results completed before it must survive — in both modes.
 func TestSuitePanicSurfacesJobIdentity(t *testing.T) {
 	ws := workloads.SuiteN(2)
 	pols := []NamedFactory{
@@ -68,27 +78,33 @@ func TestSuitePanicSurfacesJobIdentity(t *testing.T) {
 		{Name: "panic-pol", New: func() tlb.Policy { return panicPolicy{} }},
 	}
 	cfg := DefaultTLBOnlyConfig(100_000)
-	results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
-	if err == nil {
-		t.Fatal("panicking policy produced no error")
-	}
-	var je *engine.JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %v carries no job identity", err)
-	}
-	if je.Key.Workload != ws[0].Name || je.Key.Policy != "panic-pol" {
-		t.Errorf("blamed %v, want %s/panic-pol", je.Key, ws[0].Name)
-	}
-	var pe *engine.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v does not expose the panic", err)
-	}
-	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "panic-pol") {
-		t.Errorf("error text does not name the panic and policy: %v", err)
-	}
-	// The lru job that ran before the panic kept its result.
-	if results[0].Workload != ws[0].Name || results[0].L2Accesses == 0 {
-		t.Errorf("pre-panic result lost: %+v", results[0])
+	for _, mode := range suiteModes {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.Workers = 1
+			results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, opts)
+			if err == nil {
+				t.Fatal("panicking policy produced no error")
+			}
+			var je *engine.JobError
+			if !errors.As(err, &je) {
+				t.Fatalf("error %v carries no job identity", err)
+			}
+			if je.Key.Workload != ws[0].Name || je.Key.Policy != "panic-pol" {
+				t.Errorf("blamed %v, want %s/panic-pol", je.Key, ws[0].Name)
+			}
+			var pe *engine.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v does not expose the panic", err)
+			}
+			if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "panic-pol") {
+				t.Errorf("error text does not name the panic and policy: %v", err)
+			}
+			// The lru run beside the panic kept its result.
+			if results[0].Workload != ws[0].Name || results[0].L2Accesses == 0 {
+				t.Errorf("pre-panic result lost: %+v", results[0])
+			}
+		})
 	}
 }
 
@@ -109,7 +125,8 @@ func (s *cancelAfter) JobDone(k engine.Key, elapsed time.Duration, err error) {
 
 // TestSuiteCheckpointResumeByteIdentical kills a suite run after two
 // jobs, resumes it from the checkpoint, and requires the resumed
-// results to be byte-identical (as JSON) to an uninterrupted run's.
+// results to be byte-identical (as JSON) to an uninterrupted run's —
+// in both modes.
 func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 	ws := workloads.SuiteN(3)
 	pols, err := Factories([]string{"lru", "srrip"})
@@ -117,61 +134,69 @@ func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(120_000)
+	for _, mode := range suiteModes {
+		t.Run(mode.name, func(t *testing.T) {
+			run := func(ctx context.Context, workers int, sink engine.Sink, ck *engine.Checkpoint) ([]SuiteResult, error) {
+				opts := mode.opts
+				opts.Workers, opts.Sink, opts.Checkpoint = workers, sink, ck
+				return RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, opts)
+			}
+			clean, err := run(context.Background(), 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	clean, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Interrupted run: cancelled after two completed jobs.
+			path := t.TempDir() + "/suite.ckpt"
+			ck, err := engine.Open(path, "suite-test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err = run(ctx, 1, &cancelAfter{n: 2, cancel: cancel}, ck)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run error = %v, want context.Canceled", err)
+			}
+			// Job granularity is fused: one job per workload, covering
+			// every policy, so the checkpoint holds at most len(ws) rows.
+			if ck.Len() < 2 || ck.Len() >= len(ws) {
+				t.Fatalf("checkpoint holds %d rows, want a strict mid-run subset of %d", ck.Len(), len(ws))
+			}
+			ck.Close()
 
-	// Interrupted run: cancelled after two completed jobs.
-	path := t.TempDir() + "/suite.ckpt"
-	ck, err := engine.Open(path, "suite-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sink := &cancelAfter{n: 2, cancel: cancel}
-	_, err = RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, SuiteOptions{Workers: 1, Sink: sink, Checkpoint: ck})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
-	}
-	// Job granularity is fused: one job per workload, covering every
-	// policy, so the checkpoint holds at most len(ws) rows.
-	if ck.Len() < 2 || ck.Len() >= len(ws) {
-		t.Fatalf("checkpoint holds %d rows, want a strict mid-run subset of %d", ck.Len(), len(ws))
-	}
-	ck.Close()
+			// Resume against the same file; previously completed jobs
+			// must be restored, not re-run, and the output must match
+			// exactly.
+			ck2, err := engine.Open(path, "suite-test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck2.Close()
+			var c engine.Counters
+			resumed, err := run(context.Background(), 2, &c, ck2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Resumed.Load() < 2 {
+				t.Errorf("resume restored %d jobs from checkpoint, want >= 2", c.Resumed.Load())
+			}
+			if int(c.Resumed.Load()+c.Done.Load()) != len(ws) {
+				t.Errorf("resume completed %d jobs, want %d", c.Resumed.Load()+c.Done.Load(), len(ws))
+			}
 
-	// Resume against the same file; previously completed jobs must be
-	// restored, not re-run, and the output must match exactly.
-	ck2, err := engine.Open(path, "suite-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	var c engine.Counters
-	resumed, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2, Sink: &c, Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Resumed.Load() < 2 {
-		t.Errorf("resume restored %d jobs from checkpoint, want >= 2", c.Resumed.Load())
-	}
-	if int(c.Resumed.Load()+c.Done.Load()) != len(ws) {
-		t.Errorf("resume completed %d jobs, want %d", c.Resumed.Load()+c.Done.Load(), len(ws))
-	}
-
-	cleanJSON, err := json.Marshal(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumedJSON, err := json.Marshal(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cleanJSON, resumedJSON) {
-		t.Errorf("resumed output diverged from uninterrupted run:\nclean:   %s\nresumed: %s", cleanJSON, resumedJSON)
+			cleanJSON, err := json.Marshal(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumedJSON, err := json.Marshal(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cleanJSON, resumedJSON) {
+				t.Errorf("resumed output diverged from uninterrupted run:\nclean:   %s\nresumed: %s", cleanJSON, resumedJSON)
+			}
+		})
 	}
 }
 
@@ -220,7 +245,7 @@ func TestRunSuiteTimingFused(t *testing.T) {
 		}
 	})
 
-	t.Run("radix walker runs per cell", func(t *testing.T) {
+	t.Run("radix walker runs one machine per policy", func(t *testing.T) {
 		radix := cfg
 		radix.UseRadixWalker = true
 		radix.PSC.EntriesPerLevel = 32
