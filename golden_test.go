@@ -110,19 +110,28 @@ func TestGoldenSuitePrefixShape(t *testing.T) {
 // and L2TLBMisses are post-warmup; PageWalks and PageFaults cover the
 // whole run. Each workload runs on one fused machine driving every
 // registered policy, the way the timing figures run.
+//
+// The front-end figures — branch accuracy, BTB hit ratio and DRAM
+// accesses, all whole-run and policy-independent — are pinned exactly
+// as well, so that a drift in the cache, BTB or perceptron kernels
+// fails by name rather than only through Cycles.
 func TestGoldenTiming(t *testing.T) {
-	type pin struct{ cycles, misses, walks, faults uint64 }
+	type pin struct {
+		cycles, misses, walks, faults uint64
+		branchAcc, btbHit             float64
+		dram                          uint64
+	}
 	for _, tc := range []struct {
 		workload, policy string
 		want             pin
 	}{
-		{"spec-000", "lru", pin{251489, 179, 646, 646}},
-		{"db-003", "chirp", pin{382023, 513, 1382, 1336}},
-		{"web-000", "ghrp", pin{349304, 315, 1234, 1208}},
-		{"sci-000", "srrip", pin{588119, 1489, 3019, 2121}},
-		{"crypto-000", "ship", pin{153238, 7, 66, 66}},
-		{"bigdata-000", "chirp", pin{408555, 577, 1569, 1465}},
-		{"ml-000", "random", pin{183708, 50, 339, 339}},
+		{"spec-000", "lru", pin{251489, 179, 646, 646, 0.8064861967300991, 0.9895491803278689, 651}},
+		{"db-003", "chirp", pin{382023, 513, 1382, 1336, 0.9747835905156191, 0.998034811903425, 1338}},
+		{"web-000", "ghrp", pin{349304, 315, 1234, 1208, 0.8225476839237057, 0.6032016348773842, 1220}},
+		{"sci-000", "srrip", pin{588119, 1489, 3019, 2121, 0.9813103737925242, 0.9698954921229137, 2126}},
+		{"crypto-000", "ship", pin{153238, 7, 66, 66, 0.9976931949250288, 0.6638461538461539, 71}},
+		{"bigdata-000", "chirp", pin{408555, 577, 1569, 1465, 0.9604848484848485, 0.9778252299605782, 1470}},
+		{"ml-000", "random", pin{183708, 50, 339, 339, 0.9607010090281466, 0.8927335640138409, 488}},
 	} {
 		w := workloads.ByName(tc.workload)
 		if w == nil {
@@ -150,7 +159,7 @@ func TestGoldenTiming(t *testing.T) {
 			t.Fatalf("policy %s not registered", tc.policy)
 		}
 		r := rs[i]
-		if got := (pin{r.Cycles, r.L2TLBMisses, r.PageWalks, r.PageFaults}); got != tc.want {
+		if got := (pin{r.Cycles, r.L2TLBMisses, r.PageWalks, r.PageFaults, r.BranchAccuracy, r.BTBHitRatio, r.DRAMAccesses}); got != tc.want {
 			t.Errorf("%s/%s timing = %+v, want %+v", tc.workload, tc.policy, got, tc.want)
 		}
 	}

@@ -3,18 +3,21 @@ package branch
 import "math/bits"
 
 // BTB is a set-associative branch target buffer (4K entries in Table
-// II) with LRU replacement.
+// II) with LRU replacement. Each set keeps its valid entries most
+// recently used first, as mem.Cache does: true LRU's hits depend only
+// on access order, not on way placement, so lookups and targets match
+// an age-counter LRU exactly while a hit or a fill is one memmove.
 type BTB struct {
-	entries int
-	ways    int
+	ways int
 	// setMask and tagShift split pc>>2 into set index and tag;
 	// tagShift is log2(sets).
 	setMask  uint64
 	tagShift uint
-	tags     []uint64
-	targets  []uint64
-	valid    []bool
-	lru      []uint8
+	// tags and targets are sets × ways; each set's valid prefix is
+	// MRU first, and targets[i] belongs to tags[i].
+	tags    []uint64
+	targets []uint64
+	used    []int32 // valid ways per set
 
 	lookups uint64
 	hits    uint64
@@ -29,84 +32,76 @@ func NewBTB(entries, ways int) *BTB {
 	if sets&(sets-1) != 0 {
 		panic("branch: BTB set count must be a power of two")
 	}
-	b := &BTB{
-		entries: entries, ways: ways,
+	return &BTB{
+		ways:     ways,
 		setMask:  uint64(sets - 1),
 		tagShift: uint(bits.TrailingZeros(uint(sets))),
 		tags:     make([]uint64, entries),
 		targets:  make([]uint64, entries),
-		valid:    make([]bool, entries),
-		lru:      make([]uint8, entries),
+		used:     make([]int32, sets),
 	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			b.lru[s*ways+w] = uint8(w)
-		}
-	}
-	return b
 }
 
-func (b *BTB) index(pc uint64) (set int, tag uint64) {
+// index returns the set of the branch at pc and its tag.
+func (b *BTB) index(pc uint64) (set, tag uint64) {
 	line := pc >> 2
-	return int(line & b.setMask), line >> b.tagShift
+	return line & b.setMask, line >> b.tagShift
 }
 
-func (b *BTB) touch(base, way int) {
-	p := b.lru[base+way]
-	for w := 0; w < b.ways; w++ {
-		if b.lru[base+w] < p {
-			b.lru[base+w]++
-		}
+// toFront shifts ways [0, i) of the set at base back by one and
+// installs (tag, target) as the MRU entry, overwriting way i.
+func (b *BTB) toFront(base, i int, tag, target uint64) {
+	if i > 0 {
+		copy(b.tags[base+1:base+i+1], b.tags[base:base+i])
+		copy(b.targets[base+1:base+i+1], b.targets[base:base+i])
 	}
-	b.lru[base+way] = 0
+	b.tags[base], b.targets[base] = tag, target
 }
 
 // Lookup returns the predicted target for the branch at pc.
+//
+//chirp:hotpath
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.lookups++
 	set, tag := b.index(pc)
-	base := set * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.valid[base+w] && b.tags[base+w] == tag {
+	base := int(set) * b.ways
+	for i, t := range b.tags[base : base+int(b.used[set])] {
+		if t == tag {
 			b.hits++
-			b.touch(base, w)
-			return b.targets[base+w], true
+			target = b.targets[base+i]
+			b.toFront(base, i, tag, target)
+			return target, true
 		}
 	}
 	return 0, false
 }
 
-// Update installs or refreshes the target for the branch at pc.
+// Update installs or refreshes the target for the branch at pc: a
+// resident entry is refreshed, else the entry fills a free way, else
+// it replaces the LRU entry.
+//
+//chirp:hotpath
 func (b *BTB) Update(pc, target uint64) {
 	set, tag := b.index(pc)
-	base := set * b.ways
-	victim := -1
-	for w := 0; w < b.ways; w++ {
-		if b.valid[base+w] && b.tags[base+w] == tag {
-			victim = w
+	base := int(set) * b.ways
+	n := int(b.used[set])
+	// i is the way to vacate: the resident entry, else the first free
+	// way, else the LRU tail.
+	i := n
+	for j, t := range b.tags[base : base+n] {
+		if t == tag {
+			i = j
 			break
 		}
 	}
-	if victim < 0 {
-		for w := 0; w < b.ways; w++ {
-			if !b.valid[base+w] {
-				victim = w
-				break
-			}
+	if i == n {
+		if n < b.ways {
+			b.used[set] = int32(n + 1)
+		} else {
+			i = n - 1
 		}
 	}
-	if victim < 0 {
-		worst := uint8(0)
-		for w := 0; w < b.ways; w++ {
-			if b.lru[base+w] >= worst {
-				worst, victim = b.lru[base+w], w
-			}
-		}
-	}
-	b.tags[base+victim] = tag
-	b.targets[base+victim] = target
-	b.valid[base+victim] = true
-	b.touch(base, victim)
+	b.toFront(base, i, tag, target)
 }
 
 // HitRatio returns hits/lookups.

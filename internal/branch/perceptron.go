@@ -36,12 +36,21 @@ func DefaultPerceptronConfig() PerceptronConfig {
 
 // Perceptron is a hashed perceptron direction predictor.
 type Perceptron struct {
-	cfg     PerceptronConfig
-	weights [][]int16
+	// weights is Tables rows of TableEntries weights, row-major.
+	weights []int16
 	history uint64
-	theta   int
 
-	// Last prediction state, latched by Predict for Train.
+	// Derived from the configuration once, in NewPerceptron.
+	tables  int
+	entries int
+	segBits uint   // history bits hashed into each table's index
+	segMask uint64 // low segBits bits
+	idxMask uint32 // TableEntries-1
+	wmax    int    // weights saturate at ±wmax
+	theta   int    // training threshold
+
+	// Last prediction state, latched by Predict for Train: each
+	// table's flat weight index and the weight sum.
 	lastIdx [16]uint32
 	lastSum int
 
@@ -57,36 +66,38 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 	if cfg.TableEntries <= 0 || cfg.TableEntries&(cfg.TableEntries-1) != 0 {
 		panic("branch: perceptron table entries must be a power of two")
 	}
-	w := make([][]int16, cfg.Tables)
-	for i := range w {
-		w[i] = make([]int16, cfg.TableEntries)
-	}
-	return &Perceptron{cfg: cfg, weights: w, theta: cfg.ThresholdScale * cfg.Tables}
-}
-
-// mix hashes PC with a history segment for table t.
-func (p *Perceptron) mix(pc uint64, t int) uint32 {
-	seg := p.cfg.HistoryBits / p.cfg.Tables
+	seg := cfg.HistoryBits / cfg.Tables
 	if seg == 0 {
 		seg = 1
 	}
-	lo := t * seg
-	h := (p.history >> uint(lo)) & (1<<uint(seg) - 1)
-	x := pc>>2 ^ h*0x9e3779b97f4a7c15 ^ uint64(t)<<57
-	x ^= x >> 29
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 32
-	return uint32(x) & uint32(p.cfg.TableEntries-1)
+	return &Perceptron{
+		weights: make([]int16, cfg.Tables*cfg.TableEntries),
+		tables:  cfg.Tables,
+		entries: cfg.TableEntries,
+		segBits: uint(seg),
+		segMask: 1<<uint(seg) - 1,
+		idxMask: uint32(cfg.TableEntries - 1),
+		wmax:    cfg.WeightMax,
+		theta:   cfg.ThresholdScale * cfg.Tables,
+	}
 }
 
 // Predict returns the predicted direction for the conditional branch
-// at pc and latches state for Train.
+// at pc and latches state for Train. Table t's row is a hash of the
+// PC with history segment t.
+//
+//chirp:hotpath
 func (p *Perceptron) Predict(pc uint64) bool {
 	sum := 0
-	for t := 0; t < p.cfg.Tables; t++ {
-		idx := p.mix(pc, t)
+	for t := range p.lastIdx[:p.tables] {
+		h := (p.history >> (uint(t) * p.segBits)) & p.segMask
+		x := pc>>2 ^ h*0x9e3779b97f4a7c15 ^ uint64(t)<<57
+		x ^= x >> 29
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 32
+		idx := uint32(t*p.entries) + uint32(x)&p.idxMask
 		p.lastIdx[t] = idx
-		sum += int(p.weights[t][idx])
+		sum += int(p.weights[idx])
 	}
 	p.lastSum = sum
 	p.predictions++
@@ -96,20 +107,22 @@ func (p *Perceptron) Predict(pc uint64) bool {
 // Train updates the weights with the actual outcome of the branch last
 // predicted and shifts the outcome into the global history. It returns
 // whether the prediction was correct.
+//
+//chirp:hotpath
 func (p *Perceptron) Train(taken bool) bool {
 	correct := (p.lastSum >= 0) == taken
 	if !correct {
 		p.mispredicts++
 	}
 	if !correct || abs(p.lastSum) <= p.theta {
-		for t := 0; t < p.cfg.Tables; t++ {
-			w := &p.weights[t][p.lastIdx[t]]
+		for _, idx := range p.lastIdx[:p.tables] {
+			w := &p.weights[idx]
 			if taken {
-				if int(*w) < p.cfg.WeightMax {
+				if int(*w) < p.wmax {
 					*w++
 				}
 			} else {
-				if int(*w) > -p.cfg.WeightMax {
+				if int(*w) > -p.wmax {
 					*w--
 				}
 			}

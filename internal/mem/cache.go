@@ -51,14 +51,22 @@ type Stats struct {
 }
 
 // Cache is one set-associative, LRU-replaced cache level.
+//
+// Each set keeps its valid tags most-recently-used first, with a
+// per-set count of how many ways are valid. Under true LRU, which
+// accesses hit depends only on the access order, never on which way a
+// line occupies, so this layout reproduces an age-counter LRU's
+// hit/miss sequence exactly (the capture path's L1 TLB filter,
+// l2stream.l1Filter, rests on the same argument) while a hit costs a
+// short scan plus one memmove and a fill needs no victim search.
 type Cache struct {
 	cfg       Config
+	ways      int
 	setMask   uint64
 	lineShift uint
-	tagShift  uint // log2(sets): line bits above the set index
-	tags      []uint64
-	valid     []bool
-	lru       []uint8
+	tagShift  uint     // log2(sets): line bits above the set index
+	tags      []uint64 // sets × ways; each set's valid prefix, MRU first
+	used      []int32  // valid ways per set
 	stats     Stats
 	next      Level
 }
@@ -86,22 +94,16 @@ func NewCache(cfg Config, next Level) (*Cache, error) {
 	for 1<<lineShift < cfg.LineBytes {
 		lineShift++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
+		ways:      cfg.Ways,
 		setMask:   uint64(sets - 1),
 		lineShift: lineShift,
 		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		tags:      make([]uint64, sets*cfg.Ways),
-		valid:     make([]bool, sets*cfg.Ways),
-		lru:       make([]uint8, sets*cfg.Ways),
+		used:      make([]int32, sets),
 		next:      next,
-	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < cfg.Ways; w++ {
-			c.lru[s*cfg.Ways+w] = uint8(w)
-		}
-	}
-	return c, nil
+	}, nil
 }
 
 // Name implements Level.
@@ -113,54 +115,37 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) touch(base, way int) {
-	p := c.lru[base+way]
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.lru[base+w] < p {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
-}
-
-// Access implements Level: LRU write-allocate lookup; a miss recurses
-// into the next level and fills.
+// Access implements Level: LRU write-allocate lookup. A hit moves the
+// line to the front of its set; a miss recurses into the next level
+// and fills at the front, the LRU tail falling off a full set.
+//
+//chirp:hotpath
 func (c *Cache) Access(addr uint64, write bool) uint64 {
 	c.stats.Accesses++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
+	set := line & c.setMask
 	tag := line >> c.tagShift
-	base := set * c.cfg.Ways
-
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+	base := int(set) * c.ways
+	n := int(c.used[set])
+	w := c.tags[base : base+n]
+	for i, t := range w {
+		if t == tag {
 			c.stats.Hits++
-			c.touch(base, w)
+			if i > 0 { // an MRU hit, the common case, moves nothing
+				copy(w[1:i+1], w[:i])
+				w[0] = tag
+			}
 			return c.cfg.LatencyCycles
 		}
 	}
 	c.stats.Misses++
 	lower := c.next.Access(addr, write)
-
-	// Fill: invalid way first, else LRU.
-	victim := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
+	if n < c.ways {
+		c.used[set] = int32(n + 1)
+		w = c.tags[base : base+n+1]
 	}
-	if victim < 0 {
-		worst := uint8(0)
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.lru[base+w] >= worst {
-				worst, victim = c.lru[base+w], w
-			}
-		}
-	}
-	c.tags[base+victim] = tag
-	c.valid[base+victim] = true
-	c.touch(base, victim)
+	copy(w[1:], w)
+	w[0] = tag
 	return c.cfg.LatencyCycles + lower
 }
 

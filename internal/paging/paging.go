@@ -57,7 +57,7 @@ func NewSpace(policy AllocPolicy, seed uint64) *Space {
 	_ = seed // reserved for future randomized allocators
 	s := &Space{
 		policy:  policy,
-		mapping: make(map[uint64]uint64, 1<<16),
+		mapping: make(map[uint64]uint64, 1<<16), // no growth in the timing record loop: TestRunMultiAllocationFree needs this hint
 		// Data frames start high so they never collide with page-table
 		// node frames.
 		nextPPN:  1 << 24,
