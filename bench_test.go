@@ -44,9 +44,18 @@ func tinyOptions() experiments.Options {
 	}
 }
 
+// cached runs one MPKI experiment through a fresh stream cache, as
+// chirpexp runs it: every iteration pays its own captures, and a nil
+// cache would measure the direct reference path instead.
+func cached[R any](o experiments.Options, exp func(experiments.Options) (R, error)) (R, error) {
+	o.StreamCache = l2stream.NewCache(0)
+	defer o.StreamCache.Close()
+	return exp(o)
+}
+
 func BenchmarkFig1TLBEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(benchOptions())
+		r, err := cached(benchOptions(), experiments.Fig1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +95,7 @@ func BenchmarkFig6Ablation(b *testing.B) {
 	o := benchOptions()
 	o.Workloads = 16
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(o)
+		r, err := cached(o, experiments.Fig6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +110,7 @@ func BenchmarkFig6Ablation(b *testing.B) {
 
 func BenchmarkFig7MPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(benchOptions())
+		r, err := cached(benchOptions(), experiments.Fig7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +136,7 @@ func BenchmarkFig9TableSize(b *testing.B) {
 	o := benchOptions()
 	o.Workloads = 16
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(o)
+		r, err := cached(o, experiments.Fig9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +162,7 @@ func BenchmarkFig10PenaltySweep(b *testing.B) {
 
 func BenchmarkFig11TableAccessRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(benchOptions())
+		r, err := cached(benchOptions(), experiments.Fig11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +193,7 @@ func BenchmarkTable2Config(b *testing.B) {
 func BenchmarkOptUpperBound(b *testing.B) {
 	o := tinyOptions()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.OptBound(o)
+		r, err := cached(o, experiments.OptBound)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -473,20 +482,27 @@ func BenchmarkSweepPolicies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		run := func(b *testing.B, budget int64) {
+		run := func(b *testing.B, replay bool) {
 			for i := 0; i < b.N; i++ {
+				var cache *l2stream.Cache
+				if replay {
+					cache = l2stream.NewCache(0)
+				}
 				rs, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
-					sim.SuiteOptions{Workers: 1, StreamBudget: budget})
+					sim.SuiteOptions{Workers: 1, StreamCache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(rs) != len(ws)*len(pols) {
 					b.Fatalf("got %d results", len(rs))
 				}
+				if cache != nil {
+					cache.Close()
+				}
 			}
 		}
-		b.Run(set.name+"/direct", func(b *testing.B) { run(b, -1) })
-		b.Run(set.name+"/capture-replay", func(b *testing.B) { run(b, 0) })
+		b.Run(set.name+"/direct", func(b *testing.B) { run(b, false) })
+		b.Run(set.name+"/capture-replay", func(b *testing.B) { run(b, true) })
 	}
 }
 
@@ -550,14 +566,16 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				cache := l2stream.NewCache(0)
 				rs, err := sim.RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
-					sim.SuiteOptions{Workers: workers, StreamBudget: 0})
+					sim.SuiteOptions{Workers: workers, StreamCache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(rs) != len(ws)*len(pols) {
 					b.Fatalf("got %d results", len(rs))
 				}
+				cache.Close()
 			}
 		})
 	}
@@ -580,7 +598,7 @@ func itoa(n int) string {
 func BenchmarkExtendedBaselines(b *testing.B) {
 	o := tinyOptions()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Baselines(o)
+		r, err := cached(o, experiments.Baselines)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -627,7 +645,7 @@ func BenchmarkConsolidated(b *testing.B) {
 func BenchmarkPrefetchCompose(b *testing.B) {
 	o := tinyOptions()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Prefetch(o)
+		r, err := cached(o, experiments.Prefetch)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,22 +12,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"github.com/chirplab/chirp/internal/engine"
+	"github.com/chirplab/chirp/internal/cli"
 	"github.com/chirplab/chirp/internal/experiments"
-	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/workloads"
-	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
 type runner struct {
@@ -48,143 +42,17 @@ func report[R interface{ Write(io.Writer) error }](out io.Writer, exp func(exper
 	}
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(flag.CommandLine, os.Args[1:])) }
 
-func run() int {
-	exp := flag.String("exp", "fig7", "experiment id (or comma list, or 'all')")
-	n := flag.Int("n", 0, "suite prefix size (0 = full 870-workload suite)")
-	workloadSpec := flag.String("workload-spec", "", "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	instr := flag.Uint64("instr", 2_000_000, "instructions per trace")
-	penalty := flag.Uint64("penalty", 150, "L2 TLB miss penalty in cycles for timing experiments")
-	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across the selected experiments (0 = 256 MiB default, negative = per-experiment caches only)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived sidecars) are evicted to stay under it (0 = unbounded)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file: completed (workload, policy) runs are restored from it and new ones appended, so a killed sweep resumes where it stopped")
-	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
-	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 10s; 0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fmt.Fprintln(os.Stderr, "chirpexp: -seed requires -workload-spec")
+func run(fs *flag.FlagSet, args []string) int {
+	exp := fs.String("exp", "fig7", "experiment id (or comma list, or 'all')")
+	n := fs.Int("n", 0, "suite prefix size (0 = full 870-workload suite)")
+	instr := fs.Uint64("instr", 2_000_000, "instructions per trace")
+	penalty := fs.Uint64("penalty", 150, "L2 TLB miss penalty in cycles for timing experiments")
+	specFlags := cli.RegisterSpec(fs, "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
+	resources := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	var suite []*workloads.Workload
-	specLabel := ""
-	if *workloadSpec != "" {
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 2
-		}
-		compiled, err := spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 2
-		}
-		suite = compiled.Workloads()
-		specLabel = compiled.Hash
-	}
-
-	// Ctrl-C / SIGTERM stop dispatching new simulations, drain the
-	// in-flight ones and leave the checkpoint resumable.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	stopProf, err := engine.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-		}
-	}()
-
-	// The same fingerprint guards the checkpoint and names the manifest
-	// run: resumed rows must be exchangeable with fresh ones. The
-	// experiment list is deliberately excluded: scopes already namespace
-	// per-experiment keys, so one file covers any subset of `-exp all`.
-	meta := fmt.Sprintf("chirpexp n=%d instr=%d penalty=%d spec=%s", *n, *instr, *penalty, specLabel)
-
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := obs.Serve(*metricsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(os.Stderr, "chirpexp: metrics on http://%s/metrics\n", bound)
-	}
-
-	o := experiments.Options{
-		Workloads:    *n,
-		Suite:        suite,
-		Instructions: *instr,
-		WalkPenalty:  *penalty,
-		Workers:      *workers,
-		Ctx:          ctx,
-	}
-	var sinks []engine.Sink
-	if *manifest != "" {
-		man, err := obs.OpenManifest(*manifest, obs.Default, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := man.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			}
-		}()
-		sinks = append(sinks, engine.ManifestSink(man))
-	}
-	if *l2cache >= 0 {
-		// One shared stream cache means `-exp all` captures each
-		// workload's L2 event stream once across every MPKI experiment
-		// (the experiments own per-call caches when this is nil). With
-		// -capturedir the captures also persist on disk, so a re-run
-		// (or another process) skips the capture passes entirely.
-		var streams *l2stream.Cache
-		if *capturedir != "" {
-			var err error
-			streams, err = l2stream.NewPersistent(*l2cache<<20, *capturedir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-				return 1
-			}
-			streams.SetStoreMaxBytes(*capturedirMax)
-		} else {
-			streams = l2stream.NewCache(*l2cache << 20)
-		}
-		defer streams.Close()
-		o.StreamCache = streams
-	}
-	if *progress > 0 {
-		sinks = append(sinks, engine.NewReporter(os.Stderr, *progress))
-	}
-	if len(sinks) > 0 {
-		o.Sink = engine.MultiSink(sinks...)
-	}
-	if *checkpoint != "" {
-		ck, err := engine.Open(*checkpoint, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %v\n", err)
-			return 1
-		}
-		defer ck.Close()
-		o.Checkpoint = ck
 	}
 
 	out := os.Stdout
@@ -227,9 +95,43 @@ func run() int {
 	}
 	for name := range want {
 		if !known[name] {
-			fmt.Fprintf(os.Stderr, "chirpexp: unknown experiment %q\n", name)
-			return 2
+			return cli.Exit("chirpexp", cli.Usagef("unknown experiment %q", name))
 		}
+	}
+
+	compiled, err := specFlags.Compile()
+	if err != nil {
+		return cli.Exit("chirpexp", err)
+	}
+	var suite []*workloads.Workload
+	specLabel := ""
+	if compiled != nil {
+		suite = compiled.Workloads()
+		specLabel = compiled.Hash
+	}
+
+	// The experiment list is deliberately excluded from the run's
+	// fingerprint: scopes already namespace per-experiment keys, so one
+	// checkpoint file covers any subset of `-exp all`.
+	meta := fmt.Sprintf("chirpexp n=%d instr=%d penalty=%d spec=%s", *n, *instr, *penalty, specLabel)
+	rt, err := resources.Open("chirpexp", meta)
+	if err != nil {
+		return cli.Exit("chirpexp", err)
+	}
+	defer rt.Close()
+
+	// One shared stream cache means `-exp all` captures each workload's
+	// L2 event stream once across every MPKI experiment.
+	o := experiments.Options{
+		Workloads:    *n,
+		Suite:        suite,
+		Instructions: *instr,
+		WalkPenalty:  *penalty,
+		Workers:      rt.Workers,
+		Ctx:          rt.Ctx,
+		Sink:         rt.Sink,
+		Checkpoint:   rt.Checkpoint,
+		StreamCache:  rt.Streams,
 	}
 
 	for _, r := range runners {

@@ -13,153 +13,50 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"github.com/chirplab/chirp/internal/cli"
 	"github.com/chirplab/chirp/internal/core"
-	"github.com/chirplab/chirp/internal/engine"
-	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 	"github.com/chirplab/chirp/internal/tlb"
-	"github.com/chirplab/chirp/internal/workloads"
-	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(flag.CommandLine, os.Args[1:])) }
 
-func run() int {
-	sweep := flag.String("sweep", "table", "table | history | branchhist | threshold | ways | entries | filters")
-	n := flag.Int("n", 96, "suite prefix size")
-	workloadSpec := flag.String("workload-spec", "", "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	instr := flag.Uint64("instr", 1_000_000, "instructions per trace")
-	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	l2cache := flag.Int64("l2cache", 0, "L2 event-stream cache budget in MiB, shared across every sweep point (0 = 256 MiB default, negative = disable capture/replay)")
-	capturedir := flag.String("capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
-	capturedirMax := flag.Int64("capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived sidecars) are evicted to stay under it (0 = unbounded)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file; a killed sweep resumes where it stopped")
-	metricsAddr := flag.String("metrics", "", "serve /metrics (Prometheus), /debug/vars (JSON) and /debug/pprof on this address (e.g. localhost:8080)")
-	manifest := flag.String("manifest", "", "append a JSONL run manifest (run identity + per-job metric deltas) to this file")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fmt.Fprintln(os.Stderr, "chirpsweep: -seed requires -workload-spec")
+func run(fs *flag.FlagSet, args []string) int {
+	sweep := fs.String("sweep", "table", "table | history | branchhist | threshold | ways | entries | filters")
+	n := fs.Int("n", 96, "suite prefix size")
+	instr := fs.Uint64("instr", 1_000_000, "instructions per trace")
+	specFlags := cli.RegisterSpec(fs, "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
+	resources := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ws := workloads.SuiteN(*n)
+
+	compiled, err := specFlags.Compile()
+	if err != nil {
+		return cli.Exit("chirpsweep", err)
+	}
+	ws := cli.Suite(compiled, *n)
 	specLabel := ""
-	if *workloadSpec != "" {
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			return 2
-		}
-		compiled, err := spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			return 2
-		}
-		ws = compiled.Workloads()
-		if *n > 0 && *n < len(ws) {
-			ws = ws[:*n]
-		}
+	if compiled != nil {
 		specLabel = compiled.Hash
 	}
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	stopProf, err := engine.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-		}
-	}()
 	meta := fmt.Sprintf("chirpsweep sweep=%s n=%d instr=%d spec=%s", *sweep, *n, *instr, specLabel)
-
-	if *metricsAddr != "" {
-		bound, stopMetrics, err := obs.Serve(*metricsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(os.Stderr, "chirpsweep: metrics on http://%s/metrics\n", bound)
+	rt, err := resources.Open("chirpsweep", meta)
+	if err != nil {
+		return cli.Exit("chirpsweep", err)
 	}
-
-	opts := sim.SuiteOptions{Workers: *workers}
-	var sinks []engine.Sink
-	if *manifest != "" {
-		man, err := obs.OpenManifest(*manifest, obs.Default, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			return 1
-		}
-		defer func() {
-			if err := man.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			}
-		}()
-		sinks = append(sinks, engine.ManifestSink(man))
-	}
-	if *l2cache >= 0 {
-		// Sweep points vary only the L2 policy and geometry, which the
-		// captured stream is invariant to — one cache serves every
-		// measure() call below, so each workload's trace is generated
-		// and L1-filtered once for the whole sweep. With -capturedir the
-		// captures also persist on disk, so a re-run (or another
-		// process) skips the capture passes entirely.
-		var streams *l2stream.Cache
-		if *capturedir != "" {
-			var err error
-			streams, err = l2stream.NewPersistent(*l2cache<<20, *capturedir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-				return 1
-			}
-			streams.SetStoreMaxBytes(*capturedirMax)
-		} else {
-			streams = l2stream.NewCache(*l2cache << 20)
-		}
-		defer streams.Close()
-		opts.StreamCache = streams
-	} else {
-		opts.StreamBudget = -1
-	}
-	if *progress > 0 {
-		sinks = append(sinks, engine.NewReporter(os.Stderr, *progress))
-	}
-	if len(sinks) > 0 {
-		opts.Sink = engine.MultiSink(sinks...)
-	}
-	if *checkpoint != "" {
-		ck, err := engine.Open(*checkpoint, meta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			return 1
-		}
-		defer ck.Close()
-		opts.Checkpoint = ck
-	}
+	defer rt.Close()
+	// Sweep points vary only the L2 policy and geometry, which the
+	// captured stream is invariant to — the one process cache serves
+	// every measure() call below, so each workload's trace is generated
+	// and L1-filtered once for the whole sweep.
+	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, StreamCache: rt.Streams}
 
 	cfg := sim.DefaultTLBOnlyConfig(*instr)
 
@@ -178,7 +75,7 @@ func run() int {
 		}
 		o := opts
 		o.Scope = scope
-		rs, err := sim.RunSuiteTLBOnlyCtx(ctx, ws, []sim.NamedFactory{{Name: "x", New: f}}, c, o)
+		rs, err := sim.RunSuiteTLBOnlyCtx(rt.Ctx, ws, []sim.NamedFactory{{Name: "x", New: f}}, c, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
 			fail = true

@@ -16,64 +16,43 @@ import (
 	"strings"
 	"syscall"
 
+	"github.com/chirplab/chirp/internal/cli"
 	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
-	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(flag.CommandLine, os.Args[1:])) }
 
-func run() int {
-	workload := flag.String("workload", "", "suite workload to materialise")
-	workloadSpec := flag.String("workload-spec", "", "workload spec (registry name or JSON file); -workload then names one of its compiled workloads, -all materialises them all")
-	seed := flag.Uint64("seed", 0, "master seed for -workload-spec; overrides the spec document's seed")
-	out := flag.String("o", "", "output file (default <workload>.chtr)")
-	all := flag.Bool("all", false, "materialise a suite prefix instead of one workload")
-	n := flag.Int("n", 8, "suite prefix size with -all")
-	dir := flag.String("dir", ".", "output directory with -all")
-	instr := flag.Uint64("instr", 1_000_000, "instructions per trace")
-	workers := flag.Int("workers", 0, "parallel trace writers with -all (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint file with -all; already-written traces are skipped on resume")
-	progress := flag.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	flag.Parse()
-
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *workloadSpec == "" {
-		fmt.Fprintln(os.Stderr, "tracegen: -seed requires -workload-spec")
+func run(fs *flag.FlagSet, args []string) int {
+	workload := fs.String("workload", "", "suite workload to materialise")
+	specFlags := cli.RegisterSpec(fs, "workload spec (registry name or JSON file); -workload then names one of its compiled workloads, -all materialises them all")
+	out := fs.String("o", "", "output file (default <workload>.chtr)")
+	all := fs.Bool("all", false, "materialise a suite prefix instead of one workload")
+	n := fs.Int("n", 8, "suite prefix size with -all")
+	dir := fs.String("dir", ".", "output directory with -all")
+	instr := fs.Uint64("instr", 1_000_000, "instructions per trace")
+	workers := fs.Int("workers", 0, "parallel trace writers with -all (0 = GOMAXPROCS)")
+	checkpoint := fs.String("checkpoint", "", "JSONL checkpoint file with -all; already-written traces are skipped on resume")
+	progress := fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var compiled *spec.Compiled
-	if *workloadSpec != "" {
-		s, err := spec.Resolve(*workloadSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 2
-		}
-		compiled, err = spec.Compile(s, spec.Options{Seed: *seed, SeedSet: seedSet})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 2
-		}
+
+	compiled, err := specFlags.Compile()
+	if err != nil {
+		return cli.Exit("tracegen", err)
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if *cpuprofile != "" {
-		stopProf, err := engine.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			return 1
-		}
-		defer stopProf()
+	stopProf, err := cli.StartProfiles(*cpuprofile, "")
+	if err != nil {
+		return cli.Exit("tracegen", err)
 	}
+	defer stopProf()
 
 	write := func(w *workloads.Workload, path string) (traceSummary, error) {
 		records, instructions, err := trace.WriteFile(path, trace.NewLimit(w.Source(), *instr))
@@ -110,13 +89,7 @@ func run() int {
 			defer ck.Close()
 			cfg.Checkpoint = ck
 		}
-		ws := workloads.SuiteN(*n)
-		if compiled != nil {
-			ws = compiled.Workloads()
-			if *n > 0 && *n < len(ws) {
-				ws = ws[:*n]
-			}
-		}
+		ws := cli.Suite(compiled, *n)
 		jobs := make([]engine.Job[traceSummary], 0, len(ws))
 		for _, w := range ws {
 			w := w

@@ -285,40 +285,3 @@ func TestParallelRace(t *testing.T) {
 		t.Errorf("parallel run incomplete: %d results, %d done", len(res), c.Done.Load())
 	}
 }
-
-func TestStartProfilesWritesBothFiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
-	stop, err := StartProfiles(cpu, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burn a little CPU and heap so the profiles have content.
-	sink := make([]byte, 0, 1<<16)
-	for i := 0; i < 1000; i++ {
-		sink = append(sink, byte(i))
-	}
-	_ = sink
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile %s missing: %v", p, err)
-		}
-		if st.Size() == 0 {
-			t.Errorf("profile %s is empty", p)
-		}
-	}
-}
-
-func TestStartProfilesNoOp(t *testing.T) {
-	stop, err := StartProfiles("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Errorf("no-op stop returned %v", err)
-	}
-}

@@ -53,8 +53,8 @@ type Options struct {
 	// call the suite many times with a fixed trace budget — Fig6's
 	// history sweeps, Fig9's storage ladder, the prefetch-distance
 	// sweep — capture each workload once total instead of once per
-	// sweep point. Nil leaves each suite call to its own per-call
-	// cache; see sim.SuiteOptions.StreamCache.
+	// sweep point. Nil selects the direct RunTLBOnly reference path;
+	// see sim.SuiteOptions.StreamCache.
 	StreamCache *l2stream.Cache
 }
 
@@ -73,20 +73,6 @@ func (o Options) ctx() context.Context {
 func (o Options) suiteOpts(scope string) sim.SuiteOptions {
 	return sim.SuiteOptions{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint, Scope: scope,
 		StreamCache: o.StreamCache}
-}
-
-// withCache returns options that are guaranteed to carry a stream
-// cache, plus the cleanup for it. Experiments that invoke the suite
-// several times with one trace budget call this so every invocation
-// shares captures; when the caller already supplied a cache, it is
-// kept (and the cleanup is a no-op, since the caller owns it).
-func (o Options) withCache() (Options, func()) {
-	if o.StreamCache != nil {
-		return o, func() {}
-	}
-	c := l2stream.NewCache(0)
-	o.StreamCache = c
-	return o, func() { c.Close() }
 }
 
 // DefaultOptions returns a laptop-scale configuration: the full suite

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,13 +11,16 @@ import (
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely since
-// sample sizes are small.
-func tiny() Options {
-	return Options{Workloads: 8, Instructions: 250_000, WalkPenalty: 150}
+// sample sizes are small. Its stream cache puts the MPKI experiments on
+// the capture/replay path, as chirpexp runs them.
+func tiny(t *testing.T) Options {
+	c := l2stream.NewCache(0)
+	t.Cleanup(c.Close)
+	return Options{Workloads: 8, Instructions: 250_000, WalkPenalty: 150, StreamCache: c}
 }
 
 func TestFig7(t *testing.T) {
-	r, err := Fig7(tiny())
+	r, err := Fig7(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +51,33 @@ func TestFig7(t *testing.T) {
 	}
 }
 
+// TestFig7NilCacheRunsDirect pins the cache rule at the experiment
+// layer: without a stream cache Fig. 7 takes the direct reference path
+// — no capture at all — and its result equals the replay run's.
+func TestFig7NilCacheRunsDirect(t *testing.T) {
+	o := tiny(t)
+	o.Workloads = 4
+	replay, err := Fig7(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StreamCache = nil
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	before := misses.Value()
+	direct, err := Fig7(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := misses.Value() - before; d != 0 {
+		t.Errorf("nil-cache Fig7 ran %d captures, want 0 (direct path)", d)
+	}
+	if !reflect.DeepEqual(direct, replay) {
+		t.Errorf("direct Fig7 differs from replay:\n direct: %+v\n replay: %+v", direct.Averages, replay.Averages)
+	}
+}
+
 func TestFig1(t *testing.T) {
-	r, err := Fig1(tiny())
+	r, err := Fig1(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +98,7 @@ func TestFig1(t *testing.T) {
 }
 
 func TestFig6LadderShape(t *testing.T) {
-	r, err := Fig6(tiny())
+	r, err := Fig6(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +115,7 @@ func TestFig6LadderShape(t *testing.T) {
 }
 
 func TestFig9MonotoneBudget(t *testing.T) {
-	r, err := Fig9(tiny())
+	r, err := Fig9(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +133,7 @@ func TestFig9MonotoneBudget(t *testing.T) {
 }
 
 func TestFig11Ordering(t *testing.T) {
-	r, err := Fig11(tiny())
+	r, err := Fig11(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +150,7 @@ func TestFig11Ordering(t *testing.T) {
 }
 
 func TestFig8SpeedupRuns(t *testing.T) {
-	r, err := Fig8(tiny())
+	r, err := Fig8(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +163,7 @@ func TestFig8SpeedupRuns(t *testing.T) {
 }
 
 func TestFig3SalienceNormalised(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Instructions = 500_000 // needs enough evictions for samples
 	r, err := Fig3(o)
 	if err != nil {
@@ -157,7 +186,7 @@ func TestFig3SalienceNormalised(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r, err := Table1(tiny())
+	r, err := Table1(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +204,7 @@ func TestTable1(t *testing.T) {
 
 func TestTable2(t *testing.T) {
 	var sb bytes.Buffer
-	if err := Table2(tiny(), &sb); err != nil {
+	if err := Table2(tiny(t), &sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"L2 Unified TLB", "1024 entries", "hashed perceptron", "240 cycles"} {
@@ -186,7 +215,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestOptBound(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 4
 	r, err := OptBound(o)
 	if err != nil {
@@ -201,7 +230,7 @@ func TestOptBound(t *testing.T) {
 // TestOptBoundOverBudget: under a stream-cache budget no capture fits,
 // every job takes the direct fallback, and the bound must not move.
 func TestOptBoundOverBudget(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 4
 	want, err := OptBound(o)
 	if err != nil {
@@ -227,7 +256,7 @@ func TestOptBoundOverBudget(t *testing.T) {
 }
 
 func TestWalker(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 2
 	r, err := Walker(o)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestConsolidated(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Instructions = 400_000
 	r, err := Consolidated(o)
 	if err != nil {
@@ -36,7 +36,7 @@ func TestConsolidated(t *testing.T) {
 }
 
 func TestPrefetch(t *testing.T) {
-	r, err := Prefetch(tiny())
+	r, err := Prefetch(tiny(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPrefetch(t *testing.T) {
 }
 
 func TestMixedExperiment(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 3
 	r, err := Mixed(o)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestMixedExperiment(t *testing.T) {
 }
 
 func TestCategories(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 16 // two per category
 	r, err := Categories(o)
 	if err != nil {

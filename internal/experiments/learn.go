@@ -401,10 +401,8 @@ type PrefetchRow struct {
 // are largely orthogonal, which is the paper's §II positioning.
 func Prefetch(o Options) (*PrefetchResult, error) {
 	// The captured stream is prefetch-distance-invariant (the replay
-	// runs its own prefetcher), so all six (policy, distance) suite
-	// passes share one capture per workload.
-	o, done := o.withCache()
-	defer done()
+	// runs its own prefetcher), so with o.StreamCache set all six
+	// (policy, distance) suite passes share one capture per workload.
 	ws := o.suite()
 	res := &PrefetchResult{}
 	for _, name := range []string{"lru", "chirp"} {

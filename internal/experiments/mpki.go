@@ -156,11 +156,8 @@ type Fig6Result struct {
 // Fig6 reproduces Figure 6 (§III): the effect of each feature,
 // input transform and update-policy optimisation on MPKI reduction.
 func Fig6(o Options) (*Fig6Result, error) {
-	// Nine suite passes over one trace budget: share one stream cache
-	// so each workload is generated and L1-filtered once, not nine
-	// times.
-	o, done := o.withCache()
-	defer done()
+	// Nine suite passes over one trace budget: with o.StreamCache set
+	// each workload is generated and L1-filtered once, not nine times.
 	ws := o.suite()
 	cfg := o.tlbCfg()
 
@@ -251,9 +248,8 @@ type Fig9Result struct {
 // Fig9 reproduces Figure 9 (§VI-F): CHiRP MPKI improvement over LRU
 // for prediction-table budgets from 128 B to 8 KB (2-bit counters).
 func Fig9(o Options) (*Fig9Result, error) {
-	// Eight suite passes (LRU base + seven budgets) share captures.
-	o, done := o.withCache()
-	defer done()
+	// Eight suite passes (LRU base + seven budgets) share
+	// o.StreamCache's captures.
 	ws := o.suite()
 	cfg := o.tlbCfg()
 	lruF, _ := sim.Factories([]string{"lru"})
@@ -357,13 +353,11 @@ type OptResult struct {
 // OptBound runs LRU, CHiRP and the offline OPT oracle over a suite
 // subset, quantifying how much of the optimal headroom CHiRP captures.
 func OptBound(o Options) (*OptResult, error) {
-	// One cache serves the lru/chirp suite pass AND the oracle jobs:
+	// o.StreamCache serves the lru/chirp suite pass AND the oracle jobs:
 	// the capture that replayed lru and chirp also yields the VPN
 	// sequence OPT's oracle needs and the access view its run walks
 	// (one view build serves both), so each workload's trace is
 	// generated exactly once.
-	o, done := o.withCache()
-	defer done()
 	ws := o.suite()
 	cfg := o.tlbCfg()
 	byPolicy, _, err := suiteMPKI(o, "opt", []string{"lru", "chirp"})

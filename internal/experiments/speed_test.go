@@ -15,7 +15,7 @@ func geomeanPct(rs []float64) float64 { return (stats.GeoMean(rs) - 1) * 100 }
 // each penalty must produce the same integer cycles per (workload,
 // policy) and the same geomean speedups, bit for bit.
 func TestFig10OnePassMatchesPerPenaltyRuns(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 4
 	got, err := Fig10(o)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestFig10OnePassMatchesPerPenaltyRuns(t *testing.T) {
 // three-policy suites per length, as Fig2 once ran, must give the same
 // speedups bit for bit.
 func TestFig2OneSuiteMatchesPerLengthSuites(t *testing.T) {
-	o := tiny()
+	o := tiny(t)
 	o.Workloads = 4
 	got, err := Fig2(o)
 	if err != nil {

@@ -290,10 +290,16 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 	if cache.Len() != len(ws) {
 		t.Errorf("cache holds %d streams, want one per workload (%d)", cache.Len(), len(ws))
 	}
-	// Direct path (replay disabled) must agree cell by cell.
-	direct, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{StreamBudget: -1})
+	// Zero options mean the direct path: no capture at all, and every
+	// cell agrees with the cached run.
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	before := misses.Value()
+	direct, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := misses.Value() - before; d != 0 {
+		t.Errorf("nil-cache suite ran %d captures, want 0 (direct path)", d)
 	}
 	if len(withCache) != len(direct) {
 		t.Fatalf("result counts differ: %d vs %d", len(withCache), len(direct))
@@ -330,7 +336,7 @@ func TestReplayErrorNamesPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunSuiteTLBOnlyCtx(context.Background(), ws, pol, cfg, SuiteOptions{})
+	_, err = RunSuiteTLBOnlyCtx(context.Background(), ws, pol, cfg, SuiteOptions{StreamCache: l2stream.NewCache(0)})
 	if err == nil {
 		t.Fatal("expected warmup failure")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
@@ -145,7 +146,8 @@ func TestRunSuiteTLBOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(testInstr)
-	results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2})
+	results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
+		SuiteOptions{Workers: 2, StreamCache: l2stream.NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,33 +49,23 @@ type SuiteOptions struct {
 	// StreamCache, when non-nil, shares captured L2 event streams
 	// across suite invocations, so repeated calls that differ only in
 	// the L2 policy, L2 geometry, or prefetch distance capture each
-	// workload once total. When nil, the TLB-only runner owns a
-	// per-call cache (released on return) so the per-workload capture
-	// is still shared across this call's policies.
+	// workload once total. Nil selects the direct RunTLBOnly reference
+	// path for every cell, as a nil RunSpec.Cache does for one run.
 	StreamCache *l2stream.Cache
-	// StreamBudget is the byte budget of the owned per-call cache
-	// (0 = l2stream.DefaultBudget). A negative budget disables
-	// capture/replay entirely: every (workload, policy) cell runs the
-	// direct RunTLBOnly path. Ignored when StreamCache is set.
-	StreamBudget int64
 }
 
 // RunSuiteTLBOnlyCtx measures each workload under each policy with
 // the fast TLB-only driver, fanning workloads across the engine's
 // worker pool: one job per workload measures every policy through
-// RunMulti — one capture and one ReplayMulti pass, or, with
-// capture/replay disabled (opts.StreamBudget < 0), one direct
-// RunTLBOnly run per policy. Results are ordered by workload then
+// RunMulti — one capture and one ReplayMulti pass through
+// opts.StreamCache, or, with a nil cache, one direct RunTLBOnly run
+// per policy. Results are ordered by workload then
 // policy. On failure (including a panicking policy, which surfaces as
 // an error naming its pair instead of crashing the process) the
 // completed results are still returned — and still checkpointed, when
 // opts.Checkpoint is set.
 func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	cache := opts.StreamCache
-	if cache == nil && opts.StreamBudget >= 0 {
-		cache = l2stream.NewCache(opts.StreamBudget)
-		defer cache.Close()
-	}
 	row := func(w *workloads.Workload, name string, res TLBOnlyResult) SuiteResult {
 		res.Policy = name
 		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/chirplab/chirp/internal/engine"
+	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
@@ -25,11 +26,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(150_000)
-	serial, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
+	serial, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
+		SuiteOptions{Workers: 1, StreamCache: l2stream.NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 4})
+	parallel, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg,
+		SuiteOptions{Workers: 4, StreamCache: l2stream.NewCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +61,14 @@ func (panicPolicy) Victim(uint32, *tlb.Access) int    { return 0 }
 func (panicPolicy) OnInsert(uint32, int, *tlb.Access) {}
 
 // suiteModes are the TLB-only suite's two execution modes, which share
-// one job shape: capture/replay (the default) and direct RunTLBOnly.
+// one job shape: capture/replay through a stream cache (fresh per
+// call) and, with a nil cache, direct RunTLBOnly.
 var suiteModes = []struct {
 	name string
-	opts SuiteOptions
+	opts func() SuiteOptions
 }{
-	{"replay", SuiteOptions{}},
-	{"direct", SuiteOptions{StreamBudget: -1}},
+	{"replay", func() SuiteOptions { return SuiteOptions{StreamCache: l2stream.NewCache(0)} }},
+	{"direct", func() SuiteOptions { return SuiteOptions{} }},
 }
 
 // TestSuitePanicSurfacesJobIdentity is the regression test for the
@@ -80,7 +84,7 @@ func TestSuitePanicSurfacesJobIdentity(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(100_000)
 	for _, mode := range suiteModes {
 		t.Run(mode.name, func(t *testing.T) {
-			opts := mode.opts
+			opts := mode.opts()
 			opts.Workers = 1
 			results, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, opts)
 			if err == nil {
@@ -137,7 +141,7 @@ func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 	for _, mode := range suiteModes {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(ctx context.Context, workers int, sink engine.Sink, ck *engine.Checkpoint) ([]SuiteResult, error) {
-				opts := mode.opts
+				opts := mode.opts()
 				opts.Workers, opts.Sink, opts.Checkpoint = workers, sink, ck
 				return RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, opts)
 			}

@@ -25,7 +25,9 @@ type (
 	// NamedFactory pairs a display name with a PolicyFactory.
 	NamedFactory = sim.NamedFactory
 	// SuiteOptions carries the cross-cutting controls of a suite run
-	// (workers, telemetry sink, checkpoint, stream cache).
+	// (workers, telemetry sink, checkpoint, stream cache). A nil
+	// StreamCache runs every cell on the direct RunTLBOnly path; pass
+	// NewStreamCache's cache to capture once and replay.
 	SuiteOptions = sim.SuiteOptions
 	// SuiteResult is one (workload, policy) suite measurement.
 	SuiteResult = sim.SuiteResult
@@ -43,7 +45,9 @@ type (
 func Run(ctx context.Context, spec RunSpec) (MPKIResult, error) { return sim.Run(ctx, spec) }
 
 // RunSuite measures each workload under each policy with the TLB-only
-// driver across a worker pool; see SuiteOptions for cancellation,
+// driver across a worker pool: through opts.StreamCache's
+// capture/replay path when it is set, on the direct path when it is
+// nil (the two are bit-identical). See SuiteOptions for cancellation,
 // checkpointing and stream-cache sharing.
 func RunSuite(ctx context.Context, ws []*Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	return sim.RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, opts)

@@ -81,7 +81,7 @@ func TestRunSuiteThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs, err := RunSuite(context.Background(), SuiteN(2), factories,
-		DefaultTLBOnlyConfig(150_000), SuiteOptions{Workers: 2})
+		DefaultTLBOnlyConfig(150_000), SuiteOptions{Workers: 2, StreamCache: NewStreamCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
