@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,52 @@ func TestFig7NilCacheRunsDirect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct, replay) {
 		t.Errorf("direct Fig7 differs from replay:\n direct: %+v\n replay: %+v", direct.Averages, replay.Averages)
+	}
+}
+
+// TestMPKIFigureSetMemo runs chirpexp's MPKI figure set (fig6, fig7,
+// fig9, baselines, prefetch) over one stream cache, as one chirpexp
+// process does. Of its 38 policy walks per workload only 25 are
+// distinct (stream, configuration, policy) cells, so the replay-result
+// memo serves 13 per workload; the output must equal a nil-cache run.
+func TestMPKIFigureSetMemo(t *testing.T) {
+	type writer interface{ Write(io.Writer) error }
+	exps := []func(Options) (writer, error){
+		func(o Options) (writer, error) { return Fig6(o) },
+		func(o Options) (writer, error) { return Fig7(o) },
+		func(o Options) (writer, error) { return Fig9(o) },
+		func(o Options) (writer, error) { return Baselines(o) },
+		func(o Options) (writer, error) { return Prefetch(o) },
+	}
+	run := func(o Options) string {
+		var sb strings.Builder
+		for _, exp := range exps {
+			r, err := exp(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Write(&sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sb.String()
+	}
+	const workloads = 2
+	o := tiny(t)
+	o.Workloads, o.Instructions = workloads, 200_000
+	hits := obs.Default.Counter("chirp_replay_memo_hits_total", "")
+	misses := obs.Default.Counter("chirp_replay_memo_misses_total", "")
+	hits0, misses0 := hits.Value(), misses.Value()
+	replay := run(o)
+	if d := hits.Value() - hits0; d != 13*workloads {
+		t.Errorf("memo hits = %d, want %d (13 per workload)", d, 13*workloads)
+	}
+	if d := misses.Value() - misses0; d != 25*workloads {
+		t.Errorf("memo misses = %d, want %d (25 distinct cells per workload)", d, 25*workloads)
+	}
+	o.StreamCache = nil
+	if direct := run(o); direct != replay {
+		t.Errorf("memoized replay output differs from the nil-cache run:\n replay:\n%s\n direct:\n%s", replay, direct)
 	}
 }
 

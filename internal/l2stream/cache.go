@@ -58,6 +58,10 @@ var (
 		"Bytes currently held in persistent capture directories, as of the last GC scan.")
 )
 
+// errCaptureAbandoned is what waiters on a capture that panicked see:
+// like any failed capture, it sends them round to retry.
+var errCaptureAbandoned = errors.New("l2stream: capture panicked")
+
 // DefaultBudget is the cache's default in-memory byte budget: large
 // enough to hold hundreds of suite-sized streams, small next to the
 // working memory an 870-workload sweep already uses.
@@ -117,7 +121,8 @@ type Cache struct {
 // any caller that read the entry just before the failure—re-check the
 // map and retry instead of inheriting the memoized error forever. The
 // one exception is ErrOverBudget: a recapture would overflow again, so
-// that entry stays and every caller gets the error back.
+// that entry stays and every caller gets the error back. A capture
+// that panics leaves the same way a failed one does (runCapture).
 type cacheEntry struct {
 	done    chan struct{} // closed once stream/err below are final
 	stream  *Stream
@@ -160,8 +165,10 @@ func (c *Cache) Budget() int64 { return c.budget }
 // capture receives the cache's byte budget to pass on to Capture. A
 // failed capture is not cached: every caller that observed the failure
 // — including ones that were already blocked on it — retries through a
-// fresh entry. ErrOverBudget is the exception: it is remembered for
-// key, and every later caller gets it back without a recapture.
+// fresh entry, and so does every caller after a capture that panicked
+// (the panic itself stays with the goroutine that ran the capture).
+// ErrOverBudget is the exception: it is remembered for key, and every
+// later caller gets it back without a recapture.
 func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
 	for {
 		c.mu.Lock()
@@ -210,6 +217,20 @@ func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, err
 // closed, so waiters may read them without the lock.
 func (c *Cache) runCapture(key Key, e *cacheEntry, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
 	defer close(e.done)
+	defer func() {
+		// Every return publishes a stream or an error, so neither means
+		// the load or capture panicked. Drop the entry and publish
+		// errCaptureAbandoned so waiters retry, as after a failed
+		// capture, instead of taking a nil stream; the panic goes on.
+		if e.stream == nil && e.err == nil {
+			c.mu.Lock()
+			e.err = errCaptureAbandoned
+			if c.entries[key] == e {
+				delete(c.entries, key)
+			}
+			c.mu.Unlock()
+		}
+	}()
 	if c.store != nil {
 		s, err := c.store.load(key)
 		if err != nil {

@@ -455,3 +455,59 @@ func TestCacheCloseKeepsHeldStreams(t *testing.T) {
 		t.Errorf("after Close ran %d captures, want 2 (one per key)", n)
 	}
 }
+
+// TestCachePanickingCaptureRetries: a capture that panics must not
+// leave its entry behind. A caller blocked on it, and every later
+// caller, captures again instead of receiving a nil stream with a nil
+// error.
+func TestCachePanickingCaptureRetries(t *testing.T) {
+	recs := testRecords(500)
+	cfg := testConfig(800)
+	c := NewCache(0)
+	defer c.Close()
+	key := Key{Workload: "w", Config: cfg}
+	good := func(maxBytes int64) (*Stream, error) {
+		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+	}
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	waitsBase := obsCacheWaits.Value()
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		c.GetOrCapture(key, func(int64) (*Stream, error) {
+			close(started)
+			<-release
+			panic("capture bug")
+		})
+	}()
+	<-started
+
+	type got struct {
+		s   *Stream
+		err error
+	}
+	waiterGot := make(chan got, 1)
+	go func() {
+		s, err := c.GetOrCapture(key, good)
+		waiterGot <- got{s, err}
+	}()
+	waitForCounter(t, obsCacheWaits.Value, waitsBase)
+	close(release)
+
+	if r := <-ownerPanic; r != "capture bug" {
+		t.Fatalf("owner recovered %v, want the capture's own panic", r)
+	}
+	w := <-waiterGot
+	if w.err != nil || w.s == nil {
+		t.Fatalf("waiter on a panicked capture got (%v, %v), want a fresh capture", w.s, w.err)
+	}
+	s, err := c.GetOrCapture(key, func(int64) (*Stream, error) {
+		t.Error("a later caller recaptured a stream the waiter already captured")
+		return good(c.Budget())
+	})
+	if err != nil || s != w.s {
+		t.Errorf("later caller got (%p, %v), want the waiter's stream %p", s, err, w.s)
+	}
+}

@@ -11,10 +11,11 @@
 // contains: builders and codecs live with their consumers (internal/
 // sim), which hands them in as a DerivedSpec. This package owns the
 // cross-cutting mechanics only — memoization, concurrency, budget
-// accounting, and the sidecar load/store protocol.
+// accounting, and the sidecar load/store protocol. The same single-
+// flight slots also hold Memo values: small in-memory results computed
+// from the stream (sim's replay results) that are neither persisted
+// nor budget-charged.
 package l2stream
-
-import "sync"
 
 // DerivedSpec describes one derived-view family to Stream.Derived: an
 // invalidation key, a builder, and an optional persistence codec.
@@ -27,10 +28,11 @@ import "sync"
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Build computes the view from the stream's events. It runs at
-	// most once per (stream, key) and may use the stream's decoders
-	// freely (Stream.Decode; block-decode with NextBlock or
-	// NextAccessBlock); the stream is immutable underneath it.
+	// Build computes the view from the stream's events. It runs once
+	// per (stream, key), again only after a failed or panicking run,
+	// and may use the stream's decoders freely (Stream.Decode;
+	// block-decode with NextBlock or NextAccessBlock); the stream is
+	// immutable underneath it.
 	Build func(s *Stream) (view any, err error)
 	// Bytes reports the view's in-memory footprint for cache budget
 	// accounting.
@@ -45,34 +47,75 @@ type DerivedSpec struct {
 	Decode func(s *Stream, data []byte) (view any, ok bool)
 }
 
-// derivedSlot is one single-flight memo cell: the first Derived call
-// for a key populates it under once; everyone else shares the result.
+// derivedSlot is one single-flight memo cell. The goroutine that
+// creates it runs the build and closes done; everyone else blocks on
+// done. A build that fails or panics deletes its slot and marks it
+// abandoned before closing done, so waiters and every later caller
+// retry through a fresh slot — as after a failed capture — instead of
+// reading a nil value with a nil error; the panic carries on up the
+// building goroutine.
 type derivedSlot struct {
-	once sync.Once
-	view any
-	err  error
+	done      chan struct{} // closed once view/err/abandoned are final
+	view      any
+	err       error
+	abandoned bool // the slot is out of the map; callers retry
+}
+
+// memoize returns the stream's single-flight memo for key, running
+// build on the calling goroutine when no slot holds the key yet.
+// Derived views and Memo values share the one key space.
+func (s *Stream) memoize(key string, build func() (any, error)) (any, error) {
+	for {
+		s.derivedMu.Lock()
+		if s.derived == nil {
+			s.derived = make(map[string]*derivedSlot)
+		}
+		slot, ok := s.derived[key]
+		if !ok {
+			slot = &derivedSlot{done: make(chan struct{})}
+			s.derived[key] = slot
+		}
+		s.derivedMu.Unlock()
+		if !ok {
+			s.fill(key, slot, build)
+			return slot.view, slot.err
+		}
+		<-slot.done
+		if !slot.abandoned {
+			return slot.view, slot.err
+		}
+	}
+}
+
+// fill runs build into slot and wakes its waiters. If build fails or
+// panics, the slot leaves the map and is marked abandoned before done
+// closes.
+func (s *Stream) fill(key string, slot *derivedSlot, build func() (any, error)) {
+	finished := false
+	defer func() {
+		if !finished || slot.err != nil {
+			s.derivedMu.Lock()
+			delete(s.derived, key)
+			slot.abandoned = true
+			s.derivedMu.Unlock()
+		}
+		close(slot.done)
+	}()
+	slot.view, slot.err = build()
+	finished = true
 }
 
 // Derived returns the stream's memoized derived view for spec,
 // building it on first use: the persistent sidecar tier is consulted
 // first (when the stream belongs to a capture store and the spec has a
 // codec), then Build runs and the result is persisted for the next
-// process. Concurrent calls for one key share a single build. The
-// returned view is shared between every caller and MUST be treated as
-// read-only.
+// process. Concurrent calls for one key share a single build; a build
+// that fails or panics leaves no memo behind, so the next call builds
+// again.
+// The returned view is shared between every caller and MUST be treated
+// as read-only.
 func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
-	s.derivedMu.Lock()
-	if s.derived == nil {
-		s.derived = make(map[string]*derivedSlot)
-	}
-	slot, ok := s.derived[spec.Key]
-	if !ok {
-		slot = &derivedSlot{}
-		s.derived[spec.Key] = slot
-	}
-	s.derivedMu.Unlock()
-
-	slot.once.Do(func() {
+	return s.memoize(spec.Key, func() (any, error) {
 		if s.dvLoad != nil && spec.Decode != nil {
 			if data, release := s.dvLoad(spec.Key); data != nil {
 				v, ok := spec.Decode(s, data)
@@ -83,9 +126,8 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 				}
 				if ok {
 					obsDerivedDiskHits.Inc()
-					slot.view = v
 					s.noteGrowth(spec.Bytes(v))
-					return
+					return v, nil
 				}
 				// A sidecar that parsed at the store layer but failed
 				// the spec's validation is corrupt: rebuild, and let
@@ -95,17 +137,46 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 		}
 		v, err := spec.Build(s)
 		if err != nil {
-			slot.err = err
-			return
+			return nil, err
 		}
 		obsDerivedBuilds.Inc()
-		slot.view = v
 		s.noteGrowth(spec.Bytes(v))
 		if s.dvSave != nil && spec.Encode != nil {
 			s.dvSave(spec.Key, spec.Encode(v))
 		}
+		return v, nil
 	})
-	return slot.view, slot.err
+}
+
+// Memo returns the value memoized on the stream under key, running
+// build on first use, with Derived's single-flight and failure rules.
+// It is for results computed from the stream rather than views of it:
+// a Memo value is never persisted, never charged to the cache budget
+// (callers keep such values small), and not counted as a derived-view
+// build. It lives and dies with the stream, so a stream
+// evicted from its cache takes its memo along. Keys share Derived's
+// key space, so callers prefix them with a family distinct from every
+// view's.
+func (s *Stream) Memo(key string, build func() (any, error)) (any, error) {
+	return s.memoize(key, build)
+}
+
+// Memoized reports whether key already holds a finished value (a
+// derived view or a Memo value). It never waits: a value still being
+// built reports false.
+func (s *Stream) Memoized(key string) bool {
+	s.derivedMu.Lock()
+	slot, ok := s.derived[key]
+	s.derivedMu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-slot.done:
+		return !slot.abandoned
+	default:
+		return false
+	}
 }
 
 // noteGrowth reports a late footprint increase (a derived view

@@ -389,3 +389,58 @@ func TestStoreGC(t *testing.T) {
 	}
 	_ = streams
 }
+
+// TestDerivedPanickingBuildRetries: a Build that panics must not
+// memoize anything. A caller that arrives during or after the panic
+// builds the view itself instead of receiving a nil view with a nil
+// error.
+func TestDerivedPanickingBuildRetries(t *testing.T) {
+	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int64
+	good := eventCountSpec("test:panic", &builds)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	bad := &DerivedSpec{
+		Key: good.Key,
+		Build: func(*Stream) (any, error) {
+			builds.Add(1)
+			close(started)
+			<-release
+			panic("build bug")
+		},
+		Bytes: good.Bytes,
+	}
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		s.Derived(bad)
+	}()
+	<-started
+
+	type got struct {
+		v   any
+		err error
+	}
+	waiterGot := make(chan got, 1)
+	go func() {
+		v, err := s.Derived(good)
+		waiterGot <- got{v, err}
+	}()
+	close(release)
+	if r := <-ownerPanic; r != "build bug" {
+		t.Fatalf("owner recovered %v, want the build's own panic", r)
+	}
+	w := <-waiterGot
+	if w.err != nil || w.v != uint64(s.Events()) {
+		t.Fatalf("caller after a panicked build got (%v, %v), want %d", w.v, w.err, s.Events())
+	}
+	if v, err := s.Derived(good); err != nil || v != w.v {
+		t.Errorf("later caller got (%v, %v), want the memoized %v", v, err, w.v)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Errorf("ran %d builds, want 2 (the panicked one and one retry)", n)
+	}
+}

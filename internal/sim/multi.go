@@ -290,13 +290,19 @@ func (w *denseWalker) walk(v *replayView) {
 
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
-// capture/replay path (capture once, then one ReplayMulti pass).
+// capture/replay path: capture once, then one ReplayMulti pass over
+// the policies the stream's replay-result memo does not already hold.
+// Each fresh policy is keyed by its type and constructed state
+// (policyKey) before it is attached; a policy whose key, under the
+// same full TLBOnlyConfig, was walked over this stream before takes
+// that result, and a policy without a key is always walked (memo.go).
 // Without a cache, when any policy observes branches without a
 // signature feed (which a captured stream cannot drive), or when the
 // capture is over the cache's byte budget, it runs RunTLBOnly once per
 // policy over a fresh source instead — the reference the replay path
-// reproduces bit for bit. spec.Policy is ignored; factories drives the
-// fan-out. Results are ordered like factories.
+// reproduces bit for bit — and the memo plays no part. spec.Policy is
+// ignored; factories drives the fan-out. Results are ordered like
+// factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: RunMulti needs at least one policy")
@@ -314,7 +320,7 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 	if spec.Cache != nil && !slices.ContainsFunc(ps, needsBranchEvents) {
 		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
 		if err == nil {
-			return ReplayMulti(stream, ps, spec.Config)
+			return replayMemoized(stream, ps, spec.Config)
 		}
 		if !errors.Is(err, l2stream.ErrOverBudget) {
 			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)

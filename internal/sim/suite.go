@@ -49,8 +49,12 @@ type SuiteOptions struct {
 	// StreamCache, when non-nil, shares captured L2 event streams
 	// across suite invocations, so repeated calls that differ only in
 	// the L2 policy, L2 geometry, or prefetch distance capture each
-	// workload once total. Nil selects the direct RunTLBOnly reference
-	// path for every cell, as a nil RunSpec.Cache does for one run.
+	// workload once total. Each stream also carries RunMulti's
+	// replay-result memo, so a (workload, configuration, policy) cell
+	// that any invocation sharing the cache already replayed is served
+	// instead of walked again. Nil selects the direct RunTLBOnly
+	// reference path for every cell, as a nil RunSpec.Cache does for
+	// one run.
 	StreamCache *l2stream.Cache
 }
 

@@ -254,7 +254,37 @@ type tlbArrays struct {
 	live    []uint16
 }
 
-var arrayPool sync.Pool
+// arrayPool is the free list Release pushes to and New pops from. It
+// is not a sync.Pool: a sync.Pool drops its per-P structures at every
+// GC and allocates them again on the next Put, so the allocation count
+// of a run that releases its TLBs would depend on when the GC last
+// ran. The list's backing array is allocated once at full capacity,
+// so Release never allocates; a Release that finds it full leaves its
+// arrays to the GC.
+var arrayPool = struct {
+	mu   sync.Mutex
+	free []tlbArrays
+}{free: make([]tlbArrays, 0, maxPooledArrays)}
+
+// maxPooledArrays bounds the free list, which never shrinks: it is
+// the most array sets the process keeps for reuse. A fused timing
+// machine holds 13 TLBs (two L1s and one L2 per registered policy) and
+// each replay worker one, so this covers a few machines' worth.
+const maxPooledArrays = 64
+
+// popArrays takes the most recently released arrays, if any.
+func popArrays() (tlbArrays, bool) {
+	arrayPool.mu.Lock()
+	defer arrayPool.mu.Unlock()
+	n := len(arrayPool.free)
+	if n == 0 {
+		return tlbArrays{}, false
+	}
+	ar := arrayPool.free[n-1]
+	arrayPool.free[n-1] = tlbArrays{}
+	arrayPool.free = arrayPool.free[:n-1]
+	return ar, true
+}
 
 // New builds a TLB with the given geometry and policy. The policy is
 // attached (metadata sized) before New returns.
@@ -275,7 +305,7 @@ func New(cfg Config, p Policy) (*TLB, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
 	}
-	if ar, _ := arrayPool.Get().(*tlbArrays); ar != nil &&
+	if ar, ok := popArrays(); ok &&
 		cap(ar.entries) >= cfg.Entries && cap(ar.tags) >= cfg.Entries &&
 		cap(ar.valid) >= sets && cap(ar.live) >= sets {
 		t.entries = ar.entries[:cfg.Entries]
@@ -315,7 +345,11 @@ func (t *TLB) Release() {
 	if t.entries == nil {
 		return
 	}
-	arrayPool.Put(&tlbArrays{entries: t.entries, tags: t.tags, valid: t.valid, live: t.live})
+	arrayPool.mu.Lock()
+	if len(arrayPool.free) < cap(arrayPool.free) {
+		arrayPool.free = append(arrayPool.free, tlbArrays{entries: t.entries, tags: t.tags, valid: t.valid, live: t.live})
+	}
+	arrayPool.mu.Unlock()
 	t.entries, t.tags, t.valid, t.live = nil, nil, nil, nil
 }
 
