@@ -54,97 +54,56 @@ func run(fs *flag.FlagSet, args []string) int {
 	defer rt.Close()
 	// Sweep points vary only the L2 policy and geometry, which the
 	// captured stream is invariant to — the one process cache serves
-	// every measure() call below, so each workload's trace is generated
+	// every suite pass below, so each workload's trace is generated
 	// and L1-filtered once for the whole sweep.
 	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, StreamCache: rt.Streams}
 
-	cfg := sim.DefaultTLBOnlyConfig(*instr)
-
-	// measure returns the average MPKI for a policy factory, with an
-	// optional TLB geometry override. Every sweep point shares the
-	// policy name "x", so the scope is what keeps checkpoint keys of
-	// different configurations apart.
-	fail := false
-	measure := func(scope string, f sim.PolicyFactory, geom *tlb.Config) float64 {
-		if fail {
-			return 0
-		}
-		c := cfg
-		if geom != nil {
-			c.Hierarchy.L2 = *geom
-		}
-		o := opts
-		o.Scope = scope
-		rs, err := sim.RunSuiteTLBOnlyCtx(rt.Ctx, ws, []sim.NamedFactory{{Name: "x", New: f}}, c, o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
-			fail = true
-			return 0
-		}
-		sum := 0.0
-		for _, r := range rs {
-			sum += r.MPKI
-		}
-		return sum / float64(len(rs))
-	}
-	lruF, _ := sim.Factories([]string{"lru"})
-	chirpWith := func(mut func(*core.Config)) sim.PolicyFactory {
+	// A policy sweep adds one CHiRP variant per row to pols, all run in
+	// one suite pass beside LRU; a geometry sweep adds one L2 TLB per
+	// row to geoms, each run as its own LRU + CHiRP pass.
+	lru, _ := sim.Factories([]string{"lru"}) // always registered
+	pols := []sim.NamedFactory{lru[0]}
+	var labels []string
+	var geoms []tlb.Config
+	knob := func(label string, mut func(*core.Config)) {
 		c := core.DefaultConfig()
 		mut(&c)
-		return sim.CHiRPFactory(c)
+		labels = append(labels, label)
+		pols = append(pols, sim.NamedFactory{Name: label, New: sim.CHiRPFactory(c)})
 	}
-
-	var rows [][]string
+	geom := func(label string, entries, ways int) {
+		labels = append(labels, label)
+		geoms = append(geoms, tlb.Config{Name: "L2 TLB", Entries: entries, Ways: ways, PageShift: 12})
+	}
 	switch *sweep {
 	case "table":
-		base := measure("lru", lruF[0].New, nil)
 		for _, entries := range []int{512, 1024, 2048, 4096, 8192, 16384, 32768} {
-			m := measure(fmt.Sprintf("table/%d", entries), chirpWith(func(c *core.Config) { c.TableEntries = entries }), nil)
-			rows = append(rows, []string{fmt.Sprintf("%d counters (%dB)", entries, entries/4),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			knob(fmt.Sprintf("%d counters (%dB)", entries, entries/4), func(c *core.Config) { c.TableEntries = entries })
 		}
 	case "history":
-		base := measure("lru", lruF[0].New, nil)
 		for _, l := range []int{4, 8, 12, 16, 24, 32, 40} {
-			m := measure(fmt.Sprintf("history/%d", l), chirpWith(func(c *core.Config) { c.History.PathLength = l }), nil)
-			rows = append(rows, []string{fmt.Sprintf("path length %d", l),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			knob(fmt.Sprintf("path length %d", l), func(c *core.Config) { c.History.PathLength = l })
 		}
 	case "branchhist":
-		base := measure("lru", lruF[0].New, nil)
 		for _, l := range []int{2, 4, 8, 16, 32} {
-			m := measure(fmt.Sprintf("branchhist/%d", l), chirpWith(func(c *core.Config) { c.History.BranchLength = l }), nil)
-			rows = append(rows, []string{fmt.Sprintf("branch length %d", l),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			knob(fmt.Sprintf("branch length %d", l), func(c *core.Config) { c.History.BranchLength = l })
 		}
 	case "threshold":
-		base := measure("lru", lruF[0].New, nil)
 		for _, tc := range []struct {
 			bits uint
 			th   uint8
 		}{{2, 0}, {2, 1}, {2, 2}, {3, 3}, {3, 5}} {
-			m := measure(fmt.Sprintf("threshold/%d-%d", tc.bits, tc.th), chirpWith(func(c *core.Config) { c.CounterBits = tc.bits; c.DeadThreshold = tc.th }), nil)
-			rows = append(rows, []string{fmt.Sprintf("%d-bit counters, threshold %d", tc.bits, tc.th),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			knob(fmt.Sprintf("%d-bit counters, threshold %d", tc.bits, tc.th), func(c *core.Config) { c.CounterBits = tc.bits; c.DeadThreshold = tc.th })
 		}
 	case "ways":
 		for _, ways := range []int{2, 4, 8, 16} {
-			geom := tlb.Config{Name: "L2 TLB", Entries: 1024, Ways: ways, PageShift: 12}
-			base := measure(fmt.Sprintf("ways/%d/lru", ways), lruF[0].New, &geom)
-			m := measure(fmt.Sprintf("ways/%d/chirp", ways), sim.CHiRPFactory(core.DefaultConfig()), &geom)
-			rows = append(rows, []string{fmt.Sprintf("%d-way", ways),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			geom(fmt.Sprintf("%d-way", ways), 1024, ways)
 		}
 	case "entries":
 		for _, entries := range []int{256, 512, 1024, 2048, 4096} {
-			geom := tlb.Config{Name: "L2 TLB", Entries: entries, Ways: 8, PageShift: 12}
-			base := measure(fmt.Sprintf("entries/%d/lru", entries), lruF[0].New, &geom)
-			m := measure(fmt.Sprintf("entries/%d/chirp", entries), sim.CHiRPFactory(core.DefaultConfig()), &geom)
-			rows = append(rows, []string{fmt.Sprintf("%d entries", entries),
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			geom(fmt.Sprintf("%d entries", entries), entries, 8)
 		}
 	case "filters":
-		base := measure("lru", lruF[0].New, nil)
 		for _, fc := range []struct {
 			label               string
 			selective, firstHit bool
@@ -154,21 +113,52 @@ func run(fs *flag.FlagSet, args []string) int {
 			{"no first-hit-only", true, false},
 			{"both filters off", false, false},
 		} {
-			m := measure(fmt.Sprintf("filters/%v-%v", fc.selective, fc.firstHit), chirpWith(func(c *core.Config) {
+			knob(fc.label, func(c *core.Config) {
 				c.SelectiveHitUpdate = fc.selective
 				c.FirstHitOnly = fc.firstHit
-			}), nil)
-			rows = append(rows, []string{fc.label,
-				fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(base, m))})
+			})
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "chirpsweep: unknown sweep %q\n", *sweep)
 		return 2
 	}
-	if fail {
-		return 1
+
+	// measure runs ps over the suite under cfg in one pass per
+	// workload, under a checkpoint scope, and adds one row per policy
+	// after the first (LRU, the base), labelled in order.
+	var rows [][]string
+	measure := func(scope string, cfg sim.TLBOnlyConfig, ps []sim.NamedFactory, rowLabels ...string) error {
+		o := opts
+		o.Scope = scope
+		rs, err := sim.RunSuiteTLBOnlyCtx(rt.Ctx, ws, ps, cfg, o)
+		if err != nil {
+			return err
+		}
+		sums := make([]float64, len(ps))
+		for i, r := range rs {
+			sums[i%len(ps)] += r.MPKI
+		}
+		n := float64(len(ws))
+		for i, label := range rowLabels {
+			m := sums[i+1] / n
+			rows = append(rows, []string{label, fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(sums[0]/n, m))})
+		}
+		return nil
 	}
-	if err := stats.Table(os.Stdout, []string{"configuration", "mean MPKI", "vs LRU"}, rows); err != nil {
+	cfg := sim.DefaultTLBOnlyConfig(*instr)
+	if geoms == nil {
+		err = measure("", cfg, pols, labels...)
+	}
+	pols = []sim.NamedFactory{lru[0], {Name: "chirp", New: sim.CHiRPFactory(core.DefaultConfig())}}
+	for i := 0; i < len(geoms) && err == nil; i++ {
+		c := cfg
+		c.Hierarchy.L2 = geoms[i]
+		err = measure(labels[i], c, pols, labels[i])
+	}
+	if err == nil {
+		err = stats.Table(os.Stdout, []string{"configuration", "mean MPKI", "vs LRU"}, rows)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "chirpsweep: %v\n", err)
 		return 1
 	}

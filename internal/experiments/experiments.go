@@ -49,12 +49,10 @@ type Options struct {
 	Checkpoint *engine.Checkpoint
 	// StreamCache shares captured L2 event streams across an
 	// experiment's suite invocations (and across experiments, when the
-	// caller passes one cache to several). Sweep-style experiments that
-	// call the suite many times with a fixed trace budget — Fig6's
-	// history sweeps, Fig9's storage ladder, the prefetch-distance
-	// sweep — capture each workload once total instead of once per
-	// sweep point. Nil selects the direct RunTLBOnly reference path;
-	// see sim.SuiteOptions.StreamCache.
+	// caller passes one cache to several): every MPKI experiment with
+	// one trace budget captures each workload once, and the prefetch
+	// sweep's per-distance passes share that capture. Nil selects the
+	// direct RunTLBOnly reference path; see sim.SuiteOptions.StreamCache.
 	StreamCache *l2stream.Cache
 }
 
@@ -67,9 +65,10 @@ func (o Options) ctx() context.Context {
 }
 
 // suiteOpts assembles the engine-facing options for one suite
-// invocation. Experiments that drive the suite several times under
-// one name (config sweeps reusing policy names) must pass a distinct
-// scope per invocation so checkpoint keys never collide.
+// invocation. An experiment runs one suite per configuration, carrying
+// all of that configuration's policies; an experiment with several
+// configurations (the prefetch distances) passes a distinct scope per
+// configuration so checkpoint keys never collide.
 func (o Options) suiteOpts(scope string) sim.SuiteOptions {
 	return sim.SuiteOptions{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint, Scope: scope,
 		StreamCache: o.StreamCache}
@@ -113,15 +112,12 @@ type PolicyAverages struct {
 	TableRateMean float64
 }
 
-// suiteMPKI runs the TLB-only suite for the named policies under the
-// given checkpoint scope and indexes results by policy.
-func suiteMPKI(o Options, scope string, policyNames []string) (map[string][]sim.SuiteResult, []*workloads.Workload, error) {
+// suiteMPKI runs pols over the TLB-only suite under cfg — one fused job
+// per workload, under the given checkpoint scope — and indexes results
+// by policy name.
+func suiteMPKI(o Options, scope string, pols []sim.NamedFactory, cfg sim.TLBOnlyConfig) (map[string][]sim.SuiteResult, []*workloads.Workload, error) {
 	ws := o.suite()
-	pols, err := sim.Factories(policyNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, pols, o.tlbCfg(), o.suiteOpts(scope))
+	results, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, pols, cfg, o.suiteOpts(scope))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,16 +128,33 @@ func suiteMPKI(o Options, scope string, policyNames []string) (map[string][]sim.
 	return byPolicy, ws, nil
 }
 
+// policies resolves registered policy names; callers pass this
+// package's constants, so an unknown name is a bug.
+func policies(names ...string) []sim.NamedFactory {
+	fs, err := sim.Factories(names)
+	if err != nil {
+		panic(err)
+	}
+	return fs
+}
+
+// mustFactory resolves one registered policy name.
+func mustFactory(name string) sim.PolicyFactory { return policies(name)[0].New }
+
+// meanMPKI is the mean MPKI of one policy's suite rows.
+func meanMPKI(rs []sim.SuiteResult) float64 {
+	return stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI }))
+}
+
 // averages reduces per-policy results against the "lru" baseline.
 func averages(byPolicy map[string][]sim.SuiteResult, order []string) []PolicyAverages {
-	lruMPKI := collect(byPolicy["lru"], func(r sim.SuiteResult) float64 { return r.MPKI })
 	lruEff := collect(byPolicy["lru"], func(r sim.SuiteResult) float64 { return r.Efficiency })
-	baseMPKI := stats.Mean(lruMPKI)
+	baseMPKI := meanMPKI(byPolicy["lru"])
 	baseEff := stats.Mean(lruEff)
 	out := make([]PolicyAverages, 0, len(order))
 	for _, name := range order {
 		rs := byPolicy[name]
-		m := stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI }))
+		m := meanMPKI(rs)
 		e := stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.Efficiency }))
 		out = append(out, PolicyAverages{
 			Policy:        name,

@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/sim"
+	"github.com/chirplab/chirp/internal/stats"
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely since
@@ -79,9 +82,12 @@ func TestFig7NilCacheRunsDirect(t *testing.T) {
 
 // TestMPKIFigureSetMemo runs chirpexp's MPKI figure set (fig6, fig7,
 // fig9, baselines, prefetch) over one stream cache, as one chirpexp
-// process does. Of its 38 policy walks per workload only 25 are
-// distinct (stream, configuration, policy) cells, so the replay-result
-// memo serves 13 per workload; the output must equal a nil-cache run.
+// process does. Each experiment runs one suite per configuration —
+// one each for fig6, fig7, fig9 and baselines, three for prefetch — so
+// 7 engine jobs run per workload. Of its 38 policy walks per workload
+// only 25 are distinct (stream, configuration, policy) cells, so the
+// replay-result memo serves 13 per workload; the output must equal a
+// nil-cache run.
 func TestMPKIFigureSetMemo(t *testing.T) {
 	type writer interface{ Write(io.Writer) error }
 	exps := []func(Options) (writer, error){
@@ -109,8 +115,12 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	o.Workloads, o.Instructions = workloads, 200_000
 	hits := obs.Default.Counter("chirp_replay_memo_hits_total", "")
 	misses := obs.Default.Counter("chirp_replay_memo_misses_total", "")
-	hits0, misses0 := hits.Value(), misses.Value()
+	jobs := obs.Default.CounterVec("chirp_engine_jobs_total", "", "status").With("ok")
+	hits0, misses0, jobs0 := hits.Value(), misses.Value(), jobs.Value()
 	replay := run(o)
+	if d := jobs.Value() - jobs0; d != 7*workloads {
+		t.Errorf("ok engine jobs = %d, want %d (7 suite passes per workload)", d, 7*workloads)
+	}
 	if d := hits.Value() - hits0; d != 13*workloads {
 		t.Errorf("memo hits = %d, want %d (13 per workload)", d, 13*workloads)
 	}
@@ -120,6 +130,66 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	o.StreamCache = nil
 	if direct := run(o); direct != replay {
 		t.Errorf("memoized replay output differs from the nil-cache run:\n replay:\n%s\n direct:\n%s", replay, direct)
+	}
+}
+
+// TestMPKISweepsOneSuiteMatchPerPolicySuites: Fig6, Fig9 and Prefetch
+// run each configuration's policies in one fused suite. Separate
+// one-policy suites, as they once ran, over a stream cache of their
+// own must give the same means and reductions bit for bit.
+func TestMPKISweepsOneSuiteMatchPerPolicySuites(t *testing.T) {
+	o := tiny(t)
+	o.Workloads = 4
+	solo := tiny(t)
+	solo.Workloads = 4
+	mean := func(p sim.NamedFactory, cfg sim.TLBOnlyConfig) float64 {
+		byPolicy, _, err := suiteMPKI(solo, "", []sim.NamedFactory{p}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meanMPKI(byPolicy[p.Name])
+	}
+	lru := policies("lru")[0]
+	base := mean(lru, o.tlbCfg())
+
+	fig6, err := Fig6(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := fig6Variants()
+	if len(fig6.Variants) != len(variants) {
+		t.Fatalf("fig6: %d variants, want %d", len(fig6.Variants), len(variants))
+	}
+	for i, v := range variants {
+		m := mean(sim.NamedFactory{Name: v.name, New: v.factory}, o.tlbCfg())
+		if got := fig6.Variants[i]; got.MeanMPKI != m || got.ReductionPct != stats.Reduction(base, m) {
+			t.Errorf("fig6 %s: one suite %v/%v, per-policy suite %v/%v", v.name, got.MeanMPKI, got.ReductionPct, m, stats.Reduction(base, m))
+		}
+	}
+
+	fig9, err := Fig9(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range fig9.Points {
+		c := core.DefaultConfig()
+		c.TableEntries = p.Bytes * 8 / 2
+		m := mean(sim.NamedFactory{Name: "chirp", New: sim.CHiRPFactory(c)}, o.tlbCfg())
+		if p.MeanMPKI != m || p.ReductionPct != stats.Reduction(base, m) {
+			t.Errorf("fig9 %dB: one suite %v/%v, per-policy suite %v/%v", p.Bytes, p.MeanMPKI, p.ReductionPct, m, stats.Reduction(base, m))
+		}
+	}
+
+	pf, err := Prefetch(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range pf.Rows {
+		cfg := o.tlbCfg()
+		cfg.PrefetchDistance = row.Distance
+		if m := mean(policies(row.Policy)[0], cfg); row.MeanMPKI != m {
+			t.Errorf("prefetch %s d=%d: one suite %v, per-policy suite %v", row.Policy, row.Distance, row.MeanMPKI, m)
+		}
 	}
 }
 

@@ -176,10 +176,9 @@ func Table2(o Options, w io.Writer) error {
 // WalkerResult compares the fixed-penalty walk model with the radix
 // walker + PSC substrate (extension X2).
 type WalkerResult struct {
-	FixedIPC      float64
-	RadixIPC      float64
-	RadixAvgWalk  float64
-	RadixPSCShare float64
+	FixedIPC     float64
+	RadixIPC     float64
+	RadixAvgWalk float64
 }
 
 // Walker runs one pressure workload under LRU with both walk models.
@@ -401,27 +400,20 @@ type PrefetchRow struct {
 // are largely orthogonal, which is the paper's §II positioning.
 func Prefetch(o Options) (*PrefetchResult, error) {
 	// The captured stream is prefetch-distance-invariant (the replay
-	// runs its own prefetcher), so with o.StreamCache set all six
-	// (policy, distance) suite passes share one capture per workload.
-	ws := o.suite()
-	res := &PrefetchResult{}
-	for _, name := range []string{"lru", "chirp"} {
-		for _, dist := range []int{0, 1, 4} {
-			cfg := o.tlbCfg()
-			cfg.PrefetchDistance = dist
-			pols, err := sim.Factories([]string{name})
-			if err != nil {
-				return nil, err
-			}
-			rs, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, pols, cfg, o.suiteOpts(fmt.Sprintf("prefetch/d=%d", dist)))
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, PrefetchRow{
-				Policy:   name,
-				Distance: dist,
-				MeanMPKI: stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI })),
-			})
+	// runs its own prefetcher), so with o.StreamCache set the three
+	// per-distance suite passes, each carrying LRU and CHiRP, share one
+	// capture per workload.
+	names, dists := []string{"lru", "chirp"}, []int{0, 1, 4}
+	res := &PrefetchResult{Rows: make([]PrefetchRow, len(names)*len(dists))}
+	for j, dist := range dists {
+		cfg := o.tlbCfg()
+		cfg.PrefetchDistance = dist
+		byPolicy, _, err := suiteMPKI(o, fmt.Sprintf("prefetch/d=%d", dist), policies(names...), cfg)
+		if err != nil {
+			return nil, err
+		}
+		for i, name := range names {
+			res.Rows[i*len(dists)+j] = PrefetchRow{Policy: name, Distance: dist, MeanMPKI: meanMPKI(byPolicy[name])}
 		}
 	}
 	return res, nil

@@ -24,7 +24,7 @@ type Fig7Result struct {
 
 // Fig7 reproduces Figure 7 (MPKI comparison of the six policies, §VI-A).
 func Fig7(o Options) (*Fig7Result, error) {
-	byPolicy, ws, err := suiteMPKI(o, "fig7", sim.PaperPolicies)
+	byPolicy, ws, err := suiteMPKI(o, "fig7", policies(sim.PaperPolicies...), o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ type Fig1Result struct {
 
 // Fig1 reproduces Figure 1 / §VI-D (TLB efficiency heat map).
 func Fig1(o Options) (*Fig1Result, error) {
-	byPolicy, ws, err := suiteMPKI(o, "fig1", sim.PaperPolicies)
+	byPolicy, ws, err := suiteMPKI(o, "fig1", policies(sim.PaperPolicies...), o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -155,31 +155,49 @@ type Fig6Result struct {
 
 // Fig6 reproduces Figure 6 (§III): the effect of each feature,
 // input transform and update-policy optimisation on MPKI reduction.
+// LRU and every rung share one configuration, so they ride one suite
+// pass under the checkpoint scope "fig6".
 func Fig6(o Options) (*Fig6Result, error) {
-	// Nine suite passes over one trace budget: with o.StreamCache set
-	// each workload is generated and L1-filtered once, not nine times.
-	ws := o.suite()
-	cfg := o.tlbCfg()
-
-	type variant struct {
-		name, desc string
-		paper      float64
-		factory    sim.PolicyFactory
+	variants := fig6Variants()
+	pols := policies("lru")
+	for _, v := range variants {
+		pols = append(pols, sim.NamedFactory{Name: v.name, New: v.factory})
 	}
+	byPolicy, _, err := suiteMPKI(o, "fig6", pols, o.tlbCfg())
+	if err != nil {
+		return nil, err
+	}
+	base := meanMPKI(byPolicy["lru"])
+	res := &Fig6Result{}
+	for _, v := range variants {
+		m := meanMPKI(byPolicy[v.name])
+		res.Variants = append(res.Variants, Fig6Variant{
+			Name: v.name, Description: v.desc,
+			MeanMPKI: m, ReductionPct: stats.Reduction(base, m), PaperPct: v.paper,
+		})
+	}
+	return res, nil
+}
+
+// fig6Variant is one rung's configuration: its name, what it adds,
+// the paper's reduction and the policy.
+type fig6Variant struct {
+	name, desc string
+	paper      float64
+	factory    sim.PolicyFactory
+}
+
+// fig6Variants returns the Figure 6 ladder, bottom rung first.
+func fig6Variants() []fig6Variant {
 	chirpCfg := func(mut func(*core.Config)) sim.PolicyFactory {
 		c := core.DefaultConfig()
 		mut(&c)
 		return sim.CHiRPFactory(c)
 	}
-	lruF, _ := sim.Factories([]string{"lru"})
-	shipF, _ := sim.Factories([]string{"ship"})
-	shipU, _ := sim.Factories([]string{"ship-unlimited"})
-	shipS, _ := sim.Factories([]string{"ship-sampled"})
-
-	variants := []variant{
-		{"ship", "PC-only signature (SHiP, §III)", 0.88, shipF[0].New},
-		{"ship-unlimited", "SHiP with an unaliased prediction table", 0.63, shipU[0].New},
-		{"ship-sampled", "SHiP predicting a subset of sets", 1.28, shipS[0].New},
+	return []fig6Variant{
+		{"ship", "PC-only signature (SHiP, §III)", 0.88, mustFactory("ship")},
+		{"ship-unlimited", "SHiP with an unaliased prediction table", 0.63, mustFactory("ship-unlimited")},
+		{"ship-sampled", "SHiP predicting a subset of sets", 1.28, mustFactory("ship-sampled")},
 		{"chirp-pc", "CHiRP update policy, PC-only signature (selective hit update)", 5.85, chirpCfg(func(c *core.Config) {
 			c.UsePathHistory, c.UseCondHistory, c.UseIndirectHistory = false, false, false
 		})},
@@ -195,26 +213,6 @@ func Fig6(o Options) (*Fig6Result, error) {
 		})},
 		{"chirp", "full CHiRP (+ indirect branch history)", 28.21, sim.CHiRPFactory(core.DefaultConfig())},
 	}
-
-	lruRes, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, lruF, cfg, o.suiteOpts("fig6"))
-	if err != nil {
-		return nil, err
-	}
-	base := stats.Mean(collect(lruRes, func(r sim.SuiteResult) float64 { return r.MPKI }))
-
-	res := &Fig6Result{}
-	for _, v := range variants {
-		rs, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, []sim.NamedFactory{{Name: v.name, New: v.factory}}, cfg, o.suiteOpts("fig6"))
-		if err != nil {
-			return nil, err
-		}
-		m := stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI }))
-		res.Variants = append(res.Variants, Fig6Variant{
-			Name: v.name, Description: v.desc,
-			MeanMPKI: m, ReductionPct: stats.Reduction(base, m), PaperPct: v.paper,
-		})
-	}
-	return res, nil
 }
 
 // Write renders the ladder.
@@ -247,32 +245,27 @@ type Fig9Result struct {
 
 // Fig9 reproduces Figure 9 (§VI-F): CHiRP MPKI improvement over LRU
 // for prediction-table budgets from 128 B to 8 KB (2-bit counters).
+// LRU and the seven budgets (named "chirp-128B" … "chirp-8192B") ride
+// one suite pass under the checkpoint scope "fig9".
 func Fig9(o Options) (*Fig9Result, error) {
-	// Eight suite passes (LRU base + seven budgets) share
-	// o.StreamCache's captures.
-	ws := o.suite()
-	cfg := o.tlbCfg()
-	lruF, _ := sim.Factories([]string{"lru"})
-	lruRes, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, lruF, cfg, o.suiteOpts("fig9"))
+	res := &Fig9Result{}
+	pols := policies("lru")
+	for _, bytes := range []int{128, 256, 512, 1024, 2048, 4096, 8192} {
+		entries := bytes * 8 / 2 // 2-bit counters
+		res.Points = append(res.Points, Fig9Point{Bytes: bytes, Entries: entries})
+		c := core.DefaultConfig()
+		c.TableEntries = entries
+		pols = append(pols, sim.NamedFactory{Name: fmt.Sprintf("chirp-%dB", bytes), New: sim.CHiRPFactory(c)})
+	}
+	byPolicy, _, err := suiteMPKI(o, "fig9", pols, o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}
-	base := stats.Mean(collect(lruRes, func(r sim.SuiteResult) float64 { return r.MPKI }))
-
-	res := &Fig9Result{}
-	for _, bytes := range []int{128, 256, 512, 1024, 2048, 4096, 8192} {
-		entries := bytes * 8 / 2 // 2-bit counters
-		c := core.DefaultConfig()
-		c.TableEntries = entries
-		rs, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, []sim.NamedFactory{{Name: "chirp", New: sim.CHiRPFactory(c)}}, cfg, o.suiteOpts(fmt.Sprintf("fig9/%dB", bytes)))
-		if err != nil {
-			return nil, err
-		}
-		m := stats.Mean(collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI }))
-		res.Points = append(res.Points, Fig9Point{
-			Bytes: bytes, Entries: entries,
-			MeanMPKI: m, ReductionPct: stats.Reduction(base, m),
-		})
+	base := meanMPKI(byPolicy["lru"])
+	for i := range res.Points {
+		p := &res.Points[i]
+		p.MeanMPKI = meanMPKI(byPolicy[pols[i+1].Name])
+		p.ReductionPct = stats.Reduction(base, p.MeanMPKI)
 	}
 	return res, nil
 }
@@ -308,7 +301,7 @@ type Fig11Result struct {
 // Fig11 reproduces Figure 11 (§VI-B): CHiRP touches its table on
 // ~10% of TLB accesses, SHiP and GHRP on (over) 100%.
 func Fig11(o Options) (*Fig11Result, error) {
-	byPolicy, _, err := suiteMPKI(o, "fig11", []string{"ship", "ghrp", "chirp"})
+	byPolicy, _, err := suiteMPKI(o, "fig11", policies("ship", "ghrp", "chirp"), o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +353,7 @@ func OptBound(o Options) (*OptResult, error) {
 	// generated exactly once.
 	ws := o.suite()
 	cfg := o.tlbCfg()
-	byPolicy, _, err := suiteMPKI(o, "opt", []string{"lru", "chirp"})
+	byPolicy, _, err := suiteMPKI(o, "opt", policies("lru", "chirp"), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +404,7 @@ type BaselinesResult struct {
 
 // Baselines runs the extended baseline comparison.
 func Baselines(o Options) (*BaselinesResult, error) {
-	byPolicy, _, err := suiteMPKI(o, "baselines", sim.ExtendedPolicies)
+	byPolicy, _, err := suiteMPKI(o, "baselines", policies(sim.ExtendedPolicies...), o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +441,7 @@ type CategoryRow struct {
 
 // Categories runs the paper's six policies and reduces per category.
 func Categories(o Options) (*CategoryResult, error) {
-	byPolicy, ws, err := suiteMPKI(o, "categories", sim.PaperPolicies)
+	byPolicy, ws, err := suiteMPKI(o, "categories", policies(sim.PaperPolicies...), o.tlbCfg())
 	if err != nil {
 		return nil, err
 	}

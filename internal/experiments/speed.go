@@ -75,10 +75,7 @@ type Fig8Result struct {
 
 // Fig8 reproduces Figure 8 (speedup for the suite at WalkPenalty).
 func Fig8(o Options) (*Fig8Result, error) {
-	pols, err := sim.Factories(sim.PaperPolicies)
-	if err != nil {
-		return nil, err
-	}
+	pols := policies(sim.PaperPolicies...)
 	rows, names, err := timingSuite(o, "fig8", pols, o.WalkPenalty)
 	if err != nil {
 		return nil, err
@@ -144,10 +141,7 @@ var fig10Penalties = []uint64{20, 60, 100, 150, 200, 260, 320, 340}
 // Checkpoint rows recorded under the per-penalty "fig10/penalty=N"
 // scopes of earlier versions are not reused; those workloads rerun.
 func Fig10(o Options) (*Fig10Result, error) {
-	pols, err := sim.Factories(sim.PaperPolicies)
-	if err != nil {
-		return nil, err
-	}
+	pols := policies(sim.PaperPolicies...)
 	ran := fig10Penalties[0]
 	rows, names, err := timingSuite(o, "fig10", pols, ran)
 	if err != nil {
@@ -229,7 +223,7 @@ var fig2Lengths = []int{4, 8, 12, 16, 24, 32, 40}
 // under the per-length "fig2/len=N" scopes of earlier versions are not
 // reused; those workloads rerun.
 func Fig2(o Options) (*Fig2Result, error) {
-	pols := []sim.NamedFactory{{Name: "lru", New: mustFactory("lru")}}
+	pols := policies("lru")
 	for _, length := range fig2Lengths {
 		pathOnly, combined := fig2Variants(length)
 		pols = append(pols,
@@ -301,12 +295,4 @@ func (r *Fig2Result) Write(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "(paper: PC-only plateaus near length 15; the combined signature keeps gaining past 30)")
 	return nil
-}
-
-func mustFactory(name string) sim.PolicyFactory {
-	fs, err := sim.Factories([]string{name})
-	if err != nil {
-		panic(err)
-	}
-	return fs[0].New
 }
