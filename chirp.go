@@ -22,6 +22,7 @@
 package chirp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/chirplab/chirp/internal/core"
@@ -219,25 +220,25 @@ func CompareMPKI(w *Workload, policies []string, instructions uint64) ([]Compari
 	if w == nil {
 		return nil, fmt.Errorf("chirp: nil workload")
 	}
-	out := make([]Comparison, 0, len(policies))
-	var base float64
-	for i, name := range policies {
-		p, err := sim.NewPolicy(name)
-		if err != nil {
-			return nil, err
+	factories, err := sim.Factories(policies)
+	if err != nil {
+		return nil, err
+	}
+	pf := make([]sim.PolicyFactory, len(factories))
+	for i, f := range factories {
+		pf[i] = f.New
+	}
+	// A nil cache runs the direct RunTLBOnly reference once per policy.
+	rs, err := sim.RunMulti(context.Background(), sim.RunSpec{Workload: w, Config: sim.DefaultTLBOnlyConfig(instructions)}, pf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Comparison, len(rs))
+	for i, res := range rs {
+		out[i] = Comparison{Policy: policies[i], MPKI: res.MPKI, Efficiency: res.Efficiency}
+		if base := rs[0].MPKI; base > 0 {
+			out[i].ReductionPct = (base - res.MPKI) / base * 100
 		}
-		res, err := MeasureMPKI(w.Source(), p, instructions)
-		if err != nil {
-			return nil, err
-		}
-		c := Comparison{Policy: name, MPKI: res.MPKI, Efficiency: res.Efficiency}
-		if i == 0 {
-			base = res.MPKI
-		}
-		if base > 0 {
-			c.ReductionPct = (base - res.MPKI) / base * 100
-		}
-		out = append(out, c)
 	}
 	return out, nil
 }

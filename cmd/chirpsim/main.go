@@ -19,22 +19,16 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"github.com/chirplab/chirp/internal/cli"
-	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/pipeline"
-	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
-	"github.com/chirplab/chirp/internal/tlb"
-	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 	"github.com/chirplab/chirp/internal/workloads/spec"
 )
@@ -58,6 +52,9 @@ func run(fs *flag.FlagSet, args []string) int {
 
 	if specFlags.Name != "" && *traceFile != "" {
 		return cli.Exit("chirpsim", cli.Usagef("-workload-spec and -trace are mutually exclusive"))
+	}
+	if *workload != "" && *traceFile != "" {
+		return cli.Exit("chirpsim", cli.Usagef("-workload and -trace are mutually exclusive"))
 	}
 	compiled, err := specFlags.Compile()
 	if err != nil {
@@ -128,140 +125,69 @@ func run(fs *flag.FlagSet, args []string) int {
 	if err != nil {
 		return cli.Exit("chirpsim", err)
 	}
-	subject := *traceFile
-	specHash := ""
-	switch {
-	case w != nil:
-		subject = w.Name
-		specHash = w.SpecHash
-	case *traceFile != "":
-	default:
-		return cli.Exit("chirpsim", cli.Usagef("one of -workload, -workload-spec or -trace is required (see -list)"))
+	if *traceFile != "" {
+		if w, err = workloads.TraceFile(*traceFile); err != nil {
+			return cli.Exit("chirpsim", err)
+		}
 	}
-	openSource := func() (trace.Source, error) {
-		if w != nil {
-			return trace.NewLimit(w.Source(), *instr), nil
-		}
-		file, err := trace.OpenFile(*traceFile)
-		if err != nil {
-			return nil, err
-		}
-		return trace.NewLimit(file, *instr), nil
+	if w == nil {
+		return cli.Exit("chirpsim", cli.Usagef("one of -workload, -workload-spec or -trace is required (see -list)"))
 	}
 
 	meta := fmt.Sprintf("chirpsim workload=%s trace=%s spec=%s instr=%d timing=%v penalty=%d",
-		subject, *traceFile, specHash, *instr, *timing, *penalty)
+		w.Name, *traceFile, w.SpecHash, *instr, *timing, *penalty)
 	rt, err := resources.Open("chirpsim", meta)
 	if err != nil {
 		return cli.Exit("chirpsim", err)
 	}
 	defer rt.Close()
 
-	// One engine job runs every policy. The timing pipeline drives all
-	// L2 TLBs from one front-end pass (pipeline.NewMulti); TLB-only runs
-	// go through sim.RunMulti with the process cache, which captures (or
-	// loads) the stream and replays every policy's TLB in one pass, or —
-	// with a nil cache — runs the direct reference per policy. Rows stay
-	// in -policies order, so the first policy remains the comparison
-	// baseline.
-	fused := func(ctx context.Context) ([]policyRow, error) {
-		if !*timing {
-			pf := make([]sim.PolicyFactory, len(factories))
-			for i, f := range factories {
-				pf[i] = f.New
-			}
-			rs, err := sim.RunMulti(ctx, sim.RunSpec{
-				Name:     subject,
-				SpecHash: specHash,
-				Open:     openSource,
-				Config:   sim.DefaultTLBOnlyConfig(*instr),
-				Cache:    rt.Streams,
-			}, pf)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]policyRow, len(rs))
-			for i, res := range rs {
-				rows[i] = policyRow{MPKI: res.MPKI, Efficiency: res.Efficiency, TableRate: res.TableAccessRate}
-			}
-			return rows, nil
-		}
-		l2 := make([]tlb.Policy, len(factories))
-		for i, f := range factories {
-			l2[i] = f.New()
-		}
-		src, err := openSource()
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := src.(io.Closer); ok {
-			defer c.Close()
-		}
-		m, err := pipeline.NewMulti(pipeline.DefaultConfig(*instr, *penalty), l2,
-			func() tlb.Policy { return policy.NewLRU() })
-		if err != nil {
-			return nil, err
-		}
-		rs, err := m.RunMulti(src)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]policyRow, len(rs))
-		for i, res := range rs {
-			rows[i] = policyRow{MPKI: res.MPKI, IPC: res.IPC, BranchAccuracy: res.BranchAccuracy}
-		}
-		return rows, nil
-	}
-	jobs := []engine.Job[[]policyRow]{{
-		Key: engine.Key{Workload: subject, Policy: strings.Join(names, "+")},
-		Run: fused,
-	}}
-	grouped, err := engine.Run(rt.Ctx, jobs, engine.Config{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint})
-	if err != nil {
-		return cli.Exit("chirpsim", err)
-	}
-	results := grouped[0]
-
+	// One suite job runs every policy over the one workload: the timing
+	// suite drives all L2 TLBs from one front-end pass, and the TLB-only
+	// suite captures (or loads) the stream once and replays every
+	// policy, or — with a nil cache — runs the direct reference per
+	// policy. Rows stay in -policies order, so the first policy remains
+	// the comparison baseline.
+	ws := []*workloads.Workload{w}
+	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, Scope: "chirpsim", StreamCache: rt.Streams}
+	header := []string{"policy", "MPKI", "vs first", "efficiency", "table rate"}
 	var rows [][]string
-	base := results[0]
-	for i, res := range results {
-		if *timing {
+	if *timing {
+		header = []string{"policy", "MPKI", "vs first", "IPC", "speedup", "branch acc"}
+		rs, err := sim.RunSuiteTimingCtx(rt.Ctx, ws, factories, pipeline.DefaultConfig(*instr, *penalty), opts)
+		if err != nil {
+			return cli.Exit("chirpsim", err)
+		}
+		base := rs[0]
+		for _, res := range rs {
 			rows = append(rows, []string{
-				names[i],
+				res.Policy,
 				fmt.Sprintf("%.4f", res.MPKI),
 				fmt.Sprintf("%+.2f%%", stats.Reduction(base.MPKI, res.MPKI)),
 				fmt.Sprintf("%.4f", res.IPC),
 				fmt.Sprintf("%+.2f%%", (res.IPC/base.IPC-1)*100),
 				fmt.Sprintf("%.3f", res.BranchAccuracy),
 			})
-		} else {
+		}
+	} else {
+		rs, err := sim.RunSuiteTLBOnlyCtx(rt.Ctx, ws, factories, sim.DefaultTLBOnlyConfig(*instr), opts)
+		if err != nil {
+			return cli.Exit("chirpsim", err)
+		}
+		base := rs[0]
+		for _, res := range rs {
 			rows = append(rows, []string{
-				names[i],
+				res.Policy,
 				fmt.Sprintf("%.4f", res.MPKI),
 				fmt.Sprintf("%+.2f%%", stats.Reduction(base.MPKI, res.MPKI)),
 				fmt.Sprintf("%.3f", res.Efficiency),
-				fmt.Sprintf("%.3f", res.TableRate),
+				fmt.Sprintf("%.3f", res.TableAccessRate),
 			})
 		}
 	}
-	if *timing {
-		err = stats.Table(os.Stdout, []string{"policy", "MPKI", "vs first", "IPC", "speedup", "branch acc"}, rows)
-	} else {
-		err = stats.Table(os.Stdout, []string{"policy", "MPKI", "vs first", "efficiency", "table rate"}, rows)
-	}
-	if err != nil {
+	if err := stats.Table(os.Stdout, header, rows); err != nil {
 		fmt.Fprintf(os.Stderr, "chirpsim: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-// policyRow is one rendered measurement; exported fields so it
-// survives a JSON checkpoint round-trip.
-type policyRow struct {
-	MPKI           float64
-	IPC            float64
-	Efficiency     float64
-	TableRate      float64
-	BranchAccuracy float64
 }

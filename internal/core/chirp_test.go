@@ -136,24 +136,6 @@ func TestHistoriesUpdateRules(t *testing.T) {
 	}
 }
 
-func TestHistoriesSnapshotRestore(t *testing.T) {
-	h := NewHistories(DefaultHistoryConfig())
-	for i := uint64(0); i < 10; i++ {
-		h.PushAccess(i << 2)
-		h.PushCond(i << 4)
-	}
-	snap := h.Snapshot()
-	p, c := h.Path(), h.Cond()
-	for i := uint64(0); i < 5; i++ {
-		h.PushAccess(0xfc)
-		h.PushIndirect(0xff0)
-	}
-	h.Restore(snap)
-	if h.Path() != p || h.Cond() != c || h.Indirect() != 0 {
-		t.Error("Restore did not rewind history state")
-	}
-}
-
 func TestSignatureComposition(t *testing.T) {
 	p := MustNew(DefaultConfig())
 	p.Attach(8, 8)
@@ -413,28 +395,6 @@ func TestStorageForMatchesTableI(t *testing.T) {
 	small.TableEntries = 512
 	if got := StorageFor(small, 1024).TotalBytes(); got != 2328 {
 		t.Errorf("small-table total = %v bytes, want 2328", got)
-	}
-}
-
-func TestDualHistorySquash(t *testing.T) {
-	d := NewDualHistory(DefaultHistoryConfig())
-	// Commit some right-path history.
-	d.CommitCond(0x100)
-	d.CommitAccess(0x200)
-	d.SpeculateCond(0x100)
-	d.SpeculateAccess(0x200)
-	// Wrong-path speculation diverges the speculative copy.
-	d.SpeculateCond(0xbad0)
-	d.SpeculateIndirect(0xbad4)
-	d.SpeculateAccess(0xbad8)
-	if d.Speculative().Cond() == d.Architectural().Cond() {
-		t.Fatal("speculation must diverge the speculative history")
-	}
-	d.Squash()
-	if d.Speculative().Cond() != d.Architectural().Cond() ||
-		d.Speculative().Path() != d.Architectural().Path() ||
-		d.Speculative().Indirect() != d.Architectural().Indirect() {
-		t.Error("Squash must restore speculative history to architectural state")
 	}
 }
 

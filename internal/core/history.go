@@ -30,8 +30,9 @@ import "math/bits"
 //
 // This is what the paper's hardware does in registers each event;
 // fold() is thereby a field read instead of an O(length) walk. The
-// ring is kept as the reference state for snapshot/restore and for
-// the equivalence tests against foldSlow.
+// ring holds the elements the fold must cancel as they expire, and is
+// the state foldSlow recomputes the fold from in the equivalence
+// tests.
 type histReg struct {
 	ring     []uint64 // most recent at (pos-1+len)%len
 	pos      int
@@ -103,39 +104,6 @@ func (h *histReg) reset() {
 	}
 	h.pos = 0
 	h.fold64 = 0
-}
-
-// snapshot and restore support speculative checkpointing. snapshot
-// allocates a fresh buffer; snapshotInto reuses the destination's.
-func (h *histReg) snapshot() histSnapshot {
-	var s histSnapshot
-	h.snapshotInto(&s)
-	return s
-}
-
-// snapshotInto overwrites s with the current state, reusing s.ring
-// when it has capacity — the allocation-free path the pipeline's
-// per-branch speculative checkpointing uses.
-func (h *histReg) snapshotInto(s *histSnapshot) {
-	if cap(s.ring) < len(h.ring) {
-		s.ring = make([]uint64, len(h.ring))
-	}
-	s.ring = s.ring[:len(h.ring)]
-	copy(s.ring, h.ring)
-	s.pos = h.pos
-	s.fold64 = h.fold64
-}
-
-func (h *histReg) restore(s histSnapshot) {
-	h.pos = s.pos
-	h.fold64 = s.fold64
-	copy(h.ring, s.ring)
-}
-
-type histSnapshot struct {
-	ring   []uint64
-	pos    int
-	fold64 uint64
 }
 
 // Histories bundles CHiRP's three control-flow history registers
@@ -230,35 +198,4 @@ func (h *Histories) Reset() {
 	h.path.reset()
 	h.cond.reset()
 	h.ind.reset()
-}
-
-// Snapshot captures the complete history state for speculative
-// checkpointing. It allocates fresh buffers; checkpoint-per-branch
-// callers should hold a HistoriesSnapshot and use SnapshotInto, which
-// reuses them.
-func (h *Histories) Snapshot() HistoriesSnapshot {
-	var s HistoriesSnapshot
-	h.SnapshotInto(&s)
-	return s
-}
-
-// SnapshotInto overwrites s with the current history state, reusing
-// s's ring buffers when they are already sized — zero allocations in
-// steady state.
-func (h *Histories) SnapshotInto(s *HistoriesSnapshot) {
-	h.path.snapshotInto(&s.path)
-	h.cond.snapshotInto(&s.cond)
-	h.ind.snapshotInto(&s.ind)
-}
-
-// Restore rewinds to a snapshot.
-func (h *Histories) Restore(s HistoriesSnapshot) {
-	h.path.restore(s.path)
-	h.cond.restore(s.cond)
-	h.ind.restore(s.ind)
-}
-
-// HistoriesSnapshot is an opaque checkpoint of all three registers.
-type HistoriesSnapshot struct {
-	path, cond, ind histSnapshot
 }

@@ -108,14 +108,6 @@ func (c *Checkpoint) Len() int {
 	return len(c.done)
 }
 
-// Has reports whether the key has a completed result.
-func (c *Checkpoint) Has(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.done[k]
-	return ok
-}
-
 // Get unmarshals the key's result into out, reporting whether the key
 // was present.
 func (c *Checkpoint) Get(k Key, out any) (bool, error) {

@@ -12,6 +12,7 @@ import (
 	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
+	"github.com/chirplab/chirp/internal/workloads/spec"
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely since
@@ -398,5 +399,35 @@ func TestDefaultOptions(t *testing.T) {
 	o.Workloads = -1
 	if got := len(o.suite()); got != 870 {
 		t.Errorf("negative workload count must clamp to full suite, got %d", got)
+	}
+}
+
+// TestCategoriesKeepsSpecCategories: a spec-compiled population whose
+// categories are not built-in templates (the multi-tenant exemplar's
+// "mix") still gets one row per category, covering every workload.
+func TestCategoriesKeepsSpecCategories(t *testing.T) {
+	s, err := spec.Load("../../examples/specs/multitenant.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := spec.Compile(s, spec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Suite: compiled.Workloads(), Workloads: 2, Instructions: 200_000}
+	res, err := Categories(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, w := range compiled.Workloads()[:2] {
+		want[w.Category]++
+	}
+	got := map[string]int{}
+	for _, row := range res.Categories {
+		got[row.Category] = row.Count
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("category rows %v, want %v", got, want)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 // Fig7Result is the Figure 7 data: the MPKI S-curve over the suite for
@@ -455,8 +457,16 @@ func Categories(o Options) (*CategoryResult, error) {
 			byCat[cat][name] = append(byCat[cat][name], r.MPKI)
 		}
 	}
+	// Built-in categories first, in their fixed order; then any other
+	// (spec-defined) category in order of first appearance.
+	cats := slices.Clone(workloads.Categories)
+	for _, w := range ws {
+		if !slices.Contains(cats, w.Category) {
+			cats = append(cats, w.Category)
+		}
+	}
 	res := &CategoryResult{Order: sim.PaperPolicies}
-	for _, cat := range workloadCategories() {
+	for _, cat := range cats {
 		m := byCat[cat]
 		if m == nil {
 			continue
@@ -499,9 +509,4 @@ func (r *CategoryResult) Write(w io.Writer) error {
 		rows = append(rows, cells)
 	}
 	return stats.Table(w, header, rows)
-}
-
-// workloadCategories avoids importing workloads here for one slice.
-func workloadCategories() []string {
-	return []string{"spec", "db", "crypto", "sci", "web", "bigdata", "ml", "osmix"}
 }

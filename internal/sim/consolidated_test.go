@@ -68,13 +68,6 @@ func TestConsolidatedASIDIsolation(t *testing.T) {
 	if ppn, hit := tl.Lookup(a1); !hit || ppn != 200 {
 		t.Errorf("ASID 1 translation wrong: (%d, %v)", ppn, hit)
 	}
-	tl.FlushASID(0)
-	if _, hit := tl.Lookup(a0); hit {
-		t.Error("FlushASID(0) left ASID 0 entries resident")
-	}
-	if _, hit := tl.Lookup(a1); !hit {
-		t.Error("FlushASID(0) removed ASID 1 entries")
-	}
 	tl.Flush()
 	if _, hit := tl.Lookup(a1); hit {
 		t.Error("Flush left entries resident")

@@ -318,12 +318,12 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 		ps[i] = f()
 	}
 	if spec.Cache != nil && !slices.ContainsFunc(ps, needsBranchEvents) {
-		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
+		stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
 		if err == nil {
 			return replayMemoized(stream, ps, spec.Config)
 		}
 		if !errors.Is(err, l2stream.ErrOverBudget) {
-			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
+			return nil, fmt.Errorf("sim: capturing %s: %w", spec.Workload.Name, err)
 		}
 	}
 	out := make([]TLBOnlyResult, len(ps))

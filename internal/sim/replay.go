@@ -97,12 +97,12 @@ func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 // no cache or the capture is over its budget.
 func optSequence(spec RunSpec) ([]uint64, error) {
 	if spec.Cache != nil {
-		stream, err := StreamFor(spec.Cache, spec.name(), spec.specHash(), spec.Config, spec.open)
+		stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
 		if err == nil {
 			return StreamVPNs(stream, spec.Config)
 		}
 		if !errors.Is(err, l2stream.ErrOverBudget) {
-			return nil, fmt.Errorf("sim: capturing %s: %w", spec.name(), err)
+			return nil, fmt.Errorf("sim: capturing %s: %w", spec.Workload.Name, err)
 		}
 	}
 	src, err := spec.open()

@@ -14,28 +14,11 @@ import (
 // single argument of Run, so the call sites read as configuration
 // rather than positional plumbing, and new knobs never change the
 // signature.
-//
-// Exactly one of Workload and Open must be set:
-//
-//   - Workload names a synthetic workload; Run derives the bounded
-//     trace source (and the stream-cache key) from it.
-//   - Open returns a fresh bounded source per call — for trace files or
-//     custom generators. It may be called zero times (stream already
-//     cached), once per capture, or once per policy on the direct
-//     path. A source that is an io.Closer is closed after use.
 type RunSpec struct {
-	// Workload, when non-nil, supplies both the trace source and the
-	// run's name.
+	// Workload supplies the trace source, the run's name and the
+	// stream-cache key (its Name and SpecHash). A recorded trace is a
+	// workload too (workloads.TraceFile).
 	Workload *workloads.Workload
-	// Open supplies the trace source when Workload is nil.
-	Open func() (trace.Source, error)
-	// Name identifies the run in the stream cache. Required with Open
-	// when Cache is set; defaults to Workload.Name otherwise.
-	Name string
-	// SpecHash qualifies the stream-cache key with the content hash of
-	// the workload spec the run came from; defaults to
-	// Workload.SpecHash ("" for legacy workloads and trace files).
-	SpecHash string
 	// Policy builds the L2 replacement policy under test.
 	Policy PolicyFactory
 	// Config is the TLB-only configuration (hierarchy, instruction
@@ -49,35 +32,12 @@ type RunSpec struct {
 	Cache *l2stream.Cache
 }
 
-// name returns the run's stream-cache identity.
-func (s *RunSpec) name() string {
-	if s.Name != "" {
-		return s.Name
-	}
-	if s.Workload != nil {
-		return s.Workload.Name
-	}
-	return ""
-}
-
-// specHash returns the run's spec identity for the stream-cache key.
-func (s *RunSpec) specHash() string {
-	if s.SpecHash != "" {
-		return s.SpecHash
-	}
-	if s.Workload != nil {
-		return s.Workload.SpecHash
-	}
-	return ""
-}
-
-// open returns a fresh bounded source for the spec. Whoever opens it
-// closes it with closeSource once the run or capture is done.
+// open returns a fresh bounded source for the spec. It may be called
+// zero times (stream already cached), once per capture, or once per
+// policy on the direct path; whoever opens it closes it with
+// closeSource once the run or capture is done.
 func (s *RunSpec) open() (trace.Source, error) {
-	if s.Workload != nil {
-		return trace.NewLimit(s.Workload.Source(), s.Config.Instructions), nil
-	}
-	return s.Open()
+	return trace.NewLimit(s.Workload.Source(), s.Config.Instructions), nil
 }
 
 // closeSource closes src when it holds a resource (a trace file, or a
@@ -89,17 +49,12 @@ func closeSource(src trace.Source) {
 	}
 }
 
-// validate rejects trace specs that cannot run before any work starts.
+// validate rejects specs that cannot run before any work starts.
 // Policy is checked by Run alone: RunMulti takes its policies as a
 // separate slice.
 func (s *RunSpec) validate() error {
-	switch {
-	case s.Workload == nil && s.Open == nil:
-		return errors.New("sim: RunSpec needs Workload or Open")
-	case s.Workload != nil && s.Open != nil:
-		return errors.New("sim: RunSpec.Workload and RunSpec.Open are mutually exclusive")
-	case s.Cache != nil && s.name() == "":
-		return errors.New("sim: RunSpec.Name is required to key the stream cache when Open is used")
+	if s.Workload == nil {
+		return errors.New("sim: RunSpec needs a Workload")
 	}
 	return nil
 }

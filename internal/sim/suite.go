@@ -117,7 +117,9 @@ func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []Nam
 		if err != nil {
 			return nil, err
 		}
-		return m.RunMulti(trace.NewLimit(w.Source(), cfg.Instructions))
+		src := trace.NewLimit(w.Source(), cfg.Instructions)
+		defer closeSource(src)
+		return m.RunMulti(src)
 	}
 	cell := func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
 		rs, err := run(w, []tlb.Policy{p.New()})

@@ -509,26 +509,6 @@ func (t *TLB) Flush() {
 	}
 }
 
-// FlushASID invalidates the entries belonging to one address space.
-func (t *TLB) FlushASID(asid uint16) {
-	for s := range t.valid {
-		base := s * t.ways
-		m := t.valid[s]
-		for m != 0 {
-			w := bits.TrailingZeros64(m)
-			m &= m - 1
-			e := &t.entries[base+w]
-			if e.asid != asid {
-				continue
-			}
-			t.retire(e)
-			t.tags[base+w] = tagFree
-			t.live[s]--
-			t.valid[s] &^= 1 << uint(w)
-		}
-	}
-}
-
 // retire folds a finished entry lifetime into the efficiency counters.
 // Callers guarantee e is valid (reached through the valid bitmask or
 // the full-set victim path).

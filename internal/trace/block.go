@@ -44,40 +44,6 @@ func (b *blockAdapter) NextBlock(buf []Record) int {
 
 func (b *blockAdapter) Reset() { b.src.Reset() }
 
-// Unblock adapts a BlockSource back to a record-at-a-time Source.
-// BlockSources that already implement Source are returned as-is;
-// otherwise records are staged through an internal block buffer.
-func Unblock(bs BlockSource) Source {
-	if src, ok := bs.(Source); ok {
-		return src
-	}
-	return &blockReader{bs: bs, buf: make([]Record, DefaultBlockSize)}
-}
-
-type blockReader struct {
-	bs     BlockSource
-	buf    []Record
-	pos, n int
-}
-
-func (r *blockReader) Next(rec *Record) bool {
-	if r.pos >= r.n {
-		r.n = r.bs.NextBlock(r.buf)
-		r.pos = 0
-		if r.n == 0 {
-			return false
-		}
-	}
-	*rec = r.buf[r.pos]
-	r.pos++
-	return true
-}
-
-func (r *blockReader) Reset() {
-	r.bs.Reset()
-	r.pos, r.n = 0, 0
-}
-
 // NextBlock implements BlockSource natively: records are copied out of
 // the slice in one step.
 func (s *SliceSource) NextBlock(buf []Record) int {

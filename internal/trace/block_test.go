@@ -67,25 +67,6 @@ type onlySource struct{ src Source }
 func (o *onlySource) Next(rec *Record) bool { return o.src.Next(rec) }
 func (o *onlySource) Reset()                { o.src.Reset() }
 
-func TestUnblockRoundTrip(t *testing.T) {
-	recs := scriptedRecords(257) // not a multiple of any block size
-	src := Unblock(&blockAdapter{src: &onlySource{src: NewSliceSource(recs)}})
-	got := Collect(src)
-	if len(got) != len(recs) {
-		t.Fatalf("round trip returned %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d diverged after round trip", i)
-		}
-	}
-	src.Reset()
-	var rec Record
-	if !src.Next(&rec) || rec != recs[0] {
-		t.Error("Reset must restart the round-tripped stream")
-	}
-}
-
 func TestLimitNextBlockClampsBudget(t *testing.T) {
 	recs := make([]Record, 100)
 	for i := range recs {

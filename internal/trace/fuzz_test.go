@@ -45,31 +45,3 @@ func FuzzBinaryReader(f *testing.F) {
 		}
 	})
 }
-
-func FuzzTextParser(f *testing.F) {
-	f.Add("0x1000 load 0x2000 3")
-	f.Add("0x1 cond-branch 1 0x2 9")
-	f.Add("")
-	f.Add("# comment")
-	f.Add("x y z")
-	f.Fuzz(func(t *testing.T, line string) {
-		rec, err := ParseTextRecord(line)
-		if err != nil {
-			return
-		}
-		// A successfully parsed record must survive a write→parse
-		// round trip.
-		var buf bytes.Buffer
-		if err := WriteText(&buf, NewSliceSource([]Record{rec})); err != nil {
-			t.Fatalf("WriteText failed on parsed record %+v: %v", rec, err)
-		}
-		tr := NewTextReader(&buf)
-		var back Record
-		if !tr.Next(&back) {
-			t.Fatalf("round trip lost record %+v (err %v)", rec, tr.Err())
-		}
-		if back != rec {
-			t.Fatalf("round trip changed record: %+v → %+v", rec, back)
-		}
-	})
-}

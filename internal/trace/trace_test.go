@@ -369,3 +369,19 @@ func TestFileRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestBinaryReaderNeverPanicsOnGarbage(t *testing.T) {
+	f := func(garbage []byte) bool {
+		r, _, _, err := NewReader(bytes.NewReader(garbage))
+		if err != nil {
+			return true
+		}
+		var rec Record
+		for i := 0; i < 1000 && r.Next(&rec); i++ {
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -129,18 +129,6 @@ func (c *Compiled) ByName(name string) *workloads.Workload {
 	return nil
 }
 
-// LoadCompile loads the spec file at path and compiles it — the shared
-// cmd helper behind every -workload-spec flag. seedSet reports whether
-// the CLI -seed flag was explicitly set (flag.Visit), which is what
-// gives it supremacy over the document's seed.
-func LoadCompile(path string, seed uint64, seedSet bool) (*Compiled, error) {
-	s, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(s, Options{Seed: seed, SeedSet: seedSet})
-}
-
 // clientPlan is one client, compiled: its derived seed, lifecycle, a
 // pure builder for its (rebased) program, and its description.
 type clientPlan struct {

@@ -89,6 +89,28 @@ func NewSourceWorkload(name, category, specHash string, seed uint64, profile str
 	}
 }
 
+// TraceFile wraps a binary trace file (trace.OpenFile's format) as a
+// workload, so a recorded trace runs through every driver a generated
+// one does. The file is opened here once to validate it, then closed;
+// every Source call opens it again, and a file that no longer opens
+// panics there, as trace.FileSource.Reset does (the engine reports the
+// panic as a job error). Name is the path and SpecHash is "", so the
+// file's capture-stream key is its path.
+func TraceFile(path string) (*Workload, error) {
+	f, err := trace.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	f.Close()
+	return NewSourceWorkload(path, "trace", "", 0, "", func() trace.Source {
+		f, err := trace.OpenFile(path)
+		if err != nil {
+			panic(fmt.Sprintf("workloads: reopening %s: %v", path, err))
+		}
+		return f
+	}, nil), nil
+}
+
 // Categories lists the suite's workload families, mirroring the
 // paper's description of the CVP-1 mix: "SPEC, database, crypto,
 // scientific, web, 'big data' and other applications". Each category
@@ -126,9 +148,6 @@ type SuiteSpec struct {
 	// Categories are the templates to interleave; nil means Categories.
 	Categories []string
 }
-
-// DefaultSuite is the declaration of the paper's 870-workload suite.
-func DefaultSuite() SuiteSpec { return SuiteSpec{Size: SuiteSize} }
 
 // CompileSuite materialises spec into workloads, categories
 // interleaved so any prefix is diverse. Per-workload seeds follow the
