@@ -40,3 +40,18 @@ func TestFlagSet(t *testing.T) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
 	}
 }
+
+// TestZeroInstrIsUsageError: every route bounds its workloads at -instr
+// instructions, so -instr 0 would simulate nothing; it is a usage error
+// (exit 2) on the MPKI, timing and consolidated routes alike.
+func TestZeroInstrIsUsageError(t *testing.T) {
+	for _, exp := range []string{"fig7", "fig8", "consolidated"} {
+		t.Run(exp, func(t *testing.T) {
+			fs := flag.NewFlagSet("chirpexp", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if code := run(fs, []string{"-exp", exp, "-n", "1", "-instr", "0"}); code != 2 {
+				t.Errorf("-exp %s -instr 0 returned %d, want 2 (usage)", exp, code)
+			}
+		})
+	}
+}

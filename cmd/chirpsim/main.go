@@ -49,6 +49,9 @@ func run(fs *flag.FlagSet, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *instr == 0 {
+		return cli.Exit("chirpsim", cli.Usagef("-instr must be positive: a zero budget simulates nothing"))
+	}
 
 	if specFlags.Name != "" && *traceFile != "" {
 		return cli.Exit("chirpsim", cli.Usagef("-workload-spec and -trace are mutually exclusive"))

@@ -8,6 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/chirplab/chirp/internal/trace"
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 // TestFlagSet pins chirpsim's flag names and defaults, so a change to
@@ -81,6 +84,29 @@ func TestUnreadableTraceFileExitsOne(t *testing.T) {
 			fs.SetOutput(io.Discard)
 			if code := run(fs, []string{"-trace", path, "-instr", "20000"}); code != 1 {
 				t.Errorf("-trace %s returned %d, want 1", filepath.Base(path), code)
+			}
+		})
+	}
+}
+
+// TestZeroInstrIsUsageError: chirpsim bounds its subject at -instr
+// instructions, so -instr 0 would simulate nothing; it is a usage error
+// (exit 2) for a suite workload, in timing mode and for a trace file.
+func TestZeroInstrIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db-000.chtr")
+	if _, _, err := trace.WriteFile(path, trace.NewLimit(workloads.ByName("db-000").Source(), 20_000)); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{
+		"tlb-only": {"-workload", "db-000"},
+		"timing":   {"-workload", "db-000", "-timing"},
+		"trace":    {"-trace", path},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := flag.NewFlagSet("chirpsim", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if code := run(fs, append(args, "-instr", "0")); code != 2 {
+				t.Errorf("%v -instr 0 returned %d, want 2 (usage)", args, code)
 			}
 		})
 	}

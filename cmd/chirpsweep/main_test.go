@@ -39,3 +39,18 @@ func TestFlagSet(t *testing.T) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
 	}
 }
+
+// TestZeroInstrIsUsageError: every sweep bounds its workloads at -instr
+// instructions, so -instr 0 would simulate nothing; it is a usage error
+// (exit 2) for a geometry sweep and a policy sweep alike.
+func TestZeroInstrIsUsageError(t *testing.T) {
+	for _, sweep := range []string{"ways", "table"} {
+		t.Run(sweep, func(t *testing.T) {
+			fs := flag.NewFlagSet("chirpsweep", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if code := run(fs, []string{"-sweep", sweep, "-n", "2", "-instr", "0"}); code != 2 {
+				t.Errorf("-sweep %s -instr 0 returned %d, want 2 (usage)", sweep, code)
+			}
+		})
+	}
+}

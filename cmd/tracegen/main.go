@@ -39,6 +39,9 @@ func run(fs *flag.FlagSet, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *instr == 0 {
+		return cli.Exit("tracegen", cli.Usagef("-instr must be positive: a zero budget simulates nothing"))
+	}
 
 	compiled, err := specFlags.Compile()
 	if err != nil {

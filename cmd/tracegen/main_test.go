@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -34,5 +35,24 @@ func TestFlagSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
+	}
+}
+
+// TestZeroInstrIsUsageError: tracegen bounds every workload at -instr
+// instructions, so -instr 0 would write empty traces; it is a usage
+// error (exit 2) for one workload and for a suite prefix.
+func TestZeroInstrIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	for name, args := range map[string][]string{
+		"workload": {"-workload", "db-000", "-o", filepath.Join(dir, "db-000.chtr")},
+		"all":      {"-all", "-n", "1", "-dir", dir},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if code := run(fs, append(args, "-instr", "0")); code != 2 {
+				t.Errorf("%v -instr 0 returned %d, want 2 (usage)", args, code)
+			}
+		})
 	}
 }

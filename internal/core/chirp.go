@@ -40,18 +40,6 @@ type Config struct {
 	// (§IV-E; on in the full design). When off, every (non-suppressed)
 	// hit trains, as SHiP and GHRP do.
 	FirstHitOnly bool
-	// DeadBlockVictim selects predicted-dead entries first on a miss
-	// (on in the full design; off degenerates to pure LRU with
-	// signature bookkeeping).
-	DeadBlockVictim bool
-	// GracefulDeadVictim evicts the dead-predicted entry deepest in the
-	// LRU stack instead of the first one in way order (the paper's
-	// Figure 5 scans ways in order). The grace period lets a
-	// mispredicted entry receive its first hit and retrain, damping
-	// counter fluctuation at the cost of keeping genuinely dead entries
-	// slightly longer. Off in the paper-faithful default; the
-	// chirpsweep tool ablates it.
-	GracefulDeadVictim bool
 }
 
 // DefaultConfig returns the paper's main configuration: a 1 KB
@@ -68,7 +56,6 @@ func DefaultConfig() Config {
 		UseIndirectHistory: true,
 		SelectiveHitUpdate: true,
 		FirstHitOnly:       true,
-		DeadBlockVictim:    true,
 	}
 }
 
@@ -172,8 +159,7 @@ func (*CHiRP) Name() string { return "chirp" }
 // Config returns the policy's configuration.
 func (p *CHiRP) Config() Config { return p.cfg }
 
-// Histories exposes the history registers (used by the pipeline's
-// speculative checkpointing and by tests).
+// Histories exposes the history registers (for tests).
 func (p *CHiRP) Histories() *Histories { return p.hist }
 
 // Attach implements tlb.Policy.
@@ -341,34 +327,17 @@ func (p *CHiRP) OnHit(set uint32, way int, _ *tlb.Access) {
 }
 
 // Victim implements tlb.Policy (paper Figure 5, procedure
-// VictimEntry): a predicted-dead entry if one exists — the first in
-// way order, as Figure 5's loop scans, or the LRU-deepest one under
-// GracefulDeadVictim — else the LRU entry, in which case the LRU
+// VictimEntry): the first predicted-dead entry in way order, as
+// Figure 5's loop scans, else the LRU entry, in which case the LRU
 // victim's signature trains toward dead (lines 10–12: the entry just
 // proved dead under that signature).
 //
 //chirp:hotpath
 func (p *CHiRP) Victim(set uint32, _ *tlb.Access) int {
 	base := int(set) * p.ways
-	if p.cfg.DeadBlockVictim {
-		if p.cfg.GracefulDeadVictim {
-			best, bestPos := -1, -1
-			for w := 0; w < p.ways; w++ {
-				if p.dead[base+w] {
-					if pos := p.rec.Position(set, w); pos > bestPos {
-						best, bestPos = w, pos
-					}
-				}
-			}
-			if best >= 0 {
-				return best
-			}
-		} else {
-			for w := 0; w < p.ways; w++ {
-				if p.dead[base+w] {
-					return w
-				}
-			}
+	for w := 0; w < p.ways; w++ {
+		if p.dead[base+w] {
+			return w
 		}
 	}
 	way := p.rec.LRU(set)

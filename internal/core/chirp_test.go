@@ -334,18 +334,17 @@ func TestCHiRPDeadVictimSelection(t *testing.T) {
 	if w := p.Victim(0, a); w != 2 {
 		t.Errorf("victim = %d, want predicted-dead way 2", w)
 	}
-	// With DeadBlockVictim off it must ignore the dead bit.
-	cfg := DefaultConfig()
-	cfg.DeadBlockVictim = false
-	q := MustNew(cfg)
-	q.Attach(1, 4)
-	for w := 0; w < 4; w++ {
-		q.OnAccess(a)
-		q.OnInsert(0, w, a)
+	// Figure 5 scans in way order: with ways 1 and 3 dead the victim is
+	// way 1, though way 3 sits deeper in the LRU stack. Evicting a dead
+	// entry trains nothing.
+	p.dead[1], p.dead[2], p.dead[3] = true, false, true
+	p.rec.Touch(0, 1)
+	writes := p.writes
+	if w := p.Victim(0, a); w != 1 {
+		t.Errorf("victim = %d, want the first dead way 1", w)
 	}
-	q.dead[2] = true
-	if w := q.Victim(0, a); w != 0 {
-		t.Errorf("victim with DeadBlockVictim off = %d, want LRU way 0", w)
+	if p.writes != writes {
+		t.Errorf("a dead victim wrote the table %d times", p.writes-writes)
 	}
 }
 

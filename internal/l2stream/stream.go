@@ -40,7 +40,9 @@ type Config struct {
 	L1I, L1D tlb.Config
 	// PageShift is the L2 TLB's page-size shift (VPN = address >> shift).
 	PageShift uint
-	// Instructions bounds the committed instruction count (0 = drain).
+	// Instructions bounds the committed instruction count. 0 drains
+	// the source, which holds only for a direct Capture over a finite
+	// source.
 	Instructions uint64
 	// WarmupFraction of instructions warms structures before measurement.
 	WarmupFraction float64

@@ -22,23 +22,9 @@ const Levels = 4
 // bitsPerLevel is the radix width of each level.
 const bitsPerLevel = 9
 
-// AllocPolicy controls how physical frames are handed out.
-type AllocPolicy uint8
-
-const (
-	// AllocSequential hands out consecutive frames (fresh boot, no
-	// fragmentation).
-	AllocSequential AllocPolicy = iota
-	// AllocFragmented hands out pseudo-randomly permuted frames
-	// (long-running system; defeats physical-contiguity locality).
-	AllocFragmented
-)
-
 // Space is one virtual address space: the VPN→PPN mapping plus the
 // radix page table that encodes it.
 type Space struct {
-	policy AllocPolicy
-
 	mapping map[uint64]uint64
 	nextPPN uint64
 
@@ -51,12 +37,10 @@ type Space struct {
 	pageFaults uint64
 }
 
-// NewSpace creates an address space. Frames are assigned on first
-// touch (demand paging).
-func NewSpace(policy AllocPolicy, seed uint64) *Space {
-	_ = seed // reserved for future randomized allocators
+// NewSpace creates an address space. Consecutive frames are assigned
+// on first touch (demand paging).
+func NewSpace() *Space {
 	s := &Space{
-		policy:  policy,
 		mapping: make(map[uint64]uint64, 1<<16), // no growth in the timing record loop: TestRunMultiAllocationFree needs this hint
 		// Data frames start high so they never collide with page-table
 		// node frames.
@@ -75,18 +59,6 @@ func (s *Space) allocNode() uint64 {
 	return n
 }
 
-// allocFrame assigns a physical frame per the allocation policy.
-func (s *Space) allocFrame() uint64 {
-	n := s.nextPPN
-	s.nextPPN++
-	if s.policy == AllocFragmented {
-		// Multiplication by an odd constant is a bijection on 32 bits,
-		// so scattered frames stay unique while losing all contiguity.
-		return 1<<24 | uint64(uint32(n)*2654435761)
-	}
-	return n
-}
-
 // Translate returns the PPN for vpn, allocating a frame and page-table
 // path on first touch. faulted reports a demand-paging fault
 // (first-touch allocation).
@@ -94,7 +66,8 @@ func (s *Space) Translate(vpn uint64) (ppn uint64, faulted bool) {
 	if p, ok := s.mapping[vpn]; ok {
 		return p, false
 	}
-	p := s.allocFrame()
+	p := s.nextPPN
+	s.nextPPN++
 	s.mapping[vpn] = p
 	s.insertPTE(vpn, p)
 	s.pageFaults++

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTranslateStable(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
+	s := NewSpace()
 	p1, faulted := s.Translate(100)
 	if !faulted {
 		t.Fatal("first touch must fault")
@@ -24,59 +24,11 @@ func TestTranslateStable(t *testing.T) {
 }
 
 func TestSequentialAllocContiguous(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
+	s := NewSpace()
 	a, _ := s.Translate(10)
 	b, _ := s.Translate(11)
 	if b != a+1 {
 		t.Errorf("sequential frames not contiguous: %d then %d", a, b)
-	}
-}
-
-func TestFragmentedAllocUniqueAndScattered(t *testing.T) {
-	s := NewSpace(AllocFragmented, 1)
-	seen := map[uint64]bool{}
-	contiguous := 0
-	var prev uint64
-	for v := uint64(0); v < 5000; v++ {
-		p, _ := s.Translate(v)
-		if seen[p] {
-			t.Fatalf("duplicate frame %d", p)
-		}
-		seen[p] = true
-		if v > 0 && p == prev+1 {
-			contiguous++
-		}
-		prev = p
-	}
-	if contiguous > 100 {
-		t.Errorf("fragmented allocator produced %d/5000 contiguous pairs", contiguous)
-	}
-}
-
-func TestFragmentedUniquenessProperty(t *testing.T) {
-	f := func(vpnsRaw []uint32) bool {
-		s := NewSpace(AllocFragmented, 2)
-		frames := map[uint64]uint64{}
-		for _, raw := range vpnsRaw {
-			vpn := uint64(raw % 10000)
-			p, _ := s.Translate(vpn)
-			if prior, ok := frames[vpn]; ok && prior != p {
-				return false // translation changed
-			}
-			frames[vpn] = p
-		}
-		// All distinct VPNs must hold distinct frames.
-		rev := map[uint64]uint64{}
-		for vpn, p := range frames {
-			if other, ok := rev[p]; ok && other != vpn {
-				return false
-			}
-			rev[p] = vpn
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -97,7 +49,7 @@ func (m *flatMem) Access(pa uint64, _ bool) uint64 {
 }
 
 func TestRadixWalkerFourLevels(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
+	s := NewSpace()
 	m := &flatMem{lat: 10, addrs: map[uint64]bool{}}
 	w := NewRadixWalker(s, m, PSCConfig{}) // no PSCs
 	ppn, cycles := w.Walk(0x12345)
@@ -114,7 +66,7 @@ func TestRadixWalkerFourLevels(t *testing.T) {
 }
 
 func TestRadixWalkerPSCShortensWalks(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
+	s := NewSpace()
 	m := &flatMem{lat: 10}
 	w := NewRadixWalker(s, m, PSCConfig{EntriesPerLevel: 16})
 	// Walk neighbouring pages: after the first walk the PSC holds the
@@ -138,7 +90,7 @@ func TestRadixWalkerPSCShortensWalks(t *testing.T) {
 
 func TestRadixWalkerMatchesTranslation(t *testing.T) {
 	f := func(vpnsRaw []uint16) bool {
-		s := NewSpace(AllocSequential, 3)
+		s := NewSpace()
 		w := NewRadixWalker(s, &flatMem{lat: 1}, PSCConfig{EntriesPerLevel: 8})
 		for _, raw := range vpnsRaw {
 			vpn := uint64(raw)
@@ -156,7 +108,7 @@ func TestRadixWalkerMatchesTranslation(t *testing.T) {
 }
 
 func TestRadixWalkerAverageLatency(t *testing.T) {
-	s := NewSpace(AllocSequential, 1)
+	s := NewSpace()
 	w := NewRadixWalker(s, &flatMem{lat: 25}, PSCConfig{})
 	if w.AverageLatency() != 0 {
 		t.Error("idle average must be 0")

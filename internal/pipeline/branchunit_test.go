@@ -138,36 +138,3 @@ func TestColdCachesCostMoreThanWarm(t *testing.T) {
 		t.Errorf("post-warmup IPC (%.4f) not above whole-run IPC (%.4f)", warm.IPC, cold.IPC)
 	}
 }
-
-func TestWrongPathPollutionSlowsDown(t *testing.T) {
-	// With wrong-path modelling on, hard-to-predict branches pollute
-	// the i-cache, so IPC must not improve and i-cache accesses grow.
-	rng := trace.NewRNG(5)
-	var recs []trace.Record
-	for i := 0; i < 40_000; i++ {
-		recs = append(recs,
-			trace.Record{PC: 0x4002b4, Class: trace.ClassALU, Skip: 3},
-			trace.Record{PC: 0x4003c8, Class: trace.ClassCondBranch, Taken: rng.Bool(0.5), Target: 0x400310})
-	}
-	run := func(wrongPath bool) (Result, uint64) {
-		cfg := DefaultConfig(uint64(len(recs)*5), 150)
-		cfg.ModelWrongPath = wrongPath
-		m, err := New(cfg, policy.NewLRU(), lruFactory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run(trace.NewSliceSource(recs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, m.Mem().L1I.Stats().Accesses
-	}
-	off, accOff := run(false)
-	on, accOn := run(true)
-	if accOn <= accOff {
-		t.Errorf("wrong-path modelling did not add i-cache accesses: %d vs %d", accOn, accOff)
-	}
-	if on.IPC > off.IPC {
-		t.Errorf("wrong-path pollution raised IPC: %v vs %v", on.IPC, off.IPC)
-	}
-}

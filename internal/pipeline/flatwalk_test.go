@@ -1,41 +1,27 @@
 package pipeline_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/sim"
 )
 
-type flatWalkVariant struct {
-	workload  string
-	wrongPath bool
-}
-
-// flatWalkVariants covers four workload categories with the wrong-path
-// model off and on: wrong-path fetches skip translation, so neither
-// fact below may depend on it.
-var flatWalkVariants = func() (out []flatWalkVariant) {
-	for _, w := range []string{"spec-000", "db-003", "web-000", "sci-000"} {
-		out = append(out, flatWalkVariant{w, false}, flatWalkVariant{w, true})
-	}
-	return out
-}()
+// flatWalkWorkloads is one workload per suite category
+// (workloads.Categories).
+var flatWalkWorkloads = []string{"spec-000", "db-003", "crypto-000", "sci-000", "web-000", "bigdata-000", "ml-000", "osmix-000"}
 
 const flatWalkInstr = 400_000
 
 // fusedRun drives one machine carrying every registered policy and
 // returns its results in sim.PolicyNames order.
-func fusedRun(t *testing.T, workload string, penalty uint64, wrongPath bool) []pipeline.Result {
+func fusedRun(t *testing.T, workload string, penalty uint64) []pipeline.Result {
 	t.Helper()
 	pols, err := sim.Factories(sim.PolicyNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig(flatWalkInstr, penalty)
-	cfg.ModelWrongPath = wrongPath
-	rs, err := fusedMachine(t, cfg, pols).RunMulti(source(t, workload, flatWalkInstr))
+	rs, err := fusedMachine(t, pipeline.DefaultConfig(flatWalkInstr, penalty), pols).RunMulti(source(t, workload, flatWalkInstr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +35,15 @@ func fusedRun(t *testing.T, workload string, penalty uint64, wrongPath bool) []p
 // figures' replay.
 func TestTimingMissesMatchTLBOnly(t *testing.T) {
 	names := sim.PolicyNames()
-	for _, v := range flatWalkVariants {
-		t.Run(fmt.Sprintf("%s/wrongpath=%v", v.workload, v.wrongPath), func(t *testing.T) {
-			rs := fusedRun(t, v.workload, 150, v.wrongPath)
+	for _, workload := range flatWalkWorkloads {
+		t.Run(workload, func(t *testing.T) {
+			rs := fusedRun(t, workload, 150)
 			for i, name := range names {
 				p, err := sim.NewPolicy(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := sim.RunTLBOnly(source(t, v.workload, flatWalkInstr), p, sim.DefaultTLBOnlyConfig(flatWalkInstr))
+				ref, err := sim.RunTLBOnly(source(t, workload, flatWalkInstr), p, sim.DefaultTLBOnlyConfig(flatWalkInstr))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,9 +61,9 @@ func TestTimingMissesMatchTLBOnly(t *testing.T) {
 func TestTimingCyclesLinearInPenalty(t *testing.T) {
 	const lo, hi = 20, 150
 	names := sim.PolicyNames()
-	for _, v := range flatWalkVariants {
-		t.Run(fmt.Sprintf("%s/wrongpath=%v", v.workload, v.wrongPath), func(t *testing.T) {
-			low, high := fusedRun(t, v.workload, lo, v.wrongPath), fusedRun(t, v.workload, hi, v.wrongPath)
+	for _, workload := range flatWalkWorkloads {
+		t.Run(workload, func(t *testing.T) {
+			low, high := fusedRun(t, workload, lo), fusedRun(t, workload, hi)
 			for i, name := range names {
 				if low[i].L2TLBMisses != high[i].L2TLBMisses {
 					t.Errorf("%s: L2 misses moved with the penalty: %d at %d, %d at %d", name, low[i].L2TLBMisses, lo, high[i].L2TLBMisses, hi)

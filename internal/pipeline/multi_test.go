@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/chirplab/chirp/internal/obs"
-	"github.com/chirplab/chirp/internal/paging"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
@@ -63,27 +62,19 @@ func TestTimingMultiMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	type variant struct {
-		workload  string
-		instr     uint64
-		alloc     paging.AllocPolicy
-		wrongPath bool
+		workload string
+		instr    uint64
 	}
 	var variants []variant
-	for _, workload := range []string{"spec-000", "db-000", "web-000", "bigdata-000", "ml-000"} {
-		for _, alloc := range []paging.AllocPolicy{paging.AllocSequential, paging.AllocFragmented} {
-			for _, wrongPath := range []bool{false, true} {
-				variants = append(variants, variant{workload, 200_000, alloc, wrongPath})
-			}
-		}
+	for _, c := range workloads.Categories {
+		variants = append(variants, variant{c + "-000", 200_000})
 	}
 	// A pressure run long enough that the policies' L2 outcomes, and so
 	// their translation cycles, already differ when warmup ends.
-	variants = append(variants, variant{"db-000", 1_200_000, paging.AllocSequential, false})
+	variants = append(variants, variant{"db-000", 1_200_000})
 	for _, v := range variants {
 		cfg := pipeline.DefaultConfig(v.instr, 150)
-		cfg.Alloc = v.alloc
-		cfg.ModelWrongPath = v.wrongPath
-		t.Run(fmt.Sprintf("%s/instr=%d/alloc=%d/wrongpath=%v", v.workload, v.instr, v.alloc, v.wrongPath), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/instr=%d", v.workload, v.instr), func(t *testing.T) {
 			fused, err := fusedMachine(t, cfg, pols).RunMulti(source(t, v.workload, v.instr))
 			if err != nil {
 				t.Fatal(err)
@@ -219,7 +210,6 @@ func TestRunMultiAllocationFree(t *testing.T) {
 	allocs := func(workload string, instr uint64) float64 {
 		recs := trace.Collect(source(t, workload, instr))
 		cfg := pipeline.DefaultConfig(instr, 150)
-		cfg.ModelWrongPath = true
 		const runs = 3
 		// AllocsPerRun makes one warm-up call before the counted runs.
 		machines := make([]*pipeline.Machine, runs+1)

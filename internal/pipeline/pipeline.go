@@ -37,16 +37,9 @@ type Config struct {
 	PSC paging.PSCConfig
 	// MispredictPenalty is the front-end redirect cost (Table II: 20).
 	MispredictPenalty uint64
-	// ModelWrongPath, when set, charges mispredictions with wrong-path
-	// instruction fetches that pollute the L1 i-cache (page walks for
-	// wrong-path fetches are assumed squashed before they complete, so
-	// the TLBs and prediction tables stay clean — §VI-E: CHiRP "only
-	// updates the tables of counters at commit with right-path
-	// branches").
-	ModelWrongPath bool
-	// Alloc selects the physical allocator.
-	Alloc paging.AllocPolicy
-	// Instructions bounds the run (0 = drain the source).
+	// Instructions bounds the run. 0 drains the source, which holds
+	// only for a direct Run or RunMulti over a finite source:
+	// sim.RunSuiteTimingCtx rejects a zero budget.
 	Instructions uint64
 	// WarmupFraction of instructions warms all structures before IPC
 	// and MPKI measurement begin (the paper warms on the first half).
@@ -178,7 +171,7 @@ func NewMulti(cfg Config, l2 []tlb.Policy, l1Factory func() tlb.Policy) (*Machin
 	}
 	m := &Machine{
 		cfg: cfg, mem: h, l1i: l1i, l1d: l1d,
-		space: paging.NewSpace(cfg.Alloc, 1),
+		space: paging.NewSpace(),
 		pred:  branch.NewPerceptron(branch.DefaultPerceptronConfig()),
 		btb:   branch.NewBTB(4096, 4),
 		ind:   branch.NewIndirect(4096),
@@ -394,9 +387,6 @@ func (m *Machine) step(rec *trace.Record) {
 		// A taken branch also needs the right target from the BTB.
 		if !correct || (rec.Taken && (!btbHit || target != rec.Target)) {
 			m.cycles += m.cfg.MispredictPenalty
-			if m.cfg.ModelWrongPath {
-				m.fetchWrongPath(rec.PC, rec.Target, rec.Taken)
-			}
 		}
 		if rec.Taken {
 			m.btb.Update(rec.PC, rec.Target)
@@ -460,27 +450,3 @@ func (m *Machine) publish() {
 		}
 	}
 }
-
-// fetchWrongPath models the fetches issued down the wrong path before
-// a misprediction resolves: a handful of straight-line lines from the
-// not-taken (or wrongly predicted) target enter the L1 i-cache. The
-// lines come from code the program does execute elsewhere, so the
-// pollution is displacement, not garbage.
-func (m *Machine) fetchWrongPath(pc, target uint64, taken bool) {
-	wrong := target
-	if taken {
-		// The branch was taken but we went (or stayed) the wrong way:
-		// fall-through fetches.
-		wrong = pc + 4
-	}
-	const wrongPathLines = 5
-	for i := uint64(0); i < wrongPathLines; i++ {
-		// Virtual-address fetch without translation: wrong-path walks
-		// squash, so charge only the i-cache pollution at the identity
-		// frame (the cache is physically indexed on the same geometry).
-		m.mem.L1I.Access(wrong+i*64, false)
-	}
-}
-
-// Mem exposes the cache hierarchy (for reports and tests).
-func (m *Machine) Mem() *mem.Hierarchy { return m.mem }

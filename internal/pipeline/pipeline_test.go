@@ -116,12 +116,3 @@ func TestNilL1Factory(t *testing.T) {
 		t.Fatal("nil L1 factory accepted")
 	}
 }
-
-func TestFragmentedAllocStillCorrect(t *testing.T) {
-	cfg := DefaultConfig(120_000, 150)
-	cfg.Alloc = 1 // paging.AllocFragmented
-	res := runOn(t, "web-000", cfg, policy.NewLRU())
-	if res.IPC <= 0 {
-		t.Fatalf("fragmented allocation broke the run: %+v", res)
-	}
-}

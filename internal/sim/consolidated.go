@@ -55,6 +55,9 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 	if len(ws) == 0 {
 		return ConsolidatedResult{}, fmt.Errorf("sim: no workloads to consolidate")
 	}
+	if cfg.Instructions == 0 {
+		return ConsolidatedResult{}, errZeroBudget
+	}
 	if len(ws) > 1<<16 {
 		return ConsolidatedResult{}, fmt.Errorf("sim: too many workloads for 16-bit ASIDs")
 	}
@@ -103,7 +106,7 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 		}
 		l1.Insert(&a, vpn)
 	}
-	for total < cfg.Instructions || cfg.Instructions == 0 {
+	for total < cfg.Instructions {
 		if !sources[cur].Next(&rec) {
 			break // suite generators are unbounded; defensive only
 		}
@@ -136,9 +139,6 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 				l1d.Flush()
 				l2.Flush()
 			}
-		}
-		if cfg.Instructions == 0 {
-			break
 		}
 	}
 	if !warmed {

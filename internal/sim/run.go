@@ -49,12 +49,19 @@ func closeSource(src trace.Source) {
 	}
 }
 
+// errZeroBudget rejects a run with no instruction budget: a workload's
+// source is bounded by trace.NewLimit, which at zero yields nothing.
+var errZeroBudget = errors.New("sim: a zero instruction budget simulates nothing")
+
 // validate rejects specs that cannot run before any work starts.
 // Policy is checked by Run alone: RunMulti takes its policies as a
 // separate slice.
 func (s *RunSpec) validate() error {
-	if s.Workload == nil {
+	switch {
+	case s.Workload == nil:
 		return errors.New("sim: RunSpec needs a Workload")
+	case s.Config.Instructions == 0:
+		return errZeroBudget
 	}
 	return nil
 }

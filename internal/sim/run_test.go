@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -240,6 +241,43 @@ func TestRunSpecValidation(t *testing.T) {
 	cancel()
 	if _, err := Run(cancelled, RunSpec{Workload: w, Policy: lru, Config: cfg}); err == nil {
 		t.Error("cancelled context: no error")
+	}
+}
+
+// TestZeroBudgetRejected: every entry point bounds an unbounded
+// workload generator at the configured instruction count, so a zero
+// budget would measure nothing; each rejects it before any work runs.
+func TestZeroBudgetRejected(t *testing.T) {
+	ctx := context.Background()
+	ws := workloads.SuiteN(2)
+	lru := NewLRUFactory(t)
+	pols := []NamedFactory{{Name: "lru", New: lru}}
+	spec := RunSpec{Workload: ws[0], Policy: lru, Config: DefaultTLBOnlyConfig(0)}
+	for name, run := range map[string]func() error{
+		"Run": func() error { _, err := Run(ctx, spec); return err },
+		"RunMulti": func() error {
+			_, err := RunMulti(ctx, spec, []PolicyFactory{lru})
+			return err
+		},
+		"RunOPT": func() error { _, err := RunOPT(ctx, spec); return err },
+		"RunSuiteTLBOnlyCtx": func() error {
+			_, err := RunSuiteTLBOnlyCtx(ctx, ws, pols, DefaultTLBOnlyConfig(0), SuiteOptions{})
+			return err
+		},
+		"RunSuiteTimingCtx": func() error {
+			_, err := RunSuiteTimingCtx(ctx, ws, pols, pipeline.DefaultConfig(0, 150), SuiteOptions{})
+			return err
+		},
+		"RunConsolidated": func() error {
+			_, err := RunConsolidated(ws, lru(), DefaultConsolidatedConfig(0))
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := run(); !errors.Is(err, errZeroBudget) {
+				t.Errorf("zero budget: error %v, want %v", err, errZeroBudget)
+			}
+		})
 	}
 }
 

@@ -67,36 +67,28 @@ type SuiteOptions struct {
 // policy. On failure (including a panicking policy, which surfaces as
 // an error naming its pair instead of crashing the process) the
 // completed results are still returned — and still checkpointed, when
-// opts.Checkpoint is set.
+// opts.Checkpoint is set. A zero instruction budget is an error.
 func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
-	cache := opts.StreamCache
-	row := func(w *workloads.Workload, name string, res TLBOnlyResult) SuiteResult {
-		res.Policy = name
-		return SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
+	if cfg.Instructions == 0 {
+		return nil, errZeroBudget
 	}
-	cell := func(ctx context.Context, w *workloads.Workload, p NamedFactory) (SuiteResult, error) {
-		res, err := Run(ctx, RunSpec{Workload: w, Policy: p.New, Config: cfg, Cache: cache})
-		if err != nil {
-			return SuiteResult{}, err
+	fused := func(ctx context.Context, w *workloads.Workload, pols []NamedFactory) ([]SuiteResult, error) {
+		factories := make([]PolicyFactory, len(pols))
+		for i, p := range pols {
+			factories[i] = p.New
 		}
-		return row(w, p.Name, res), nil
-	}
-	factories := make([]PolicyFactory, len(pols))
-	for i, p := range pols {
-		factories[i] = p.New
-	}
-	fused := func(ctx context.Context, w *workloads.Workload) ([]SuiteResult, error) {
-		rs, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: cache}, factories)
+		rs, err := RunMulti(ctx, RunSpec{Workload: w, Config: cfg, Cache: opts.StreamCache}, factories)
 		if err != nil {
 			return nil, err
 		}
 		rows := make([]SuiteResult, len(rs))
-		for i := range rs {
-			rows[i] = row(w, pols[i].Name, rs[i])
+		for i, res := range rs {
+			res.Policy = pols[i].Name
+			rows[i] = SuiteResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), TLBOnlyResult: res}
 		}
 		return rows, nil
 	}
-	return runSuiteFused(ctx, ws, pols, opts, fused, cell)
+	return runSuiteFused(ctx, ws, pols, opts, fused)
 }
 
 // RunSuiteTimingCtx measures each workload under each policy with the
@@ -105,56 +97,43 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // (caches, branch unit, L1 TLBs) is policy-invariant, so one job per
 // workload drives every policy's L2 TLB from a single pass
 // (pipeline.NewMulti). The radix walker's PTE fetches go through the
-// shared caches, so under it the workload's job runs one machine per
-// policy, in sequence.
+// shared caches, so a radix suite takes one policy; more is an error
+// before any job runs, as is a zero instruction budget.
 func RunSuiteTimingCtx(ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config, opts SuiteOptions) ([]TimingResult, error) {
-	row := func(w *workloads.Workload, name string, res pipeline.Result) TimingResult {
-		res.Policy = name
-		return TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}
+	switch {
+	case cfg.Instructions == 0:
+		return nil, errZeroBudget
+	case cfg.UseRadixWalker && len(pols) > 1:
+		return nil, fmt.Errorf("sim: the radix walker shares the cache hierarchy, so a radix timing suite takes one policy (got %d)", len(pols))
 	}
-	run := func(w *workloads.Workload, l2 []tlb.Policy) ([]pipeline.Result, error) {
+	fused := func(_ context.Context, w *workloads.Workload, pols []NamedFactory) ([]TimingResult, error) {
+		l2 := make([]tlb.Policy, len(pols))
+		for i, p := range pols {
+			l2[i] = p.New()
+		}
 		m, err := pipeline.NewMulti(cfg, l2, func() tlb.Policy { return policy.NewLRU() })
 		if err != nil {
 			return nil, err
 		}
 		src := trace.NewLimit(w.Source(), cfg.Instructions)
 		defer closeSource(src)
-		return m.RunMulti(src)
-	}
-	cell := func(_ context.Context, w *workloads.Workload, p NamedFactory) (TimingResult, error) {
-		rs, err := run(w, []tlb.Policy{p.New()})
-		if err != nil {
-			return TimingResult{}, err
-		}
-		return row(w, p.Name, rs[0]), nil
-	}
-	fused := func(ctx context.Context, w *workloads.Workload) ([]TimingResult, error) {
-		if cfg.UseRadixWalker {
-			rows := make([]TimingResult, len(pols))
-			for i, p := range pols {
-				var err error
-				if rows[i], err = cell(ctx, w, p); err != nil {
-					return nil, err
-				}
-			}
-			return rows, nil
-		}
-		l2 := make([]tlb.Policy, len(pols))
-		for i, p := range pols {
-			l2[i] = p.New()
-		}
-		rs, err := run(w, l2)
+		rs, err := m.RunMulti(src)
 		if err != nil {
 			return nil, err
 		}
 		rows := make([]TimingResult, len(rs))
-		for i := range rs {
-			rows[i] = row(w, pols[i].Name, rs[i])
+		for i, res := range rs {
+			res.Policy = pols[i].Name
+			rows[i] = TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res}
 		}
 		return rows, nil
 	}
-	return runSuiteFused(ctx, ws, pols, opts, fused, cell)
+	return runSuiteFused(ctx, ws, pols, opts, fused)
 }
+
+// fusedFunc measures one workload under every policy in pols and
+// returns one row per policy, in pols order.
+type fusedFunc[T any] func(ctx context.Context, w *workloads.Workload, pols []NamedFactory) ([]T, error)
 
 // engineConfig maps the suite options onto the engine's.
 func (o SuiteOptions) engineConfig() engine.Config {
@@ -162,17 +141,15 @@ func (o SuiteOptions) engineConfig() engine.Config {
 }
 
 // runSuiteFused schedules one engine job per workload, each running
-// every policy through fused; every suite runs on it. Results are in
-// workload-major, policy-minor order, and a failed workload still
-// leaves its policy rows in place (zero-valued) so callers indexing
-// cell (i, j) stay correct.
+// every policy through one fused(ctx, w, pols) call; every suite runs
+// on it. Results are in workload-major, policy-minor order, and a
+// failed workload still leaves its policy rows in place (zero-valued)
+// so callers indexing cell (i, j) stay correct.
 //
 // Checkpoint keys are per fused job — Policy is the "+"-joined policy
 // list — so a resumed run reruns a half-finished workload instead of
 // trusting partial rows.
-func runSuiteFused[T any](ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, opts SuiteOptions,
-	fused func(ctx context.Context, w *workloads.Workload) ([]T, error),
-	cell func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) ([]T, error) {
+func runSuiteFused[T any](ctx context.Context, ws []*workloads.Workload, pols []NamedFactory, opts SuiteOptions, fused fusedFunc[T]) ([]T, error) {
 	names := make([]string, len(pols))
 	for i, p := range pols {
 		names[i] = p.Name
@@ -184,7 +161,7 @@ func runSuiteFused[T any](ctx context.Context, ws []*workloads.Workload, pols []
 		jobs = append(jobs, engine.Job[[]T]{
 			Key: engine.Key{Scope: opts.Scope, Workload: w.Name, Policy: joined},
 			Run: func(ctx context.Context) ([]T, error) {
-				return runWorkloadFused(ctx, w, pols, opts.Scope, fused, cell)
+				return runWorkloadFused(ctx, w, pols, opts.Scope, fused)
 			},
 		})
 	}
@@ -201,15 +178,13 @@ func runSuiteFused[T any](ctx context.Context, ws []*workloads.Workload, pols []
 
 // runWorkloadFused runs one workload's fused job. If the fused pass
 // fails — one broken policy errors or panics mid-run, which
-// necessarily takes the whole group down — the job degrades to solo
-// per-policy cells, so every healthy policy still delivers its row
-// and the error blames the precise (workload, policy) cell, exactly as
-// per-cell scheduling would. The returned rows accompany the error;
-// the engine keeps both.
-func runWorkloadFused[T any](ctx context.Context, w *workloads.Workload, pols []NamedFactory, scope string,
-	fused func(ctx context.Context, w *workloads.Workload) ([]T, error),
-	cell func(ctx context.Context, w *workloads.Workload, p NamedFactory) (T, error)) ([]T, error) {
-	rows, err := recovered(func() ([]T, error) { return fused(ctx, w) })
+// necessarily takes the whole group down — the job degrades to one
+// fused call per policy, so every healthy policy still delivers its
+// row and the error blames the precise (workload, policy) cell,
+// exactly as per-cell scheduling would. The returned rows accompany
+// the error; the engine keeps both.
+func runWorkloadFused[T any](ctx context.Context, w *workloads.Workload, pols []NamedFactory, scope string, fused fusedFunc[T]) ([]T, error) {
+	rows, err := recovered(func() ([]T, error) { return fused(ctx, w, pols) })
 	if err == nil {
 		return rows, nil
 	}
@@ -217,7 +192,7 @@ func runWorkloadFused[T any](ctx context.Context, w *workloads.Workload, pols []
 	rows = make([]T, len(pols))
 	var firstErr error
 	for i, p := range pols {
-		row, rerr := recovered(func() (T, error) { return cell(ctx, w, p) })
+		row, rerr := recovered(func() ([]T, error) { return fused(ctx, w, pols[i:i+1]) })
 		if rerr != nil {
 			if firstErr == nil {
 				firstErr = &engine.JobError{
@@ -227,7 +202,7 @@ func runWorkloadFused[T any](ctx context.Context, w *workloads.Workload, pols []
 			}
 			continue
 		}
-		rows[i] = row
+		rows[i] = row[0]
 	}
 	if firstErr == nil {
 		// The fused pass failed but every solo rerun passed (a capture

@@ -230,8 +230,8 @@ func timingCells(t *testing.T, ws []*workloads.Workload, pols []NamedFactory, cf
 // TestRunSuiteTimingFused pins the fused timing suite (one front-end
 // pass per workload) to the per-cell reference: same rows in the same
 // workload-major order, per-cell blame for a panicking policy with its
-// siblings' rows intact, and byte-identical rows after a checkpoint
-// resume.
+// siblings' rows intact, byte-identical rows after a checkpoint
+// resume, and a radix-walker suite limited to one policy.
 func TestRunSuiteTimingFused(t *testing.T) {
 	ws := workloads.SuiteN(3)
 	pols, err := Factories([]string{"lru", "srrip", "ghrp", "chirp"})
@@ -250,15 +250,18 @@ func TestRunSuiteTimingFused(t *testing.T) {
 		}
 	})
 
-	t.Run("radix walker runs one machine per policy", func(t *testing.T) {
+	t.Run("radix suite takes one policy", func(t *testing.T) {
 		radix := cfg
 		radix.UseRadixWalker = true
 		radix.PSC.EntriesPerLevel = 32
-		got, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[:2], radix, SuiteOptions{Workers: 1})
+		if _, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[:2], radix, SuiteOptions{Workers: 1}); err == nil {
+			t.Error("a two-policy radix suite ran")
+		}
+		got, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[3:], radix, SuiteOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := timingCells(t, ws[:2], pols[:2], radix); !reflect.DeepEqual(got, want) {
+		if want := timingCells(t, ws[:2], pols[3:], radix); !reflect.DeepEqual(got, want) {
 			t.Errorf("radix suite diverged from per-cell reference:\ngot:  %+v\nwant: %+v", got, want)
 		}
 	})

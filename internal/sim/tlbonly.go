@@ -34,8 +34,10 @@ func DefaultHierarchy() Hierarchy {
 // TLBOnlyConfig parameterises a TLB-only run.
 type TLBOnlyConfig struct {
 	Hierarchy Hierarchy
-	// Instructions bounds the committed instruction count (0 = drain
-	// the source).
+	// Instructions bounds the committed instruction count. 0 drains
+	// the source, which holds only for a direct RunTLBOnly call over a
+	// finite source: RunSpec validation and the suite drivers reject a
+	// zero budget.
 	Instructions uint64
 	// WarmupFraction of instructions warms the structures before MPKI
 	// measurement begins (the paper warms on the first half).
