@@ -46,6 +46,8 @@ var (
 		"Captured streams currently resident in stream caches.")
 	obsDerivedBuilds = obs.Default.Counter("chirp_l2stream_derived_builds_total",
 		"Derived views computed from stream events (sidecar absent or not persisted).")
+	obsDecodePasses = obs.Default.Counter("chirp_l2stream_decode_passes_total",
+		"Passes over a stream's encoded events (Stream.Decode calls): replays build their missing derived views in one.")
 	obsDerivedDiskHits = obs.Default.Counter("chirp_l2stream_derived_disk_hits_total",
 		"Derived views loaded from persisted sidecars instead of being recomputed.")
 	obsDerivedDiskWrites = obs.Default.Counter("chirp_l2stream_derived_disk_writes_total",

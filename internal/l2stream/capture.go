@@ -47,7 +47,7 @@ func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
 
 	s := &Stream{cfg: cfg, warmupAt: warmupAt, warmed: warmupAt == 0}
 	var (
-		enc          = encoder{buf: make([]byte, 0, 64<<10)}
+		enc          encoder
 		instructions uint64
 		warmI, warmD uint64 // L1 miss counts at the warmup boundary
 	)
@@ -95,11 +95,11 @@ loop:
 				break loop
 			}
 		}
-		if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
+		if maxBytes > 0 && int64(enc.size()) > maxBytes {
 			return nil, ErrOverBudget
 		}
 	}
-	if maxBytes > 0 && int64(len(enc.buf)) > maxBytes {
+	if maxBytes > 0 && int64(enc.size()) > maxBytes {
 		return nil, ErrOverBudget
 	}
 
@@ -108,6 +108,6 @@ loop:
 		s.l1iMisses = l1i.misses - warmI
 		s.l1dMisses = l1d.misses - warmD
 	}
-	s.buf = enc.buf
+	s.buf = enc.bytes()
 	return s, nil
 }

@@ -1,6 +1,6 @@
 // Derived views: per-stream precomputed arrays that are pure functions
-// of the captured event stream plus a small configuration key — set
-// indices for a TLB geometry, folded predictor signature sequences,
+// of the captured event stream plus a small configuration key — the
+// dense access columns, folded predictor signature sequences,
 // prefetch fill schedules. They are memoized on the stream (single-
 // flight), charged to the owning cache's byte budget at their real
 // size as they materialize, and — when the stream belongs to a persistent
@@ -11,14 +11,19 @@
 // contains: builders and codecs live with their consumers (internal/
 // sim), which hands them in as a DerivedSpec. This package owns the
 // cross-cutting mechanics only — memoization, concurrency, budget
-// accounting, and the sidecar load/store protocol. The same single-
-// flight slots also hold Memo values: small in-memory results computed
-// from the stream (sim's replay results) that are neither persisted
-// nor budget-charged.
+// accounting, and the sidecar load/store protocol. DerivedAll asks
+// for several views at once and builds every missing one with one
+// callback, so a consumer can fill them all from one decode pass;
+// Derived is its one-spec case. The same single-flight slots also hold
+// Memo values: small in-memory results computed from the stream (sim's
+// replay results) that are neither persisted nor budget-charged.
 package l2stream
 
-// DerivedSpec describes one derived-view family to Stream.Derived: an
-// invalidation key, a builder, and an optional persistence codec.
+import "fmt"
+
+// DerivedSpec describes one derived-view family to Stream.Derived and
+// Stream.DerivedAll: an invalidation key, a builder, and an optional
+// persistence codec.
 //
 // Key must change whenever the view's contents would: it should embed
 // the family name, a format version, and every configuration input the
@@ -28,11 +33,15 @@ package l2stream
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Build computes the view from the stream's events. It runs once
-	// per (stream, key), again only after a failed or panicking run,
-	// and may use the stream's decoders freely (Stream.Decode;
-	// block-decode with NextBlock or NextAccessBlock); the stream is
-	// immutable underneath it.
+	// Build computes the view from the stream's events when Derived
+	// finds it neither memoized nor persisted. It runs once per
+	// (stream, key), again only after a failed or panicking run, and
+	// may use the stream's decoders freely (Stream.Decode; block-decode
+	// with NextBlock or NextAccessBlock); the stream is immutable
+	// underneath it. DerivedAll ignores it: its caller passes one
+	// builder for every missing spec, which is how several views fill
+	// from one decode pass, so a spec only ever requested through
+	// DerivedAll may leave Build nil.
 	Build func(s *Stream) (view any, err error)
 	// Bytes reports the view's in-memory footprint for cache budget
 	// accounting.
@@ -48,104 +57,193 @@ type DerivedSpec struct {
 }
 
 // derivedSlot is one single-flight memo cell. The goroutine that
-// creates it runs the build and closes done; everyone else blocks on
-// done. A build that fails or panics deletes its slot and marks it
-// abandoned before closing done, so waiters and every later caller
-// retry through a fresh slot — as after a failed capture — instead of
-// reading a nil value with a nil error; the panic carries on up the
-// building goroutine.
+// claims it runs the build and closes done; everyone else blocks on
+// done. A build that fails or panics deletes every slot it claimed and
+// marks them abandoned before closing done, so waiters and every later
+// caller retry through a fresh slot — as after a failed capture —
+// instead of reading a nil value; the panic carries on up the building
+// goroutine.
 type derivedSlot struct {
-	done      chan struct{} // closed once view/err/abandoned are final
+	done      chan struct{} // closed once view/abandoned are final
 	view      any
-	err       error
+	settled   bool // written by the claiming goroutine only
 	abandoned bool // the slot is out of the map; callers retry
 }
 
-// memoize returns the stream's single-flight memo for key, running
-// build on the calling goroutine when no slot holds the key yet.
-// Derived views and Memo values share the one key space.
-func (s *Stream) memoize(key string, build func() (any, error)) (any, error) {
-	for {
+// memoizeAll returns the stream's single-flight memo values for keys,
+// in keys order. It claims a slot for every key no slot holds yet and
+// runs build once, on the calling goroutine, over the claimed indices
+// (ascending); build hands each value to settle, which wakes that
+// slot's waiters at once. Only then does memoizeAll wait on the slots
+// other goroutines hold, so two overlapping calls never wait on each
+// other's claims and cannot deadlock. A key whose slot another
+// goroutine abandoned is claimed again. If build fails or panics,
+// every slot it claimed and did not settle is abandoned. Derived
+// views and Memo values share the one key space.
+func (s *Stream) memoizeAll(keys []string, build func(claimed []int, settle func(i int, v any)) error) ([]any, error) {
+	vals := make([]any, len(keys))
+	slots := make([]*derivedSlot, len(keys))
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		var claimed, held []int
 		s.derivedMu.Lock()
 		if s.derived == nil {
 			s.derived = make(map[string]*derivedSlot)
 		}
-		slot, ok := s.derived[key]
-		if !ok {
-			slot = &derivedSlot{done: make(chan struct{})}
-			s.derived[key] = slot
+		for _, i := range pending {
+			slot, ok := s.derived[keys[i]]
+			if !ok {
+				slot = &derivedSlot{done: make(chan struct{})}
+				s.derived[keys[i]] = slot
+				claimed = append(claimed, i)
+			} else {
+				held = append(held, i)
+			}
+			slots[i] = slot
 		}
 		s.derivedMu.Unlock()
-		if !ok {
-			s.fill(key, slot, build)
-			return slot.view, slot.err
-		}
-		<-slot.done
-		if !slot.abandoned {
-			return slot.view, slot.err
-		}
-	}
-}
-
-// fill runs build into slot and wakes its waiters. If build fails or
-// panics, the slot leaves the map and is marked abandoned before done
-// closes.
-func (s *Stream) fill(key string, slot *derivedSlot, build func() (any, error)) {
-	finished := false
-	defer func() {
-		if !finished || slot.err != nil {
-			s.derivedMu.Lock()
-			delete(s.derived, key)
-			slot.abandoned = true
-			s.derivedMu.Unlock()
-		}
-		close(slot.done)
-	}()
-	slot.view, slot.err = build()
-	finished = true
-}
-
-// Derived returns the stream's memoized derived view for spec,
-// building it on first use: the persistent sidecar tier is consulted
-// first (when the stream belongs to a capture store and the spec has a
-// codec), then Build runs and the result is persisted for the next
-// process. Concurrent calls for one key share a single build; a build
-// that fails or panics leaves no memo behind, so the next call builds
-// again.
-// The returned view is shared between every caller and MUST be treated
-// as read-only.
-func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
-	return s.memoize(spec.Key, func() (any, error) {
-		if s.dvLoad != nil && spec.Decode != nil {
-			if data, release := s.dvLoad(spec.Key); data != nil {
-				v, ok := spec.Decode(s, data)
-				// Decode copies what it keeps, so the payload buffer can
-				// go back to its pool before the view is even installed.
-				if release != nil {
-					release()
-				}
-				if ok {
-					obsDerivedDiskHits.Inc()
-					s.noteGrowth(spec.Bytes(v))
-					return v, nil
-				}
-				// A sidecar that parsed at the store layer but failed
-				// the spec's validation is corrupt: rebuild, and let
-				// the save below atomically replace it.
-				obsDerivedCorrupt.Inc()
+		if len(claimed) > 0 {
+			if err := s.fill(keys, slots, claimed, build); err != nil {
+				return nil, err
+			}
+			for _, i := range claimed {
+				vals[i] = slots[i].view
 			}
 		}
-		v, err := spec.Build(s)
-		if err != nil {
-			return nil, err
+		pending = pending[:0]
+		for _, i := range held {
+			<-slots[i].done
+			if slots[i].abandoned {
+				pending = append(pending, i)
+			} else {
+				vals[i] = slots[i].view
+			}
 		}
-		obsDerivedBuilds.Inc()
-		s.noteGrowth(spec.Bytes(v))
-		if s.dvSave != nil && spec.Encode != nil {
-			s.dvSave(spec.Key, spec.Encode(v))
+	}
+	return vals, nil
+}
+
+// fill runs build over the claimed slots. A slot build settles wakes
+// its waiters at once; every claimed slot it leaves unsettled, on an
+// error or a panic, leaves the map and is marked abandoned before its
+// done closes. build settles every claimed index, each once, unless it
+// fails.
+func (s *Stream) fill(keys []string, slots []*derivedSlot, claimed []int, build func([]int, func(int, any)) error) error {
+	defer func() {
+		var dropped []int
+		for _, i := range claimed {
+			if !slots[i].settled {
+				dropped = append(dropped, i)
+			}
 		}
-		return v, nil
+		s.derivedMu.Lock()
+		for _, i := range dropped {
+			delete(s.derived, keys[i])
+			slots[i].abandoned = true
+		}
+		s.derivedMu.Unlock()
+		for _, i := range dropped {
+			close(slots[i].done)
+		}
+	}()
+	return build(claimed, func(i int, v any) {
+		slots[i].view, slots[i].settled = v, true
+		close(slots[i].done)
 	})
+}
+
+// DerivedAll returns the stream's memoized derived views for specs, in
+// specs order, materializing every missing one with at most one call
+// of buildMissing. For each spec it tries the memo, then the
+// persistent sidecar tier (when the stream belongs to a capture store
+// and the spec has a codec); the specs still missing after both go to
+// buildMissing together, as indices into specs (ascending), and it
+// must return their views in that order. Each built view is then
+// charged to the owning cache, persisted for the next process and
+// memoized on its own. Keys other goroutines are already building are
+// waited on only after this call's own builds finish. A buildMissing
+// that fails or panics leaves none of its keys memoized, so the next
+// call builds them again. The returned views are shared between every
+// caller and MUST be treated as read-only.
+func (s *Stream) DerivedAll(specs []*DerivedSpec, buildMissing func(missing []int) ([]any, error)) ([]any, error) {
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = spec.Key
+	}
+	return s.memoizeAll(keys, func(claimed []int, settle func(int, any)) error {
+		var missing []int
+		for _, i := range claimed {
+			if v, ok := s.loadSidecar(specs[i]); ok {
+				settle(i, v)
+			} else {
+				missing = append(missing, i)
+			}
+		}
+		if len(missing) == 0 {
+			return nil
+		}
+		views, err := buildMissing(missing)
+		if err != nil {
+			return err
+		}
+		if len(views) != len(missing) {
+			return fmt.Errorf("l2stream: derived build returned %d views for %d keys", len(views), len(missing))
+		}
+		for k, i := range missing {
+			spec, v := specs[i], views[k]
+			obsDerivedBuilds.Inc()
+			s.noteGrowth(spec.Bytes(v))
+			if s.dvSave != nil && spec.Encode != nil {
+				s.dvSave(spec.Key, spec.Encode(v))
+			}
+			settle(i, v)
+		}
+		return nil
+	})
+}
+
+// loadSidecar returns spec's view from the persistent sidecar tier,
+// charged to the owning cache, or ok=false when the stream has no
+// store, the spec no codec, or the store nothing valid for the key.
+func (s *Stream) loadSidecar(spec *DerivedSpec) (view any, ok bool) {
+	if s.dvLoad == nil || spec.Decode == nil {
+		return nil, false
+	}
+	data, release := s.dvLoad(spec.Key)
+	if data == nil {
+		return nil, false
+	}
+	v, ok := spec.Decode(s, data)
+	// Decode copies what it keeps, so the payload buffer can go back
+	// to its pool before the view is even installed.
+	if release != nil {
+		release()
+	}
+	if !ok {
+		// A sidecar that parsed at the store layer but failed the
+		// spec's validation is corrupt: the caller rebuilds, and its
+		// save atomically replaces the file.
+		obsDerivedCorrupt.Inc()
+		return nil, false
+	}
+	obsDerivedDiskHits.Inc()
+	s.noteGrowth(spec.Bytes(v))
+	return v, true
+}
+
+// Derived is DerivedAll for one spec, built by spec.Build.
+func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
+	vs, err := s.DerivedAll([]*DerivedSpec{spec}, func([]int) ([]any, error) {
+		v, err := spec.Build(s)
+		return []any{v}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
 }
 
 // Memo returns the value memoized on the stream under key, running
@@ -158,7 +256,18 @@ func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
 // key space, so callers prefix them with a family distinct from every
 // view's.
 func (s *Stream) Memo(key string, build func() (any, error)) (any, error) {
-	return s.memoize(key, build)
+	vs, err := s.memoizeAll([]string{key}, func(_ []int, settle func(int, any)) error {
+		v, err := build()
+		if err != nil {
+			return err
+		}
+		settle(0, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
 }
 
 // Memoized reports whether key already holds a finished value (a

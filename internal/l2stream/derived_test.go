@@ -2,6 +2,7 @@ package l2stream
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -442,5 +443,187 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 	}
 	if n := builds.Load(); n != 2 {
 		t.Errorf("ran %d builds, want 2 (the panicked one and one retry)", n)
+	}
+}
+
+// countingSpecs returns n persisted event-count specs under keys
+// prefix/0 … prefix/n-1, for DerivedAll tests whose buildMissing
+// counts what it builds.
+func countingSpecs(prefix string, n int) []*DerivedSpec {
+	specs := make([]*DerivedSpec, n)
+	for i := range specs {
+		specs[i] = eventCountSpec(fmt.Sprintf("%s/%d", prefix, i), nil)
+	}
+	return specs
+}
+
+// TestDerivedAllOverlappingCallers: concurrent DerivedAll calls whose
+// key sets overlap build every key exactly once and never deadlock. A
+// caller builds the keys it claimed before it waits on keys another
+// caller holds: while one caller's build of {0,1} is blocked, a caller
+// asking for {1,2} still builds 2, then waits for 1. A stress round of
+// many callers over shuffled key subsets then runs under the race
+// detector in CI.
+func TestDerivedAllOverlappingCallers(t *testing.T) {
+	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(s.Events())
+	specs := countingSpecs("test:overlap", 3)
+	var mu sync.Mutex
+	builds := map[string]int{}
+	builder := func(sub []*DerivedSpec, gate chan struct{}) func([]int) ([]any, error) {
+		return func(missing []int) ([]any, error) {
+			if gate != nil {
+				<-gate
+			}
+			out := make([]any, len(missing))
+			mu.Lock()
+			defer mu.Unlock()
+			for k, i := range missing {
+				builds[sub[i].Key]++
+				out[k] = want
+			}
+			return out, nil
+		}
+	}
+
+	gate := make(chan struct{})
+	firstDone := make(chan []any)
+	go func() {
+		sub := []*DerivedSpec{specs[0], specs[1]}
+		vs, err := s.DerivedAll(sub, builder(sub, gate))
+		if err != nil {
+			t.Error(err)
+		}
+		firstDone <- vs
+	}()
+	for !s.claimed(specs[1].Key) {
+		time.Sleep(time.Millisecond)
+	}
+	secondDone := make(chan []any)
+	go func() {
+		sub := []*DerivedSpec{specs[1], specs[2]}
+		vs, err := s.DerivedAll(sub, builder(sub, nil))
+		if err != nil {
+			t.Error(err)
+		}
+		secondDone <- vs
+	}()
+	// The second caller builds key 2 while key 1 is still held.
+	deadline := time.Now().Add(10 * time.Second)
+	for !s.Memoized(specs[2].Key) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second caller waited on a held key before building its own")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for _, vs := range [][]any{<-firstDone, <-secondDone} {
+		for _, v := range vs {
+			if v != want {
+				t.Errorf("view %v, want %d", v, want)
+			}
+		}
+	}
+
+	stress := countingSpecs("test:overlap-stress", 6)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sub []*DerivedSpec
+			for k := range stress {
+				if (g+k)%3 != 0 {
+					sub = append(sub, stress[(g*5+k)%len(stress)])
+				}
+			}
+			vs, err := s.DerivedAll(sub, builder(sub, nil))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, v := range vs {
+				if v != want {
+					t.Errorf("stress view %v, want %d", v, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, spec := range append(specs, stress...) {
+		if n := builds[spec.Key]; n != 1 {
+			t.Errorf("%s built %d times, want once", spec.Key, n)
+		}
+	}
+}
+
+// claimed reports whether any slot holds key, finished or not.
+func (s *Stream) claimed(key string) bool {
+	s.derivedMu.Lock()
+	defer s.derivedMu.Unlock()
+	_, ok := s.derived[key]
+	return ok
+}
+
+// TestDerivedAllPanickingBuild: a buildMissing that panics abandons
+// every slot it claimed. A caller blocked on one of those keys builds
+// it itself, and every later call finds nothing memoized and builds
+// again.
+func TestDerivedAllPanickingBuild(t *testing.T) {
+	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := countingSpecs("test:fused-panic", 3)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		s.DerivedAll(specs, func([]int) ([]any, error) {
+			close(started)
+			<-release
+			panic("fused build bug")
+		})
+	}()
+	<-started
+
+	var builds atomic.Int64
+	waiter := eventCountSpec(specs[1].Key, &builds)
+	waiterGot := make(chan any, 1)
+	go func() {
+		v, err := s.Derived(waiter)
+		if err != nil {
+			t.Error(err)
+		}
+		waiterGot <- v
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter block on the held slot
+	close(release)
+	if r := <-ownerPanic; r != "fused build bug" {
+		t.Fatalf("owner recovered %v, want the build's own panic", r)
+	}
+	if v := <-waiterGot; v != uint64(s.Events()) {
+		t.Errorf("waiter got %v after the panic, want %d", v, s.Events())
+	}
+	if builds.Load() != 1 {
+		t.Errorf("waiter ran %d builds, want 1", builds.Load())
+	}
+	for _, i := range []int{0, 2} {
+		if s.claimed(specs[i].Key) {
+			t.Errorf("%s kept a slot after the panicking build", specs[i].Key)
+		}
+	}
+	vs, err := s.DerivedAll(specs, func(missing []int) ([]any, error) {
+		if len(missing) != 2 || missing[0] != 0 || missing[1] != 2 {
+			t.Errorf("rebuild asked for %v, want [0 2]", missing)
+		}
+		return []any{uint64(s.Events()), uint64(s.Events())}, nil
+	})
+	if err != nil || len(vs) != 3 {
+		t.Fatalf("rebuild after the panic: %v, %v", vs, err)
 	}
 }

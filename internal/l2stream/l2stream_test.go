@@ -1,7 +1,10 @@
 package l2stream
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
 	"testing"
@@ -478,4 +481,95 @@ func BenchmarkDecodeViews(b *testing.B) {
 		}
 		b.ReportMetric(float64(s.Accesses())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccesses/s")
 	})
+}
+
+// multiChunkCapture captures a stream whose encoded buffer spans
+// several encoder chunks, with the warmup marker mid-stream.
+func multiChunkCapture(t *testing.T, maxBytes int64) (*Stream, error) {
+	t.Helper()
+	return Capture(trace.NewSliceSource(testRecords(120000)), testConfig(300000), maxBytes)
+}
+
+// TestCaptureBufferExact: the committed buffer holds no slack, so the
+// cache, which charges FootprintBytes (its length), charges every byte
+// the stream keeps. Append growth used to leave up to a quarter of the
+// buffer unused and uncharged.
+func TestCaptureBufferExact(t *testing.T) {
+	for _, n := range []int{300, 3000, 120000} {
+		s, err := Capture(trace.NewSliceSource(testRecords(n)), testConfig(uint64(n)*3), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.buf) != len(s.buf) || s.FootprintBytes() != int64(cap(s.buf)) {
+			t.Errorf("%d records: buffer len %d, cap %d, charged %d; want cap == len == charge",
+				n, len(s.buf), cap(s.buf), s.FootprintBytes())
+		}
+	}
+}
+
+// TestCaptureMultiChunkBytes pins the encoding of a capture several
+// encoder chunks long: chunked encoding must produce exactly the bytes
+// one growing buffer did, so its length and CRC-32C are the ones the
+// single-buffer encoder produced for the same input.
+func TestCaptureMultiChunkBytes(t *testing.T) {
+	s, err := multiChunkCapture(t, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.buf) < 4*encodeChunkSize {
+		t.Fatalf("test premise broken: %d bytes span fewer than four %d-byte chunks", len(s.buf), encodeChunkSize)
+	}
+	const wantLen, wantCRC = 264923, 0xdbcef333
+	if got := crc32.Checksum(s.buf, castagnoli); len(s.buf) != wantLen || got != wantCRC {
+		t.Errorf("encoded %d bytes with CRC-32C %#08x, want %d bytes with %#08x", len(s.buf), got, wantLen, uint32(wantCRC))
+	}
+	if !s.Warmed() || s.WarmupInstructions() == 0 {
+		t.Error("test premise broken: the capture has no mid-stream warmup marker")
+	}
+}
+
+// countingSource counts the records a capture pulls from its source.
+type countingSource struct {
+	trace.Source
+	n int
+}
+
+func (c *countingSource) Next(rec *trace.Record) bool {
+	ok := c.Source.Next(rec)
+	if ok {
+		c.n++
+	}
+	return ok
+}
+
+// TestCaptureOverBudgetMultiChunk: the budget check sees the total
+// encoded bytes across chunks, at the same record-block check as
+// before. A budget one byte short of the buffer fails, and one equal
+// to it commits the same bytes as an unbounded capture. A budget of a
+// quarter of the buffer stops the capture at the first record block
+// that crosses it, long before the source runs dry.
+func TestCaptureOverBudgetMultiChunk(t *testing.T) {
+	probe, err := multiChunkCapture(t, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := probe.FootprintBytes()
+	src := &countingSource{Source: trace.NewSliceSource(testRecords(120000))}
+	if _, err := Capture(src, testConfig(300000), n/4); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("budget %d: err = %v, want ErrOverBudget", n/4, err)
+	}
+	if src.n%trace.DefaultBlockSize != 0 || uint64(src.n) > probe.Records()/2 {
+		t.Errorf("budget %d stopped after %d of %d records, want a whole number of %d-record blocks, well short of the end",
+			n/4, src.n, probe.Records(), trace.DefaultBlockSize)
+	}
+	if _, err := multiChunkCapture(t, n-1); !errors.Is(err, ErrOverBudget) {
+		t.Errorf("budget %d, one byte short: err = %v, want ErrOverBudget", n-1, err)
+	}
+	s, err := multiChunkCapture(t, n)
+	if err != nil {
+		t.Fatalf("budget %d, the buffer's size: %v", n, err)
+	}
+	if !bytes.Equal(s.buf, probe.buf) {
+		t.Error("capture at the exact budget encoded different bytes from the unbounded one")
+	}
 }

@@ -230,29 +230,33 @@ func decodeDerivedFile(data []byte, dkey string) ([]byte, bool) {
 	return payload, true
 }
 
-// encodeDerivedFile frames a payload under its derived key.
-func encodeDerivedFile(dkey string, payload []byte) []byte {
-	out := make([]byte, 0, 16+len(dkey)+16+len(payload))
+// derivedHeader returns the frame that precedes payload in its
+// sidecar file: everything up to the payload itself.
+func derivedHeader(dkey string, payload []byte) []byte {
+	out := make([]byte, 0, 16+len(dkey)+16)
 	out = append(out, derivedMagic...)
 	out = binary.LittleEndian.AppendUint32(out, DerivedFormatVersion)
 	out = binary.LittleEndian.AppendUint32(out, CodecVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(dkey)))
 	out = append(out, dkey...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, castagnoli)))
-	return append(out, payload...)
+	return binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, castagnoli)))
 }
 
 // saveDerived persists a derived payload under (key, dkey), staged and
 // atomically renamed like every other store write, then rebalances the
-// directory budget.
+// directory budget. Like save, it writes the frame and then the
+// payload, so the payload is never copied into a framed buffer.
 func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
 	f, err := os.CreateTemp(st.dir, "chirp-*.l2d.tmp")
 	if err != nil {
 		return fmt.Errorf("l2stream: staging derived sidecar: %w", err)
 	}
 	tmp := f.Name()
-	_, err = f.Write(encodeDerivedFile(dkey, payload))
+	_, err = f.Write(derivedHeader(dkey, payload))
+	if err == nil {
+		_, err = f.Write(payload)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -14,7 +14,10 @@
 //
 // Streams are delta-encoded in memory (a few bytes per event),
 // and that buffer is the only copy of the events a stream keeps:
-// replays and derived-view builds decode it in DecodeBlockSize blocks.
+// replays and derived-view builds decode it in DecodeBlockSize blocks,
+// and sim.ReplayMulti builds every view it lacks in one such pass.
+// Capture encodes into fixed-size chunks and commits one exact-size
+// copy of them, so no captured byte is copied twice.
 // A cache charges each stream its buffer plus the derived views built
 // from it, each at its real size. A capture whose encoded buffer alone
 // would exceed the byte budget stops with ErrOverBudget; its callers
@@ -158,17 +161,58 @@ func widthCode(u uint64, widths *[4]uint8) byte {
 	return 3
 }
 
-// encoder appends tagged delta events to a byte buffer.
+// encodeChunkSize is the length of the chunks the capture encoder
+// fills. Capture's buffer never grows by copying: a full chunk is set
+// aside and a fresh one started, and the finished stream is one
+// exact-size copy of the chunks (encoder.bytes), so each encoded byte
+// is copied once and the committed buffer holds no slack.
+const encodeChunkSize = 64 << 10
+
+// maxEventBytes bounds what one event may take of a chunk: a tag and
+// two payloads, each of which put stages as a full 8-byte word.
+const maxEventBytes = 1 + 8 + 8
+
+// encoder appends tagged delta events to a sequence of fixed-size
+// chunks.
 type encoder struct {
-	buf     []byte
+	chunks  [][]byte // full chunks, in stream order
+	full    int      // bytes held in chunks
+	buf     []byte   // the chunk being filled
 	lastPC  uint64
 	lastVPN uint64
+}
+
+// reserve makes room for one more event in the current chunk.
+func (e *encoder) reserve() {
+	if cap(e.buf)-len(e.buf) >= maxEventBytes {
+		return
+	}
+	if e.buf != nil {
+		e.chunks = append(e.chunks, e.buf)
+		e.full += len(e.buf)
+	}
+	e.buf = make([]byte, 0, encodeChunkSize)
+}
+
+// size returns the encoded stream's length so far.
+func (e *encoder) size() int { return e.full + len(e.buf) }
+
+// bytes returns the encoded stream as one buffer with cap == len.
+func (e *encoder) bytes() []byte {
+	out := make([]byte, e.size())
+	n := 0
+	for _, c := range e.chunks {
+		n += copy(out[n:], c)
+	}
+	copy(out[n:], e.buf)
+	return out
 }
 
 // event appends one event: the tag with its width codes filled in, the
 // PC delta against the previous event, and — when hasAux — the
 // auxiliary delta.
 func (e *encoder) event(tag byte, pc, aux uint64, hasAux bool) {
+	e.reserve()
 	p := zigzag(pc - e.lastPC)
 	e.lastPC = pc
 	pcCode := widthCode(p, &wirePCWidths)
@@ -215,7 +259,10 @@ func (e *encoder) branch(pc uint64, conditional, indirect, taken bool, target ui
 	e.event(tag, pc, target-pc, true)
 }
 
-func (e *encoder) warmup() { e.buf = append(e.buf, wireWarmup) }
+func (e *encoder) warmup() {
+	e.reserve()
+	e.buf = append(e.buf, wireWarmup)
+}
 
 // Decoder iterates a captured in-memory stream. It is single-use and
 // not safe for concurrent use; take one Decoder per replay.
@@ -375,8 +422,8 @@ type Stream struct {
 	// the cache commits it — all before other goroutines can reach the
 	// stream, so only the map itself needs the mutex.
 	// dvLoad returns a sidecar payload plus a release hook (either may
-	// be nil); the payload may alias a pooled buffer, so Derived calls
-	// release as soon as the spec's Decode has copied out of it.
+	// be nil); the payload may alias a pooled buffer, so loadSidecar
+	// calls release as soon as the spec's Decode has copied out of it.
 	derivedMu sync.Mutex
 	derived   map[string]*derivedSlot
 	dvLoad    func(key string) (payload []byte, release func())
@@ -432,13 +479,16 @@ func (s *Stream) L1IMisses() uint64 { return s.l1iMisses }
 // L1DMisses returns the post-warmup L1 data-TLB miss count.
 func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 
-// Decode returns a fresh event iterator over the stream.
+// Decode returns a fresh event iterator over the stream. Each call is
+// one decode pass, counted in chirp_l2stream_decode_passes_total.
 func (s *Stream) Decode() *Decoder {
+	obsDecodePasses.Inc()
 	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
 }
 
 // FootprintBytes is the stream's in-memory cost at commit: its encoded
-// buffer, and nothing else. Derived views are charged separately, at
-// their real size, as they materialize (the cache's growth hook). The
-// cache accounts this against its budget.
+// buffer, whose capacity is its length, and nothing else. Derived
+// views are charged separately, at their real size, as they
+// materialize (the cache's growth hook). The cache accounts this
+// against its budget.
 func (s *Stream) FootprintBytes() int64 { return int64(len(s.buf)) }

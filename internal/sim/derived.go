@@ -4,8 +4,9 @@
 // TLB or policy state:
 //
 //   - accessView: the dense access sequence as struct-of-arrays (PC,
-//     VPN, set index for one L2 geometry, instruction-side flag) and
-//     the warmup boundary's position in it.
+//     VPN, instruction-side flag) and the warmup boundary's position
+//     in it. It holds no set index, so every L2 geometry shares it;
+//     the walker's tlb.Lookup masks the VPN itself.
 //   - prefetch schedule: the stride prefetcher's fill candidates per
 //     access, as a CSR. Stride decisions depend only on the demand
 //     stream, so they are computed once per prefetch distance — from
@@ -21,27 +22,31 @@
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
 //
-// The views are memoized on the stream (l2stream.Derived: single-
+// The views are memoized on the stream (l2stream.DerivedAll: single-
 // flight, budget-accounted) and persisted as derived sidecars when the
 // stream belongs to a -capturedir store, so warm sweeps skip both the
-// decode and the signature recomputation. Builders that need the event
-// stream decode its buffer in l2stream.DecodeBlockSize blocks; no
-// decoded copy of the event sequence outlives a build.
+// decode and the signature recomputation. The views that decode the
+// stream (the access view and the branch-history signatures) are
+// requested together, and every one of them the memo and the sidecars
+// lack is filled from one block-decoded pass over the buffer
+// (buildViews); no decoded copy of the event sequence outlives it.
 package sim
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
+	"github.com/chirplab/chirp/internal/tlb"
 )
 
-// replayView is what the dense walkers read for one (L2 geometry,
-// prefetch distance): an accessView's columns plus, when prefetching,
-// a prefetch schedule. It is assembled per ReplayMulti call from the
-// memoized views and owns none of the slices it holds.
+// replayView is what the dense walkers read for one prefetch distance:
+// an accessView's columns plus, when prefetching, a prefetch schedule.
+// It is assembled per ReplayMulti call from the memoized views and
+// owns none of the slices it holds.
 type replayView struct {
 	accessView
 
@@ -52,83 +57,152 @@ type replayView struct {
 	pfVPN []uint64
 }
 
-// replayViewFor assembles the stream's dense replay view for cfg's L2
-// geometry and prefetch distance from the memoized (or persisted)
-// accessView and prefetch schedule.
-func replayViewFor(stream *l2stream.Stream, cfg TLBOnlyConfig) (*replayView, error) {
-	av, err := accessViewFor(stream, cfg.l2Sets())
+// replayViews is every derived view one ReplayMulti call walks,
+// fetched before its policies fan out.
+type replayViews struct {
+	rv        *replayView
+	chirpSigs [][]uint32 // per policy: a CHiRP's signature sequence, nil for the rest
+	ghrpSigs  []uint64   // nil when no policy is GHRP
+}
+
+// viewsFor fetches the views policies need under cfg. One DerivedAll
+// call asks for the access view plus the signature views of every
+// branch-history CHiRP configuration and of GHRP among policies, so
+// the ones neither memoized nor persisted build in one decode pass.
+// The prefetch schedule and the signatures of CHiRP variants without
+// branch history then come from the access view's columns.
+func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
+	decoded := []*decodedView{accessViewD}
+	// keys holds each CHiRP's signature key ("" for the rest), and
+	// pcOnly the first policy of each key without branch history.
+	keys := make([]string, len(policies))
+	var pcOnly []int
+	wantGHRP := false
+	for j, p := range policies {
+		switch pp := p.(type) {
+		case *core.CHiRP:
+			c := pp.Config()
+			keys[j] = chirpSigsKey(c)
+			switch {
+			case slices.Contains(keys[:j], keys[j]):
+			case usesBranchHistory(c):
+				decoded = append(decoded, chirpSigsDecl(c, keys[j]))
+			default:
+				pcOnly = append(pcOnly, j)
+			}
+		case *policy.GHRP:
+			wantGHRP = true
+		}
+	}
+	if wantGHRP {
+		decoded = append(decoded, ghrpSigsD)
+	}
+	vs, err := decodedViews(stream, decoded)
 	if err != nil {
 		return nil, err
 	}
-	v := &replayView{accessView: *av}
+	av := vs[0].(*accessView)
+	out := &replayViews{rv: &replayView{accessView: *av}, chirpSigs: make([][]uint32, len(policies))}
+	byKey := map[string][]uint32{}
+	for i, d := range decoded {
+		switch v := vs[i].(type) {
+		case []uint32:
+			byKey[d.spec.Key] = v
+		case []uint64:
+			out.ghrpSigs = v
+		}
+	}
+	for _, j := range pcOnly {
+		sigs, err := chirpSigsFromPCsFor(stream, policies[j].(*core.CHiRP).Config(), keys[j], av.pc)
+		if err != nil {
+			return nil, err
+		}
+		byKey[keys[j]] = sigs
+	}
+	for j, k := range keys {
+		if k != "" {
+			out.chirpSigs[j] = byKey[k]
+		}
+	}
 	if pd := cfg.PrefetchDistance; pd > 0 {
 		ps, err := prefetchScheduleFor(stream, av, pd)
 		if err != nil {
 			return nil, err
 		}
-		v.pfOff, v.pfVPN = ps.off, ps.vpn
+		out.rv.pfOff, out.rv.pfVPN = ps.off, ps.vpn
 	}
-	return v, nil
+	return out, nil
 }
 
-// l2Sets is the L2 TLB's set count, the geometry key of an accessView.
-func (cfg TLBOnlyConfig) l2Sets() int { return cfg.Hierarchy.L2.Entries / cfg.Hierarchy.L2.Ways }
+// usesBranchHistory reports whether cfg's signatures read branch
+// history, so that its signature view must decode the stream.
+func usesBranchHistory(cfg core.Config) bool { return cfg.UseCondHistory || cfg.UseIndirectHistory }
 
-// accessView is the dense access sequence for one L2 geometry as
-// struct-of-arrays. All slices are indexed by demand access ordinal and
-// shared read-only across policies and replays.
-type accessView struct {
-	pc    []uint64
-	vpn   []uint64
-	set   []uint32 // VPN & setMask for the keyed geometry
-	instr []uint8  // 1 = instruction-side access
-
-	// warmIdx is the number of accesses preceding the warmup marker
-	// (len(pc) when the marker trails every access, -1 when the stream
-	// has no marker); replay latches warm stats right before access
-	// warmIdx, which is where the marker event sat.
-	warmIdx int
-}
-
-func (v *accessView) bytes() int64 {
-	return int64(len(v.pc)*8 + len(v.vpn)*8 + len(v.set)*4 + len(v.instr))
-}
-
-// accessViewFor materializes (or recalls) the stream's accessView for
-// an L2 geometry with sets sets.
-func accessViewFor(stream *l2stream.Stream, sets int) (*accessView, error) {
-	spec := &l2stream.DerivedSpec{
-		Key:    fmt.Sprintf("av1:s%d", sets),
-		Build:  func(s *l2stream.Stream) (any, error) { return buildAccessView(s, sets) },
-		Bytes:  func(view any) int64 { return view.(*accessView).bytes() },
-		Encode: func(view any) []byte { return encodeAccessView(view.(*accessView)) },
-		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			return decodeAccessView(s, data, sets)
-		},
-	}
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*accessView), nil
-}
-
-// blockFiller is a view builder's per-block state, driven by
-// decodeBlocks. fill consumes one decoded block and reports false when
-// it holds more accesses than the pre-sized view has room for (a
-// stream whose scalars disagree with its buffer); filled is the number
-// of accesses consumed so far.
-type blockFiller interface {
+// viewBuilder is a decoding view's per-pass state, driven by
+// decodeBlocks. fill consumes one decoded block and reports false
+// when it holds more accesses than the pre-sized view has room for (a
+// stream whose scalars disagree with its buffer); filled is the
+// number of accesses consumed so far, and view the finished view.
+type viewBuilder interface {
 	fill(evs []l2stream.Event) bool
 	filled() int
+	view() any
+}
+
+// decodedView declares one view family that decodes the stream: its
+// DerivedSpec (which needs no Build: decodedViews hands DerivedAll the
+// fused builder), the name its errors carry, whether its builder reads
+// branch events, and the builder's constructor. The builder allocates
+// the view's columns, so it is constructed only for a view that is
+// actually built.
+type decodedView struct {
+	spec       *l2stream.DerivedSpec
+	name       string
+	branches   bool
+	newBuilder func(s *l2stream.Stream) viewBuilder
+}
+
+// decodedViews returns the views ds from the stream's memo or
+// sidecars, building all the missing ones in one decode pass.
+func decodedViews(s *l2stream.Stream, ds []*decodedView) ([]any, error) {
+	specs := make([]*l2stream.DerivedSpec, len(ds))
+	for i, d := range ds {
+		specs[i] = d.spec
+	}
+	return s.DerivedAll(specs, func(missing []int) ([]any, error) {
+		m := make([]*decodedView, len(missing))
+		for k, i := range missing {
+			m[k] = ds[i]
+		}
+		return buildViews(s, m)
+	})
+}
+
+// buildViews builds every view in ds from one decode pass over s —
+// access and warmup events only when no builder reads branches.
+func buildViews(s *l2stream.Stream, ds []*decodedView) ([]any, error) {
+	bs := make([]viewBuilder, len(ds))
+	accessesOnly := true
+	for i, d := range ds {
+		bs[i] = d.newBuilder(s)
+		accessesOnly = accessesOnly && !d.branches
+	}
+	if err := decodeBlocks(s, accessesOnly, bs, ds); err != nil {
+		return nil, err
+	}
+	out := make([]any, len(bs))
+	for i, b := range bs {
+		out[i] = b.view()
+	}
+	return out, nil
 }
 
 // decodeBlocks decodes the stream in l2stream.DecodeBlockSize blocks —
 // access and warmup events only when accessesOnly, every event
-// otherwise — and feeds each block to f, then checks that f consumed
-// exactly the stream's access count. view names the view being built
+// otherwise — and feeds each block to every builder, then checks that
+// each consumed exactly the stream's access count. ds names the views
 // in errors.
-func decodeBlocks(s *l2stream.Stream, accessesOnly bool, f blockFiller, view string) error {
+func decodeBlocks(s *l2stream.Stream, accessesOnly bool, bs []viewBuilder, ds []*decodedView) error {
 	d := s.Decode()
 	var blk [l2stream.DecodeBlockSize]l2stream.Event
 	for {
@@ -141,51 +215,86 @@ func decodeBlocks(s *l2stream.Stream, accessesOnly bool, f blockFiller, view str
 		if k == 0 {
 			break
 		}
-		if !f.fill(blk[:k]) {
-			return fmt.Errorf("sim: %s decoded more accesses than the %d the stream reports", view, s.Accesses())
+		for i, b := range bs {
+			if !b.fill(blk[:k]) {
+				return fmt.Errorf("sim: %s decoded more accesses than the %d the stream reports", ds[i].name, s.Accesses())
+			}
 		}
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n := f.filled(); uint64(n) != s.Accesses() {
-		return fmt.Errorf("sim: %s decoded %d accesses, stream reports %d", view, n, s.Accesses())
+	for i, b := range bs {
+		if n := b.filled(); uint64(n) != s.Accesses() {
+			return fmt.Errorf("sim: %s decoded %d accesses, stream reports %d", ds[i].name, n, s.Accesses())
+		}
 	}
 	return nil
 }
 
-// buildAccessView decodes the stream's access events into the view's
-// columns.
-func buildAccessView(s *l2stream.Stream, sets int) (*accessView, error) {
-	n := int(s.Accesses())
-	b := &accessBuilder{
-		v: &accessView{
-			pc:      make([]uint64, n),
-			vpn:     make([]uint64, n),
-			set:     make([]uint32, n),
-			instr:   make([]uint8, n),
-			warmIdx: -1,
-		},
-		mask: uint64(sets - 1),
-	}
-	if err := decodeBlocks(s, true, b, "access view"); err != nil {
-		return nil, err
-	}
-	return b.v, nil
+// accessView is the dense access sequence as struct-of-arrays. All
+// slices are indexed by demand access ordinal and shared read-only
+// across policies, replays and L2 geometries.
+type accessView struct {
+	pc    []uint64
+	vpn   []uint64
+	instr []uint8 // 1 = instruction-side access
+
+	// warmIdx is the number of accesses preceding the warmup marker
+	// (len(pc) when the marker trails every access, -1 when the stream
+	// has no marker); replay latches warm stats right before access
+	// warmIdx, which is where the marker event sat.
+	warmIdx int
 }
 
-// accessBuilder is buildAccessView's per-block state. The columns are
+func (v *accessView) bytes() int64 {
+	return int64(len(v.pc)*8 + len(v.vpn)*8 + len(v.instr))
+}
+
+// accessViewD declares the access view. Its key carries no L2
+// geometry: the view holds none.
+var accessViewD = &decodedView{
+	spec: &l2stream.DerivedSpec{
+		Key:    "av2",
+		Bytes:  func(view any) int64 { return view.(*accessView).bytes() },
+		Encode: func(view any) []byte { return encodeAccessView(view.(*accessView)) },
+		Decode: func(s *l2stream.Stream, data []byte) (any, bool) { return decodeAccessView(s, data) },
+	},
+	name: "access view",
+	newBuilder: func(s *l2stream.Stream) viewBuilder {
+		n := int(s.Accesses())
+		return &accessBuilder{v: &accessView{
+			pc:      make([]uint64, n),
+			vpn:     make([]uint64, n),
+			instr:   make([]uint8, n),
+			warmIdx: -1,
+		}}
+	},
+}
+
+// accessViewFor materializes (or recalls) the stream's accessView.
+func accessViewFor(stream *l2stream.Stream) (*accessView, error) {
+	vs, err := decodedViews(stream, []*decodedView{accessViewD})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0].(*accessView), nil
+}
+
+// accessBuilder is the access view's per-pass state. The columns are
 // sized to the stream's access count up front, so the per-event fill
 // loop never allocates.
 type accessBuilder struct {
-	v    *accessView
-	mask uint64
-	n    int // accesses filled so far
+	v *accessView
+	n int // accesses filled so far
 }
 
 func (b *accessBuilder) filled() int { return b.n }
 
-// fill appends one decoded block of access events to the view.
+func (b *accessBuilder) view() any { return b.v }
+
+// fill appends one decoded block's access events to the view; it
+// skips the branch events a pass shared with a signature view carries.
 //
 //chirp:hotpath
 func (b *accessBuilder) fill(evs []l2stream.Event) bool {
@@ -193,7 +302,10 @@ func (b *accessBuilder) fill(evs []l2stream.Event) bool {
 	j := b.n
 	for i := range evs {
 		ev := &evs[i]
-		if ev.Kind == l2stream.EventWarmup {
+		switch ev.Kind {
+		case l2stream.EventBranch:
+			continue
+		case l2stream.EventWarmup:
 			v.warmIdx = j
 			continue
 		}
@@ -202,7 +314,6 @@ func (b *accessBuilder) fill(evs []l2stream.Event) bool {
 		}
 		v.pc[j] = ev.PC
 		v.vpn[j] = ev.VPN
-		v.set[j] = uint32(ev.VPN & b.mask)
 		if ev.Kind == l2stream.EventInstrAccess {
 			v.instr[j] = 1
 		}
@@ -212,9 +323,7 @@ func (b *accessBuilder) fill(evs []l2stream.Event) bool {
 	return true
 }
 
-// encodeAccessView serializes the view for the derived sidecar. The
-// set-index array is recomputed at decode (one mask per access) rather
-// than stored.
+// encodeAccessView serializes the view for the derived sidecar.
 func encodeAccessView(v *accessView) []byte {
 	n := len(v.pc)
 	out := make([]byte, 0, 16+n*17)
@@ -226,9 +335,9 @@ func encodeAccessView(v *accessView) []byte {
 }
 
 // decodeAccessView validates a sidecar payload against the stream and
-// rebuilds the in-memory form for the geometry. ok=false means corrupt
-// or stale — the caller rebuilds from the stream.
-func decodeAccessView(s *l2stream.Stream, data []byte, sets int) (*accessView, bool) {
+// rebuilds the in-memory form. ok=false means corrupt or stale — the
+// caller rebuilds from the stream.
+func decodeAccessView(s *l2stream.Stream, data []byte) (*accessView, bool) {
 	if len(data) < 16 {
 		return nil, false
 	}
@@ -247,11 +356,6 @@ func decodeAccessView(s *l2stream.Stream, data []byte, sets int) (*accessView, b
 			return nil, false
 		}
 	}
-	mask := uint64(sets - 1)
-	v.set = make([]uint32, n)
-	for i, vpn := range v.vpn {
-		v.set[i] = uint32(vpn & mask)
-	}
 	return v, true
 }
 
@@ -264,8 +368,8 @@ type prefetchSchedule struct {
 
 // prefetchScheduleFor materializes (or recalls) the schedule for
 // prefetch distance pd, building it from av's columns. The schedule
-// depends only on the access PCs and VPNs, not on the geometry av was
-// built for, so its key omits the geometry.
+// depends only on the access PCs and VPNs, so its key omits the L2
+// geometry.
 func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*prefetchSchedule, error) {
 	spec := &l2stream.DerivedSpec{
 		Key:   fmt.Sprintf("pf1:pd%d", pd),
@@ -291,13 +395,19 @@ func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*pref
 }
 
 // buildPrefetchSchedule runs the shared stride prefetcher over the
-// access columns exactly as a live replay would.
+// access columns exactly as a live replay would. It runs it twice —
+// once to size the CSR, once to fill it — so the fill column is
+// allocated at its exact length and the view holds no append slack.
 func buildPrefetchSchedule(av *accessView, pd int) *prefetchSchedule {
-	pf := newStridePrefetcher(pd)
 	ps := &prefetchSchedule{off: make([]uint32, len(av.pc)+1)}
+	pf := newStridePrefetcher(pd)
 	for i, pc := range av.pc {
-		ps.vpn = append(ps.vpn, pf.observe(pc, av.vpn[i])...)
-		ps.off[i+1] = uint32(len(ps.vpn))
+		ps.off[i+1] = ps.off[i] + uint32(len(pf.observe(pc, av.vpn[i])))
+	}
+	ps.vpn = make([]uint64, ps.off[len(av.pc)])
+	pf = newStridePrefetcher(pd)
+	for i, pc := range av.pc {
+		copy(ps.vpn[ps.off[i]:], pf.observe(pc, av.vpn[i]))
 	}
 	return ps
 }
@@ -329,20 +439,17 @@ func decodePrefetchSchedule(s *l2stream.Stream, data []byte) (any, bool) {
 	return ps, true
 }
 
-// chirpSigsFor materializes (or recalls) the CHiRP signature sequence
-// for cfg's signature-relevant configuration: per access, demand
-// signature in the low half, prefetch-fill signature in the high half.
-// pcs is the stream's access PC sequence (an accessView column), which
-// is all a variant without branch history needs.
-func chirpSigsFor(stream *l2stream.Stream, cfg core.Config, pcs []uint64) ([]uint32, error) {
-	spec := &l2stream.DerivedSpec{
-		Key: "chirp:" + cfg.SignatureKey(),
-		Build: func(s *l2stream.Stream) (any, error) {
-			if !cfg.UseCondHistory && !cfg.UseIndirectHistory {
-				return chirpSigsFromPCs(cfg, pcs), nil
-			}
-			return buildCHiRPSigs(s, cfg)
-		},
+// chirpSigsKey is the derived key of cfg's CHiRP signature sequence:
+// per access, demand signature in the low half, prefetch-fill
+// signature in the high half.
+func chirpSigsKey(cfg core.Config) string { return "chirp:" + cfg.SignatureKey() }
+
+// chirpSigsSpec is the DerivedSpec of a CHiRP signature sequence under
+// its key, without a Build: the decoded view needs none, and the
+// PC-only one adds its own.
+func chirpSigsSpec(key string) *l2stream.DerivedSpec {
+	return &l2stream.DerivedSpec{
+		Key:   key,
 		Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
 		Encode: func(view any) []byte {
 			sigs := view.([]uint32)
@@ -361,6 +468,28 @@ func chirpSigsFor(stream *l2stream.Stream, cfg core.Config, pcs []uint64) ([]uin
 			return sigs, true
 		},
 	}
+}
+
+// chirpSigsDecl declares the signature view of a CHiRP configuration
+// with branch history, which decodes the stream; key is
+// chirpSigsKey(cfg).
+func chirpSigsDecl(cfg core.Config, key string) *decodedView {
+	return &decodedView{
+		spec:     chirpSigsSpec(key),
+		name:     "chirp signature view",
+		branches: true,
+		newBuilder: func(s *l2stream.Stream) viewBuilder {
+			return &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
+		},
+	}
+}
+
+// chirpSigsFromPCsFor materializes (or recalls) the signature sequence
+// of a CHiRP configuration without branch history from the stream's
+// access PC sequence (an accessView column); key is chirpSigsKey(cfg).
+func chirpSigsFromPCsFor(stream *l2stream.Stream, cfg core.Config, key string, pcs []uint64) ([]uint32, error) {
+	spec := chirpSigsSpec(key)
+	spec.Build = func(*l2stream.Stream) (any, error) { return chirpSigsFromPCs(cfg, pcs), nil }
 	v, err := stream.Derived(spec)
 	if err != nil {
 		return nil, err
@@ -382,19 +511,9 @@ func chirpSigsFromPCs(cfg core.Config, pcs []uint64) []uint32 {
 	return out
 }
 
-// buildCHiRPSigs replays the signature computation over the stream's
+// chirpSigBuilder replays the signature computation over the stream's
 // events through the same Histories/signature code the live policy
-// runs (core.SigSequencer).
-func buildCHiRPSigs(s *l2stream.Stream, cfg core.Config) ([]uint32, error) {
-	b := &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
-	if err := decodeBlocks(s, false, b, "chirp signature view"); err != nil {
-		return nil, err
-	}
-	return b.out, nil
-}
-
-// chirpSigBuilder is buildCHiRPSigs' per-block state: the signature
-// sequencer and the pre-sized output it fills.
+// runs (core.SigSequencer), into a pre-sized output.
 type chirpSigBuilder struct {
 	q   *core.SigSequencer
 	out []uint32
@@ -402,6 +521,8 @@ type chirpSigBuilder struct {
 }
 
 func (b *chirpSigBuilder) filled() int { return b.n }
+
+func (b *chirpSigBuilder) view() any { return b.out }
 
 // fill feeds one decoded block through the sequencer.
 //
@@ -424,13 +545,11 @@ func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
 	return true
 }
 
-// ghrpSigsFor materializes (or recalls) the GHRP signature sequence:
-// one signature per access, valid for its hit/insert and prefetch
-// fills alike.
-func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
-	spec := &l2stream.DerivedSpec{
+// ghrpSigsD declares the GHRP signature sequence: one signature per
+// access, valid for its hit/insert and prefetch fills alike.
+var ghrpSigsD = &decodedView{
+	spec: &l2stream.DerivedSpec{
 		Key:   "ghrp:gs1",
-		Build: buildGHRPSigs,
 		Bytes: func(view any) int64 { return int64(len(view.([]uint64)) * 8) },
 		Encode: func(view any) []byte {
 			sigs := view.([]uint64)
@@ -448,25 +567,16 @@ func ghrpSigsFor(stream *l2stream.Stream) ([]uint64, error) {
 			sigs, _ := readU64s(data, 8, n)
 			return sigs, true
 		},
-	}
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]uint64), nil
+	},
+	name:     "ghrp signature view",
+	branches: true,
+	newBuilder: func(s *l2stream.Stream) viewBuilder {
+		return &ghrpSigBuilder{out: make([]uint64, s.Accesses())}
+	},
 }
 
-// buildGHRPSigs runs the GHRP history over the stream's events,
+// ghrpSigBuilder runs the GHRP history over the stream's events,
 // recording each access's signature.
-func buildGHRPSigs(s *l2stream.Stream) (any, error) {
-	b := &ghrpSigBuilder{out: make([]uint64, s.Accesses())}
-	if err := decodeBlocks(s, false, b, "ghrp signature view"); err != nil {
-		return nil, err
-	}
-	return b.out, nil
-}
-
-// ghrpSigBuilder is buildGHRPSigs' per-block state.
 type ghrpSigBuilder struct {
 	h   policy.GHRPHistory
 	out []uint64
@@ -474,6 +584,8 @@ type ghrpSigBuilder struct {
 }
 
 func (b *ghrpSigBuilder) filled() int { return b.n }
+
+func (b *ghrpSigBuilder) view() any { return b.out }
 
 // fill feeds one decoded block through the GHRP history.
 //

@@ -341,7 +341,7 @@ func fullEvents(t *testing.T, s *l2stream.Stream) []l2stream.Event {
 
 // refReplayView, refCHiRPSigs and refGHRPSigs compute each derived view
 // from a fully decoded event slice, one event at a time.
-func refReplayView(evs []l2stream.Event, sets, pd int) *replayView {
+func refReplayView(evs []l2stream.Event, pd int) *replayView {
 	v := &replayView{accessView: accessView{warmIdx: -1}}
 	var pf *stridePrefetcher
 	if pd > 0 {
@@ -355,7 +355,6 @@ func refReplayView(evs []l2stream.Event, sets, pd int) *replayView {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
 			v.pc = append(v.pc, ev.PC)
 			v.vpn = append(v.vpn, ev.VPN)
-			v.set = append(v.set, uint32(ev.VPN&uint64(sets-1)))
 			instr := uint8(0)
 			if ev.Kind == l2stream.EventInstrAccess {
 				instr = 1
@@ -425,7 +424,6 @@ func markerIndex(evs []l2stream.Event, keep func(l2stream.EventKind) bool) int {
 // decoder.
 func TestBlockBuildersMatchReference(t *testing.T) {
 	const n = 2048 // records; a power of two, so m/n is exact
-	sets := DefaultHierarchy().L2.Entries / DefaultHierarchy().L2.Ways
 	all := func(l2stream.EventKind) bool { return true }
 	accessOnly := func(k l2stream.EventKind) bool { return k != l2stream.EventBranch }
 
@@ -493,23 +491,23 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 			for _, pd := range []int{0, 4} {
 				cfg := DefaultTLBOnlyConfig(n)
 				cfg.PrefetchDistance = pd
-				got, err := replayViewFor(s, cfg)
+				got, err := viewsFor(s, nil, cfg)
 				if err != nil {
 					t.Fatalf("%s pd=%d: %v", name, pd, err)
 				}
-				compareViews(t, fmt.Sprintf("%s pd=%d", name, pd), got, refReplayView(evs, sets, pd))
+				compareViews(t, fmt.Sprintf("%s pd=%d", name, pd), got.rv, refReplayView(evs, pd))
 			}
 			for _, ccfg := range chirpSigConfigs() {
 				want := refCHiRPSigs(evs, ccfg)
-				sigs, err := buildCHiRPSigs(s, ccfg)
+				sigs, err := buildViews(s, []*decodedView{chirpSigsDecl(ccfg, chirpSigsKey(ccfg))})
 				if err != nil {
 					t.Fatalf("%s: chirp sigs: %v", name, err)
 				}
-				if !slices.Equal(sigs, want) {
+				if !slices.Equal(sigs[0].([]uint32), want) {
 					t.Errorf("%s: chirp %s signature sequence diverges from the reference", name, ccfg.SignatureKey())
 				}
 				if !ccfg.UseCondHistory && !ccfg.UseIndirectHistory {
-					av, err := accessViewFor(s, sets)
+					av, err := accessViewFor(s)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -518,11 +516,11 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 					}
 				}
 			}
-			gsigs, err := buildGHRPSigs(s)
+			gsigs, err := buildViews(s, []*decodedView{ghrpSigsD})
 			if err != nil {
 				t.Fatalf("%s: ghrp sigs: %v", name, err)
 			}
-			if want := refGHRPSigs(evs); !slices.Equal(gsigs.([]uint64), want) {
+			if want := refGHRPSigs(evs); !slices.Equal(gsigs[0].([]uint64), want) {
 				t.Errorf("%s: ghrp signature sequence diverges from the reference", name)
 			}
 		}
@@ -547,8 +545,7 @@ func compareViews(t *testing.T, name string, got, want *replayView) {
 	if got.warmIdx != want.warmIdx {
 		t.Errorf("%s: warmIdx = %d, want %d", name, got.warmIdx, want.warmIdx)
 	}
-	if !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) ||
-		!slices.Equal(got.set, want.set) || !slices.Equal(got.instr, want.instr) {
+	if !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) || !slices.Equal(got.instr, want.instr) {
 		t.Errorf("%s: access columns diverge from the reference", name)
 	}
 	if (got.pfOff == nil) != (want.pfOff == nil) {

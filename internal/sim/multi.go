@@ -17,15 +17,18 @@ import (
 
 // ReplayMulti is the replay path: it drives N policies (one is fine)
 // over a captured stream's derived views. The dense access sequence
-// (PC/VPN/set-index arrays plus the precomputed stride-prefetch fill
-// schedule) is materialized once per (stream, geometry, prefetch
-// distance) and every policy walks it independently; CHiRP and GHRP
-// additionally consume their precomputed signature sequence
-// (tlb.SignatureFed), so no policy maintains history registers at
-// replay time. Policies are partitioned across min(N, GOMAXPROCS)
-// goroutines sharing the read-only views. Results are bit-identical to
-// calling RunTLBOnly once per policy over the captured trace, in the
-// same order as policies.
+// (PC/VPN/instruction-side arrays, shared by every L2 geometry) is
+// materialized once per stream, its precomputed stride-prefetch fill
+// schedule once per prefetch distance, and every policy walks them
+// independently; CHiRP and GHRP additionally consume their precomputed
+// signature sequence (tlb.SignatureFed), so no policy maintains history
+// registers at replay time. Every view the call needs is fetched
+// before the fan-out, and the ones that decode the stream and are
+// neither memoized nor persisted build together in one decode pass.
+// Policies are partitioned across min(N, GOMAXPROCS) goroutines
+// sharing the read-only views. Results are bit-identical to calling
+// RunTLBOnly once per policy over the captured trace, in the same
+// order as policies.
 //
 // The equivalence argument: the L1 TLBs are policy-invariant, so the
 // L2 access sequence RunTLBOnly produces is exactly the captured one,
@@ -60,7 +63,7 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 	if !stream.Warmed() {
 		return nil, fmt.Errorf("sim: trace ended before warmup boundary (%d < %d instructions)", stream.Instructions(), stream.WarmupAt())
 	}
-	rv, err := replayViewFor(stream, cfg)
+	views, err := viewsFor(stream, policies, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +71,7 @@ func replayMulti(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConf
 	out := make([]TLBOnlyResult, len(policies))
 	errs := make([]error, len(policies))
 	runPolicies(workers, len(policies), func(j int) {
-		out[j], errs[j] = replayOne(stream, rv, policies[j], cfg)
+		out[j], errs[j] = replayOne(stream, views, j, policies[j], cfg)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -141,27 +144,24 @@ func needsBranchEvents(p tlb.Policy) bool {
 	return observes
 }
 
-// replayOne replays a single policy over the shared derived views. The
-// only thing that differs between policies is the walker's signature
-// feed: CHiRP and GHRP run in external-signature mode against their
+// replayOne replays policies[j] of a ReplayMulti call over the shared
+// derived views, which viewsFor fetched before the fan-out. The only
+// thing that differs between policies is the walker's signature feed:
+// CHiRP and GHRP run in external-signature mode against their
 // precomputed sequences, and everything else (replayMulti has already
 // rejected unfed branch observers) walks the dense access view bare.
-func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
+func replayOne(stream *l2stream.Stream, views *replayViews, j int, p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyResult, error) {
 	var (
 		w   denseWalker
 		fed tlb.SignatureFed
-		err error
 	)
 	switch pp := p.(type) {
 	case *core.CHiRP:
 		w.chirp, fed = pp, pp
-		w.chirpSigs, err = chirpSigsFor(stream, pp.Config(), rv.pc)
+		w.chirpSigs = views.chirpSigs[j]
 	case *policy.GHRP:
 		w.ghrp, fed = pp, pp
-		w.ghrpSigs, err = ghrpSigsFor(stream)
-	}
-	if err != nil {
-		return TLBOnlyResult{}, err
+		w.ghrpSigs = views.ghrpSigs
 	}
 	t, err := tlb.New(cfg.Hierarchy.L2, p)
 	if err != nil {
@@ -171,7 +171,7 @@ func replayOne(stream *l2stream.Stream, rv *replayView, p tlb.Policy, cfg TLBOnl
 		fed.BeginExternalSignatures()
 	}
 	w.t = t
-	w.walk(rv)
+	w.walk(views.rv)
 	return finishReplay(stream, p, t, w.warm), nil
 }
 
@@ -221,9 +221,9 @@ func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.St
 // skipping the per-access zeroing stores. That relies on two
 // invariants: ASID stays at its zero value for the walk's lifetime
 // (replay views are single-address-space), and the fields walk does
-// not write are either never read stale (pa.Set and pa.Prefetch are
-// overwritten by InsertPrefetch before use) or never written by the
-// TLB at all (a.Prefetch on the demand path).
+// not write are either never read stale (a.Set is overwritten by
+// Lookup, pa.Set and pa.Prefetch by InsertPrefetch, before use) or
+// never written by the TLB at all (a.Prefetch on the demand path).
 type denseWalker struct {
 	t     *tlb.TLB
 	warm  tlb.Stats
@@ -246,7 +246,6 @@ func (w *denseWalker) walk(v *replayView) {
 	// The reslices pin every column to len(pcs) so the loop indexes
 	// without per-column bounds checks.
 	vpns := v.vpn[:len(pcs)]
-	sets := v.set[:len(pcs)]
 	instrs := v.instr[:len(pcs)]
 	pfOff, pfVPN := v.pfOff, v.pfVPN
 	chirp, chirpSigs := w.chirp, w.chirpSigs
@@ -265,9 +264,8 @@ func (w *denseWalker) walk(v *replayView) {
 		vpn := vpns[i]
 		w.a.PC = pcs[i]
 		w.a.VPN = vpn
-		w.a.Set = sets[i]
 		w.a.Instr = instr
-		if _, hit := t.LookupIndexed(&w.a); !hit {
+		if _, hit := t.Lookup(&w.a); !hit {
 			t.Insert(&w.a, vpn)
 		}
 		if pfOff != nil {

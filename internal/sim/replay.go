@@ -56,13 +56,12 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 // StreamVPNs extracts the L2 demand-access VPN sequence from a
 // captured stream — the input CollectL2Stream produces, without
 // re-running the generator and L1 filters. It reads the memoized
-// access view, so a replay of the same stream under the same L2
-// geometry reuses the view build.
+// access view, so a replay of the same stream reuses the view build.
 func StreamVPNs(stream *l2stream.Stream, cfg TLBOnlyConfig) ([]uint64, error) {
 	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
 		return nil, fmt.Errorf("sim: stream captured under %+v cannot serve %+v", got, want)
 	}
-	av, err := accessViewFor(stream, cfg.l2Sets())
+	av, err := accessViewFor(stream)
 	if err != nil {
 		return nil, err
 	}

@@ -374,15 +374,6 @@ func (t *TLB) SetIndex(vpn uint64) uint32 { return uint32(vpn & t.setMask) }
 //chirp:hotpath
 func (t *TLB) Lookup(a *Access) (ppn uint64, hit bool) {
 	a.Set = t.SetIndex(a.VPN)
-	return t.LookupIndexed(a)
-}
-
-// LookupIndexed is Lookup for callers that have already filled a.Set —
-// replay kernels driving precomputed per-stream set indices. a.Set
-// must equal SetIndex(a.VPN); nothing here rechecks it.
-//
-//chirp:hotpath
-func (t *TLB) LookupIndexed(a *Access) (ppn uint64, hit bool) {
 	t.now++
 	t.stats.Accesses++
 	if a.Instr {
@@ -474,14 +465,6 @@ func (t *TLB) Insert(a *Access, ppn uint64) (evicted bool, evictedVPN uint64) {
 //chirp:hotpath
 func (t *TLB) InsertPrefetch(a *Access, ppn uint64) (evicted bool, evictedVPN uint64) {
 	a.Set = t.SetIndex(a.VPN)
-	return t.InsertPrefetchIndexed(a, ppn)
-}
-
-// InsertPrefetchIndexed is InsertPrefetch for callers that have already
-// filled a.Set (see LookupIndexed).
-//
-//chirp:hotpath
-func (t *TLB) InsertPrefetchIndexed(a *Access, ppn uint64) (evicted bool, evictedVPN uint64) {
 	t.stats.PrefetchInserts++
 	a.Prefetch = true
 	if t.observesAccess {
@@ -549,15 +532,7 @@ func (t *TLB) Now() uint64 { return t.now }
 //
 //chirp:hotpath
 func (t *TLB) Contains(vpn uint64) bool {
-	return t.ContainsIndexed(t.SetIndex(vpn), vpn)
-}
-
-// ContainsIndexed is Contains with the set index supplied by the
-// caller (see LookupIndexed).
-//
-//chirp:hotpath
-func (t *TLB) ContainsIndexed(set uint32, vpn uint64) bool {
-	base := int(set) * t.ways
+	base := int(t.SetIndex(vpn)) * t.ways
 	tags := t.tags[base : base+t.ways]
 	for w := range tags {
 		if tags[w] == vpn {
