@@ -57,6 +57,9 @@ func run(fs *flag.FlagSet, args []string) int {
 	if *instr == 0 {
 		return cli.Exit("chirpexp", cli.Usagef("-instr must be positive: a zero budget simulates nothing"))
 	}
+	if *n < 0 {
+		return cli.Exit("chirpexp", cli.Usagef("-n must not be negative (0 = full suite)"))
+	}
 
 	out := os.Stdout
 	runners := []runner{

@@ -28,7 +28,7 @@ func main() { os.Exit(run(flag.CommandLine, os.Args[1:])) }
 
 func run(fs *flag.FlagSet, args []string) int {
 	sweep := fs.String("sweep", "table", "table | history | branchhist | threshold | ways | entries | filters")
-	n := fs.Int("n", 96, "suite prefix size")
+	n := fs.Int("n", 96, "suite prefix size (0 = full suite)")
 	instr := fs.Uint64("instr", 1_000_000, "instructions per trace")
 	specFlags := cli.RegisterSpec(fs, "workload spec (registry name or JSON file) replacing the built-in suite; -n still selects a prefix of its compiled workloads")
 	resources := cli.Register(fs)
@@ -37,6 +37,9 @@ func run(fs *flag.FlagSet, args []string) int {
 	}
 	if *instr == 0 {
 		return cli.Exit("chirpsweep", cli.Usagef("-instr must be positive: a zero budget simulates nothing"))
+	}
+	if *n < 0 {
+		return cli.Exit("chirpsweep", cli.Usagef("-n must not be negative (0 = full suite)"))
 	}
 
 	compiled, err := specFlags.Compile()

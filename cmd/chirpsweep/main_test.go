@@ -40,6 +40,16 @@ func TestFlagSet(t *testing.T) {
 	}
 }
 
+// TestNegativeNIsUsageError: -n selects a suite prefix and 0 keeps the
+// whole suite, so a negative -n is a usage error (exit 2), not a panic.
+func TestNegativeNIsUsageError(t *testing.T) {
+	fs := flag.NewFlagSet("chirpsweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if code := run(fs, []string{"-sweep", "ways", "-n", "-1", "-instr", "1000"}); code != 2 {
+		t.Errorf("-n -1 returned %d, want 2 (usage)", code)
+	}
+}
+
 // TestZeroInstrIsUsageError: every sweep bounds its workloads at -instr
 // instructions, so -instr 0 would simulate nothing; it is a usage error
 // (exit 2) for a geometry sweep and a policy sweep alike.

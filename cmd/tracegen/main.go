@@ -29,7 +29,7 @@ func run(fs *flag.FlagSet, args []string) int {
 	specFlags := cli.RegisterSpec(fs, "workload spec (registry name or JSON file); -workload then names one of its compiled workloads, -all materialises them all")
 	out := fs.String("o", "", "output file (default <workload>.chtr)")
 	all := fs.Bool("all", false, "materialise a suite prefix instead of one workload")
-	n := fs.Int("n", 8, "suite prefix size with -all")
+	n := fs.Int("n", 8, "suite prefix size with -all (0 = full suite)")
 	dir := fs.String("dir", ".", "output directory with -all")
 	instr := fs.Uint64("instr", 1_000_000, "instructions per trace")
 	workers := fs.Int("workers", 0, "parallel trace writers with -all (0 = GOMAXPROCS)")
@@ -41,6 +41,9 @@ func run(fs *flag.FlagSet, args []string) int {
 	}
 	if *instr == 0 {
 		return cli.Exit("tracegen", cli.Usagef("-instr must be positive: a zero budget simulates nothing"))
+	}
+	if *n < 0 {
+		return cli.Exit("tracegen", cli.Usagef("-n must not be negative (0 = full suite)"))
 	}
 
 	compiled, err := specFlags.Compile()

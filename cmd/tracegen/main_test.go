@@ -38,6 +38,16 @@ func TestFlagSet(t *testing.T) {
 	}
 }
 
+// TestNegativeNIsUsageError: -n selects a suite prefix and 0 keeps the
+// whole suite, so a negative -n is a usage error (exit 2), not a panic.
+func TestNegativeNIsUsageError(t *testing.T) {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if code := run(fs, []string{"-all", "-n", "-1", "-instr", "1000", "-dir", t.TempDir()}); code != 2 {
+		t.Errorf("-all -n -1 returned %d, want 2 (usage)", code)
+	}
+}
+
 // TestZeroInstrIsUsageError: tracegen bounds every workload at -instr
 // instructions, so -instr 0 would write empty traces; it is a usage
 // error (exit 2) for one workload and for a suite prefix.

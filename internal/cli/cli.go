@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -96,6 +97,9 @@ func (s *SpecFlags) Compile() (*spec.Compiled, error) {
 // of the built-in suite when c is nil (n <= 0 keeps them all).
 func Suite(c *spec.Compiled, n int) []*workloads.Workload {
 	if c == nil {
+		if n <= 0 {
+			n = workloads.SuiteSize
+		}
 		return workloads.SuiteN(n)
 	}
 	ws := c.Workloads()
@@ -135,8 +139,12 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// validate rejects flag combinations that would otherwise be ignored.
+// validate rejects flag values that would otherwise be ignored or
+// wrap around.
 func (f *Flags) validate() error {
+	if f.L2Cache > math.MaxInt64>>20 {
+		return Usagef("-l2cache %d MiB overflows a byte count (max %d)", f.L2Cache, int64(math.MaxInt64>>20))
+	}
 	if f.L2Cache < 0 && (f.CaptureDir != "" || f.CaptureDirMax != 0) {
 		return Usagef("-capturedir and -capturedir-max-bytes need capture/replay; a negative -l2cache selects the direct reference path")
 	}

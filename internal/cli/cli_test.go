@@ -3,9 +3,13 @@ package cli
 import (
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
+
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 func parse(t *testing.T, args ...string) *Flags {
@@ -140,5 +144,42 @@ func TestStartProfilesNoOp(t *testing.T) {
 	}
 	if err := stop(); err != nil {
 		t.Errorf("no-op stop returned %v", err)
+	}
+}
+
+// TestSuiteNonPositiveKeepsAll: Suite keeps the whole built-in suite
+// for n <= 0, as it does a compiled spec's population, and a prefix
+// otherwise.
+func TestSuiteNonPositiveKeepsAll(t *testing.T) {
+	if got := len(Suite(nil, 0)); got != workloads.SuiteSize {
+		t.Errorf("Suite(nil, 0) has %d workloads, want %d", got, workloads.SuiteSize)
+	}
+	if got := len(Suite(nil, 3)); got != 3 {
+		t.Errorf("Suite(nil, 3) has %d workloads, want 3", got)
+	}
+}
+
+// TestL2CacheOverflowIsUsageError: -l2cache is in MiB and becomes a
+// byte budget, so a value whose byte count overflows int64 is a usage
+// error instead of a wrapped budget; the largest value that fits opens
+// a cache.
+func TestL2CacheOverflowIsUsageError(t *testing.T) {
+	const max = math.MaxInt64 >> 20
+	for _, v := range []int64{max + 1, 17592186044417, math.MaxInt64} {
+		_, err := parse(t, "-l2cache", strconv.FormatInt(v, 10)).Open("test", "meta")
+		if err == nil {
+			t.Fatalf("-l2cache %d opened a cache", v)
+		}
+		if code := Exit("test", err); code != 2 {
+			t.Errorf("-l2cache %d: exit status %d, want 2 (usage)", v, code)
+		}
+	}
+	rt, err := parse(t, "-l2cache", strconv.FormatInt(max, 10)).Open("test", "meta")
+	if err != nil {
+		t.Fatalf("-l2cache %d: %v", int64(max), err)
+	}
+	defer rt.Close()
+	if rt.Streams == nil {
+		t.Error("no stream cache at the largest budget")
 	}
 }

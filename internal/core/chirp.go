@@ -79,8 +79,8 @@ func (c *Config) Validate() error {
 // It implements tlb.Policy, tlb.BranchObserver and
 // tlb.TableAccounting.
 type CHiRP struct {
-	cfg  Config
-	hist *Histories
+	cfg Config
+	seq *SigSequencer
 
 	table *policy.CounterTable
 	rec   *tlb.Recency
@@ -93,19 +93,18 @@ type CHiRP struct {
 	dead     []bool
 	firstHit []bool
 
-	// Per-access cached state, filled by OnAccess.
-	curSig  uint16
-	sameSet bool
-	lastSet uint32
-	haveSet bool
+	// Per-access cached state: curSig tags the access being served and
+	// pSig any prefetch fill it triggers. A demand OnAccess takes both
+	// from seq, or in fed mode from the last SetSignatures.
+	curSig, pSig uint16
+	sameSet      bool
+	lastSet      uint32
+	haveSet      bool
 
 	// External-signature mode (tlb.SignatureFed): when extSigs is set,
-	// OnAccess consumes the fed extSig/extPSig pair instead of reading
-	// and advancing the history registers — the driver has precomputed
-	// the identical sequence from the captured stream.
+	// the driver has precomputed the identical signature sequence from
+	// the captured stream and seq stays untouched.
 	extSigs bool
-	extSig  uint16
-	extPSig uint16
 
 	reads, writes uint64
 	accesses      uint64
@@ -139,7 +138,7 @@ func New(cfg Config) (*CHiRP, error) {
 	}
 	return &CHiRP{
 		cfg:   cfg,
-		hist:  NewHistories(cfg.History),
+		seq:   NewSigSequencer(cfg),
 		table: policy.NewCounterTable(cfg.TableEntries, cfg.CounterBits),
 	}, nil
 }
@@ -159,8 +158,8 @@ func (*CHiRP) Name() string { return "chirp" }
 // Config returns the policy's configuration.
 func (p *CHiRP) Config() Config { return p.cfg }
 
-// Histories exposes the history registers (for tests).
-func (p *CHiRP) Histories() *Histories { return p.hist }
+// Histories exposes the sequencer's history registers (for tests).
+func (p *CHiRP) Histories() *Histories { return p.seq.hist }
 
 // Attach implements tlb.Policy.
 func (p *CHiRP) Attach(sets, ways int) {
@@ -172,31 +171,20 @@ func (p *CHiRP) Attach(sets, ways int) {
 	p.rec = tlb.NewRecency(sets, ways)
 }
 
-// OnBranch implements tlb.BranchObserver: conditional branches feed
-// the conditional history, unconditional indirect branches feed the
-// indirect history (paper Figure 5, lines 23–26). Direct unconditional
-// branches and branch outcomes do not enter the signature — the paper
-// notes the signature "relies on bits from the branch PC, not
-// conditional branch outcomes or bits from branch targets".
+// OnBranch implements tlb.BranchObserver by feeding the branch to the
+// policy's SigSequencer. Branch outcomes and targets do not enter the
+// signature — the paper notes the signature "relies on bits from the
+// branch PC, not conditional branch outcomes or bits from branch
+// targets".
 //
 //chirp:hotpath
 func (p *CHiRP) OnBranch(pc uint64, conditional, indirect, _ bool, _ uint64) {
-	switch {
-	case conditional:
-		if p.cfg.UseCondHistory {
-			p.hist.PushCond(pc)
-		}
-	case indirect:
-		if p.cfg.UseIndirectHistory {
-			p.hist.PushIndirect(pc)
-		}
-	}
+	p.seq.OnBranch(pc, conditional, indirect)
 }
 
 // signatureOf combines the enabled features (paper Figure 5, lines
 // 5–6): sign ← PC≫2 ⊕ pathHist ⊕ condBrHist ⊕ unCondBrHist, hashed to
-// 16 bits. Shared by the policy and SigSequencer so the precomputed
-// sequence is the same computation, not a reimplementation.
+// 16 bits. SigSequencer is its one caller besides Signature.
 //
 //chirp:hotpath
 func signatureOf(cfg *Config, hist *Histories, pc uint64) uint16 {
@@ -218,7 +206,7 @@ func signatureOf(cfg *Config, hist *Histories, pc uint64) uint16 {
 //
 //chirp:hotpath
 func (p *CHiRP) Signature(pc uint64) uint16 {
-	return signatureOf(&p.cfg, p.hist, pc)
+	return signatureOf(&p.cfg, p.seq.hist, pc)
 }
 
 // index maps a 16-bit signature onto the prediction table.
@@ -250,55 +238,48 @@ func (p *CHiRP) train(sig uint16, dead bool) {
 	}
 }
 
-// OnAccess implements tlb.Policy: compute the access's signature from
-// the pre-update histories (Figure 5 computes sign before
-// UpdatePathHist runs), update the path history, and latch the
-// selective-hit-update same-set condition.
+// OnAccess implements tlb.Policy. A demand access takes its signature
+// pair from the sequencer (the Figure 5 signature under the pre-update
+// histories, then the path push) or, in fed mode, from the last
+// SetSignatures, and latches the selective-hit-update same-set
+// condition.
 //
-// Prefetch fills (a.Prefetch, per the tlb.Policy contract) only
-// refresh the signature the following OnInsert will tag the entry
-// with: a prefetch is not part of the committed access stream, so it
-// must neither push the path history (the triggering PC already did
-// when its demand access was observed) nor disturb the same-set latch
-// that filters consecutive demand hits.
+// A prefetch fill (a.Prefetch, per the tlb.Policy contract) tags the
+// entry the following OnInsert fills with the latched prefetch
+// signature, in both modes. The contract puts the triggering access's
+// PC on the fill and nothing touches the histories between that
+// access and its fills, so the latched value is the signature of
+// a.PC under the current histories. A prefetch is not part of the
+// committed access stream: it neither pushes the path history nor
+// disturbs the same-set latch that filters consecutive demand hits.
 //
 //chirp:hotpath
 func (p *CHiRP) OnAccess(a *tlb.Access) {
 	if a.Prefetch {
-		if p.extSigs {
-			p.curSig = p.extPSig
-		} else {
-			p.curSig = p.Signature(a.PC)
-		}
+		p.curSig = p.pSig
 		return
 	}
 	p.accesses++
 	p.sameSet = p.haveSet && a.Set == p.lastSet
 	p.lastSet, p.haveSet = a.Set, true
-	if p.extSigs {
-		p.curSig = p.extSig
-		return
-	}
-	p.curSig = p.Signature(a.PC)
-	if p.cfg.UsePathHistory {
-		p.hist.PushAccess(a.PC)
+	if !p.extSigs {
+		p.curSig, p.pSig = p.seq.OnAccess(a.PC)
 	}
 }
 
 // BeginExternalSignatures implements tlb.SignatureFed: from now on the
-// driver supplies the signature pair per access and the policy's own
-// histories stay untouched (the driver delivers no branches either).
+// driver supplies the signature pair per access and the sequencer
+// stays untouched (the driver delivers no branches either).
 func (p *CHiRP) BeginExternalSignatures() { p.extSigs = true }
 
-// SetSignatures implements tlb.SignatureFed: demand is the Figure 5
-// signature under the pre-access histories, prefetch the signature of
-// the same PC after the access's own path push — the value a trailing
-// prefetch fill would compute live.
+// SetSignatures implements tlb.SignatureFed with the pair
+// SigSequencer.OnAccess returns for the next access: demand is the
+// Figure 5 signature under the pre-access histories, prefetch the
+// signature of the same PC after the access's own path push.
 //
 //chirp:hotpath
 func (p *CHiRP) SetSignatures(demand, prefetch uint64) {
-	p.extSig = uint16(demand)
-	p.extPSig = uint16(prefetch)
+	p.curSig, p.pSig = uint16(demand), uint16(prefetch)
 }
 
 // OnHit implements tlb.Policy (paper Figure 5, lines 13–21 plus the

@@ -2,14 +2,15 @@ package core
 
 import "fmt"
 
-// SigSequencer replays the signature computation of one CHiRP instance
-// over a captured event stream, without any TLB or prediction state:
-// feed it the committed branches and demand accesses in stream order
-// and it produces, per access, the exact signature pair a live CHiRP
-// would compute — the demand signature under the pre-access histories
-// and the prefetch signature after the access's own path push. The
-// sequencer shares signatureOf and the Histories implementation with
-// the policy, so equality is structural, not coincidental.
+// SigSequencer is the only code that turns the committed branch and
+// access stream into CHiRP signatures, without any TLB or prediction
+// state: feed it the branches and demand accesses in stream order and
+// it produces, per access, the demand signature under the pre-access
+// histories and the prefetch signature after the access's own path
+// push. A live CHiRP runs one as its history state, and the replay
+// driver runs one over a captured stream to build the signature view
+// it feeds a CHiRP in fed mode, so the two modes agree by
+// construction.
 //
 // The produced sequence depends only on the event stream and on the
 // signature-relevant subset of Config (see SignatureKey), which makes
@@ -25,7 +26,10 @@ func NewSigSequencer(cfg Config) *SigSequencer {
 	return &SigSequencer{cfg: cfg, hist: NewHistories(cfg.History)}
 }
 
-// OnBranch mirrors CHiRP.OnBranch for the committed branch stream.
+// OnBranch records a committed branch: conditional branches feed the
+// conditional history, unconditional indirect branches the indirect
+// history (paper Figure 5, lines 23–26), each when its feature is on.
+// Direct unconditional branches do not enter the signature.
 //
 //chirp:hotpath
 func (q *SigSequencer) OnBranch(pc uint64, conditional, indirect bool) {

@@ -52,6 +52,11 @@ func TestSigSequencerMatchesLivePolicy(t *testing.T) {
 				if p.curSig != psig {
 					t.Fatalf("event %d: prefetch signature %#x, live policy computed %#x", i, psig, p.curSig)
 				}
+				// The latched prefetch signature is the signature of the
+				// triggering PC under the post-access histories.
+				if got := p.Signature(pc); got != psig {
+					t.Fatalf("event %d: latched prefetch signature %#x, Signature recomputes %#x", i, psig, got)
+				}
 			}
 		})
 	}

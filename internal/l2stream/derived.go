@@ -9,21 +9,22 @@
 //
 // The l2stream package stays agnostic about what a derived view
 // contains: builders and codecs live with their consumers (internal/
-// sim), which hands them in as a DerivedSpec. This package owns the
-// cross-cutting mechanics only — memoization, concurrency, budget
-// accounting, and the sidecar load/store protocol. DerivedAll asks
-// for several views at once and builds every missing one with one
-// callback, so a consumer can fill them all from one decode pass;
-// Derived is its one-spec case. The same single-flight slots also hold
-// Memo values: small in-memory results computed from the stream (sim's
-// replay results) that are neither persisted nor budget-charged.
+// sim), which hands in a DerivedSpec per view and one builder per
+// request. This package owns the cross-cutting mechanics only —
+// memoization, concurrency, budget accounting, and the sidecar
+// load/store protocol. DerivedAll is the one request: it asks for
+// several views at once and builds every missing one with one
+// callback, so a consumer can fill them all from one decode pass. The
+// same single-flight slots also hold Memo values: small in-memory
+// results computed from the stream (sim's replay results) that are
+// neither persisted nor budget-charged.
 package l2stream
 
 import "fmt"
 
-// DerivedSpec describes one derived-view family to Stream.Derived and
-// Stream.DerivedAll: an invalidation key, a builder, and an optional
-// persistence codec.
+// DerivedSpec describes one derived-view family to Stream.DerivedAll:
+// an invalidation key, a footprint, and an optional persistence codec.
+// The builder is DerivedAll's argument, not part of the spec.
 //
 // Key must change whenever the view's contents would: it should embed
 // the family name, a format version, and every configuration input the
@@ -33,16 +34,6 @@ import "fmt"
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Build computes the view from the stream's events when Derived
-	// finds it neither memoized nor persisted. It runs once per
-	// (stream, key), again only after a failed or panicking run, and
-	// may use the stream's decoders freely (Stream.Decode; block-decode
-	// with NextBlock or NextAccessBlock); the stream is immutable
-	// underneath it. DerivedAll ignores it: its caller passes one
-	// builder for every missing spec, which is how several views fill
-	// from one decode pass, so a spec only ever requested through
-	// DerivedAll may leave Build nil.
-	Build func(s *Stream) (view any, err error)
 	// Bytes reports the view's in-memory footprint for cache budget
 	// accounting.
 	Bytes func(view any) int64
@@ -161,13 +152,15 @@ func (s *Stream) fill(keys []string, slots []*derivedSlot, claimed []int, build 
 // persistent sidecar tier (when the stream belongs to a capture store
 // and the spec has a codec); the specs still missing after both go to
 // buildMissing together, as indices into specs (ascending), and it
-// must return their views in that order. Each built view is then
-// charged to the owning cache, persisted for the next process and
-// memoized on its own. Keys other goroutines are already building are
-// waited on only after this call's own builds finish. A buildMissing
-// that fails or panics leaves none of its keys memoized, so the next
-// call builds them again. The returned views are shared between every
-// caller and MUST be treated as read-only.
+// must return their views in that order. buildMissing may use the
+// stream's decoders freely (Stream.Decode; block-decode with NextBlock
+// or NextAccessBlock); the stream is immutable underneath it. Each
+// built view is then charged to the owning cache, persisted for the
+// next process and memoized on its own. Keys other goroutines are
+// already building are waited on only after this call's own builds
+// finish. A buildMissing that fails or panics leaves none of its keys
+// memoized, so the next call builds them again. The returned views are
+// shared between every caller and MUST be treated as read-only.
 func (s *Stream) DerivedAll(specs []*DerivedSpec, buildMissing func(missing []int) ([]any, error)) ([]any, error) {
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
@@ -234,26 +227,14 @@ func (s *Stream) loadSidecar(spec *DerivedSpec) (view any, ok bool) {
 	return v, true
 }
 
-// Derived is DerivedAll for one spec, built by spec.Build.
-func (s *Stream) Derived(spec *DerivedSpec) (any, error) {
-	vs, err := s.DerivedAll([]*DerivedSpec{spec}, func([]int) ([]any, error) {
-		v, err := spec.Build(s)
-		return []any{v}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return vs[0], nil
-}
-
 // Memo returns the value memoized on the stream under key, running
-// build on first use, with Derived's single-flight and failure rules.
+// build on first use, with DerivedAll's single-flight and failure rules.
 // It is for results computed from the stream rather than views of it:
 // a Memo value is never persisted, never charged to the cache budget
 // (callers keep such values small), and not counted as a derived-view
-// build. It lives and dies with the stream, so a stream
-// evicted from its cache takes its memo along. Keys share Derived's
-// key space, so callers prefix them with a family distinct from every
+// build. It lives and dies with the stream, so a stream evicted from
+// its cache takes its memo along. Keys share the derived views' key
+// space, so callers prefix them with a family distinct from every
 // view's.
 func (s *Stream) Memo(key string, build func() (any, error)) (any, error) {
 	vs, err := s.memoizeAll([]string{key}, func(_ []int, settle func(int, any)) error {

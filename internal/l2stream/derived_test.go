@@ -14,22 +14,40 @@ import (
 	"github.com/chirplab/chirp/internal/trace"
 )
 
+// derived requests the one view spec through DerivedAll, built by
+// build when it is neither memoized nor persisted.
+func derived(s *Stream, spec *DerivedSpec, build func(*Stream) (any, error)) (any, error) {
+	vs, err := s.DerivedAll([]*DerivedSpec{spec}, func([]int) ([]any, error) {
+		v, err := build(s)
+		return []any{v}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
+// countEvents builds the event-count view: the stream's event count as
+// a uint64, from a full decode. builds, when non-nil, counts the runs.
+func countEvents(builds *atomic.Int64) func(*Stream) (any, error) {
+	return func(s *Stream) (any, error) {
+		if builds != nil {
+			builds.Add(1)
+		}
+		evs, err := decodeAll(s, DecodeBlockSize)
+		if err != nil {
+			return nil, err
+		}
+		return uint64(len(evs)), nil
+	}
+}
+
 // eventCountSpec is a minimal derived-view family for exercising the
-// memo/persistence machinery: the view is the stream's event count as
-// a uint64, persisted as 8 little-endian bytes.
-func eventCountSpec(key string, builds *atomic.Int64) *DerivedSpec {
+// memo/persistence machinery: the countEvents view, persisted as 8
+// little-endian bytes.
+func eventCountSpec(key string) *DerivedSpec {
 	return &DerivedSpec{
-		Key: key,
-		Build: func(s *Stream) (any, error) {
-			if builds != nil {
-				builds.Add(1)
-			}
-			evs, err := decodeAll(s, DecodeBlockSize)
-			if err != nil {
-				return nil, err
-			}
-			return uint64(len(evs)), nil
-		},
+		Key:    key,
 		Bytes:  func(any) int64 { return 8 },
 		Encode: func(v any) []byte { return binary.LittleEndian.AppendUint64(nil, v.(uint64)) },
 		Decode: func(_ *Stream, data []byte) (any, bool) {
@@ -58,7 +76,7 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 	return s
 }
 
-// TestDerivedSingleFlight: concurrent Derived calls for one key build
+// TestDerivedSingleFlight: concurrent one-view DerivedAll calls for one key build
 // once and share the view; a different key builds separately.
 func TestDerivedSingleFlight(t *testing.T) {
 	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
@@ -66,14 +84,14 @@ func TestDerivedSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	spec := eventCountSpec("test:count", &builds)
+	spec := eventCountSpec("test:count")
 	var wg sync.WaitGroup
 	got := make([]any, 8)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := s.Derived(spec)
+			v, err := derived(s, spec, countEvents(&builds))
 			if err != nil {
 				t.Error(err)
 			}
@@ -82,14 +100,14 @@ func TestDerivedSingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 	if n := builds.Load(); n != 1 {
-		t.Errorf("concurrent Derived ran %d builds, want 1", n)
+		t.Errorf("concurrent DerivedAll ran %d builds, want 1", n)
 	}
 	for i, v := range got {
 		if v != uint64(s.Events()) {
 			t.Errorf("caller %d saw %v, want %d", i, v, s.Events())
 		}
 	}
-	if _, err := s.Derived(eventCountSpec("test:count2", &builds)); err != nil {
+	if _, err := derived(s, eventCountSpec("test:count2"), countEvents(&builds)); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != 2 {
@@ -109,7 +127,7 @@ func TestDerivedSidecarRoundTrip(t *testing.T) {
 	s := persistentStreamFor(t, dir, "w", 4000)
 	var builds atomic.Int64
 	writes0 := obsDerivedDiskWrites.Value()
-	v1, err := s.Derived(eventCountSpec("test:rt", &builds))
+	v1, err := derived(s, eventCountSpec("test:rt"), countEvents(&builds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +140,7 @@ func TestDerivedSidecarRoundTrip(t *testing.T) {
 
 	s2 := persistentStreamFor(t, dir, "w", 4000)
 	hits0 := obsDerivedDiskHits.Value()
-	v2, err := s2.Derived(eventCountSpec("test:rt", &builds))
+	v2, err := derived(s2, eventCountSpec("test:rt"), countEvents(&builds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +191,7 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 			dir := t.TempDir()
 			s := persistentStreamFor(t, dir, "w", 4000)
 			var builds atomic.Int64
-			want, err := s.Derived(eventCountSpec("test:c", &builds))
+			want, err := derived(s, eventCountSpec("test:c"), countEvents(&builds))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +209,7 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 
 			s2 := persistentStreamFor(t, dir, "w", 4000)
 			corrupt0 := obsDerivedCorrupt.Value()
-			got, err := s2.Derived(eventCountSpec("test:c", &builds))
+			got, err := derived(s2, eventCountSpec("test:c"), countEvents(&builds))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +224,7 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 			}
 			// The rebuild rewrote the sidecar; a third stream loads clean.
 			s3 := persistentStreamFor(t, dir, "w", 4000)
-			if got, err := s3.Derived(eventCountSpec("test:c", &builds)); err != nil || got != want {
+			if got, err := derived(s3, eventCountSpec("test:c"), countEvents(&builds)); err != nil || got != want {
 				t.Fatalf("rewritten sidecar load = %v, %v", got, err)
 			}
 			if builds.Load() != 2 {
@@ -223,10 +241,10 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 func TestDerivedSidecarKeyed(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
-	if _, err := s.Derived(eventCountSpec("test:k1", nil)); err != nil {
+	if _, err := derived(s, eventCountSpec("test:k1"), countEvents(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Derived(eventCountSpec("test:k2", nil)); err != nil {
+	if _, err := derived(s, eventCountSpec("test:k2"), countEvents(nil)); err != nil {
 		t.Fatal(err)
 	}
 	files := derivedFiles(t, dir)
@@ -268,9 +286,9 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 	}
 
 	const viewBytes = 4096
-	spec := eventCountSpec("test:grow", nil)
+	spec := eventCountSpec("test:grow")
 	spec.Bytes = func(any) int64 { return viewBytes }
-	if _, err := s.Derived(spec); err != nil {
+	if _, err := derived(s, spec, countEvents(nil)); err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
@@ -286,9 +304,9 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 
 	// Growth hooks on an evicted stream must not corrupt accounting:
 	// evict by overflowing the budget, then materialize another view.
-	big := eventCountSpec("test:grow2", nil)
+	big := eventCountSpec("test:grow2")
 	big.Bytes = func(any) int64 { return 2 << 20 } // over budget: evicts
-	if _, err := s.Derived(big); err != nil {
+	if _, err := derived(s, big, countEvents(nil)); err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
@@ -301,9 +319,9 @@ func TestDerivedGrowthAccounting(t *testing.T) {
 	if used2 != 0 {
 		t.Errorf("cache.used = %d after eviction, want 0", used2)
 	}
-	spec3 := eventCountSpec("test:grow3", nil)
+	spec3 := eventCountSpec("test:grow3")
 	spec3.Bytes = func(any) int64 { return 512 }
-	if _, err := s.Derived(spec3); err != nil {
+	if _, err := derived(s, spec3, countEvents(nil)); err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
@@ -334,7 +352,7 @@ func TestStoreGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Derived(eventCountSpec("test:gc", nil)); err != nil {
+		if _, err := derived(s, eventCountSpec("test:gc"), countEvents(nil)); err != nil {
 			t.Fatal(err)
 		}
 		streams = append(streams, s)
@@ -401,23 +419,20 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var builds atomic.Int64
-	good := eventCountSpec("test:panic", &builds)
+	spec := eventCountSpec("test:panic")
+	good := countEvents(&builds)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	bad := &DerivedSpec{
-		Key: good.Key,
-		Build: func(*Stream) (any, error) {
-			builds.Add(1)
-			close(started)
-			<-release
-			panic("build bug")
-		},
-		Bytes: good.Bytes,
+	bad := func(*Stream) (any, error) {
+		builds.Add(1)
+		close(started)
+		<-release
+		panic("build bug")
 	}
 	ownerPanic := make(chan any, 1)
 	go func() {
 		defer func() { ownerPanic <- recover() }()
-		s.Derived(bad)
+		derived(s, spec, bad)
 	}()
 	<-started
 
@@ -427,7 +442,7 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 	}
 	waiterGot := make(chan got, 1)
 	go func() {
-		v, err := s.Derived(good)
+		v, err := derived(s, spec, good)
 		waiterGot <- got{v, err}
 	}()
 	close(release)
@@ -438,7 +453,7 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 	if w.err != nil || w.v != uint64(s.Events()) {
 		t.Fatalf("caller after a panicked build got (%v, %v), want %d", w.v, w.err, s.Events())
 	}
-	if v, err := s.Derived(good); err != nil || v != w.v {
+	if v, err := derived(s, spec, good); err != nil || v != w.v {
 		t.Errorf("later caller got (%v, %v), want the memoized %v", v, err, w.v)
 	}
 	if n := builds.Load(); n != 2 {
@@ -452,7 +467,7 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 func countingSpecs(prefix string, n int) []*DerivedSpec {
 	specs := make([]*DerivedSpec, n)
 	for i := range specs {
-		specs[i] = eventCountSpec(fmt.Sprintf("%s/%d", prefix, i), nil)
+		specs[i] = eventCountSpec(fmt.Sprintf("%s/%d", prefix, i))
 	}
 	return specs
 }
@@ -592,10 +607,9 @@ func TestDerivedAllPanickingBuild(t *testing.T) {
 	<-started
 
 	var builds atomic.Int64
-	waiter := eventCountSpec(specs[1].Key, &builds)
 	waiterGot := make(chan any, 1)
 	go func() {
-		v, err := s.Derived(waiter)
+		v, err := derived(s, specs[1], countEvents(&builds))
 		if err != nil {
 			t.Error(err)
 		}

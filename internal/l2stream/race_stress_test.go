@@ -34,16 +34,16 @@ func TestRaceDerivedClose(t *testing.T) {
 	specs := make([]*DerivedSpec, 4)
 	for i := range specs {
 		specs[i] = &DerivedSpec{
-			Key: fmt.Sprintf("racestress/v1/%d", i),
-			Build: func(s *Stream) (any, error) {
-				evs, err := decodeAll(s, DecodeBlockSize)
-				if err != nil {
-					return nil, err
-				}
-				return len(evs), nil
-			},
+			Key:   fmt.Sprintf("racestress/v1/%d", i),
 			Bytes: func(any) int64 { return 8 },
 		}
+	}
+	build := func(s *Stream) (any, error) {
+		evs, err := decodeAll(s, DecodeBlockSize)
+		if err != nil {
+			return nil, err
+		}
+		return len(evs), nil
 	}
 
 	const builders, rounds = 3, 400
@@ -56,9 +56,9 @@ func TestRaceDerivedClose(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < rounds; i++ {
-				v, err := s.Derived(specs[i%len(specs)])
+				v, err := derived(s, specs[i%len(specs)], build)
 				if err != nil {
-					t.Errorf("Derived: %v", err)
+					t.Errorf("DerivedAll: %v", err)
 					return
 				}
 				if n := v.(int); n != wantEvents {
@@ -82,7 +82,7 @@ func TestRaceDerivedClose(t *testing.T) {
 	// Derived views remain valid after the cache is gone — the stream
 	// owns them, the cache only accounted them.
 	for _, spec := range specs {
-		v, err := s.Derived(spec)
+		v, err := derived(s, spec, build)
 		if err != nil || v.(int) != wantEvents {
 			t.Errorf("derived view %q after close: %v, %v", spec.Key, v, err)
 		}

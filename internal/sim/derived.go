@@ -16,8 +16,9 @@
 //     signature (pre path-push) and the prefetch-fill signature (post
 //     path-push), packed into one uint32. Shared by every CHiRP
 //     variant that agrees on the signature-relevant config subset
-//     (core.Config.SignatureKey). Variants with no branch history need
-//     only the access PCs, which the accessView already holds.
+//     (core.Config.SignatureKey). Its builder runs core.SigSequencer,
+//     the code a live CHiRP runs; variants with no branch history
+//     read access events only.
 //   - GHRP signature sequence: one uint64 per access; GHRP's histories
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
@@ -26,10 +27,11 @@
 // flight, budget-accounted) and persisted as derived sidecars when the
 // stream belongs to a -capturedir store, so warm sweeps skip both the
 // decode and the signature recomputation. The views that decode the
-// stream (the access view and the branch-history signatures) are
-// requested together, and every one of them the memo and the sidecars
-// lack is filled from one block-decoded pass over the buffer
-// (buildViews); no decoded copy of the event sequence outlives it.
+// stream (the access view and every signature view) are requested
+// together, and every one of them the memo and the sidecars lack is
+// filled from one block-decoded pass over the buffer (buildViews) —
+// over access events only when no view reads branches. No decoded
+// copy of the event sequence outlives the pass.
 package sim
 
 import (
@@ -67,28 +69,21 @@ type replayViews struct {
 
 // viewsFor fetches the views policies need under cfg. One DerivedAll
 // call asks for the access view plus the signature views of every
-// branch-history CHiRP configuration and of GHRP among policies, so
-// the ones neither memoized nor persisted build in one decode pass.
-// The prefetch schedule and the signatures of CHiRP variants without
-// branch history then come from the access view's columns.
+// CHiRP configuration and of GHRP among policies, so the ones neither
+// memoized nor persisted build in one decode pass. The prefetch
+// schedule then comes from the access view's columns.
 func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
 	decoded := []*decodedView{accessViewD}
-	// keys holds each CHiRP's signature key ("" for the rest), and
-	// pcOnly the first policy of each key without branch history.
+	// keys holds each CHiRP's signature key ("" for the rest).
 	keys := make([]string, len(policies))
-	var pcOnly []int
 	wantGHRP := false
 	for j, p := range policies {
 		switch pp := p.(type) {
 		case *core.CHiRP:
 			c := pp.Config()
 			keys[j] = chirpSigsKey(c)
-			switch {
-			case slices.Contains(keys[:j], keys[j]):
-			case usesBranchHistory(c):
+			if !slices.Contains(keys[:j], keys[j]) {
 				decoded = append(decoded, chirpSigsDecl(c, keys[j]))
-			default:
-				pcOnly = append(pcOnly, j)
 			}
 		case *policy.GHRP:
 			wantGHRP = true
@@ -112,13 +107,6 @@ func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig)
 			out.ghrpSigs = v
 		}
 	}
-	for _, j := range pcOnly {
-		sigs, err := chirpSigsFromPCsFor(stream, policies[j].(*core.CHiRP).Config(), keys[j], av.pc)
-		if err != nil {
-			return nil, err
-		}
-		byKey[keys[j]] = sigs
-	}
 	for j, k := range keys {
 		if k != "" {
 			out.chirpSigs[j] = byKey[k]
@@ -135,7 +123,7 @@ func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig)
 }
 
 // usesBranchHistory reports whether cfg's signatures read branch
-// history, so that its signature view must decode the stream.
+// history, so that its signature view must decode branch events.
 func usesBranchHistory(cfg core.Config) bool { return cfg.UseCondHistory || cfg.UseIndirectHistory }
 
 // viewBuilder is a decoding view's per-pass state, driven by
@@ -150,8 +138,7 @@ type viewBuilder interface {
 }
 
 // decodedView declares one view family that decodes the stream: its
-// DerivedSpec (which needs no Build: decodedViews hands DerivedAll the
-// fused builder), the name its errors carry, whether its builder reads
+// DerivedSpec, the name its errors carry, whether its builder reads
 // branch events, and the builder's constructor. The builder allocates
 // the view's columns, so it is constructed only for a view that is
 // actually built.
@@ -372,8 +359,7 @@ type prefetchSchedule struct {
 // geometry.
 func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*prefetchSchedule, error) {
 	spec := &l2stream.DerivedSpec{
-		Key:   fmt.Sprintf("pf1:pd%d", pd),
-		Build: func(*l2stream.Stream) (any, error) { return buildPrefetchSchedule(av, pd), nil },
+		Key: fmt.Sprintf("pf1:pd%d", pd),
 		Bytes: func(view any) int64 {
 			ps := view.(*prefetchSchedule)
 			return int64(len(ps.off)*4 + len(ps.vpn)*8)
@@ -387,11 +373,13 @@ func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*pref
 		},
 		Decode: decodePrefetchSchedule,
 	}
-	v, err := stream.Derived(spec)
+	vs, err := stream.DerivedAll([]*l2stream.DerivedSpec{spec}, func([]int) ([]any, error) {
+		return []any{buildPrefetchSchedule(av, pd)}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*prefetchSchedule), nil
+	return vs[0].(*prefetchSchedule), nil
 }
 
 // buildPrefetchSchedule runs the shared stride prefetcher over the
@@ -444,76 +432,41 @@ func decodePrefetchSchedule(s *l2stream.Stream, data []byte) (any, bool) {
 // signature in the high half.
 func chirpSigsKey(cfg core.Config) string { return "chirp:" + cfg.SignatureKey() }
 
-// chirpSigsSpec is the DerivedSpec of a CHiRP signature sequence under
-// its key, without a Build: the decoded view needs none, and the
-// PC-only one adds its own.
-func chirpSigsSpec(key string) *l2stream.DerivedSpec {
-	return &l2stream.DerivedSpec{
-		Key:   key,
-		Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
-		Encode: func(view any) []byte {
-			sigs := view.([]uint32)
-			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*4), uint64(len(sigs)))
-			return appendU32s(out, sigs)
-		},
-		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			if len(data) < 8 {
-				return nil, false
-			}
-			n := int(binary.LittleEndian.Uint64(data))
-			if uint64(n) != s.Accesses() || len(data) != 8+n*4 {
-				return nil, false
-			}
-			sigs, _ := readU32s(data, 8, n)
-			return sigs, true
-		},
-	}
-}
-
-// chirpSigsDecl declares the signature view of a CHiRP configuration
-// with branch history, which decodes the stream; key is
-// chirpSigsKey(cfg).
+// chirpSigsDecl declares the signature view of a CHiRP configuration;
+// key is chirpSigsKey(cfg). A configuration without branch history
+// ignores every branch, so its builder reads access events only.
 func chirpSigsDecl(cfg core.Config, key string) *decodedView {
 	return &decodedView{
-		spec:     chirpSigsSpec(key),
+		spec: &l2stream.DerivedSpec{
+			Key:   key,
+			Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
+			Encode: func(view any) []byte {
+				sigs := view.([]uint32)
+				out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*4), uint64(len(sigs)))
+				return appendU32s(out, sigs)
+			},
+			Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
+				if len(data) < 8 {
+					return nil, false
+				}
+				n := int(binary.LittleEndian.Uint64(data))
+				if uint64(n) != s.Accesses() || len(data) != 8+n*4 {
+					return nil, false
+				}
+				sigs, _ := readU32s(data, 8, n)
+				return sigs, true
+			},
+		},
 		name:     "chirp signature view",
-		branches: true,
+		branches: usesBranchHistory(cfg),
 		newBuilder: func(s *l2stream.Stream) viewBuilder {
 			return &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
 		},
 	}
 }
 
-// chirpSigsFromPCsFor materializes (or recalls) the signature sequence
-// of a CHiRP configuration without branch history from the stream's
-// access PC sequence (an accessView column); key is chirpSigsKey(cfg).
-func chirpSigsFromPCsFor(stream *l2stream.Stream, cfg core.Config, key string, pcs []uint64) ([]uint32, error) {
-	spec := chirpSigsSpec(key)
-	spec.Build = func(*l2stream.Stream) (any, error) { return chirpSigsFromPCs(cfg, pcs), nil }
-	v, err := stream.Derived(spec)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]uint32), nil
-}
-
-// chirpSigsFromPCs computes the signature sequence of a CHiRP variant
-// that keeps no branch history. Its sequencer ignores every branch, so
-// the access PCs alone determine the sequence and the stream need not
-// be decoded.
-func chirpSigsFromPCs(cfg core.Config, pcs []uint64) []uint32 {
-	q := core.NewSigSequencer(cfg)
-	out := make([]uint32, len(pcs))
-	for i, pc := range pcs {
-		sig, psig := q.OnAccess(pc)
-		out[i] = uint32(sig) | uint32(psig)<<16
-	}
-	return out
-}
-
-// chirpSigBuilder replays the signature computation over the stream's
-// events through the same Histories/signature code the live policy
-// runs (core.SigSequencer), into a pre-sized output.
+// chirpSigBuilder runs the stream's events through core.SigSequencer,
+// the code a live CHiRP runs, into a pre-sized output.
 type chirpSigBuilder struct {
 	q   *core.SigSequencer
 	out []uint32

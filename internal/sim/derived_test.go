@@ -416,8 +416,9 @@ func markerIndex(evs []l2stream.Event, keep func(l2stream.EventKind) bool) int {
 // TestBlockBuildersMatchReference checks each block-decoded derived-
 // view builder — the replay view (access columns over NextAccessBlock,
 // plus the prefetch schedule built from them) and the CHiRP and GHRP
-// signature sequences (over NextBlock, or the access PCs for CHiRP
-// variants without branch history) — against a reference computed from
+// signature sequences (over NextBlock, or NextAccessBlock for CHiRP
+// variants without branch history, which must also equal the
+// signatures of the access PCs alone) — against a reference computed from
 // the fully decoded event slice, on randomized streams, with prefetch
 // distance 0 and 4, and with the warmup marker absent, mid-stream,
 // trailing every access, and at the 256-event block boundary of either
@@ -506,12 +507,12 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 				if !slices.Equal(sigs[0].([]uint32), want) {
 					t.Errorf("%s: chirp %s signature sequence diverges from the reference", name, ccfg.SignatureKey())
 				}
-				if !ccfg.UseCondHistory && !ccfg.UseIndirectHistory {
+				if !usesBranchHistory(ccfg) {
 					av, err := accessViewFor(s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(chirpSigsFromPCs(ccfg, av.pc), want) {
+					if !slices.Equal(refCHiRPSigsFromPCs(ccfg, av.pc), want) {
 						t.Errorf("%s: chirp %s signatures from the access PCs diverge from the reference", name, ccfg.SignatureKey())
 					}
 				}

@@ -6,12 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
+	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
 )
 
@@ -206,5 +209,155 @@ func TestReplayMultiConcurrentViews(t *testing.T) {
 	wg.Wait()
 	if d, n := derivedBuilds.Value()-before, uint64(len(s.DerivedKeys())); d != n {
 		t.Errorf("%d view builds for %d distinct views", d, n)
+	}
+}
+
+// refCHiRPSigsFromPCs computes the signature sequence of a CHiRP
+// variant without branch history from the access PCs alone: its
+// sequencer ignores every branch, so the PCs determine the sequence.
+// It is the reference for the signature views such variants build in
+// the fused pass over access events.
+func refCHiRPSigsFromPCs(cfg core.Config, pcs []uint64) []uint32 {
+	q := core.NewSigSequencer(cfg)
+	out := make([]uint32, len(pcs))
+	for i, pc := range pcs {
+		sig, psig := q.OnAccess(pc)
+		out[i] = uint32(sig) | uint32(psig)<<16
+	}
+	return out
+}
+
+// fig6CHiRPs returns the Figure 6 CHiRP variants without branch
+// history (chirp-pc: PC only; chirp-path: PC and path history) and
+// two with it (chirp-path-cond's history mix and the full chirp).
+func fig6CHiRPs() (pc, path, pathCond, full core.Config) {
+	cs := chirpSigConfigs()
+	return cs[0], cs[1], cs[2], cs[3]
+}
+
+// TestPCOnlySignatureViewsMatchPCBuilder: the signature views of
+// chirp-pc and chirp-path, built in the fused decode pass, equal the
+// signatures of the access view's PC column — alone, mixed with
+// branch-history variants (whose views equal the full-event reference)
+// and mixed with GHRP — on a fresh stream from each of the eight
+// categories.
+func TestPCOnlySignatureViewsMatchPCBuilder(t *testing.T) {
+	pc, path, pathCond, full := fig6CHiRPs()
+	sets := map[string][]core.Config{
+		"chirp-pc":    {pc},
+		"chirp-path":  {path},
+		"with-branch": {full, pc, pathCond, path},
+		"with-ghrp":   {pc, path},
+	}
+	cfg := DefaultTLBOnlyConfig(100000)
+	for _, cat := range workloads.Categories {
+		name := cat + "-000"
+		for set, cs := range sets {
+			pols := make([]tlb.Policy, len(cs))
+			for j, c := range cs {
+				pols[j] = core.MustNew(c)
+			}
+			if set == "with-ghrp" {
+				pols = append(pols, policy.NewGHRP(4096))
+			}
+			s := captureFor(t, name, cfg)
+			got, err := viewsFor(s, pols, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, set, err)
+			}
+			evs := fullEvents(t, s)
+			for j, c := range cs {
+				want := refCHiRPSigs(evs, c)
+				if !usesBranchHistory(c) {
+					want = refCHiRPSigsFromPCs(c, got.rv.pc)
+				}
+				if !slices.Equal(got.chirpSigs[j], want) {
+					t.Errorf("%s/%s: chirp %s signatures diverge from the reference", name, set, c.SignatureKey())
+				}
+			}
+			if set == "with-ghrp" && !slices.Equal(got.ghrpSigs, refGHRPSigs(evs)) {
+				t.Errorf("%s/%s: ghrp signatures diverge from the reference", name, set)
+			}
+		}
+	}
+}
+
+// TestPCOnlySignatureViewsOneDecodePass: a set whose only CHiRPs keep
+// no branch history builds the access view and its signature views —
+// one per signature key, shared by variants that differ only in table
+// size — in exactly one decode pass, and a second fetch decodes
+// nothing.
+func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
+	pc, path, _, _ := fig6CHiRPs()
+	small := pc
+	small.TableEntries = 512
+	cfg := DefaultTLBOnlyConfig(100000)
+	s := captureFor(t, "db-003", cfg)
+	pols := func() []tlb.Policy {
+		return []tlb.Policy{core.MustNew(pc), core.MustNew(path), core.MustNew(small)}
+	}
+	passes, builds := decodePasses.Value(), derivedBuilds.Value()
+	if _, err := viewsFor(s, pols(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if d := decodePasses.Value() - passes; d != 1 {
+		t.Errorf("%d decode passes, want 1", d)
+	}
+	if d := derivedBuilds.Value() - builds; d != 3 {
+		t.Errorf("%d views built, want 3 (the access view and two signature views)", d)
+	}
+	want := []string{accessViewD.spec.Key, chirpSigsKey(pc), chirpSigsKey(path)}
+	if got := s.DerivedKeys(); !reflect.DeepEqual(sorted(got), sorted(want)) {
+		t.Errorf("derived keys %v, want %v", got, want)
+	}
+	passes = decodePasses.Value()
+	if _, err := viewsFor(s, pols(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if d := decodePasses.Value() - passes; d != 0 {
+		t.Errorf("a second fetch decoded %d times, want 0", d)
+	}
+}
+
+func sorted(xs []string) []string {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return out
+}
+
+// TestLiveCHiRPPrefetchMatchesReplay: a live CHiRP tags each prefetch
+// fill with the signature its sequencer latched for the triggering
+// access, and a fed one with the replayed view's. Direct RunTLBOnly
+// must equal one ReplayMulti pass for chirp, chirp-pc and chirp-path
+// at prefetch distances 1 and 4, on a workload from each of the eight
+// categories.
+func TestLiveCHiRPPrefetchMatchesReplay(t *testing.T) {
+	pc, path, _, full := fig6CHiRPs()
+	cs := []core.Config{full, pc, path}
+	for _, pd := range []int{1, 4} {
+		cfg := DefaultTLBOnlyConfig(400000)
+		cfg.PrefetchDistance = pd
+		for _, cat := range workloads.Categories {
+			wname := cat + "-000"
+			pols := make([]tlb.Policy, len(cs))
+			for j, c := range cs {
+				pols[j] = core.MustNew(c)
+			}
+			replayed, err := ReplayMulti(captureFor(t, wname, cfg), pols, cfg)
+			if err != nil {
+				t.Fatalf("%s pd=%d: %v", wname, pd, err)
+			}
+			w := workloads.ByName(wname)
+			for j, c := range cs {
+				direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), core.MustNew(c), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replayed[j] != direct {
+					t.Errorf("%s/%s pd=%d: replay diverged from RunTLBOnly\n direct: %+v\n replay: %+v",
+						wname, c.SignatureKey(), pd, direct, replayed[j])
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
@@ -53,22 +52,6 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 	})
 }
 
-// StreamVPNs extracts the L2 demand-access VPN sequence from a
-// captured stream — the input CollectL2Stream produces, without
-// re-running the generator and L1 filters. It reads the memoized
-// access view, so a replay of the same stream reuses the view build.
-func StreamVPNs(stream *l2stream.Stream, cfg TLBOnlyConfig) ([]uint64, error) {
-	if got, want := stream.Config(), CaptureConfig(cfg); got != want {
-		return nil, fmt.Errorf("sim: stream captured under %+v cannot serve %+v", got, want)
-	}
-	av, err := accessViewFor(stream)
-	if err != nil {
-		return nil, err
-	}
-	// The view is shared read-only; the caller gets its own copy.
-	return slices.Clone(av.vpn), nil
-}
-
 // RunOPT measures the offline Bélády optimum over spec's trace. The
 // oracle needs the whole L2 demand-access sequence before the run
 // starts, so RunOPT collects it first (optSequence) and then runs OPT
@@ -91,14 +74,19 @@ func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 }
 
 // optSequence returns the L2 demand-access VPN sequence of spec's
-// trace: from the captured stream's access view when the cache holds
-// the stream, and by CollectL2Stream over a fresh source when there is
-// no cache or the capture is over its budget.
+// trace: the captured stream's memoized access-view column when the
+// cache holds the stream, which the caller must only read (the oracle
+// does), and by CollectL2Stream over a fresh source when there is no
+// cache or the capture is over its budget.
 func optSequence(spec RunSpec) ([]uint64, error) {
 	if spec.Cache != nil {
 		stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
 		if err == nil {
-			return StreamVPNs(stream, spec.Config)
+			av, err := accessViewFor(stream)
+			if err != nil {
+				return nil, err
+			}
+			return av.vpn, nil
 		}
 		if !errors.Is(err, l2stream.ErrOverBudget) {
 			return nil, fmt.Errorf("sim: capturing %s: %w", spec.Workload.Name, err)

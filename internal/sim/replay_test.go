@@ -197,11 +197,12 @@ func TestReplayUnwarmedMatchesRunError(t *testing.T) {
 	}
 }
 
-// TestStreamVPNsMatchesCollect: the VPN sequence read from a stream's
-// access view must equal CollectL2Stream's, for an in-memory capture
-// and for a warm persistent stream whose view loads from its .l2d
-// sidecar. OPT driven by that sequence through ReplayMulti must match
-// the direct run with the same oracle.
+// TestStreamVPNsMatchesCollect: the VPN column of a stream's access
+// view, which the OPT oracle reads in place, must equal
+// CollectL2Stream's sequence, for an in-memory capture and for a warm
+// persistent stream whose view loads from its .l2d sidecar. OPT driven
+// by that sequence through ReplayMulti must match the direct run with
+// the same oracle.
 func TestStreamVPNsMatchesCollect(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(100000)
 	w := workloads.ByName("web-001")
@@ -211,12 +212,12 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 	}
 	check := func(label string, stream *l2stream.Stream) {
 		t.Helper()
-		got, err := StreamVPNs(stream, cfg)
+		av, err := accessViewFor(stream)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: StreamVPNs (%d VPNs) diverged from CollectL2Stream (%d VPNs)", label, len(got), len(want))
+		if got := av.vpn; !slices.Equal(got, want) {
+			t.Fatalf("%s: access view VPNs (%d) diverged from CollectL2Stream (%d VPNs)", label, len(got), len(want))
 		}
 		if stream.Accesses() != uint64(len(want)) {
 			t.Errorf("%s: Accesses() = %d, want %d", label, stream.Accesses(), len(want))
@@ -228,14 +229,14 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 	_, cold := persistentStreamFor(t, dir, "web-001", cfg)
 	check("cold persistent", cold)
 	if len(sidecarFiles(t, dir)) == 0 {
-		t.Fatal("StreamVPNs left no access-view sidecar")
+		t.Fatal("the access view left no sidecar")
 	}
 	diskHits := obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
 	before := diskHits.Value()
 	_, warm := persistentStreamFor(t, dir, "web-001", cfg)
 	check("warm persistent", warm)
 	if diskHits.Value() == before {
-		t.Error("warm StreamVPNs rebuilt the access view instead of loading its sidecar")
+		t.Error("warm stream rebuilt the access view instead of loading its sidecar")
 	}
 
 	direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), policy.NewOPT(policy.BuildOracle(want)), cfg)
