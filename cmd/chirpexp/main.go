@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,6 +25,8 @@ import (
 	"github.com/chirplab/chirp/internal/workloads"
 )
 
+// runner is one experiment chirpexp can print. A nil run marks a
+// TLB-only experiment: its declaration is experiments.Plans[name].
 type runner struct {
 	name string
 	desc string
@@ -32,7 +35,7 @@ type runner struct {
 
 // report adapts an experiment that returns a printable result into a
 // runner that writes it to out.
-func report[R interface{ Write(io.Writer) error }](out io.Writer, exp func(experiments.Options) (R, error)) func(experiments.Options) error {
+func report[R experiments.Result](out io.Writer, exp func(experiments.Options) (R, error)) func(experiments.Options) error {
 	return func(o experiments.Options) error {
 		r, err := exp(o)
 		if err != nil {
@@ -63,26 +66,26 @@ func run(fs *flag.FlagSet, args []string) int {
 
 	out := os.Stdout
 	runners := []runner{
-		{"fig1", "TLB efficiency heat map (§VI-D)", report(out, experiments.Fig1)},
+		{"fig1", "TLB efficiency heat map (§VI-D)", nil},
 		{"fig2", "speedup vs PC history length (§III)", report(out, experiments.Fig2)},
 		{"fig3", "ADALINE PC-bit salience (§III-A)", report(out, experiments.Fig3)},
-		{"fig6", "feature/optimisation ablation (§III)", report(out, experiments.Fig6)},
-		{"fig7", "MPKI S-curve and averages (§VI-A)", report(out, experiments.Fig7)},
+		{"fig6", "feature/optimisation ablation (§III)", nil},
+		{"fig7", "MPKI S-curve and averages (§VI-A)", nil},
 		{"fig8", "speedup at the headline walk penalty (§VI-C)", report(out, experiments.Fig8)},
-		{"fig9", "prediction-table size sweep (§VI-F)", report(out, experiments.Fig9)},
+		{"fig9", "prediction-table size sweep (§VI-F)", nil},
 		{"fig10", "speedup vs walk penalty (§VI-C)", report(out, experiments.Fig10)},
-		{"fig11", "prediction-table access-rate density (§VI-B)", report(out, experiments.Fig11)},
+		{"fig11", "prediction-table access-rate density (§VI-B)", nil},
 		{"table1", "CHiRP storage budget", report(out, experiments.Table1)},
 		{"table2", "simulation parameters", func(o experiments.Options) error {
 			return experiments.Table2(o, out)
 		}},
-		{"opt", "Bélády OPT upper bound (extension X1)", report(out, experiments.OptBound)},
+		{"opt", "Bélády OPT upper bound (extension X1)", nil},
 		{"walker", "radix page-walker vs fixed penalty (extension X2)", report(out, experiments.Walker)},
-		{"baselines", "extended baseline comparison (extension X3)", report(out, experiments.Baselines)},
+		{"baselines", "extended baseline comparison (extension X3)", nil},
 		{"mixed", "mixed 4KB/2MB page sizes (extension X4)", report(out, experiments.Mixed)},
 		{"consolidated", "ASID-tagged consolidation (extension X5)", report(out, experiments.Consolidated)},
-		{"prefetch", "sequential prefetch × replacement (extension X6)", report(out, experiments.Prefetch)},
-		{"categories", "per-category MPKI breakdown", report(out, experiments.Categories)},
+		{"prefetch", "sequential prefetch × replacement (extension X6)", nil},
+		{"categories", "per-category MPKI breakdown", nil},
 	}
 
 	want := map[string]bool{}
@@ -126,8 +129,8 @@ func run(fs *flag.FlagSet, args []string) int {
 	}
 	defer rt.Close()
 
-	// One shared stream cache means `-exp all` captures each workload's
-	// L2 event stream once across every MPKI experiment.
+	// With the stream cache, the merged plan below captures each
+	// workload's L2 event stream once for every TLB-only experiment.
 	o := experiments.Options{
 		Workloads:    *n,
 		Suite:        suite,
@@ -140,14 +143,42 @@ func run(fs *flag.FlagSet, args []string) int {
 		StreamCache:  rt.Streams,
 	}
 
+	// The TLB-only experiments -exp names merge into one plan, which
+	// runs when the first of them is due: one engine job per workload
+	// serves all their passes from one capture, then drops it. Each
+	// then prints its reduced result in its turn; a failed merged run
+	// is reported under all their ids.
+	var (
+		plans   []experiments.Plan
+		planIDs []string // runner names, in plans order
+		results []experiments.Result
+	)
+	for _, r := range runners {
+		if want[r.name] && r.run == nil {
+			planIDs = append(planIDs, r.name)
+			plans = append(plans, experiments.Plans[r.name](o))
+		}
+	}
 	for _, r := range runners {
 		if !want[r.name] {
 			continue
 		}
 		start := time.Now()
 		fmt.Fprintf(out, "== %s: %s ==\n", r.name, r.desc)
-		if err := r.run(o); err != nil {
-			fmt.Fprintf(os.Stderr, "chirpexp: %s: %v\n", r.name, err)
+		id, exp := r.name, r.run
+		if exp == nil {
+			exp = func(o experiments.Options) (err error) {
+				if results == nil {
+					if results, err = experiments.RunPlans(o, plans); err != nil {
+						id = strings.Join(planIDs, ",")
+						return err
+					}
+				}
+				return results[slices.Index(planIDs, r.name)].Write(out)
+			}
+		}
+		if err := exp(o); err != nil {
+			fmt.Fprintf(os.Stderr, "chirpexp: %s: %v\n", id, err)
 			return 1
 		}
 		fmt.Fprintf(out, "-- %s done in %v --\n\n", r.name, time.Since(start).Round(time.Millisecond))

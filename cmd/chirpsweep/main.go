@@ -58,12 +58,6 @@ func run(fs *flag.FlagSet, args []string) int {
 		return cli.Exit("chirpsweep", err)
 	}
 	defer rt.Close()
-	// Sweep points vary only the L2 policy and geometry, which the
-	// captured stream is invariant to — the one process cache serves
-	// every suite pass below, so each workload's trace is generated
-	// and L1-filtered once for the whole sweep.
-	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, StreamCache: rt.Streams}
-
 	// A policy sweep adds one CHiRP variant per row to pols, all run in
 	// one suite pass beside LRU; a geometry sweep adds one L2 TLB per
 	// row to geoms, each run as its own LRU + CHiRP pass.
@@ -129,37 +123,39 @@ func run(fs *flag.FlagSet, args []string) int {
 		return 2
 	}
 
-	// measure runs ps over the suite under cfg in one pass per
-	// workload, under a checkpoint scope, and adds one row per policy
+	// Sweep points vary only the L2 policy and geometry, which the
+	// captured stream is invariant to, so every pass runs in one
+	// RunPasses call: one job per workload generates and L1-filters its
+	// trace once for the whole sweep. Each pass adds one row per policy
 	// after the first (LRU, the base), labelled in order.
+	cfg := sim.DefaultTLBOnlyConfig(*instr)
+	var passes []sim.Pass
+	var rowLabels [][]string
+	if geoms == nil {
+		passes = append(passes, sim.Pass{Config: cfg, Policies: pols})
+		rowLabels = append(rowLabels, labels)
+	}
+	pols = []sim.NamedFactory{lru[0], {Name: "chirp", New: sim.CHiRPFactory(core.DefaultConfig())}}
+	for i, g := range geoms {
+		c := cfg
+		c.Hierarchy.L2 = g
+		passes = append(passes, sim.Pass{Scope: labels[i], Config: c, Policies: pols})
+		rowLabels = append(rowLabels, labels[i:i+1])
+	}
+	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, StreamCache: rt.Streams}
+	results, err := sim.RunPasses(rt.Ctx, ws, passes, opts)
 	var rows [][]string
-	measure := func(scope string, cfg sim.TLBOnlyConfig, ps []sim.NamedFactory, rowLabels ...string) error {
-		o := opts
-		o.Scope = scope
-		rs, err := sim.RunSuiteTLBOnlyCtx(rt.Ctx, ws, ps, cfg, o)
-		if err != nil {
-			return err
-		}
+	for p := 0; p < len(passes) && err == nil; p++ {
+		ps := passes[p].Policies
 		sums := make([]float64, len(ps))
-		for i, r := range rs {
+		for i, r := range results[p] {
 			sums[i%len(ps)] += r.MPKI
 		}
 		n := float64(len(ws))
-		for i, label := range rowLabels {
+		for i, label := range rowLabels[p] {
 			m := sums[i+1] / n
 			rows = append(rows, []string{label, fmt.Sprintf("%.3f", m), fmt.Sprintf("%+.2f%%", stats.Reduction(sums[0]/n, m))})
 		}
-		return nil
-	}
-	cfg := sim.DefaultTLBOnlyConfig(*instr)
-	if geoms == nil {
-		err = measure("", cfg, pols, labels...)
-	}
-	pols = []sim.NamedFactory{lru[0], {Name: "chirp", New: sim.CHiRPFactory(core.DefaultConfig())}}
-	for i := 0; i < len(geoms) && err == nil; i++ {
-		c := cfg
-		c.Hierarchy.L2 = geoms[i]
-		err = measure(labels[i], c, pols, labels[i])
 	}
 	if err == nil {
 		err = stats.Table(os.Stdout, []string{"configuration", "mean MPKI", "vs LRU"}, rows)

@@ -47,12 +47,14 @@ type Options struct {
 	// experiment namespaces its jobs with a scope, so one file covers
 	// a whole `-exp all` sweep.
 	Checkpoint *engine.Checkpoint
-	// StreamCache shares captured L2 event streams across an
-	// experiment's suite invocations (and across experiments, when the
-	// caller passes one cache to several): every MPKI experiment with
-	// one trace budget captures each workload once, and the prefetch
-	// sweep's per-distance passes share that capture. Nil selects the
-	// direct RunTLBOnly reference path; see sim.SuiteOptions.StreamCache.
+	// StreamCache puts the TLB-only experiments on the capture/replay
+	// path. Within one call (one experiment, or the merged plans of
+	// RunPlans) each workload is captured once and serves every pass,
+	// the prefetch distances and the OPT oracle included; its stream
+	// leaves the cache when the workload's job ends, so a later call
+	// captures again unless the cache is persistent and loads it from
+	// its directory. Nil selects the direct RunTLBOnly reference path;
+	// see sim.SuiteOptions.StreamCache.
 	StreamCache *l2stream.Cache
 }
 
@@ -65,10 +67,10 @@ func (o Options) ctx() context.Context {
 }
 
 // suiteOpts assembles the engine-facing options for one suite
-// invocation. An experiment runs one suite per configuration, carrying
-// all of that configuration's policies; an experiment with several
-// configurations (the prefetch distances) passes a distinct scope per
-// configuration so checkpoint keys never collide.
+// invocation under a checkpoint scope. A timing experiment passes its
+// own scope; RunPlans passes none, since each sim.Pass carries its
+// own, so the passes of several experiments share one checkpoint file
+// without colliding.
 func (o Options) suiteOpts(scope string) sim.SuiteOptions {
 	return sim.SuiteOptions{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint, Scope: scope,
 		StreamCache: o.StreamCache}
@@ -112,20 +114,82 @@ type PolicyAverages struct {
 	TableRateMean float64
 }
 
-// suiteMPKI runs pols over the TLB-only suite under cfg — one fused job
-// per workload, under the given checkpoint scope — and indexes results
-// by policy name.
-func suiteMPKI(o Options, scope string, pols []sim.NamedFactory, cfg sim.TLBOnlyConfig) (map[string][]sim.SuiteResult, []*workloads.Workload, error) {
-	ws := o.suite()
-	results, err := sim.RunSuiteTLBOnlyCtx(o.ctx(), ws, pols, cfg, o.suiteOpts(scope))
+// Result is an experiment's printable result.
+type Result interface{ Write(io.Writer) error }
+
+// Plan is a TLB-only experiment split in two: the suite passes it
+// declares and the reduction of their rows into its result. RunPlans
+// merges the plans of several experiments into one sim.RunPasses
+// call, so one job per workload serves every experiment's cells from
+// one capture of its stream.
+type Plan struct {
+	Passes []sim.Pass
+	// Reduce turns the rows of Passes, one slice per pass in
+	// sim.RunPasses's layout, into the result.
+	Reduce func(rows [][]sim.SuiteResult) Result
+}
+
+// Plans declares the TLB-only experiments, by chirpexp id.
+var Plans = map[string]func(Options) Plan{
+	"fig1":       fig1Plan,
+	"fig6":       fig6Plan,
+	"fig7":       fig7Plan,
+	"fig9":       fig9Plan,
+	"fig11":      fig11Plan,
+	"opt":        optPlan,
+	"baselines":  baselinesPlan,
+	"prefetch":   prefetchPlan,
+	"categories": categoriesPlan,
+}
+
+// RunPlans runs the passes of every plan in one sim.RunPasses call
+// over the suite and returns each plan's reduced result, in plans
+// order.
+func RunPlans(o Options, plans []Plan) ([]Result, error) {
+	var passes []sim.Pass
+	for _, p := range plans {
+		passes = append(passes, p.Passes...)
+	}
+	rows, err := sim.RunPasses(o.ctx(), o.suite(), passes, o.suiteOpts(""))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	byPolicy := make(map[string][]sim.SuiteResult, len(pols))
-	for _, r := range results {
-		byPolicy[r.Policy] = append(byPolicy[r.Policy], r)
+	out := make([]Result, len(plans))
+	for i, p := range plans {
+		out[i] = p.Reduce(rows[:len(p.Passes)])
+		rows = rows[len(p.Passes):]
 	}
-	return byPolicy, ws, nil
+	return out, nil
+}
+
+// runPlan runs one experiment's plan on its own; R is the result type
+// its reduction returns.
+func runPlan[R Result](o Options, p Plan) (R, error) {
+	rs, err := RunPlans(o, []Plan{p})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return rs[0].(R), nil
+}
+
+// indexByPolicy indexes one pass's rows by policy name, each policy's rows
+// in workload order.
+func indexByPolicy(rows []sim.SuiteResult) map[string][]sim.SuiteResult {
+	out := map[string][]sim.SuiteResult{}
+	for _, r := range rows {
+		out[r.Policy] = append(out[r.Policy], r)
+	}
+	return out
+}
+
+// workloadNames lists the workloads of one policy's rows, in order.
+func workloadNames(rs []sim.SuiteResult) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.Workload
+	}
+	return out
 }
 
 // policies resolves registered policy names; callers pass this

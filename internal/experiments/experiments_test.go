@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,36 +80,36 @@ func TestFig7NilCacheRunsDirect(t *testing.T) {
 	}
 }
 
-// TestMPKIFigureSetMemo runs chirpexp's MPKI figure set (fig6, fig7,
-// fig9, baselines, prefetch) over one stream cache, as one chirpexp
-// process does. Each experiment runs one suite per configuration —
-// one each for fig6, fig7, fig9 and baselines, three for prefetch — so
-// 7 engine jobs run per workload. Of its 38 policy walks per workload
-// only 25 are distinct (stream, configuration, policy) cells, so the
-// replay-result memo serves 13 per workload; the output must equal a
-// nil-cache run.
-func TestMPKIFigureSetMemo(t *testing.T) {
-	type writer interface{ Write(io.Writer) error }
-	exps := []func(Options) (writer, error){
-		func(o Options) (writer, error) { return Fig6(o) },
-		func(o Options) (writer, error) { return Fig7(o) },
-		func(o Options) (writer, error) { return Fig9(o) },
-		func(o Options) (writer, error) { return Baselines(o) },
-		func(o Options) (writer, error) { return Prefetch(o) },
+// writePlans runs the named experiments' plans merged into one
+// RunPlans call, as chirpexp does, and returns their printed results.
+func writePlans(t *testing.T, o Options, ids ...string) string {
+	t.Helper()
+	plans := make([]Plan, len(ids))
+	for i, id := range ids {
+		plans[i] = Plans[id](o)
 	}
-	run := func(o Options) string {
-		var sb strings.Builder
-		for _, exp := range exps {
-			r, err := exp(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Write(&sb); err != nil {
-				t.Fatal(err)
-			}
+	rs, err := RunPlans(o, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, r := range rs {
+		if err := r.Write(&sb); err != nil {
+			t.Fatal(err)
 		}
-		return sb.String()
 	}
+	return sb.String()
+}
+
+// TestMPKIFigureSetMemo runs chirpexp's MPKI figure set (fig6, fig7,
+// fig9, baselines, prefetch) as chirpexp does: one merged plan of
+// seven passes (one each for fig6, fig7, fig9 and baselines, three
+// for prefetch), run as one engine job per workload. Of its 38 policy
+// walks per workload only 25 are distinct (stream, configuration,
+// policy) cells, so the replay-result memo serves 13 per workload; the
+// output must equal a nil-cache run.
+func TestMPKIFigureSetMemo(t *testing.T) {
+	ids := []string{"fig6", "fig7", "fig9", "baselines", "prefetch"}
 	const workloads = 2
 	o := tiny(t)
 	o.Workloads, o.Instructions = workloads, 200_000
@@ -118,9 +117,9 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	misses := obs.Default.Counter("chirp_replay_memo_misses_total", "")
 	jobs := obs.Default.CounterVec("chirp_engine_jobs_total", "", "status").With("ok")
 	hits0, misses0, jobs0 := hits.Value(), misses.Value(), jobs.Value()
-	replay := run(o)
-	if d := jobs.Value() - jobs0; d != 7*workloads {
-		t.Errorf("ok engine jobs = %d, want %d (7 suite passes per workload)", d, 7*workloads)
+	replay := writePlans(t, o, ids...)
+	if d := jobs.Value() - jobs0; d != workloads {
+		t.Errorf("ok engine jobs = %d, want %d (one per workload)", d, workloads)
 	}
 	if d := hits.Value() - hits0; d != 13*workloads {
 		t.Errorf("memo hits = %d, want %d (13 per workload)", d, 13*workloads)
@@ -128,9 +127,31 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	if d := misses.Value() - misses0; d != 25*workloads {
 		t.Errorf("memo misses = %d, want %d (25 distinct cells per workload)", d, 25*workloads)
 	}
+	if o.StreamCache.Len() != 0 {
+		t.Errorf("the stream cache holds %d streams after the plan, want none", o.StreamCache.Len())
+	}
 	o.StreamCache = nil
-	if direct := run(o); direct != replay {
+	if direct := writePlans(t, o, ids...); direct != replay {
 		t.Errorf("memoized replay output differs from the nil-cache run:\n replay:\n%s\n direct:\n%s", replay, direct)
+	}
+}
+
+// TestMergedPlanMatchesSoloExperiments: every TLB-only experiment,
+// merged into one plan, prints what it prints run on its own.
+func TestMergedPlanMatchesSoloExperiments(t *testing.T) {
+	ids := []string{"fig1", "fig6", "fig7", "fig9", "fig11", "opt", "baselines", "prefetch", "categories"}
+	if len(ids) != len(Plans) {
+		t.Fatalf("%d plans declared, the test covers %d", len(Plans), len(ids))
+	}
+	o := tiny(t)
+	o.Workloads, o.Instructions = 3, 200_000
+	merged := writePlans(t, o, ids...)
+	var solo strings.Builder
+	for _, id := range ids {
+		solo.WriteString(writePlans(t, o, id))
+	}
+	if merged != solo.String() {
+		t.Errorf("merged plan output differs from the experiments run alone:\n merged:\n%s\n solo:\n%s", merged, solo.String())
 	}
 }
 
@@ -144,11 +165,11 @@ func TestMPKISweepsOneSuiteMatchPerPolicySuites(t *testing.T) {
 	solo := tiny(t)
 	solo.Workloads = 4
 	mean := func(p sim.NamedFactory, cfg sim.TLBOnlyConfig) float64 {
-		byPolicy, _, err := suiteMPKI(solo, "", []sim.NamedFactory{p}, cfg)
+		rows, err := sim.RunSuiteTLBOnlyCtx(solo.ctx(), solo.suite(), []sim.NamedFactory{p}, cfg, solo.suiteOpts(""))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return meanMPKI(byPolicy[p.Name])
+		return meanMPKI(rows)
 	}
 	lru := policies("lru")[0]
 	base := mean(lru, o.tlbCfg())

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/chirplab/chirp/internal/core"
+	"github.com/chirplab/chirp/internal/mixed"
 	"github.com/chirplab/chirp/internal/stats"
+	"github.com/chirplab/chirp/internal/trace"
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 func TestConsolidated(t *testing.T) {
@@ -84,6 +89,65 @@ func TestMixedExperiment(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "2M share") {
 		t.Error("report missing 2M share column")
+	}
+}
+
+// TestMixedUsesSuite: the mixed-page-size study draws its workloads
+// from o.Suite, the population a -workload-spec compiles, as every
+// other experiment does: the first 4n of it, not of the built-in
+// suite.
+func TestMixedUsesSuite(t *testing.T) {
+	o := tiny(t)
+	o.Workloads, o.Instructions = 2, 150_000
+	builtin, err := Mixed(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Suite = workloads.SuiteN(200)[100:]
+	got, err := Mixed(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mixed.CompareOnSuite(o.Suite[:8], 2, o.Instructions, func() []mixed.Policy {
+		ca, err := mixed.NewCostAware(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []mixed.Policy{mixed.NewLRU(), ca}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(want) || len(want) == 0 {
+		t.Fatalf("rows = %d, want %d from the suite's first 8 workloads", len(got.Rows), len(want))
+	}
+	for i, row := range got.Rows {
+		if !reflect.DeepEqual([]mixed.Result{row.LRU, row.CHiRP}, want[i]) {
+			t.Errorf("row %d = %+v, want %+v", i, row, want[i])
+		}
+	}
+	if reflect.DeepEqual(got.Rows, builtin.Rows) {
+		t.Error("a different suite gave the built-in suite's rows")
+	}
+}
+
+// TestMixedRejectsWorkloadWithoutProgram: a trace-file workload has no
+// program model to read 2 MB regions from, so the study fails with an
+// error naming it instead of panicking or quietly skipping it.
+func TestMixedRejectsWorkloadWithoutProgram(t *testing.T) {
+	path := t.TempDir() + "/db-003.chtr"
+	if _, _, err := trace.WriteFile(path, trace.NewLimit(workloads.ByName("db-003").Source(), 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.TraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiny(t)
+	o.Workloads, o.Instructions = 1, 10_000
+	o.Suite = []*workloads.Workload{w}
+	if _, err := Mixed(o); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("error = %v, want one naming %s", err, path)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 	"github.com/chirplab/chirp/internal/trace"
+	"github.com/chirplab/chirp/internal/workloads"
 )
 
 // Fig3Row is one benchmark's trained ADALINE weight vector.
@@ -244,14 +245,22 @@ type MixedResult struct {
 	ReachSavedPct float64
 }
 
-// Mixed runs the mixed-page-size study over workloads that have
-// 2 MB-backed regions.
+// Mixed runs the mixed-page-size study over the first n workloads
+// (n = o.Workloads, at most 64) that have 2 MB-backed regions, drawn
+// from the first 4n of o.Suite, or of the built-in suite when o.Suite
+// is nil.
 func Mixed(o Options) (*MixedResult, error) {
 	n := o.Workloads
 	if n <= 0 || n > 64 {
 		n = 64
 	}
-	rows, err := mixed.CompareOnSuite(n, o.Instructions, func() []mixed.Policy {
+	candidates := o.Suite
+	if candidates == nil {
+		candidates = workloads.SuiteN(4 * n)
+	} else if len(candidates) > 4*n {
+		candidates = candidates[:4*n]
+	}
+	rows, err := mixed.CompareOnSuite(candidates, n, o.Instructions, func() []mixed.Policy {
 		ca, err := mixed.NewCostAware(core.DefaultConfig())
 		if err != nil {
 			panic(err)
@@ -399,24 +408,35 @@ type PrefetchRow struct {
 // composed with LRU and CHiRP: replacement gains and prefetch gains
 // are largely orthogonal, which is the paper's §II positioning.
 func Prefetch(o Options) (*PrefetchResult, error) {
-	// The captured stream is prefetch-distance-invariant (the replay
-	// runs its own prefetcher), so with o.StreamCache set the three
-	// per-distance suite passes, each carrying LRU and CHiRP, share one
-	// capture per workload.
+	return runPlan[*PrefetchResult](o, prefetchPlan(o))
+}
+
+// prefetchPlan declares one pass per prefetch distance, each carrying
+// LRU and CHiRP under the scope "prefetch/d=<distance>". The captured
+// stream is prefetch-distance-invariant (the replay runs its own
+// prefetcher), so with o.StreamCache set the three passes share one
+// capture per workload.
+func prefetchPlan(o Options) Plan {
 	names, dists := []string{"lru", "chirp"}, []int{0, 1, 4}
-	res := &PrefetchResult{Rows: make([]PrefetchRow, len(names)*len(dists))}
+	passes := make([]sim.Pass, len(dists))
 	for j, dist := range dists {
 		cfg := o.tlbCfg()
 		cfg.PrefetchDistance = dist
-		byPolicy, _, err := suiteMPKI(o, fmt.Sprintf("prefetch/d=%d", dist), policies(names...), cfg)
-		if err != nil {
-			return nil, err
-		}
-		for i, name := range names {
-			res.Rows[i*len(dists)+j] = PrefetchRow{Policy: name, Distance: dist, MeanMPKI: meanMPKI(byPolicy[name])}
-		}
+		passes[j] = sim.Pass{Scope: fmt.Sprintf("prefetch/d=%d", dist), Config: cfg, Policies: policies(names...)}
 	}
-	return res, nil
+	return Plan{
+		Passes: passes,
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			res := &PrefetchResult{Rows: make([]PrefetchRow, len(names)*len(dists))}
+			for j, dist := range dists {
+				byPolicy := indexByPolicy(rows[j])
+				for i, name := range names {
+					res.Rows[i*len(dists)+j] = PrefetchRow{Policy: name, Distance: dist, MeanMPKI: meanMPKI(byPolicy[name])}
+				}
+			}
+			return res
+		},
+	}
 }
 
 // Write renders the prefetch × replacement matrix.

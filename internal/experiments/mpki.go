@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
 
 	"github.com/chirplab/chirp/internal/core"
-	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 	"github.com/chirplab/chirp/internal/workloads"
@@ -25,29 +23,30 @@ type Fig7Result struct {
 }
 
 // Fig7 reproduces Figure 7 (MPKI comparison of the six policies, §VI-A).
-func Fig7(o Options) (*Fig7Result, error) {
-	byPolicy, ws, err := suiteMPKI(o, "fig7", policies(sim.PaperPolicies...), o.tlbCfg())
-	if err != nil {
-		return nil, err
+func Fig7(o Options) (*Fig7Result, error) { return runPlan[*Fig7Result](o, fig7Plan(o)) }
+
+// fig7Plan declares Figure 7: the paper's six policies in one pass,
+// scope "fig7".
+func fig7Plan(o Options) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: "fig7", Config: o.tlbCfg(), Policies: policies(sim.PaperPolicies...)}},
+		Reduce: reduceFig7,
 	}
+}
+
+func reduceFig7(rows [][]sim.SuiteResult) Result {
+	byPolicy := indexByPolicy(rows[0])
 	curve := &stats.SCurve{
-		Labels: make([]string, len(ws)),
+		Labels: workloadNames(byPolicy["lru"]),
 		Series: map[string][]float64{},
 		Order:  "lru",
 	}
-	for i, w := range ws {
-		curve.Labels[i] = w.Name
-	}
 	//chirp:allow determinism each key writes only its own series, so order cannot escape
 	for name, rs := range byPolicy {
-		vals := make([]float64, len(ws))
-		for i, r := range rs {
-			vals[i] = r.MPKI
-		}
-		curve.Series[name] = vals
+		curve.Series[name] = collect(rs, func(r sim.SuiteResult) float64 { return r.MPKI })
 	}
 	res := &Fig7Result{Curve: curve, Averages: averages(byPolicy, sim.PaperPolicies)}
-	for i := range ws {
+	for i := range curve.Labels {
 		lru := curve.Series["lru"][i]
 		ch := curve.Series["chirp"][i]
 		if lru > 0.05 { // ignore near-zero-MPKI head
@@ -56,7 +55,7 @@ func Fig7(o Options) (*Fig7Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Write renders the averages table and the S-curve CSV.
@@ -83,19 +82,24 @@ type Fig1Result struct {
 }
 
 // Fig1 reproduces Figure 1 / §VI-D (TLB efficiency heat map).
-func Fig1(o Options) (*Fig1Result, error) {
-	byPolicy, ws, err := suiteMPKI(o, "fig1", policies(sim.PaperPolicies...), o.tlbCfg())
-	if err != nil {
-		return nil, err
+func Fig1(o Options) (*Fig1Result, error) { return runPlan[*Fig1Result](o, fig1Plan(o)) }
+
+// fig1Plan declares Figure 1: the paper's six policies in one pass,
+// scope "fig1".
+func fig1Plan(o Options) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: "fig1", Config: o.tlbCfg(), Policies: policies(sim.PaperPolicies...)}},
+		Reduce: reduceFig1,
 	}
+}
+
+func reduceFig1(rows [][]sim.SuiteResult) Result {
+	byPolicy := indexByPolicy(rows[0])
 	res := &Fig1Result{
-		Labels:     make([]string, len(ws)),
+		Labels:     workloadNames(byPolicy["lru"]),
 		Rows:       map[string][]float64{},
 		AvgGainPct: map[string]float64{},
 		Order:      sim.PaperPolicies,
-	}
-	for i, w := range ws {
-		res.Labels[i] = w.Name
 	}
 	lruEffs := collect(byPolicy["lru"], func(r sim.SuiteResult) float64 { return r.Efficiency })
 	baseMean := stats.Mean(lruEffs)
@@ -105,7 +109,7 @@ func Fig1(o Options) (*Fig1Result, error) {
 		res.Rows[name] = effs
 		res.AvgGainPct[name] = (stats.Mean(effs) - baseMean) / baseMean * 100
 	}
-	return res, nil
+	return res
 }
 
 // Write renders the heat map (one row per benchmark, sorted by LRU
@@ -159,26 +163,30 @@ type Fig6Result struct {
 // input transform and update-policy optimisation on MPKI reduction.
 // LRU and every rung share one configuration, so they ride one suite
 // pass under the checkpoint scope "fig6".
-func Fig6(o Options) (*Fig6Result, error) {
+func Fig6(o Options) (*Fig6Result, error) { return runPlan[*Fig6Result](o, fig6Plan(o)) }
+
+func fig6Plan(o Options) Plan {
 	variants := fig6Variants()
 	pols := policies("lru")
 	for _, v := range variants {
 		pols = append(pols, sim.NamedFactory{Name: v.name, New: v.factory})
 	}
-	byPolicy, _, err := suiteMPKI(o, "fig6", pols, o.tlbCfg())
-	if err != nil {
-		return nil, err
+	return Plan{
+		Passes: []sim.Pass{{Scope: "fig6", Config: o.tlbCfg(), Policies: pols}},
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			byPolicy := indexByPolicy(rows[0])
+			base := meanMPKI(byPolicy["lru"])
+			res := &Fig6Result{}
+			for _, v := range variants {
+				m := meanMPKI(byPolicy[v.name])
+				res.Variants = append(res.Variants, Fig6Variant{
+					Name: v.name, Description: v.desc,
+					MeanMPKI: m, ReductionPct: stats.Reduction(base, m), PaperPct: v.paper,
+				})
+			}
+			return res
+		},
 	}
-	base := meanMPKI(byPolicy["lru"])
-	res := &Fig6Result{}
-	for _, v := range variants {
-		m := meanMPKI(byPolicy[v.name])
-		res.Variants = append(res.Variants, Fig6Variant{
-			Name: v.name, Description: v.desc,
-			MeanMPKI: m, ReductionPct: stats.Reduction(base, m), PaperPct: v.paper,
-		})
-	}
-	return res, nil
 }
 
 // fig6Variant is one rung's configuration: its name, what it adds,
@@ -249,27 +257,32 @@ type Fig9Result struct {
 // for prediction-table budgets from 128 B to 8 KB (2-bit counters).
 // LRU and the seven budgets (named "chirp-128B" … "chirp-8192B") ride
 // one suite pass under the checkpoint scope "fig9".
-func Fig9(o Options) (*Fig9Result, error) {
-	res := &Fig9Result{}
+func Fig9(o Options) (*Fig9Result, error) { return runPlan[*Fig9Result](o, fig9Plan(o)) }
+
+func fig9Plan(o Options) Plan {
+	var points []Fig9Point
 	pols := policies("lru")
 	for _, bytes := range []int{128, 256, 512, 1024, 2048, 4096, 8192} {
 		entries := bytes * 8 / 2 // 2-bit counters
-		res.Points = append(res.Points, Fig9Point{Bytes: bytes, Entries: entries})
+		points = append(points, Fig9Point{Bytes: bytes, Entries: entries})
 		c := core.DefaultConfig()
 		c.TableEntries = entries
 		pols = append(pols, sim.NamedFactory{Name: fmt.Sprintf("chirp-%dB", bytes), New: sim.CHiRPFactory(c)})
 	}
-	byPolicy, _, err := suiteMPKI(o, "fig9", pols, o.tlbCfg())
-	if err != nil {
-		return nil, err
+	return Plan{
+		Passes: []sim.Pass{{Scope: "fig9", Config: o.tlbCfg(), Policies: pols}},
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			byPolicy := indexByPolicy(rows[0])
+			base := meanMPKI(byPolicy["lru"])
+			res := &Fig9Result{Points: slices.Clone(points)}
+			for i := range res.Points {
+				p := &res.Points[i]
+				p.MeanMPKI = meanMPKI(byPolicy[pols[i+1].Name])
+				p.ReductionPct = stats.Reduction(base, p.MeanMPKI)
+			}
+			return res
+		},
 	}
-	base := meanMPKI(byPolicy["lru"])
-	for i := range res.Points {
-		p := &res.Points[i]
-		p.MeanMPKI = meanMPKI(byPolicy[pols[i+1].Name])
-		p.ReductionPct = stats.Reduction(base, p.MeanMPKI)
-	}
-	return res, nil
 }
 
 // Write renders the sweep with proportional bars.
@@ -302,17 +315,22 @@ type Fig11Result struct {
 
 // Fig11 reproduces Figure 11 (§VI-B): CHiRP touches its table on
 // ~10% of TLB accesses, SHiP and GHRP on (over) 100%.
-func Fig11(o Options) (*Fig11Result, error) {
-	byPolicy, _, err := suiteMPKI(o, "fig11", policies("ship", "ghrp", "chirp"), o.tlbCfg())
-	if err != nil {
-		return nil, err
+func Fig11(o Options) (*Fig11Result, error) { return runPlan[*Fig11Result](o, fig11Plan(o)) }
+
+func fig11Plan(o Options) Plan {
+	names := []string{"ship", "ghrp", "chirp"}
+	return Plan{
+		Passes: []sim.Pass{{Scope: "fig11", Config: o.tlbCfg(), Policies: policies(names...)}},
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			byPolicy := indexByPolicy(rows[0])
+			res := &Fig11Result{}
+			for _, name := range names {
+				rates := collect(byPolicy[name], func(r sim.SuiteResult) float64 { return r.TableAccessRate })
+				res.Densities = append(res.Densities, stats.Summarize(name, rates))
+			}
+			return res
+		},
 	}
-	res := &Fig11Result{}
-	for _, name := range []string{"ship", "ghrp", "chirp"} {
-		rates := collect(byPolicy[name], func(r sim.SuiteResult) float64 { return r.TableAccessRate })
-		res.Densities = append(res.Densities, stats.Summarize(name, rates))
-	}
-	return res, nil
 }
 
 // Write renders the density summary table.
@@ -347,40 +365,23 @@ type OptResult struct {
 
 // OptBound runs LRU, CHiRP and the offline OPT oracle over a suite
 // subset, quantifying how much of the optimal headroom CHiRP captures.
-func OptBound(o Options) (*OptResult, error) {
-	// o.StreamCache serves the lru/chirp suite pass AND the oracle jobs:
-	// the capture that replayed lru and chirp also yields the VPN
-	// sequence OPT's oracle needs and the access view its run walks
-	// (one view build serves both), so each workload's trace is
-	// generated exactly once.
-	ws := o.suite()
-	cfg := o.tlbCfg()
-	byPolicy, _, err := suiteMPKI(o, "opt", policies("lru", "chirp"), cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &OptResult{Averages: averages(byPolicy, []string{"lru", "chirp"})}
+// The oracle rides the LRU/CHiRP pass (scope "opt"): the stream that
+// replays them also yields the VPN sequence OPT's oracle needs and the
+// access view its run walks, so each workload's trace is generated
+// once.
+func OptBound(o Options) (*OptResult, error) { return runPlan[*OptResult](o, optPlan(o)) }
 
-	// The oracle runs are engine jobs too; they gain the most from the
-	// worker pool — and from checkpointing.
-	jobs := make([]engine.Job[float64], 0, len(ws))
-	for _, w := range ws {
-		w := w
-		jobs = append(jobs, engine.Job[float64]{
-			Key: engine.Key{Scope: "opt", Workload: w.Name, Policy: "opt"},
-			Run: func(ctx context.Context) (float64, error) {
-				r, err := sim.RunOPT(ctx, sim.RunSpec{Workload: w, Config: cfg, Cache: o.StreamCache})
-				return r.MPKI, err
-			},
-		})
+func optPlan(o Options) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: "opt", Config: o.tlbCfg(), Policies: policies("lru", "chirp"), OPT: true}},
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			byPolicy := indexByPolicy(rows[0])
+			res := &OptResult{Averages: averages(byPolicy, []string{"lru", "chirp"})}
+			res.OptMeanMPKI = meanMPKI(byPolicy["opt"])
+			res.OptReductionPct = stats.Reduction(res.Averages[0].MeanMPKI, res.OptMeanMPKI)
+			return res
+		},
 	}
-	optMPKI, err := engine.Run(o.ctx(), jobs, engine.Config{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint})
-	if err != nil {
-		return nil, err
-	}
-	res.OptMeanMPKI = stats.Mean(optMPKI)
-	res.OptReductionPct = stats.Reduction(res.Averages[0].MeanMPKI, res.OptMeanMPKI)
-	return res, nil
 }
 
 // Write renders the bound.
@@ -406,11 +407,16 @@ type BaselinesResult struct {
 
 // Baselines runs the extended baseline comparison.
 func Baselines(o Options) (*BaselinesResult, error) {
-	byPolicy, _, err := suiteMPKI(o, "baselines", policies(sim.ExtendedPolicies...), o.tlbCfg())
-	if err != nil {
-		return nil, err
+	return runPlan[*BaselinesResult](o, baselinesPlan(o))
+}
+
+func baselinesPlan(o Options) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: "baselines", Config: o.tlbCfg(), Policies: policies(sim.ExtendedPolicies...)}},
+		Reduce: func(rows [][]sim.SuiteResult) Result {
+			return &BaselinesResult{Averages: averages(indexByPolicy(rows[0]), sim.ExtendedPolicies)}
+		},
 	}
-	return &BaselinesResult{Averages: averages(byPolicy, sim.ExtendedPolicies)}, nil
 }
 
 // Write renders the comparison.
@@ -443,14 +449,22 @@ type CategoryRow struct {
 
 // Categories runs the paper's six policies and reduces per category.
 func Categories(o Options) (*CategoryResult, error) {
-	byPolicy, ws, err := suiteMPKI(o, "categories", policies(sim.PaperPolicies...), o.tlbCfg())
-	if err != nil {
-		return nil, err
+	return runPlan[*CategoryResult](o, categoriesPlan(o))
+}
+
+func categoriesPlan(o Options) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: "categories", Config: o.tlbCfg(), Policies: policies(sim.PaperPolicies...)}},
+		Reduce: reduceCategories,
 	}
+}
+
+func reduceCategories(rows [][]sim.SuiteResult) Result {
+	byPolicy := indexByPolicy(rows[0])
 	byCat := map[string]map[string][]float64{} // category → policy → MPKIs
 	for _, name := range sim.PaperPolicies {
-		for i, r := range byPolicy[name] {
-			cat := ws[i].Category
+		for _, r := range byPolicy[name] {
+			cat := r.Category
 			if byCat[cat] == nil {
 				byCat[cat] = map[string][]float64{}
 			}
@@ -460,9 +474,9 @@ func Categories(o Options) (*CategoryResult, error) {
 	// Built-in categories first, in their fixed order; then any other
 	// (spec-defined) category in order of first appearance.
 	cats := slices.Clone(workloads.Categories)
-	for _, w := range ws {
-		if !slices.Contains(cats, w.Category) {
-			cats = append(cats, w.Category)
+	for _, r := range byPolicy["lru"] {
+		if !slices.Contains(cats, r.Category) {
+			cats = append(cats, r.Category)
 		}
 	}
 	res := &CategoryResult{Order: sim.PaperPolicies}
@@ -485,7 +499,7 @@ func Categories(o Options) (*CategoryResult, error) {
 		}
 		res.Categories = append(res.Categories, row)
 	}
-	return res, nil
+	return res
 }
 
 // Write renders one row per category.

@@ -86,9 +86,9 @@ type Key struct {
 
 // Cache memoises captured streams under an LRU byte budget, with
 // single-flight capture: concurrent GetOrCapture calls for the same
-// key run the capture once and share the result — exactly the shape
-// the engine produces, since it dispatches a workload's jobs to
-// different workers back to back.
+// key run the capture once and share the result. A suite job holds its
+// workload's stream for the job's lifetime and then Drops it, so a
+// suite keeps about one stream per worker resident.
 //
 // Each resident stream is charged the bytes it actually holds: its
 // encoded event buffer at commit (Stream.FootprintBytes), plus each
@@ -353,6 +353,26 @@ func (c *Cache) evictLocked(keep *cacheEntry) {
 		obsCacheEvictions.Inc()
 		delete(c.entries, victimKey)
 	}
+}
+
+// Drop removes key's resident stream from the cache and releases its
+// bytes, as an eviction would; callers still holding the stream keep
+// using it. An in-flight capture and a remembered over-budget outcome
+// stay, so Drop never lets a doomed capture run again. A suite job
+// drops its workload's stream when it ends, which is what keeps a
+// suite's peak memory at one stream per worker. The persistent tier,
+// if any, keeps the stream's files.
+func (c *Cache) Drop(key Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || !e.ready {
+		return
+	}
+	c.used -= e.bytes
+	obsCacheBytes.Add(-e.bytes)
+	obsCacheStreams.Dec()
+	delete(c.entries, key)
 }
 
 // Len returns the number of resident streams (including in-flight

@@ -511,3 +511,60 @@ func TestCachePanickingCaptureRetries(t *testing.T) {
 		t.Errorf("later caller got (%p, %v), want the waiter's stream %p", s, err, w.s)
 	}
 }
+
+// TestCacheDropReleasesStream: Drop removes a resident stream and its
+// bytes, the gauges follow, and a caller holding the stream keeps it;
+// the key captures again afterwards. A remembered over-budget outcome
+// survives Drop, so the doomed capture never reruns.
+func TestCacheDropReleasesStream(t *testing.T) {
+	recs, cfg := testRecords(3000), testConfig(5000)
+	bigRecs, bigCfg := testRecords(6000), testConfig(10000)
+	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufBytes := probe.FootprintBytes()
+	c := NewCache(bufBytes)
+	defer c.Close()
+	fits := Key{Workload: "fits", Config: cfg}
+	over := Key{Workload: "over", Config: bigCfg}
+	var captures atomic.Int32
+	captureOf := func(recs []trace.Record, cfg Config) func(int64) (*Stream, error) {
+		return func(maxBytes int64) (*Stream, error) {
+			captures.Add(1)
+			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		}
+	}
+	bytes0, streams0 := obsCacheBytes.Value(), obsCacheStreams.Value()
+	held, err := c.GetOrCapture(fits, captureOf(recs, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("over key: err = %v, want ErrOverBudget", err)
+	}
+
+	c.Drop(fits)
+	c.Drop(over)
+	c.Drop(Key{Workload: "absent", Config: cfg})
+	if c.Len() != 1 || c.Used() != 0 {
+		t.Errorf("after Drop: Len %d Used %d, want 1 (the over-budget key) and 0", c.Len(), c.Used())
+	}
+	if b, n := obsCacheBytes.Value(), obsCacheStreams.Value(); b != bytes0 || n != streams0 {
+		t.Errorf("after Drop: gauges bytes %d streams %d, want %d and %d", b, n, bytes0, streams0)
+	}
+	if got, err := decodeAll(held, DecodeBlockSize); err != nil || len(got) == 0 {
+		t.Errorf("held stream after Drop: %d events, err %v", len(got), err)
+	}
+
+	captures.Store(0)
+	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+		t.Errorf("over key after Drop: err = %v, want ErrOverBudget", err)
+	}
+	if _, err := c.GetOrCapture(fits, captureOf(recs, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if n := captures.Load(); n != 1 {
+		t.Errorf("after Drop: %d captures, want 1 (the dropped key only)", n)
+	}
+}

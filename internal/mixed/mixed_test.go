@@ -153,7 +153,7 @@ func TestRunMixedWorkload(t *testing.T) {
 }
 
 func TestCompareOnSuite(t *testing.T) {
-	rows, err := CompareOnSuite(2, 150_000, func() []Policy {
+	rows, err := CompareOnSuite(workloads.SuiteN(8), 2, 150_000, func() []Policy {
 		ca, err := NewCostAware(core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

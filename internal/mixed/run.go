@@ -144,15 +144,21 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 }
 
 // CompareOnSuite runs the mixed-size comparison (LRU vs cost-aware
-// CHiRP) over the first n workloads that actually have 2 MB-backed
-// regions, and returns rows of results.
-func CompareOnSuite(n int, instructions uint64, mkPolicies func() []Policy) ([][]Result, error) {
+// CHiRP) over the first n of candidates that actually have 2 MB-backed
+// regions, and returns rows of results. A candidate with no program
+// model (a composite multi-tenant workload or a trace file) has no
+// region bounds to classify pages by, so it is an error naming it.
+func CompareOnSuite(candidates []*workloads.Workload, n int, instructions uint64, mkPolicies func() []Policy) ([][]Result, error) {
 	var rows [][]Result
-	for _, w := range workloads.SuiteN(4 * n) {
+	for _, w := range candidates {
 		if len(rows) >= n {
 			break
 		}
-		if len(newClassifier(w.Program()).ranges) == 0 {
+		prog := w.Program()
+		if prog == nil {
+			return nil, fmt.Errorf("mixed: %s has no program model, so its 2 MB-backed regions are unknown", w.Name)
+		}
+		if len(newClassifier(prog).ranges) == 0 {
 			continue
 		}
 		var row []Result

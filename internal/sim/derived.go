@@ -73,25 +73,7 @@ type replayViews struct {
 // memoized nor persisted build in one decode pass. The prefetch
 // schedule then comes from the access view's columns.
 func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
-	decoded := []*decodedView{accessViewD}
-	// keys holds each CHiRP's signature key ("" for the rest).
-	keys := make([]string, len(policies))
-	wantGHRP := false
-	for j, p := range policies {
-		switch pp := p.(type) {
-		case *core.CHiRP:
-			c := pp.Config()
-			keys[j] = chirpSigsKey(c)
-			if !slices.Contains(keys[:j], keys[j]) {
-				decoded = append(decoded, chirpSigsDecl(c, keys[j]))
-			}
-		case *policy.GHRP:
-			wantGHRP = true
-		}
-	}
-	if wantGHRP {
-		decoded = append(decoded, ghrpSigsD)
-	}
+	decoded, keys := decodedFor(policies)
 	vs, err := decodedViews(stream, decoded)
 	if err != nil {
 		return nil, err
@@ -120,6 +102,32 @@ func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig)
 		out.rv.pfOff, out.rv.pfVPN = ps.off, ps.vpn
 	}
 	return out, nil
+}
+
+// decodedFor lists the decoding views policies read: the access view,
+// then the signature view of each distinct CHiRP signature
+// configuration and GHRP's, once each. keys holds each policy's CHiRP
+// signature key ("" for the rest).
+func decodedFor(policies []tlb.Policy) (decoded []*decodedView, keys []string) {
+	decoded = []*decodedView{accessViewD}
+	keys = make([]string, len(policies))
+	wantGHRP := false
+	for j, p := range policies {
+		switch pp := p.(type) {
+		case *core.CHiRP:
+			c := pp.Config()
+			keys[j] = chirpSigsKey(c)
+			if !slices.Contains(keys[:j], keys[j]) {
+				decoded = append(decoded, chirpSigsDecl(c, keys[j]))
+			}
+		case *policy.GHRP:
+			wantGHRP = true
+		}
+	}
+	if wantGHRP {
+		decoded = append(decoded, ghrpSigsD)
+	}
+	return decoded, keys
 }
 
 // usesBranchHistory reports whether cfg's signatures read branch

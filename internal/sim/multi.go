@@ -315,14 +315,27 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 	for i, f := range factories {
 		ps[i] = f()
 	}
-	if spec.Cache != nil && !slices.ContainsFunc(ps, needsBranchEvents) {
-		stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
-		if err == nil {
-			return replayMemoized(stream, ps, spec.Config)
+	var stream *l2stream.Stream
+	if replayable(ps) {
+		var err error
+		if stream, err = spec.stream(); err != nil {
+			return nil, err
 		}
-		if !errors.Is(err, l2stream.ErrOverBudget) {
-			return nil, fmt.Errorf("sim: capturing %s: %w", spec.Workload.Name, err)
-		}
+	}
+	return measure(ctx, spec, stream, ps)
+}
+
+// replayable reports whether a captured stream can drive every policy
+// in ps: none observes branches without a signature feed.
+func replayable(ps []tlb.Policy) bool { return !slices.ContainsFunc(ps, needsBranchEvents) }
+
+// measure runs the fresh policies ps over spec's workload: a memoized
+// replay of stream when there is one and it can drive them all, and
+// otherwise RunTLBOnly once per policy over a fresh source. Results
+// are ordered like ps.
+func measure(ctx context.Context, spec RunSpec, stream *l2stream.Stream, ps []tlb.Policy) ([]TLBOnlyResult, error) {
+	if stream != nil && replayable(ps) {
+		return replayMemoized(stream, ps, spec.Config)
 	}
 	out := make([]TLBOnlyResult, len(ps))
 	for i, p := range ps {

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
@@ -54,50 +52,48 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 
 // RunOPT measures the offline Bélády optimum over spec's trace. The
 // oracle needs the whole L2 demand-access sequence before the run
-// starts, so RunOPT collects it first (optSequence) and then runs OPT
-// through RunMulti, which replays the cached stream or, without a
-// usable one, runs RunTLBOnly over a fresh source. spec.Policy is
-// ignored.
+// starts, so RunOPT collects it first and then runs OPT the way
+// RunMulti runs a policy: over the cached stream or, without a usable
+// one, with RunTLBOnly over a fresh source. spec.Policy is ignored.
 func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 	if err := spec.validate(); err != nil {
 		return TLBOnlyResult{}, err
 	}
-	vpns, err := optSequence(spec)
+	stream, err := spec.stream()
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
-	rs, err := RunMulti(ctx, spec, []PolicyFactory{func() tlb.Policy { return newOPT(vpns) }})
+	return runOPT(ctx, spec, stream)
+}
+
+// runOPT is RunOPT over a stream already resolved (nil for the direct
+// path). The demand-access VPN sequence comes from the stream's
+// memoized access-view column, which the oracle only reads, or from
+// CollectL2Stream over a fresh source.
+func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream) (TLBOnlyResult, error) {
+	var vpns []uint64
+	if stream != nil {
+		av, err := accessViewFor(stream)
+		if err != nil {
+			return TLBOnlyResult{}, err
+		}
+		vpns = av.vpn
+	} else {
+		src, err := spec.open()
+		if err != nil {
+			return TLBOnlyResult{}, err
+		}
+		vpns, err = CollectL2Stream(src, spec.Config)
+		closeSource(src)
+		if err != nil {
+			return TLBOnlyResult{}, err
+		}
+	}
+	rs, err := measure(ctx, spec, stream, []tlb.Policy{newOPT(vpns)})
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}
 	return rs[0], nil
-}
-
-// optSequence returns the L2 demand-access VPN sequence of spec's
-// trace: the captured stream's memoized access-view column when the
-// cache holds the stream, which the caller must only read (the oracle
-// does), and by CollectL2Stream over a fresh source when there is no
-// cache or the capture is over its budget.
-func optSequence(spec RunSpec) ([]uint64, error) {
-	if spec.Cache != nil {
-		stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
-		if err == nil {
-			av, err := accessViewFor(stream)
-			if err != nil {
-				return nil, err
-			}
-			return av.vpn, nil
-		}
-		if !errors.Is(err, l2stream.ErrOverBudget) {
-			return nil, fmt.Errorf("sim: capturing %s: %w", spec.Workload.Name, err)
-		}
-	}
-	src, err := spec.open()
-	if err != nil {
-		return nil, err
-	}
-	defer closeSource(src)
-	return CollectL2Stream(src, spec.Config)
 }
 
 // newOPT wraps the offline optimal policy around a pre-collected L2

@@ -275,8 +275,18 @@ func TestRunOPTPaths(t *testing.T) {
 	}
 }
 
+// TestSuiteUsesSharedStreamCache pins the suite's stream-cache
+// contract: within one call each workload is captured once, and when
+// the call returns the cache holds no stream (each job dropped its
+// own). A second call therefore captures again from an in-memory
+// cache, while over a persistent cache it loads every stream from the
+// capture directory and captures nothing. Every cell equals the
+// direct path's.
 func TestSuiteUsesSharedStreamCache(t *testing.T) {
-	cache := l2stream.NewCache(0)
+	cache, err := l2stream.NewPersistent(0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cache.Close()
 	ws := []*workloads.Workload{workloads.ByName("spec-000"), workloads.ByName("db-001")}
 	pols, err := Factories([]string{"lru", "srrip"})
@@ -284,16 +294,21 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultTLBOnlyConfig(100000)
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	diskHits := obs.Default.Counter("chirp_l2stream_cache_disk_hits_total", "")
+	misses0 := misses.Value()
 	withCache, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{StreamCache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != len(ws) {
-		t.Errorf("cache holds %d streams, want one per workload (%d)", cache.Len(), len(ws))
+	if d := misses.Value() - misses0; d != uint64(len(ws)) {
+		t.Errorf("suite ran %d captures, want one per workload (%d)", d, len(ws))
+	}
+	if cache.Len() != 0 || cache.Used() != 0 {
+		t.Errorf("cache holds %d streams (%d bytes) after the suite, want none", cache.Len(), cache.Used())
 	}
 	// Zero options mean the direct path: no capture at all, and every
 	// cell agrees with the cached run.
-	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
 	before := misses.Value()
 	direct, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{})
 	if err != nil {
@@ -310,7 +325,9 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 			t.Errorf("cell %d diverged:\n cached: %+v\n direct: %+v", i, withCache[i], direct[i])
 		}
 	}
-	// A second suite call against the same cache reuses the captures.
+	// A second call over the persistent cache loads every stream from
+	// the capture directory instead of capturing it again.
+	misses0, diskHits0 := misses.Value(), diskHits.Value()
 	again, err := RunSuiteTLBOnlyCtx(context.Background(), ws, pols, cfg, SuiteOptions{StreamCache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +337,14 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 			t.Errorf("rerun cell %d diverged", i)
 		}
 	}
-	if cache.Len() != len(ws) {
-		t.Errorf("rerun grew the cache to %d streams", cache.Len())
+	if d := misses.Value() - misses0; d != 0 {
+		t.Errorf("rerun over the persistent cache ran %d captures, want 0", d)
+	}
+	if d := diskHits.Value() - diskHits0; d != uint64(len(ws)) {
+		t.Errorf("rerun loaded %d streams from disk, want %d", d, len(ws))
+	}
+	if cache.Len() != 0 {
+		t.Errorf("rerun left %d streams in the cache", cache.Len())
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 
 	"github.com/chirplab/chirp/internal/l2stream"
@@ -47,6 +48,24 @@ func closeSource(src trace.Source) {
 	if c, ok := src.(io.Closer); ok {
 		c.Close()
 	}
+}
+
+// stream returns the captured stream of spec's workload from
+// spec.Cache, capturing it on first use. It is nil, with no error,
+// when there is no cache or the capture is over the cache's byte
+// budget: the run then takes the direct path.
+func (s *RunSpec) stream() (*l2stream.Stream, error) {
+	if s.Cache == nil {
+		return nil, nil
+	}
+	stream, err := StreamFor(s.Cache, s.Workload.Name, s.Workload.SpecHash, s.Config, s.open)
+	if errors.Is(err, l2stream.ErrOverBudget) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: capturing %s: %w", s.Workload.Name, err)
+	}
+	return stream, nil
 }
 
 // errZeroBudget rejects a run with no instruction budget: a workload's

@@ -47,8 +47,10 @@ func Run(ctx context.Context, spec RunSpec) (MPKIResult, error) { return sim.Run
 // RunSuite measures each workload under each policy with the TLB-only
 // driver across a worker pool: through opts.StreamCache's
 // capture/replay path when it is set, on the direct path when it is
-// nil (the two are bit-identical). See SuiteOptions for cancellation,
-// checkpointing and stream-cache sharing.
+// nil (the two are bit-identical). A workload's job drops its stream
+// from the cache when it ends, so an in-memory cache does not carry
+// streams from one call to the next. See SuiteOptions for
+// cancellation, checkpointing and the stream's lifetime.
 func RunSuite(ctx context.Context, ws []*Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	return sim.RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, opts)
 }
