@@ -127,7 +127,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	fs.Int64Var(&f.L2Cache, "l2cache", 0, "L2 event-stream cache budget in MiB, shared by every run of the process: each workload's trace is generated and L1-filtered once and replayed per policy (0 = 256 MiB default, negative = direct reference path, no capture/replay)")
+	fs.Int64Var(&f.L2Cache, "l2cache", 0, "capture/replay byte cap in MiB: each workload's trace is generated and L1-filtered once into an L2 event stream that is replayed per policy, and a capture whose encoded stream would exceed the cap runs on the direct path instead (0 = 256 MiB default, negative = direct reference path, no capture/replay)")
 	fs.StringVar(&f.CaptureDir, "capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
 	fs.Int64Var(&f.CaptureDirMax, "capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived sidecars) are evicted to stay under it (0 = unbounded)")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "JSONL checkpoint file: completed runs are restored from it and new ones appended, so a killed run resumes where it stopped")
@@ -160,8 +160,9 @@ type Runtime struct {
 	// dispatching new simulations, drains the in-flight ones and leaves
 	// the checkpoint resumable.
 	Ctx context.Context
-	// Streams is the process's one L2 event-stream cache, nil when
-	// -l2cache is negative (the direct reference path).
+	// Streams is where the run's L2 event streams come from: the
+	// -l2cache per-capture cap plus the -capturedir store, if any. It
+	// is nil when -l2cache is negative (the direct reference path).
 	Streams    *l2stream.Cache
 	Checkpoint *engine.Checkpoint
 	Sink       engine.Sink
@@ -226,7 +227,6 @@ func (r *Runtime) open(f *Flags, meta string) error {
 		} else {
 			r.Streams = l2stream.NewCache(f.L2Cache << 20)
 		}
-		r.onClose(func() error { r.Streams.Close(); return nil })
 	}
 	if f.Progress > 0 {
 		sinks = append(sinks, engine.NewReporter(os.Stderr, f.Progress))

@@ -51,9 +51,8 @@ type Options struct {
 	// path. Within one call (one experiment, or the merged plans of
 	// RunPlans) each workload is captured once and serves every pass,
 	// the prefetch distances and the OPT oracle included; its stream
-	// leaves the cache when the workload's job ends, so a later call
-	// captures again unless the cache is persistent and loads it from
-	// its directory. Nil selects the direct RunTLBOnly reference path;
+	// dies with the workload's job, so a later call captures again
+	// unless the cache is persistent and loads it from its directory. Nil selects the direct RunTLBOnly reference path;
 	// see sim.SuiteOptions.StreamCache.
 	StreamCache *l2stream.Cache
 }

@@ -2,29 +2,27 @@
 // of the captured event stream plus a small configuration key — the
 // dense access columns, folded predictor signature sequences,
 // prefetch fill schedules. They are memoized on the stream (single-
-// flight), charged to the owning cache's byte budget at their real
-// size as they materialize, and — when the stream belongs to a persistent
-// capture store — persisted as content-addressed sidecar files so warm
-// sweeps across processes skip the computation entirely.
+// flight), live and die with it, and — when the stream belongs to a
+// persistent capture store — are persisted as content-addressed sidecar
+// files so warm sweeps across processes skip the computation entirely.
 //
 // The l2stream package stays agnostic about what a derived view
 // contains: builders and codecs live with their consumers (internal/
 // sim), which hands in a DerivedSpec per view and one builder per
 // request. This package owns the cross-cutting mechanics only —
-// memoization, concurrency, budget accounting, and the sidecar
-// load/store protocol. DerivedAll is the one request: it asks for
-// several views at once and builds every missing one with one
-// callback, so a consumer can fill them all from one decode pass. The
-// same single-flight slots also hold Memo values: small in-memory
-// results computed from the stream (sim's replay results) that are
-// neither persisted nor budget-charged.
+// memoization, concurrency, and the sidecar load/store protocol.
+// DerivedAll is the one request: it asks for several views at once and
+// builds every missing one with one callback, so a consumer can fill
+// them all from one decode pass. The same single-flight slots also
+// hold Memo values: small in-memory results computed from the stream
+// (sim's replay results) that are never persisted.
 package l2stream
 
 import "fmt"
 
 // DerivedSpec describes one derived-view family to Stream.DerivedAll:
-// an invalidation key, a footprint, and an optional persistence codec.
-// The builder is DerivedAll's argument, not part of the spec.
+// an invalidation key and an optional persistence codec. The builder
+// is DerivedAll's argument, not part of the spec.
 //
 // Key must change whenever the view's contents would: it should embed
 // the family name, a format version, and every configuration input the
@@ -34,9 +32,6 @@ import "fmt"
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Bytes reports the view's in-memory footprint for cache budget
-	// accounting.
-	Bytes func(view any) int64
 	// Encode serializes the view for the persistent sidecar tier; nil
 	// means the family is never persisted.
 	Encode func(view any) []byte
@@ -155,8 +150,8 @@ func (s *Stream) fill(keys []string, slots []*derivedSlot, claimed []int, build 
 // must return their views in that order. buildMissing may use the
 // stream's decoders freely (Stream.Decode; block-decode with NextBlock
 // or NextAccessBlock); the stream is immutable underneath it. Each
-// built view is then charged to the owning cache, persisted for the
-// next process and memoized on its own. Keys other goroutines are
+// built view is then persisted for the next process and memoized on
+// its own. Keys other goroutines are
 // already building are waited on only after this call's own builds
 // finish. A buildMissing that fails or panics leaves none of its keys
 // memoized, so the next call builds them again. The returned views are
@@ -188,7 +183,6 @@ func (s *Stream) DerivedAll(specs []*DerivedSpec, buildMissing func(missing []in
 		for k, i := range missing {
 			spec, v := specs[i], views[k]
 			obsDerivedBuilds.Inc()
-			s.noteGrowth(spec.Bytes(v))
 			if s.dvSave != nil && spec.Encode != nil {
 				s.dvSave(spec.Key, spec.Encode(v))
 			}
@@ -199,7 +193,7 @@ func (s *Stream) DerivedAll(specs []*DerivedSpec, buildMissing func(missing []in
 }
 
 // loadSidecar returns spec's view from the persistent sidecar tier,
-// charged to the owning cache, or ok=false when the stream has no
+// or ok=false when the stream has no
 // store, the spec no codec, or the store nothing valid for the key.
 func (s *Stream) loadSidecar(spec *DerivedSpec) (view any, ok bool) {
 	if s.dvLoad == nil || spec.Decode == nil {
@@ -223,19 +217,17 @@ func (s *Stream) loadSidecar(spec *DerivedSpec) (view any, ok bool) {
 		return nil, false
 	}
 	obsDerivedDiskHits.Inc()
-	s.noteGrowth(spec.Bytes(v))
 	return v, true
 }
 
 // Memo returns the value memoized on the stream under key, running
 // build on first use, with DerivedAll's single-flight and failure rules.
 // It is for results computed from the stream rather than views of it:
-// a Memo value is never persisted, never charged to the cache budget
-// (callers keep such values small), and not counted as a derived-view
-// build. It lives and dies with the stream, so a stream evicted from
-// its cache takes its memo along. Keys share the derived views' key
-// space, so callers prefix them with a family distinct from every
-// view's.
+// a Memo value is never persisted and not counted as a derived-view
+// build. It lives and dies with the stream, so a caller that wants its
+// memo across calls holds on to the stream. Keys share the derived
+// views' key space, so callers prefix them with a family distinct from
+// every view's.
 func (s *Stream) Memo(key string, build func() (any, error)) (any, error) {
 	vs, err := s.memoizeAll([]string{key}, func(_ []int, settle func(int, any)) error {
 		v, err := build()
@@ -268,21 +260,6 @@ func (s *Stream) Memoized(key string) bool {
 		return false
 	}
 }
-
-// noteGrowth reports a late footprint increase (a derived view
-// materializing after commit) to the owning cache, which adds it
-// to the stream's accounted bytes and rebalances the budget. Streams
-// outside any cache ignore it.
-func (s *Stream) noteGrowth(delta int64) {
-	if s.onGrow != nil && delta > 0 {
-		s.onGrow(delta)
-	}
-}
-
-// SetGrowthHook registers the cache callback noteGrowth reports to.
-// The cache installs it while committing the stream, before other
-// goroutines can observe the entry, so the field needs no lock.
-func (s *Stream) SetGrowthHook(fn func(delta int64)) { s.onGrow = fn }
 
 // DerivedKeys returns the keys of the derived views materialized (or
 // attempted) so far, for tests and telemetry.

@@ -48,7 +48,6 @@ func countEvents(builds *atomic.Int64) func(*Stream) (any, error) {
 func eventCountSpec(key string) *DerivedSpec {
 	return &DerivedSpec{
 		Key:    key,
-		Bytes:  func(any) int64 { return 8 },
 		Encode: func(v any) []byte { return binary.LittleEndian.AppendUint64(nil, v.(uint64)) },
 		Decode: func(_ *Stream, data []byte) (any, bool) {
 			if len(data) != 8 {
@@ -65,7 +64,6 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cache.Close() })
 	cfg := testConfig(instr)
 	s, err := cache.GetOrCapture(Key{Workload: workload, Config: cfg}, func(maxBytes int64) (*Stream, error) {
 		return Capture(trace.NewSliceSource(testRecords(int(instr))), cfg, maxBytes)
@@ -262,76 +260,6 @@ func TestDerivedSidecarKeyed(t *testing.T) {
 	}
 }
 
-// TestDerivedGrowthAccounting: a cached stream is charged its encoded
-// buffer at commit and nothing more; a derived view materializing on it
-// must grow the cache's accounted bytes by exactly the view's footprint
-// and trigger the budget rebalance.
-func TestDerivedGrowthAccounting(t *testing.T) {
-	cache := NewCache(1 << 20)
-	defer cache.Close()
-	cfg := testConfig(5000)
-	key := Key{Workload: "w", Config: cfg}
-	s, err := cache.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.mu.Lock()
-	used0 := cache.used
-	bytes0 := cache.entries[key].bytes
-	cache.mu.Unlock()
-	if bytes0 != int64(len(s.buf)) || used0 != bytes0 {
-		t.Fatalf("commit charged %d bytes (cache.used %d), want the %d-byte encoded buffer", bytes0, used0, len(s.buf))
-	}
-
-	const viewBytes = 4096
-	spec := eventCountSpec("test:grow")
-	spec.Bytes = func(any) int64 { return viewBytes }
-	if _, err := derived(s, spec, countEvents(nil)); err != nil {
-		t.Fatal(err)
-	}
-	cache.mu.Lock()
-	used1 := cache.used
-	bytes1 := cache.entries[key].bytes
-	cache.mu.Unlock()
-	if used1-used0 != viewBytes {
-		t.Errorf("cache.used grew by %d, want %d", used1-used0, viewBytes)
-	}
-	if bytes1-bytes0 != viewBytes {
-		t.Errorf("entry bytes grew by %d, want %d", bytes1-bytes0, viewBytes)
-	}
-
-	// Growth hooks on an evicted stream must not corrupt accounting:
-	// evict by overflowing the budget, then materialize another view.
-	big := eventCountSpec("test:grow2")
-	big.Bytes = func(any) int64 { return 2 << 20 } // over budget: evicts
-	if _, err := derived(s, big, countEvents(nil)); err != nil {
-		t.Fatal(err)
-	}
-	cache.mu.Lock()
-	_, stillThere := cache.entries[key]
-	used2 := cache.used
-	cache.mu.Unlock()
-	if stillThere {
-		t.Error("over-budget derived growth did not evict the stream")
-	}
-	if used2 != 0 {
-		t.Errorf("cache.used = %d after eviction, want 0", used2)
-	}
-	spec3 := eventCountSpec("test:grow3")
-	spec3.Bytes = func(any) int64 { return 512 }
-	if _, err := derived(s, spec3, countEvents(nil)); err != nil {
-		t.Fatal(err)
-	}
-	cache.mu.Lock()
-	used3 := cache.used
-	cache.mu.Unlock()
-	if used3 != used2 {
-		t.Errorf("growth on an evicted stream changed cache.used by %d", used3-used2)
-	}
-}
-
 // TestStoreGC: setting a byte budget on a persistent directory evicts
 // whole capture groups — stream file plus derived sidecars — oldest
 // first, until the directory fits, and leaves newer groups intact.
@@ -341,7 +269,6 @@ func TestStoreGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
 	cfg := testConfig(5000)
 	var streams []*Stream
 	var metas []string

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sync"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/policy"
@@ -179,74 +178,8 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
-func TestCacheSingleFlight(t *testing.T) {
-	recs := testRecords(2000)
-	cfg := testConfig(3000)
-	c := NewCache(0)
-	defer c.Close()
-	var mu sync.Mutex
-	captures := 0
-	key := Key{Workload: "w0", Config: cfg}
-	var wg sync.WaitGroup
-	streams := make([]*Stream, 8)
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
-				mu.Lock()
-				captures++
-				mu.Unlock()
-				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			streams[i] = s
-		}()
-	}
-	wg.Wait()
-	if captures != 1 {
-		t.Errorf("capture ran %d times under concurrency, want 1", captures)
-	}
-	for i := 1; i < 8; i++ {
-		if streams[i] != streams[0] {
-			t.Fatal("concurrent callers got distinct streams")
-		}
-	}
-}
-
-func TestCacheEvictsLRU(t *testing.T) {
-	recs := testRecords(2000)
-	cfg := testConfig(3000)
-	probe, err := Capture(trace.NewSliceSource(recs), cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := probe.FootprintBytes()
-	// Budget for two streams; insert three distinct keys.
-	c := NewCache(2*one + one/2)
-	defer c.Close()
-	for _, w := range []string{"a", "b", "c"} {
-		if _, err := c.GetOrCapture(Key{Workload: w, Config: cfg}, func(maxBytes int64) (*Stream, error) {
-			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Used() > c.Budget() {
-		t.Errorf("cache over budget: %d > %d", c.Used(), c.Budget())
-	}
-	if c.Len() != 2 {
-		t.Errorf("cache holds %d streams after eviction, want 2", c.Len())
-	}
-}
-
 func TestCacheRetriesFailedCapture(t *testing.T) {
 	c := NewCache(0)
-	defer c.Close()
 	key := Key{Workload: "w", Config: testConfig(100)}
 	calls := 0
 	fail := func(int64) (*Stream, error) {
@@ -359,7 +292,7 @@ func TestDecodeAllMatchesNext(t *testing.T) {
 // TestDecodeAccessesMatchesFilteredDecodeAll: the access-only decoder
 // must yield exactly the full decode with branch events removed — same
 // order, same PCs, same VPNs, same warmup position — at every block
-// length. The stream is charged for its encoded buffer alone.
+// length. The stream's footprint is its encoded buffer alone.
 func TestDecodeAccessesMatchesFilteredDecodeAll(t *testing.T) {
 	recs := testRecords(5000)
 	cfg := testConfig(8000)
@@ -490,10 +423,10 @@ func multiChunkCapture(t *testing.T, maxBytes int64) (*Stream, error) {
 	return Capture(trace.NewSliceSource(testRecords(120000)), testConfig(300000), maxBytes)
 }
 
-// TestCaptureBufferExact: the committed buffer holds no slack, so the
-// cache, which charges FootprintBytes (its length), charges every byte
-// the stream keeps. Append growth used to leave up to a quarter of the
-// buffer unused and uncharged.
+// TestCaptureBufferExact: the committed buffer holds no slack, so
+// FootprintBytes (its length), which the capture cap is checked
+// against, counts every byte the stream keeps. Append growth used to
+// leave up to a quarter of the buffer unused and uncounted.
 func TestCaptureBufferExact(t *testing.T) {
 	for _, n := range []int{300, 3000, 120000} {
 		s, err := Capture(trace.NewSliceSource(testRecords(n)), testConfig(uint64(n)*3), 0)
@@ -501,7 +434,7 @@ func TestCaptureBufferExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cap(s.buf) != len(s.buf) || s.FootprintBytes() != int64(cap(s.buf)) {
-			t.Errorf("%d records: buffer len %d, cap %d, charged %d; want cap == len == charge",
+			t.Errorf("%d records: buffer len %d, cap %d, footprint %d; want cap == len == footprint",
 				n, len(s.buf), cap(s.buf), s.FootprintBytes())
 		}
 	}

@@ -45,13 +45,11 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	if d := obsCacheDiskWrites.Value() - writes0; d != 2 {
 		t.Errorf("disk writes delta = %d, want 2", d)
 	}
-	first.Close()
 
 	second, err := NewPersistent(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer second.Close()
 	misses0, diskHits0 := obsCacheMisses.Value(), obsCacheDiskHits.Value()
 	for _, k := range keys {
 		got, err := second.GetOrCapture(k, func(int64) (*Stream, error) {
@@ -195,7 +193,6 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			c.Close()
 			meta := (&store{dir: dir}).streamPath(key)
 			tc.mod(t, meta)
 
@@ -203,7 +200,6 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c2.Close()
 			captures := 0
 			s, err := c2.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
 				captures++
@@ -223,7 +219,6 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c3.Close()
 			if _, err := c3.GetOrCapture(key, func(int64) (*Stream, error) {
 				t.Error("store not healed; captured again")
 				return nil, os.ErrInvalid
@@ -261,9 +256,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 // TestPersistentOverBudgetWritesNothing: a capture abandoned with
 // ErrOverBudget in a persistent cache leaves nothing in the capture
-// directory, and the over-budget outcome is remembered only by that
-// cache. A later cache with room for the stream captures it once and
-// persists it.
+// directory. A later cache with room for the stream captures it once
+// and persists it.
 func TestPersistentOverBudgetWritesNothing(t *testing.T) {
 	recs := testRecords(3000)
 	cfg := testConfig(5000)
@@ -286,7 +280,6 @@ func TestPersistentOverBudgetWritesNothing(t *testing.T) {
 	if _, err := small.GetOrCapture(key, capture); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
-	small.Close()
 	if d := obsCacheDiskWrites.Value() - writes0; d != 0 {
 		t.Errorf("over-budget capture counted %d disk writes, want 0", d)
 	}
@@ -305,7 +298,6 @@ func TestPersistentOverBudgetWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer roomy.Close()
 	misses0 := obsCacheMisses.Value()
 	s, err := roomy.GetOrCapture(key, capture)
 	if err != nil {
@@ -333,7 +325,6 @@ func TestStoreGCReclaimsSpillEraRecordFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
 	cfg := testConfig(5000)
 	cur := Key{Workload: "current", Config: cfg}
 	if _, err := cache.GetOrCapture(cur, func(maxBytes int64) (*Stream, error) {

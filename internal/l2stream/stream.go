@@ -18,11 +18,9 @@
 // and sim.ReplayMulti builds every view it lacks in one such pass.
 // Capture encodes into fixed-size chunks and commits one exact-size
 // copy of them, so no captured byte is copied twice.
-// A cache charges each stream its buffer plus the derived views built
-// from it, each at its real size. A capture whose encoded buffer alone
-// would exceed the byte budget stops with ErrOverBudget; its callers
-// run the direct reference path instead, so every stream is one
-// in-memory buffer.
+// A capture whose encoded buffer would exceed the byte cap stops with
+// ErrOverBudget; its callers run the direct reference path instead,
+// so every stream is one in-memory buffer.
 package l2stream
 
 import (
@@ -37,7 +35,7 @@ import (
 // L1 geometries, the L2 page size, and the instruction/warmup budget.
 // Two runs with equal Configs share the same captured stream no matter
 // which L2 policy, L2 geometry, or prefetch distance they use, so
-// Config doubles as the cache key. It is comparable.
+// Config is part of the capture key (Key). It is comparable.
 type Config struct {
 	// L1I and L1D are the L1 TLB geometries (always LRU).
 	L1I, L1D tlb.Config
@@ -416,11 +414,10 @@ type Stream struct {
 	buf []byte // encoded events
 
 	// Derived views (see derived.go): keyed single-flight memos of
-	// precomputed arrays, plus the persistence and accounting hooks the
-	// capture store and the cache install. dvLoad/dvSave are written
-	// once when the store loads or saves the stream, onGrow once when
-	// the cache commits it — all before other goroutines can reach the
-	// stream, so only the map itself needs the mutex.
+	// precomputed arrays, plus the persistence hooks the capture store
+	// installs. dvLoad/dvSave are written once when the store loads or
+	// saves the stream, before other goroutines can reach it, so only
+	// the map itself needs the mutex.
 	// dvLoad returns a sidecar payload plus a release hook (either may
 	// be nil); the payload may alias a pooled buffer, so loadSidecar
 	// calls release as soon as the spec's Decode has copied out of it.
@@ -428,7 +425,6 @@ type Stream struct {
 	derived   map[string]*derivedSlot
 	dvLoad    func(key string) (payload []byte, release func())
 	dvSave    func(key string, payload []byte)
-	onGrow    func(delta int64)
 
 	records      uint64
 	instructions uint64
@@ -445,7 +441,7 @@ type Stream struct {
 // Config returns the capture configuration the stream was built under.
 func (s *Stream) Config() Config { return s.cfg }
 
-// Spilled always reports false: captures over the byte budget fail
+// Spilled always reports false: captures over the byte cap fail
 // with ErrOverBudget instead of spilling to disk. It remains only
 // because the benchmark harness (bench/traced.go) still calls it; the
 // next benchmark re-anchor removes both.
@@ -486,9 +482,7 @@ func (s *Stream) Decode() *Decoder {
 	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
 }
 
-// FootprintBytes is the stream's in-memory cost at commit: its encoded
-// buffer, whose capacity is its length, and nothing else. Derived
-// views are charged separately, at their real size, as they
-// materialize (the cache's growth hook). The cache accounts this
-// against its budget.
+// FootprintBytes is the stream's encoded buffer size, whose capacity
+// is its length: the bytes a capture cap is checked against, and all
+// the stream holds besides its derived views.
 func (s *Stream) FootprintBytes() int64 { return int64(len(s.buf)) }

@@ -24,7 +24,7 @@
 //     any prefetch fills alike.
 //
 // The views are memoized on the stream (l2stream.DerivedAll: single-
-// flight, budget-accounted) and persisted as derived sidecars when the
+// flight) and persisted as derived sidecars when the
 // stream belongs to a -capturedir store, so warm sweeps skip both the
 // decode and the signature recomputation. The views that decode the
 // stream (the access view and every signature view) are requested
@@ -242,16 +242,11 @@ type accessView struct {
 	warmIdx int
 }
 
-func (v *accessView) bytes() int64 {
-	return int64(len(v.pc)*8 + len(v.vpn)*8 + len(v.instr))
-}
-
 // accessViewD declares the access view. Its key carries no L2
 // geometry: the view holds none.
 var accessViewD = &decodedView{
 	spec: &l2stream.DerivedSpec{
 		Key:    "av2",
-		Bytes:  func(view any) int64 { return view.(*accessView).bytes() },
 		Encode: func(view any) []byte { return encodeAccessView(view.(*accessView)) },
 		Decode: func(s *l2stream.Stream, data []byte) (any, bool) { return decodeAccessView(s, data) },
 	},
@@ -368,10 +363,6 @@ type prefetchSchedule struct {
 func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*prefetchSchedule, error) {
 	spec := &l2stream.DerivedSpec{
 		Key: fmt.Sprintf("pf1:pd%d", pd),
-		Bytes: func(view any) int64 {
-			ps := view.(*prefetchSchedule)
-			return int64(len(ps.off)*4 + len(ps.vpn)*8)
-		},
 		Encode: func(view any) []byte {
 			ps := view.(*prefetchSchedule)
 			out := make([]byte, 0, 8+len(ps.off)*4+len(ps.vpn)*8)
@@ -446,8 +437,7 @@ func chirpSigsKey(cfg core.Config) string { return "chirp:" + cfg.SignatureKey()
 func chirpSigsDecl(cfg core.Config, key string) *decodedView {
 	return &decodedView{
 		spec: &l2stream.DerivedSpec{
-			Key:   key,
-			Bytes: func(view any) int64 { return int64(len(view.([]uint32)) * 4) },
+			Key: key,
 			Encode: func(view any) []byte {
 				sigs := view.([]uint32)
 				out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*4), uint64(len(sigs)))
@@ -510,8 +500,7 @@ func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
 // access, valid for its hit/insert and prefetch fills alike.
 var ghrpSigsD = &decodedView{
 	spec: &l2stream.DerivedSpec{
-		Key:   "ghrp:gs1",
-		Bytes: func(view any) int64 { return int64(len(view.([]uint64)) * 8) },
+		Key: "ghrp:gs1",
 		Encode: func(view any) []byte {
 			sigs := view.([]uint64)
 			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*8), uint64(len(sigs)))

@@ -161,27 +161,20 @@ func (p spyPolicy) Attach(sets, ways int) {
 }
 
 // TestRunMultiMemoSkipsUnkeyed: a policy with a func field gets no key
-// and walks on every RunMulti call, beside keyed siblings that the
-// second call serves from the memo.
+// and walks on every replay of a stream, beside keyed siblings that
+// the second replay serves from the stream's memo.
 func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	attaches := 0
 	spy := func() tlb.Policy { return spyPolicy{LRU: policy.NewLRU(), attached: func() { attaches++ }} }
 	if _, ok := policyKey(spy()); ok {
 		t.Fatal("a policy with a func field got a key")
 	}
-	cache := l2stream.NewCache(0)
-	defer cache.Close()
-	spec := RunSpec{Workload: workloads.ByName("db-000"), Config: DefaultTLBOnlyConfig(testInstr), Cache: cache}
+	spec := RunSpec{Workload: workloads.ByName("db-000"), Config: DefaultTLBOnlyConfig(testInstr), Cache: l2stream.NewCache(0)}
+	stream := streamOf(t, spec)
 	factories := []PolicyFactory{mustFactoryFor(t, "lru"), spy, mustFactoryFor(t, "srrip")}
 	hits, misses := obsMemoHits.Value(), obsMemoMisses.Value()
-	first, err := RunMulti(context.Background(), spec, factories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunMulti(context.Background(), spec, factories)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := replayFresh(t, stream, factories, spec.Config)
+	second := replayFresh(t, stream, factories, spec.Config)
 	if attaches != 2 {
 		t.Errorf("unkeyed policy walked %d times over two calls, want 2", attaches)
 	}
@@ -196,11 +189,37 @@ func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	}
 }
 
-// TestRunMultiMemoMatchesDirect: a second RunMulti on one cache is
+// streamOf fetches spec's stream from spec.Cache, for a test that
+// replays one stream several times.
+func streamOf(t *testing.T, spec RunSpec) *l2stream.Stream {
+	t.Helper()
+	stream, err := StreamFor(spec.Cache, spec.Workload.Name, spec.Workload.SpecHash, spec.Config, spec.open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
+// replayFresh is RunMulti's memoized replay over a stream the caller
+// holds: fresh policies from factories, replayed under cfg.
+func replayFresh(t *testing.T, stream *l2stream.Stream, factories []PolicyFactory, cfg TLBOnlyConfig) []TLBOnlyResult {
+	t.Helper()
+	ps := make([]tlb.Policy, len(factories))
+	for i, f := range factories {
+		ps[i] = f()
+	}
+	rs, err := replayMemoized(stream, ps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestRunMultiMemoMatchesDirect: a second replay of one stream is
 // served wholly from the memo — publishing no TLB counters, since it
-// simulated nothing — and equals both the first call and the nil-cache
-// direct path. Each prefetch distance is its own configuration, so it
-// misses the memo once.
+// simulated nothing — and equals both the first replay and the
+// nil-cache direct path. Each prefetch distance is its own
+// configuration, so it misses the memo once.
 func TestRunMultiMemoMatchesDirect(t *testing.T) {
 	fs := keyedFactories()
 	factories := make([]PolicyFactory, len(fs))
@@ -213,34 +232,26 @@ func TestRunMultiMemoMatchesDirect(t *testing.T) {
 		distinct[k] = true
 	}
 	ctx := context.Background()
-	cache := l2stream.NewCache(0)
-	defer cache.Close()
+	spec := RunSpec{Workload: workloads.ByName("web-001"), Config: DefaultTLBOnlyConfig(testInstr), Cache: l2stream.NewCache(0)}
+	stream := streamOf(t, spec) // the prefetch distance is not part of the capture
 	lookups := obs.Default.CounterVec("chirp_tlb_lookups_total", "", "level").With("L2 TLB")
 	for _, pd := range []int{0, 4} {
 		cfg := DefaultTLBOnlyConfig(testInstr)
 		cfg.PrefetchDistance = pd
-		spec := RunSpec{Workload: workloads.ByName("web-001"), Config: cfg, Cache: cache}
 		hits := obsMemoHits.Value()
-		first, err := RunMulti(ctx, spec, factories)
-		if err != nil {
-			t.Fatal(err)
-		}
+		first := replayFresh(t, stream, factories, cfg)
 		if d, want := obsMemoHits.Value()-hits, uint64(len(fs)-len(distinct)); d != want {
 			t.Errorf("pd=%d: first call hit the memo %d times, want %d (the duplicate keys)", pd, d, want)
 		}
 		hits, l2 := obsMemoHits.Value(), lookups.Value()
-		second, err := RunMulti(ctx, spec, factories)
-		if err != nil {
-			t.Fatal(err)
-		}
+		second := replayFresh(t, stream, factories, cfg)
 		if d := obsMemoHits.Value() - hits; d != uint64(len(fs)) {
 			t.Errorf("pd=%d: second call hit the memo %d times, want %d", pd, d, len(fs))
 		}
 		if d := lookups.Value() - l2; d != 0 {
 			t.Errorf("pd=%d: memo hits published %d L2 lookups, want 0", pd, d)
 		}
-		spec.Cache = nil
-		direct, err := RunMulti(ctx, spec, factories)
+		direct, err := RunMulti(ctx, RunSpec{Workload: spec.Workload, Config: cfg}, factories)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,9 +263,8 @@ func TestRunMultiMemoMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestRunMultiMemoConcurrent: RunMulti calls racing on one stream
-// share the memo's single-flight slots and all return the direct
-// path's results.
+// TestRunMultiMemoConcurrent: replays racing on one stream share the
+// memo's single-flight slots and all return the direct path's results.
 func TestRunMultiMemoConcurrent(t *testing.T) {
 	names := []string{"lru", "srrip", "ship", "chirp"}
 	factories := make([]PolicyFactory, len(names))
@@ -267,7 +277,7 @@ func TestRunMultiMemoConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Cache = l2stream.NewCache(0)
-	defer spec.Cache.Close()
+	stream := streamOf(t, spec)
 	var wg sync.WaitGroup
 	got := make([][]TLBOnlyResult, 6)
 	for g := range got {
@@ -279,7 +289,11 @@ func TestRunMultiMemoConcurrent(t *testing.T) {
 			fs := slices.Clone(factories)
 			rotate := g % len(fs)
 			fs = append(fs[rotate:], fs[:rotate]...)
-			rs, err := RunMulti(context.Background(), spec, fs)
+			ps := make([]tlb.Policy, len(fs))
+			for i, f := range fs {
+				ps[i] = f()
+			}
+			rs, err := replayMemoized(stream, ps, spec.Config)
 			if err != nil {
 				t.Error(err)
 				return

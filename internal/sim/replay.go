@@ -24,7 +24,7 @@ func CaptureConfig(cfg TLBOnlyConfig) l2stream.Config {
 	}
 }
 
-// CaptureKey returns the stream-cache key for a workload under cfg.
+// CaptureKey returns the capture key for a workload under cfg.
 // spec is the content hash of the workload spec the workload came from
 // ("" for legacy suite workloads and trace files); it keeps captures
 // from colliding across specs that reuse a workload name.
@@ -32,11 +32,11 @@ func CaptureKey(workload, spec string, cfg TLBOnlyConfig) l2stream.Key {
 	return l2stream.Key{Workload: workload, Spec: spec, Config: CaptureConfig(cfg)}
 }
 
-// StreamFor returns the captured stream for a workload from cache,
-// capturing it on first use. open must return a fresh bounded source
-// for the workload (it is only called when the capture actually runs);
-// the source is closed after the capture when it is an io.Closer. A
-// capture over the cache's byte budget fails with
+// StreamFor returns the captured stream for a workload from cache:
+// loaded from its capture directory, or captured. open must return a
+// fresh bounded source for the workload (it is only called when the
+// capture actually runs); the source is closed after the capture when
+// it is an io.Closer. A capture over the cache's byte cap fails with
 // l2stream.ErrOverBudget; RunMulti and RunOPT then take the direct
 // path.
 func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, open func() (trace.Source, error)) (*l2stream.Stream, error) {
@@ -53,7 +53,7 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 // RunOPT measures the offline Bélády optimum over spec's trace. The
 // oracle needs the whole L2 demand-access sequence before the run
 // starts, so RunOPT collects it first and then runs OPT the way
-// RunMulti runs a policy: over the cached stream or, without a usable
+// RunMulti runs a policy: over the captured stream or, without a usable
 // one, with RunTLBOnly over a fresh source. spec.Policy is ignored.
 func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 	if err := spec.validate(); err != nil {

@@ -271,23 +271,18 @@ func TestRunOPTPaths(t *testing.T) {
 		if got != want {
 			t.Errorf("budget %d: RunOPT diverged from the direct path\n direct: %+v\n got:    %+v", budget, want, got)
 		}
-		spec.Cache.Close()
 	}
 }
 
 // TestSuiteUsesSharedStreamCache pins the suite's stream-cache
-// contract: within one call each workload is captured once, and when
-// the call returns the cache holds no stream (each job dropped its
-// own). A second call therefore captures again from an in-memory
-// cache, while over a persistent cache it loads every stream from the
-// capture directory and captures nothing. Every cell equals the
-// direct path's.
+// contract: within one call each workload is captured once. A second
+// call over a persistent cache loads every stream from the capture
+// directory and captures nothing. Every cell equals the direct path's.
 func TestSuiteUsesSharedStreamCache(t *testing.T) {
 	cache, err := l2stream.NewPersistent(0, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
 	ws := []*workloads.Workload{workloads.ByName("spec-000"), workloads.ByName("db-001")}
 	pols, err := Factories([]string{"lru", "srrip"})
 	if err != nil {
@@ -303,9 +298,6 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 	}
 	if d := misses.Value() - misses0; d != uint64(len(ws)) {
 		t.Errorf("suite ran %d captures, want one per workload (%d)", d, len(ws))
-	}
-	if cache.Len() != 0 || cache.Used() != 0 {
-		t.Errorf("cache holds %d streams (%d bytes) after the suite, want none", cache.Len(), cache.Used())
 	}
 	// Zero options mean the direct path: no capture at all, and every
 	// cell agrees with the cached run.
@@ -342,9 +334,6 @@ func TestSuiteUsesSharedStreamCache(t *testing.T) {
 	}
 	if d := diskHits.Value() - diskHits0; d != uint64(len(ws)) {
 		t.Errorf("rerun loaded %d streams from disk, want %d", d, len(ws))
-	}
-	if cache.Len() != 0 {
-		t.Errorf("rerun left %d streams in the cache", cache.Len())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // signature.
 type RunSpec struct {
 	// Workload supplies the trace source, the run's name and the
-	// stream-cache key (its Name and SpecHash). A recorded trace is a
+	// capture key (its Name and SpecHash). A recorded trace is a
 	// workload too (workloads.TraceFile).
 	Workload *workloads.Workload
 	// Policy builds the L2 replacement policy under test.
@@ -25,18 +25,20 @@ type RunSpec struct {
 	// Config is the TLB-only configuration (hierarchy, instruction
 	// budget, warmup, prefetch distance).
 	Config TLBOnlyConfig
-	// Cache, when non-nil, selects the capture/replay path: the
-	// workload's policy-invariant L2 event stream is captured once into
-	// the cache and replayed under Policy — bit-identical to the direct
-	// path, and much cheaper from the second policy on. When nil, Run
-	// drives the full trace directly.
+	// Cache, when non-nil, selects the capture/replay path: the run
+	// captures the workload's policy-invariant L2 event stream (or
+	// loads it from a persistent cache's directory) and replays every
+	// policy of the call over it — bit-identical to the direct path,
+	// and much cheaper from the second policy on. The stream lives for
+	// the one call; a suite (RunPasses) shares one across every pass of
+	// a workload. When nil, the run drives the full trace directly.
 	Cache *l2stream.Cache
 }
 
 // open returns a fresh bounded source for the spec. It may be called
-// zero times (stream already cached), once per capture, or once per
-// policy on the direct path; whoever opens it closes it with
-// closeSource once the run or capture is done.
+// zero times (stream loaded from a capture directory), once per
+// capture, or once per policy on the direct path; whoever opens it
+// closes it with closeSource once the run or capture is done.
 func (s *RunSpec) open() (trace.Source, error) {
 	return trace.NewLimit(s.Workload.Source(), s.Config.Instructions), nil
 }
@@ -51,9 +53,9 @@ func closeSource(src trace.Source) {
 }
 
 // stream returns the captured stream of spec's workload from
-// spec.Cache, capturing it on first use. It is nil, with no error,
-// when there is no cache or the capture is over the cache's byte
-// budget: the run then takes the direct path.
+// spec.Cache. It is nil, with no error, when there is no cache or the
+// capture is over the cache's byte cap: the run then takes the direct
+// path.
 func (s *RunSpec) stream() (*l2stream.Stream, error) {
 	if s.Cache == nil {
 		return nil, nil

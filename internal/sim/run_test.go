@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
@@ -18,7 +19,7 @@ import (
 // TestRunEquivalence is the API-collapse contract: Run with a stream
 // cache (capture/replay) and Run without one (direct) must both match
 // RunTLBOnly bit for bit, for recency, signature and CHiRP policies
-// alike.
+// alike. Each cached Run captures its own stream.
 func TestRunEquivalence(t *testing.T) {
 	const name = "db-000"
 	w := workloads.ByName(name)
@@ -32,8 +33,8 @@ func TestRunEquivalence(t *testing.T) {
 	}
 
 	cache := l2stream.NewCache(0)
-	defer cache.Close()
 	ctx := context.Background()
+	misses0 := obsCaptures.Value()
 
 	for _, f := range factories {
 		want, err := RunTLBOnly(testSource(t, name), f.New(), cfg)
@@ -55,8 +56,70 @@ func TestRunEquivalence(t *testing.T) {
 			t.Errorf("%s: replayed Run %+v != RunTLBOnly %+v", f.Name, replayed, want)
 		}
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d streams, want 1 (one capture shared across policies)", cache.Len())
+	if d := obsCaptures.Value() - misses0; d != uint64(len(factories)) {
+		t.Errorf("ran %d captures, want %d (one per cached Run)", d, len(factories))
+	}
+}
+
+// obsCaptures and obsDiskLoads are the stream cache's capture and
+// capture-directory load counters.
+var (
+	obsCaptures  = obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	obsDiskLoads = obs.Default.Counter("chirp_l2stream_cache_disk_hits_total", "")
+)
+
+// TestRunCapturesPerCall: a stream cache keeps no stream between
+// calls. Two Runs on an in-memory cache capture twice; on a persistent
+// cache the second is a load from the capture directory. Every call
+// gets a stream of its own, and the results agree.
+func TestRunCapturesPerCall(t *testing.T) {
+	w := workloads.ByName("db-000")
+	cfg := DefaultTLBOnlyConfig(testInstr)
+	ctx := context.Background()
+	persistent, err := l2stream.NewPersistent(0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                   string
+		cache                  *l2stream.Cache
+		wantCaptures, wantLoad uint64
+	}{
+		{"memory", l2stream.NewCache(0), 2, 0},
+		{"persistent", persistent, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := RunSpec{Workload: w, Policy: mustFactoryFor(t, "chirp"), Config: cfg, Cache: tc.cache}
+			captures0, loads0 := obsCaptures.Value(), obsDiskLoads.Value()
+			first, err := Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first != second {
+				t.Errorf("the two runs differ:\n first:  %+v\n second: %+v", first, second)
+			}
+			if d := obsCaptures.Value() - captures0; d != tc.wantCaptures {
+				t.Errorf("two runs captured %d times, want %d", d, tc.wantCaptures)
+			}
+			if d := obsDiskLoads.Value() - loads0; d != tc.wantLoad {
+				t.Errorf("two runs loaded %d streams from disk, want %d", d, tc.wantLoad)
+			}
+			a, err := StreamFor(tc.cache, w.Name, "", cfg, spec.open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := StreamFor(tc.cache, w.Name, "", cfg, spec.open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a == b {
+				t.Error("two StreamFor calls returned one stream")
+			}
+		})
 	}
 }
 
@@ -90,7 +153,6 @@ func TestRunTraceFileWorkload(t *testing.T) {
 			spec := RunSpec{Workload: w, Policy: NewLRUFactory(t), Config: cfg}
 			if cached {
 				spec.Cache = l2stream.NewCache(0)
-				defer spec.Cache.Close()
 			}
 			got, err := Run(ctx, spec)
 			if err != nil {
@@ -166,7 +228,6 @@ func TestRunClosesOpenedSources(t *testing.T) {
 				spec := RunSpec{Workload: c.workload(t), Config: cfg}
 				if cached {
 					spec.Cache = l2stream.NewCache(0)
-					defer spec.Cache.Close()
 				}
 				var err error
 				if multi {

@@ -45,8 +45,10 @@ func TestRunSpecWorkloadEndToEnd(t *testing.T) {
 	}
 	chirp := factories[0].New
 
-	cache := l2stream.NewCache(0)
-	defer cache.Close()
+	cache, err := l2stream.NewPersistent(0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	comb := c.Combined()
@@ -82,8 +84,8 @@ func TestRunSpecWorkloadEndToEnd(t *testing.T) {
 	}
 
 	// A master-seed override changes the spec hash but not the workload
-	// name; the stream cache must treat it as a new capture rather than
-	// replaying the stale stream.
+	// name; the persistent cache must treat it as a new capture rather
+	// than loading the stale stream from its capture directory.
 	c2, err := spec.Compile(s, spec.Options{Seed: 42, SeedSet: true})
 	if err != nil {
 		t.Fatal(err)
@@ -92,11 +94,11 @@ func TestRunSpecWorkloadEndToEnd(t *testing.T) {
 		t.Fatalf("seed override: hash %s vs %s, name %s vs %s",
 			c2.Hash, c.Hash, c2.Combined().Name, comb.Name)
 	}
-	before := cache.Len()
+	captures0, loads0 := obsCaptures.Value(), obsDiskLoads.Value()
 	if _, err := Run(ctx, RunSpec{Workload: c2.Combined(), Policy: chirp, Config: cfg, Cache: cache}); err != nil {
 		t.Fatalf("seed-overridden combined: %v", err)
 	}
-	if cache.Len() != before+1 {
-		t.Errorf("seed-overridden spec did not get its own capture (cache %d -> %d)", before, cache.Len())
+	if d, l := obsCaptures.Value()-captures0, obsDiskLoads.Value()-loads0; d != 1 || l != 0 {
+		t.Errorf("seed-overridden spec ran %d captures and %d disk loads, want its own capture (1 and 0)", d, l)
 	}
 }

@@ -51,15 +51,15 @@ type SuiteOptions struct {
 	Scope string
 	// StreamCache, when non-nil, puts every cell on the capture/replay
 	// path: one job captures (or, from a persistent cache's directory,
-	// loads) its workload's L2 event stream, serves every cell of the
-	// call from it, and drops it from the cache when it ends, so the
-	// cache holds at most one stream per running job. Each stream
-	// carries RunMulti's replay-result memo for as long as the job
-	// lives, so a (configuration, policy) cell that an earlier pass of
-	// the same call already replayed is served instead of walked again.
-	// A second call captures again unless the cache is persistent.
-	// Nil selects the direct RunTLBOnly reference path for every cell,
-	// as a nil RunSpec.Cache does for one run.
+	// loads) its workload's L2 event stream under the cache's
+	// per-capture byte cap, serves every cell of the call from it, and
+	// lets it go when it ends, so at most one stream per running job is
+	// in memory. Each stream carries RunMulti's replay-result memo for
+	// as long as the job lives, so a (configuration, policy) cell that
+	// an earlier pass of the same call already replayed is served
+	// instead of walked again. A second call captures again unless the
+	// cache is persistent. Nil selects the direct RunTLBOnly reference
+	// path for every cell, as a nil RunSpec.Cache does for one run.
 	StreamCache *l2stream.Cache
 }
 
@@ -103,11 +103,11 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // stream once, fetches in one DerivedAll call every view its passes
 // read (so every missing one builds in a single decode pass), walks
 // each pass through RunMulti's memoized replay, and runs the OPT
-// oracle over the same stream; when it ends it drops the stream from
-// the cache. With a nil cache, and for a pass with a branch observer
-// no stream can drive, the pass runs RunTLBOnly once per policy over
-// a fresh source instead. Every pass must share one capture
-// configuration (CaptureConfig), since a job holds one stream.
+// oracle over the same stream, which dies with the job. With a nil
+// cache, and for a pass with a branch observer no stream can drive,
+// the pass runs RunTLBOnly once per policy over a fresh source
+// instead. Every pass must share one capture configuration
+// (CaptureConfig), since a job holds one stream.
 //
 // The result holds one slice per pass, in RunSuiteTLBOnlyCtx's
 // layout: workload-major, then the pass's policies, then its OPT row.
@@ -199,13 +199,8 @@ type passJob struct {
 // job degrades to one run per cell, so every healthy cell still
 // delivers its row and the error blames the precise cell, as per-cell
 // scheduling would. The returned rows accompany the error; the engine
-// keeps both. The stream leaves the cache when the job ends.
+// keeps both. The stream dies with the job.
 func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
-	defer func() {
-		if j.stream != nil {
-			j.cache.Drop(CaptureKey(j.w.Name, j.w.SpecHash, j.passes[0].Config))
-		}
-	}()
 	rows, err := recovered(func() ([][]SuiteResult, error) { return j.all(ctx) })
 	if err == nil {
 		return rows, nil

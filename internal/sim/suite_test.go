@@ -373,7 +373,6 @@ func TestTraceFileSuiteMatchesGenerator(t *testing.T) {
 			var cache *l2stream.Cache
 			if cached {
 				cache = l2stream.NewCache(0)
-				defer cache.Close()
 			}
 			suite := func(w *workloads.Workload) []SuiteResult {
 				rs, err := RunSuiteTLBOnlyCtx(ctx, []*workloads.Workload{w}, pols, DefaultTLBOnlyConfig(testInstr), SuiteOptions{StreamCache: cache})

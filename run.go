@@ -13,9 +13,9 @@ import (
 // for single measurements; MeasureMPKI remains as the minimal one-line
 // convenience.
 type (
-	// RunSpec bundles one TLB-only measurement: workload or source,
-	// policy factory, configuration, and an optional stream cache that
-	// switches Run onto the capture/replay path.
+	// RunSpec bundles one TLB-only measurement: workload, policy
+	// factory, configuration, and an optional stream cache that
+	// switches Run onto the capture/replay path for that one call.
 	RunSpec = sim.RunSpec
 	// TLBOnlyConfig parameterises TLB-only runs (hierarchy, instruction
 	// budget, warmup fraction, prefetch distance).
@@ -26,12 +26,15 @@ type (
 	NamedFactory = sim.NamedFactory
 	// SuiteOptions carries the cross-cutting controls of a suite run
 	// (workers, telemetry sink, checkpoint, stream cache). A nil
-	// StreamCache runs every cell on the direct RunTLBOnly path; pass
-	// NewStreamCache's cache to capture once and replay.
+	// StreamCache runs every cell on the direct RunTLBOnly path; with
+	// NewStreamCache's cache each workload is captured once per call
+	// and replayed under every policy.
 	SuiteOptions = sim.SuiteOptions
 	// SuiteResult is one (workload, policy) suite measurement.
 	SuiteResult = sim.SuiteResult
-	// StreamCache memoises captured L2 event streams across runs.
+	// StreamCache is where captured L2 event streams come from: a
+	// per-capture byte cap, plus a capture directory when one is
+	// configured. It holds no stream in memory between calls.
 	StreamCache = l2stream.Cache
 	// ReuseSample is one completed L2 TLB entry lifetime (inserting PC,
 	// reused before eviction?) — the offline-learning training example.
@@ -41,15 +44,17 @@ type (
 // Run is the context-first simulation entry point: it measures
 // spec.Policy over spec's trace, replaying a captured stream when
 // spec.Cache is set and driving the trace directly otherwise (the two
-// paths are bit-identical).
+// paths are bit-identical). Each call captures its own stream, so
+// comparing several policies on one workload is cheaper as one
+// RunSuite call.
 func Run(ctx context.Context, spec RunSpec) (MPKIResult, error) { return sim.Run(ctx, spec) }
 
 // RunSuite measures each workload under each policy with the TLB-only
 // driver across a worker pool: through opts.StreamCache's
 // capture/replay path when it is set, on the direct path when it is
-// nil (the two are bit-identical). A workload's job drops its stream
-// from the cache when it ends, so an in-memory cache does not carry
-// streams from one call to the next. See SuiteOptions for
+// nil (the two are bit-identical). One job per workload captures its
+// stream once, replays every policy over it and lets it go when it
+// ends, so nothing carries over to the next call. See SuiteOptions for
 // cancellation, checkpointing and the stream's lifetime.
 func RunSuite(ctx context.Context, ws []*Workload, pols []NamedFactory, cfg TLBOnlyConfig, opts SuiteOptions) ([]SuiteResult, error) {
 	return sim.RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, opts)
@@ -64,9 +69,10 @@ func DefaultTLBOnlyConfig(instructions uint64) TLBOnlyConfig {
 // Factories resolves registered policy names into NamedFactory values.
 func Factories(names []string) ([]NamedFactory, error) { return sim.Factories(names) }
 
-// NewStreamCache builds a stream cache with the given in-memory byte
-// budget (<= 0 = 256 MiB). A workload whose capture would exceed the
-// budget runs on the direct path instead, with identical results.
+// NewStreamCache builds a stream cache whose captures may encode at
+// most budget bytes each (<= 0 = 256 MiB). A workload whose capture
+// would exceed the cap runs on the direct path instead, with identical
+// results.
 func NewStreamCache(budget int64) *StreamCache { return l2stream.NewCache(budget) }
 
 // CollectReuseSamples harvests up to max completed L2-entry lifetimes

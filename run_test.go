@@ -45,7 +45,6 @@ func TestRunThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewStreamCache(0)
-	defer cache.Close()
 
 	before := Metrics().Snapshot()
 	for _, f := range factories {
