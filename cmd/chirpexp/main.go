@@ -26,7 +26,8 @@ import (
 )
 
 // runner is one experiment chirpexp can print. A nil run marks a
-// TLB-only experiment: its declaration is experiments.Plans[name].
+// planned experiment (the TLB-only ones and the timing figures): its
+// declaration is experiments.Plans[name].
 type runner struct {
 	name string
 	desc string
@@ -67,13 +68,13 @@ func run(fs *flag.FlagSet, args []string) int {
 	out := os.Stdout
 	runners := []runner{
 		{"fig1", "TLB efficiency heat map (§VI-D)", nil},
-		{"fig2", "speedup vs PC history length (§III)", report(out, experiments.Fig2)},
+		{"fig2", "speedup vs PC history length (§III)", nil},
 		{"fig3", "ADALINE PC-bit salience (§III-A)", report(out, experiments.Fig3)},
 		{"fig6", "feature/optimisation ablation (§III)", nil},
 		{"fig7", "MPKI S-curve and averages (§VI-A)", nil},
-		{"fig8", "speedup at the headline walk penalty (§VI-C)", report(out, experiments.Fig8)},
+		{"fig8", "speedup at the headline walk penalty (§VI-C)", nil},
 		{"fig9", "prediction-table size sweep (§VI-F)", nil},
-		{"fig10", "speedup vs walk penalty (§VI-C)", report(out, experiments.Fig10)},
+		{"fig10", "speedup vs walk penalty (§VI-C)", nil},
 		{"fig11", "prediction-table access-rate density (§VI-B)", nil},
 		{"table1", "CHiRP storage budget", report(out, experiments.Table1)},
 		{"table2", "simulation parameters", func(o experiments.Options) error {
@@ -130,7 +131,7 @@ func run(fs *flag.FlagSet, args []string) int {
 	defer rt.Close()
 
 	// With the stream cache, the merged plan below captures each
-	// workload's L2 event stream once for every TLB-only experiment.
+	// workload's L2 event stream once for every planned experiment.
 	o := experiments.Options{
 		Workloads:    *n,
 		Suite:        suite,
@@ -143,7 +144,7 @@ func run(fs *flag.FlagSet, args []string) int {
 		StreamCache:  rt.Streams,
 	}
 
-	// The TLB-only experiments -exp names merge into one plan, which
+	// The planned experiments -exp names merge into one plan, which
 	// runs when the first of them is due: one engine job per workload
 	// serves all their passes from one capture, then drops it. Each
 	// then prints its reduced result in its turn; a failed merged run

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"github.com/chirplab/chirp/internal/cli"
-	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 	"github.com/chirplab/chirp/internal/workloads"
@@ -145,19 +144,20 @@ func run(fs *flag.FlagSet, args []string) int {
 	}
 	defer rt.Close()
 
-	// One suite job runs every policy over the one workload: the timing
-	// suite drives all L2 TLBs from one front-end pass, and the TLB-only
-	// suite captures (or loads) the stream once and replays every
-	// policy, or — with a nil cache — runs the direct reference per
-	// policy. Rows stay in -policies order, so the first policy remains
-	// the comparison baseline.
+	// One suite job runs every policy over the one workload: it
+	// captures (or loads) the stream once and replays every policy, or
+	// — with a nil cache — runs the direct reference per policy. A
+	// timing run adds one policy-free front-end pass, which the capture
+	// reads the trace through, and derives each policy's timing from it
+	// and the policy's L2 misses at -penalty. Rows stay in -policies
+	// order, so the first policy remains the comparison baseline.
 	ws := []*workloads.Workload{w}
 	opts := sim.SuiteOptions{Workers: rt.Workers, Sink: rt.Sink, Checkpoint: rt.Checkpoint, Scope: "chirpsim", StreamCache: rt.Streams}
 	header := []string{"policy", "MPKI", "vs first", "efficiency", "table rate"}
 	var rows [][]string
 	if *timing {
 		header = []string{"policy", "MPKI", "vs first", "IPC", "speedup", "branch acc"}
-		rs, err := sim.RunSuiteTimingCtx(rt.Ctx, ws, factories, pipeline.DefaultConfig(*instr, *penalty), opts)
+		rs, err := sim.RunSuiteTimingCtx(rt.Ctx, ws, factories, sim.DefaultTLBOnlyConfig(*instr), *penalty, opts)
 		if err != nil {
 			return cli.Exit("chirpsim", err)
 		}

@@ -47,7 +47,7 @@ type Options struct {
 	// experiment namespaces its jobs with a scope, so one file covers
 	// a whole `-exp all` sweep.
 	Checkpoint *engine.Checkpoint
-	// StreamCache puts the TLB-only experiments on the capture/replay
+	// StreamCache puts the planned experiments on the capture/replay
 	// path. Within one call (one experiment, or the merged plans of
 	// RunPlans) each workload is captured once and serves every pass,
 	// the prefetch distances and the OPT oracle included; its stream
@@ -65,14 +65,11 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// suiteOpts assembles the engine-facing options for one suite
-// invocation under a checkpoint scope. A timing experiment passes its
-// own scope; RunPlans passes none, since each sim.Pass carries its
-// own, so the passes of several experiments share one checkpoint file
-// without colliding.
-func (o Options) suiteOpts(scope string) sim.SuiteOptions {
-	return sim.SuiteOptions{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint, Scope: scope,
-		StreamCache: o.StreamCache}
+// suiteOpts assembles the engine-facing options of a RunPlans call.
+// They carry no scope: each sim.Pass carries its own, so the passes of
+// several experiments share one checkpoint file without colliding.
+func (o Options) suiteOpts() sim.SuiteOptions {
+	return sim.SuiteOptions{Workers: o.Workers, Sink: o.Sink, Checkpoint: o.Checkpoint, StreamCache: o.StreamCache}
 }
 
 // DefaultOptions returns a laptop-scale configuration: the full suite
@@ -116,7 +113,7 @@ type PolicyAverages struct {
 // Result is an experiment's printable result.
 type Result interface{ Write(io.Writer) error }
 
-// Plan is a TLB-only experiment split in two: the suite passes it
+// Plan is a suite experiment split in two: the suite passes it
 // declares and the reduction of their rows into its result. RunPlans
 // merges the plans of several experiments into one sim.RunPasses
 // call, so one job per workload serves every experiment's cells from
@@ -128,12 +125,17 @@ type Plan struct {
 	Reduce func(rows [][]sim.SuiteResult) Result
 }
 
-// Plans declares the TLB-only experiments, by chirpexp id.
+// Plans declares the suite experiments, by chirpexp id: the TLB-only
+// ones and the timing figures (Fig. 2, 8 and 10), whose timing passes
+// derive each row from one policy-free front end per workload.
 var Plans = map[string]func(Options) Plan{
 	"fig1":       fig1Plan,
+	"fig2":       fig2Plan,
 	"fig6":       fig6Plan,
 	"fig7":       fig7Plan,
+	"fig8":       fig8Plan,
 	"fig9":       fig9Plan,
+	"fig10":      fig10Plan,
 	"fig11":      fig11Plan,
 	"opt":        optPlan,
 	"baselines":  baselinesPlan,
@@ -149,7 +151,7 @@ func RunPlans(o Options, plans []Plan) ([]Result, error) {
 	for _, p := range plans {
 		passes = append(passes, p.Passes...)
 	}
-	rows, err := sim.RunPasses(o.ctx(), o.suite(), passes, o.suiteOpts(""))
+	rows, err := sim.RunPasses(o.ctx(), o.suite(), passes, o.suiteOpts())
 	if err != nil {
 		return nil, err
 	}

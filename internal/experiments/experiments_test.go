@@ -131,10 +131,35 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	}
 }
 
-// TestMergedPlanMatchesSoloExperiments: every TLB-only experiment,
-// merged into one plan, prints what it prints run on its own.
+// TestFig8CellsAreFig7MemoHits: Figure 8's timing pass measures
+// Figure 7's cells, so merged with Figure 7 each workload captures once
+// and all six of its cells are memo hits. The output must equal a
+// nil-cache run's.
+func TestFig8CellsAreFig7MemoHits(t *testing.T) {
+	const workloads = 2
+	o := tiny(t)
+	o.Workloads, o.Instructions = workloads, 200_000
+	hits := obs.Default.Counter("chirp_replay_memo_hits_total", "")
+	captures := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	hits0, captures0 := hits.Value(), captures.Value()
+	replay := writePlans(t, o, "fig7", "fig8")
+	if d := captures.Value() - captures0; d != workloads {
+		t.Errorf("captures = %d, want %d (one per workload)", d, workloads)
+	}
+	if d := hits.Value() - hits0; d != 6*workloads {
+		t.Errorf("memo hits = %d, want %d (Figure 8's six cells per workload)", d, 6*workloads)
+	}
+	o.StreamCache = nil
+	if direct := writePlans(t, o, "fig7", "fig8"); direct != replay {
+		t.Errorf("replayed output differs from the nil-cache run:\n replay:\n%s\n direct:\n%s", replay, direct)
+	}
+}
+
+// TestMergedPlanMatchesSoloExperiments: every planned experiment,
+// the timing figures included, merged into one plan, prints what it
+// prints run on its own.
 func TestMergedPlanMatchesSoloExperiments(t *testing.T) {
-	ids := []string{"fig1", "fig6", "fig7", "fig9", "fig11", "opt", "baselines", "prefetch", "categories"}
+	ids := []string{"fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "opt", "baselines", "prefetch", "categories"}
 	if len(ids) != len(Plans) {
 		t.Fatalf("%d plans declared, the test covers %d", len(Plans), len(ids))
 	}
@@ -160,7 +185,7 @@ func TestMPKISweepsOneSuiteMatchPerPolicySuites(t *testing.T) {
 	solo := tiny(t)
 	solo.Workloads = 4
 	mean := func(p sim.NamedFactory, cfg sim.TLBOnlyConfig) float64 {
-		rows, err := sim.RunSuiteTLBOnlyCtx(solo.ctx(), solo.suite(), []sim.NamedFactory{p}, cfg, solo.suiteOpts(""))
+		rows, err := sim.RunSuiteTLBOnlyCtx(solo.ctx(), solo.suite(), []sim.NamedFactory{p}, cfg, solo.suiteOpts())
 		if err != nil {
 			t.Fatal(err)
 		}

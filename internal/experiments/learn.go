@@ -191,7 +191,7 @@ func Walker(o Options) (*WalkerResult, error) {
 	w := ws[0]
 	res := &WalkerResult{}
 
-	fixed := o.timingCfg(o.WalkPenalty)
+	fixed := pipeline.DefaultConfig(o.Instructions, o.WalkPenalty)
 	m, err := pipeline.New(fixed, mustFactory("lru")(), mustFactory("lru"))
 	if err != nil {
 		return nil, err
@@ -202,7 +202,7 @@ func Walker(o Options) (*WalkerResult, error) {
 	}
 	res.FixedIPC = fr.IPC
 
-	radix := o.timingCfg(o.WalkPenalty)
+	radix := fixed
 	radix.UseRadixWalker = true
 	radix.PSC = paging.PSCConfig{EntriesPerLevel: 32}
 	m2, err := pipeline.New(radix, mustFactory("lru")(), mustFactory("lru"))

@@ -3,60 +3,53 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/chirplab/chirp/internal/core"
-	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/stats"
 )
 
-// timingCfg builds the pipeline configuration for an Options value.
-func (o Options) timingCfg(penalty uint64) pipeline.Config {
-	return pipeline.DefaultConfig(o.Instructions, penalty)
+// timingPlan declares a timing figure: one timing pass of pols under
+// scope, reduced by reduce from its rows.
+func timingPlan(o Options, scope string, pols []sim.NamedFactory, reduce func(rows []sim.SuiteResult) Result) Plan {
+	return Plan{
+		Passes: []sim.Pass{{Scope: scope, Config: o.tlbCfg(), Policies: pols, Timing: true}},
+		Reduce: func(rows [][]sim.SuiteResult) Result { return reduce(rows[0]) },
+	}
 }
 
-// timingSuite runs the fused timing suite for pols at the given walk
-// penalty under one checkpoint scope and returns its rows plus the
-// workload names in suite order.
-func timingSuite(o Options, scope string, pols []sim.NamedFactory, penalty uint64) ([]sim.TimingResult, []string, error) {
-	ws := o.suite()
-	rows, err := sim.RunSuiteTimingCtx(o.ctx(), ws, pols, o.timingCfg(penalty), o.suiteOpts(scope))
-	if err != nil {
-		return nil, nil, err
-	}
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-	}
-	return rows, names, nil
-}
-
-// speedups returns, per policy name, the per-workload ratio of ipc(row)
-// to the "lru" row's (lru must be among pols), in the order of names.
-func speedups(rows []sim.TimingResult, names []string, pols []sim.NamedFactory, ipc func(sim.TimingResult) float64) map[string][]float64 {
-	byPolicy := map[string]map[string]float64{} // policy → workload → IPC
-	for _, r := range rows {
-		if byPolicy[r.Policy] == nil {
-			byPolicy[r.Policy] = map[string]float64{}
-		}
-		byPolicy[r.Policy][r.Workload] = ipc(r)
-	}
+// speedups returns, per policy of pols, the per-workload ratio of a
+// timing pass's IPC at penalty to the "lru" row's (lru must be among
+// pols), in suite order, and the workload names in that order.
+func speedups(rows []sim.SuiteResult, pols []sim.NamedFactory, penalty uint64) (map[string][]float64, []string) {
+	lru := slices.IndexFunc(pols, func(p sim.NamedFactory) bool { return p.Name == "lru" })
 	out := map[string][]float64{}
-	for _, p := range pols {
-		ratios := make([]float64, len(names))
-		for i, wn := range names {
-			base := byPolicy["lru"][wn]
+	var names []string
+	for w := 0; w < len(rows); w += len(pols) {
+		names = append(names, rows[w].Workload)
+		base := rows[w+lru].Timing(penalty).IPC
+		for j, p := range pols {
+			ratio := 0.0
 			if base > 0 {
-				ratios[i] = byPolicy[p.Name][wn] / base
+				ratio = rows[w+j].Timing(penalty).IPC / base
 			}
+			out[p.Name] = append(out[p.Name], ratio)
 		}
-		out[p.Name] = ratios
+	}
+	return out, names
+}
+
+// geoMeanPcts maps each policy to its geometric-mean speedup in
+// percent.
+func geoMeanPcts(ratios map[string][]float64) map[string]float64 {
+	out := map[string]float64{}
+	//chirp:allow determinism each key writes only its own geomean, so order cannot escape
+	for p, rs := range ratios {
+		out[p] = (stats.GeoMean(rs) - 1) * 100
 	}
 	return out
 }
-
-// measuredIPC is a row's IPC at the penalty its suite ran with.
-func measuredIPC(r sim.TimingResult) float64 { return r.IPC }
 
 // Fig8Result is the Figure 8 data: per-workload speedup over LRU at a
 // 150-cycle walk penalty, with geometric means (§VI-C).
@@ -74,26 +67,25 @@ type Fig8Result struct {
 }
 
 // Fig8 reproduces Figure 8 (speedup for the suite at WalkPenalty).
-func Fig8(o Options) (*Fig8Result, error) {
+func Fig8(o Options) (*Fig8Result, error) { return runPlan[*Fig8Result](o, fig8Plan(o)) }
+
+// fig8Plan declares Figure 8: the paper's six policies in one timing
+// pass, scope "fig8". Its cells are Figure 7's, so a merged plan
+// serves them from the replay memo.
+func fig8Plan(o Options) Plan {
 	pols := policies(sim.PaperPolicies...)
-	rows, names, err := timingSuite(o, "fig8", pols, o.WalkPenalty)
-	if err != nil {
-		return nil, err
-	}
-	ratios := speedups(rows, names, pols, measuredIPC)
-	res := &Fig8Result{
-		Penalty:    o.WalkPenalty,
-		Curve:      &stats.SCurve{Labels: names, Series: ratios, Order: "chirp"},
-		GeoMeanPct: map[string]float64{},
-		Order:      sim.PaperPolicies,
-	}
-	//chirp:allow determinism each key writes only its own geomean, so order cannot escape
-	for p, rs := range ratios {
-		res.GeoMeanPct[p] = (stats.GeoMean(rs) - 1) * 100
-	}
-	lo, hi := stats.BootstrapCI(ratios["chirp"], 1000, 0.95, 42)
-	res.CHiRPCILo, res.CHiRPCIHi = (lo-1)*100, (hi-1)*100
-	return res, nil
+	return timingPlan(o, "fig8", pols, func(rows []sim.SuiteResult) Result {
+		ratios, names := speedups(rows, pols, o.WalkPenalty)
+		res := &Fig8Result{
+			Penalty:    o.WalkPenalty,
+			Curve:      &stats.SCurve{Labels: names, Series: ratios, Order: "chirp"},
+			GeoMeanPct: geoMeanPcts(ratios),
+			Order:      sim.PaperPolicies,
+		}
+		lo, hi := stats.BootstrapCI(ratios["chirp"], 1000, 0.95, 42)
+		res.CHiRPCILo, res.CHiRPCIHi = (lo-1)*100, (hi-1)*100
+		return res
+	})
 }
 
 // Write renders the geomean table and the speedup CSV.
@@ -131,39 +123,25 @@ var fig10Penalties = []uint64{20, 60, 100, 150, 200, 260, 320, 340}
 // latencies predictive policies' advantage grows; CHiRP exceeds 10%
 // above ~320 cycles.
 //
-// The flat walk penalty adds latency and nothing else, so a policy's
-// post-warmup cycles at penalty P are its cycles at the lowest penalty
-// plus its post-warmup L2 TLB misses × the difference (pinned by the
-// pipeline's TestTimingCyclesLinearInPenalty). Fig10 therefore runs
-// the suite once, at the lowest penalty, under the checkpoint scope
-// "fig10", and derives every penalty's IPC from that pass's integer
-// cycles: the same integers a run at each penalty would produce.
-// Checkpoint rows recorded under the per-penalty "fig10/penalty=N"
-// scopes of earlier versions are not reused; those workloads rerun.
-func Fig10(o Options) (*Fig10Result, error) {
+// The flat walk penalty adds latency and nothing else, so one timing
+// pass, under the checkpoint scope "fig10", serves every penalty: each
+// row is derived at each penalty (sim.SuiteResult.Timing), giving the
+// integers a run at that penalty produces. Checkpoint rows recorded
+// under the per-penalty "fig10/penalty=N" scopes of earlier versions,
+// or by the multi-unit timing machine, are not reused; those workloads
+// rerun.
+func Fig10(o Options) (*Fig10Result, error) { return runPlan[*Fig10Result](o, fig10Plan(o)) }
+
+func fig10Plan(o Options) Plan {
 	pols := policies(sim.PaperPolicies...)
-	ran := fig10Penalties[0]
-	rows, names, err := timingSuite(o, "fig10", pols, ran)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig10Result{Order: sim.PaperPolicies}
-	for _, penalty := range fig10Penalties {
-		extra := penalty - ran
-		ratios := speedups(rows, names, pols, func(r sim.TimingResult) float64 {
-			if cycles := r.Cycles + r.L2TLBMisses*extra; cycles > 0 {
-				return float64(r.Instructions) / float64(cycles)
-			}
-			return 0
-		})
-		pt := Fig10Point{Penalty: penalty, GeoMeanPct: map[string]float64{}}
-		//chirp:allow determinism each key writes only its own geomean, so order cannot escape
-		for p, rs := range ratios {
-			pt.GeoMeanPct[p] = (stats.GeoMean(rs) - 1) * 100
+	return timingPlan(o, "fig10", pols, func(rows []sim.SuiteResult) Result {
+		res := &Fig10Result{Order: sim.PaperPolicies}
+		for _, penalty := range fig10Penalties {
+			ratios, _ := speedups(rows, pols, penalty)
+			res.Points = append(res.Points, Fig10Point{Penalty: penalty, GeoMeanPct: geoMeanPcts(ratios)})
 		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
+		return res
+	})
 }
 
 // Write renders the sweep, one row per penalty, plus a chart of the
@@ -216,13 +194,15 @@ var fig2Lengths = []int{4, 8, 12, 16, 24, 32, 40}
 // around length 15; combining branch histories lets CHiRP exploit
 // effective lengths beyond 30.
 //
-// Every length's path-only and combined CHiRP ride one fused suite
-// beside a single LRU, under the checkpoint scope "fig2": each L2 unit
-// of a fused pass behaves exactly as a solo run, so one front-end pass
-// per workload serves all fifteen policies. Checkpoint rows recorded
-// under the per-length "fig2/len=N" scopes of earlier versions are not
-// reused; those workloads rerun.
-func Fig2(o Options) (*Fig2Result, error) {
+// Every length's path-only and combined CHiRP ride one timing pass
+// beside a single LRU, under the checkpoint scope "fig2", so one
+// front-end pass per workload serves all fifteen policies. Checkpoint
+// rows recorded under the per-length "fig2/len=N" scopes of earlier
+// versions, or by the multi-unit timing machine, are not reused; those
+// workloads rerun.
+func Fig2(o Options) (*Fig2Result, error) { return runPlan[*Fig2Result](o, fig2Plan(o)) }
+
+func fig2Plan(o Options) Plan {
 	pols := policies("lru")
 	for _, length := range fig2Lengths {
 		pathOnly, combined := fig2Variants(length)
@@ -231,23 +211,21 @@ func Fig2(o Options) (*Fig2Result, error) {
 			sim.NamedFactory{Name: fig2Name("combined", length), New: sim.CHiRPFactory(combined)},
 		)
 	}
-	rows, names, err := timingSuite(o, "fig2", pols, o.WalkPenalty)
-	if err != nil {
-		return nil, err
-	}
-	// speedups orders each policy's ratios by the suite, so the
-	// geomean's log-sum is the same on every run.
-	ratios := speedups(rows, names, pols, measuredIPC)
-	ratio := func(p string) float64 { return (stats.GeoMean(ratios[p]) - 1) * 100 }
-	res := &Fig2Result{}
-	for _, length := range fig2Lengths {
-		res.Points = append(res.Points, Fig2Point{
-			Length:      length,
-			PathOnlyPct: ratio(fig2Name("path-only", length)),
-			CombinedPct: ratio(fig2Name("combined", length)),
-		})
-	}
-	return res, nil
+	return timingPlan(o, "fig2", pols, func(rows []sim.SuiteResult) Result {
+		// speedups orders each policy's ratios by the suite, so the
+		// geomean's log-sum is the same on every run.
+		ratios, _ := speedups(rows, pols, o.WalkPenalty)
+		pct := geoMeanPcts(ratios)
+		res := &Fig2Result{}
+		for _, length := range fig2Lengths {
+			res.Points = append(res.Points, Fig2Point{
+				Length:      length,
+				PathOnlyPct: pct[fig2Name("path-only", length)],
+				CombinedPct: pct[fig2Name("combined", length)],
+			})
+		}
+		return res
+	})
 }
 
 // fig2Variants returns Figure 2's two CHiRP configurations at one

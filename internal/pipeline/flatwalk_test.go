@@ -13,31 +13,31 @@ var flatWalkWorkloads = []string{"spec-000", "db-003", "crypto-000", "sci-000", 
 
 const flatWalkInstr = 400_000
 
-// fusedRun drives one machine carrying every registered policy and
-// returns its results in sim.PolicyNames order.
-func fusedRun(t *testing.T, workload string, penalty uint64) []pipeline.Result {
+// soloRuns runs one machine per registered policy and returns their
+// results in sim.PolicyNames order.
+func soloRuns(t *testing.T, workload string, penalty uint64) []pipeline.Result {
 	t.Helper()
 	pols, err := sim.Factories(sim.PolicyNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := fusedMachine(t, pipeline.DefaultConfig(flatWalkInstr, penalty), pols).RunMulti(source(t, workload, flatWalkInstr))
-	if err != nil {
-		t.Fatal(err)
+	out := make([]pipeline.Result, len(pols))
+	for i, p := range pols {
+		out[i] = soloRun(t, pipeline.DefaultConfig(flatWalkInstr, penalty), workload, p.New())
 	}
-	return rs
+	return out
 }
 
 // TestTimingMissesMatchTLBOnly: under the flat walk penalty the L2 TLB
 // sees the same access stream as in a TLB-only run, so every policy's
 // post-warmup L2 misses in the timing pipeline equal RunTLBOnly's. This
-// is what lets a timing result take its miss count from the MPKI
-// figures' replay.
+// is what lets a timing row take its miss count from the MPKI figures'
+// replay.
 func TestTimingMissesMatchTLBOnly(t *testing.T) {
 	names := sim.PolicyNames()
 	for _, workload := range flatWalkWorkloads {
 		t.Run(workload, func(t *testing.T) {
-			rs := fusedRun(t, workload, 150)
+			rs := soloRuns(t, workload, 150)
 			for i, name := range names {
 				p, err := sim.NewPolicy(name)
 				if err != nil {
@@ -63,7 +63,7 @@ func TestTimingCyclesLinearInPenalty(t *testing.T) {
 	names := sim.PolicyNames()
 	for _, workload := range flatWalkWorkloads {
 		t.Run(workload, func(t *testing.T) {
-			low, high := fusedRun(t, workload, lo), fusedRun(t, workload, hi)
+			low, high := soloRuns(t, workload, lo), soloRuns(t, workload, hi)
 			for i, name := range names {
 				if low[i].L2TLBMisses != high[i].L2TLBMisses {
 					t.Errorf("%s: L2 misses moved with the penalty: %d at %d, %d at %d", name, low[i].L2TLBMisses, lo, high[i].L2TLBMisses, hi)

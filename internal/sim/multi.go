@@ -187,13 +187,14 @@ func finishReplay(stream *l2stream.Stream, p tlb.Policy, t *tlb.TLB, warm tlb.St
 	publishRun(p, t)
 	st := t.Stats()
 	res := TLBOnlyResult{
-		Policy:       p.Name(),
-		Instructions: stream.Instructions() - stream.WarmupInstructions(),
-		L2Accesses:   st.Accesses,
-		L2Misses:     st.Misses - warm.Misses,
-		Efficiency:   st.Efficiency(),
-		L1IMisses:    stream.L1IMisses(),
-		L1DMisses:    stream.L1DMisses(),
+		Policy:        p.Name(),
+		Instructions:  stream.Instructions() - stream.WarmupInstructions(),
+		L2Accesses:    st.Accesses,
+		L2Misses:      st.Misses - warm.Misses,
+		L2TotalMisses: st.Misses,
+		Efficiency:    st.Efficiency(),
+		L1IMisses:     stream.L1IMisses(),
+		L1DMisses:     stream.L1DMisses(),
 	}
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.L2Misses) / (float64(res.Instructions) / 1000)
@@ -319,7 +320,7 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 	var stream *l2stream.Stream
 	if replayable(ps) {
 		var err error
-		if stream, err = spec.stream(); err != nil {
+		if stream, err = spec.stream(spec.open); err != nil {
 			return nil, err
 		}
 	}

@@ -59,7 +59,7 @@ func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
 	if err := spec.validate(); err != nil {
 		return TLBOnlyResult{}, err
 	}
-	stream, err := spec.stream()
+	stream, err := spec.stream(spec.open)
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}

@@ -53,14 +53,15 @@ func closeSource(src trace.Source) {
 }
 
 // stream returns the captured stream of spec's workload from
-// spec.Cache. It is nil, with no error, when there is no cache or the
-// capture is over the cache's byte cap: the run then takes the direct
-// path.
-func (s *RunSpec) stream() (*l2stream.Stream, error) {
+// spec.Cache, capturing from the source open returns (s.open, or a
+// source teed into a timing front end). It is nil, with no error, when
+// there is no cache or the capture is over the cache's byte cap: the
+// run then takes the direct path.
+func (s *RunSpec) stream(open func() (trace.Source, error)) (*l2stream.Stream, error) {
 	if s.Cache == nil {
 		return nil, nil
 	}
-	stream, err := StreamFor(s.Cache, s.Workload.Name, s.Workload.SpecHash, s.Config, s.open)
+	stream, err := StreamFor(s.Cache, s.Workload.Name, s.Workload.SpecHash, s.Config, open)
 	if errors.Is(err, l2stream.ErrOverBudget) {
 		return nil, nil
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/chirplab/chirp/internal/l2stream"
-	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
@@ -172,8 +171,7 @@ func TestRunSuiteTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig(testInstr, 150)
-	results, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
+	results, err := RunSuiteTimingCtx(context.Background(), ws, pols, DefaultTLBOnlyConfig(testInstr), 150, SuiteOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

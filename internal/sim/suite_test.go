@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/chirplab/chirp/internal/engine"
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
@@ -206,7 +208,8 @@ func TestSuiteCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 // timingCells is the per-cell reference for the timing suite: one
-// solo machine per (workload, policy), in workload-major order.
+// pipeline.New machine per (workload, policy), in workload-major
+// order, with L2TLBStats zeroed as suite rows leave it.
 func timingCells(t *testing.T, ws []*workloads.Workload, pols []NamedFactory, cfg pipeline.Config) []TimingResult {
 	t.Helper()
 	var out []TimingResult
@@ -221,54 +224,91 @@ func timingCells(t *testing.T, ws []*workloads.Workload, pols []NamedFactory, cf
 				t.Fatal(err)
 			}
 			res.Policy = p.Name
+			res.L2TLBStats = tlb.Stats{}
 			out = append(out, TimingResult{Workload: w.Name, Category: w.Category, Profile: w.Profile(), Result: res})
 		}
 	}
 	return out
 }
 
-// TestRunSuiteTimingFused pins the fused timing suite (one front-end
-// pass per workload) to the per-cell reference: same rows in the same
-// workload-major order, per-cell blame for a panicking policy with its
-// siblings' rows intact, byte-identical rows after a checkpoint
-// resume, and a radix-walker suite limited to one policy.
-func TestRunSuiteTimingFused(t *testing.T) {
-	ws := workloads.SuiteN(3)
-	pols, err := Factories([]string{"lru", "srrip", "ghrp", "chirp"})
+// TestTimingRowsMatchPipeline is the suite timing path's exactness
+// gate. For every registered policy on four categories, each row the
+// suite derives from the policy-free front end and the policy's
+// TLB-only row equals the one-policy pipeline.New machine's result
+// field for field (L2TLBStats, which suite rows leave zero, aside),
+// however the job got its front end and its rows: a cold cache, whose
+// capture reads the trace through the front end; a warm persistent
+// cache, where the front end runs alone beside loaded streams; a cap
+// below every stream's size, so each capture fails with ErrOverBudget
+// partway through and the rows come from RunTLBOnly; and a nil cache.
+// A panicking policy is blamed on its cell, and its siblings' rows
+// still match.
+func TestTimingRowsMatchPipeline(t *testing.T) {
+	ctx := context.Background()
+	var ws []*workloads.Workload
+	for _, name := range []string{"spec-000", "db-003", "web-000", "ml-000"} {
+		ws = append(ws, workloads.ByName(name))
+	}
+	pols, err := Factories(PolicyNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig(testInstr, 150)
+	cfg := DefaultTLBOnlyConfig(testInstr)
+	want := timingCells(t, ws, pols, pipeline.DefaultConfig(testInstr, 150))
 
-	t.Run("matches per-cell reference", func(t *testing.T) {
-		got, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := timingCells(t, ws, pols, cfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("fused suite diverged from per-cell reference:\ngot:  %+v\nwant: %+v", got, want)
-		}
-	})
-
-	t.Run("radix suite takes one policy", func(t *testing.T) {
-		radix := cfg
-		radix.UseRadixWalker = true
-		radix.PSC.EntriesPerLevel = 32
-		if _, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[:2], radix, SuiteOptions{Workers: 1}); err == nil {
-			t.Error("a two-policy radix suite ran")
-		}
-		got, err := RunSuiteTimingCtx(context.Background(), ws[:2], pols[3:], radix, SuiteOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := timingCells(t, ws[:2], pols[3:], radix); !reflect.DeepEqual(got, want) {
-			t.Errorf("radix suite diverged from per-cell reference:\ngot:  %+v\nwant: %+v", got, want)
-		}
-	})
+	smallest := int64(math.MaxInt64)
+	for _, w := range ws {
+		smallest = min(smallest, captureFor(t, w.Name, cfg).FootprintBytes())
+	}
+	dir := t.TempDir()
+	misses := obs.Default.Counter("chirp_l2stream_cache_misses_total", "")
+	spills := obs.Default.Counter("chirp_l2stream_cache_spills_total", "")
+	for _, c := range []struct {
+		name            string
+		cache           func() *l2stream.Cache
+		captures, overs int
+	}{
+		{"cold", func() *l2stream.Cache { return l2stream.NewCache(0) }, len(ws), 0},
+		{"warm", func() *l2stream.Cache {
+			cache, err := l2stream.NewPersistent(0, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunSuiteTLBOnlyCtx(ctx, ws, pols, cfg, SuiteOptions{StreamCache: cache}); err != nil {
+				t.Fatal(err)
+			}
+			return cache
+		}, 0, 0},
+		{"over-budget", func() *l2stream.Cache { return l2stream.NewCache(smallest / 2) }, len(ws), len(ws)},
+		{"nil", func() *l2stream.Cache { return nil }, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cache := c.cache()
+			m, o := misses.Value(), spills.Value()
+			got, err := RunSuiteTimingCtx(ctx, ws, pols, cfg, 150, SuiteOptions{Workers: 2, StreamCache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := misses.Value() - m; d != uint64(c.captures) {
+				t.Errorf("%d captures, want %d", d, c.captures)
+			}
+			if d := spills.Value() - o; d != uint64(c.overs) {
+				t.Errorf("%d over-budget captures, want %d", d, c.overs)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d rows, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s/%s: suite row diverged from pipeline.New:\n got:  %+v\n want: %+v", want[i].Workload, want[i].Policy, got[i], want[i])
+				}
+			}
+		})
+	}
 
 	t.Run("panic blames its cell", func(t *testing.T) {
-		withPanic := []NamedFactory{pols[0], {Name: "panic-pol", New: func() tlb.Policy { return panicPolicy{} }}, pols[3]}
-		got, err := RunSuiteTimingCtx(context.Background(), ws[:1], withPanic, cfg, SuiteOptions{Workers: 1})
+		withPanic := []NamedFactory{pols[0], {Name: "panic-pol", New: func() tlb.Policy { return panicPolicy{} }}, pols[len(pols)-1]}
+		got, err := RunSuiteTimingCtx(ctx, ws[:1], withPanic, cfg, 150, SuiteOptions{Workers: 1, StreamCache: l2stream.NewCache(0)})
 		var je *engine.JobError
 		if !errors.As(err, &je) {
 			t.Fatalf("error %v carries no job identity", err)
@@ -280,60 +320,11 @@ func TestRunSuiteTimingFused(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("error %v does not expose the panic", err)
 		}
-		want := timingCells(t, ws[:1], []NamedFactory{pols[0], pols[3]}, cfg)
-		if len(got) != 3 || !reflect.DeepEqual(got[0], want[0]) || !reflect.DeepEqual(got[2], want[1]) {
-			t.Errorf("sibling rows differ from their solo runs:\ngot:  %+v\nwant: %+v", got, want)
+		if len(got) != 3 || !reflect.DeepEqual(got[0], want[0]) || !reflect.DeepEqual(got[2], want[len(pols)-1]) {
+			t.Errorf("sibling rows differ from their solo runs:\ngot:  %+v", got)
 		}
 		if got[1] != (TimingResult{}) {
 			t.Errorf("panicking cell left a row: %+v", got[1])
-		}
-	})
-
-	t.Run("checkpoint resume", func(t *testing.T) {
-		clean, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := t.TempDir() + "/timing.ckpt"
-		ck, err := engine.Open(path, "timing-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		_, err = RunSuiteTimingCtx(ctx, ws, pols, cfg, SuiteOptions{Workers: 1, Sink: &cancelAfter{n: 1, cancel: cancel}, Checkpoint: ck})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("interrupted run error = %v, want context.Canceled", err)
-		}
-		// One job per workload: the checkpoint holds whole workloads.
-		if ck.Len() < 1 || ck.Len() >= len(ws) {
-			t.Fatalf("checkpoint holds %d rows, want a strict mid-run subset of %d", ck.Len(), len(ws))
-		}
-		ck.Close()
-
-		ck2, err := engine.Open(path, "timing-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ck2.Close()
-		var c engine.Counters
-		resumed, err := RunSuiteTimingCtx(context.Background(), ws, pols, cfg, SuiteOptions{Workers: 2, Sink: &c, Checkpoint: ck2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Resumed.Load() < 1 || int(c.Resumed.Load()+c.Done.Load()) != len(ws) {
-			t.Errorf("resume restored %d and ran %d jobs, want >= 1 restored of %d", c.Resumed.Load(), c.Done.Load(), len(ws))
-		}
-		cleanJSON, err := json.Marshal(clean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumedJSON, err := json.Marshal(resumed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cleanJSON, resumedJSON) {
-			t.Errorf("resumed output diverged from uninterrupted run:\nclean:   %s\nresumed: %s", cleanJSON, resumedJSON)
 		}
 	})
 }
@@ -392,7 +383,7 @@ func TestTraceFileSuiteMatchesGenerator(t *testing.T) {
 
 	t.Run("timing", func(t *testing.T) {
 		timing := func(w *workloads.Workload) []TimingResult {
-			rs, err := RunSuiteTimingCtx(ctx, []*workloads.Workload{w}, pols, pipeline.DefaultConfig(testInstr, 150), SuiteOptions{})
+			rs, err := RunSuiteTimingCtx(ctx, []*workloads.Workload{w}, pols, DefaultTLBOnlyConfig(testInstr), 150, SuiteOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

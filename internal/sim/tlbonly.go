@@ -1,7 +1,9 @@
 // Package sim provides the simulation drivers: a fast TLB-only driver
 // for MPKI experiments (the paper's Figure 6/7/9/11 numbers need no
-// timing model), the full timing driver built on internal/pipeline,
-// and suite runners that fan workloads across policies.
+// timing model) and the suite runner that fans workloads across
+// policies. A timing pass of the suite runner adds one policy-free
+// front-end pass of internal/pipeline per workload, from which each
+// TLB-only row derives its timing result at any flat walk penalty.
 package sim
 
 import (
@@ -68,8 +70,11 @@ type TLBOnlyResult struct {
 	Instructions uint64 // measured (post-warmup) instructions
 	L2Accesses   uint64 // total, including warmup
 	L2Misses     uint64 // post-warmup misses
-	MPKI         float64
-	Efficiency   float64
+	// L2TotalMisses counts the whole run's misses, warmup included: a
+	// timing row's page walks.
+	L2TotalMisses uint64
+	MPKI          float64
+	Efficiency    float64
 	// TableReads/Writes and TableAccessRate cover the whole run for
 	// policies with prediction tables (Figure 11's metric).
 	TableReads      uint64
@@ -154,13 +159,14 @@ func RunTLBOnly(src trace.Source, l2p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyRes
 	publishRun(l2p, l1i, l1d, l2)
 	st := l2.Stats()
 	res := TLBOnlyResult{
-		Policy:       l2p.Name(),
-		Instructions: instructions - warmInstrAt,
-		L2Accesses:   st.Accesses,
-		L2Misses:     st.Misses - warmStats.Misses,
-		Efficiency:   st.Efficiency(),
-		L1IMisses:    l1i.Stats().Misses - warmI.Misses,
-		L1DMisses:    l1d.Stats().Misses - warmD.Misses,
+		Policy:        l2p.Name(),
+		Instructions:  instructions - warmInstrAt,
+		L2Accesses:    st.Accesses,
+		L2Misses:      st.Misses - warmStats.Misses,
+		L2TotalMisses: st.Misses,
+		Efficiency:    st.Efficiency(),
+		L1IMisses:     l1i.Stats().Misses - warmI.Misses,
+		L1DMisses:     l1d.Stats().Misses - warmD.Misses,
 	}
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.L2Misses) / (float64(res.Instructions) / 1000)

@@ -267,9 +267,9 @@ var arrayPool = struct {
 }{free: make([]tlbArrays, 0, maxPooledArrays)}
 
 // maxPooledArrays bounds the free list, which never shrinks: it is
-// the most array sets the process keeps for reuse. A fused timing
-// machine holds 13 TLBs (two L1s and one L2 per registered policy) and
-// each replay worker one, so this covers a few machines' worth.
+// the most array sets the process keeps for reuse. A timing machine
+// holds at most three TLBs (two L1s and an L2) and each replay worker
+// one, so this covers many jobs' worth.
 const maxPooledArrays = 64
 
 // popArrays takes the most recently released arrays, if any.
