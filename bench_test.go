@@ -552,10 +552,9 @@ func BenchmarkSweepPersistent(b *testing.B) {
 
 // BenchmarkSweepWorkers measures multi-worker sweep scaling over the
 // capture+replay path: the full Figure 7 policy set across a suite
-// prefix, at increasing engine worker counts. Workers share each
-// workload's captured stream (single-flight capture, memoized decode
-// views), so scaling is limited only by the policy simulations
-// themselves.
+// prefix, at increasing engine worker counts. Each workload's job
+// captures its own stream and builds its views once, so workers share
+// nothing and scaling is limited only by the simulations themselves.
 func BenchmarkSweepWorkers(b *testing.B) {
 	ws := workloads.SuiteN(8)
 	cfg := sim.DefaultTLBOnlyConfig(400_000)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,6 +130,51 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 	o.StreamCache = nil
 	if direct := writePlans(t, o, ids...); direct != replay {
 		t.Errorf("memoized replay output differs from the nil-cache run:\n replay:\n%s\n direct:\n%s", replay, direct)
+	}
+}
+
+// TestPrefetchPlanPersistsNoSchedule: the prefetch plan over a capture
+// directory writes no prefetch-schedule sidecar (no .l2d file holds a
+// pf1: key), since each replay builds its schedule from the access
+// view. A warm rerun over the same directory decodes nothing, and both
+// runs print what the nil-cache direct path prints.
+func TestPrefetchPlanPersistsNoSchedule(t *testing.T) {
+	dir := t.TempDir()
+	o := tiny(t)
+	o.Workloads, o.Instructions = 2, 200_000
+	persistent := func() *l2stream.Cache {
+		c, err := l2stream.NewPersistent(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	o.StreamCache = persistent()
+	cold := writePlans(t, o, "prefetch")
+	sidecars, err := filepath.Glob(filepath.Join(dir, "*.l2d"))
+	if err != nil || len(sidecars) == 0 {
+		t.Fatalf("cold run wrote no sidecars (%v)", err)
+	}
+	for _, p := range sidecars {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("pf1:")) {
+			t.Errorf("%s holds a prefetch schedule", filepath.Base(p))
+		}
+	}
+	passes := obs.Default.Counter("chirp_l2stream_decode_passes_total", "")
+	o.StreamCache = persistent()
+	passes0 := passes.Value()
+	warm := writePlans(t, o, "prefetch")
+	if d := passes.Value() - passes0; d != 0 {
+		t.Errorf("warm rerun made %d decode passes, want 0", d)
+	}
+	o.StreamCache = nil
+	direct := writePlans(t, o, "prefetch")
+	if cold != direct || warm != direct {
+		t.Errorf("capture-directory output differs from the nil-cache run:\n cold:\n%s\n warm:\n%s\n direct:\n%s", cold, warm, direct)
 	}
 }
 

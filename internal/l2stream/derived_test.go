@@ -74,49 +74,6 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 	return s
 }
 
-// TestDerivedSingleFlight: concurrent one-view DerivedAll calls for one key build
-// once and share the view; a different key builds separately.
-func TestDerivedSingleFlight(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int64
-	spec := eventCountSpec("test:count")
-	var wg sync.WaitGroup
-	got := make([]any, 8)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := derived(s, spec, countEvents(&builds))
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = v
-		}(i)
-	}
-	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Errorf("concurrent DerivedAll ran %d builds, want 1", n)
-	}
-	for i, v := range got {
-		if v != uint64(s.Events()) {
-			t.Errorf("caller %d saw %v, want %d", i, v, s.Events())
-		}
-	}
-	if _, err := derived(s, eventCountSpec("test:count2"), countEvents(&builds)); err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Errorf("distinct key reused the memo (%d builds, want 2)", n)
-	}
-	keys := s.DerivedKeys()
-	if len(keys) != 2 {
-		t.Errorf("DerivedKeys = %v, want 2 entries", keys)
-	}
-}
-
 // TestDerivedSidecarRoundTrip: a derived view built on a persistent
 // stream writes a sidecar; a second cache on the same directory serves
 // the view from disk without rebuilding.
@@ -336,10 +293,9 @@ func TestStoreGC(t *testing.T) {
 	_ = streams
 }
 
-// TestDerivedPanickingBuildRetries: a Build that panics must not
-// memoize anything. A caller that arrives during or after the panic
-// builds the view itself instead of receiving a nil view with a nil
-// error.
+// TestDerivedPanickingBuildRetries: a build that panics memoizes
+// nothing, so the next call builds the view and a later one is served
+// from the memo.
 func TestDerivedPanickingBuildRetries(t *testing.T) {
 	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
 	if err != nil {
@@ -347,44 +303,26 @@ func TestDerivedPanickingBuildRetries(t *testing.T) {
 	}
 	var builds atomic.Int64
 	spec := eventCountSpec("test:panic")
-	good := countEvents(&builds)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	bad := func(*Stream) (any, error) {
-		builds.Add(1)
-		close(started)
-		<-release
-		panic("build bug")
-	}
-	ownerPanic := make(chan any, 1)
-	go func() {
-		defer func() { ownerPanic <- recover() }()
-		derived(s, spec, bad)
+	func() {
+		defer func() {
+			if r := recover(); r != "build bug" {
+				t.Fatalf("recovered %v, want the build's own panic", r)
+			}
+		}()
+		derived(s, spec, func(*Stream) (any, error) { panic("build bug") })
 	}()
-	<-started
-
-	type got struct {
-		v   any
-		err error
+	if keys := s.DerivedKeys(); len(keys) != 0 {
+		t.Fatalf("a panicked build memoized %v", keys)
 	}
-	waiterGot := make(chan got, 1)
-	go func() {
-		v, err := derived(s, spec, good)
-		waiterGot <- got{v, err}
-	}()
-	close(release)
-	if r := <-ownerPanic; r != "build bug" {
-		t.Fatalf("owner recovered %v, want the build's own panic", r)
+	v, err := derived(s, spec, countEvents(&builds))
+	if err != nil || v != uint64(s.Events()) {
+		t.Fatalf("call after a panicked build got (%v, %v), want %d", v, err, s.Events())
 	}
-	w := <-waiterGot
-	if w.err != nil || w.v != uint64(s.Events()) {
-		t.Fatalf("caller after a panicked build got (%v, %v), want %d", w.v, w.err, s.Events())
+	if v2, err := derived(s, spec, countEvents(&builds)); err != nil || v2 != v {
+		t.Errorf("later call got (%v, %v), want the memoized %v", v2, err, v)
 	}
-	if v, err := derived(s, spec, good); err != nil || v != w.v {
-		t.Errorf("later caller got (%v, %v), want the memoized %v", v, err, w.v)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Errorf("ran %d builds, want 2 (the panicked one and one retry)", n)
+	if n := builds.Load(); n != 1 {
+		t.Errorf("ran %d builds after the panic, want 1", n)
 	}
 }
 
@@ -400,12 +338,11 @@ func countingSpecs(prefix string, n int) []*DerivedSpec {
 }
 
 // TestDerivedAllOverlappingCallers: concurrent DerivedAll calls whose
-// key sets overlap build every key exactly once and never deadlock. A
-// caller builds the keys it claimed before it waits on keys another
-// caller holds: while one caller's build of {0,1} is blocked, a caller
-// asking for {1,2} still builds 2, then waits for 1. A stress round of
-// many callers over shuffled key subsets then runs under the race
-// detector in CI.
+// key sets overlap never wait on each other's builds and all get the
+// right views. While one caller's build of {0,1} is blocked, a caller
+// asking for {1,2} builds both and returns. A stress round of many
+// callers over shuffled key subsets then runs under the race detector
+// in CI.
 func TestDerivedAllOverlappingCallers(t *testing.T) {
 	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
 	if err != nil {
@@ -413,56 +350,44 @@ func TestDerivedAllOverlappingCallers(t *testing.T) {
 	}
 	want := uint64(s.Events())
 	specs := countingSpecs("test:overlap", 3)
-	var mu sync.Mutex
-	builds := map[string]int{}
-	builder := func(sub []*DerivedSpec, gate chan struct{}) func([]int) ([]any, error) {
-		return func(missing []int) ([]any, error) {
-			if gate != nil {
-				<-gate
-			}
-			out := make([]any, len(missing))
-			mu.Lock()
-			defer mu.Unlock()
-			for k, i := range missing {
-				builds[sub[i].Key]++
-				out[k] = want
-			}
-			return out, nil
+	build := func(missing []int) ([]any, error) {
+		out := make([]any, len(missing))
+		for k := range out {
+			out[k] = want
 		}
+		return out, nil
 	}
 
-	gate := make(chan struct{})
+	started, gate := make(chan struct{}), make(chan struct{})
 	firstDone := make(chan []any)
 	go func() {
-		sub := []*DerivedSpec{specs[0], specs[1]}
-		vs, err := s.DerivedAll(sub, builder(sub, gate))
+		vs, err := s.DerivedAll(specs[:2], func(missing []int) ([]any, error) {
+			close(started)
+			<-gate
+			return build(missing)
+		})
 		if err != nil {
 			t.Error(err)
 		}
 		firstDone <- vs
 	}()
-	for !s.claimed(specs[1].Key) {
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 	secondDone := make(chan []any)
 	go func() {
-		sub := []*DerivedSpec{specs[1], specs[2]}
-		vs, err := s.DerivedAll(sub, builder(sub, nil))
+		vs, err := s.DerivedAll(specs[1:], build)
 		if err != nil {
 			t.Error(err)
 		}
 		secondDone <- vs
 	}()
-	// The second caller builds key 2 while key 1 is still held.
-	deadline := time.Now().Add(10 * time.Second)
-	for !s.Memoized(specs[2].Key) {
-		if time.Now().After(deadline) {
-			t.Fatal("the second caller waited on a held key before building its own")
-		}
-		time.Sleep(time.Millisecond)
+	var second []any
+	select {
+	case second = <-secondDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second caller waited on the first caller's build")
 	}
 	close(gate)
-	for _, vs := range [][]any{<-firstDone, <-secondDone} {
+	for _, vs := range [][]any{<-firstDone, second} {
 		for _, v := range vs {
 			if v != want {
 				t.Errorf("view %v, want %d", v, want)
@@ -482,7 +407,7 @@ func TestDerivedAllOverlappingCallers(t *testing.T) {
 					sub = append(sub, stress[(g*5+k)%len(stress)])
 				}
 			}
-			vs, err := s.DerivedAll(sub, builder(sub, nil))
+			vs, err := s.DerivedAll(sub, build)
 			if err != nil {
 				t.Error(err)
 				return
@@ -495,74 +420,36 @@ func TestDerivedAllOverlappingCallers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for _, spec := range append(specs, stress...) {
-		if n := builds[spec.Key]; n != 1 {
-			t.Errorf("%s built %d times, want once", spec.Key, n)
-		}
-	}
 }
 
-// claimed reports whether any slot holds key, finished or not.
-func (s *Stream) claimed(key string) bool {
-	s.derivedMu.Lock()
-	defer s.derivedMu.Unlock()
-	_, ok := s.derived[key]
-	return ok
-}
-
-// TestDerivedAllPanickingBuild: a buildMissing that panics abandons
-// every slot it claimed. A caller blocked on one of those keys builds
-// it itself, and every later call finds nothing memoized and builds
-// again.
+// TestDerivedAllPanickingBuild: a buildMissing that panics leaves
+// none of its keys memoized, so the next call builds every one again.
 func TestDerivedAllPanickingBuild(t *testing.T) {
 	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := countingSpecs("test:fused-panic", 3)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	ownerPanic := make(chan any, 1)
-	go func() {
-		defer func() { ownerPanic <- recover() }()
-		s.DerivedAll(specs, func([]int) ([]any, error) {
-			close(started)
-			<-release
-			panic("fused build bug")
-		})
+	func() {
+		defer func() {
+			if r := recover(); r != "fused build bug" {
+				t.Fatalf("recovered %v, want the build's own panic", r)
+			}
+		}()
+		s.DerivedAll(specs, func([]int) ([]any, error) { panic("fused build bug") })
 	}()
-	<-started
-
-	var builds atomic.Int64
-	waiterGot := make(chan any, 1)
-	go func() {
-		v, err := derived(s, specs[1], countEvents(&builds))
-		if err != nil {
-			t.Error(err)
-		}
-		waiterGot <- v
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter block on the held slot
-	close(release)
-	if r := <-ownerPanic; r != "fused build bug" {
-		t.Fatalf("owner recovered %v, want the build's own panic", r)
-	}
-	if v := <-waiterGot; v != uint64(s.Events()) {
-		t.Errorf("waiter got %v after the panic, want %d", v, s.Events())
-	}
-	if builds.Load() != 1 {
-		t.Errorf("waiter ran %d builds, want 1", builds.Load())
-	}
-	for _, i := range []int{0, 2} {
-		if s.claimed(specs[i].Key) {
-			t.Errorf("%s kept a slot after the panicking build", specs[i].Key)
-		}
+	if keys := s.DerivedKeys(); len(keys) != 0 {
+		t.Fatalf("a panicked build memoized %v", keys)
 	}
 	vs, err := s.DerivedAll(specs, func(missing []int) ([]any, error) {
-		if len(missing) != 2 || missing[0] != 0 || missing[1] != 2 {
-			t.Errorf("rebuild asked for %v, want [0 2]", missing)
+		if len(missing) != 3 {
+			t.Errorf("rebuild asked for %v, want [0 1 2]", missing)
 		}
-		return []any{uint64(s.Events()), uint64(s.Events())}, nil
+		out := make([]any, len(missing))
+		for k := range out {
+			out[k] = uint64(s.Events())
+		}
+		return out, nil
 	})
 	if err != nil || len(vs) != 3 {
 		t.Fatalf("rebuild after the panic: %v, %v", vs, err)

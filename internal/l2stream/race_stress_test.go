@@ -9,9 +9,8 @@ import (
 )
 
 // TestRaceDerivedClose hammers derived-view memoization on one stream
-// from several goroutines at once — the single-flight slots that
-// replayMulti's per-policy goroutines share — while Cache.Close runs
-// beside them. It asserts no outcome beyond the documented contracts —
+// from several goroutines at once while Cache.Close runs beside them.
+// It asserts no outcome beyond the documented contracts —
 // views stay correct, and stay valid after Close — and leaves the
 // interleavings to the race detector (CI runs this package with -race
 // -count=2).
@@ -29,7 +28,7 @@ func TestRaceDerivedClose(t *testing.T) {
 	wantEvents := int(s.Events())
 
 	// Several small view families so the builders contend on the
-	// derivedMu map as well as on individual slots.
+	// derivedMu map.
 	specs := make([]*DerivedSpec, 4)
 	for i := range specs {
 		specs[i] = &DerivedSpec{Key: fmt.Sprintf("racestress/v1/%d", i)}

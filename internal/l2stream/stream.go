@@ -405,24 +405,25 @@ func (d *Decoder) Err() error { return d.err }
 // Stream is one captured workload stream: an in-memory encoded event
 // buffer plus the policy-invariant run scalars (instruction totals,
 // warmup position, L1 miss counts) that every replay shares. Besides
-// the buffer, a stream holds only its derived views (see derived.go);
-// replays and view builds decode the buffer block by block and keep no
-// decoded copy of it. Streams are immutable after capture and safe for
-// concurrent replays.
+// the buffer, a stream holds only its derived views (see derived.go),
+// never replay results, which its caller memoizes; replays and view
+// builds decode the buffer block by block and keep no decoded copy of
+// it. Streams are immutable after capture and safe for concurrent
+// replays.
 type Stream struct {
 	cfg Config
 	buf []byte // encoded events
 
-	// Derived views (see derived.go): keyed single-flight memos of
-	// precomputed arrays, plus the persistence hooks the capture store
-	// installs. dvLoad/dvSave are written once when the store loads or
-	// saves the stream, before other goroutines can reach it, so only
-	// the map itself needs the mutex.
+	// Derived views (see derived.go): the memo of precomputed arrays by
+	// key, plus the persistence hooks the capture store installs.
+	// dvLoad/dvSave are written once when the store loads or saves the
+	// stream, before other goroutines can reach it, so only the map
+	// itself needs the mutex.
 	// dvLoad returns a sidecar payload plus a release hook (either may
 	// be nil); the payload may alias a pooled buffer, so loadSidecar
 	// calls release as soon as the spec's Decode has copied out of it.
 	derivedMu sync.Mutex
-	derived   map[string]*derivedSlot
+	derived   map[string]any
 	dvLoad    func(key string) (payload []byte, release func())
 	dvSave    func(key string, payload []byte)
 

@@ -9,9 +9,12 @@
 //     the walker's tlb.Lookup masks the VPN itself.
 //   - prefetch schedule: the stride prefetcher's fill candidates per
 //     access, as a CSR. Stride decisions depend only on the demand
-//     stream, so they are computed once per prefetch distance — from
-//     an accessView's columns, without decoding the stream again — and
-//     only the per-policy Contains gate runs at replay time.
+//     stream, so they are computed once per ReplayMulti call that
+//     prefetches — from an accessView's columns, without decoding the
+//     stream again — and only the per-policy Contains gate runs at
+//     replay time. The schedule is neither memoized nor persisted: it
+//     needs no decode pass, and its sidecars would outweigh the
+//     streams they derive from.
 //   - CHiRP signature sequence: per access, the Figure 5 demand
 //     signature (pre path-push) and the prefetch-fill signature (post
 //     path-push), packed into one uint32. Shared by every CHiRP
@@ -23,8 +26,8 @@
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
 //
-// The views are memoized on the stream (l2stream.DerivedAll: single-
-// flight) and persisted as derived sidecars when the
+// The other views are memoized on the stream (l2stream.DerivedAll)
+// and persisted as derived sidecars when the
 // stream belongs to a -capturedir store, so warm sweeps skip both the
 // decode and the signature recomputation. The views that decode the
 // stream (the access view and every signature view) are requested
@@ -71,7 +74,8 @@ type replayViews struct {
 // call asks for the access view plus the signature views of every
 // CHiRP configuration and of GHRP among policies, so the ones neither
 // memoized nor persisted build in one decode pass. The prefetch
-// schedule then comes from the access view's columns.
+// schedule is then built from the access view's columns, for this call
+// only.
 func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
 	decoded, keys := decodedFor(policies)
 	vs, err := decodedViews(stream, decoded)
@@ -95,10 +99,7 @@ func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig)
 		}
 	}
 	if pd := cfg.PrefetchDistance; pd > 0 {
-		ps, err := prefetchScheduleFor(stream, av, pd)
-		if err != nil {
-			return nil, err
-		}
+		ps := buildPrefetchSchedule(av, pd)
 		out.rv.pfOff, out.rv.pfVPN = ps.off, ps.vpn
 	}
 	return out, nil
@@ -356,31 +357,6 @@ type prefetchSchedule struct {
 	vpn []uint64
 }
 
-// prefetchScheduleFor materializes (or recalls) the schedule for
-// prefetch distance pd, building it from av's columns. The schedule
-// depends only on the access PCs and VPNs, so its key omits the L2
-// geometry.
-func prefetchScheduleFor(stream *l2stream.Stream, av *accessView, pd int) (*prefetchSchedule, error) {
-	spec := &l2stream.DerivedSpec{
-		Key: fmt.Sprintf("pf1:pd%d", pd),
-		Encode: func(view any) []byte {
-			ps := view.(*prefetchSchedule)
-			out := make([]byte, 0, 8+len(ps.off)*4+len(ps.vpn)*8)
-			out = binary.LittleEndian.AppendUint64(out, uint64(len(ps.off)-1))
-			out = appendU32s(out, ps.off)
-			return appendU64s(out, ps.vpn)
-		},
-		Decode: decodePrefetchSchedule,
-	}
-	vs, err := stream.DerivedAll([]*l2stream.DerivedSpec{spec}, func([]int) ([]any, error) {
-		return []any{buildPrefetchSchedule(av, pd)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return vs[0].(*prefetchSchedule), nil
-}
-
 // buildPrefetchSchedule runs the shared stride prefetcher over the
 // access columns exactly as a live replay would. It runs it twice —
 // once to size the CSR, once to fill it — so the fill column is
@@ -397,33 +373,6 @@ func buildPrefetchSchedule(av *accessView, pd int) *prefetchSchedule {
 		copy(ps.vpn[ps.off[i]:], pf.observe(pc, av.vpn[i]))
 	}
 	return ps
-}
-
-// decodePrefetchSchedule validates a schedule sidecar payload against
-// the stream. ok=false means corrupt or stale.
-func decodePrefetchSchedule(s *l2stream.Stream, data []byte) (any, bool) {
-	if len(data) < 8 {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if uint64(n) != s.Accesses() || len(data) < 8+(n+1)*4 {
-		return nil, false
-	}
-	ps := &prefetchSchedule{}
-	pos := 8
-	ps.off, pos = readU32s(data, pos, n+1)
-	last := uint32(0)
-	for _, o := range ps.off {
-		if o < last {
-			return nil, false
-		}
-		last = o
-	}
-	if ps.off[0] != 0 || len(data) != pos+int(last)*8 {
-		return nil, false
-	}
-	ps.vpn, _ = readU64s(data, pos, int(last))
-	return ps, true
 }
 
 // chirpSigsKey is the derived key of cfg's CHiRP signature sequence:

@@ -2,11 +2,12 @@
 // policy) cell it has already walked from the stream instead of
 // walking it again. A replay is a deterministic function of the
 // stream, the configuration and the policy's freshly built state, so
-// the memo key is exactly those three: the stream by where the memo
-// lives (l2stream.Stream.Memo), the configuration in full, and the
-// policy as policyKey's canonical encoding of its type and state. The
-// memo is in memory only: a stream key does not cover policy code, so
-// a persisted result could outlive a policy bug fix.
+// the memo key is exactly those three: the stream by who owns the memo
+// (the one RunPasses job or RunMulti call that holds the stream), the
+// configuration in full, and the policy as policyKey's canonical
+// encoding of its type and state. The memo is in memory only: a stream
+// key does not cover policy code, so a persisted result could outlive
+// a policy bug fix.
 package sim
 
 import (
@@ -31,83 +32,57 @@ var (
 		"Replayed (workload, policy) cells walked, including policies the memo cannot key.")
 )
 
-// memoFamily prefixes every memo key: the family and its format
-// version, distinct from every derived view's key family.
-const memoFamily = "rm1"
-
-// replayMemoized is RunMulti's replay: every policy whose key the
-// stream's memo already holds under cfg takes the memoized result,
-// and the rest — the first policy of each new key, plus every policy
-// policyKey cannot key — walk together in one ReplayMulti call, whose
-// keyed results then fill the memo. Results are ordered like ps and
-// equal ReplayMulti(stream, ps, cfg) field for field.
-func replayMemoized(stream *l2stream.Stream, ps []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
-	prefix := fmt.Sprintf("%s:%+v:", memoFamily, cfg)
+// replayMemoized is RunMulti's replay over memo, the results its owner
+// has already walked from stream: every policy whose key memo holds
+// under cfg takes the memoized result, and the rest — the first policy
+// of each new key, plus every policy policyKey cannot key — walk
+// together in one ReplayMulti call, whose keyed results then fill
+// memo. Results are ordered like ps and equal ReplayMulti(stream, ps,
+// cfg) field for field.
+func replayMemoized(memo map[string]TLBOnlyResult, stream *l2stream.Stream, ps []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
+	prefix := fmt.Sprintf("%+v:", cfg)
 	var (
 		keys  = make([]string, len(ps)) // "" when the policy has no key
 		walk  []tlb.Policy
-		pos   = make([]int, len(ps)) // index into walk of each unkeyed policy
+		pos   = make([]int, len(ps)) // index into walk of each policy's walker, -1 on a memo hit
 		first = map[string]int{}     // key → index into walk of its walker
 	)
 	for i, p := range ps {
-		k, ok := policyKey(p)
-		if !ok {
-			pos[i] = len(walk)
-			walk = append(walk, p)
-			continue
+		if k, ok := policyKey(p); ok {
+			keys[i] = prefix + k
+			if _, hit := memo[keys[i]]; hit {
+				pos[i] = -1
+				continue
+			}
+			if w, seen := first[keys[i]]; seen {
+				pos[i] = w
+				continue
+			}
+			first[keys[i]] = len(walk)
 		}
-		keys[i] = prefix + k
-		if _, seen := first[keys[i]]; seen || stream.Memoized(keys[i]) {
-			continue
-		}
-		first[keys[i]] = len(walk)
+		pos[i] = len(walk)
 		walk = append(walk, p)
 	}
-
-	// walkAll runs the one ReplayMulti call, on first need: the build
-	// of a key this call walks, or an unkeyed policy's result. A key
-	// the memo held at the scan above never builds, since a finished
-	// memo slot stays finished for the stream's lifetime.
-	var (
-		walked  []TLBOnlyResult
-		walkErr error
-		ran     bool
-	)
-	walkAll := func() ([]TLBOnlyResult, error) {
-		if !ran {
-			ran = true
-			walked, walkErr = ReplayMulti(stream, walk, cfg)
+	var walked []TLBOnlyResult
+	if len(walk) > 0 {
+		var err error
+		if walked, err = ReplayMulti(stream, walk, cfg); err != nil {
+			return nil, err
 		}
-		return walked, walkErr
 	}
 	out := make([]TLBOnlyResult, len(ps))
 	for i := range ps {
-		if keys[i] == "" {
-			rs, err := walkAll()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rs[pos[i]]
+		if pos[i] < 0 {
+			out[i] = memo[keys[i]]
 			continue
 		}
-		v, err := stream.Memo(keys[i], func() (any, error) {
-			rs, err := walkAll()
-			if err != nil {
-				return nil, err
-			}
-			return rs[first[keys[i]]], nil
-		})
-		if err != nil {
-			return nil, err
+		out[i] = walked[pos[i]]
+		if keys[i] != "" {
+			memo[keys[i]] = out[i]
 		}
-		out[i] = v.(TLBOnlyResult)
 	}
-	misses := 0
-	if ran {
-		misses = len(walk)
-	}
-	obsMemoMisses.Add(uint64(misses))
-	obsMemoHits.Add(uint64(len(ps) - misses))
+	obsMemoMisses.Add(uint64(len(walk)))
+	obsMemoHits.Add(uint64(len(ps) - len(walk)))
 	return out, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
-	"sync"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/core"
@@ -162,7 +160,7 @@ func (p spyPolicy) Attach(sets, ways int) {
 
 // TestRunMultiMemoSkipsUnkeyed: a policy with a func field gets no key
 // and walks on every replay of a stream, beside keyed siblings that
-// the second replay serves from the stream's memo.
+// the second replay serves from the memo the two replays share.
 func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	attaches := 0
 	spy := func() tlb.Policy { return spyPolicy{LRU: policy.NewLRU(), attached: func() { attaches++ }} }
@@ -173,8 +171,9 @@ func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	stream := streamOf(t, spec)
 	factories := []PolicyFactory{mustFactoryFor(t, "lru"), spy, mustFactoryFor(t, "srrip")}
 	hits, misses := obsMemoHits.Value(), obsMemoMisses.Value()
-	first := replayFresh(t, stream, factories, spec.Config)
-	second := replayFresh(t, stream, factories, spec.Config)
+	memo := map[string]TLBOnlyResult{}
+	first := replayFresh(t, memo, stream, factories, spec.Config)
+	second := replayFresh(t, memo, stream, factories, spec.Config)
 	if attaches != 2 {
 		t.Errorf("unkeyed policy walked %d times over two calls, want 2", attaches)
 	}
@@ -200,15 +199,15 @@ func streamOf(t *testing.T, spec RunSpec) *l2stream.Stream {
 	return stream
 }
 
-// replayFresh is RunMulti's memoized replay over a stream the caller
-// holds: fresh policies from factories, replayed under cfg.
-func replayFresh(t *testing.T, stream *l2stream.Stream, factories []PolicyFactory, cfg TLBOnlyConfig) []TLBOnlyResult {
+// replayFresh is RunMulti's memoized replay over a stream and a memo
+// the caller holds: fresh policies from factories, replayed under cfg.
+func replayFresh(t *testing.T, memo map[string]TLBOnlyResult, stream *l2stream.Stream, factories []PolicyFactory, cfg TLBOnlyConfig) []TLBOnlyResult {
 	t.Helper()
 	ps := make([]tlb.Policy, len(factories))
 	for i, f := range factories {
 		ps[i] = f()
 	}
-	rs, err := replayMemoized(stream, ps, cfg)
+	rs, err := replayMemoized(memo, stream, ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +233,18 @@ func TestRunMultiMemoMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	spec := RunSpec{Workload: workloads.ByName("web-001"), Config: DefaultTLBOnlyConfig(testInstr), Cache: l2stream.NewCache(0)}
 	stream := streamOf(t, spec) // the prefetch distance is not part of the capture
+	memo := map[string]TLBOnlyResult{}
 	lookups := obs.Default.CounterVec("chirp_tlb_lookups_total", "", "level").With("L2 TLB")
 	for _, pd := range []int{0, 4} {
 		cfg := DefaultTLBOnlyConfig(testInstr)
 		cfg.PrefetchDistance = pd
 		hits := obsMemoHits.Value()
-		first := replayFresh(t, stream, factories, cfg)
+		first := replayFresh(t, memo, stream, factories, cfg)
 		if d, want := obsMemoHits.Value()-hits, uint64(len(fs)-len(distinct)); d != want {
 			t.Errorf("pd=%d: first call hit the memo %d times, want %d (the duplicate keys)", pd, d, want)
 		}
 		hits, l2 := obsMemoHits.Value(), lookups.Value()
-		second := replayFresh(t, stream, factories, cfg)
+		second := replayFresh(t, memo, stream, factories, cfg)
 		if d := obsMemoHits.Value() - hits; d != uint64(len(fs)) {
 			t.Errorf("pd=%d: second call hit the memo %d times, want %d", pd, d, len(fs))
 		}
@@ -259,52 +259,6 @@ func TestRunMultiMemoMatchesDirect(t *testing.T) {
 			if first[i] != direct[i] || second[i] != direct[i] {
 				t.Errorf("pd=%d %s: direct %+v, first %+v, second %+v", pd, f.Name, direct[i], first[i], second[i])
 			}
-		}
-	}
-}
-
-// TestRunMultiMemoConcurrent: replays racing on one stream share the
-// memo's single-flight slots and all return the direct path's results.
-func TestRunMultiMemoConcurrent(t *testing.T) {
-	names := []string{"lru", "srrip", "ship", "chirp"}
-	factories := make([]PolicyFactory, len(names))
-	for i, n := range names {
-		factories[i] = mustFactoryFor(t, n)
-	}
-	spec := RunSpec{Workload: workloads.ByName("sci-002"), Config: DefaultTLBOnlyConfig(testInstr)}
-	want, err := RunMulti(context.Background(), spec, factories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Cache = l2stream.NewCache(0)
-	stream := streamOf(t, spec)
-	var wg sync.WaitGroup
-	got := make([][]TLBOnlyResult, 6)
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Each caller asks in its own order, so the callers' walk
-			// sets and memo slots interleave.
-			fs := slices.Clone(factories)
-			rotate := g % len(fs)
-			fs = append(fs[rotate:], fs[:rotate]...)
-			ps := make([]tlb.Policy, len(fs))
-			for i, f := range fs {
-				ps[i] = f()
-			}
-			rs, err := replayMemoized(stream, ps, spec.Config)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[g] = append(rs[len(rs)-rotate:], rs[:len(rs)-rotate]...)
-		}(g)
-	}
-	wg.Wait()
-	for g, rs := range got {
-		if !reflect.DeepEqual(rs, want) {
-			t.Errorf("caller %d: got %+v, want %+v", g, rs, want)
 		}
 	}
 }

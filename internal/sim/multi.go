@@ -19,7 +19,7 @@ import (
 // over a captured stream's derived views. The dense access sequence
 // (PC/VPN/instruction-side arrays, shared by every L2 geometry) is
 // materialized once per stream, its precomputed stride-prefetch fill
-// schedule once per prefetch distance, and every policy walks them
+// schedule once per call that prefetches, and every policy walks them
 // independently; CHiRP and GHRP additionally consume their precomputed
 // signature sequence (tlb.SignatureFed), so no policy maintains history
 // registers at replay time. Every view the call needs is fetched
@@ -290,18 +290,18 @@ func (w *denseWalker) walk(v *replayView) {
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
 // capture/replay path: capture (or load) the stream once, then one
-// ReplayMulti pass over the policies the stream's replay-result memo
+// ReplayMulti pass over the policies the call's replay-result memo
 // does not already hold. Each fresh policy is keyed by its type and
 // constructed state (policyKey) before it is attached; a policy whose
-// key, under the same full TLBOnlyConfig, was walked over this stream
-// before takes that result, and a policy without a key is always
-// walked (memo.go). The stream, and so its memo, lives for the one
-// call; RunPasses holds one across every pass of a workload. Without
-// a cache, when any policy observes branches without a signature feed
-// (which a captured stream cannot drive), or when the capture is over
-// the cache's byte cap, it runs RunTLBOnly once per policy over a
-// fresh source instead — the reference the replay path reproduces bit
-// for bit — and the memo plays no part. spec.Policy is ignored;
+// key, under the same full TLBOnlyConfig, was walked earlier in the
+// call takes that result, and a policy without a key is always walked
+// (memo.go). The stream and the memo live for the one call; a
+// RunPasses job holds one of each across every pass of a workload.
+// Without a cache, when any policy observes branches without a
+// signature feed (which a captured stream cannot drive), or when the
+// capture is over the cache's byte cap, it runs RunTLBOnly once per
+// policy over a fresh source instead — the reference the replay path
+// reproduces bit for bit — and the memo plays no part. spec.Policy is ignored;
 // factories drives the fan-out. Results are ordered like factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
 	if len(factories) == 0 {
@@ -324,20 +324,20 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 			return nil, err
 		}
 	}
-	return measure(ctx, spec, stream, ps)
+	return measure(ctx, spec, stream, map[string]TLBOnlyResult{}, ps)
 }
 
 // replayable reports whether a captured stream can drive every policy
 // in ps: none observes branches without a signature feed.
 func replayable(ps []tlb.Policy) bool { return !slices.ContainsFunc(ps, needsBranchEvents) }
 
-// measure runs the fresh policies ps over spec's workload: a memoized
-// replay of stream when there is one and it can drive them all, and
-// otherwise RunTLBOnly once per policy over a fresh source. Results
-// are ordered like ps.
-func measure(ctx context.Context, spec RunSpec, stream *l2stream.Stream, ps []tlb.Policy) ([]TLBOnlyResult, error) {
+// measure runs the fresh policies ps over spec's workload: a replay of
+// stream through memo, the results already walked from it, when there
+// is a stream and it can drive them all, and otherwise RunTLBOnly once
+// per policy over a fresh source. Results are ordered like ps.
+func measure(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult, ps []tlb.Policy) ([]TLBOnlyResult, error) {
 	if stream != nil && replayable(ps) {
-		return replayMemoized(stream, ps, spec.Config)
+		return replayMemoized(memo, stream, ps, spec.Config)
 	}
 	out := make([]TLBOnlyResult, len(ps))
 	for i, p := range ps {

@@ -47,7 +47,7 @@ func testPasses(t *testing.T) []Pass {
 
 // TestRunPassesMatchesPerPassSuites: a multi-pass call yields, per
 // pass, what one suite call per pass yields, with the OPT row after
-// each workload's policy rows equal to RunOPT's.
+// each workload's policy rows equal to the direct path's OPT result.
 func TestRunPassesMatchesPerPassSuites(t *testing.T) {
 	ctx := context.Background()
 	ws := workloads.SuiteN(2)
@@ -64,10 +64,7 @@ func TestRunPassesMatchesPerPassSuites(t *testing.T) {
 		if p.OPT {
 			var withOPT []SuiteResult
 			for k, w := range ws {
-				res, err := RunOPT(ctx, RunSpec{Workload: w, Config: p.Config})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := optResult(t, RunSpec{Workload: w, Config: p.Config})
 				res.Policy = "opt"
 				n := len(p.Policies)
 				withOPT = append(withOPT, want[k*n:(k+1)*n]...)

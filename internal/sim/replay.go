@@ -37,7 +37,7 @@ func CaptureKey(workload, spec string, cfg TLBOnlyConfig) l2stream.Key {
 // fresh bounded source for the workload (it is only called when the
 // capture actually runs); the source is closed after the capture when
 // it is an io.Closer. A capture over the cache's byte cap fails with
-// l2stream.ErrOverBudget; RunMulti and RunOPT then take the direct
+// l2stream.ErrOverBudget; RunMulti and RunPasses then take the direct
 // path.
 func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, open func() (trace.Source, error)) (*l2stream.Stream, error) {
 	return cache.GetOrCapture(CaptureKey(workload, spec, cfg), func(maxBytes int64) (*l2stream.Stream, error) {
@@ -50,27 +50,15 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 	})
 }
 
-// RunOPT measures the offline Bélády optimum over spec's trace. The
+// runOPT measures the offline Bélády optimum over spec's trace. The
 // oracle needs the whole L2 demand-access sequence before the run
-// starts, so RunOPT collects it first and then runs OPT the way
-// RunMulti runs a policy: over the captured stream or, without a usable
-// one, with RunTLBOnly over a fresh source. spec.Policy is ignored.
-func RunOPT(ctx context.Context, spec RunSpec) (TLBOnlyResult, error) {
-	if err := spec.validate(); err != nil {
-		return TLBOnlyResult{}, err
-	}
-	stream, err := spec.stream(spec.open)
-	if err != nil {
-		return TLBOnlyResult{}, err
-	}
-	return runOPT(ctx, spec, stream)
-}
-
-// runOPT is RunOPT over a stream already resolved (nil for the direct
-// path). The demand-access VPN sequence comes from the stream's
+// starts, so runOPT collects it first and then runs OPT the way
+// RunMulti runs a policy: over stream through memo or, with a nil
+// stream (no cache, or a capture over the cap), with RunTLBOnly over a
+// fresh source. The demand-access VPN sequence comes from the stream's
 // memoized access-view column, which the oracle only reads, or from
-// CollectL2Stream over a fresh source.
-func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream) (TLBOnlyResult, error) {
+// CollectL2Stream over a fresh source. spec.Policy is ignored.
+func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult) (TLBOnlyResult, error) {
 	var vpns []uint64
 	if stream != nil {
 		av, err := accessViewFor(stream)
@@ -89,7 +77,7 @@ func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream) (TLBOnly
 			return TLBOnlyResult{}, err
 		}
 	}
-	rs, err := measure(ctx, spec, stream, []tlb.Policy{newOPT(vpns)})
+	rs, err := measure(ctx, spec, stream, memo, []tlb.Policy{newOPT(vpns)})
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}

@@ -252,26 +252,35 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestRunOPTPaths: RunOPT gives one result on all three of its paths
+// TestRunOPTPaths: runOPT gives one result on all three of its paths
 // — replay from a cached stream, the direct fallback when the capture
 // is over budget, and the direct path with no cache.
 func TestRunOPTPaths(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(100000)
 	spec := RunSpec{Workload: workloads.ByName("web-001"), Config: cfg}
-	want, err := RunOPT(context.Background(), spec)
+	want := optResult(t, spec)
+	for _, budget := range []int64{0, 1024} {
+		spec.Cache = l2stream.NewCache(budget)
+		if got := optResult(t, spec); got != want {
+			t.Errorf("budget %d: runOPT diverged from the direct path\n direct: %+v\n got:    %+v", budget, want, got)
+		}
+	}
+}
+
+// optResult runs OPT over spec's workload as a RunPasses job does:
+// over the stream spec.Cache yields (none without a cache, or over the
+// cap), with a fresh replay memo.
+func optResult(t *testing.T, spec RunSpec) TLBOnlyResult {
+	t.Helper()
+	stream, err := spec.stream(spec.open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{0, 1024} {
-		spec.Cache = l2stream.NewCache(budget)
-		got, err := RunOPT(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if got != want {
-			t.Errorf("budget %d: RunOPT diverged from the direct path\n direct: %+v\n got:    %+v", budget, want, got)
-		}
+	res, err := runOPT(context.Background(), spec, stream, map[string]TLBOnlyResult{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 // TestSuiteUsesSharedStreamCache pins the suite's stream-cache

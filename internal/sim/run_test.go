@@ -326,7 +326,10 @@ func TestZeroBudgetRejected(t *testing.T) {
 			_, err := RunMulti(ctx, spec, []PolicyFactory{lru})
 			return err
 		},
-		"RunOPT": func() error { _, err := RunOPT(ctx, spec); return err },
+		"RunPassesOPT": func() error {
+			_, err := RunPasses(ctx, ws, []Pass{{Scope: "opt", Config: DefaultTLBOnlyConfig(0), OPT: true}}, SuiteOptions{})
+			return err
+		},
 		"RunSuiteTLBOnlyCtx": func() error {
 			_, err := RunSuiteTLBOnlyCtx(ctx, ws, pols, DefaultTLBOnlyConfig(0), SuiteOptions{})
 			return err

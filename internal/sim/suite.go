@@ -85,12 +85,12 @@ type SuiteOptions struct {
 	// loads) its workload's L2 event stream under the cache's
 	// per-capture byte cap, serves every cell of the call from it, and
 	// lets it go when it ends, so at most one stream per running job is
-	// in memory. Each stream carries RunMulti's replay-result memo for
-	// as long as the job lives, so a (configuration, policy) cell that
-	// an earlier pass of the same call already replayed is served
-	// instead of walked again. A second call captures again unless the
-	// cache is persistent. Nil selects the direct RunTLBOnly reference
-	// path for every cell, as a nil RunSpec.Cache does for one run.
+	// in memory. Each job also owns a replay-result memo for as long as
+	// it lives, so a (configuration, policy) cell that an earlier pass
+	// of the same job already replayed is served instead of walked
+	// again. A second call captures again unless the cache is
+	// persistent. Nil selects the direct RunTLBOnly reference path for
+	// every cell, as a nil RunSpec.Cache does for one run.
 	StreamCache *l2stream.Cache
 }
 
@@ -137,11 +137,11 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // worker pool. With opts.StreamCache set, the job gets the workload's
 // stream once, fetches in one DerivedAll call every view its passes
 // read (so every missing one builds in a single decode pass), walks
-// each pass through RunMulti's memoized replay, and runs the OPT
-// oracle over the same stream, which dies with the job. With a nil
-// cache, and for a pass with a branch observer no stream can drive,
-// the pass runs RunTLBOnly once per policy over a fresh source
-// instead. Every pass must share one capture configuration
+// each pass through RunMulti's memoized replay over the job's own
+// memo, and runs the OPT oracle over the same stream; the stream and
+// the memo die with the job. With a nil cache, and for a pass with a
+// branch observer no stream can drive, the pass runs RunTLBOnly once
+// per policy over a fresh source instead. Every pass must share one capture configuration
 // (CaptureConfig), since a job holds one stream.
 //
 // A plan with a timing pass runs the policy-free front end once per
@@ -186,7 +186,7 @@ func RunPasses(ctx context.Context, ws []*workloads.Workload, passes []Pass, opt
 		jobs[i] = engine.Job[[][]SuiteResult]{
 			Key: key,
 			Run: func(ctx context.Context) ([][]SuiteResult, error) {
-				j := &passJob{w: w, profile: w.Profile(), passes: passes, cache: opts.StreamCache}
+				j := &passJob{w: w, profile: w.Profile(), passes: passes, cache: opts.StreamCache, memo: map[string]TLBOnlyResult{}}
 				return j.run(ctx)
 			},
 		}
@@ -236,7 +236,10 @@ type passJob struct {
 	// stream is the workload's captured stream once all has fetched
 	// it; nil means the direct path.
 	stream *l2stream.Stream
-	front  *pipeline.Result // the front end's, once a timing pass needs it
+	// memo holds the replay results walked from stream, shared by
+	// every pass and by the per-cell fallback.
+	memo  map[string]TLBOnlyResult
+	front *pipeline.Result // the front end's, once a timing pass needs it
 }
 
 // run measures every pass. If that fails — one broken policy errors
@@ -270,7 +273,7 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 		}
 		for k, f := range p.Policies {
 			rs, err := recovered(func() ([]TLBOnlyResult, error) {
-				return measure(ctx, j.spec(p), j.stream, []tlb.Policy{f.New()})
+				return measure(ctx, j.spec(p), j.stream, j.memo, []tlb.Policy{f.New()})
 			})
 			if err != nil {
 				blame(p, f.Name, err)
@@ -279,7 +282,7 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 			rows[i][k] = j.row(p, f.Name, rs[0])
 		}
 		if p.OPT {
-			res, err := recovered(func() (TLBOnlyResult, error) { return runOPT(ctx, j.spec(p), j.stream) })
+			res, err := recovered(func() (TLBOnlyResult, error) { return runOPT(ctx, j.spec(p), j.stream, j.memo) })
 			if err != nil {
 				blame(p, "opt", err)
 				continue
@@ -358,7 +361,7 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 	}
 	rows := make([][]SuiteResult, len(j.passes))
 	for i, p := range j.passes {
-		rs, err := measure(ctx, j.spec(p), j.stream, ps[i])
+		rs, err := measure(ctx, j.spec(p), j.stream, j.memo, ps[i])
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +371,7 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 			rows[i] = append(rows[i], j.row(p, p.Policies[k].Name, res))
 		}
 		if p.OPT {
-			res, err := runOPT(ctx, j.spec(p), j.stream)
+			res, err := runOPT(ctx, j.spec(p), j.stream, j.memo)
 			if err != nil {
 				return nil, err
 			}
