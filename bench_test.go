@@ -19,6 +19,7 @@ import (
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/experiments"
 	"github.com/chirplab/chirp/internal/l2stream"
+	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/tlb"
@@ -295,6 +296,30 @@ func BenchmarkTLBOnlySimThroughput(b *testing.B) {
 		total += res.Instructions
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// BenchmarkFrontEnd is the timing layer alone: one policy-free front
+// end (the machine every timing pass runs once per workload) built and
+// run over db-003's first 400k instructions, collected beforehand so
+// trace generation stays out of the number.
+func BenchmarkFrontEnd(b *testing.B) {
+	const instr = 400_000
+	recs := trace.Collect(trace.NewLimit(workloads.ByName("db-003").Source(), instr))
+	cfg := pipeline.DefaultConfig(instr, 150)
+	lru := func() tlb.Policy { return policy.NewLRU() }
+	b.ResetTimer()
+	total := uint64(0)
+	for i := 0; i < b.N; i++ {
+		m, err := pipeline.New(cfg, nil, lru)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Run(trace.NewSliceSource(recs)); err != nil {
+			b.Fatal(err)
+		}
+		total += instr
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/instr")
 }
 
 // --- capture/replay benchmarks (internal/l2stream) ---

@@ -22,34 +22,73 @@ const Levels = 4
 // bitsPerLevel is the radix width of each level.
 const bitsPerLevel = 9
 
-// Space is one virtual address space: the VPN→PPN mapping plus the
-// radix page table that encodes it.
-type Space struct {
-	mapping map[uint64]uint64
-	nextPPN uint64
+// regionPages is the number of 4 KB pages in one 2 MiB region, the
+// span of one leaf page-table node.
+const regionPages = 1 << bitsPerLevel
 
-	// Radix page table: tables[level] maps a table-page identifier to
-	// its entries. Table pages themselves live in a reserved physical
-	// range so PTE fetches have stable addresses for the cache model.
-	root       uint64
-	nodes      map[uint64][]uint64 // node physical page → 512 entries
-	nextNode   uint64
+// firstPPN is the first data frame. Data frames start high so they
+// never collide with page-table node frames, and 0 is never a frame.
+const firstPPN = 1 << 24
+
+// Space is one virtual address space: the VPN→PPN mapping, plus the
+// radix page table that encodes it once a RadixWalker is attached.
+type Space struct {
+	// regions maps a 2 MiB region (vpn >> bitsPerLevel) to the frames
+	// of its pages, 0 where a page is unmapped. last is the region of
+	// the previous lookup and lastFrames its frames, so a lookup in the
+	// same region is an array index, not a map probe.
+	regions    map[uint64]*[regionPages]uint64
+	last       uint64
+	lastFrames *[regionPages]uint64
+	nextPPN    uint64
 	pageFaults uint64
+
+	// Radix page table, built only in page-table mode (see
+	// buildPageTable): nodes maps a node's physical page to its 512
+	// entries and is nil until then. Table pages live in a reserved
+	// physical range so PTE fetches have stable addresses for the
+	// cache model.
+	root     uint64
+	nodes    map[uint64][]uint64
+	nextNode uint64
 }
 
 // NewSpace creates an address space. Consecutive frames are assigned
 // on first touch (demand paging).
 func NewSpace() *Space {
-	s := &Space{
-		mapping: make(map[uint64]uint64, 1<<16), // no growth in the timing record loop: TestRunMultiAllocationFree needs this hint
-		// Data frames start high so they never collide with page-table
-		// node frames.
-		nextPPN:  1 << 24,
-		nodes:    make(map[uint64][]uint64, 1024),
+	return &Space{
+		// The suite's workloads touch a few dozen regions at most, so
+		// the map does not grow in a run, which allocates only the
+		// frame table of each region it touches
+		// (TestFrontEndAllocationFree).
+		regions:  make(map[uint64]*[regionPages]uint64, 64),
+		nextPPN:  firstPPN,
 		nextNode: 1 << 20,
 	}
+}
+
+// buildPageTable switches s to page-table mode: it builds the radix
+// page table of every page mapped so far, in frame order, which is
+// first-touch order, and from then on Translate extends the table at
+// each first touch. Node frames are therefore the ones a table built
+// from the start would have. It is a no-op in page-table mode.
+func (s *Space) buildPageTable() {
+	if s.nodes != nil {
+		return
+	}
+	s.nodes = make(map[uint64][]uint64, 1024)
 	s.root = s.allocNode()
-	return s
+	vpns := make([]uint64, s.nextPPN-firstPPN)
+	for r, frames := range s.regions {
+		for i, p := range frames {
+			if p != 0 {
+				vpns[p-firstPPN] = r<<bitsPerLevel | uint64(i)
+			}
+		}
+	}
+	for i, vpn := range vpns {
+		s.insertPTE(vpn, firstPPN+uint64(i))
+	}
 }
 
 func (s *Space) allocNode() uint64 {
@@ -59,18 +98,29 @@ func (s *Space) allocNode() uint64 {
 	return n
 }
 
-// Translate returns the PPN for vpn, allocating a frame and page-table
-// path on first touch. faulted reports a demand-paging fault
-// (first-touch allocation).
+// Translate returns the PPN for vpn, allocating a frame on first touch
+// (and, in page-table mode, its page-table path). faulted reports a
+// demand-paging fault (first-touch allocation).
 func (s *Space) Translate(vpn uint64) (ppn uint64, faulted bool) {
-	if p, ok := s.mapping[vpn]; ok {
-		return p, false
+	if r := vpn >> bitsPerLevel; s.lastFrames == nil || r != s.last {
+		frames := s.regions[r]
+		if frames == nil {
+			frames = new([regionPages]uint64)
+			s.regions[r] = frames
+		}
+		s.last, s.lastFrames = r, frames
+	}
+	slot := &s.lastFrames[vpn%regionPages]
+	if *slot != 0 {
+		return *slot, false
 	}
 	p := s.nextPPN
 	s.nextPPN++
-	s.mapping[vpn] = p
-	s.insertPTE(vpn, p)
+	*slot = p
 	s.pageFaults++
+	if s.nodes != nil {
+		s.insertPTE(vpn, p)
+	}
 	return p, true
 }
 
@@ -105,8 +155,12 @@ func (s *Space) pteAddress(node, vpn uint64, level int) (addr, next uint64, ok b
 // PageFaults returns the demand-allocation count.
 func (s *Space) PageFaults() uint64 { return s.pageFaults }
 
-// Mapped returns how many pages have been touched.
-func (s *Space) Mapped() int { return len(s.mapping) }
+// Mapped returns how many pages have been touched: each faulted once.
+func (s *Space) Mapped() int { return int(s.pageFaults) }
+
+// PageTableNodes returns how many radix page-table nodes s holds: 0
+// until a RadixWalker is attached.
+func (s *Space) PageTableNodes() int { return len(s.nodes) }
 
 // MemAccessor abstracts the cache hierarchy for PTE fetches so the
 // radix walker can be tested without a full memory model.
@@ -179,8 +233,10 @@ func pscTag(vpn uint64, level int) uint64 {
 }
 
 // NewRadixWalker builds a walker over space whose PTE fetches go
-// through mem.
+// through mem. It switches space to page-table mode, building the
+// table of the pages mapped so far.
 func NewRadixWalker(space *Space, mem MemAccessor, cfg PSCConfig) *RadixWalker {
+	space.buildPageTable()
 	w := &RadixWalker{space: space, mem: mem, psc: make(map[int]*pscCache)}
 	if cfg.EntriesPerLevel > 0 {
 		for level := 1; level < Levels-1; level++ {

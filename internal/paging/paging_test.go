@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -116,5 +117,69 @@ func TestRadixWalkerAverageLatency(t *testing.T) {
 	w.Walk(1)
 	if got := w.AverageLatency(); got != 100 {
 		t.Errorf("average latency = %v, want 100", got)
+	}
+}
+
+// TestPageTableBuiltOnAttach: a space builds no page table until a
+// RadixWalker is attached. Attaching one to a space that already
+// mapped pages back-fills their table in first-touch order, so the
+// table, node for node and frame for frame, is the one a space with
+// the walker attached from the start builds over the same touches, and
+// later touches extend both alike. A second walker rebuilds nothing.
+func TestPageTableBuiltOnAttach(t *testing.T) {
+	f := func(before, after []uint32) bool {
+		eager, lazy := NewSpace(), NewSpace()
+		NewRadixWalker(eager, &flatMem{lat: 1}, PSCConfig{})
+		for _, raw := range before {
+			// Spread the pages over several regions and upper-level
+			// nodes.
+			vpn := uint64(raw) << 4
+			eager.Translate(vpn)
+			lazy.Translate(vpn)
+		}
+		if lazy.PageTableNodes() != 0 {
+			return false
+		}
+		w := NewRadixWalker(lazy, &flatMem{lat: 1}, PSCConfig{})
+		for _, raw := range after {
+			vpn := uint64(raw) << 4
+			eager.Translate(vpn)
+			w.Walk(vpn)
+		}
+		nodes := lazy.PageTableNodes()
+		NewRadixWalker(lazy, &flatMem{lat: 1}, PSCConfig{})
+		return lazy.PageTableNodes() == nodes &&
+			eager.root == lazy.root && eager.nextNode == lazy.nextNode &&
+			reflect.DeepEqual(eager.nodes, lazy.nodes)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFramesAcrossRegions: touches that alternate between regions,
+// so that no lookup finds the previous lookup's region, still give
+// each page the frame of its first touch.
+func TestFramesAcrossRegions(t *testing.T) {
+	s := NewSpace()
+	want := map[uint64]uint64{}
+	for round := 0; round < 3; round++ {
+		for page := uint64(0); page < 3; page++ {
+			for _, r := range []uint64{0, 1, 64, 1 << 20} {
+				vpn := r*regionPages + page*7
+				p, faulted := s.Translate(vpn)
+				if round == 0 {
+					if !faulted {
+						t.Fatalf("first touch of %#x did not fault", vpn)
+					}
+					want[vpn] = p
+				} else if faulted || p != want[vpn] {
+					t.Fatalf("round %d: %#x → (%d, faulted %v), first touch gave %d", round, vpn, p, faulted, want[vpn])
+				}
+			}
+		}
+	}
+	if s.Mapped() != len(want) {
+		t.Errorf("mapped %d pages, want %d", s.Mapped(), len(want))
 	}
 }

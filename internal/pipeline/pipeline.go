@@ -14,6 +14,7 @@ import (
 	"github.com/chirplab/chirp/internal/mem"
 	"github.com/chirplab/chirp/internal/obs"
 	"github.com/chirplab/chirp/internal/paging"
+	"github.com/chirplab/chirp/internal/policy"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 )
@@ -97,8 +98,8 @@ type Result struct {
 type Machine struct {
 	cfg Config
 	mem *mem.Hierarchy
-	l1i *tlb.TLB
-	l1d *tlb.TLB
+	l1i *l1TLB
+	l1d *l1TLB
 	l2  *l2Unit // nil for the policy-free front end
 	// observer is the L2 policy when it consumes the branch stream.
 	observer tlb.BranchObserver
@@ -108,12 +109,6 @@ type Machine struct {
 	ind      *branch.Indirect
 
 	started, finished bool
-
-	// a is the L1 TLB access of the translation in flight. It lives
-	// here rather than in translate's frame because it escapes into
-	// the L1 policy's interface calls, which would heap-allocate a
-	// per-call value once per reference.
-	a tlb.Access
 
 	// The record loop's progress: cycles and instructions so far, the
 	// warmup boundary and the counts latched there, and done once the
@@ -131,16 +126,19 @@ type l2Unit struct {
 	pol   tlb.Policy
 	radix *paging.RadixWalker
 	walks uint64
-	// a is the L2 access of the translation in flight, hoisted for the
-	// same reason as Machine.a.
+	// a is the L2 access of the translation in flight. It lives here
+	// rather than in walk's frame because it escapes into the policy's
+	// interface calls, which would heap-allocate a per-call value once
+	// per walk.
 	a        tlb.Access
 	warmMiss uint64
 }
 
 // New assembles a machine around the injected L2 TLB policy. The L1
-// TLBs always run LRU, matching the paper's setup. A nil l2Policy
-// assembles the policy-free front end, which takes no radix walker:
-// the walker's PTE fetches depend on the policy's misses.
+// TLBs run exact LRU, matching the paper's setup: l1Factory must build
+// a *policy.LRU, and New refuses any other policy by name. A nil
+// l2Policy assembles the policy-free front end, which takes no radix
+// walker: the walker's PTE fetches depend on the policy's misses.
 func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine, error) {
 	switch {
 	case l1Factory == nil:
@@ -148,17 +146,24 @@ func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine
 	case l2Policy == nil && cfg.UseRadixWalker:
 		return nil, fmt.Errorf("pipeline: the radix walker needs an L2 policy")
 	}
+	l1 := l1Factory()
+	if _, ok := l1.(*policy.LRU); !ok {
+		name := "nil"
+		if l1 != nil {
+			name = l1.Name()
+		}
+		return nil, fmt.Errorf("pipeline: the L1 TLBs run exact LRU, not %s", name)
+	}
 	h, err := mem.NewHierarchy(cfg.Mem)
 	if err != nil {
 		return nil, err
 	}
-	l1i, err := tlb.New(cfg.L1ITLB, l1Factory())
+	l1i, err := newL1TLB(cfg.L1ITLB)
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := tlb.New(cfg.L1DTLB, l1Factory())
+	l1d, err := newL1TLB(cfg.L1DTLB)
 	if err != nil {
-		l1i.Release()
 		return nil, err
 	}
 	m := &Machine{
@@ -175,7 +180,6 @@ func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine
 	}
 	t, err := tlb.New(cfg.L2TLB, l2Policy)
 	if err != nil {
-		m.release()
 		return nil, err
 	}
 	m.l2 = &l2Unit{tlb: t, pol: l2Policy}
@@ -188,30 +192,20 @@ func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine
 	return m, nil
 }
 
-// release returns every TLB's arrays to the tlb pool.
-func (m *Machine) release() {
-	m.l1i.Release()
-	m.l1d.Release()
-	if m.l2 != nil {
-		m.l2.tlb.Release()
-	}
-}
-
 // translate resolves va through the two-level TLB hierarchy and
 // returns the physical address. An L1 miss pays the L2 hit latency and
 // takes its frame from walk.
 //
 //chirp:hotpath
-func (m *Machine) translate(l1 *tlb.TLB, pc, va uint64, instr bool) (pa uint64) {
+func (m *Machine) translate(l1 *l1TLB, pc, va uint64, instr bool) (pa uint64) {
 	shift := m.cfg.L2TLB.PageShift
 	vpn := va >> shift
-	m.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
-	if ppn, hit := l1.Lookup(&m.a); hit {
-		return ppn<<shift | va&0xfff
+	ppn, hit := l1.lookup(vpn)
+	if !hit {
+		m.cycles += m.cfg.L2TLBHitLatency
+		ppn = m.walk(pc, vpn, instr)
+		l1.insert(vpn, ppn)
 	}
-	m.cycles += m.cfg.L2TLBHitLatency
-	ppn := m.walk(pc, vpn, instr)
-	l1.Insert(&m.a, ppn)
 	return ppn<<shift | va&0xfff
 }
 
@@ -340,7 +334,7 @@ func (m *Machine) record(rec *trace.Record) {
 }
 
 // Finish returns the post-warmup result of the records the machine
-// saw. It releases the machine's TLB arrays, so it is called once, and
+// saw. It releases the L2 TLB's arrays, so it is called once, and
 // publishes the run's TLB and predictor counters to the default obs
 // registry on success.
 func (m *Machine) Finish() (Result, error) {
@@ -348,7 +342,9 @@ func (m *Machine) Finish() (Result, error) {
 		return Result{}, fmt.Errorf("pipeline: Finish needs one run, begun with Tee")
 	}
 	m.finished = true
-	defer m.release()
+	if m.l2 != nil {
+		defer m.l2.tlb.Release()
+	}
 	if !m.warmed {
 		return Result{}, fmt.Errorf("pipeline: trace ended before warmup (%d < %d instructions)", m.instructions, m.warmupAt)
 	}
@@ -437,8 +433,8 @@ func (m *Machine) step(rec *trace.Record) {
 // publishes itself (CHiRP's predictor counters). Called once per run,
 // after the record loop.
 func (m *Machine) publish() {
-	m.l1i.PublishMetrics()
-	m.l1d.PublishMetrics()
+	m.l1i.publish()
+	m.l1d.publish()
 	if u := m.l2; u != nil {
 		u.tlb.PublishMetrics()
 		if pub, ok := u.pol.(obs.Publisher); ok {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/core"
@@ -114,5 +115,53 @@ func TestWarmupRequired(t *testing.T) {
 func TestNilL1Factory(t *testing.T) {
 	if _, err := New(DefaultConfig(1000, 150), policy.NewLRU(), nil); err == nil {
 		t.Fatal("nil L1 factory accepted")
+	}
+	// The L1 TLBs run exact LRU whatever the factory builds, so a
+	// factory of any other policy is refused by name.
+	for _, l1 := range []tlb.Policy{policy.NewSRRIP(), core.MustNew(core.DefaultConfig()), nil} {
+		for _, l2 := range []tlb.Policy{nil, policy.NewLRU()} {
+			_, err := New(DefaultConfig(1000, 150), l2, func() tlb.Policy { return l1 })
+			name := "nil"
+			if l1 != nil {
+				name = l1.Name()
+			}
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("L1 factory building %s: err = %v, want a refusal naming it", name, err)
+			}
+		}
+	}
+}
+
+// TestPageTableOnlyForRadixWalker: the flat walk takes frames from the
+// address space alone, so a front-end or one-policy flat-penalty run
+// leaves its space without a single page-table node; a radix-walker
+// run builds the table its walks read.
+func TestPageTableOnlyForRadixWalker(t *testing.T) {
+	radix := DefaultConfig(200_000, 150)
+	radix.UseRadixWalker = true
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		l2    tlb.Policy
+		nodes bool
+	}{
+		{"front end", DefaultConfig(200_000, 150), nil, false},
+		{"lru flat", DefaultConfig(200_000, 150), policy.NewLRU(), false},
+		{"lru radix", radix, policy.NewLRU(), true},
+	} {
+		m, err := New(c.cfg, c.l2, lruFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(trace.NewLimit(workloads.ByName("db-000").Source(), c.cfg.Instructions))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PageFaults == 0 {
+			t.Fatalf("%s: no page was touched", c.name)
+		}
+		if n := m.space.PageTableNodes(); (n > 0) != c.nodes {
+			t.Errorf("%s: %d page-table nodes after %d page faults", c.name, n, res.PageFaults)
+		}
 	}
 }

@@ -29,13 +29,18 @@ var (
 // calling it again publishes only what accrued in between, so partial
 // publishes never double count.
 func (t *TLB) PublishMetrics() {
-	st, last := t.stats, t.published
-	level := t.cfg.Name
+	PublishStats(t.cfg.Name, t.stats, t.published)
+	t.published = t.stats
+}
+
+// PublishStats adds the counter movement from last to st to the
+// per-level families under level. It serves TLB structures kept
+// outside this package, such as the timing pipeline's L1s.
+func PublishStats(level string, st, last Stats) {
 	obsLookups.With(level).Add(st.Accesses - last.Accesses)
 	obsHits.With(level).Add(st.Hits - last.Hits)
 	obsMisses.With(level).Add(st.Misses - last.Misses)
 	obsInserts.With(level).Add(st.Inserts - last.Inserts)
 	obsPrefetchInserts.With(level).Add(st.PrefetchInserts - last.PrefetchInserts)
 	obsEvictions.With(level).Add(st.Evictions - last.Evictions)
-	t.published = st
 }
