@@ -19,7 +19,10 @@
 // may each build the same view.
 package l2stream
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // DerivedSpec describes one derived-view family to Stream.DerivedAll:
 // an invalidation key and an optional persistence codec. The builder
@@ -30,17 +33,25 @@ import "fmt"
 // view depends on (TLB geometry, predictor history configuration,
 // prefetch distance, …). Streams never compare keys semantically —
 // distinct keys are distinct views.
+//
+// The codec streams: Encode writes the payload to the sidecar file as
+// it goes and Decode reads it from the file into the typed view, so
+// neither side holds the encoded payload in one buffer. The store
+// frames, sizes and checksums the payload around them.
 type DerivedSpec struct {
 	// Key is the full invalidation key (family + version + config).
 	Key string
-	// Encode serializes the view for the persistent sidecar tier; nil
-	// means the family is never persisted.
-	Encode func(view any) []byte
-	// Decode deserializes and validates a sidecar payload. ok=false
-	// means the payload is corrupt or stale, in which case the view is
-	// rebuilt (and the sidecar atomically replaced). nil means sidecar
-	// loads are skipped even if a file exists.
-	Decode func(s *Stream, data []byte) (view any, ok bool)
+	// Encode writes the view's sidecar payload to w; nil means the
+	// family is never persisted. An error abandons the sidecar, and
+	// the built view is still served.
+	Encode func(w io.Writer, view any) error
+	// Decode reads and validates a sidecar payload of n bytes from r,
+	// which ends after them. ok=false means the payload is corrupt or
+	// stale, in which case the view is rebuilt (and the sidecar
+	// atomically replaced); so does a Decode that leaves payload bytes
+	// unread, or a payload whose checksum fails once Decode returns.
+	// nil means sidecar loads are skipped even if a file exists.
+	Decode func(s *Stream, r io.Reader, n int64) (view any, ok bool)
 }
 
 // DerivedAll returns the stream's memoized derived views for specs, in
@@ -93,7 +104,7 @@ func (s *Stream) DerivedAll(specs []*DerivedSpec, buildMissing func(missing []in
 		spec := specs[i]
 		obsDerivedBuilds.Inc()
 		if s.dvSave != nil && spec.Encode != nil {
-			s.dvSave(spec.Key, spec.Encode(vs[k]))
+			s.dvSave(spec, vs[k])
 		}
 		views[i] = s.memoize(spec.Key, vs[k])
 	}
@@ -116,31 +127,14 @@ func (s *Stream) memoize(key string, v any) any {
 }
 
 // loadSidecar returns spec's view from the persistent sidecar tier,
-// or ok=false when the stream has no
-// store, the spec no codec, or the store nothing valid for the key.
+// or ok=false when the stream has no store, the spec no codec, or the
+// store nothing valid for the key (a corrupt sidecar is counted, and
+// the caller's rebuild atomically replaces it).
 func (s *Stream) loadSidecar(spec *DerivedSpec) (view any, ok bool) {
 	if s.dvLoad == nil || spec.Decode == nil {
 		return nil, false
 	}
-	data, release := s.dvLoad(spec.Key)
-	if data == nil {
-		return nil, false
-	}
-	v, ok := spec.Decode(s, data)
-	// Decode copies what it keeps, so the payload buffer can go back
-	// to its pool before the view is even installed.
-	if release != nil {
-		release()
-	}
-	if !ok {
-		// A sidecar that parsed at the store layer but failed the
-		// spec's validation is corrupt: the caller rebuilds, and its
-		// save atomically replaces the file.
-		obsDerivedCorrupt.Inc()
-		return nil, false
-	}
-	obsDerivedDiskHits.Inc()
-	return v, true
+	return s.dvLoad(spec)
 }
 
 // DerivedKeys returns the keys of the derived views memoized so far,

@@ -2,9 +2,12 @@ package l2stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,16 +47,22 @@ func countEvents(builds *atomic.Int64) func(*Stream) (any, error) {
 
 // eventCountSpec is a minimal derived-view family for exercising the
 // memo/persistence machinery: the countEvents view, persisted as 8
-// little-endian bytes.
+// little-endian bytes. Its Decode reads those 8 bytes whatever payload
+// length the frame gives, so a frame length that disagrees with the
+// file is caught by the store's own checks, not by the codec.
 func eventCountSpec(key string) *DerivedSpec {
 	return &DerivedSpec{
-		Key:    key,
-		Encode: func(v any) []byte { return binary.LittleEndian.AppendUint64(nil, v.(uint64)) },
-		Decode: func(_ *Stream, data []byte) (any, bool) {
-			if len(data) != 8 {
+		Key: key,
+		Encode: func(w io.Writer, v any) error {
+			_, err := w.Write(binary.LittleEndian.AppendUint64(nil, v.(uint64)))
+			return err
+		},
+		Decode: func(_ *Stream, r io.Reader, _ int64) (any, bool) {
+			var b [8]byte
+			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, false
 			}
-			return binary.LittleEndian.Uint64(data), true
+			return binary.LittleEndian.Uint64(b[:]), true
 		},
 	}
 }
@@ -127,8 +136,10 @@ func derivedFiles(t *testing.T, dir string) []string {
 }
 
 // TestDerivedSidecarCorruptionRebuilds: flipping payload bytes,
-// truncating the file, or emptying it must each read as absent — the
-// view rebuilds from the stream and the sidecar is rewritten.
+// truncating the file, emptying it, appending a byte after the
+// payload, or a frame length that disagrees with the file must each
+// read as absent — the view rebuilds from the stream and the sidecar
+// is rewritten.
 func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 	corruptions := []struct {
 		name string
@@ -140,6 +151,10 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 		{"empty", func([]byte) []byte { return nil }},
 		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
 		{"bad-version", func(b []byte) []byte { b[4]++; return b }},
+		{"trailing-byte", func(b []byte) []byte { return append(b, 0) }},
+		// The frame's payload length sits 16 bytes before the payload.
+		{"length-over-file", func(b []byte) []byte { b[len(b)-8-16]++; return b }},
+		{"length-under-file", func(b []byte) []byte { b[len(b)-8-16]--; return b }},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,30 +205,96 @@ func TestDerivedSidecarCorruptionRebuilds(t *testing.T) {
 }
 
 // TestDerivedSidecarKeyed: sidecar files are content-addressed by
-// derived key — distinct keys write distinct files, and a sidecar
-// echoing the wrong key (same hash path would be required, so simulate
-// by renaming) is rejected.
+// derived key — distinct keys write distinct files — and a sidecar
+// echoing the wrong key is rejected on load. Simulate a hash collision
+// by copying one key's file onto the other's path: loading it rebuilds
+// the view and counts the file as corrupt.
 func TestDerivedSidecarKeyed(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
-	if _, err := derived(s, eventCountSpec("test:k1"), countEvents(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := derived(s, eventCountSpec("test:k2"), countEvents(nil)); err != nil {
+	var builds atomic.Int64
+	if _, err := derived(s, eventCountSpec("test:k1"), countEvents(&builds)); err != nil {
 		t.Fatal(err)
 	}
 	files := derivedFiles(t, dir)
-	if len(files) != 2 {
-		t.Fatalf("two keys wrote %d sidecars, want 2", len(files))
+	if _, err := derived(s, eventCountSpec("test:k2"), countEvents(&builds)); err != nil {
+		t.Fatal(err)
 	}
-	// A payload framed under one key must not decode under another:
-	// copy k1's file onto k2's path and verify the key echo rejects it.
-	data0, err := os.ReadFile(files[0])
+	if all := derivedFiles(t, dir); len(all) != 2 || len(files) != 1 {
+		t.Fatalf("two keys wrote %d sidecars, want 2", len(all))
+	}
+	k1 := files[0]
+	k2 := cacheStore(t, dir).derivedPath(Key{Workload: "w", Config: testConfig(4000)}, "test:k2")
+	data, err := os.ReadFile(k1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := decodeDerivedFile(data0, "test:other"); ok {
-		t.Error("sidecar decoded under a mismatched key")
+	if err := os.WriteFile(k2, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := persistentStreamFor(t, dir, "w", 4000)
+	corrupt0, builds0 := obsDerivedCorrupt.Value(), builds.Load()
+	if _, err := derived(s2, eventCountSpec("test:k2"), countEvents(&builds)); err != nil {
+		t.Fatal(err)
+	}
+	if d := obsDerivedCorrupt.Value() - corrupt0; d != 1 {
+		t.Errorf("sidecar framed under test:k1 loaded as test:k2 (corruption delta %d, want 1)", d)
+	}
+	if builds.Load() != builds0+1 {
+		t.Error("a sidecar echoing the wrong key was served without a rebuild")
+	}
+}
+
+// cacheStore opens the persistent store over dir, for its file paths.
+func cacheStore(t *testing.T, dir string) *store {
+	t.Helper()
+	cache, err := NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache.store
+}
+
+// TestDerivedSidecarEncodeFails: an Encode that fails halfway through
+// its payload leaves neither a sidecar nor its staging file, counts one
+// disk error, and the built view is still served and memoized.
+func TestDerivedSidecarEncodeFails(t *testing.T) {
+	dir := t.TempDir()
+	s := persistentStreamFor(t, dir, "w", 4000)
+	spec := eventCountSpec("test:encode-fails")
+	spec.Encode = func(w io.Writer, _ any) error {
+		// Past the store's write buffer, so part of the payload has
+		// reached the staging file when the encoder gives up.
+		if _, err := w.Write(make([]byte, 64<<10)); err != nil {
+			return err
+		}
+		return errors.New("encoder gave up")
+	}
+	errs0, writes0 := obsCacheDiskErrors.Value(), obsDerivedDiskWrites.Value()
+	v, err := derived(s, spec, countEvents(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != s.Events() {
+		t.Errorf("served view %v, want %d", v, s.Events())
+	}
+	if keys := s.DerivedKeys(); !slices.Contains(keys, spec.Key) {
+		t.Errorf("memoized keys %v lack %s", keys, spec.Key)
+	}
+	if d := obsCacheDiskErrors.Value() - errs0; d != 1 {
+		t.Errorf("disk errors delta = %d, want 1", d)
+	}
+	if d := obsDerivedDiskWrites.Value() - writes0; d != 0 {
+		t.Errorf("sidecar writes delta = %d, want 0", d)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".l2d") || strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("a failed encode left %s behind", e.Name())
+		}
 	}
 }
 

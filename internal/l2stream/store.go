@@ -1,6 +1,7 @@
 package l2stream
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -109,12 +110,13 @@ func (st *store) streamPath(key Key) string {
 	return filepath.Join(st.dir, fmt.Sprintf("chirp-%x.l2s", h[:12]))
 }
 
-// Derived sidecar format (".l2d"): magic, the derived-format and
-// stream-codec versions, the full derived key string, then a
-// checksummed payload. The payload's meaning belongs to the
-// DerivedSpec that wrote it; the store only guarantees that what load
-// returns is byte-identical to what save was given, under the same
-// key, or nothing at all.
+// Derived sidecar format (".l2d"): a frame of magic, the
+// derived-format and stream-codec versions, the key's length and the
+// full derived key string, the payload length and the payload's
+// CRC-32C (as a uint64), then the payload. The payload's meaning
+// belongs to the DerivedSpec that wrote it; the store only guarantees
+// that the bytes a spec's Decode reads are the bytes its Encode wrote,
+// under the same key, or that the load fails.
 const (
 	derivedMagic = "CHDV"
 	// DerivedFormatVersion identifies the sidecar container framing.
@@ -143,9 +145,9 @@ func (st *store) derivedPath(key Key, dkey string) string {
 // this store under key. Called once, while the stream is still private
 // to the loading/saving goroutine.
 func (st *store) attachDerived(s *Stream, key Key) {
-	s.dvLoad = func(dkey string) ([]byte, func()) { return st.loadDerived(key, dkey) }
-	s.dvSave = func(dkey string, payload []byte) {
-		if err := st.saveDerived(key, dkey, payload); err != nil {
+	s.dvLoad = func(spec *DerivedSpec) (any, bool) { return st.loadDerived(key, s, spec) }
+	s.dvSave = func(spec *DerivedSpec, view any) {
+		if err := st.saveDerived(key, spec, view); err != nil {
 			obsCacheDiskErrors.Inc()
 		} else {
 			obsDerivedDiskWrites.Inc()
@@ -153,115 +155,167 @@ func (st *store) attachDerived(s *Stream, key Key) {
 	}
 }
 
-// sidecarBufs recycles whole-file read buffers across sidecar loads:
-// warm sweeps load a handful of sidecars per stream, and re-zeroing a
-// fresh allocation for each was measurable next to the decode itself.
-var sidecarBufs sync.Pool
+// derivedFrameSize is the length of a sidecar's frame: everything
+// before the payload. The payload length and its CRC-32C are the
+// frame's last 16 bytes.
+func derivedFrameSize(dkey string) int { return 16 + len(dkey) + 16 }
 
-// loadDerived returns the persisted payload for (key, dkey) plus a
-// hook releasing the pooled buffer the payload aliases, or (nil, nil)
-// when the store holds nothing usable — missing reads as absent
-// silently; a present-but-invalid file counts as corruption and also
-// reads as absent, so the caller recomputes and atomically replaces
-// it.
-func (st *store) loadDerived(key Key, dkey string) ([]byte, func()) {
-	f, err := os.Open(st.derivedPath(key, dkey))
+// loadDerived decodes spec's view for s from its sidecar under key, or
+// returns ok=false when the store holds nothing usable. A missing file
+// reads as absent silently; an I/O error counts as a disk error; a
+// file whose frame, length or checksum is wrong, or whose payload the
+// spec's Decode rejects, counts as corruption. Either way the caller
+// rebuilds the view and its save atomically replaces the file. The
+// payload streams from the file into Decode through a buffered reader
+// that ends at the frame's length and checksums what passes, so no
+// buffer ever holds the whole file.
+func (st *store) loadDerived(key Key, s *Stream, spec *DerivedSpec) (view any, ok bool) {
+	f, err := os.Open(st.derivedPath(key, spec.Key))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			obsCacheDiskErrors.Inc()
 		}
-		return nil, nil
+		return nil, false
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
+	in := &diskReader{r: f}
+	br := bufio.NewReader(in)
+	view, ok = readDerived(br, s, spec)
+	switch {
+	case ok:
+		obsDerivedDiskHits.Inc()
+	case in.err != nil:
 		obsCacheDiskErrors.Inc()
-		return nil, nil
-	}
-	size := int(fi.Size())
-	var data []byte
-	if bp, _ := sidecarBufs.Get().(*[]byte); bp != nil && cap(*bp) >= size {
-		data = (*bp)[:size]
-	} else {
-		data = make([]byte, size)
-	}
-	release := func() { sidecarBufs.Put(&data) }
-	if _, err := io.ReadFull(f, data); err != nil {
-		obsCacheDiskErrors.Inc()
-		release()
-		return nil, nil
-	}
-	payload, ok := decodeDerivedFile(data, dkey)
-	if !ok {
+	default:
 		obsDerivedCorrupt.Inc()
-		release()
-		return nil, nil
 	}
-	return payload, release
+	return view, ok
 }
 
-// decodeDerivedFile validates a sidecar's framing against the derived
-// key and returns its payload. Split from loadDerived for tests.
-func decodeDerivedFile(data []byte, dkey string) ([]byte, bool) {
-	if len(data) < 16 || string(data[:4]) != derivedMagic {
+// readDerived reads one sidecar from br: the frame, checked against
+// the container versions and spec's key, then a payload that spec's
+// Decode must consume exactly, with nothing after it and a matching
+// checksum.
+func readDerived(br *bufio.Reader, s *Stream, spec *DerivedSpec) (any, bool) {
+	frame := make([]byte, derivedFrameSize(spec.Key))
+	if _, err := io.ReadFull(br, frame[:16]); err != nil {
 		return nil, false
 	}
-	if binary.LittleEndian.Uint32(data[4:8]) != DerivedFormatVersion ||
-		binary.LittleEndian.Uint32(data[8:12]) != CodecVersion {
+	if string(frame[:4]) != derivedMagic ||
+		binary.LittleEndian.Uint32(frame[4:8]) != DerivedFormatVersion ||
+		binary.LittleEndian.Uint32(frame[8:12]) != CodecVersion ||
+		binary.LittleEndian.Uint32(frame[12:16]) != uint32(len(spec.Key)) {
 		return nil, false
 	}
-	keyLen := int(binary.LittleEndian.Uint32(data[12:16]))
-	if len(data) < 16+keyLen+16 {
+	if _, err := io.ReadFull(br, frame[16:]); err != nil || string(frame[16:16+len(spec.Key)]) != spec.Key {
 		return nil, false
 	}
-	if string(data[16:16+keyLen]) != dkey {
+	tail := frame[len(frame)-16:]
+	n := int64(binary.LittleEndian.Uint64(tail))
+	pr := &payloadReader{r: br, left: n}
+	v, ok := spec.Decode(s, pr, n)
+	if !ok || pr.left != 0 || uint64(pr.crc) != binary.LittleEndian.Uint64(tail[8:]) {
 		return nil, false
 	}
-	body := data[16+keyLen:]
-	payloadLen := binary.LittleEndian.Uint64(body[:8])
-	sum := binary.LittleEndian.Uint64(body[8:16])
-	payload := body[16:]
-	if uint64(len(payload)) != payloadLen {
-		return nil, false
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, false // bytes trail the payload
 	}
-	if uint64(crc32.Checksum(payload, castagnoli)) != sum {
-		return nil, false
-	}
-	return payload, true
+	return v, true
 }
 
-// derivedHeader returns the frame that precedes payload in its
-// sidecar file: everything up to the payload itself.
-func derivedHeader(dkey string, payload []byte) []byte {
-	out := make([]byte, 0, 16+len(dkey)+16)
-	out = append(out, derivedMagic...)
-	out = binary.LittleEndian.AppendUint32(out, DerivedFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, CodecVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(dkey)))
-	out = append(out, dkey...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	return binary.LittleEndian.AppendUint64(out, uint64(crc32.Checksum(payload, castagnoli)))
+// diskReader passes a file's reads on and keeps the first error other
+// than io.EOF, so a failed load can tell a disk error from a short or
+// corrupt file.
+type diskReader struct {
+	r   io.Reader
+	err error
 }
 
-// saveDerived persists a derived payload under (key, dkey), staged and
+func (d *diskReader) Read(p []byte) (int, error) {
+	n, err := d.r.Read(p)
+	if err != nil && err != io.EOF && d.err == nil {
+		d.err = err
+	}
+	return n, err
+}
+
+// payloadReader is what a spec's Decode reads a payload from: it ends
+// where the frame says the payload does, and it folds every byte it
+// passes on into a running CRC-32C.
+type payloadReader struct {
+	r    io.Reader
+	left int64
+	crc  uint32
+}
+
+func (p *payloadReader) Read(b []byte) (int, error) {
+	if p.left <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(b)) > p.left {
+		b = b[:p.left]
+	}
+	n, err := p.r.Read(b)
+	p.left -= int64(n)
+	p.crc = crc32.Update(p.crc, castagnoli, b[:n])
+	return n, err
+}
+
+// payloadWriter is what a spec's Encode writes a payload to: it
+// passes every byte on, counting it and folding it into a running
+// CRC-32C for the frame.
+type payloadWriter struct {
+	w   io.Writer
+	n   int64
+	crc uint32
+}
+
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	n, err := p.w.Write(b)
+	p.n += int64(n)
+	p.crc = crc32.Update(p.crc, castagnoli, b[:n])
+	return n, err
+}
+
+// saveDerived persists view under (key, spec.Key), staged and
 // atomically renamed like every other store write, then rebalances the
-// directory budget. Like save, it writes the frame and then the
-// payload, so the payload is never copied into a framed buffer.
-func (st *store) saveDerived(key Key, dkey string, payload []byte) error {
+// directory budget. The frame goes first with its payload length and
+// checksum zeroed; spec's Encode streams the payload through a
+// buffered writer that counts and checksums it, and the two fields are
+// patched in place before the file is closed and renamed. No buffer
+// holds the whole payload, and a failed Encode leaves no file behind.
+func (st *store) saveDerived(key Key, spec *DerivedSpec, view any) error {
 	f, err := os.CreateTemp(st.dir, "chirp-*.l2d.tmp")
 	if err != nil {
 		return fmt.Errorf("l2stream: staging derived sidecar: %w", err)
 	}
 	tmp := f.Name()
-	_, err = f.Write(derivedHeader(dkey, payload))
+	frame := make([]byte, derivedFrameSize(spec.Key))
+	copy(frame, derivedMagic)
+	binary.LittleEndian.PutUint32(frame[4:8], DerivedFormatVersion)
+	binary.LittleEndian.PutUint32(frame[8:12], CodecVersion)
+	binary.LittleEndian.PutUint32(frame[12:16], uint32(len(spec.Key)))
+	copy(frame[16:], spec.Key)
+	bw := bufio.NewWriter(f)
+	pw := &payloadWriter{w: bw}
+	_, err = bw.Write(frame)
 	if err == nil {
-		_, err = f.Write(payload)
+		err = spec.Encode(pw, view)
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		tail := frame[len(frame)-16:]
+		binary.LittleEndian.PutUint64(tail, uint64(pw.n))
+		binary.LittleEndian.PutUint64(tail[8:], uint64(pw.crc))
+		_, err = f.WriteAt(tail, int64(len(frame)-16))
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, st.derivedPath(key, dkey))
+		err = os.Rename(tmp, st.derivedPath(key, spec.Key))
 	}
 	if err != nil {
 		os.Remove(tmp)

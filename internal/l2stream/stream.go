@@ -419,13 +419,14 @@ type Stream struct {
 	// dvLoad/dvSave are written once when the store loads or saves the
 	// stream, before other goroutines can reach it, so only the map
 	// itself needs the mutex.
-	// dvLoad returns a sidecar payload plus a release hook (either may
-	// be nil); the payload may alias a pooled buffer, so loadSidecar
-	// calls release as soon as the spec's Decode has copied out of it.
+	// dvLoad streams a spec's sidecar through its Decode and returns
+	// the view, counting a hit or the corruption that rejected it;
+	// dvSave streams a built view through the spec's Encode into a
+	// sidecar, counting a write or a disk error.
 	derivedMu sync.Mutex
 	derived   map[string]any
-	dvLoad    func(key string) (payload []byte, release func())
-	dvSave    func(key string, payload []byte)
+	dvLoad    func(spec *DerivedSpec) (view any, ok bool)
+	dvSave    func(spec *DerivedSpec, view any)
 
 	records      uint64
 	instructions uint64

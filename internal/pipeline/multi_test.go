@@ -150,8 +150,9 @@ func TestMachineRunsOnce(t *testing.T) {
 // under every registered policy. Machines and materialised sources are
 // built before counting, so a count covers Run alone; a run over twice
 // the instructions may allocate at most one object more than the
-// shorter run (a page-table node for a newly touched region), where an
-// allocation per translation would add tens of thousands.
+// shorter run (the frame table of a newly touched region in
+// paging.Space), where an allocation per translation would add tens
+// of thousands.
 func TestFrontEndAllocationFree(t *testing.T) {
 	pols, err := sim.Factories(sim.PolicyNames())
 	if err != nil {

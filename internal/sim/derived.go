@@ -40,6 +40,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 
 	"github.com/chirplab/chirp/internal/core"
@@ -247,9 +248,35 @@ type accessView struct {
 // geometry: the view holds none.
 var accessViewD = &decodedView{
 	spec: &l2stream.DerivedSpec{
-		Key:    "av2",
-		Encode: func(view any) []byte { return encodeAccessView(view.(*accessView)) },
-		Decode: func(s *l2stream.Stream, data []byte) (any, bool) { return decodeAccessView(s, data) },
+		Key: "av2",
+		// The payload: the access count and warmup index as uint64s,
+		// then the pc and vpn columns as uint64s and the instr column
+		// as bytes, all little-endian.
+		Encode: func(w io.Writer, view any) error {
+			v := view.(*accessView)
+			c := newColumnWriter(w)
+			c.word(uint64(len(v.pc)))
+			c.word(uint64(int64(v.warmIdx)))
+			c.u64s(v.pc)
+			c.u64s(v.vpn)
+			c.write(v.instr)
+			return c.err
+		},
+		Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
+			c := newColumnReader(r)
+			n, warm := c.word(), int64(c.word())
+			if c.err != nil || n != s.Accesses() || warm < -1 || warm > int64(n) || size != 16+17*int64(n) {
+				return nil, false
+			}
+			v := &accessView{pc: make([]uint64, n), vpn: make([]uint64, n), instr: make([]uint8, n), warmIdx: int(warm)}
+			c.u64s(v.pc)
+			c.u64s(v.vpn)
+			c.read(v.instr)
+			if c.err != nil || slices.ContainsFunc(v.instr, func(b uint8) bool { return b > 1 }) {
+				return nil, false
+			}
+			return v, true
+		},
 	},
 	name: "access view",
 	newBuilder: func(s *l2stream.Stream) viewBuilder {
@@ -314,42 +341,6 @@ func (b *accessBuilder) fill(evs []l2stream.Event) bool {
 	return true
 }
 
-// encodeAccessView serializes the view for the derived sidecar.
-func encodeAccessView(v *accessView) []byte {
-	n := len(v.pc)
-	out := make([]byte, 0, 16+n*17)
-	out = binary.LittleEndian.AppendUint64(out, uint64(n))
-	out = binary.LittleEndian.AppendUint64(out, uint64(int64(v.warmIdx)))
-	out = appendU64s(out, v.pc)
-	out = appendU64s(out, v.vpn)
-	return append(out, v.instr...)
-}
-
-// decodeAccessView validates a sidecar payload against the stream and
-// rebuilds the in-memory form. ok=false means corrupt or stale — the
-// caller rebuilds from the stream.
-func decodeAccessView(s *l2stream.Stream, data []byte) (*accessView, bool) {
-	if len(data) < 16 {
-		return nil, false
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	warmIdx := int(int64(binary.LittleEndian.Uint64(data[8:])))
-	if uint64(n) != s.Accesses() || warmIdx < -1 || warmIdx > n || len(data) != 16+n*17 {
-		return nil, false
-	}
-	v := &accessView{warmIdx: warmIdx}
-	pos := 16
-	v.pc, pos = readU64s(data, pos, n)
-	v.vpn, pos = readU64s(data, pos, n)
-	v.instr = append([]uint8(nil), data[pos:pos+n]...)
-	for _, b := range v.instr {
-		if b > 1 {
-			return nil, false
-		}
-	}
-	return v, true
-}
-
 // prefetchSchedule is the stride prefetcher's fill schedule over the
 // demand access sequence, in replayView's CSR layout.
 type prefetchSchedule struct {
@@ -387,21 +378,22 @@ func chirpSigsDecl(cfg core.Config, key string) *decodedView {
 	return &decodedView{
 		spec: &l2stream.DerivedSpec{
 			Key: key,
-			Encode: func(view any) []byte {
+			Encode: func(w io.Writer, view any) error {
 				sigs := view.([]uint32)
-				out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*4), uint64(len(sigs)))
-				return appendU32s(out, sigs)
+				c := newColumnWriter(w)
+				c.word(uint64(len(sigs)))
+				c.u32s(sigs)
+				return c.err
 			},
-			Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-				if len(data) < 8 {
+			Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
+				c := newColumnReader(r)
+				n := c.word()
+				if c.err != nil || n != s.Accesses() || size != 8+4*int64(n) {
 					return nil, false
 				}
-				n := int(binary.LittleEndian.Uint64(data))
-				if uint64(n) != s.Accesses() || len(data) != 8+n*4 {
-					return nil, false
-				}
-				sigs, _ := readU32s(data, 8, n)
-				return sigs, true
+				sigs := make([]uint32, n)
+				c.u32s(sigs)
+				return sigs, c.err == nil
 			},
 		},
 		name:     "chirp signature view",
@@ -450,21 +442,22 @@ func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
 var ghrpSigsD = &decodedView{
 	spec: &l2stream.DerivedSpec{
 		Key: "ghrp:gs1",
-		Encode: func(view any) []byte {
+		Encode: func(w io.Writer, view any) error {
 			sigs := view.([]uint64)
-			out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(sigs)*8), uint64(len(sigs)))
-			return appendU64s(out, sigs)
+			c := newColumnWriter(w)
+			c.word(uint64(len(sigs)))
+			c.u64s(sigs)
+			return c.err
 		},
-		Decode: func(s *l2stream.Stream, data []byte) (any, bool) {
-			if len(data) < 8 {
+		Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
+			c := newColumnReader(r)
+			n := c.word()
+			if c.err != nil || n != s.Accesses() || size != 8+8*int64(n) {
 				return nil, false
 			}
-			n := int(binary.LittleEndian.Uint64(data))
-			if uint64(n) != s.Accesses() || len(data) != 8+n*8 {
-				return nil, false
-			}
-			sigs, _ := readU64s(data, 8, n)
-			return sigs, true
+			sigs := make([]uint64, n)
+			c.u64s(sigs)
+			return sigs, c.err == nil
 		},
 	},
 	name:     "ghrp signature view",
@@ -506,34 +499,100 @@ func (b *ghrpSigBuilder) fill(evs []l2stream.Event) bool {
 	return true
 }
 
-func appendU64s(dst []byte, xs []uint64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x)
-	}
-	return dst
+// columnChunk is the size of the one buffer a sidecar codec moves its
+// columns through, so neither direction holds a whole payload.
+const columnChunk = 32 << 10
+
+// columnWriter writes a sidecar payload to w: little-endian words and
+// whole columns, each word column staged through one columnChunk
+// buffer (a byte column goes to write as it is). The first error
+// sticks and skips every later write.
+type columnWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-func appendU32s(dst []byte, xs []uint32) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, x)
-	}
-	return dst
+func newColumnWriter(w io.Writer) *columnWriter {
+	return &columnWriter{w: w, buf: make([]byte, columnChunk)}
 }
 
-func readU64s(data []byte, pos, n int) ([]uint64, int) {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
+func (c *columnWriter) write(b []byte) {
+	if c.err == nil {
+		_, c.err = c.w.Write(b)
 	}
-	return out, pos
 }
 
-func readU32s(data []byte, pos, n int) ([]uint32, int) {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(data[pos:])
-		pos += 4
+// word writes one uint64.
+func (c *columnWriter) word(x uint64) { c.write(binary.LittleEndian.AppendUint64(c.buf[:0], x)) }
+
+func (c *columnWriter) u64s(xs []uint64) {
+	for len(xs) > 0 && c.err == nil {
+		k := min(len(xs), len(c.buf)/8)
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint64(c.buf[8*i:], x)
+		}
+		c.write(c.buf[:8*k])
+		xs = xs[k:]
 	}
-	return out, pos
+}
+
+func (c *columnWriter) u32s(xs []uint32) {
+	for len(xs) > 0 && c.err == nil {
+		k := min(len(xs), len(c.buf)/4)
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint32(c.buf[4*i:], x)
+		}
+		c.write(c.buf[:4*k])
+		xs = xs[k:]
+	}
+}
+
+// columnReader reads a sidecar payload from r into the columns of a
+// view sized beforehand, each word column through one columnChunk
+// buffer (a byte column is read straight into place). The first
+// error, a short payload included, sticks and skips every later read.
+type columnReader struct {
+	r   io.Reader
+	buf []byte
+	err error
+}
+
+func newColumnReader(r io.Reader) *columnReader {
+	return &columnReader{r: r, buf: make([]byte, columnChunk)}
+}
+
+func (c *columnReader) read(b []byte) {
+	if c.err == nil {
+		_, c.err = io.ReadFull(c.r, b)
+	}
+}
+
+// word reads one uint64; its value is meaningless once an error has
+// stuck.
+func (c *columnReader) word() uint64 {
+	c.read(c.buf[:8])
+	return binary.LittleEndian.Uint64(c.buf)
+}
+
+func (c *columnReader) u64s(xs []uint64) {
+	for len(xs) > 0 && c.err == nil {
+		k := min(len(xs), len(c.buf)/8)
+		c.read(c.buf[:8*k])
+		for i := range xs[:k] {
+			xs[i] = binary.LittleEndian.Uint64(c.buf[8*i:])
+		}
+		xs = xs[k:]
+	}
+}
+
+func (c *columnReader) u32s(xs []uint32) {
+	for len(xs) > 0 && c.err == nil {
+		k := min(len(xs), len(c.buf)/4)
+		c.read(c.buf[:4*k])
+		for i := range xs[:k] {
+			xs[i] = binary.LittleEndian.Uint32(c.buf[4*i:])
+		}
+		xs = xs[k:]
+	}
 }
