@@ -6,7 +6,7 @@ import (
 	"github.com/chirplab/chirp/internal/trace"
 )
 
-// ErrOverBudget reports a capture abandoned because its encoded buffer
+// ErrOverBudget reports a capture abandoned because its encoded events
 // would exceed the byte budget. No stream exists for it; callers fall
 // back to the direct reference path (sim.RunTLBOnly over fresh
 // sources), which needs no stream at all.
@@ -22,9 +22,9 @@ var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
 // src is consumed like RunTLBOnly consumes it: until cfg.Instructions
 // is reached, or exhaustion when cfg.Instructions is 0 (callers must
 // bound infinite sources with trace.Limit, as usual). maxBytes caps the
-// stream's encoded buffer (Stream.FootprintBytes); a capture whose
-// buffer would exceed it stops and returns ErrOverBudget. maxBytes <= 0
-// means unlimited.
+// stream's encoded events (Stream.FootprintBytes); a capture whose
+// events would exceed it stops and returns ErrOverBudget. maxBytes <= 0
+// means unlimited. The stream keeps the encoder's chunks as they are.
 func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
 	// The L1s are always LRU (that fixed choice is what makes the
 	// stream policy-invariant in the first place), so the capture path
@@ -108,6 +108,6 @@ loop:
 		s.l1iMisses = l1i.misses - warmI
 		s.l1dMisses = l1d.misses - warmD
 	}
-	s.buf = enc.bytes()
+	s.chunks, s.size = enc.finish()
 	return s, nil
 }

@@ -12,20 +12,24 @@
 // sequence; sim.ReplayMulti then drives any number of L2 policies
 // over it, bit-identical to sim.RunTLBOnly.
 //
-// Streams are delta-encoded in memory (a few bytes per event),
-// and that buffer is the only copy of the events a stream keeps:
-// replays and derived-view builds decode it in DecodeBlockSize blocks,
-// and sim.ReplayMulti builds every view it lacks in one such pass.
-// Capture encodes into fixed-size chunks and commits one exact-size
-// copy of them, so no captured byte is copied twice.
-// A capture whose encoded buffer would exceed the byte cap stops with
-// ErrOverBudget; its callers run the direct reference path instead,
-// so every stream is one in-memory buffer.
+// Streams are delta-encoded (a few bytes per event), and each stream's
+// encoded events live in exactly one place: the capture encoder's
+// fixed-size chunks until the capture store persists them, and from
+// then on the store file, which the stream keeps open and reads with
+// pread. Replays and derived-view builds decode either source in
+// DecodeBlockSize blocks, and sim.ReplayMulti builds every view it
+// lacks in one such pass; nothing else reads the events.
+// A capture whose encoded events would exceed the byte cap stops with
+// ErrOverBudget; its callers run the direct reference path instead.
 package l2stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
 	"sync"
 
 	"github.com/chirplab/chirp/internal/tlb"
@@ -160,11 +164,17 @@ func widthCode(u uint64, widths *[4]uint8) byte {
 }
 
 // encodeChunkSize is the length of the chunks the capture encoder
-// fills. Capture's buffer never grows by copying: a full chunk is set
-// aside and a fresh one started, and the finished stream is one
-// exact-size copy of the chunks (encoder.bytes), so each encoded byte
-// is copied once and the committed buffer holds no slack.
+// fills. The encoded stream never grows by copying: a full chunk is
+// set aside and a fresh one started, and the finished stream is the
+// chunk list itself (encoder.finish), held until the store writes it
+// out. A chunk ends before an event that would not fit it, so every
+// chunk holds whole events only and decodes on its own.
 const encodeChunkSize = 64 << 10
+
+// decodeWindowSize is how much of a store file a decoder reads per
+// pread: large enough that the syscalls vanish in the decode time,
+// small enough to be negligible beside the views a pass builds.
+const decodeWindowSize = 256 << 10
 
 // maxEventBytes bounds what one event may take of a chunk: a tag and
 // two payloads, each of which put stages as a full 8-byte word.
@@ -195,15 +205,14 @@ func (e *encoder) reserve() {
 // size returns the encoded stream's length so far.
 func (e *encoder) size() int { return e.full + len(e.buf) }
 
-// bytes returns the encoded stream as one buffer with cap == len.
-func (e *encoder) bytes() []byte {
-	out := make([]byte, e.size())
-	n := 0
-	for _, c := range e.chunks {
-		n += copy(out[n:], c)
+// finish returns the encoded stream: its chunks in order, the last
+// one partly filled, and their total length.
+func (e *encoder) finish() ([][]byte, int64) {
+	chunks := e.chunks
+	if len(e.buf) > 0 {
+		chunks = append(chunks, e.buf)
 	}
-	copy(out[n:], e.buf)
-	return out
+	return chunks, int64(e.size())
 }
 
 // event appends one event: the tag with its width codes filled in, the
@@ -262,15 +271,28 @@ func (e *encoder) warmup() {
 	e.buf = append(e.buf, wireWarmup)
 }
 
-// Decoder iterates a captured in-memory stream. It is single-use and
-// not safe for concurrent use; take one Decoder per replay.
+// Decoder iterates a captured stream, from its encoder chunks or its
+// store file. It is single-use and not safe for concurrent use; take
+// one Decoder per replay. Decoders of one stream share nothing: each
+// reads the file at its own offsets.
 type Decoder struct {
-	buf       []byte
+	buf       []byte // the window being decoded: a chunk, or bytes read from the file
 	pos       int
+	base      int64 // stream offset of buf[0], for error messages
 	lastPC    uint64
 	lastVPN   uint64
 	pageShift uint
 	err       error
+
+	// What follows buf: the chunks not yet decoded, or the rest of the
+	// file's event section, read into win from offset off. A file
+	// decode folds every byte it reads into crc and checks it against
+	// wantCRC once the last byte is in.
+	chunks       [][]byte
+	file         *io.SectionReader
+	off          int64
+	win          []byte
+	crc, wantCRC uint32
 }
 
 // Next fills ev with the next event and reports whether one was
@@ -309,16 +331,29 @@ func (d *Decoder) NextBlock(evs []Event) int { return d.nextBlock(evs, false) }
 func (d *Decoder) NextAccessBlock(evs []Event) int { return d.nextBlock(evs, true) }
 
 // nextBlock is the block decoder behind Next, NextBlock and
-// NextAccessBlock. An event's position depends only on the previous
-// tag (wireLayouts), and payloads are fixed-width loads, so decoding
-// one event never waits on the arithmetic of the last; accessesOnly is
-// fixed for a call, so its per-event test predicts perfectly.
+// NextAccessBlock: it decodes the current window and moves on to the
+// next one until evs is full or the stream ends.
+func (d *Decoder) nextBlock(evs []Event, accessesOnly bool) int {
+	n := 0
+	for d.err == nil {
+		n += d.decodeWindow(evs[n:], accessesOnly)
+		if n == len(evs) || !d.refill() {
+			break
+		}
+	}
+	return n
+}
+
+// decodeWindow decodes events from the current window into evs until
+// evs is full, the window is used up, or the window's last event is
+// cut off by its end (refill carries that event over). An event's
+// position depends only on the previous tag (wireLayouts), and
+// payloads are fixed-width loads, so decoding one event never waits on
+// the arithmetic of the last; accessesOnly is fixed for a call, so its
+// per-event test predicts perfectly.
 //
 //chirp:hotpath
-func (d *Decoder) nextBlock(evs []Event, accessesOnly bool) int {
-	if d.err != nil {
-		return 0
-	}
+func (d *Decoder) decodeWindow(evs []Event, accessesOnly bool) int {
 	buf, pos := d.buf, d.pos
 	lastPC, lastVPN := d.lastPC, d.lastVPN
 	shift := d.pageShift
@@ -327,11 +362,10 @@ func (d *Decoder) nextBlock(evs []Event, accessesOnly bool) int {
 		tag := buf[pos]
 		l := &wireLayouts[tag]
 		if l.size == 0 {
-			d.badTag(tag, pos)
+			d.badTag(tag, d.base+int64(pos))
 			break
 		}
 		if pos+int(l.size) > len(buf) {
-			d.truncated(pos)
 			break
 		}
 		ev := &evs[n]
@@ -372,6 +406,47 @@ func (d *Decoder) nextBlock(evs []Event, accessesOnly bool) int {
 	return n
 }
 
+// refill moves the decoder to its next window and reports whether it
+// has one. A file window starts with the bytes of the event the last
+// one cut off; chunks hold whole events, so bytes left over at a
+// chunk's end, or at the stream's, are a truncated event.
+func (d *Decoder) refill() bool {
+	if d.err != nil {
+		return false
+	}
+	rest := d.buf[d.pos:]
+	switch {
+	case d.file != nil && d.off < d.file.Size():
+		k := copy(d.win, rest)
+		want := int(min(int64(len(d.win)-k), d.file.Size()-d.off))
+		m, err := d.file.ReadAt(d.win[k:k+want], d.off)
+		if m < want {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			d.err = fmt.Errorf("l2stream: reading stream file: %w", err)
+			return false
+		}
+		d.crc = crc32.Update(d.crc, castagnoli, d.win[k:k+m])
+		d.off += int64(m)
+		if d.off == d.file.Size() && d.crc != d.wantCRC {
+			d.err = errors.New("l2stream: corrupt stream: the store file's events fail its checksum")
+			return false
+		}
+		d.base += int64(d.pos)
+		d.buf, d.pos = d.win[:k+m], 0
+		return true
+	case len(d.chunks) > 0 && len(rest) == 0:
+		d.base += int64(len(d.buf))
+		d.buf, d.chunks, d.pos = d.chunks[0], d.chunks[1:], 0
+		return true
+	}
+	if len(rest) > 0 {
+		d.truncated(d.base + int64(d.pos))
+	}
+	return false
+}
+
 // loadWord returns the 8 bytes at buf[pos:] as a little-endian word,
 // zero-filled past the end of buf.
 func loadWord(buf []byte, pos int) uint64 {
@@ -391,28 +466,41 @@ func loadTail(buf []byte, pos int) uint64 {
 
 // truncated and badTag record a decode failure. They sit outside the
 // block decoder so the error formatting stays off the hot path.
-func (d *Decoder) truncated(pos int) {
-	d.err = fmt.Errorf("l2stream: corrupt stream: event at offset %d runs past the end of the buffer", pos)
+func (d *Decoder) truncated(pos int64) {
+	d.err = fmt.Errorf("l2stream: corrupt stream: event at offset %d runs past the end of the stream", pos)
 }
 
-func (d *Decoder) badTag(tag byte, pos int) {
+func (d *Decoder) badTag(tag byte, pos int64) {
 	d.err = fmt.Errorf("l2stream: corrupt stream: invalid event tag %#02x at offset %d", tag, pos)
 }
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Stream is one captured workload stream: an in-memory encoded event
-// buffer plus the policy-invariant run scalars (instruction totals,
-// warmup position, L1 miss counts) that every replay shares. Besides
-// the buffer, a stream holds only its derived views (see derived.go),
-// never replay results, which its caller memoizes; replays and view
-// builds decode the buffer block by block and keep no decoded copy of
-// it. Streams are immutable after capture and safe for concurrent
-// replays.
+// Stream is one captured workload stream: its encoded events plus the
+// policy-invariant run scalars (instruction totals, warmup position,
+// L1 miss counts) that every replay shares. The events live in one
+// place at a time: the capture encoder's chunks until the capture
+// store saves the stream, and from then on the store file, whose
+// descriptor the stream keeps (a stream loaded from the store has only
+// that). Besides them a stream holds only its derived views (see
+// derived.go), never replay results, which its caller memoizes;
+// replays and view builds decode the events block by block and keep no
+// decoded copy of them. Streams are immutable once the store has them
+// (or, without a store, after capture) and safe for concurrent
+// replays. A stream is released by Close, or by the garbage collector
+// when it is dropped.
 type Stream struct {
 	cfg Config
-	buf []byte // encoded events
+
+	// The encoded events: chunks, or the store file from offset
+	// storeHeaderSize on; size bytes either way. A file decode checks
+	// the bytes it reads against fileCRC, the file's checksum, which
+	// covers the header scalars (scalarsCRC) and then the events.
+	chunks              [][]byte
+	file                *os.File
+	size                int64
+	scalarsCRC, fileCRC uint32
 
 	// Derived views (see derived.go): the memo of precomputed arrays by
 	// key, plus the persistence hooks the capture store installs.
@@ -478,13 +566,44 @@ func (s *Stream) L1IMisses() uint64 { return s.l1iMisses }
 func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 
 // Decode returns a fresh event iterator over the stream. Each call is
-// one decode pass, counted in chirp_l2stream_decode_passes_total.
+// one decode pass, counted in chirp_l2stream_decode_passes_total. A
+// pass over the store file reads it through its own window, so passes
+// may run concurrently, and fails with a corrupt-stream error once it
+// has read every byte if the file no longer matches its checksum.
 func (s *Stream) Decode() *Decoder {
 	obsDecodePasses.Inc()
-	return &Decoder{buf: s.buf, pageShift: s.cfg.PageShift}
+	return s.decoder(decodeWindowSize)
 }
 
-// FootprintBytes is the stream's encoded buffer size, whose capacity
-// is its length: the bytes a capture cap is checked against, and all
-// the stream holds besides its derived views.
-func (s *Stream) FootprintBytes() int64 { return int64(len(s.buf)) }
+// decoder returns a decoder that reads a file-backed stream window
+// bytes at a time (or all at once, when it is shorter); window must
+// exceed maxEventBytes.
+func (s *Stream) decoder(window int) *Decoder {
+	d := &Decoder{pageShift: s.cfg.PageShift}
+	if s.file != nil {
+		d.file = io.NewSectionReader(s.file, storeHeaderSize, s.size)
+		d.win = make([]byte, min(int64(window), max(s.size, maxEventBytes+1)))
+		d.crc, d.wantCRC = s.scalarsCRC, s.fileCRC
+		return d
+	}
+	d.chunks = s.chunks
+	return d
+}
+
+// Close releases the stream's store file, if it has one; decoding the
+// stream afterwards fails, and the views it memoized stay valid. A
+// dropped stream needs no Close: its file is an *os.File, which the
+// garbage collector closes once it is unreachable. Close makes the
+// release prompt; owners that outlive their stream (an engine job, a
+// RunMulti call) call it when they are done.
+func (s *Stream) Close() error {
+	if s.file == nil {
+		return nil
+	}
+	return s.file.Close()
+}
+
+// FootprintBytes is the stream's encoded event size: the bytes a
+// capture cap is checked against, held in memory until the store
+// writes them out and in the store file after.
+func (s *Stream) FootprintBytes() int64 { return s.size }

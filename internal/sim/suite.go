@@ -247,8 +247,14 @@ type passJob struct {
 // job degrades to one run per cell, so every healthy cell still
 // delivers its row and the error blames the precise cell, as per-cell
 // scheduling would. The returned rows accompany the error; the engine
-// keeps both. The stream dies with the job.
+// keeps both. The job closes its stream, and with it the stream's
+// store file, when it ends.
 func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
+	defer func() {
+		if j.stream != nil {
+			j.stream.Close()
+		}
+	}()
 	rows, err := recovered(func() ([][]SuiteResult, error) { return j.all(ctx) })
 	if err == nil {
 		return rows, nil
