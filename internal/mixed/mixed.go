@@ -53,7 +53,6 @@ type Access struct {
 	PC    uint64
 	VPN4K uint64
 	Size  Size
-	Instr bool
 }
 
 // Policy makes replacement decisions for the mixed TLB. The contract
@@ -287,7 +286,7 @@ func (p *CostAware) OnBranch(pc uint64, conditional, indirect, taken bool, targe
 }
 
 func toTLBAccess(a *Access) *tlb.Access {
-	return &tlb.Access{PC: a.PC, VPN: a.VPN4K, Instr: a.Instr}
+	return &tlb.Access{PC: a.PC, VPN: a.VPN4K}
 }
 
 // OnAccess implements Policy.

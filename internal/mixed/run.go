@@ -89,7 +89,7 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 		hugeAcc uint64
 		rec     trace.Record
 	)
-	access := func(l1 *tlb.TLB, pc, va uint64, instrSide bool) {
+	access := func(l1 *tlb.TLB, pc, va uint64) {
 		vpn4k := va >> PageShift4K
 		size := cls.sizeOf(vpn4k)
 		// L1 entries cover the mapping's full span: key them at the
@@ -99,11 +99,11 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 		if size == Size2M {
 			l1key = vpn4k>>9 | 1<<62
 		}
-		a1 := tlb.Access{PC: pc, VPN: l1key, Instr: instrSide}
+		a1 := tlb.Access{PC: pc, VPN: l1key}
 		if _, hit := l1.Lookup(&a1); hit {
 			return
 		}
-		a2 := Access{PC: pc, VPN4K: vpn4k, Size: size, Instr: instrSide}
+		a2 := Access{PC: pc, VPN4K: vpn4k, Size: size}
 		if size == Size2M {
 			hugeAcc++
 		}
@@ -114,10 +114,10 @@ func Run(w *workloads.Workload, p Policy, instructions uint64) (Result, error) {
 	}
 	for src.Next(&rec) {
 		instr += rec.Instructions()
-		access(l1i, rec.PC, rec.PC, true)
+		access(l1i, rec.PC, rec.PC)
 		switch {
 		case rec.Class.IsMemory():
-			access(l1d, rec.PC, rec.EA, false)
+			access(l1d, rec.PC, rec.EA)
 		case rec.Class.IsBranch():
 			if hasBO {
 				bo.OnBranch(rec.PC,

@@ -197,13 +197,13 @@ func New(cfg Config, l2Policy tlb.Policy, l1Factory func() tlb.Policy) (*Machine
 // takes its frame from walk.
 //
 //chirp:hotpath
-func (m *Machine) translate(l1 *l1TLB, pc, va uint64, instr bool) (pa uint64) {
+func (m *Machine) translate(l1 *l1TLB, pc, va uint64) (pa uint64) {
 	shift := m.cfg.L2TLB.PageShift
 	vpn := va >> shift
 	ppn, hit := l1.lookup(vpn)
 	if !hit {
 		m.cycles += m.cfg.L2TLBHitLatency
-		ppn = m.walk(pc, vpn, instr)
+		ppn = m.walk(pc, vpn)
 		l1.insert(vpn, ppn)
 	}
 	return ppn<<shift | va&0xfff
@@ -216,13 +216,13 @@ func (m *Machine) translate(l1 *l1TLB, pc, va uint64, instr bool) (pa uint64) {
 // cycles, and fills the L2 TLB.
 //
 //chirp:hotpath
-func (m *Machine) walk(pc, vpn uint64, instr bool) uint64 {
+func (m *Machine) walk(pc, vpn uint64) uint64 {
 	u := m.l2
 	if u == nil {
 		ppn, _ := m.space.Translate(vpn)
 		return ppn
 	}
-	u.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	u.a = tlb.Access{PC: pc, VPN: vpn}
 	if p, hit := u.tlb.Lookup(&u.a); hit {
 		return p
 	}
@@ -388,14 +388,14 @@ func (m *Machine) Finish() (Result, error) {
 //chirp:hotpath
 func (m *Machine) step(rec *trace.Record) {
 	// Fetch: translation plus i-cache beyond the pipelined L1 hit.
-	pa := m.translate(m.l1i, rec.PC, rec.PC, true)
+	pa := m.translate(m.l1i, rec.PC, rec.PC)
 	if fl, l1iLat := m.mem.FetchLatency(pa), m.cfg.Mem.L1I.LatencyCycles; fl > l1iLat {
 		m.cycles += fl - l1iLat
 	}
 
 	switch {
 	case rec.Class.IsMemory():
-		pa := m.translate(m.l1d, rec.PC, rec.EA, false)
+		pa := m.translate(m.l1d, rec.PC, rec.EA)
 		if dl, l1dLat := m.mem.DataLatency(pa, rec.Class == trace.ClassStore), m.cfg.Mem.L1D.LatencyCycles; dl > l1dLat {
 			m.cycles += dl - l1dLat
 		}

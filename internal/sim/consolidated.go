@@ -95,12 +95,12 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 		warmAt    uint64
 		rec       trace.Record
 	)
-	access := func(l1 *tlb.TLB, pc, vpn uint64, asid uint16, instr bool) {
-		a := tlb.Access{PC: pc, VPN: vpn, ASID: asid, Instr: instr}
+	access := func(l1 *tlb.TLB, pc, vpn uint64, asid uint16) {
+		a := tlb.Access{PC: pc, VPN: vpn, ASID: asid}
 		if _, hit := l1.Lookup(&a); hit {
 			return
 		}
-		a2 := tlb.Access{PC: pc, VPN: vpn, ASID: asid, Instr: instr}
+		a2 := tlb.Access{PC: pc, VPN: vpn, ASID: asid}
 		if _, hit := l2.Lookup(&a2); !hit {
 			l2.Insert(&a2, vpn)
 		}
@@ -118,10 +118,10 @@ func RunConsolidated(ws []*workloads.Workload, l2p tlb.Policy, cfg ConsolidatedC
 			warmAt = total
 		}
 		asid := uint16(cur)
-		access(l1i, rec.PC, rec.PC>>pageShift, asid, true)
+		access(l1i, rec.PC, rec.PC>>pageShift, asid)
 		switch {
 		case rec.Class.IsMemory():
-			access(l1d, rec.PC, rec.EA>>pageShift, asid, false)
+			access(l1d, rec.PC, rec.EA>>pageShift, asid)
 		case rec.Class.IsBranch():
 			if hasBO {
 				bo.OnBranch(rec.PC,

@@ -3,9 +3,8 @@
 // captured l2stream.Stream plus a small configuration key, never of
 // TLB or policy state:
 //
-//   - accessView: the dense access sequence as struct-of-arrays (PC,
-//     VPN, instruction-side flag) and the warmup boundary's position
-//     in it. It holds no set index, so every L2 geometry shares it;
+//   - accessView: the dense access sequence as struct-of-arrays (PC
+//     and VPN) and the warmup boundary's position in it. It holds no set index, so every L2 geometry shares it;
 //     the walker's tlb.Lookup masks the VPN itself.
 //   - prefetch schedule: the stride prefetcher's fill candidates per
 //     access, as a CSR. Stride decisions depend only on the demand
@@ -233,9 +232,8 @@ func decodeBlocks(s *l2stream.Stream, accessesOnly bool, bs []viewBuilder, ds []
 // slices are indexed by demand access ordinal and shared read-only
 // across policies, replays and L2 geometries.
 type accessView struct {
-	pc    []uint64
-	vpn   []uint64
-	instr []uint8 // 1 = instruction-side access
+	pc  []uint64
+	vpn []uint64
 
 	// warmIdx is the number of accesses preceding the warmup marker
 	// (len(pc) when the marker trails every access, -1 when the stream
@@ -245,13 +243,13 @@ type accessView struct {
 }
 
 // accessViewD declares the access view. Its key carries no L2
-// geometry: the view holds none.
+// geometry: the view holds none. Version 3 dropped version 2's
+// instruction-side byte column, which no walker reads.
 var accessViewD = &decodedView{
 	spec: &l2stream.DerivedSpec{
-		Key: "av2",
-		// The payload: the access count and warmup index as uint64s,
-		// then the pc and vpn columns as uint64s and the instr column
-		// as bytes, all little-endian.
+		Key: "av3",
+		// The payload: the access count and warmup index, then the pc
+		// and vpn columns, all little-endian uint64s.
 		Encode: func(w io.Writer, view any) error {
 			v := view.(*accessView)
 			c := newColumnWriter(w)
@@ -259,20 +257,18 @@ var accessViewD = &decodedView{
 			c.word(uint64(int64(v.warmIdx)))
 			c.u64s(v.pc)
 			c.u64s(v.vpn)
-			c.write(v.instr)
 			return c.err
 		},
 		Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
 			c := newColumnReader(r)
 			n, warm := c.word(), int64(c.word())
-			if c.err != nil || n != s.Accesses() || warm < -1 || warm > int64(n) || size != 16+17*int64(n) {
+			if c.err != nil || n != s.Accesses() || warm < -1 || warm > int64(n) || size != 16+16*int64(n) {
 				return nil, false
 			}
-			v := &accessView{pc: make([]uint64, n), vpn: make([]uint64, n), instr: make([]uint8, n), warmIdx: int(warm)}
+			v := &accessView{pc: make([]uint64, n), vpn: make([]uint64, n), warmIdx: int(warm)}
 			c.u64s(v.pc)
 			c.u64s(v.vpn)
-			c.read(v.instr)
-			if c.err != nil || slices.ContainsFunc(v.instr, func(b uint8) bool { return b > 1 }) {
+			if c.err != nil {
 				return nil, false
 			}
 			return v, true
@@ -284,7 +280,6 @@ var accessViewD = &decodedView{
 		return &accessBuilder{v: &accessView{
 			pc:      make([]uint64, n),
 			vpn:     make([]uint64, n),
-			instr:   make([]uint8, n),
 			warmIdx: -1,
 		}}
 	},
@@ -332,9 +327,6 @@ func (b *accessBuilder) fill(evs []l2stream.Event) bool {
 		}
 		v.pc[j] = ev.PC
 		v.vpn[j] = ev.VPN
-		if ev.Kind == l2stream.EventInstrAccess {
-			v.instr[j] = 1
-		}
 		j++
 	}
 	b.n = j

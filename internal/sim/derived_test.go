@@ -348,11 +348,6 @@ func refReplayView(evs []l2stream.Event, pd int) *replayView {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
 			v.pc = append(v.pc, ev.PC)
 			v.vpn = append(v.vpn, ev.VPN)
-			instr := uint8(0)
-			if ev.Kind == l2stream.EventInstrAccess {
-				instr = 1
-			}
-			v.instr = append(v.instr, instr)
 			if pf != nil {
 				v.pfVPN = append(v.pfVPN, pf.observe(ev.PC, ev.VPN)...)
 				v.pfOff = append(v.pfOff, uint32(len(v.pfVPN)))
@@ -539,7 +534,7 @@ func compareViews(t *testing.T, name string, got, want *replayView) {
 	if got.warmIdx != want.warmIdx {
 		t.Errorf("%s: warmIdx = %d, want %d", name, got.warmIdx, want.warmIdx)
 	}
-	if !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) || !slices.Equal(got.instr, want.instr) {
+	if !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) {
 		t.Errorf("%s: access columns diverge from the reference", name)
 	}
 	if (got.pfOff == nil) != (want.pfOff == nil) {

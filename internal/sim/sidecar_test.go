@@ -33,6 +33,8 @@ func sidecarFor(t *testing.T, dir, dkey string) string {
 // default CHiRP signature view and the GHRP signature view that one
 // 3 M-instruction capture persists: each sidecar's length and CRC-32C,
 // recorded from the whole-payload codecs that wrote the format first.
+// The av3 figures are the av2 file's (297211 bytes, 0xad0be2e5) with
+// its trailing instruction-side byte column cut and the frame redone.
 // Every payload spans several of the codecs' column buffers, so a
 // streamed codec that moves a single byte of the format fails here.
 func TestSidecarBytesPinned(t *testing.T) {
@@ -50,7 +52,7 @@ func TestSidecarBytesPinned(t *testing.T) {
 		len int
 		crc uint32
 	}{
-		{"av2", 297211, 0xad0be2e5},
+		{"av3", 279731, 0x686c9239},
 		{chirpSigsKey(ccfg), 69995, 0xfaf9bce7},
 		{"ghrp:gs1", 139888, 0x5df1c241},
 	} {
@@ -100,7 +102,7 @@ func heapAllocated(fn func()) uint64 {
 // than 1 MiB, and loading it back allocates at most the view plus
 // 1 MiB. Neither path may stage the whole payload in a buffer.
 func TestSidecarStreamingAllocs(t *testing.T) {
-	const records = 520_000
+	const records = 530_000
 	cfg := DefaultTLBOnlyConfig(records)
 	dir := t.TempDir()
 	stream := func() *l2stream.Stream {
@@ -123,7 +125,7 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	av := vs[0].(*accessView)
-	viewBytes := uint64(len(av.pc)) * 17
+	viewBytes := uint64(len(av.pc)) * 16
 	if viewBytes < 16<<20 {
 		t.Fatalf("test premise broken: the access view holds %d bytes, want at least 16 MiB", viewBytes)
 	}
@@ -156,7 +158,7 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 	if d := hits.Value() - hits0; d != 1 {
 		t.Fatalf("sidecar hits delta = %d, want 1", d)
 	}
-	if got.warmIdx != av.warmIdx || !slices.Equal(got.pc, av.pc) || !slices.Equal(got.vpn, av.vpn) || !slices.Equal(got.instr, av.instr) {
+	if got.warmIdx != av.warmIdx || !slices.Equal(got.pc, av.pc) || !slices.Equal(got.vpn, av.vpn) {
 		t.Error("the loaded access view differs from the one persisted")
 	}
 }

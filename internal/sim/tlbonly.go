@@ -135,10 +135,10 @@ func RunTLBOnly(src trace.Source, l2p tlb.Policy, cfg TLBOnlyConfig) (TLBOnlyRes
 			warmInstrAt = instructions
 		}
 
-		d.access(l1i, rec.PC, rec.PC>>pageShift, true)
+		d.access(l1i, rec.PC, rec.PC>>pageShift)
 		switch {
 		case rec.Class.IsMemory():
-			d.access(l1d, rec.PC, rec.EA>>pageShift, false)
+			d.access(l1d, rec.PC, rec.EA>>pageShift)
 		case rec.Class.IsBranch():
 			if observesBranches {
 				bo.OnBranch(rec.PC,
@@ -196,12 +196,12 @@ type directState struct {
 // access sends one reference through an L1 TLB and, on miss, the L2.
 //
 //chirp:hotpath
-func (d *directState) access(l1 *tlb.TLB, pc, vpn uint64, instr bool) {
-	d.a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+func (d *directState) access(l1 *tlb.TLB, pc, vpn uint64) {
+	d.a = tlb.Access{PC: pc, VPN: vpn}
 	if _, hit := l1.Lookup(&d.a); hit {
 		return
 	}
-	d.a2 = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	d.a2 = tlb.Access{PC: pc, VPN: vpn}
 	if _, hit := d.l2.Lookup(&d.a2); !hit {
 		// Page walk; identity translation suffices for MPKI runs.
 		d.l2.Insert(&d.a2, vpn)
@@ -218,7 +218,7 @@ func (d *directState) access(l1 *tlb.TLB, pc, vpn uint64, instr bool) {
 			if d.l2.Contains(pv) {
 				continue
 			}
-			d.pa = tlb.Access{PC: pc, VPN: pv, Instr: instr}
+			d.pa = tlb.Access{PC: pc, VPN: pv}
 			d.l2.InsertPrefetch(&d.pa, pv)
 		}
 	}
@@ -260,8 +260,8 @@ func CollectL2Stream(src trace.Source, cfg TLBOnlyConfig) ([]uint64, error) {
 		instructions uint64
 	)
 	var a tlb.Access
-	access := func(l1 *tlb.TLB, pc, vpn uint64, instr bool) {
-		a = tlb.Access{PC: pc, VPN: vpn, Instr: instr}
+	access := func(l1 *tlb.TLB, pc, vpn uint64) {
+		a = tlb.Access{PC: pc, VPN: vpn}
 		if _, hit := l1.Lookup(&a); hit {
 			return
 		}
@@ -281,9 +281,9 @@ func CollectL2Stream(src trace.Source, cfg TLBOnlyConfig) ([]uint64, error) {
 		for i := 0; i < n; i++ {
 			rec := &buf[i]
 			instructions += rec.Instructions()
-			access(l1i, rec.PC, rec.PC>>pageShift, true)
+			access(l1i, rec.PC, rec.PC>>pageShift)
 			if rec.Class.IsMemory() {
-				access(l1d, rec.PC, rec.EA>>pageShift, false)
+				access(l1d, rec.PC, rec.EA>>pageShift)
 			}
 			if cfg.Instructions > 0 && instructions >= cfg.Instructions {
 				return stream, nil

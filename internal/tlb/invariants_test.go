@@ -9,27 +9,20 @@ import (
 // with a FIFO policy and checks the counter identities that every
 // driver depends on.
 func TestAccountingInvariants(t *testing.T) {
-	f := func(ops []uint16, instrBits []bool) bool {
+	f := func(ops []uint16) bool {
 		p := &fifoPolicy{}
 		tl, err := New(Config{Name: "q", Entries: 32, Ways: 4, PageShift: 12}, p)
 		if err != nil {
 			return false
 		}
-		for i, op := range ops {
-			instr := i < len(instrBits) && instrBits[i]
-			a := &Access{PC: uint64(op) << 2, VPN: uint64(op % 97), Instr: instr}
+		for _, op := range ops {
+			a := &Access{PC: uint64(op) << 2, VPN: uint64(op % 97)}
 			if _, hit := tl.Lookup(a); !hit {
 				tl.Insert(a, a.VPN)
 			}
 		}
 		st := tl.Stats()
 		if st.Hits+st.Misses != st.Accesses {
-			return false
-		}
-		if st.InstrAccess+st.DataAccess != st.Accesses {
-			return false
-		}
-		if st.InstrMisses > st.InstrAccess || st.DataMisses > st.DataAccess {
 			return false
 		}
 		if st.Evictions > st.Misses {

@@ -28,8 +28,6 @@ type Access struct {
 	// ASID is the address-space identifier; entries only match within
 	// their ASID, so consolidated workloads coexist without flushes.
 	ASID uint16
-	// Instr reports whether this is an instruction-side access.
-	Instr bool
 	// Prefetch marks a fill issued by a prefetcher rather than a
 	// demand access (see TLB.InsertPrefetch). PC then identifies the
 	// access that triggered the prefetch, while VPN is the prefetched
@@ -168,10 +166,6 @@ type Stats struct {
 	// is the prefetch subset.
 	Inserts         uint64
 	PrefetchInserts uint64
-	InstrAccess     uint64
-	DataAccess      uint64
-	InstrMisses     uint64
-	DataMisses      uint64
 	liveTime        uint64 // Σ (lastHit − insert) over completed lifetimes
 	residentTime    uint64 // Σ (evict − insert) over completed lifetimes
 }
@@ -376,11 +370,6 @@ func (t *TLB) Lookup(a *Access) (ppn uint64, hit bool) {
 	a.Set = t.SetIndex(a.VPN)
 	t.now++
 	t.stats.Accesses++
-	if a.Instr {
-		t.stats.InstrAccess++
-	} else {
-		t.stats.DataAccess++
-	}
 	if t.observesAccess {
 		t.policy.OnAccess(a)
 	}
@@ -406,11 +395,6 @@ func (t *TLB) Lookup(a *Access) (ppn uint64, hit bool) {
 		}
 	}
 	t.stats.Misses++
-	if a.Instr {
-		t.stats.InstrMisses++
-	} else {
-		t.stats.DataMisses++
-	}
 	return 0, false
 }
 

@@ -145,20 +145,6 @@ func TestSetIndexing(t *testing.T) {
 	}
 }
 
-func TestInstrDataCounters(t *testing.T) {
-	tl, _ := newTestTLB(t, 64, 8)
-	tl.Lookup(&Access{VPN: 1, Instr: true})
-	tl.Lookup(&Access{VPN: 2, Instr: false})
-	tl.Lookup(&Access{VPN: 3, Instr: false})
-	st := tl.Stats()
-	if st.InstrAccess != 1 || st.DataAccess != 2 {
-		t.Errorf("instr/data accesses = %d/%d, want 1/2", st.InstrAccess, st.DataAccess)
-	}
-	if st.InstrMisses != 1 || st.DataMisses != 2 {
-		t.Errorf("instr/data misses = %d/%d, want 1/2", st.InstrMisses, st.DataMisses)
-	}
-}
-
 func TestEfficiencyAccounting(t *testing.T) {
 	tl, _ := newTestTLB(t, 8, 8)
 	// Insert VPN 1 at t=1, hit it at t=2 and t=3, then idle accesses to
