@@ -2,9 +2,11 @@ package l2stream
 
 import (
 	"errors"
+	"io"
 	"time"
 
 	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/trace"
 )
 
 // Cache metrics in the default registry. Captures are rare (once per
@@ -69,7 +71,7 @@ type Key struct {
 // optional content-addressed capture directory (NewPersistent; see
 // store) whose files later caches — in this process or another — load
 // instead of re-capturing. It keeps no stream in memory: every
-// GetOrCapture call returns a stream the caller owns, so a caller that
+// GetOrCaptureFrom call returns a stream the caller owns, so a caller that
 // walks one stream several times holds on to it (sim.RunPasses holds
 // one per workload job). A Cache is safe for concurrent use.
 type Cache struct {
@@ -88,9 +90,9 @@ func NewCache(budget int64) *Cache {
 }
 
 // NewPersistent returns a cache backed by a persistent capture
-// directory: every capture is also written there (content-addressed
-// by key fingerprint + codec version, staged and atomically renamed),
-// and GetOrCapture consults the directory before capturing, so sweeps
+// directory: every capture is written there (content-addressed by key
+// fingerprint + codec version, staged and atomically renamed), and
+// GetOrCaptureFrom consults the directory before capturing, so sweeps
 // across processes reuse captures instead of re-capturing.
 func NewPersistent(budget int64, captureDir string) (*Cache, error) {
 	st, err := newStore(captureDir)
@@ -105,32 +107,73 @@ func NewPersistent(budget int64, captureDir string) (*Cache, error) {
 // Budget returns the cache's per-capture byte cap.
 func (c *Cache) Budget() int64 { return c.budget }
 
-// GetOrCapture returns key's stream: loaded from the capture directory
-// when the cache has one holding a valid file for key, and otherwise
-// produced by capture, which receives the byte cap to pass on to
-// Capture, and persisted. A failed capture's error is returned as is
-// (ErrOverBudget included), and a panicking one's panic reaches the
-// caller; either way the next call captures again.
-func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
-	if c.store != nil {
-		s, err := c.store.load(key)
-		if err != nil {
-			obsCacheDiskErrors.Inc() // degrade to a recapture
-		}
-		if s != nil {
-			obsCacheDiskHits.Inc()
-			return s, nil
-		}
+// GetOrCaptureFrom returns key's stream: loaded from the capture
+// directory when the cache has one holding a valid file for key, and
+// otherwise captured under key.Config from the source open returns,
+// which is closed afterwards when it is an io.Closer. With a capture
+// directory the capture writes its events straight into the store's
+// staging file, chunk by chunk, so it holds one encoder chunk in
+// memory, and the stream is that file once it is renamed into place.
+// The staging file is removed when the capture goes over the byte cap,
+// fails or panics. A staging file that cannot be written or renamed
+// costs a disk error and a second capture, into memory. A failed
+// capture's error is
+// returned as is (ErrOverBudget included), and a panicking one's panic
+// reaches the caller; either way the next call captures again.
+func (c *Cache) GetOrCaptureFrom(key Key, open func() (trace.Source, error)) (*Stream, error) {
+	if s := c.load(key); s != nil {
+		return s, nil
 	}
+	run := func(sink *stagedStream) (*Stream, error) {
+		src, err := open()
+		if err != nil {
+			return nil, err
+		}
+		if cl, ok := src.(io.Closer); ok {
+			defer cl.Close()
+		}
+		return capture(src, key.Config, c.budget, sink)
+	}
+	obsCacheMisses.Inc()
+	start := time.Now()
+	defer func() { obsCaptureSeconds.Observe(time.Since(start).Seconds()) }()
+	if c.store == nil {
+		return c.captured(run(nil))
+	}
+	w, err := c.store.stage()
+	if err != nil {
+		obsCacheDiskErrors.Inc()
+		return c.captured(run(nil))
+	}
+	defer w.discard()
+	s, err := run(w)
+	switch {
+	case w.err != nil: // the staging file failed the capture
+	case err != nil:
+		return c.captured(nil, err)
+	case w.commit(key, s) == nil:
+		obsCacheDiskWrites.Inc()
+		return s, nil
+	}
+	obsCacheDiskErrors.Inc()
+	w.discard()
+	return c.captured(run(nil))
+}
 
+// GetOrCapture is GetOrCaptureFrom for a caller that captures the
+// stream itself: capture receives the byte cap to pass on to Capture,
+// and a stream it returns is persisted afterwards, when the cache has
+// a capture directory, and then reads its events from the store file.
+// A stream that cannot be persisted keeps its chunks.
+func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
+	if s := c.load(key); s != nil {
+		return s, nil
+	}
 	obsCacheMisses.Inc()
 	start := time.Now()
 	s, err := capture(c.budget)
 	obsCaptureSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		if errors.Is(err, ErrOverBudget) {
-			obsCacheOverBudget.Inc()
-		}
+	if s, err = c.captured(s, err); err != nil {
 		return nil, err
 	}
 	if c.store != nil {
@@ -139,6 +182,33 @@ func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, err
 		} else {
 			obsCacheDiskWrites.Inc()
 		}
+	}
+	return s, nil
+}
+
+// load returns key's stream from the capture directory, or nil.
+func (c *Cache) load(key Key) *Stream {
+	if c.store == nil {
+		return nil
+	}
+	s, err := c.store.load(key)
+	if err != nil {
+		obsCacheDiskErrors.Inc() // degrade to a recapture
+	}
+	if s != nil {
+		obsCacheDiskHits.Inc()
+	}
+	return s
+}
+
+// captured passes a capture's outcome on, counting a capture over the
+// byte cap.
+func (c *Cache) captured(s *Stream, err error) (*Stream, error) {
+	if err != nil {
+		if errors.Is(err, ErrOverBudget) {
+			obsCacheOverBudget.Inc()
+		}
+		return nil, err
 	}
 	return s, nil
 }

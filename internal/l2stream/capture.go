@@ -24,8 +24,17 @@ var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
 // bound infinite sources with trace.Limit, as usual). maxBytes caps the
 // stream's encoded events (Stream.FootprintBytes); a capture whose
 // events would exceed it stops and returns ErrOverBudget. maxBytes <= 0
-// means unlimited. The stream keeps the encoder's chunks as they are.
+// means unlimited. The stream keeps the encoder's chunks as they are;
+// Cache.GetOrCaptureFrom captures into a store file instead.
 func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
+	return capture(src, cfg, maxBytes, nil)
+}
+
+// capture is Capture with the encoded chunks written to sink as they
+// fill, when sink is set. A sink write error stops the capture with
+// that error; sink keeps it, so the caller can tell a disk error from
+// the source's or the budget's.
+func capture(src trace.Source, cfg Config, maxBytes int64, sink *stagedStream) (*Stream, error) {
 	// The L1s are always LRU (that fixed choice is what makes the
 	// stream policy-invariant in the first place), so the capture path
 	// runs the specialized membership filter instead of two full
@@ -47,7 +56,7 @@ func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
 
 	s := &Stream{cfg: cfg, warmupAt: warmupAt, warmed: warmupAt == 0}
 	var (
-		enc          encoder
+		enc          = encoder{sink: sink}
 		instructions uint64
 		warmI, warmD uint64 // L1 miss counts at the warmup boundary
 	)
@@ -98,9 +107,16 @@ loop:
 		if maxBytes > 0 && int64(enc.size()) > maxBytes {
 			return nil, ErrOverBudget
 		}
+		if sink != nil && sink.err != nil {
+			return nil, sink.err
+		}
 	}
 	if maxBytes > 0 && int64(enc.size()) > maxBytes {
 		return nil, ErrOverBudget
+	}
+	s.chunks, s.size = enc.finish()
+	if sink != nil && sink.err != nil {
+		return nil, sink.err
 	}
 
 	s.instructions = instructions
@@ -108,6 +124,5 @@ loop:
 		s.l1iMisses = l1i.misses - warmI
 		s.l1dMisses = l1d.misses - warmD
 	}
-	s.chunks, s.size = enc.finish()
 	return s, nil
 }

@@ -1,15 +1,9 @@
 package l2stream
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,17 +11,21 @@ import (
 	"github.com/chirplab/chirp/internal/trace"
 )
 
-// derived requests the one view spec through DerivedAll, built by
-// build when it is neither memoized nor persisted.
+// derived returns the one-word view spec from its sidecar, or builds
+// it with build and writes the sidecar, when the stream belongs to a
+// store.
 func derived(s *Stream, spec *DerivedSpec, build func(*Stream) (any, error)) (any, error) {
-	vs, err := s.DerivedAll([]*DerivedSpec{spec}, func([]int) ([]any, error) {
-		v, err := build(s)
-		return []any{v}, err
-	})
+	if r := s.OpenSidecar(spec); r != nil {
+		return r.Words()[0], nil
+	}
+	v, err := build(s)
 	if err != nil {
 		return nil, err
 	}
-	return vs[0], nil
+	if w := s.CreateSidecar(spec); w != nil {
+		w.Commit([]uint64{v.(uint64)})
+	}
+	return v, nil
 }
 
 // countEvents builds the event-count view: the stream's event count as
@@ -46,26 +44,9 @@ func countEvents(builds *atomic.Int64) func(*Stream) (any, error) {
 }
 
 // eventCountSpec is a minimal derived-view family for exercising the
-// memo/persistence machinery: the countEvents view, persisted as 8
-// little-endian bytes. Its Decode reads those 8 bytes whatever payload
-// length the frame gives, so a frame length that disagrees with the
-// file is caught by the store's own checks, not by the codec.
-func eventCountSpec(key string) *DerivedSpec {
-	return &DerivedSpec{
-		Key: key,
-		Encode: func(w io.Writer, v any) error {
-			_, err := w.Write(binary.LittleEndian.AppendUint64(nil, v.(uint64)))
-			return err
-		},
-		Decode: func(_ *Stream, r io.Reader, _ int64) (any, bool) {
-			var b [8]byte
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, false
-			}
-			return binary.LittleEndian.Uint64(b[:]), true
-		},
-	}
-}
+// sidecar machinery: the countEvents view, persisted as its payload's
+// one word.
+func eventCountSpec(key string) *DerivedSpec { return &DerivedSpec{Key: key, Words: 1} }
 
 func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stream {
 	t.Helper()
@@ -255,32 +236,21 @@ func cacheStore(t *testing.T, dir string) *store {
 	return cache.store
 }
 
-// TestDerivedSidecarEncodeFails: an Encode that fails halfway through
-// its payload leaves neither a sidecar nor its staging file, counts one
-// disk error, and the built view is still served and memoized.
+// TestDerivedSidecarEncodeFails: a sidecar committed with a column
+// written only halfway — a half that has reached the staging file, as
+// every write does — leaves neither a sidecar nor its staging file,
+// and counts one disk error and no write.
 func TestDerivedSidecarEncodeFails(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
-	spec := eventCountSpec("test:encode-fails")
-	spec.Encode = func(w io.Writer, _ any) error {
-		// Past the store's write buffer, so part of the payload has
-		// reached the staging file when the encoder gives up.
-		if _, err := w.Write(make([]byte, 64<<10)); err != nil {
-			return err
-		}
-		return errors.New("encoder gave up")
-	}
+	spec := &DerivedSpec{Key: "test:encode-fails", Words: 1, Columns: []int{8}}
 	errs0, writes0 := obsCacheDiskErrors.Value(), obsDerivedDiskWrites.Value()
-	v, err := derived(s, spec, countEvents(nil))
-	if err != nil {
-		t.Fatal(err)
+	w := s.CreateSidecar(spec)
+	if w == nil {
+		t.Fatal("a persistent stream staged no sidecar")
 	}
-	if v != s.Events() {
-		t.Errorf("served view %v, want %d", v, s.Events())
-	}
-	if keys := s.DerivedKeys(); !slices.Contains(keys, spec.Key) {
-		t.Errorf("memoized keys %v lack %s", keys, spec.Key)
-	}
+	w.U64s(0, make([]uint64, s.Accesses()/2))
+	w.Commit([]uint64{s.Accesses()})
 	if d := obsCacheDiskErrors.Value() - errs0; d != 1 {
 		t.Errorf("disk errors delta = %d, want 1", d)
 	}
@@ -293,7 +263,7 @@ func TestDerivedSidecarEncodeFails(t *testing.T) {
 	}
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), ".l2d") || strings.HasSuffix(e.Name(), ".tmp") {
-			t.Errorf("a failed encode left %s behind", e.Name())
+			t.Errorf("a failed sidecar left %s behind", e.Name())
 		}
 	}
 }
@@ -372,167 +342,4 @@ func TestStoreGC(t *testing.T) {
 		t.Errorf("unbounded budget evicted (delta %d, want 1)", d)
 	}
 	_ = streams
-}
-
-// TestDerivedPanickingBuildRetries: a build that panics memoizes
-// nothing, so the next call builds the view and a later one is served
-// from the memo.
-func TestDerivedPanickingBuildRetries(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var builds atomic.Int64
-	spec := eventCountSpec("test:panic")
-	func() {
-		defer func() {
-			if r := recover(); r != "build bug" {
-				t.Fatalf("recovered %v, want the build's own panic", r)
-			}
-		}()
-		derived(s, spec, func(*Stream) (any, error) { panic("build bug") })
-	}()
-	if keys := s.DerivedKeys(); len(keys) != 0 {
-		t.Fatalf("a panicked build memoized %v", keys)
-	}
-	v, err := derived(s, spec, countEvents(&builds))
-	if err != nil || v != uint64(s.Events()) {
-		t.Fatalf("call after a panicked build got (%v, %v), want %d", v, err, s.Events())
-	}
-	if v2, err := derived(s, spec, countEvents(&builds)); err != nil || v2 != v {
-		t.Errorf("later call got (%v, %v), want the memoized %v", v2, err, v)
-	}
-	if n := builds.Load(); n != 1 {
-		t.Errorf("ran %d builds after the panic, want 1", n)
-	}
-}
-
-// countingSpecs returns n persisted event-count specs under keys
-// prefix/0 … prefix/n-1, for DerivedAll tests whose buildMissing
-// counts what it builds.
-func countingSpecs(prefix string, n int) []*DerivedSpec {
-	specs := make([]*DerivedSpec, n)
-	for i := range specs {
-		specs[i] = eventCountSpec(fmt.Sprintf("%s/%d", prefix, i))
-	}
-	return specs
-}
-
-// TestDerivedAllOverlappingCallers: concurrent DerivedAll calls whose
-// key sets overlap never wait on each other's builds and all get the
-// right views. While one caller's build of {0,1} is blocked, a caller
-// asking for {1,2} builds both and returns. A stress round of many
-// callers over shuffled key subsets then runs under the race detector
-// in CI.
-func TestDerivedAllOverlappingCallers(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(s.Events())
-	specs := countingSpecs("test:overlap", 3)
-	build := func(missing []int) ([]any, error) {
-		out := make([]any, len(missing))
-		for k := range out {
-			out[k] = want
-		}
-		return out, nil
-	}
-
-	started, gate := make(chan struct{}), make(chan struct{})
-	firstDone := make(chan []any)
-	go func() {
-		vs, err := s.DerivedAll(specs[:2], func(missing []int) ([]any, error) {
-			close(started)
-			<-gate
-			return build(missing)
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		firstDone <- vs
-	}()
-	<-started
-	secondDone := make(chan []any)
-	go func() {
-		vs, err := s.DerivedAll(specs[1:], build)
-		if err != nil {
-			t.Error(err)
-		}
-		secondDone <- vs
-	}()
-	var second []any
-	select {
-	case second = <-secondDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the second caller waited on the first caller's build")
-	}
-	close(gate)
-	for _, vs := range [][]any{<-firstDone, second} {
-		for _, v := range vs {
-			if v != want {
-				t.Errorf("view %v, want %d", v, want)
-			}
-		}
-	}
-
-	stress := countingSpecs("test:overlap-stress", 6)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var sub []*DerivedSpec
-			for k := range stress {
-				if (g+k)%3 != 0 {
-					sub = append(sub, stress[(g*5+k)%len(stress)])
-				}
-			}
-			vs, err := s.DerivedAll(sub, build)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, v := range vs {
-				if v != want {
-					t.Errorf("stress view %v, want %d", v, want)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestDerivedAllPanickingBuild: a buildMissing that panics leaves
-// none of its keys memoized, so the next call builds every one again.
-func TestDerivedAllPanickingBuild(t *testing.T) {
-	s, err := Capture(trace.NewSliceSource(testRecords(3000)), testConfig(5000), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := countingSpecs("test:fused-panic", 3)
-	func() {
-		defer func() {
-			if r := recover(); r != "fused build bug" {
-				t.Fatalf("recovered %v, want the build's own panic", r)
-			}
-		}()
-		s.DerivedAll(specs, func([]int) ([]any, error) { panic("fused build bug") })
-	}()
-	if keys := s.DerivedKeys(); len(keys) != 0 {
-		t.Fatalf("a panicked build memoized %v", keys)
-	}
-	vs, err := s.DerivedAll(specs, func(missing []int) ([]any, error) {
-		if len(missing) != 3 {
-			t.Errorf("rebuild asked for %v, want [0 1 2]", missing)
-		}
-		out := make([]any, len(missing))
-		for k := range out {
-			out[k] = uint64(s.Events())
-		}
-		return out, nil
-	})
-	if err != nil || len(vs) != 3 {
-		t.Fatalf("rebuild after the panic: %v, %v", vs, err)
-	}
 }

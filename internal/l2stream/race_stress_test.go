@@ -8,16 +8,21 @@ import (
 	"github.com/chirplab/chirp/internal/trace"
 )
 
-// TestRaceDerivedClose hammers derived-view memoization on one stream
-// from several goroutines at once while Cache.Close runs beside them.
-// It asserts no outcome beyond the documented contracts —
-// views stay correct, and stay valid after Close — and leaves the
-// interleavings to the race detector (CI runs this package with -race
-// -count=2).
+// TestRaceDerivedClose hammers one persistent stream's sidecars from
+// several goroutines at once — each round reads a view's sidecar or,
+// missing it, builds the view and stages, commits and renames a new
+// one over whatever another goroutine renamed there — while Cache.Close
+// runs beside them. It asserts no outcome beyond the documented
+// contracts — views stay correct, and stay readable after Close — and
+// leaves the interleavings to the race detector (CI runs this package
+// with -race -count=2).
 func TestRaceDerivedClose(t *testing.T) {
 	recs := testRecords(4000)
 	cfg := testConfig(6000)
-	c := NewCache(0)
+	c, err := NewPersistent(0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := c.GetOrCapture(Key{Workload: "mem", Config: cfg}, func(maxBytes int64) (*Stream, error) {
 		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
@@ -25,23 +30,17 @@ func TestRaceDerivedClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEvents := int(s.Events())
+	wantEvents := s.Events()
 
-	// Several small view families so the builders contend on the
-	// derivedMu map.
+	// Several small view families, so the writers contend on the
+	// directory as well as on each file.
 	specs := make([]*DerivedSpec, 4)
 	for i := range specs {
-		specs[i] = &DerivedSpec{Key: fmt.Sprintf("racestress/v1/%d", i)}
+		specs[i] = eventCountSpec(fmt.Sprintf("racestress/v1/%d", i))
 	}
-	build := func(s *Stream) (any, error) {
-		evs, err := decodeAll(s, DecodeBlockSize)
-		if err != nil {
-			return nil, err
-		}
-		return len(evs), nil
-	}
+	build := countEvents(nil)
 
-	const builders, rounds = 3, 400
+	const builders, rounds = 3, 100
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 
@@ -53,10 +52,10 @@ func TestRaceDerivedClose(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				v, err := derived(s, specs[i%len(specs)], build)
 				if err != nil {
-					t.Errorf("DerivedAll: %v", err)
+					t.Errorf("derived: %v", err)
 					return
 				}
-				if n := v.(int); n != wantEvents {
+				if n := v.(uint64); n != wantEvents {
 					t.Errorf("derived view sees %d events, want %d", n, wantEvents)
 					return
 				}
@@ -74,10 +73,10 @@ func TestRaceDerivedClose(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	// Derived views remain valid after Close: the stream owns them.
+	// The sidecars stay readable after Close: the stream locates them.
 	for _, spec := range specs {
 		v, err := derived(s, spec, build)
-		if err != nil || v.(int) != wantEvents {
+		if err != nil || v.(uint64) != wantEvents {
 			t.Errorf("derived view %q after close: %v, %v", spec.Key, v, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package l2stream
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -30,13 +29,16 @@ const CodecVersion = 4
 // Store file format (".l2s"): a fixed 128-byte header, then the
 // stream's encoded events verbatim. The header holds the magic, the
 // codec version, the key fingerprint, a flag byte, a CRC-32C, and the
-// run scalars. Saving writes the capture's encoder chunks after the
-// header and drops them; loading checks the header and streams the
-// events through the checksum. Either way the stream keeps the open
-// file and nothing else of its events: decode passes pread them from
-// it, so a file that is evicted or replaced later cannot change a
-// stream already holding it, and each pass checks the checksum again
-// over the bytes it read.
+// run scalars. A capture into the store writes its events to a
+// staging file as the encoder fills each chunk, folding them into the
+// checksum as they go, and writes the header last: the scalars are
+// known only then, and the checksum, which covers them before the
+// events, is combined from the two parts (crc32Combine). Loading
+// checks the header and streams the events through the checksum.
+// Either way the stream keeps the open file and nothing else of its
+// events: decode passes pread them from it, so a file that is evicted
+// or replaced later cannot change a stream already holding it, and
+// each pass checks the checksum again over the bytes it read.
 //
 // Header layout: [0,4) magic, [4,8) codec version, [8,40) fingerprint,
 // 40 flags, [44,48) CRC-32C of bytes [48,end) — the scalars and the
@@ -145,10 +147,10 @@ func (st *store) streamPath(key Key) string {
 // Derived sidecar format (".l2d"): a frame of magic, the
 // derived-format and stream-codec versions, the key's length and the
 // full derived key string, the payload length and the payload's
-// CRC-32C (as a uint64), then the payload. The payload's meaning
-// belongs to the DerivedSpec that wrote it; the store only guarantees
-// that the bytes a spec's Decode reads are the bytes its Encode wrote,
-// under the same key, or that the load fails.
+// CRC-32C (as a uint64), then the payload: the words and columns its
+// DerivedSpec lays out (derived.go). The store only guarantees that
+// the bytes a reader returns are the bytes a writer wrote, under the
+// same key, or that the read fails.
 const (
 	derivedMagic = "CHDV"
 	// DerivedFormatVersion identifies the sidecar container framing.
@@ -160,11 +162,6 @@ const (
 	DerivedFormatVersion = 2
 )
 
-// castagnoli is the checksum table for stream buffers and derived
-// sidecar payloads (CRC-32C, the polynomial with hardware support on
-// amd64 and arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // derivedPath returns the sidecar file path for a derived key: the
 // stream's content-addressed base plus a hash of the derived key.
 func (st *store) derivedPath(key Key, dkey string) string {
@@ -173,190 +170,21 @@ func (st *store) derivedPath(key Key, dkey string) string {
 	return fmt.Sprintf("%s-d%016x.l2d", strings.TrimSuffix(st.streamPath(key), ".l2s"), h.Sum64())
 }
 
-// attachDerived wires the stream's derived-view persistence hooks to
-// this store under key. Called once, while the stream is still private
-// to the loading/saving goroutine.
-func (st *store) attachDerived(s *Stream, key Key) {
-	s.dvLoad = func(spec *DerivedSpec) (any, bool) { return st.loadDerived(key, s, spec) }
-	s.dvSave = func(spec *DerivedSpec, view any) {
-		if err := st.saveDerived(key, spec, view); err != nil {
-			obsCacheDiskErrors.Inc()
-		} else {
-			obsDerivedDiskWrites.Inc()
-		}
-	}
-}
+// attachDerived points the stream's derived sidecars at this store
+// under key. Called once, while the stream is still private to the
+// loading or saving goroutine.
+func (st *store) attachDerived(s *Stream, key Key) { s.store, s.key = st, key }
 
 // derivedFrameSize is the length of a sidecar's frame: everything
 // before the payload. The payload length and its CRC-32C are the
 // frame's last 16 bytes.
 func derivedFrameSize(dkey string) int { return 16 + len(dkey) + 16 }
 
-// loadDerived decodes spec's view for s from its sidecar under key, or
-// returns ok=false when the store holds nothing usable. A missing file
-// reads as absent silently; an I/O error counts as a disk error; a
-// file whose frame, length or checksum is wrong, or whose payload the
-// spec's Decode rejects, counts as corruption. Either way the caller
-// rebuilds the view and its save atomically replaces the file. The
-// payload streams from the file into Decode through a buffered reader
-// that ends at the frame's length and checksums what passes, so no
-// buffer ever holds the whole file.
-func (st *store) loadDerived(key Key, s *Stream, spec *DerivedSpec) (view any, ok bool) {
-	f, err := os.Open(st.derivedPath(key, spec.Key))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			obsCacheDiskErrors.Inc()
-		}
-		return nil, false
-	}
-	defer f.Close()
-	in := &diskReader{r: f}
-	br := bufio.NewReader(in)
-	view, ok = readDerived(br, s, spec)
-	switch {
-	case ok:
-		obsDerivedDiskHits.Inc()
-	case in.err != nil:
-		obsCacheDiskErrors.Inc()
-	default:
-		obsDerivedCorrupt.Inc()
-	}
-	return view, ok
-}
-
-// readDerived reads one sidecar from br: the frame, checked against
-// the container versions and spec's key, then a payload that spec's
-// Decode must consume exactly, with nothing after it and a matching
-// checksum.
-func readDerived(br *bufio.Reader, s *Stream, spec *DerivedSpec) (any, bool) {
-	frame := make([]byte, derivedFrameSize(spec.Key))
-	if _, err := io.ReadFull(br, frame[:16]); err != nil {
-		return nil, false
-	}
-	if string(frame[:4]) != derivedMagic ||
-		binary.LittleEndian.Uint32(frame[4:8]) != DerivedFormatVersion ||
-		binary.LittleEndian.Uint32(frame[8:12]) != CodecVersion ||
-		binary.LittleEndian.Uint32(frame[12:16]) != uint32(len(spec.Key)) {
-		return nil, false
-	}
-	if _, err := io.ReadFull(br, frame[16:]); err != nil || string(frame[16:16+len(spec.Key)]) != spec.Key {
-		return nil, false
-	}
-	tail := frame[len(frame)-16:]
-	n := int64(binary.LittleEndian.Uint64(tail))
-	pr := &payloadReader{r: br, left: n}
-	v, ok := spec.Decode(s, pr, n)
-	if !ok || pr.left != 0 || uint64(pr.crc) != binary.LittleEndian.Uint64(tail[8:]) {
-		return nil, false
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, false // bytes trail the payload
-	}
-	return v, true
-}
-
-// diskReader passes a file's reads on and keeps the first error other
-// than io.EOF, so a failed load can tell a disk error from a short or
-// corrupt file.
-type diskReader struct {
-	r   io.Reader
-	err error
-}
-
-func (d *diskReader) Read(p []byte) (int, error) {
-	n, err := d.r.Read(p)
-	if err != nil && err != io.EOF && d.err == nil {
-		d.err = err
-	}
-	return n, err
-}
-
-// payloadReader is what a spec's Decode reads a payload from: it ends
-// where the frame says the payload does, and it folds every byte it
-// passes on into a running CRC-32C.
-type payloadReader struct {
-	r    io.Reader
-	left int64
-	crc  uint32
-}
-
-func (p *payloadReader) Read(b []byte) (int, error) {
-	if p.left <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(b)) > p.left {
-		b = b[:p.left]
-	}
-	n, err := p.r.Read(b)
-	p.left -= int64(n)
-	p.crc = crc32.Update(p.crc, castagnoli, b[:n])
-	return n, err
-}
-
-// payloadWriter is what a spec's Encode writes a payload to: it
-// passes every byte on, counting it and folding it into a running
-// CRC-32C for the frame.
-type payloadWriter struct {
-	w   io.Writer
-	n   int64
-	crc uint32
-}
-
-func (p *payloadWriter) Write(b []byte) (int, error) {
-	n, err := p.w.Write(b)
-	p.n += int64(n)
-	p.crc = crc32.Update(p.crc, castagnoli, b[:n])
-	return n, err
-}
-
-// saveDerived persists view under (key, spec.Key), staged and
-// atomically renamed like every other store write, then adds the file
-// to the directory's running size. The frame goes first with its
-// payload length and checksum zeroed; spec's Encode streams the
-// payload through a buffered writer that counts and checksums it, and
-// the two fields are patched in place before the file is closed and
-// renamed. No buffer
-// holds the whole payload, and a failed Encode leaves no file behind.
-func (st *store) saveDerived(key Key, spec *DerivedSpec, view any) error {
-	f, err := os.CreateTemp(st.dir, "chirp-*.l2d.tmp")
-	if err != nil {
-		return fmt.Errorf("l2stream: staging derived sidecar: %w", err)
-	}
-	tmp := f.Name()
-	frame := make([]byte, derivedFrameSize(spec.Key))
-	copy(frame, derivedMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], DerivedFormatVersion)
-	binary.LittleEndian.PutUint32(frame[8:12], CodecVersion)
-	binary.LittleEndian.PutUint32(frame[12:16], uint32(len(spec.Key)))
-	copy(frame[16:], spec.Key)
-	bw := bufio.NewWriter(f)
-	pw := &payloadWriter{w: bw}
-	_, err = bw.Write(frame)
-	if err == nil {
-		err = spec.Encode(pw, view)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		tail := frame[len(frame)-16:]
-		binary.LittleEndian.PutUint64(tail, uint64(pw.n))
-		binary.LittleEndian.PutUint64(tail[8:], uint64(pw.crc))
-		_, err = f.WriteAt(tail, int64(len(frame)-16))
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, st.derivedPath(key, spec.Key))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("l2stream: persisting derived sidecar: %w", err)
-	}
-	st.wrote(int64(len(frame)) + pw.n)
-	return nil
-}
+// staleStaging is how long a staging file may go unmodified before
+// the GC takes it for the leftover of a writer that was killed between
+// creating and renaming it, and removes it. A live writer touches its
+// file at least once per encoder chunk or view block.
+const staleStaging = time.Hour
 
 // gc holds the persistent directory to its byte budget: capture groups
 // — a stream's .l2s file plus its .l2d derived sidecars, which stand or
@@ -368,8 +196,10 @@ func (st *store) saveDerived(key Key, spec *DerivedSpec, view any) error {
 // the scan found. Concurrent processes sharing a directory may each
 // run gc; the worst race outcome is a double eviction of the same
 // group. A load racing an eviction reads as absent and recaptures,
-// and a stream that already holds its file keeps reading it. st.mu
-// must be held.
+// and a stream that already holds its file keeps reading it. Staging
+// files count towards the total but are never evicted: a live writer
+// renames its file into place, and one untouched for staleStaging is
+// a killed writer's, which gc removes (staging). st.mu must be held.
 func (st *store) gc() {
 	type group struct {
 		paths []string
@@ -384,13 +214,18 @@ func (st *store) gc() {
 	}
 	groups := map[string]*group{}
 	total := int64(0)
+	now := time.Now()
 	for _, ent := range ents {
 		name := ent.Name()
 		// Group id = the content-address hex in "chirp-<hex>…". Temp
 		// files and foreign files are left alone. ".chtr" record files
 		// that older binaries stored beside a header-only .l2s still
 		// group with it, so they are reclaimed with their group.
-		if !strings.HasPrefix(name, "chirp-") || strings.HasSuffix(name, ".tmp") {
+		if !strings.HasPrefix(name, "chirp-") {
+			continue
+		}
+		if strings.HasSuffix(name, ".tmp") {
+			total += st.staging(ent, now)
 			continue
 		}
 		ext := filepath.Ext(name)
@@ -442,6 +277,23 @@ func (st *store) gc() {
 	}
 	st.total = total
 	obsStoreBytes.Set(total)
+}
+
+// staging handles one staging file in a gc scan: it removes a file
+// left unmodified for staleStaging and returns 0, and returns the size
+// of any other.
+func (st *store) staging(ent os.DirEntry, now time.Time) int64 {
+	info, err := ent.Info()
+	if err != nil {
+		return 0
+	}
+	if now.Sub(info.ModTime()) < staleStaging {
+		return info.Size()
+	}
+	if err := os.Remove(filepath.Join(st.dir, ent.Name())); err != nil && !os.IsNotExist(err) {
+		obsCacheDiskErrors.Inc()
+	}
+	return 0
 }
 
 // load returns the persisted stream for key, or (nil, nil) when the
@@ -540,11 +392,50 @@ func readStream(f *os.File, key Key) (*Stream, error) {
 	return s, nil
 }
 
-// save persists a freshly captured stream under key: the header and
-// the encoder chunks go to a temp file that is renamed into place.
-// The stream then drops its chunks and keeps the open file instead.
-// On failure the stream keeps its chunks and stays usable.
-func (st *store) save(key Key, s *Stream) error {
+// stagedStream is a store file being written: a staging file that
+// receives the events from offset storeHeaderSize on, with their
+// running length and CRC-32C, and the first write error.
+type stagedStream struct {
+	st  *store
+	f   *os.File
+	n   int64
+	crc uint32
+	err error
+}
+
+// stage opens a staging file for a stream this store will hold.
+func (st *store) stage() (*stagedStream, error) {
+	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
+	if err != nil {
+		return nil, fmt.Errorf("l2stream: staging persisted capture: %w", err)
+	}
+	if _, err := f.Seek(storeHeaderSize, io.SeekStart); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, fmt.Errorf("l2stream: staging persisted capture: %w", err)
+	}
+	return &stagedStream{st: st, f: f}, nil
+}
+
+// write appends encoded events to the staging file. After an error it
+// does nothing; the error stays in w.err.
+func (w *stagedStream) write(b []byte) {
+	if w.err != nil {
+		return
+	}
+	if _, err := w.f.Write(b); err != nil {
+		w.err = fmt.Errorf("l2stream: writing persisted capture: %w", err)
+		return
+	}
+	w.n += int64(len(b))
+	w.crc = crc32.Update(w.crc, castagnoli, b)
+}
+
+// commit completes the staged file for key with s, whose events it
+// holds: it writes the header, renames the file into place, and makes
+// the open file the stream's events in place of any chunks. On failure
+// it removes the file and leaves the stream as it was.
+func (w *stagedStream) commit(key Key, s *Stream) error {
 	h := fingerprint(key)
 	hdr := make([]byte, storeHeaderSize)
 	copy(hdr, storeMagic)
@@ -553,41 +444,60 @@ func (st *store) save(key Key, s *Stream) error {
 	for i, v := range [10]uint64{
 		s.records, s.instructions, s.events, s.accesses,
 		s.warmupAt, s.warmInstrAt, s.l1iMisses, s.l1dMisses,
-		b2u(s.warmed), uint64(s.size),
+		b2u(s.warmed), uint64(w.n),
 	} {
 		binary.LittleEndian.PutUint64(hdr[storeScalarsAt+8*i:], v)
 	}
 	scalarsCRC := crc32.Checksum(hdr[storeScalarsAt:], castagnoli)
-	crc := scalarsCRC
-	for _, c := range s.chunks {
-		crc = crc32.Update(crc, castagnoli, c)
-	}
+	crc := crc32Combine(scalarsCRC, w.crc, w.n)
 	binary.LittleEndian.PutUint32(hdr[storeCRCOffset:], crc)
 
-	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
-	if err != nil {
-		return fmt.Errorf("l2stream: staging persisted capture: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(hdr)
-	for _, c := range s.chunks {
-		if err == nil {
-			_, err = f.Write(c)
-		}
+	err := w.err
+	if err == nil && w.n != s.size {
+		err = fmt.Errorf("l2stream: staged %d event bytes of %d", w.n, s.size)
 	}
 	if err == nil {
-		err = os.Rename(tmp, st.streamPath(key))
+		_, err = w.f.WriteAt(hdr, 0)
+	}
+	if err == nil {
+		err = os.Rename(w.f.Name(), w.st.streamPath(key))
 	}
 	if err != nil {
-		f.Close()
-		os.Remove(tmp)
+		w.discard()
 		return fmt.Errorf("l2stream: persisting capture: %w", err)
 	}
-	s.chunks, s.file = nil, f
+	s.chunks, s.file = nil, w.f
 	s.scalarsCRC, s.fileCRC = scalarsCRC, crc
-	st.attachDerived(s, key)
-	st.wrote(storeHeaderSize + s.size)
+	w.f = nil
+	w.st.attachDerived(s, key)
+	w.st.wrote(storeHeaderSize + w.n)
 	return nil
+}
+
+// discard closes and removes the staging file unless commit has
+// handed it to a stream.
+func (w *stagedStream) discard() {
+	if w.f == nil {
+		return
+	}
+	w.f.Close()
+	os.Remove(w.f.Name())
+	w.f = nil
+}
+
+// save persists a stream captured into memory under key: its chunks go
+// to a staging file that is renamed into place, and the stream then
+// drops them and keeps the open file instead. On failure the stream
+// keeps its chunks and stays usable.
+func (st *store) save(key Key, s *Stream) error {
+	w, err := st.stage()
+	if err != nil {
+		return err
+	}
+	for _, c := range s.chunks {
+		w.write(c)
+	}
+	return w.commit(key, s)
 }
 
 func b2u(b bool) uint64 {

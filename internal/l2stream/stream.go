@@ -13,12 +13,12 @@
 // over it, bit-identical to sim.RunTLBOnly.
 //
 // Streams are delta-encoded (a few bytes per event), and each stream's
-// encoded events live in exactly one place: the capture encoder's
-// fixed-size chunks until the capture store persists them, and from
-// then on the store file, which the stream keeps open and reads with
-// pread. Replays and derived-view builds decode either source in
-// DecodeBlockSize blocks, and sim.ReplayMulti builds every view it
-// lacks in one such pass; nothing else reads the events.
+// encoded events live in exactly one place: with a capture store, the
+// store file, which the capture writes chunk by chunk and the stream
+// then keeps open and reads with pread; without one, the capture
+// encoder's fixed-size chunks. Derived-view builds decode either
+// source in DecodeBlockSize blocks, and a sim replay pass builds every
+// view it lacks in one such pass; nothing else reads the events.
 // A capture whose encoded events would exceed the byte cap stops with
 // ErrOverBudget; its callers run the direct reference path instead.
 package l2stream
@@ -30,7 +30,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 
 	"github.com/chirplab/chirp/internal/tlb"
 )
@@ -164,11 +163,13 @@ func widthCode(u uint64, widths *[4]uint8) byte {
 }
 
 // encodeChunkSize is the length of the chunks the capture encoder
-// fills. The encoded stream never grows by copying: a full chunk is
-// set aside and a fresh one started, and the finished stream is the
-// chunk list itself (encoder.finish), held until the store writes it
-// out. A chunk ends before an event that would not fit it, so every
-// chunk holds whole events only and decodes on its own.
+// fills. The encoded stream never grows by copying. A capture into a
+// capture store writes each full chunk to the store's staging file and
+// refills the same buffer, so its events never sit on the heap beyond
+// one chunk; any other capture sets a full chunk aside and starts a
+// fresh one, and the finished stream is the chunk list itself
+// (encoder.finish). A chunk ends before an event that would not fit
+// it, so every chunk holds whole events only and decodes on its own.
 const encodeChunkSize = 64 << 10
 
 // decodeWindowSize is how much of a store file a decoder reads per
@@ -181,11 +182,13 @@ const decodeWindowSize = 256 << 10
 const maxEventBytes = 1 + 8 + 8
 
 // encoder appends tagged delta events to a sequence of fixed-size
-// chunks.
+// chunks, which go to sink as they fill when it is set and are kept
+// in chunks otherwise.
 type encoder struct {
-	chunks  [][]byte // full chunks, in stream order
-	full    int      // bytes held in chunks
-	buf     []byte   // the chunk being filled
+	chunks  [][]byte // full chunks, in stream order (no sink)
+	sink    *stagedStream
+	full    int    // bytes in the chunks set aside
+	buf     []byte // the chunk being filled
 	lastPC  uint64
 	lastVPN uint64
 }
@@ -195,24 +198,38 @@ func (e *encoder) reserve() {
 	if cap(e.buf)-len(e.buf) >= maxEventBytes {
 		return
 	}
-	if e.buf != nil {
-		e.chunks = append(e.chunks, e.buf)
-		e.full += len(e.buf)
+	if len(e.buf) > 0 {
+		e.flush()
 	}
-	e.buf = make([]byte, 0, encodeChunkSize)
+	if e.buf == nil {
+		e.buf = make([]byte, 0, encodeChunkSize)
+	}
+}
+
+// flush sets the current chunk aside: written to the sink, whose
+// buffer is then refilled from the start, or appended to chunks.
+func (e *encoder) flush() {
+	e.full += len(e.buf)
+	if e.sink != nil {
+		e.sink.write(e.buf)
+		e.buf = e.buf[:0]
+		return
+	}
+	e.chunks = append(e.chunks, e.buf)
+	e.buf = nil
 }
 
 // size returns the encoded stream's length so far.
 func (e *encoder) size() int { return e.full + len(e.buf) }
 
-// finish returns the encoded stream: its chunks in order, the last
-// one partly filled, and their total length.
+// finish sets the last, partly filled chunk aside and returns the
+// chunks kept (none with a sink) and the stream's total length.
 func (e *encoder) finish() ([][]byte, int64) {
-	chunks := e.chunks
 	if len(e.buf) > 0 {
-		chunks = append(chunks, e.buf)
+		e.flush()
 	}
-	return chunks, int64(e.size())
+	e.buf = nil
+	return e.chunks, int64(e.full)
 }
 
 // event appends one event: the tag with its width codes filled in, the
@@ -480,14 +497,14 @@ func (d *Decoder) Err() error { return d.err }
 // Stream is one captured workload stream: its encoded events plus the
 // policy-invariant run scalars (instruction totals, warmup position,
 // L1 miss counts) that every replay shares. The events live in one
-// place at a time: the capture encoder's chunks until the capture
-// store saves the stream, and from then on the store file, whose
-// descriptor the stream keeps (a stream loaded from the store has only
-// that). Besides them a stream holds only its derived views (see
-// derived.go), never replay results, which its caller memoizes;
-// replays and view builds decode the events block by block and keep no
-// decoded copy of them. Streams are immutable once the store has them
-// (or, without a store, after capture) and safe for concurrent
+// place: a capture into a capture store writes them to the store's
+// staging file as they are encoded, and the stream is that file once
+// it is renamed into place (a stream loaded from the store is its file
+// too); a capture without a store keeps the encoder's chunks. Besides
+// its events a stream holds nothing: its derived views are read in
+// blocks from their sidecars or built in blocks by a decode pass
+// (derived.go), and replay results are its caller's to keep.
+// Streams are immutable once captured and safe for concurrent
 // replays. A stream is released by Close, or by the garbage collector
 // when it is dropped.
 type Stream struct {
@@ -502,19 +519,11 @@ type Stream struct {
 	size                int64
 	scalarsCRC, fileCRC uint32
 
-	// Derived views (see derived.go): the memo of precomputed arrays by
-	// key, plus the persistence hooks the capture store installs.
-	// dvLoad/dvSave are written once when the store loads or saves the
-	// stream, before other goroutines can reach it, so only the map
-	// itself needs the mutex.
-	// dvLoad streams a spec's sidecar through its Decode and returns
-	// the view, counting a hit or the corruption that rejected it;
-	// dvSave streams a built view through the spec's Encode into a
-	// sidecar, counting a write or a disk error.
-	derivedMu sync.Mutex
-	derived   map[string]any
-	dvLoad    func(spec *DerivedSpec) (view any, ok bool)
-	dvSave    func(spec *DerivedSpec, view any)
+	// store and key locate the stream's derived sidecars (derived.go);
+	// store is nil for a stream that belongs to no capture store. Both
+	// are set once, before the stream is shared.
+	store *store
+	key   Key
 
 	records      uint64
 	instructions uint64
@@ -570,8 +579,14 @@ func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 // pass over the store file reads it through its own window, so passes
 // may run concurrently, and fails with a corrupt-stream error once it
 // has read every byte if the file no longer matches its checksum.
-func (s *Stream) Decode() *Decoder {
+func (s *Stream) Decode() *Decoder { return s.DecodeViews(0) }
+
+// DecodeViews is Decode for a pass that builds views derived views
+// from the events; each is counted in
+// chirp_l2stream_derived_builds_total.
+func (s *Stream) DecodeViews(views int) *Decoder {
 	obsDecodePasses.Inc()
+	obsDerivedBuilds.Add(uint64(views))
 	return s.decoder(decodeWindowSize)
 }
 
@@ -591,7 +606,7 @@ func (s *Stream) decoder(window int) *Decoder {
 }
 
 // Close releases the stream's store file, if it has one; decoding the
-// stream afterwards fails, and the views it memoized stay valid. A
+// stream afterwards fails. A
 // dropped stream needs no Close: its file is an *os.File, which the
 // garbage collector closes once it is unreachable. Close makes the
 // release prompt; owners that outlive their stream (an engine job, a
@@ -604,6 +619,6 @@ func (s *Stream) Close() error {
 }
 
 // FootprintBytes is the stream's encoded event size: the bytes a
-// capture cap is checked against, held in memory until the store
-// writes them out and in the store file after.
+// capture cap is checked against, held in the store file or, for a
+// stream that belongs to no store, in memory.
 func (s *Stream) FootprintBytes() int64 { return s.size }

@@ -1,19 +1,20 @@
-// Derived replay views: the stream-pure precomputations ReplayMulti
-// drives policies from. Everything here is a pure function of one
+// Derived replay views: the stream-pure precomputations the replay
+// walkers are driven from. Everything here is a pure function of one
 // captured l2stream.Stream plus a small configuration key, never of
 // TLB or policy state:
 //
-//   - accessView: the dense access sequence as struct-of-arrays (PC
-//     and VPN) and the warmup boundary's position in it. It holds no set index, so every L2 geometry shares it;
-//     the walker's tlb.Lookup masks the VPN itself.
-//   - prefetch schedule: the stride prefetcher's fill candidates per
-//     access, as a CSR. Stride decisions depend only on the demand
-//     stream, so they are computed once per ReplayMulti call that
-//     prefetches — from an accessView's columns, without decoding the
-//     stream again — and only the per-policy Contains gate runs at
-//     replay time. The schedule is neither memoized nor persisted: it
-//     needs no decode pass, and its sidecars would outweigh the
-//     streams they derive from.
+//   - access view: the dense access sequence as struct-of-arrays (PC
+//     and VPN) and the warmup boundary's position in it. It holds no
+//     set index, so every L2 geometry shares it; the walker's
+//     tlb.Lookup masks the VPN itself.
+//   - prefetch schedule: the stride prefetcher's decision per access,
+//     as the stride to prefetch along (0 for none): a prefetching
+//     access's fill candidates are the next PrefetchDistance pages
+//     along it. Stride decisions depend only on the demand stream, so
+//     each block's schedule is computed once per prefetch distance
+//     from the access view's columns and shared by every walker at
+//     that distance; only the per-policy Contains gate runs at replay
+//     time. The schedule is never persisted: it needs no decode pass.
 //   - CHiRP signature sequence: per access, the Figure 5 demand
 //     signature (pre path-push) and the prefetch-fill signature (post
 //     path-push), packed into one uint32. Shared by every CHiRP
@@ -25,337 +26,97 @@
 //     advance only on branches, so it covers the demand hit/insert and
 //     any prefetch fills alike.
 //
-// The other views are memoized on the stream (l2stream.DerivedAll)
-// and persisted as derived sidecars when the
-// stream belongs to a -capturedir store, so warm sweeps skip both the
-// decode and the signature recomputation. The views that decode the
-// stream (the access view and every signature view) are requested
-// together, and every one of them the memo and the sidecars lack is
-// filled from one block-decoded pass over the buffer (buildViews) —
-// over access events only when no view reads branches. No decoded
-// copy of the event sequence outlives the pass.
+// No view is ever whole in memory. A block pass (blockPass) reads
+// every family a replay needs in blocks of blockAccesses accesses:
+// from the family's sidecar when the stream belongs to a -capturedir
+// store that has one, and otherwise from one decode pass over the
+// events shared by every family without a sidecar — over access
+// events only when none of them reads branches. That pass writes each
+// block of each family it builds into the family's new sidecar, so
+// warm sweeps skip both the decode and the signature recomputation.
 package sim
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
-	"slices"
 
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/policy"
-	"github.com/chirplab/chirp/internal/tlb"
 )
 
-// replayView is what the dense walkers read for one prefetch distance:
-// an accessView's columns plus, when prefetching, a prefetch schedule.
-// It is assembled per ReplayMulti call from the memoized views and
-// owns none of the slices it holds.
-type replayView struct {
-	accessView
+// viewBlockSize is how many accesses a block pass reads per block. It
+// keeps a pass's buffers to a few MiB however long the stream: every
+// family's block, the prefetch schedules, and the decoder's window.
+// Every stream of the paper's 3 M-instruction runs stays one block,
+// with buffers sized to its access count.
+const viewBlockSize = 1 << 16
 
-	// Prefetch fill schedule, CSR over access ordinals: access i's
-	// fill candidates are pfVPN[pfOff[i]:pfOff[i+1]]. pfOff is nil
-	// when prefetching is off.
-	pfOff []uint32
-	pfVPN []uint64
-}
+// blockAccesses is the block length passes use: viewBlockSize, which
+// tests lower to cross block boundaries on short streams.
+var blockAccesses = viewBlockSize
 
-// replayViews is every derived view one ReplayMulti call walks,
-// fetched before its policies fan out.
-type replayViews struct {
-	rv        *replayView
-	chirpSigs [][]uint32 // per policy: a CHiRP's signature sequence, nil for the rest
-	ghrpSigs  []uint64   // nil when no policy is GHRP
-}
-
-// viewsFor fetches the views policies need under cfg. One DerivedAll
-// call asks for the access view plus the signature views of every
-// CHiRP configuration and of GHRP among policies, so the ones neither
-// memoized nor persisted build in one decode pass. The prefetch
-// schedule is then built from the access view's columns, for this call
-// only.
-func viewsFor(stream *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
-	decoded, keys := decodedFor(policies)
-	vs, err := decodedViews(stream, decoded)
-	if err != nil {
-		return nil, err
-	}
-	av := vs[0].(*accessView)
-	out := &replayViews{rv: &replayView{accessView: *av}, chirpSigs: make([][]uint32, len(policies))}
-	byKey := map[string][]uint32{}
-	for i, d := range decoded {
-		switch v := vs[i].(type) {
-		case []uint32:
-			byKey[d.spec.Key] = v
-		case []uint64:
-			out.ghrpSigs = v
-		}
-	}
-	for j, k := range keys {
-		if k != "" {
-			out.chirpSigs[j] = byKey[k]
-		}
-	}
-	if pd := cfg.PrefetchDistance; pd > 0 {
-		ps := buildPrefetchSchedule(av, pd)
-		out.rv.pfOff, out.rv.pfVPN = ps.off, ps.vpn
-	}
-	return out, nil
-}
-
-// decodedFor lists the decoding views policies read: the access view,
-// then the signature view of each distinct CHiRP signature
-// configuration and GHRP's, once each. keys holds each policy's CHiRP
-// signature key ("" for the rest).
-func decodedFor(policies []tlb.Policy) (decoded []*decodedView, keys []string) {
-	decoded = []*decodedView{accessViewD}
-	keys = make([]string, len(policies))
-	wantGHRP := false
-	for j, p := range policies {
-		switch pp := p.(type) {
-		case *core.CHiRP:
-			c := pp.Config()
-			keys[j] = chirpSigsKey(c)
-			if !slices.Contains(keys[:j], keys[j]) {
-				decoded = append(decoded, chirpSigsDecl(c, keys[j]))
-			}
-		case *policy.GHRP:
-			wantGHRP = true
-		}
-	}
-	if wantGHRP {
-		decoded = append(decoded, ghrpSigsD)
-	}
-	return decoded, keys
-}
+// errViewCorrupt reports a sidecar that proved corrupt after walkers
+// had consumed blocks of it. The reader removed the file, so walking
+// again with fresh policies builds the family from the stream.
+var errViewCorrupt = errors.New("sim: a derived sidecar failed its checksum in mid-walk")
 
 // usesBranchHistory reports whether cfg's signatures read branch
 // history, so that its signature view must decode branch events.
 func usesBranchHistory(cfg core.Config) bool { return cfg.UseCondHistory || cfg.UseIndirectHistory }
 
-// viewBuilder is a decoding view's per-pass state, driven by
-// decodeBlocks. fill consumes one decoded block and reports false
-// when it holds more accesses than the pre-sized view has room for (a
-// stream whose scalars disagree with its buffer); filled is the
-// number of accesses consumed so far, and view the finished view.
+// column is one block of one view column: 8-byte values in u64 or
+// 4-byte values in u32, as the family's DerivedSpec lays it out.
+type column struct {
+	u64 []uint64
+	u32 []uint32
+}
+
+// viewBuilder is a decoding view family's state in a decode pass. fill
+// consumes a run of decoded events whose accesses go to the family's
+// block columns from index j on.
 type viewBuilder interface {
-	fill(evs []l2stream.Event) bool
-	filled() int
-	view() any
+	fill(evs []l2stream.Event, j int)
 }
 
 // decodedView declares one view family that decodes the stream: its
-// DerivedSpec, the name its errors carry, whether its builder reads
-// branch events, and the builder's constructor. The builder allocates
-// the view's columns, so it is constructed only for a view that is
-// actually built.
+// DerivedSpec, whether its builder reads branch events, and the
+// builder's constructor, which receives the block columns the builder
+// fills.
 type decodedView struct {
 	spec       *l2stream.DerivedSpec
-	name       string
 	branches   bool
-	newBuilder func(s *l2stream.Stream) viewBuilder
-}
-
-// decodedViews returns the views ds from the stream's memo or
-// sidecars, building all the missing ones in one decode pass.
-func decodedViews(s *l2stream.Stream, ds []*decodedView) ([]any, error) {
-	specs := make([]*l2stream.DerivedSpec, len(ds))
-	for i, d := range ds {
-		specs[i] = d.spec
-	}
-	return s.DerivedAll(specs, func(missing []int) ([]any, error) {
-		m := make([]*decodedView, len(missing))
-		for k, i := range missing {
-			m[k] = ds[i]
-		}
-		return buildViews(s, m)
-	})
-}
-
-// buildViews builds every view in ds from one decode pass over s —
-// access and warmup events only when no builder reads branches.
-func buildViews(s *l2stream.Stream, ds []*decodedView) ([]any, error) {
-	bs := make([]viewBuilder, len(ds))
-	accessesOnly := true
-	for i, d := range ds {
-		bs[i] = d.newBuilder(s)
-		accessesOnly = accessesOnly && !d.branches
-	}
-	if err := decodeBlocks(s, accessesOnly, bs, ds); err != nil {
-		return nil, err
-	}
-	out := make([]any, len(bs))
-	for i, b := range bs {
-		out[i] = b.view()
-	}
-	return out, nil
-}
-
-// decodeBlocks decodes the stream in l2stream.DecodeBlockSize blocks —
-// access and warmup events only when accessesOnly, every event
-// otherwise — and feeds each block to every builder, then checks that
-// each consumed exactly the stream's access count. ds names the views
-// in errors.
-func decodeBlocks(s *l2stream.Stream, accessesOnly bool, bs []viewBuilder, ds []*decodedView) error {
-	d := s.Decode()
-	var blk [l2stream.DecodeBlockSize]l2stream.Event
-	for {
-		var k int
-		if accessesOnly {
-			k = d.NextAccessBlock(blk[:])
-		} else {
-			k = d.NextBlock(blk[:])
-		}
-		if k == 0 {
-			break
-		}
-		for i, b := range bs {
-			if !b.fill(blk[:k]) {
-				return fmt.Errorf("sim: %s decoded more accesses than the %d the stream reports", ds[i].name, s.Accesses())
-			}
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i, b := range bs {
-		if n := b.filled(); uint64(n) != s.Accesses() {
-			return fmt.Errorf("sim: %s decoded %d accesses, stream reports %d", ds[i].name, n, s.Accesses())
-		}
-	}
-	return nil
-}
-
-// accessView is the dense access sequence as struct-of-arrays. All
-// slices are indexed by demand access ordinal and shared read-only
-// across policies, replays and L2 geometries.
-type accessView struct {
-	pc  []uint64
-	vpn []uint64
-
-	// warmIdx is the number of accesses preceding the warmup marker
-	// (len(pc) when the marker trails every access, -1 when the stream
-	// has no marker); replay latches warm stats right before access
-	// warmIdx, which is where the marker event sat.
-	warmIdx int
+	newBuilder func(cols []column) viewBuilder
 }
 
 // accessViewD declares the access view. Its key carries no L2
-// geometry: the view holds none. Version 3 dropped version 2's
-// instruction-side byte column, which no walker reads.
+// geometry: the view holds none. Its payload is the access count and
+// the warmup index, then the pc and vpn columns. Version 3 dropped
+// version 2's instruction-side byte column, which no walker reads.
 var accessViewD = &decodedView{
-	spec: &l2stream.DerivedSpec{
-		Key: "av3",
-		// The payload: the access count and warmup index, then the pc
-		// and vpn columns, all little-endian uint64s.
-		Encode: func(w io.Writer, view any) error {
-			v := view.(*accessView)
-			c := newColumnWriter(w)
-			c.word(uint64(len(v.pc)))
-			c.word(uint64(int64(v.warmIdx)))
-			c.u64s(v.pc)
-			c.u64s(v.vpn)
-			return c.err
-		},
-		Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
-			c := newColumnReader(r)
-			n, warm := c.word(), int64(c.word())
-			if c.err != nil || n != s.Accesses() || warm < -1 || warm > int64(n) || size != 16+16*int64(n) {
-				return nil, false
-			}
-			v := &accessView{pc: make([]uint64, n), vpn: make([]uint64, n), warmIdx: int(warm)}
-			c.u64s(v.pc)
-			c.u64s(v.vpn)
-			if c.err != nil {
-				return nil, false
-			}
-			return v, true
-		},
-	},
-	name: "access view",
-	newBuilder: func(s *l2stream.Stream) viewBuilder {
-		n := int(s.Accesses())
-		return &accessBuilder{v: &accessView{
-			pc:      make([]uint64, n),
-			vpn:     make([]uint64, n),
-			warmIdx: -1,
-		}}
+	spec: &l2stream.DerivedSpec{Key: "av3", Words: 2, Columns: []int{8, 8}},
+	newBuilder: func(cols []column) viewBuilder {
+		return &accessBuilder{pc: cols[0].u64, vpn: cols[1].u64}
 	},
 }
 
-// accessViewFor materializes (or recalls) the stream's accessView.
-func accessViewFor(stream *l2stream.Stream) (*accessView, error) {
-	vs, err := decodedViews(stream, []*decodedView{accessViewD})
-	if err != nil {
-		return nil, err
-	}
-	return vs[0].(*accessView), nil
-}
+// accessBuilder fills the access view's columns.
+type accessBuilder struct{ pc, vpn []uint64 }
 
-// accessBuilder is the access view's per-pass state. The columns are
-// sized to the stream's access count up front, so the per-event fill
-// loop never allocates.
-type accessBuilder struct {
-	v *accessView
-	n int // accesses filled so far
-}
-
-func (b *accessBuilder) filled() int { return b.n }
-
-func (b *accessBuilder) view() any { return b.v }
-
-// fill appends one decoded block's access events to the view; it
-// skips the branch events a pass shared with a signature view carries.
+// fill copies the accesses' PCs and VPNs; it skips the branch events
+// a pass shared with a signature view carries.
 //
 //chirp:hotpath
-func (b *accessBuilder) fill(evs []l2stream.Event) bool {
-	v := b.v
-	j := b.n
+func (b *accessBuilder) fill(evs []l2stream.Event, j int) {
 	for i := range evs {
 		ev := &evs[i]
-		switch ev.Kind {
-		case l2stream.EventBranch:
-			continue
-		case l2stream.EventWarmup:
-			v.warmIdx = j
+		if ev.Kind != l2stream.EventInstrAccess && ev.Kind != l2stream.EventDataAccess {
 			continue
 		}
-		if j >= len(v.pc) {
-			return false
-		}
-		v.pc[j] = ev.PC
-		v.vpn[j] = ev.VPN
+		b.pc[j] = ev.PC
+		b.vpn[j] = ev.VPN
 		j++
 	}
-	b.n = j
-	return true
-}
-
-// prefetchSchedule is the stride prefetcher's fill schedule over the
-// demand access sequence, in replayView's CSR layout.
-type prefetchSchedule struct {
-	off []uint32
-	vpn []uint64
-}
-
-// buildPrefetchSchedule runs the shared stride prefetcher over the
-// access columns exactly as a live replay would. It runs it twice —
-// once to size the CSR, once to fill it — so the fill column is
-// allocated at its exact length and the view holds no append slack.
-func buildPrefetchSchedule(av *accessView, pd int) *prefetchSchedule {
-	ps := &prefetchSchedule{off: make([]uint32, len(av.pc)+1)}
-	pf := newStridePrefetcher(pd)
-	for i, pc := range av.pc {
-		ps.off[i+1] = ps.off[i] + uint32(len(pf.observe(pc, av.vpn[i])))
-	}
-	ps.vpn = make([]uint64, ps.off[len(av.pc)])
-	pf = newStridePrefetcher(pd)
-	for i, pc := range av.pc {
-		copy(ps.vpn[ps.off[i]:], pf.observe(pc, av.vpn[i]))
-	}
-	return ps
 }
 
 // chirpSigsKey is the derived key of cfg's CHiRP signature sequence:
@@ -364,98 +125,51 @@ func buildPrefetchSchedule(av *accessView, pd int) *prefetchSchedule {
 func chirpSigsKey(cfg core.Config) string { return "chirp:" + cfg.SignatureKey() }
 
 // chirpSigsDecl declares the signature view of a CHiRP configuration;
-// key is chirpSigsKey(cfg). A configuration without branch history
-// ignores every branch, so its builder reads access events only.
+// key is chirpSigsKey(cfg). Its payload is the access count, then the
+// signature column. A configuration without branch history ignores
+// every branch, so its builder reads access events only.
 func chirpSigsDecl(cfg core.Config, key string) *decodedView {
 	return &decodedView{
-		spec: &l2stream.DerivedSpec{
-			Key: key,
-			Encode: func(w io.Writer, view any) error {
-				sigs := view.([]uint32)
-				c := newColumnWriter(w)
-				c.word(uint64(len(sigs)))
-				c.u32s(sigs)
-				return c.err
-			},
-			Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
-				c := newColumnReader(r)
-				n := c.word()
-				if c.err != nil || n != s.Accesses() || size != 8+4*int64(n) {
-					return nil, false
-				}
-				sigs := make([]uint32, n)
-				c.u32s(sigs)
-				return sigs, c.err == nil
-			},
-		},
-		name:     "chirp signature view",
+		spec:     &l2stream.DerivedSpec{Key: key, Words: 1, Columns: []int{4}},
 		branches: usesBranchHistory(cfg),
-		newBuilder: func(s *l2stream.Stream) viewBuilder {
-			return &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: make([]uint32, s.Accesses())}
+		newBuilder: func(cols []column) viewBuilder {
+			return &chirpSigBuilder{q: core.NewSigSequencer(cfg), out: cols[0].u32}
 		},
 	}
 }
 
 // chirpSigBuilder runs the stream's events through core.SigSequencer,
-// the code a live CHiRP runs, into a pre-sized output.
+// the code a live CHiRP runs.
 type chirpSigBuilder struct {
 	q   *core.SigSequencer
 	out []uint32
-	n   int
 }
 
-func (b *chirpSigBuilder) filled() int { return b.n }
-
-func (b *chirpSigBuilder) view() any { return b.out }
-
-// fill feeds one decoded block through the sequencer.
+// fill feeds a run of decoded events through the sequencer.
 //
 //chirp:hotpath
-func (b *chirpSigBuilder) fill(evs []l2stream.Event) bool {
+func (b *chirpSigBuilder) fill(evs []l2stream.Event, j int) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			if b.n >= len(b.out) {
-				return false
-			}
 			sig, psig := b.q.OnAccess(ev.PC)
-			b.out[b.n] = uint32(sig) | uint32(psig)<<16
-			b.n++
+			b.out[j] = uint32(sig) | uint32(psig)<<16
+			j++
 		case l2stream.EventBranch:
 			b.q.OnBranch(ev.PC, ev.Conditional, ev.Indirect)
 		}
 	}
-	return true
 }
 
 // ghrpSigsD declares the GHRP signature sequence: one signature per
-// access, valid for its hit/insert and prefetch fills alike.
+// access, valid for its hit/insert and prefetch fills alike. Its
+// payload is the access count, then the signature column.
 var ghrpSigsD = &decodedView{
-	spec: &l2stream.DerivedSpec{
-		Key: "ghrp:gs1",
-		Encode: func(w io.Writer, view any) error {
-			sigs := view.([]uint64)
-			c := newColumnWriter(w)
-			c.word(uint64(len(sigs)))
-			c.u64s(sigs)
-			return c.err
-		},
-		Decode: func(s *l2stream.Stream, r io.Reader, size int64) (any, bool) {
-			c := newColumnReader(r)
-			n := c.word()
-			if c.err != nil || n != s.Accesses() || size != 8+8*int64(n) {
-				return nil, false
-			}
-			sigs := make([]uint64, n)
-			c.u64s(sigs)
-			return sigs, c.err == nil
-		},
-	},
-	name:     "ghrp signature view",
+	spec:     &l2stream.DerivedSpec{Key: "ghrp:gs1", Words: 1, Columns: []int{8}},
 	branches: true,
-	newBuilder: func(s *l2stream.Stream) viewBuilder {
-		return &ghrpSigBuilder{out: make([]uint64, s.Accesses())}
+	newBuilder: func(cols []column) viewBuilder {
+		return &ghrpSigBuilder{out: cols[0].u64}
 	},
 }
 
@@ -464,127 +178,367 @@ var ghrpSigsD = &decodedView{
 type ghrpSigBuilder struct {
 	h   policy.GHRPHistory
 	out []uint64
-	n   int
 }
 
-func (b *ghrpSigBuilder) filled() int { return b.n }
-
-func (b *ghrpSigBuilder) view() any { return b.out }
-
-// fill feeds one decoded block through the GHRP history.
+// fill feeds a run of decoded events through the GHRP history.
 //
 //chirp:hotpath
-func (b *ghrpSigBuilder) fill(evs []l2stream.Event) bool {
+func (b *ghrpSigBuilder) fill(evs []l2stream.Event, j int) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
-			if b.n >= len(b.out) {
-				return false
-			}
-			b.out[b.n] = b.h.Signature(ev.PC)
-			b.n++
+			b.out[j] = b.h.Signature(ev.PC)
+			j++
 		case l2stream.EventBranch:
 			b.h.OnBranch(ev.PC, ev.Conditional, ev.Taken)
+		}
+	}
+}
+
+// viewFamily is one family's place in a block pass: its current block
+// and where blocks come from — its sidecar (in), or else the pass's
+// decode pass, through b, with out receiving each block for the
+// family's new sidecar.
+type viewFamily struct {
+	d    *decodedView
+	cols []column
+	in   *l2stream.SidecarReader
+	b    viewBuilder
+	out  *l2stream.SidecarWriter
+}
+
+// viewBlock is one block of every family a pass reads: accesses
+// [base, base+n) of the stream. fams[0] is the access view.
+type viewBlock struct {
+	base, n int
+	final   bool // the block holds the stream's last access
+	// warmIdx is the stream's warmup index as far as the pass knows it:
+	// from the access view's sidecar at once, or from the decode pass
+	// once the block holding the marker is read; -1 before that, or
+	// when the stream has no marker. The walkers latch their warm stats
+	// right before access warmIdx, or after the last when it equals the
+	// access count.
+	warmIdx int
+	fams    []*viewFamily
+
+	// The prefetch schedules: a stride prefetcher per prefetch distance
+	// of the pass, each carrying its state from block to block as a
+	// live one does from access to access, and one stride buffer that
+	// holds the schedule of distance pf[scheduled] (schedule).
+	pf        []*stridePrefetcher
+	stride    []int64
+	scheduled int
+}
+
+func (b *viewBlock) pc() []uint64  { return b.fams[0].cols[0].u64[:b.n] }
+func (b *viewBlock) vpn() []uint64 { return b.fams[0].cols[1].u64[:b.n] }
+
+// schedule returns the block's prefetch schedule for distance pf[i]:
+// stride[j] is the stride access j prefetches along, 0 when it
+// prefetches nothing. The walkers walk a block one distance at a time,
+// so one buffer serves every distance, and each distance's prefetcher
+// steps through every block once.
+func (b *viewBlock) schedule(i int) []int64 {
+	if b.scheduled != i {
+		pf, vpns := b.pf[i], b.vpn()
+		for j, pc := range b.pc() {
+			b.stride[j] = pf.step(pc, vpns[j])
+		}
+		b.scheduled = i
+	}
+	return b.stride[:b.n]
+}
+
+// blockPass reads the access view, plus any signature families, of one
+// stream one block at a time, and builds each block's prefetch
+// schedules on demand. Families with a sidecar read their blocks from
+// it; the rest share one decode pass, started with the first block. A
+// pass holds one block of each family at a time.
+type blockPass struct {
+	s   *l2stream.Stream
+	n   int // the stream's access count
+	blk viewBlock
+
+	// The decode pass, once a family needs it: the decoder, whether it
+	// skips branch events, and its decoded events not yet consumed,
+	// evs[evPos:evLen].
+	dec          *l2stream.Decoder
+	accessesOnly bool
+	evs          []l2stream.Event
+	evPos, evLen int
+}
+
+// newBlockPass prepares a pass over s that reads the access view and
+// the families ds (the access view among them is ignored) and can
+// build a prefetch schedule for each distance in dists.
+func newBlockPass(s *l2stream.Stream, ds []*decodedView, dists []int) *blockPass {
+	p := &blockPass{s: s, n: int(s.Accesses())}
+	size := max(1, min(blockAccesses, p.n))
+	p.blk.warmIdx = -1
+	for _, d := range append([]*decodedView{accessViewD}, ds...) {
+		if d == accessViewD && len(p.blk.fams) > 0 {
+			continue
+		}
+		f := &viewFamily{d: d, cols: make([]column, len(d.spec.Columns))}
+		for i, w := range d.spec.Columns {
+			if w == 4 {
+				f.cols[i].u32 = make([]uint32, size)
+			} else {
+				f.cols[i].u64 = make([]uint64, size)
+			}
+		}
+		p.blk.fams = append(p.blk.fams, f)
+	}
+	for _, pd := range dists {
+		p.blk.pf = append(p.blk.pf, newStridePrefetcher(pd))
+	}
+	if len(dists) > 0 {
+		p.blk.stride = make([]int64, size)
+	}
+	return p
+}
+
+// run reads the stream block by block and hands each block to walk. It
+// returns the first error of a read, of the decode pass or of walk;
+// every row walk produced is good only when run returns nil. A
+// family's sidecar that fails before the first block is walked falls
+// back to the decode pass; one that fails later ends the pass with
+// errViewCorrupt. The decode pass's sidecars are renamed into place
+// only once it has read the whole stream and checked its checksum;
+// an error or a panic leaves none of them behind.
+func (p *blockPass) run(walk func(*viewBlock) error) error {
+	defer p.close()
+	p.open()
+	b := &p.blk
+	size := len(b.fams[0].cols[0].u64)
+	for b.base = 0; ; b.base += size {
+		b.n = min(size, p.n-b.base)
+		b.final = b.base+b.n >= p.n
+		if err := p.fill(); err != nil {
+			return err
+		}
+		b.scheduled = -1
+		if err := walk(b); err != nil {
+			return err
+		}
+		if b.final {
+			return nil
+		}
+	}
+}
+
+// open opens every family's sidecar, keeping the ones whose words agree
+// with the stream.
+func (p *blockPass) open() {
+	for i, f := range p.blk.fams {
+		if f.in = p.s.OpenSidecar(f.d.spec); f.in == nil {
+			continue
+		}
+		w := f.in.Words()
+		ok := w[0] == uint64(p.n)
+		if i == 0 {
+			warm := int64(w[1])
+			if ok = ok && warm >= -1 && warm <= int64(p.n); ok {
+				p.blk.warmIdx = int(warm)
+			}
+		}
+		if !ok {
+			f.in.Reject()
+			f.in = nil
+		}
+	}
+}
+
+// fill reads the current block of every family.
+func (p *blockPass) fill() error {
+	b := &p.blk
+	decoding := p.dec != nil
+	for i, f := range b.fams {
+		if f.in == nil {
+			decoding = true
+			continue
+		}
+		if readBlock(f, b.n) {
+			continue
+		}
+		f.in = nil
+		if b.base > 0 {
+			return fmt.Errorf("%w: %s", errViewCorrupt, f.d.spec.Key)
+		}
+		if i == 0 {
+			b.warmIdx = -1
+		}
+		decoding = true
+	}
+	if !decoding {
+		return nil
+	}
+	if p.dec == nil {
+		p.startDecode()
+	}
+	if err := p.decode(); err != nil {
+		return err
+	}
+	for _, f := range b.fams {
+		if f.out == nil {
+			continue
+		}
+		for i, c := range f.cols {
+			if c.u32 != nil {
+				f.out.U32s(i, c.u32[:b.n])
+			} else {
+				f.out.U64s(i, c.u64[:b.n])
+			}
+		}
+		if b.final {
+			words := []uint64{uint64(p.n)}
+			if f == b.fams[0] {
+				words = append(words, uint64(int64(b.warmIdx)))
+			}
+			f.out.Commit(words)
+			f.out = nil
+		}
+	}
+	return nil
+}
+
+// readBlock reads family f's next n values of every column from its
+// sidecar.
+func readBlock(f *viewFamily, n int) bool {
+	for i, c := range f.cols {
+		var ok bool
+		if c.u32 != nil {
+			ok = f.in.U32s(i, c.u32[:n])
+		} else {
+			ok = f.in.U64s(i, c.u64[:n])
+		}
+		if !ok {
+			return false
 		}
 	}
 	return true
 }
 
-// columnChunk is the size of the one buffer a sidecar codec moves its
-// columns through, so neither direction holds a whole payload.
-const columnChunk = 32 << 10
-
-// columnWriter writes a sidecar payload to w: little-endian words and
-// whole columns, each word column staged through one columnChunk
-// buffer (a byte column goes to write as it is). The first error
-// sticks and skips every later write.
-type columnWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-func newColumnWriter(w io.Writer) *columnWriter {
-	return &columnWriter{w: w, buf: make([]byte, columnChunk)}
-}
-
-func (c *columnWriter) write(b []byte) {
-	if c.err == nil {
-		_, c.err = c.w.Write(b)
-	}
-}
-
-// word writes one uint64.
-func (c *columnWriter) word(x uint64) { c.write(binary.LittleEndian.AppendUint64(c.buf[:0], x)) }
-
-func (c *columnWriter) u64s(xs []uint64) {
-	for len(xs) > 0 && c.err == nil {
-		k := min(len(xs), len(c.buf)/8)
-		for i, x := range xs[:k] {
-			binary.LittleEndian.PutUint64(c.buf[8*i:], x)
+// startDecode starts the decode pass for every family without a
+// sidecar, each with its builder and, when the stream belongs to a
+// store, its new sidecar.
+func (p *blockPass) startDecode() {
+	built := 0
+	p.accessesOnly = true
+	for _, f := range p.blk.fams {
+		if f.in != nil {
+			continue
 		}
-		c.write(c.buf[:8*k])
-		xs = xs[k:]
+		f.b = f.d.newBuilder(f.cols)
+		f.out = p.s.CreateSidecar(f.d.spec)
+		p.accessesOnly = p.accessesOnly && !f.d.branches
+		built++
 	}
+	p.dec = p.s.DecodeViews(built)
+	p.evs = make([]l2stream.Event, l2stream.DecodeBlockSize)
 }
 
-func (c *columnWriter) u32s(xs []uint32) {
-	for len(xs) > 0 && c.err == nil {
-		k := min(len(xs), len(c.buf)/4)
-		for i, x := range xs[:k] {
-			binary.LittleEndian.PutUint32(c.buf[4*i:], x)
+// decode fills the decoding families' current block: it hands the
+// builders every event up to the access after the block's last, and —
+// for the last block — every event to the end of the stream, whose
+// checksum the decoder then checks.
+func (p *blockPass) decode() error {
+	b := &p.blk
+	j := 0 // accesses of the block decoded so far
+	for {
+		if p.evPos == p.evLen {
+			if p.accessesOnly {
+				p.evLen = p.dec.NextAccessBlock(p.evs)
+			} else {
+				p.evLen = p.dec.NextBlock(p.evs)
+			}
+			p.evPos = 0
+			if p.evLen == 0 {
+				break
+			}
 		}
-		c.write(c.buf[:4*k])
-		xs = xs[k:]
-	}
-}
-
-// columnReader reads a sidecar payload from r into the columns of a
-// view sized beforehand, each word column through one columnChunk
-// buffer (a byte column is read straight into place). The first
-// error, a short payload included, sticks and skips every later read.
-type columnReader struct {
-	r   io.Reader
-	buf []byte
-	err error
-}
-
-func newColumnReader(r io.Reader) *columnReader {
-	return &columnReader{r: r, buf: make([]byte, columnChunk)}
-}
-
-func (c *columnReader) read(b []byte) {
-	if c.err == nil {
-		_, c.err = io.ReadFull(c.r, b)
-	}
-}
-
-// word reads one uint64; its value is meaningless once an error has
-// stuck.
-func (c *columnReader) word() uint64 {
-	c.read(c.buf[:8])
-	return binary.LittleEndian.Uint64(c.buf)
-}
-
-func (c *columnReader) u64s(xs []uint64) {
-	for len(xs) > 0 && c.err == nil {
-		k := min(len(xs), len(c.buf)/8)
-		c.read(c.buf[:8*k])
-		for i := range xs[:k] {
-			xs[i] = binary.LittleEndian.Uint64(c.buf[8*i:])
+		evs := p.evs[p.evPos:p.evLen]
+		k, acc, warm := cutBlock(evs, b.n-j)
+		if warm >= 0 && b.fams[0].in == nil {
+			b.warmIdx = b.base + j + warm
 		}
-		xs = xs[k:]
+		for _, f := range b.fams {
+			if f.b != nil {
+				f.b.fill(evs[:k], j)
+			}
+		}
+		j += acc
+		p.evPos += k
+		if k < len(evs) {
+			break // evs[k] is the next block's first access
+		}
+	}
+	if err := p.dec.Err(); err != nil {
+		return err
+	}
+	if p.evLen > 0 && b.final {
+		return fmt.Errorf("sim: the stream decoded more accesses than the %d it reports", p.n)
+	}
+	if j < b.n {
+		return fmt.Errorf("sim: the stream decoded %d accesses, it reports %d", b.base+j, p.n)
+	}
+	return nil
+}
+
+// cutBlock returns how many of evs belong to a block with room
+// accesses left to fill: every event before the access that would
+// exceed it. acc counts the accesses among them, and warm is the
+// number of them that precede the warmup marker, or -1 when the marker
+// is not among them.
+//
+//chirp:hotpath
+func cutBlock(evs []l2stream.Event, room int) (k, acc, warm int) {
+	warm = -1
+	for k = range evs {
+		switch evs[k].Kind {
+		case l2stream.EventInstrAccess, l2stream.EventDataAccess:
+			if acc == room {
+				return k, acc, warm
+			}
+			acc++
+		case l2stream.EventWarmup:
+			warm = acc
+		}
+	}
+	return len(evs), acc, warm
+}
+
+// close releases what an unfinished pass holds: it closes the sidecars
+// still being read and removes the ones still being written.
+func (p *blockPass) close() {
+	for _, f := range p.blk.fams {
+		if f.in != nil {
+			f.in.Close()
+		}
+		if f.out != nil {
+			f.out.Abort()
+		}
 	}
 }
 
-func (c *columnReader) u32s(xs []uint32) {
-	for len(xs) > 0 && c.err == nil {
-		k := min(len(xs), len(c.buf)/4)
-		c.read(c.buf[:4*k])
-		for i := range xs[:k] {
-			xs[i] = binary.LittleEndian.Uint32(c.buf[4*i:])
-		}
-		xs = xs[k:]
+// streamVPNs returns the stream's whole demand-access VPN column, for
+// the OPT oracle, through a block pass over the access view. A sidecar
+// that fails in mid-pass is gone by then, so the one retry decodes the
+// stream.
+func streamVPNs(s *l2stream.Stream) ([]uint64, error) {
+	var vpns []uint64
+	collect := func(b *viewBlock) error {
+		vpns = append(vpns, b.vpn()...)
+		return nil
 	}
+	err := errViewCorrupt
+	for try := 0; try < 2 && errors.Is(err, errViewCorrupt); try++ {
+		vpns = make([]uint64, 0, s.Accesses())
+		err = newBlockPass(s, nil, nil).run(collect)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return vpns, nil
 }

@@ -488,7 +488,7 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 			}
 			for _, ccfg := range chirpSigConfigs() {
 				want := refCHiRPSigs(evs, ccfg)
-				sigs, err := buildViews(s, []*decodedView{chirpSigsDecl(ccfg, chirpSigsKey(ccfg))})
+				sigs, err := decodedViews(s, []*decodedView{chirpSigsDecl(ccfg, chirpSigsKey(ccfg))})
 				if err != nil {
 					t.Fatalf("%s: chirp sigs: %v", name, err)
 				}
@@ -505,7 +505,7 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 					}
 				}
 			}
-			gsigs, err := buildViews(s, []*decodedView{ghrpSigsD})
+			gsigs, err := decodedViews(s, []*decodedView{ghrpSigsD})
 			if err != nil {
 				t.Fatalf("%s: ghrp sigs: %v", name, err)
 			}

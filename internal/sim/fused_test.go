@@ -49,7 +49,7 @@ func TestFusedViewBuildsMatchSingle(t *testing.T) {
 		s := captureFor(t, name, cfg)
 		ds := viewDecls()
 		before := decodePasses.Value()
-		fused, err := buildViews(s, ds)
+		fused, err := decodedViews(s, ds)
 		if err != nil {
 			t.Fatalf("%s: fused build: %v", name, err)
 		}
@@ -57,7 +57,7 @@ func TestFusedViewBuildsMatchSingle(t *testing.T) {
 			t.Errorf("%s: fused build of %d views took %d decode passes, want 1", name, len(ds), d)
 		}
 		for i, d := range ds {
-			single, err := buildViews(s, []*decodedView{d})
+			single, err := decodedViews(s, []*decodedView{d})
 			if err != nil {
 				t.Fatalf("%s: %s alone: %v", name, d.spec.Key, err)
 			}
@@ -99,11 +99,12 @@ func sidecarPath(t *testing.T, dir, dkey string) string {
 	return ps[0]
 }
 
-// TestReplayMultiBuildsMissingViewsInOnePass: with one view memoized,
-// the rest on disk except one deleted sidecar and one corrupt one, a
-// ReplayMulti over every policy builds exactly the missing and the
-// corrupt view, together in one decode pass, loads the others, and
-// still matches the direct reference. A second call decodes nothing.
+// TestReplayMultiBuildsMissingViewsInOnePass: with every view on disk
+// except one deleted sidecar and one corrupt one, a ReplayMulti over
+// every policy builds exactly the missing and the corrupt view,
+// together in one decode pass, loads the others, and still matches the
+// direct reference. A second call, over the rewritten sidecars,
+// decodes nothing.
 func TestReplayMultiBuildsMissingViewsInOnePass(t *testing.T) {
 	const wname = "db-003"
 	cfg := DefaultTLBOnlyConfig(150000)
@@ -132,9 +133,6 @@ func TestReplayMultiBuildsMissingViewsInOnePass(t *testing.T) {
 	}
 
 	_, warm := persistentStreamFor(t, dir, wname, cfg)
-	if _, err := accessViewFor(warm); err != nil {
-		t.Fatal(err)
-	}
 	passes, builds, bad := decodePasses.Value(), derivedBuilds.Value(), derivedCorrupt.Value()
 	got, err := ReplayMulti(warm, allPolicies(t), cfg)
 	if err != nil {
@@ -159,7 +157,7 @@ func TestReplayMultiBuildsMissingViewsInOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := decodePasses.Value() - passes; d != 0 {
-		t.Errorf("a replay with every view memoized decoded %d times, want 0", d)
+		t.Errorf("a replay with every view on disk decoded %d times, want 0", d)
 	}
 }
 
@@ -280,14 +278,15 @@ func TestPCOnlySignatureViewsMatchPCBuilder(t *testing.T) {
 // TestPCOnlySignatureViewsOneDecodePass: a set whose only CHiRPs keep
 // no branch history builds the access view and its signature views —
 // one per signature key, shared by variants that differ only in table
-// size — in exactly one decode pass, and a second fetch decodes
-// nothing.
+// size — in exactly one decode pass, which writes one sidecar per
+// view, and a second fetch reads them and decodes nothing.
 func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
 	pc, path, _, _ := fig6CHiRPs()
 	small := pc
 	small.TableEntries = 512
 	cfg := DefaultTLBOnlyConfig(100000)
-	s := captureFor(t, "db-003", cfg)
+	dir := t.TempDir()
+	_, s := persistentStreamFor(t, dir, "db-003", cfg)
 	pols := func() []tlb.Policy {
 		return []tlb.Policy{core.MustNew(pc), core.MustNew(path), core.MustNew(small)}
 	}
@@ -301,9 +300,11 @@ func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
 	if d := derivedBuilds.Value() - builds; d != 3 {
 		t.Errorf("%d views built, want 3 (the access view and two signature views)", d)
 	}
-	want := []string{accessViewD.spec.Key, chirpSigsKey(pc), chirpSigsKey(path)}
-	if got := s.DerivedKeys(); !reflect.DeepEqual(sorted(got), sorted(want)) {
-		t.Errorf("derived keys %v, want %v", got, want)
+	for _, key := range []string{accessViewD.spec.Key, chirpSigsKey(pc), chirpSigsKey(path)} {
+		sidecarPath(t, dir, key)
+	}
+	if got := sidecarFiles(t, dir); len(got) != 3 {
+		t.Errorf("the decode pass wrote sidecars %v, want 3", got)
 	}
 	passes = decodePasses.Value()
 	if _, err := viewsFor(s, pols(), cfg); err != nil {
@@ -312,12 +313,6 @@ func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
 	if d := decodePasses.Value() - passes; d != 0 {
 		t.Errorf("a second fetch decoded %d times, want 0", d)
 	}
-}
-
-func sorted(xs []string) []string {
-	out := slices.Clone(xs)
-	slices.Sort(out)
-	return out
 }
 
 // TestLiveCHiRPPrefetchMatchesReplay: a live CHiRP tags each prefetch

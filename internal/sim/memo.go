@@ -16,6 +16,7 @@ import (
 	"hash/maphash"
 	"math"
 	"reflect"
+	"runtime"
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/obs"
@@ -32,24 +33,24 @@ var (
 		"Replayed (workload, policy) cells walked, including policies the memo cannot key.")
 )
 
-// replayMemoized is RunMulti's replay over memo, the results its owner
-// has already walked from stream: every policy whose key memo holds
-// under cfg takes the memoized result, and the rest — the first policy
-// of each new key, plus every policy policyKey cannot key — walk
-// together in one ReplayMulti call, whose keyed results then fill
-// memo. Results are ordered like ps and equal ReplayMulti(stream, ps,
-// cfg) field for field.
-func replayMemoized(memo map[string]TLBOnlyResult, stream *l2stream.Stream, ps []tlb.Policy, cfg TLBOnlyConfig) ([]TLBOnlyResult, error) {
-	prefix := fmt.Sprintf("%+v:", cfg)
+// replayCells replays cells over memo, the results its owner has
+// already walked from stream: every cell whose key — its configuration
+// and policyKey — memo holds takes the memoized result, and the rest,
+// the first cell of each new key plus every cell policyKey cannot key,
+// walk together in one block pass (walkCells), whose keyed results
+// then fill memo. Results are ordered like cells and equal each cell's
+// ReplayMulti field for field. Like walkCells, it takes the cells'
+// policies.
+func replayCells(memo map[string]TLBOnlyResult, stream *l2stream.Stream, cells []cell) ([]TLBOnlyResult, error) {
 	var (
-		keys  = make([]string, len(ps)) // "" when the policy has no key
-		walk  []tlb.Policy
-		pos   = make([]int, len(ps)) // index into walk of each policy's walker, -1 on a memo hit
-		first = map[string]int{}     // key → index into walk of its walker
+		keys  = make([]string, len(cells)) // "" when the policy has no key
+		walk  []cell
+		pos   = make([]int, len(cells)) // index into walk of each cell's walker, -1 on a memo hit
+		first = map[string]int{}        // key → index into walk of its walker
 	)
-	for i, p := range ps {
-		if k, ok := policyKey(p); ok {
-			keys[i] = prefix + k
+	for i, c := range cells {
+		if k, ok := policyKey(c.p); ok {
+			keys[i] = fmt.Sprintf("%+v:", c.cfg) + k
 			if _, hit := memo[keys[i]]; hit {
 				pos[i] = -1
 				continue
@@ -61,17 +62,20 @@ func replayMemoized(memo map[string]TLBOnlyResult, stream *l2stream.Stream, ps [
 			first[keys[i]] = len(walk)
 		}
 		pos[i] = len(walk)
-		walk = append(walk, p)
+		walk = append(walk, c)
+	}
+	for i := range cells {
+		cells[i].p = nil // taken by walk, or never walked
 	}
 	var walked []TLBOnlyResult
 	if len(walk) > 0 {
 		var err error
-		if walked, err = ReplayMulti(stream, walk, cfg); err != nil {
+		if walked, err = walkCells(stream, walk, runtime.GOMAXPROCS(0)); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]TLBOnlyResult, len(ps))
-	for i := range ps {
+	out := make([]TLBOnlyResult, len(cells))
+	for i := range cells {
 		if pos[i] < 0 {
 			out[i] = memo[keys[i]]
 			continue
@@ -82,7 +86,7 @@ func replayMemoized(memo map[string]TLBOnlyResult, stream *l2stream.Stream, ps [
 		}
 	}
 	obsMemoMisses.Add(uint64(len(walk)))
-	obsMemoHits.Add(uint64(len(ps) - len(walk)))
+	obsMemoHits.Add(uint64(len(cells) - len(walk)))
 	return out, nil
 }
 

@@ -207,7 +207,7 @@ func replayFresh(t *testing.T, memo map[string]TLBOnlyResult, stream *l2stream.S
 	for i, f := range factories {
 		ps[i] = f()
 	}
-	rs, err := replayMemoized(memo, stream, ps, cfg)
+	rs, err := replayCells(memo, stream, cellsOf(cfg, ps, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,21 +33,15 @@ func CaptureKey(workload, spec string, cfg TLBOnlyConfig) l2stream.Key {
 }
 
 // StreamFor returns the captured stream for a workload from cache:
-// loaded from its capture directory, or captured. open must return a
-// fresh bounded source for the workload (it is only called when the
-// capture actually runs); the source is closed after the capture when
-// it is an io.Closer. A capture over the cache's byte cap fails with
+// loaded from its capture directory, or captured (into the directory's
+// staging file, when the cache has one). open must return a fresh
+// bounded source for the workload (it is only called when the capture
+// actually runs); the source is closed after the capture when it is an
+// io.Closer. A capture over the cache's byte cap fails with
 // l2stream.ErrOverBudget; RunMulti and RunPasses then take the direct
 // path.
 func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, open func() (trace.Source, error)) (*l2stream.Stream, error) {
-	return cache.GetOrCapture(CaptureKey(workload, spec, cfg), func(maxBytes int64) (*l2stream.Stream, error) {
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		defer closeSource(src)
-		return l2stream.Capture(src, CaptureConfig(cfg), maxBytes)
-	})
+	return cache.GetOrCaptureFrom(CaptureKey(workload, spec, cfg), open)
 }
 
 // runOPT measures the offline Bélády optimum over spec's trace. The
@@ -55,17 +49,16 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 // starts, so runOPT collects it first and then runs OPT the way
 // RunMulti runs a policy: over stream through memo or, with a nil
 // stream (no cache, or a capture over the cap), with RunTLBOnly over a
-// fresh source. The demand-access VPN sequence comes from the stream's
-// memoized access-view column, which the oracle only reads, or from
-// CollectL2Stream over a fresh source. spec.Policy is ignored.
+// fresh source. The demand-access VPN sequence comes from a block pass
+// over the stream's access view (streamVPNs), or from CollectL2Stream
+// over a fresh source. spec.Policy is ignored.
 func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult) (TLBOnlyResult, error) {
 	var vpns []uint64
 	if stream != nil {
-		av, err := accessViewFor(stream)
-		if err != nil {
+		var err error
+		if vpns, err = streamVPNs(stream); err != nil {
 			return TLBOnlyResult{}, err
 		}
-		vpns = av.vpn
 	} else {
 		src, err := spec.open()
 		if err != nil {
@@ -77,7 +70,8 @@ func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map
 			return TLBOnlyResult{}, err
 		}
 	}
-	rs, err := measure(ctx, spec, stream, memo, []tlb.Policy{newOPT(vpns)})
+	opt := func() tlb.Policy { return newOPT(vpns) }
+	rs, err := measureCells(ctx, spec, stream, memo, cellsOf(spec.Config, []tlb.Policy{opt()}, []PolicyFactory{opt}))
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}

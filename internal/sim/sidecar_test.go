@@ -13,6 +13,7 @@ import (
 	"github.com/chirplab/chirp/internal/core"
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 )
 
@@ -97,68 +98,141 @@ func heapAllocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSidecarStreamingAllocs pins the sidecar codec's memory: writing
-// an access view of at least 16 MiB through the store allocates less
-// than 1 MiB, and loading it back allocates at most the view plus
-// 1 MiB. Neither path may stage the whole payload in a buffer.
+// pageSweepStream captures records of pageSweepSource under cfg
+// through a fresh persistent cache over dir: captured the first time,
+// loaded after that.
+func pageSweepStream(t *testing.T, dir string, records uint64, cfg TLBOnlyConfig) *l2stream.Stream {
+	t.Helper()
+	cache, err := l2stream.NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := StreamFor(cache, "page-sweep", "", cfg, func() (trace.Source, error) {
+		return &pageSweepSource{n: records}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSidecarStreamingAllocs pins the sidecar codec's memory: a block
+// pass that builds an access view of at least 16 MiB and writes its
+// sidecar allocates less than an eighth of the view, and so does a
+// pass that reads it back. Neither path may hold the whole view, or
+// stage the whole payload in a buffer. The view read back equals the
+// one a stream without a store builds.
 func TestSidecarStreamingAllocs(t *testing.T) {
 	const records = 530_000
 	cfg := DefaultTLBOnlyConfig(records)
 	dir := t.TempDir()
-	stream := func() *l2stream.Stream {
-		cache, err := l2stream.NewPersistent(0, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := StreamFor(cache, "page-sweep", "", cfg, func() (trace.Source, error) {
-			return &pageSweepSource{n: records}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	walkNothing := func(*viewBlock) error { return nil }
 
-	s := stream()
-	vs, err := buildViews(s, []*decodedView{accessViewD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	av := vs[0].(*accessView)
-	viewBytes := uint64(len(av.pc)) * 16
+	s := pageSweepStream(t, dir, records, cfg)
+	viewBytes := s.Accesses() * 16
 	if viewBytes < 16<<20 {
 		t.Fatalf("test premise broken: the access view holds %d bytes, want at least 16 MiB", viewBytes)
 	}
-	const slack = 1 << 20
-	spec := []*l2stream.DerivedSpec{accessViewD.spec}
 	writes := obs.Default.Counter("chirp_l2stream_derived_disk_writes_total", "")
 	writes0 := writes.Value()
 	if n := heapAllocated(func() {
-		if _, err := s.DerivedAll(spec, func([]int) ([]any, error) { return []any{av}, nil }); err != nil {
+		if err := newBlockPass(s, nil, nil).run(walkNothing); err != nil {
 			t.Fatal(err)
 		}
-	}); n >= slack {
-		t.Errorf("persisting a %d-byte access view allocated %d bytes, want under %d", viewBytes, n, slack)
+	}); n >= viewBytes/8 {
+		t.Errorf("building and persisting a %d-byte access view allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
 	}
 	if d := writes.Value() - writes0; d != 1 {
 		t.Fatalf("sidecar writes delta = %d, want 1", d)
 	}
 
-	warm := stream()
+	warm := pageSweepStream(t, dir, records, cfg)
 	hits := obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
 	hits0 := hits.Value()
-	var got *accessView
 	if n := heapAllocated(func() {
-		if got, err = accessViewFor(warm); err != nil {
+		if err := newBlockPass(warm, nil, nil).run(walkNothing); err != nil {
 			t.Fatal(err)
 		}
-	}); n > viewBytes+slack {
-		t.Errorf("loading a %d-byte access view allocated %d bytes, want at most %d", viewBytes, n, viewBytes+slack)
+	}); n >= viewBytes/8 {
+		t.Errorf("reading a %d-byte access view allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
 	}
 	if d := hits.Value() - hits0; d != 1 {
 		t.Fatalf("sidecar hits delta = %d, want 1", d)
 	}
-	if got.warmIdx != av.warmIdx || !slices.Equal(got.pc, av.pc) || !slices.Equal(got.vpn, av.vpn) {
-		t.Error("the loaded access view differs from the one persisted")
+
+	got, err := accessViewFor(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := l2stream.Capture(&pageSweepSource{n: records}, CaptureConfig(cfg), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := accessViewFor(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.warmIdx != want.warmIdx || !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) {
+		t.Error("the access view read from its sidecar differs from the one built without a store")
+	}
+}
+
+// TestReplayMemoryBounded pins replay memory to a bound that does not
+// grow with the stream: a synthetic stream whose access, CHiRP and
+// GHRP views total at least 32 MiB is captured into a persistent
+// store allocating under an eighth of its encoded size, and replayed
+// under LRU, CHiRP and GHRP cold (one decode pass that writes the
+// sidecars) and warm (from the sidecars), each allocating under an
+// eighth of the view bytes. Both replays equal the direct path's rows.
+func TestReplayMemoryBounded(t *testing.T) {
+	const records = 620_000
+	cfg := DefaultTLBOnlyConfig(records)
+	dir := t.TempDir()
+	var s *l2stream.Stream
+	captured := heapAllocated(func() { s = pageSweepStream(t, dir, records, cfg) })
+	defer s.Close()
+	if limit := uint64(s.FootprintBytes()) / 8; captured >= limit {
+		t.Errorf("capturing %d encoded bytes into the store allocated %d bytes, want under %d", s.FootprintBytes(), captured, limit)
+	}
+	viewBytes := s.Accesses() * (16 + 4 + 8)
+	if viewBytes < 32<<20 {
+		t.Fatalf("test premise broken: the views hold %d bytes, want at least 32 MiB", viewBytes)
+	}
+	fs := namedFactories(t, "lru", "chirp", "ghrp")
+	var want []TLBOnlyResult
+	for _, f := range fs {
+		res, err := RunTLBOnly(&pageSweepSource{n: records}, f.New(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	for _, run := range []string{"cold", "warm"} {
+		stream := s
+		if run == "warm" {
+			stream = pageSweepStream(t, dir, records, cfg)
+			defer stream.Close()
+		}
+		ps := make([]tlb.Policy, len(fs))
+		for i, f := range fs {
+			ps[i] = f.New()
+		}
+		passes0 := decodePasses.Value()
+		var got []TLBOnlyResult
+		n := heapAllocated(func() {
+			var err error
+			if got, err = ReplayMulti(stream, ps, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n >= viewBytes/8 {
+			t.Errorf("%s replay over %d view bytes allocated %d bytes, want under %d", run, viewBytes, n, viewBytes/8)
+		}
+		if d, wantD := decodePasses.Value()-passes0, map[string]uint64{"cold": 1, "warm": 0}[run]; d != wantD {
+			t.Errorf("%s replay ran %d decode passes, want %d", run, d, wantD)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s replay diverged from the direct path:\n got:  %+v\n want: %+v", run, got, want)
+		}
 	}
 }

@@ -135,14 +135,15 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // RunPasses measures each workload under every pass, running
 // workload-major: one engine job per workload, across the engine's
 // worker pool. With opts.StreamCache set, the job gets the workload's
-// stream once, fetches in one DerivedAll call every view its passes
-// read (so every missing one builds in a single decode pass), walks
-// each pass through RunMulti's memoized replay over the job's own
-// memo, and runs the OPT oracle over the same stream; the stream and
-// the memo die with the job. With a nil cache, and for a pass with a
-// branch observer no stream can drive, the pass runs RunTLBOnly once
-// per policy over a fresh source instead. Every pass must share one capture configuration
-// (CaptureConfig), since a job holds one stream.
+// stream once and walks the cells of every pass in one block pass over
+// its views (so every view without a sidecar builds in a single decode
+// pass), less the cells the job's own replay-result memo already holds
+// or that repeat another's key, then runs the OPT oracle over the same
+// stream; the stream and the memo die with the job. With a nil cache,
+// and for a pass with a branch observer no stream can drive, the pass
+// runs RunTLBOnly once per policy over a fresh source instead. Every
+// pass must share one capture configuration (CaptureConfig), since a
+// job holds one stream.
 //
 // A plan with a timing pass runs the policy-free front end once per
 // workload: inside the capture, which reads the trace through it
@@ -279,7 +280,7 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 		}
 		for k, f := range p.Policies {
 			rs, err := recovered(func() ([]TLBOnlyResult, error) {
-				return measure(ctx, j.spec(p), j.stream, j.memo, []tlb.Policy{f.New()})
+				return measureCells(ctx, j.spec(p), j.stream, j.memo, cellsOf(p.Config, []tlb.Policy{f.New()}, []PolicyFactory{f.New}))
 			})
 			if err != nil {
 				blame(p, f.Name, err)
@@ -305,28 +306,25 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 	return rows, firstErr
 }
 
-// all measures every pass over one fetch of the stream and its views.
-// Each pass's policies are built fresh up front, so the views the
-// replayable ones read are known before any pass walks, and released
-// as soon as their pass is done.
+// all measures every pass over one fetch of the stream. Each pass's
+// policies are built fresh up front; the cells of every pass a stream
+// can drive then walk together in one block pass, less the memo's
+// hits and duplicate keys (replayCells), and the rest run direct.
 func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 	ps := make([][]tlb.Policy, len(j.passes))
-	var replay []tlb.Policy // the policies of every pass a stream can drive
-	opt, timing := false, false
+	replay, opt, timing := false, false, false
 	for i, p := range j.passes {
 		ps[i] = make([]tlb.Policy, len(p.Policies))
 		for k, f := range p.Policies {
 			ps[i][k] = f.New()
 		}
-		if replayable(ps[i]) {
-			replay = append(replay, ps[i]...)
-		}
+		replay = replay || replayable(ps[i])
 		opt = opt || p.OPT
 		timing = timing || p.Timing
 	}
 	spec := j.spec(j.passes[0])
 	var teed *pipeline.Machine // the front end a capture reads through
-	if len(replay) > 0 || opt {
+	if replay || opt {
 		open := spec.open
 		if timing {
 			open = func() (trace.Source, error) {
@@ -341,15 +339,9 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 				return teed.Tee(src), nil
 			}
 		}
-		stream, err := spec.stream(open)
-		if err != nil {
+		var err error
+		if j.stream, err = spec.stream(open); err != nil {
 			return nil, err
-		}
-		if j.stream = stream; stream != nil {
-			decoded, _ := decodedFor(replay)
-			if _, err := decodedViews(stream, decoded); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if timing {
@@ -365,23 +357,44 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 			return nil, err
 		}
 	}
-	rows := make([][]SuiteResult, len(j.passes))
+	walked := make([]bool, len(j.passes))
+	var cells []cell
 	for i, p := range j.passes {
-		rs, err := measure(ctx, j.spec(p), j.stream, j.memo, ps[i])
-		if err != nil {
+		if walked[i] = j.stream != nil && replayable(ps[i]); walked[i] {
+			for k, f := range p.Policies {
+				cells = append(cells, cell{cfg: p.Config, p: ps[i][k], fresh: f.New})
+			}
+			ps[i] = nil // replayCells takes them
+		}
+	}
+	var rs []TLBOnlyResult
+	if len(cells) > 0 {
+		var err error
+		if rs, err = replayCells(j.memo, j.stream, cells); err != nil {
 			return nil, err
 		}
-		ps[i] = nil
+	}
+	rows := make([][]SuiteResult, len(j.passes))
+	for i, p := range j.passes {
+		res := rs
+		if walked[i] {
+			res, rs = rs[:len(p.Policies)], rs[len(p.Policies):]
+		} else {
+			var err error
+			if res, err = measure(ctx, j.spec(p), j.stream, j.memo, ps[i]); err != nil {
+				return nil, err
+			}
+		}
 		rows[i] = make([]SuiteResult, 0, p.cells())
-		for k, res := range rs {
-			rows[i] = append(rows[i], j.row(p, p.Policies[k].Name, res))
+		for k, r := range res {
+			rows[i] = append(rows[i], j.row(p, p.Policies[k].Name, r))
 		}
 		if p.OPT {
-			res, err := runOPT(ctx, j.spec(p), j.stream, j.memo)
+			r, err := runOPT(ctx, j.spec(p), j.stream, j.memo)
 			if err != nil {
 				return nil, err
 			}
-			rows[i] = append(rows[i], j.row(p, "opt", res))
+			rows[i] = append(rows[i], j.row(p, "opt", r))
 		}
 	}
 	return rows, nil

@@ -312,21 +312,41 @@ func newStridePrefetcher(distance int) *stridePrefetcher {
 	return &stridePrefetcher{distance: distance, scratch: make([]uint64, distance)}
 }
 
-// observe records an L2 access and returns the VPNs to prefetch. The
-// returned slice aliases the prefetcher's scratch buffer and is only
-// valid until the next observe call.
+// observe records an L2 access and returns the VPNs to prefetch: the
+// next distance pages along step's stride. The returned slice aliases
+// the prefetcher's scratch buffer and is only valid until the next
+// observe call.
 //
 //chirp:hotpath
 func (p *stridePrefetcher) observe(pc, vpn uint64) []uint64 {
+	st := p.step(pc, vpn)
+	if st == 0 {
+		return nil
+	}
+	out := p.scratch
+	next := vpn
+	for d := range out {
+		next += uint64(st)
+		out[d] = next
+	}
+	return out
+}
+
+// step records an L2 access and returns the stride to prefetch along,
+// or 0 when the access prefetches nothing. A prefetching access's
+// fills are vpn + k*stride for k = 1..distance, in that order.
+//
+//chirp:hotpath
+func (p *stridePrefetcher) step(pc, vpn uint64) int64 {
 	idx := policy.Mix64(pc>>2) & 0xff
 	last, valid := p.lastVPN[idx], p.valid[idx]
 	p.lastVPN[idx], p.valid[idx] = vpn, true
 	if !valid {
-		return nil
+		return 0
 	}
 	delta := int64(vpn - last)
 	if delta == 0 {
-		return nil
+		return 0
 	}
 	if delta == p.stride[idx] {
 		if p.conf[idx] < 3 {
@@ -337,16 +357,10 @@ func (p *stridePrefetcher) observe(pc, vpn uint64) []uint64 {
 		if p.conf[idx] > 0 {
 			p.conf[idx]--
 		}
-		return nil
+		return 0
 	}
 	if p.conf[idx] < 2 {
-		return nil
+		return 0
 	}
-	out := p.scratch
-	next := vpn
-	for d := 0; d < p.distance; d++ {
-		next += uint64(p.stride[idx])
-		out[d] = next
-	}
-	return out
+	return p.stride[idx]
 }
