@@ -360,6 +360,7 @@ func BenchmarkReplayTLBOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer stream.Close()
 	for _, name := range streamBenchPolicies {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -385,6 +386,7 @@ func BenchmarkReplayMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer stream.Close()
 	build := func() []tlb.Policy {
 		pols := make([]tlb.Policy, len(streamBenchPolicies))
 		for i, name := range streamBenchPolicies {
@@ -427,6 +429,7 @@ func BenchmarkStreamCapture(b *testing.B) {
 		records = float64(s.Records())
 		events = float64(s.Events())
 		bytes = float64(s.FootprintBytes())
+		s.Close()
 	}
 	b.ReportMetric(records*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrec/s")
 	b.ReportMetric(bytes/events, "bytes/event")
@@ -441,6 +444,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close()
 	b.Run("event", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d := s.Decode()

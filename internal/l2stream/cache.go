@@ -11,19 +11,19 @@ import (
 
 // Cache metrics in the default registry. Captures are rare (once per
 // workload job) and already pay a full trace pass, so instrumenting
-// them directly costs nothing measurable. A GetOrCapture call that ran
-// the capture is a miss; disk hits are captures avoided entirely by
-// loading a previous process's persisted stream from the capture
+// them directly costs nothing measurable. A GetOrCaptureFrom call that
+// ran the capture is a miss; disk hits are captures avoided entirely
+// by loading a previous process's persisted stream from the capture
 // directory.
 var (
 	obsCacheMisses = obs.Default.Counter("chirp_l2stream_cache_misses_total",
-		"GetOrCapture calls that ran a capture.")
+		"GetOrCaptureFrom calls that ran a capture.")
 	obsCacheDiskHits = obs.Default.Counter("chirp_l2stream_cache_disk_hits_total",
-		"GetOrCapture calls served by loading a persisted capture from the capture directory.")
+		"GetOrCaptureFrom calls served by loading a persisted capture from the capture directory.")
 	obsCacheDiskWrites = obs.Default.Counter("chirp_l2stream_cache_disk_writes_total",
 		"Captures persisted to the capture directory.")
 	obsCacheDiskErrors = obs.Default.Counter("chirp_l2stream_cache_disk_errors_total",
-		"Failed persistent-store reads or writes (the run recaptures or goes on without the file).")
+		"Failed store reads, staging files or store writes (the run recaptures, takes the direct path, or goes on without the file).")
 	obsCacheOverBudget = obs.Default.Counter("chirp_l2stream_cache_spills_total",
 		"Captures abandoned because their encoded buffer exceeded the byte budget (those runs take the direct path).")
 	// Registered and never incremented: nothing is evicted from memory
@@ -81,7 +81,8 @@ type Cache struct {
 
 // NewCache returns a cache whose captures may encode at most budget
 // bytes (<= 0 means DefaultBudget); a capture over it fails with
-// ErrOverBudget.
+// ErrOverBudget. Its captures stage into unnamed temporary files in
+// os.TempDir, as Capture does.
 func NewCache(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
@@ -110,80 +111,52 @@ func (c *Cache) Budget() int64 { return c.budget }
 // GetOrCaptureFrom returns key's stream: loaded from the capture
 // directory when the cache has one holding a valid file for key, and
 // otherwise captured under key.Config from the source open returns,
-// which is closed afterwards when it is an io.Closer. With a capture
-// directory the capture writes its events straight into the store's
-// staging file, chunk by chunk, so it holds one encoder chunk in
-// memory, and the stream is that file once it is renamed into place.
-// The staging file is removed when the capture goes over the byte cap,
-// fails or panics. A staging file that cannot be written or renamed
-// costs a disk error and a second capture, into memory. A failed
-// capture's error is
-// returned as is (ErrOverBudget included), and a panicking one's panic
-// reaches the caller; either way the next call captures again.
+// which is closed afterwards when it is an io.Closer. The capture
+// writes its events straight into a staging file, chunk by chunk, so
+// it holds one encoder chunk in memory, and the stream is that file:
+// renamed into the capture directory when the cache has one, and
+// otherwise an unnamed temporary file. The staging file is removed
+// when the capture goes over the byte cap, fails or panics. A failed
+// capture's error is returned as is: ErrOverBudget counts an
+// over-budget capture, any other ErrAbandoned (a staging file that
+// cannot be created, written or renamed) a disk error. A panicking
+// capture's panic reaches the caller. Either way the next call
+// captures again.
 func (c *Cache) GetOrCaptureFrom(key Key, open func() (trace.Source, error)) (*Stream, error) {
 	if s := c.load(key); s != nil {
 		return s, nil
 	}
-	run := func(sink *stagedStream) (*Stream, error) {
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		if cl, ok := src.(io.Closer); ok {
-			defer cl.Close()
-		}
-		return capture(src, key.Config, c.budget, sink)
-	}
 	obsCacheMisses.Inc()
 	start := time.Now()
 	defer func() { obsCaptureSeconds.Observe(time.Since(start).Seconds()) }()
-	if c.store == nil {
-		return c.captured(run(nil))
-	}
-	w, err := c.store.stage()
-	if err != nil {
-		obsCacheDiskErrors.Inc()
-		return c.captured(run(nil))
-	}
-	defer w.discard()
-	s, err := run(w)
+	s, err := c.capture(key, open)
 	switch {
-	case w.err != nil: // the staging file failed the capture
-	case err != nil:
-		return c.captured(nil, err)
-	case w.commit(key, s) == nil:
+	case errors.Is(err, ErrOverBudget):
+		obsCacheOverBudget.Inc()
+	case errors.Is(err, ErrAbandoned):
+		obsCacheDiskErrors.Inc()
+	case err == nil && c.store != nil:
 		obsCacheDiskWrites.Inc()
-		return s, nil
 	}
-	obsCacheDiskErrors.Inc()
-	w.discard()
-	return c.captured(run(nil))
+	return s, err
 }
 
-// GetOrCapture is GetOrCaptureFrom for a caller that captures the
-// stream itself: capture receives the byte cap to pass on to Capture,
-// and a stream it returns is persisted afterwards, when the cache has
-// a capture directory, and then reads its events from the store file.
-// A stream that cannot be persisted keeps its chunks.
-func (c *Cache) GetOrCapture(key Key, capture func(maxBytes int64) (*Stream, error)) (*Stream, error) {
-	if s := c.load(key); s != nil {
-		return s, nil
-	}
-	obsCacheMisses.Inc()
-	start := time.Now()
-	s, err := capture(c.budget)
-	obsCaptureSeconds.Observe(time.Since(start).Seconds())
-	if s, err = c.captured(s, err); err != nil {
+// capture runs GetOrCaptureFrom's capture into a staging file in the
+// cache's store, or an unnamed one without a store.
+func (c *Cache) capture(key Key, open func() (trace.Source, error)) (*Stream, error) {
+	w, err := stage(c.store)
+	if err != nil {
 		return nil, err
 	}
-	if c.store != nil {
-		if serr := c.store.save(key, s); serr != nil {
-			obsCacheDiskErrors.Inc()
-		} else {
-			obsCacheDiskWrites.Inc()
-		}
+	defer w.discard()
+	src, err := open()
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	if cl, ok := src.(io.Closer); ok {
+		defer cl.Close()
+	}
+	return capture(src, key, c.budget, w)
 }
 
 // load returns key's stream from the capture directory, or nil.
@@ -199,18 +172,6 @@ func (c *Cache) load(key Key) *Stream {
 		obsCacheDiskHits.Inc()
 	}
 	return s
-}
-
-// captured passes a capture's outcome on, counting a capture over the
-// byte cap.
-func (c *Cache) captured(s *Stream, err error) (*Stream, error) {
-	if err != nil {
-		if errors.Is(err, ErrOverBudget) {
-			obsCacheOverBudget.Inc()
-		}
-		return nil, err
-	}
-	return s, nil
 }
 
 // SetStoreMaxBytes bounds the persistent capture directory's total

@@ -26,7 +26,7 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 	// Owner: starts capturing, then fails once released.
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrCapture(key, func(int64) (*Stream, error) {
+		_, err := c.GetOrCaptureFrom(key, func() (trace.Source, error) {
 			captures.Add(1)
 			close(started)
 			<-release
@@ -38,9 +38,9 @@ func TestCacheConcurrentRetryAfterFailure(t *testing.T) {
 
 	// Second caller: arrives while the owner's capture is in flight and
 	// finishes before it, with a capture of its own.
-	s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
+	s, err := c.GetOrCaptureFrom(key, func() (trace.Source, error) {
 		captures.Add(1)
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		return trace.NewSliceSource(recs), nil
 	})
 	close(release)
 	if err != nil {
@@ -70,9 +70,7 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := big.GetOrCapture(Key{Workload: "big", Config: cfg}, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	})
+	seed, err := big.GetOrCaptureFrom(Key{Workload: "big", Config: cfg}, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestEvictOversizedStreamStays(t *testing.T) {
 	}
 	misses0, diskHits0 := obsCacheMisses.Value(), obsCacheDiskHits.Value()
 	for i := 0; i < 2; i++ {
-		s, err := c.GetOrCapture(Key{Workload: "big", Config: cfg}, func(int64) (*Stream, error) {
+		s, err := c.GetOrCaptureFrom(Key{Workload: "big", Config: cfg}, func() (trace.Source, error) {
 			t.Error("persisted capture was re-captured")
 			return nil, os.ErrInvalid
 		})
@@ -122,9 +120,7 @@ func TestCaptureBudgetChargesEncodedBuffer(t *testing.T) {
 	}
 
 	fits := NewCache(bufBytes)
-	s, err := fits.GetOrCapture(Key{Workload: "fits", Config: cfg}, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	})
+	s, err := fits.GetOrCaptureFrom(Key{Workload: "fits", Config: cfg}, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +151,14 @@ func TestCaptureOverBudget(t *testing.T) {
 	c := NewCache(bufBytes - 1)
 	key := Key{Workload: "over", Config: cfg}
 	var captures atomic.Int32
-	capture := func(maxBytes int64) (*Stream, error) {
+	open := func() (trace.Source, error) {
 		captures.Add(1)
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		return trace.NewSliceSource(recs), nil
 	}
 	over0 := obsCacheOverBudget.Value()
 	const calls = 3
 	for i := 0; i < calls; i++ {
-		if _, err := c.GetOrCapture(key, capture); !errors.Is(err, ErrOverBudget) {
+		if _, err := c.GetOrCaptureFrom(key, open); !errors.Is(err, ErrOverBudget) {
 			t.Errorf("call %d: err = %v, want ErrOverBudget", i, err)
 		}
 	}
@@ -198,18 +194,18 @@ func TestCacheCloseKeepsHeldStreams(t *testing.T) {
 	fits := Key{Workload: "fits", Config: cfg}
 	over := Key{Workload: "over", Config: bigCfg}
 	var captures atomic.Int32
-	captureOf := func(recs []trace.Record, cfg Config) func(int64) (*Stream, error) {
-		return func(maxBytes int64) (*Stream, error) {
+	openOf := func(recs []trace.Record) func() (trace.Source, error) {
+		return func() (trace.Source, error) {
 			captures.Add(1)
-			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+			return trace.NewSliceSource(recs), nil
 		}
 	}
 
-	held, err := c.GetOrCapture(fits, captureOf(recs, cfg))
+	held, err := c.GetOrCaptureFrom(fits, openOf(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+	if _, err := c.GetOrCaptureFrom(over, openOf(bigRecs)); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("over key: err = %v, want ErrOverBudget", err)
 	}
 
@@ -228,10 +224,10 @@ func TestCacheCloseKeepsHeldStreams(t *testing.T) {
 	}
 
 	captures.Store(0)
-	if _, err := c.GetOrCapture(fits, captureOf(recs, cfg)); err != nil {
+	if _, err := c.GetOrCaptureFrom(fits, openOf(recs)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrCapture(over, captureOf(bigRecs, bigCfg)); !errors.Is(err, ErrOverBudget) {
+	if _, err := c.GetOrCaptureFrom(over, openOf(bigRecs)); !errors.Is(err, ErrOverBudget) {
 		t.Errorf("over key after Close: err = %v, want ErrOverBudget", err)
 	}
 	if n := captures.Load(); n != 2 {
@@ -255,13 +251,13 @@ func TestCachePanickingCaptureRetries(t *testing.T) {
 				t.Fatalf("caller recovered %v, want the capture's own panic", r)
 			}
 		}()
-		c.GetOrCapture(key, func(int64) (*Stream, error) { panic("capture bug") })
+		c.GetOrCaptureFrom(key, func() (trace.Source, error) { panic("capture bug") })
 	}()
 
 	captures := 0
-	s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
+	s, err := c.GetOrCaptureFrom(key, func() (trace.Source, error) {
 		captures++
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		return trace.NewSliceSource(recs), nil
 	})
 	if err != nil || s == nil {
 		t.Fatalf("call after a panicked capture got (%v, %v), want a fresh capture", s, err)

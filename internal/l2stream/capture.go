@@ -2,15 +2,22 @@ package l2stream
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/chirplab/chirp/internal/trace"
 )
 
+// ErrAbandoned reports a capture that made no stream for a reason of
+// its own, not of its workload: its encoded events would exceed the
+// byte budget (ErrOverBudget), or its staging file could not be
+// created, written or completed. Callers fall back to the direct
+// reference path (sim.RunTLBOnly over fresh sources), which needs no
+// stream at all and gives the same results.
+var ErrAbandoned = errors.New("l2stream: capture abandoned")
+
 // ErrOverBudget reports a capture abandoned because its encoded events
-// would exceed the byte budget. No stream exists for it; callers fall
-// back to the direct reference path (sim.RunTLBOnly over fresh
-// sources), which needs no stream at all.
-var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
+// would exceed the byte budget. It matches ErrAbandoned.
+var ErrOverBudget = fmt.Errorf("%w: its events exceed the byte budget", ErrAbandoned)
 
 // Capture runs src once through the two LRU L1 TLB filters and records
 // the policy-invariant L2 event stream. The record loop mirrors
@@ -24,17 +31,23 @@ var ErrOverBudget = errors.New("l2stream: capture exceeds the byte budget")
 // bound infinite sources with trace.Limit, as usual). maxBytes caps the
 // stream's encoded events (Stream.FootprintBytes); a capture whose
 // events would exceed it stops and returns ErrOverBudget. maxBytes <= 0
-// means unlimited. The stream keeps the encoder's chunks as they are;
-// Cache.GetOrCaptureFrom captures into a store file instead.
+// means unlimited. The events go to an unnamed temporary file in
+// os.TempDir, which the stream holds until its Close; a file that
+// cannot be created or written fails the capture with ErrAbandoned.
 func Capture(src trace.Source, cfg Config, maxBytes int64) (*Stream, error) {
-	return capture(src, cfg, maxBytes, nil)
+	w, err := stage(nil)
+	if err != nil {
+		return nil, err
+	}
+	defer w.discard()
+	return capture(src, Key{Config: cfg}, maxBytes, w)
 }
 
-// capture is Capture with the encoded chunks written to sink as they
-// fill, when sink is set. A sink write error stops the capture with
-// that error; sink keeps it, so the caller can tell a disk error from
-// the source's or the budget's.
-func capture(src trace.Source, cfg Config, maxBytes int64, sink *stagedStream) (*Stream, error) {
+// capture is Capture into the staging file sink, which it completes
+// as key's stream file (stagedStream.commit) once the source is done.
+// A sink write error stops the capture with that error.
+func capture(src trace.Source, key Key, maxBytes int64, sink *stagedStream) (*Stream, error) {
+	cfg := key.Config
 	// The L1s are always LRU (that fixed choice is what makes the
 	// stream policy-invariant in the first place), so the capture path
 	// runs the specialized membership filter instead of two full
@@ -107,22 +120,21 @@ loop:
 		if maxBytes > 0 && int64(enc.size()) > maxBytes {
 			return nil, ErrOverBudget
 		}
-		if sink != nil && sink.err != nil {
+		if sink.err != nil {
 			return nil, sink.err
 		}
 	}
 	if maxBytes > 0 && int64(enc.size()) > maxBytes {
 		return nil, ErrOverBudget
 	}
-	s.chunks, s.size = enc.finish()
-	if sink != nil && sink.err != nil {
-		return nil, sink.err
-	}
-
+	s.size = enc.finish()
 	s.instructions = instructions
 	if s.warmed {
 		s.l1iMisses = l1i.misses - warmI
 		s.l1dMisses = l1d.misses - warmD
+	}
+	if err := sink.commit(key, s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // derived returns the one-word view spec from its sidecar, or builds
@@ -55,9 +53,7 @@ func persistentStreamFor(t *testing.T, dir, workload string, instr uint64) *Stre
 		t.Fatal(err)
 	}
 	cfg := testConfig(instr)
-	s, err := cache.GetOrCapture(Key{Workload: workload, Config: cfg}, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(testRecords(int(instr))), cfg, maxBytes)
-	})
+	s, err := cache.GetOrCaptureFrom(Key{Workload: workload, Config: cfg}, sliceOpen(testRecords(int(instr))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +277,7 @@ func TestStoreGC(t *testing.T) {
 	var streams []*Stream
 	var metas []string
 	for _, w := range []string{"a", "b", "c"} {
-		s, err := cache.GetOrCapture(Key{Workload: w, Config: cfg}, func(maxBytes int64) (*Stream, error) {
-			return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
-		})
+		s, err := cache.GetOrCaptureFrom(Key{Workload: w, Config: cfg}, sliceOpen(testRecords(3000)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // openStreamFiles counts this process's open descriptors on .l2s
@@ -42,9 +40,7 @@ func persistedMultiChunk(t *testing.T, dir string) (*Stream, string) {
 		t.Fatal(err)
 	}
 	key := Key{Workload: "multi", Config: testConfig(300000)}
-	s, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
-		return multiChunkCapture(t, maxBytes)
-	})
+	s, err := c.GetOrCaptureFrom(key, sliceOpen(testRecords(120000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,29 +63,30 @@ func decodeWith(s *Stream, window, block int) ([]Event, error) {
 	return evs[:n], d.Err()
 }
 
-// TestFileDecodeMatchesChunks: a stream read from its store file
-// decodes to exactly the events its encoder chunks decode to, whatever
-// the window (events cut off at every window boundary are carried
-// over) and however many decoders read the file at once; the
-// access-only decoder agrees too.
-func TestFileDecodeMatchesChunks(t *testing.T) {
-	mem, err := multiChunkCapture(t, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := decodeAll(mem, DecodeBlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAcc, err := decodeAccesses(mem, DecodeBlockSize)
-	if err != nil {
-		t.Fatal(err)
+// TestFileDecodeMatchesReference: a stream's file decodes to exactly
+// the events referenceEvents derives from the records, whatever the
+// window (events cut off at every window boundary are carried over)
+// and however many decoders read the file at once; the access-only
+// decoder agrees too. It holds for an unnamed file, a capture into the
+// store and a load from it.
+func TestFileDecodeMatchesReference(t *testing.T) {
+	want := referenceEvents(t, testRecords(120000), testConfig(300000))
+	var wantAcc []Event
+	for _, ev := range want {
+		if ev.Kind != EventBranch {
+			wantAcc = append(wantAcc, ev)
+		}
 	}
 	dir := t.TempDir()
-	for pass := 0; pass < 2; pass++ { // the first saves the capture, the second loads it
-		s, _ := persistedMultiChunk(t, dir)
-		if s.file == nil || s.chunks != nil {
-			t.Fatalf("pass %d: the stream holds chunks %v and file %v, want the file alone", pass, s.chunks != nil, s.file)
+	for pass := 0; pass < 3; pass++ { // no store, a capture into the store, a load from it
+		var s *Stream
+		if pass == 0 {
+			var err error
+			if s, err = multiChunkCapture(t, 0); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s, _ = persistedMultiChunk(t, dir)
 		}
 		for _, window := range []int{maxEventBytes + 1, 37, 4096, decodeWindowSize} {
 			for _, block := range []int{1, 7, DecodeBlockSize} {
@@ -98,13 +95,13 @@ func TestFileDecodeMatchesChunks(t *testing.T) {
 					t.Fatalf("pass %d, window %d, block %d: %v", pass, window, block, err)
 				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("pass %d, window %d, block %d: the file decodes differently from the chunks", pass, window, block)
+					t.Fatalf("pass %d, window %d, block %d: the file decodes differently from the reference", pass, window, block)
 				}
 			}
 		}
 		gotAcc, err := decodeAccesses(s, 7)
 		if err != nil || !slices.Equal(gotAcc, wantAcc) {
-			t.Fatalf("pass %d: access-only file decode differs from the chunks' (err %v)", pass, err)
+			t.Fatalf("pass %d: access-only file decode differs from the reference (err %v)", pass, err)
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -201,30 +198,50 @@ func TestStreamFileFlipFailsDecode(t *testing.T) {
 }
 
 // TestStreamDescriptors: a saved or loaded stream holds one descriptor
-// on its store file; Close releases it, and so does the garbage
-// collector when the stream is dropped without one.
+// on its store file, and a stream captured without a capture directory
+// one on its unnamed file in TMPDIR; Close releases it, and so does
+// the garbage collector when the stream is dropped without one.
 func TestStreamDescriptors(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := persistedMultiChunk(t, dir)
-	if n := openStreamFiles(t, dir); n != 1 {
-		t.Fatalf("a saved stream holds %d store descriptors, want 1", n)
-	}
-	s.Close()
-	if n := openStreamFiles(t, dir); n != 0 {
-		t.Fatalf("%d store descriptors open after Close, want 0", n)
-	}
-	func() {
-		s, _ := persistedMultiChunk(t, dir)
-		if n := openStreamFiles(t, dir); n != 1 || s.file == nil {
-			t.Fatalf("a loaded stream holds %d store descriptors, want 1", n)
+	dir, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	unnamed := func(t *testing.T, _ string) (*Stream, string) {
+		s, err := multiChunkCapture(t, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	for i := 0; openStreamFiles(t, dir) > 0; i++ {
-		if i == 100 {
-			t.Fatal("a dropped stream's store descriptor stayed open through 100 collections")
+		return s, ""
+	}
+	for _, c := range []struct {
+		name, dir string
+		get       func(*testing.T, string) (*Stream, string)
+	}{
+		{"store", dir, persistedMultiChunk},
+		{"no-dir", tmp, unnamed},
+	} {
+		s, _ := c.get(t, dir)
+		if n := openStreamFiles(t, c.dir); n != 1 {
+			t.Fatalf("%s: a captured stream holds %d descriptors, want 1", c.name, n)
 		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
+		s.Close()
+		if n := openStreamFiles(t, c.dir); n != 0 {
+			t.Fatalf("%s: %d descriptors open after Close, want 0", c.name, n)
+		}
+		func() {
+			c.get(t, dir) // loaded from the store, or captured again
+			if n := openStreamFiles(t, c.dir); n != 1 {
+				t.Fatalf("%s: a second stream holds %d descriptors, want 1", c.name, n)
+			}
+		}()
+		for i := 0; openStreamFiles(t, c.dir) > 0; i++ {
+			if i == 100 {
+				t.Fatalf("%s: a dropped stream's descriptor stayed open through 100 collections", c.name)
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+		t.Errorf("captures without a capture directory left %v in TMPDIR", ents)
 	}
 }
 
@@ -244,9 +261,7 @@ func TestStoreGCRescansOnlyOverBudget(t *testing.T) {
 	cfg := testConfig(3000)
 	recs := testRecords(2000)
 	for i := 0; i < 20; i++ {
-		s, err := cache.GetOrCapture(Key{Workload: string(rune('a' + i)), Config: cfg}, func(maxBytes int64) (*Stream, error) {
-			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-		})
+		s, err := cache.GetOrCaptureFrom(Key{Workload: string(rune('a' + i)), Config: cfg}, sliceOpen(recs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,9 +281,7 @@ func TestStoreGCRescansOnlyOverBudget(t *testing.T) {
 	st.mu.Lock()
 	st.limit = st.total + 1 // the next save passes the budget
 	st.mu.Unlock()
-	s, err := cache.GetOrCapture(Key{Workload: "over", Config: cfg}, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	})
+	s, err := cache.GetOrCaptureFrom(Key{Workload: "over", Config: cfg}, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,11 @@ func testRecords(n int) []trace.Record {
 	return recs
 }
 
+// sliceOpen returns a GetOrCaptureFrom source opener over recs.
+func sliceOpen(recs []trace.Record) func() (trace.Source, error) {
+	return func() (trace.Source, error) { return trace.NewSliceSource(recs), nil }
+}
+
 // referenceEvents independently L1-filters recs the way RunTLBOnly
 // does and returns the expected event sequence.
 func referenceEvents(t *testing.T, recs []trace.Record, cfg Config) []Event {
@@ -182,18 +187,18 @@ func TestCacheRetriesFailedCapture(t *testing.T) {
 	c := NewCache(0)
 	key := Key{Workload: "w", Config: testConfig(100)}
 	calls := 0
-	fail := func(int64) (*Stream, error) {
+	fail := func() (trace.Source, error) {
 		calls++
 		return nil, os.ErrPermission
 	}
-	if _, err := c.GetOrCapture(key, fail); err == nil {
+	if _, err := c.GetOrCaptureFrom(key, fail); err == nil {
 		t.Fatal("expected capture error")
 	}
 	recs := testRecords(500)
 	cfg := testConfig(100)
-	if _, err := c.GetOrCapture(Key{Workload: "w", Config: cfg}, func(maxBytes int64) (*Stream, error) {
+	if _, err := c.GetOrCaptureFrom(Key{Workload: "w", Config: cfg}, func() (trace.Source, error) {
 		calls++
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+		return trace.NewSliceSource(recs), nil
 	}); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
@@ -423,18 +428,15 @@ func multiChunkCapture(t *testing.T, maxBytes int64) (*Stream, error) {
 	return Capture(trace.NewSliceSource(testRecords(120000)), testConfig(300000), maxBytes)
 }
 
-// eventBytes returns a stream's encoded events as one buffer: its
-// encoder chunks joined, or the events section of its store file.
+// eventBytes returns a stream's encoded events as one buffer: the
+// events section of its file.
 func eventBytes(t *testing.T, s *Stream) []byte {
 	t.Helper()
-	if s.file != nil {
-		buf := make([]byte, s.size)
-		if _, err := s.file.ReadAt(buf, storeHeaderSize); err != nil {
-			t.Fatal(err)
-		}
-		return buf
+	buf := make([]byte, s.size)
+	if _, err := s.file.ReadAt(buf, storeHeaderSize); err != nil {
+		t.Fatal(err)
 	}
-	return bytes.Join(s.chunks, nil)
+	return buf
 }
 
 // TestCaptureMultiChunkBytes pins the encoding of a capture several
@@ -447,8 +449,8 @@ func TestCaptureMultiChunkBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := eventBytes(t, s)
-	if len(s.chunks) < 4 {
-		t.Fatalf("test premise broken: %d bytes span %d of the %d-byte chunks, want at least four", len(buf), len(s.chunks), encodeChunkSize)
+	if s.FootprintBytes() < 4*encodeChunkSize {
+		t.Fatalf("test premise broken: %d bytes span fewer than four %d-byte chunks", s.FootprintBytes(), encodeChunkSize)
 	}
 	const wantLen, wantCRC = 264923, 0xdbcef333
 	if got := crc32.Checksum(buf, castagnoli); len(buf) != wantLen || got != wantCRC || s.FootprintBytes() != wantLen {

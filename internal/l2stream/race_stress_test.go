@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/chirplab/chirp/internal/trace"
 )
 
 // TestRaceDerivedClose hammers one persistent stream's sidecars from
@@ -24,9 +22,7 @@ func TestRaceDerivedClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := c.GetOrCapture(Key{Workload: "mem", Config: cfg}, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	})
+	s, err := c.GetOrCaptureFrom(Key{Workload: "mem", Config: cfg}, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,43 +47,40 @@ func stagingFiles(t *testing.T, dir string) []string {
 
 // TestCaptureStreamsIntoStagingFile: a capture into a persistent cache
 // spanning many encoder chunks writes the store file byte for byte as
-// persisting the same capture from memory does, keeps no chunk, reads
-// its events from the file, and leaves no staging file.
+// a capture without a capture directory writes its unnamed file, and
+// only the first counts a disk write. Each reads its events from its
+// file, and neither leaves a file behind in its directory.
 func TestCaptureStreamsIntoStagingFile(t *testing.T) {
 	recs := testRecords(200_000)
 	cfg := testConfig(300_000)
 	key := Key{Workload: "w", Config: cfg}
-	memDir, fileDir := t.TempDir(), t.TempDir()
-	mem, err := NewPersistent(0, memDir)
+	tmpDir, fileDir := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmpDir)
+	writes0 := obsCacheDiskWrites.Value()
+	want, err := NewCache(0).GetOrCaptureFrom(key, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mem.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.FootprintBytes() <= 3*encodeChunkSize {
+	if want.FootprintBytes() < 4*encodeChunkSize {
 		t.Fatalf("test premise broken: %d encoded bytes span fewer than four chunks", want.FootprintBytes())
 	}
 	staged, err := NewPersistent(0, fileDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes0 := obsCacheDiskWrites.Value()
-	got, err := staged.GetOrCaptureFrom(key, func() (trace.Source, error) { return trace.NewSliceSource(recs), nil })
+	got, err := staged.GetOrCaptureFrom(key, sliceOpen(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := obsCacheDiskWrites.Value() - writes0; d != 1 {
 		t.Errorf("disk writes delta = %d, want 1", d)
 	}
-	if got.chunks != nil || got.file == nil {
-		t.Error("a capture into the store kept chunks or has no store file")
-	}
-	wantFile, err := os.ReadFile(mem.store.streamPath(key))
+	info, err := want.file.Stat()
 	if err != nil {
+		t.Fatal(err)
+	}
+	wantFile := make([]byte, info.Size())
+	if _, err := want.file.ReadAt(wantFile, 0); err != nil {
 		t.Fatal(err)
 	}
 	gotFile, err := os.ReadFile(staged.store.streamPath(key))
@@ -91,7 +88,7 @@ func TestCaptureStreamsIntoStagingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotFile, wantFile) {
-		t.Error("the store file a capture wrote chunk by chunk differs from the one persisted from memory")
+		t.Error("the store file differs from the unnamed file of a capture without a capture directory")
 	}
 	ge, err := decodeAll(got, DecodeBlockSize)
 	if err != nil {
@@ -112,6 +109,11 @@ func TestCaptureStreamsIntoStagingFile(t *testing.T) {
 	if left := stagingFiles(t, fileDir); len(left) != 0 {
 		t.Errorf("staging files left behind: %v", left)
 	}
+	if ents, _ := os.ReadDir(tmpDir); len(ents) != 0 {
+		t.Errorf("a capture without a capture directory left %v in TMPDIR", ents)
+	}
+	want.Close()
+	got.Close()
 }
 
 // panicSource panics when asked for record n+1.
@@ -128,9 +130,10 @@ func (p panicSource) Next(rec *trace.Record) bool {
 }
 
 // TestCaptureStagingRemovedOnFailure: a capture into a persistent
-// cache that goes over the byte cap, whose source fails to open, or
-// whose source panics part-way leaves no file in the directory, and
-// the next call captures again.
+// cache, or into a cache without a capture directory, that goes over
+// the byte cap, whose source fails to open, or whose source panics
+// part-way leaves no file in the capture directory or TMPDIR and no
+// descriptor open, and the next call captures again.
 func TestCaptureStagingRemovedOnFailure(t *testing.T) {
 	recs := testRecords(200_000)
 	cfg := testConfig(300_000)
@@ -140,7 +143,7 @@ func TestCaptureStagingRemovedOnFailure(t *testing.T) {
 		budget int64
 		open   func() (trace.Source, error)
 	}{
-		{"over-budget", 2 * encodeChunkSize, func() (trace.Source, error) { return trace.NewSliceSource(recs), nil }},
+		{"over-budget", 2 * encodeChunkSize, sliceOpen(recs)},
 		{"open-error", 0, func() (trace.Source, error) { return nil, os.ErrPermission }},
 		{"panic", 0, func() (trace.Source, error) {
 			n := 50_000
@@ -148,72 +151,38 @@ func TestCaptureStagingRemovedOnFailure(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			c, err := NewPersistent(tc.budget, dir)
+			dir, tmp := t.TempDir(), t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			persistent, err := NewPersistent(tc.budget, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			func() {
-				defer func() { recover() }()
-				if _, err := c.GetOrCaptureFrom(key, tc.open); err == nil {
-					t.Error("the failed capture returned a stream")
+			for _, c := range []struct {
+				*Cache
+				dir string
+			}{{persistent, dir}, {NewCache(tc.budget), tmp}} {
+				func() {
+					defer func() { recover() }()
+					if _, err := c.GetOrCaptureFrom(key, tc.open); err == nil {
+						t.Error("the failed capture returned a stream")
+					}
+				}()
+				if ents, _ := os.ReadDir(c.dir); len(ents) != 0 {
+					t.Errorf("a failed capture left %v behind", ents)
 				}
-			}()
-			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-				t.Errorf("a failed capture left %v behind", ents)
-			}
-			if tc.name == "over-budget" {
-				return
-			}
-			s, err := c.GetOrCaptureFrom(key, func() (trace.Source, error) { return trace.NewSliceSource(recs), nil })
-			if err != nil || s.Events() == 0 {
-				t.Fatalf("the capture after the failure: %v", err)
+				if n := openStreamFiles(t, c.dir); n != 0 {
+					t.Errorf("a failed capture left %d descriptors open", n)
+				}
+				if tc.name == "over-budget" {
+					continue
+				}
+				s, err := c.GetOrCaptureFrom(key, sliceOpen(recs))
+				if err != nil || s.Events() == 0 {
+					t.Fatalf("the capture after the failure: %v", err)
+				}
+				s.Close()
 			}
 		})
-	}
-}
-
-// TestCaptureStagingFailsIntoMemory: when the staged file cannot be
-// renamed into place — a directory stands at its path — the capture
-// counts a disk error, leaves no staging file, and runs again into
-// memory; the stream it returns decodes.
-func TestCaptureStagingFailsIntoMemory(t *testing.T) {
-	recs := testRecords(20_000)
-	cfg := testConfig(30_000)
-	key := Key{Workload: "w", Config: cfg}
-	dir := t.TempDir()
-	c, err := NewPersistent(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(c.store.streamPath(key), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	opens := 0
-	errs0 := obsCacheDiskErrors.Value()
-	s, err := c.GetOrCaptureFrom(key, func() (trace.Source, error) {
-		opens++
-		return trace.NewSliceSource(recs), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opens != 2 {
-		t.Errorf("opened the source %d times, want 2", opens)
-	}
-	// One error reading the directory as a store file, one renaming
-	// the staged file over it.
-	if d := obsCacheDiskErrors.Value() - errs0; d != 2 {
-		t.Errorf("disk errors delta = %d, want 2", d)
-	}
-	if s.file != nil || s.chunks == nil {
-		t.Error("the stream captured after the disk error is not in memory")
-	}
-	if _, err := decodeAll(s, DecodeBlockSize); err != nil {
-		t.Fatal(err)
-	}
-	if left := stagingFiles(t, dir); len(left) != 0 {
-		t.Errorf("staging files left behind: %v", left)
 	}
 }
 

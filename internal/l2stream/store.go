@@ -392,9 +392,11 @@ func readStream(f *os.File, key Key) (*Stream, error) {
 	return s, nil
 }
 
-// stagedStream is a store file being written: a staging file that
+// stagedStream is a stream file being written: a staging file that
 // receives the events from offset storeHeaderSize on, with their
-// running length and CRC-32C, and the first write error.
+// running length and CRC-32C, and the first write error. With a store
+// the file is renamed into it on commit; without one (st nil) the file
+// was unlinked when it was created.
 type stagedStream struct {
 	st  *store
 	f   *os.File
@@ -403,18 +405,31 @@ type stagedStream struct {
 	err error
 }
 
-// stage opens a staging file for a stream this store will hold.
-func (st *store) stage() (*stagedStream, error) {
-	f, err := os.CreateTemp(st.dir, "chirp-*.l2s.tmp")
+// stage opens a staging file for a stream st will hold, or, with a nil
+// st, an unnamed one in os.TempDir: it is unlinked at once, so nothing
+// is left behind however the process ends. Every error it or the
+// stagedStream returns matches ErrAbandoned.
+func stage(st *store) (*stagedStream, error) {
+	dir := ""
+	if st != nil {
+		dir = st.dir
+	}
+	f, err := os.CreateTemp(dir, "chirp-*.l2s.tmp")
 	if err != nil {
-		return nil, fmt.Errorf("l2stream: staging persisted capture: %w", err)
+		return nil, fmt.Errorf("%w: staging file: %w", ErrAbandoned, err)
 	}
-	if _, err := f.Seek(storeHeaderSize, io.SeekStart); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, fmt.Errorf("l2stream: staging persisted capture: %w", err)
+	w := &stagedStream{st: st, f: f}
+	if st == nil {
+		err = os.Remove(f.Name())
 	}
-	return &stagedStream{st: st, f: f}, nil
+	if err == nil {
+		_, err = f.Seek(storeHeaderSize, io.SeekStart)
+	}
+	if err != nil {
+		w.discard()
+		return nil, fmt.Errorf("%w: staging file: %w", ErrAbandoned, err)
+	}
+	return w, nil
 }
 
 // write appends encoded events to the staging file. After an error it
@@ -424,7 +439,7 @@ func (w *stagedStream) write(b []byte) {
 		return
 	}
 	if _, err := w.f.Write(b); err != nil {
-		w.err = fmt.Errorf("l2stream: writing persisted capture: %w", err)
+		w.err = fmt.Errorf("%w: writing staging file: %w", ErrAbandoned, err)
 		return
 	}
 	w.n += int64(len(b))
@@ -432,9 +447,9 @@ func (w *stagedStream) write(b []byte) {
 }
 
 // commit completes the staged file for key with s, whose events it
-// holds: it writes the header, renames the file into place, and makes
-// the open file the stream's events in place of any chunks. On failure
-// it removes the file and leaves the stream as it was.
+// holds: it writes the header, renames the file into the store when
+// there is one, and makes the open file the stream's. On failure it
+// discards the file and leaves the stream without one.
 func (w *stagedStream) commit(key Key, s *Stream) error {
 	h := fingerprint(key)
 	hdr := make([]byte, storeHeaderSize)
@@ -454,50 +469,39 @@ func (w *stagedStream) commit(key Key, s *Stream) error {
 
 	err := w.err
 	if err == nil && w.n != s.size {
-		err = fmt.Errorf("l2stream: staged %d event bytes of %d", w.n, s.size)
+		err = fmt.Errorf("staged %d event bytes of %d", w.n, s.size)
 	}
 	if err == nil {
 		_, err = w.f.WriteAt(hdr, 0)
 	}
-	if err == nil {
+	if err == nil && w.st != nil {
 		err = os.Rename(w.f.Name(), w.st.streamPath(key))
 	}
 	if err != nil {
 		w.discard()
-		return fmt.Errorf("l2stream: persisting capture: %w", err)
+		return fmt.Errorf("%w: completing staging file: %w", ErrAbandoned, err)
 	}
-	s.chunks, s.file = nil, w.f
+	s.file = w.f
 	s.scalarsCRC, s.fileCRC = scalarsCRC, crc
 	w.f = nil
-	w.st.attachDerived(s, key)
-	w.st.wrote(storeHeaderSize + w.n)
+	if w.st != nil {
+		w.st.attachDerived(s, key)
+		w.st.wrote(storeHeaderSize + w.n)
+	}
 	return nil
 }
 
-// discard closes and removes the staging file unless commit has
-// handed it to a stream.
+// discard closes the staging file, and removes it if it still has a
+// name, unless commit has handed it to a stream.
 func (w *stagedStream) discard() {
 	if w.f == nil {
 		return
 	}
 	w.f.Close()
-	os.Remove(w.f.Name())
+	if w.st != nil {
+		os.Remove(w.f.Name())
+	}
 	w.f = nil
-}
-
-// save persists a stream captured into memory under key: its chunks go
-// to a staging file that is renamed into place, and the stream then
-// drops them and keeps the open file instead. On failure the stream
-// keeps its chunks and stays usable.
-func (st *store) save(key Key, s *Stream) error {
-	w, err := st.stage()
-	if err != nil {
-		return err
-	}
-	for _, c := range s.chunks {
-		w.write(c)
-	}
-	return w.commit(key, s)
 }
 
 func b2u(b bool) uint64 {

@@ -34,9 +34,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	}
 	want := make(map[string]*Stream)
 	for _, k := range keys {
-		s, err := first.GetOrCapture(k, func(maxBytes int64) (*Stream, error) {
-			return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-		})
+		s, err := first.GetOrCaptureFrom(k, sliceOpen(recs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +50,7 @@ func TestPersistentSecondCacheCapturesNothing(t *testing.T) {
 	}
 	misses0, diskHits0 := obsCacheMisses.Value(), obsCacheDiskHits.Value()
 	for _, k := range keys {
-		got, err := second.GetOrCapture(k, func(int64) (*Stream, error) {
+		got, err := second.GetOrCaptureFrom(k, func() (trace.Source, error) {
 			t.Errorf("second cache captured %s instead of loading it", k.Workload)
 			return nil, os.ErrInvalid
 		})
@@ -188,9 +186,7 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
-				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-			}); err != nil {
+			if _, err := c.GetOrCaptureFrom(key, sliceOpen(recs)); err != nil {
 				t.Fatal(err)
 			}
 			meta := (&store{dir: dir}).streamPath(key)
@@ -201,12 +197,12 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 				t.Fatal(err)
 			}
 			captures := 0
-			s, err := c2.GetOrCapture(key, func(maxBytes int64) (*Stream, error) {
+			s, err := c2.GetOrCaptureFrom(key, func() (trace.Source, error) {
 				captures++
-				return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
+				return trace.NewSliceSource(recs), nil
 			})
 			if err != nil {
-				t.Fatalf("corrupted store file broke GetOrCapture: %v", err)
+				t.Fatalf("corrupted store file broke GetOrCaptureFrom: %v", err)
 			}
 			if captures != 1 {
 				t.Errorf("capture ran %d times, want 1 (recapture past the corrupt file)", captures)
@@ -219,7 +215,7 @@ func TestPersistentCorruptionRecaptures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c3.GetOrCapture(key, func(int64) (*Stream, error) {
+			if _, err := c3.GetOrCaptureFrom(key, func() (trace.Source, error) {
 				t.Error("store not healed; captured again")
 				return nil, os.ErrInvalid
 			}); err != nil {
@@ -268,16 +264,14 @@ func TestPersistentOverBudgetWritesNothing(t *testing.T) {
 	bufBytes := probe.FootprintBytes()
 	dir := t.TempDir()
 	key := Key{Workload: "w", Config: cfg}
-	capture := func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(recs), cfg, maxBytes)
-	}
+	open := sliceOpen(recs)
 
 	small, err := NewPersistent(bufBytes-1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writes0, diskErrs0 := obsCacheDiskWrites.Value(), obsCacheDiskErrors.Value()
-	if _, err := small.GetOrCapture(key, capture); !errors.Is(err, ErrOverBudget) {
+	if _, err := small.GetOrCaptureFrom(key, open); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
 	if d := obsCacheDiskWrites.Value() - writes0; d != 0 {
@@ -299,7 +293,7 @@ func TestPersistentOverBudgetWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	misses0 := obsCacheMisses.Value()
-	s, err := roomy.GetOrCapture(key, capture)
+	s, err := roomy.GetOrCaptureFrom(key, open)
 	if err != nil {
 		t.Fatalf("cache with room for the stream: %v", err)
 	}
@@ -327,9 +321,7 @@ func TestStoreGCReclaimsSpillEraRecordFiles(t *testing.T) {
 	}
 	cfg := testConfig(5000)
 	cur := Key{Workload: "current", Config: cfg}
-	if _, err := cache.GetOrCapture(cur, func(maxBytes int64) (*Stream, error) {
-		return Capture(trace.NewSliceSource(testRecords(3000)), cfg, maxBytes)
-	}); err != nil {
+	if _, err := cache.GetOrCaptureFrom(cur, sliceOpen(testRecords(3000))); err != nil {
 		t.Fatal(err)
 	}
 	curPath := cache.store.streamPath(cur)

@@ -13,14 +13,17 @@
 // over it, bit-identical to sim.RunTLBOnly.
 //
 // Streams are delta-encoded (a few bytes per event), and each stream's
-// encoded events live in exactly one place: with a capture store, the
-// store file, which the capture writes chunk by chunk and the stream
-// then keeps open and reads with pread; without one, the capture
-// encoder's fixed-size chunks. Derived-view builds decode either
-// source in DecodeBlockSize blocks, and a sim replay pass builds every
-// view it lacks in one such pass; nothing else reads the events.
-// A capture whose encoded events would exceed the byte cap stops with
-// ErrOverBudget; its callers run the direct reference path instead.
+// encoded events live in exactly one place, a file: the capture writes
+// them chunk by chunk into a staging file, and the stream then keeps
+// that file open and reads it with pread. With a capture store the
+// file is renamed into the store; without one it is an unnamed
+// temporary file, unlinked as soon as it is created, which the
+// stream's Close releases. Derived-view builds decode the file in
+// DecodeBlockSize blocks, and a sim replay pass builds every view it
+// lacks in one such pass; nothing else reads the events. A capture
+// whose encoded events would exceed the byte cap, or whose staging
+// file fails, stops with ErrAbandoned; its callers run the direct
+// reference path instead.
 package l2stream
 
 import (
@@ -162,14 +165,11 @@ func widthCode(u uint64, widths *[4]uint8) byte {
 	return 3
 }
 
-// encodeChunkSize is the length of the chunks the capture encoder
-// fills. The encoded stream never grows by copying. A capture into a
-// capture store writes each full chunk to the store's staging file and
-// refills the same buffer, so its events never sit on the heap beyond
-// one chunk; any other capture sets a full chunk aside and starts a
-// fresh one, and the finished stream is the chunk list itself
-// (encoder.finish). A chunk ends before an event that would not fit
-// it, so every chunk holds whole events only and decodes on its own.
+// encodeChunkSize is the length of the chunk the capture encoder
+// fills. Each full chunk is written to the capture's staging file and
+// the same buffer is refilled, so a capture's events never sit on the
+// heap beyond one chunk. A chunk ends before an event that would not
+// fit it.
 const encodeChunkSize = 64 << 10
 
 // decodeWindowSize is how much of a store file a decoder reads per
@@ -181,13 +181,11 @@ const decodeWindowSize = 256 << 10
 // two payloads, each of which put stages as a full 8-byte word.
 const maxEventBytes = 1 + 8 + 8
 
-// encoder appends tagged delta events to a sequence of fixed-size
-// chunks, which go to sink as they fill when it is set and are kept
-// in chunks otherwise.
+// encoder appends tagged delta events to a fixed-size chunk, which
+// goes to sink each time it fills.
 type encoder struct {
-	chunks  [][]byte // full chunks, in stream order (no sink)
 	sink    *stagedStream
-	full    int    // bytes in the chunks set aside
+	full    int    // bytes written to sink
 	buf     []byte // the chunk being filled
 	lastPC  uint64
 	lastVPN uint64
@@ -206,30 +204,24 @@ func (e *encoder) reserve() {
 	}
 }
 
-// flush sets the current chunk aside: written to the sink, whose
-// buffer is then refilled from the start, or appended to chunks.
+// flush writes the current chunk to the sink and empties it.
 func (e *encoder) flush() {
 	e.full += len(e.buf)
-	if e.sink != nil {
-		e.sink.write(e.buf)
-		e.buf = e.buf[:0]
-		return
-	}
-	e.chunks = append(e.chunks, e.buf)
-	e.buf = nil
+	e.sink.write(e.buf)
+	e.buf = e.buf[:0]
 }
 
 // size returns the encoded stream's length so far.
 func (e *encoder) size() int { return e.full + len(e.buf) }
 
-// finish sets the last, partly filled chunk aside and returns the
-// chunks kept (none with a sink) and the stream's total length.
-func (e *encoder) finish() ([][]byte, int64) {
+// finish writes the last, partly filled chunk to the sink and returns
+// the stream's total length.
+func (e *encoder) finish() int64 {
 	if len(e.buf) > 0 {
 		e.flush()
 	}
 	e.buf = nil
-	return e.chunks, int64(e.full)
+	return int64(e.full)
 }
 
 // event appends one event: the tag with its width codes filled in, the
@@ -288,12 +280,11 @@ func (e *encoder) warmup() {
 	e.buf = append(e.buf, wireWarmup)
 }
 
-// Decoder iterates a captured stream, from its encoder chunks or its
-// store file. It is single-use and not safe for concurrent use; take
+// Decoder iterates a captured stream's file. It is single-use and not safe for concurrent use; take
 // one Decoder per replay. Decoders of one stream share nothing: each
 // reads the file at its own offsets.
 type Decoder struct {
-	buf       []byte // the window being decoded: a chunk, or bytes read from the file
+	buf       []byte // the window being decoded: bytes read from the file
 	pos       int
 	base      int64 // stream offset of buf[0], for error messages
 	lastPC    uint64
@@ -301,11 +292,9 @@ type Decoder struct {
 	pageShift uint
 	err       error
 
-	// What follows buf: the chunks not yet decoded, or the rest of the
-	// file's event section, read into win from offset off. A file
-	// decode folds every byte it reads into crc and checks it against
-	// wantCRC once the last byte is in.
-	chunks       [][]byte
+	// What follows buf: the rest of the file's event section, read
+	// into win from offset off. A decode folds every byte it reads
+	// into crc and checks it against wantCRC once the last byte is in.
 	file         *io.SectionReader
 	off          int64
 	win          []byte
@@ -424,16 +413,14 @@ func (d *Decoder) decodeWindow(evs []Event, accessesOnly bool) int {
 }
 
 // refill moves the decoder to its next window and reports whether it
-// has one. A file window starts with the bytes of the event the last
-// one cut off; chunks hold whole events, so bytes left over at a
-// chunk's end, or at the stream's, are a truncated event.
+// has one. A window starts with the bytes of the event the last one
+// cut off; bytes left over at the stream's end are a truncated event.
 func (d *Decoder) refill() bool {
 	if d.err != nil {
 		return false
 	}
 	rest := d.buf[d.pos:]
-	switch {
-	case d.file != nil && d.off < d.file.Size():
+	if d.file != nil && d.off < d.file.Size() {
 		k := copy(d.win, rest)
 		want := int(min(int64(len(d.win)-k), d.file.Size()-d.off))
 		m, err := d.file.ReadAt(d.win[k:k+want], d.off)
@@ -452,10 +439,6 @@ func (d *Decoder) refill() bool {
 		}
 		d.base += int64(d.pos)
 		d.buf, d.pos = d.win[:k+m], 0
-		return true
-	case len(d.chunks) > 0 && len(rest) == 0:
-		d.base += int64(len(d.buf))
-		d.buf, d.chunks, d.pos = d.chunks[0], d.chunks[1:], 0
 		return true
 	}
 	if len(rest) > 0 {
@@ -497,10 +480,12 @@ func (d *Decoder) Err() error { return d.err }
 // Stream is one captured workload stream: its encoded events plus the
 // policy-invariant run scalars (instruction totals, warmup position,
 // L1 miss counts) that every replay shares. The events live in one
-// place: a capture into a capture store writes them to the store's
-// staging file as they are encoded, and the stream is that file once
-// it is renamed into place (a stream loaded from the store is its file
-// too); a capture without a store keeps the encoder's chunks. Besides
+// place, the stream's file: a capture writes them to a staging file as
+// they are encoded, and the stream holds that file open once it is
+// complete. A capture into a capture store renames it into the store
+// (a stream loaded from the store holds its file too); any other
+// capture's file was unlinked when it was created, so it has no name
+// and vanishes with its last descriptor. Besides
 // its events a stream holds nothing: its derived views are read in
 // blocks from their sidecars or built in blocks by a decode pass
 // (derived.go), and replay results are its caller's to keep.
@@ -510,11 +495,10 @@ func (d *Decoder) Err() error { return d.err }
 type Stream struct {
 	cfg Config
 
-	// The encoded events: chunks, or the store file from offset
-	// storeHeaderSize on; size bytes either way. A file decode checks
-	// the bytes it reads against fileCRC, the file's checksum, which
-	// covers the header scalars (scalarsCRC) and then the events.
-	chunks              [][]byte
+	// The encoded events: size bytes of file from offset
+	// storeHeaderSize on. A decode checks the bytes it reads against
+	// fileCRC, the file's checksum, which covers the header scalars
+	// (scalarsCRC) and then the events.
 	file                *os.File
 	size                int64
 	scalarsCRC, fileCRC uint32
@@ -590,35 +574,27 @@ func (s *Stream) DecodeViews(views int) *Decoder {
 	return s.decoder(decodeWindowSize)
 }
 
-// decoder returns a decoder that reads a file-backed stream window
-// bytes at a time (or all at once, when it is shorter); window must
-// exceed maxEventBytes.
+// decoder returns a decoder that reads the stream's file window bytes
+// at a time (or all at once, when it is shorter); window must exceed
+// maxEventBytes.
 func (s *Stream) decoder(window int) *Decoder {
-	d := &Decoder{pageShift: s.cfg.PageShift}
-	if s.file != nil {
-		d.file = io.NewSectionReader(s.file, storeHeaderSize, s.size)
-		d.win = make([]byte, min(int64(window), max(s.size, maxEventBytes+1)))
-		d.crc, d.wantCRC = s.scalarsCRC, s.fileCRC
-		return d
+	return &Decoder{
+		pageShift: s.cfg.PageShift,
+		file:      io.NewSectionReader(s.file, storeHeaderSize, s.size),
+		win:       make([]byte, min(int64(window), max(s.size, maxEventBytes+1))),
+		crc:       s.scalarsCRC,
+		wantCRC:   s.fileCRC,
 	}
-	d.chunks = s.chunks
-	return d
 }
 
-// Close releases the stream's store file, if it has one; decoding the
-// stream afterwards fails. A
-// dropped stream needs no Close: its file is an *os.File, which the
-// garbage collector closes once it is unreachable. Close makes the
-// release prompt; owners that outlive their stream (an engine job, a
-// RunMulti call) call it when they are done.
-func (s *Stream) Close() error {
-	if s.file == nil {
-		return nil
-	}
-	return s.file.Close()
-}
+// Close releases the stream's file; decoding the stream afterwards
+// fails, and an unnamed file's blocks are freed. A dropped stream
+// needs no Close: its file is an *os.File, which the garbage collector
+// closes once it is unreachable. Close makes the release prompt;
+// owners that outlive their stream (an engine job, a RunMulti call)
+// call it when they are done.
+func (s *Stream) Close() error { return s.file.Close() }
 
 // FootprintBytes is the stream's encoded event size: the bytes a
-// capture cap is checked against, held in the store file or, for a
-// stream that belongs to no store, in memory.
+// capture cap is checked against, all of them in the stream's file.
 func (s *Stream) FootprintBytes() int64 { return s.size }

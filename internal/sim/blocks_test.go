@@ -47,6 +47,7 @@ func warmIndex(t *testing.T, recs []trace.Record, m int) (warm, accesses int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	av, err := accessViewFor(s)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +248,7 @@ func TestBlockPassSidecarFlipReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if s.Accesses() <= 3*bs {
 		t.Fatalf("test premise broken: %d accesses span fewer than four blocks", s.Accesses())
 	}

@@ -427,6 +427,7 @@ func TestBlockBuildersMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { s.Close() })
 			return s, fullEvents(t, s)
 		}
 		// boundaryAt finds the first boundary position whose marker sits

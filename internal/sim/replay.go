@@ -33,13 +33,14 @@ func CaptureKey(workload, spec string, cfg TLBOnlyConfig) l2stream.Key {
 }
 
 // StreamFor returns the captured stream for a workload from cache:
-// loaded from its capture directory, or captured (into the directory's
-// staging file, when the cache has one). open must return a fresh
-// bounded source for the workload (it is only called when the capture
-// actually runs); the source is closed after the capture when it is an
-// io.Closer. A capture over the cache's byte cap fails with
-// l2stream.ErrOverBudget; RunMulti and RunPasses then take the direct
-// path.
+// loaded from its capture directory, or captured into a file (the
+// directory's staging file when the cache has one, an unnamed
+// temporary file otherwise). open must return a fresh bounded source
+// for the workload (it is only called when the capture actually runs);
+// the source is closed after the capture when it is an io.Closer. A
+// capture over the cache's byte cap, or one whose staging file fails,
+// fails with l2stream.ErrAbandoned; RunMulti and RunPasses then take
+// the direct path.
 func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, open func() (trace.Source, error)) (*l2stream.Stream, error) {
 	return cache.GetOrCaptureFrom(CaptureKey(workload, spec, cfg), open)
 }

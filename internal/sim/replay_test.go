@@ -32,6 +32,7 @@ func captureFor(t *testing.T, name string, cfg TLBOnlyConfig) *l2stream.Stream {
 	if err != nil {
 		t.Fatalf("capture %s: %v", name, err)
 	}
+	t.Cleanup(func() { stream.Close() })
 	return stream
 }
 
@@ -187,6 +188,7 @@ func TestReplayUnwarmedMatchesRunError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
+	defer stream.Close()
 	pol2, _ := NewPolicy("lru")
 	_, replayErr := ReplayMulti(stream, []tlb.Policy{pol2}, cfg)
 	if replayErr == nil {

@@ -55,14 +55,15 @@ func closeSource(src trace.Source) {
 // stream returns the captured stream of spec's workload from
 // spec.Cache, capturing from the source open returns (s.open, or a
 // source teed into a timing front end). It is nil, with no error, when
-// there is no cache or the capture is over the cache's byte cap: the
-// run then takes the direct path.
+// there is no cache or the capture was abandoned (over the cache's
+// byte cap, or its staging file failed): the run then takes the direct
+// path.
 func (s *RunSpec) stream(open func() (trace.Source, error)) (*l2stream.Stream, error) {
 	if s.Cache == nil {
 		return nil, nil
 	}
 	stream, err := StreamFor(s.Cache, s.Workload.Name, s.Workload.SpecHash, s.Config, open)
-	if errors.Is(err, l2stream.ErrOverBudget) {
+	if errors.Is(err, l2stream.ErrAbandoned) {
 		return nil, nil
 	}
 	if err != nil {

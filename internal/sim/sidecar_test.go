@@ -168,6 +168,7 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bare.Close()
 	want, err := accessViewFor(bare)
 	if err != nil {
 		t.Fatal(err)
@@ -179,21 +180,37 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 
 // TestReplayMemoryBounded pins replay memory to a bound that does not
 // grow with the stream: a synthetic stream whose access, CHiRP and
-// GHRP views total at least 32 MiB is captured into a persistent
-// store allocating under an eighth of its encoded size, and replayed
-// under LRU, CHiRP and GHRP cold (one decode pass that writes the
-// sidecars) and warm (from the sidecars), each allocating under an
-// eighth of the view bytes. Both replays equal the direct path's rows.
+// GHRP views total at least 32 MiB is captured without a capture
+// directory and into a persistent store, each allocating under an
+// eighth of its encoded size, and replayed under LRU, CHiRP and GHRP:
+// without a store (one decode pass that builds the views), cold (one
+// that also writes the sidecars) and warm (from the sidecars), each
+// allocating under an eighth of the view bytes. Every replay equals
+// the direct path's rows.
 func TestReplayMemoryBounded(t *testing.T) {
 	const records = 620_000
 	cfg := DefaultTLBOnlyConfig(records)
 	dir := t.TempDir()
-	var s *l2stream.Stream
-	captured := heapAllocated(func() { s = pageSweepStream(t, dir, records, cfg) })
-	defer s.Close()
-	if limit := uint64(s.FootprintBytes()) / 8; captured >= limit {
-		t.Errorf("capturing %d encoded bytes into the store allocated %d bytes, want under %d", s.FootprintBytes(), captured, limit)
+	capture := func(where string, get func() *l2stream.Stream) *l2stream.Stream {
+		var s *l2stream.Stream
+		captured := heapAllocated(func() { s = get() })
+		if limit := uint64(s.FootprintBytes()) / 8; captured >= limit {
+			t.Errorf("capturing %d encoded bytes %s allocated %d bytes, want under %d", s.FootprintBytes(), where, captured, limit)
+		}
+		return s
 	}
+	bare := capture("without a capture directory", func() *l2stream.Stream {
+		s, err := StreamFor(l2stream.NewCache(0), "page-sweep", "", cfg, func() (trace.Source, error) {
+			return &pageSweepSource{n: records}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
+	defer bare.Close()
+	s := capture("into the store", func() *l2stream.Stream { return pageSweepStream(t, dir, records, cfg) })
+	defer s.Close()
 	viewBytes := s.Accesses() * (16 + 4 + 8)
 	if viewBytes < 32<<20 {
 		t.Fatalf("test premise broken: the views hold %d bytes, want at least 32 MiB", viewBytes)
@@ -207,9 +224,12 @@ func TestReplayMemoryBounded(t *testing.T) {
 		}
 		want = append(want, res)
 	}
-	for _, run := range []string{"cold", "warm"} {
+	for _, run := range []string{"no-dir", "cold", "warm"} {
 		stream := s
-		if run == "warm" {
+		switch run {
+		case "no-dir":
+			stream = bare
+		case "warm":
 			stream = pageSweepStream(t, dir, records, cfg)
 			defer stream.Close()
 		}
@@ -228,7 +248,7 @@ func TestReplayMemoryBounded(t *testing.T) {
 		if n >= viewBytes/8 {
 			t.Errorf("%s replay over %d view bytes allocated %d bytes, want under %d", run, viewBytes, n, viewBytes/8)
 		}
-		if d, wantD := decodePasses.Value()-passes0, map[string]uint64{"cold": 1, "warm": 0}[run]; d != wantD {
+		if d, wantD := decodePasses.Value()-passes0, map[string]uint64{"no-dir": 1, "cold": 1, "warm": 0}[run]; d != wantD {
 			t.Errorf("%s replay ran %d decode passes, want %d", run, d, wantD)
 		}
 		if !slices.Equal(got, want) {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/chirplab/chirp/internal/l2stream"
 	"github.com/chirplab/chirp/internal/obs"
+	"github.com/chirplab/chirp/internal/pipeline"
 	"github.com/chirplab/chirp/internal/tlb"
 	"github.com/chirplab/chirp/internal/trace"
 	"github.com/chirplab/chirp/internal/workloads"
@@ -74,7 +75,7 @@ func TestStreamEventsStoredOnce(t *testing.T) {
 	if size <= 3*64<<10 {
 		t.Fatalf("test premise broken: %d encoded bytes span fewer than four 64 KiB encoder chunks", size)
 	}
-	probe = nil
+	probe.Close()
 
 	// The last chunk's slack and the capture's own state; a second
 	// copy of the events would add size again.
@@ -214,19 +215,25 @@ func TestFlippedStreamFileFailsRun(t *testing.T) {
 }
 
 // TestSuiteClosesStreamFiles: a -capturedir suite run, cold or warm,
-// and a RunMulti call leave no .l2s descriptor open. The collector is
-// off for the test, so the owners' own Close calls are what is
-// checked, not the files' finalizers.
+// a run without a capture directory, whose streams are unnamed files
+// in TMPDIR, and a RunMulti call leave no .l2s descriptor open. The
+// suite runs MPKI passes and a timing pass. The collector is off for
+// the test, so the owners' own Close calls are what is checked, not
+// the files' finalizers.
 func TestSuiteClosesStreamFiles(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
 	ws := workloads.SuiteN(2)
-	passes := testPasses(t)
-	dir := t.TempDir()
-	for _, run := range []string{"cold", "warm"} {
-		cache, err := l2stream.NewPersistent(0, dir)
-		if err != nil {
-			t.Fatal(err)
+	passes := append(testPasses(t), Pass{Scope: "timing", Config: DefaultTLBOnlyConfig(testInstr),
+		Policies: namedFactories(t, "lru", "chirp"), Timing: true})
+	dir, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, run := range []string{"cold", "warm", "no-dir"} {
+		var cache *l2stream.Cache
+		if run == "no-dir" {
+			cache, dir = l2stream.NewCache(0), tmp
+		} else {
+			cache = mustPersistent(t, dir)
 		}
 		if _, err := RunPasses(ctx, ws, passes, SuiteOptions{Workers: 2, StreamCache: cache}); err != nil {
 			t.Fatal(err)
@@ -243,4 +250,113 @@ func TestSuiteClosesStreamFiles(t *testing.T) {
 			t.Errorf("%s RunMulti call left %d .l2s descriptors open", run, n)
 		}
 	}
+	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+		t.Errorf("captures without a capture directory left %v in TMPDIR", ents)
+	}
+}
+
+// TestStagingFailureGoesDirect: a capture whose staging file cannot be
+// created (no capture directory, and TMPDIR names no directory) or
+// renamed into place (a directory stands at the store file's path) is
+// abandoned like an over-budget one, and the job takes the direct
+// path. An MPKI pass and a timing pass give rows equal to RunTLBOnly
+// and to the one-policy pipeline. The staging failure counts one disk
+// error and no over-budget capture, and leaves no staging file.
+func TestStagingFailureGoesDirect(t *testing.T) {
+	ctx := context.Background()
+	w := workloads.ByName("db-003")
+	ws := []*workloads.Workload{w}
+	cfg := DefaultTLBOnlyConfig(testInstr)
+	pols := namedFactories(t, "lru", "chirp")
+	passes := []Pass{
+		{Scope: "mpki", Config: cfg, Policies: pols},
+		{Scope: "timing", Config: cfg, Policies: pols, Timing: true},
+	}
+	var wantMPKI []TLBOnlyResult
+	for _, f := range pols {
+		res, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), f.New(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Policy = f.Name
+		wantMPKI = append(wantMPKI, res)
+	}
+	wantTiming := timingCells(t, ws, pols, pipeline.DefaultConfig(testInstr, 150))
+
+	// The store file's name, from a capture into a scratch directory.
+	scratch := t.TempDir()
+	s, err := StreamFor(mustPersistent(t, scratch), w.Name, "", cfg, func() (trace.Source, error) {
+		return trace.NewLimit(w.Source(), cfg.Instructions), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	files, _ := filepath.Glob(filepath.Join(scratch, "*.l2s"))
+	if len(files) != 1 {
+		t.Fatalf("want one .l2s file, found %v", files)
+	}
+
+	diskErrors := obs.Default.Counter("chirp_l2stream_cache_disk_errors_total", "")
+	spills := obs.Default.Counter("chirp_l2stream_cache_spills_total", "")
+	for _, c := range []struct {
+		name string
+		// setup returns the cache and the directory a staging file
+		// would be left in.
+		setup func(t *testing.T) (*l2stream.Cache, string)
+		// loadErrors counts the disk errors before the capture.
+		loadErrors uint64
+	}{
+		{"no-dir", func(t *testing.T) (*l2stream.Cache, string) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", filepath.Join(tmp, "missing"))
+			return l2stream.NewCache(0), tmp
+		}, 0},
+		// Reading the directory as a store file is one more disk error.
+		{"dir", func(t *testing.T) (*l2stream.Cache, string) {
+			dir := t.TempDir()
+			if err := os.Mkdir(filepath.Join(dir, filepath.Base(files[0])), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return mustPersistent(t, dir), dir
+		}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cache, dir := c.setup(t)
+			e0, s0 := diskErrors.Value(), spills.Value()
+			rows, err := RunPasses(ctx, ws, passes, SuiteOptions{StreamCache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diskErrors.Value() - e0; d != c.loadErrors+1 {
+				t.Errorf("disk errors delta = %d, want %d", d, c.loadErrors+1)
+			}
+			if d := spills.Value() - s0; d != 0 {
+				t.Errorf("over-budget delta = %d, want 0", d)
+			}
+			for i, r := range rows[0] {
+				if r.TLBOnlyResult != wantMPKI[i] {
+					t.Errorf("MPKI row %d diverged from RunTLBOnly:\n got:  %+v\n want: %+v", i, r.TLBOnlyResult, wantMPKI[i])
+				}
+			}
+			for i, r := range rows[1] {
+				if got := r.Timing(150); !reflect.DeepEqual(got, wantTiming[i].Result) {
+					t.Errorf("timing row %d diverged from pipeline.New:\n got:  %+v\n want: %+v", i, got, wantTiming[i].Result)
+				}
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+				t.Errorf("staging files left behind: %v", left)
+			}
+		})
+	}
+}
+
+// mustPersistent opens a persistent stream cache over dir.
+func mustPersistent(t *testing.T, dir string) *l2stream.Cache {
+	t.Helper()
+	cache, err := l2stream.NewPersistent(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
 }
