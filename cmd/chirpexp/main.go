@@ -182,7 +182,10 @@ func run(fs *flag.FlagSet, args []string) int {
 			fmt.Fprintf(os.Stderr, "chirpexp: %s: %v\n", id, err)
 			return 1
 		}
-		fmt.Fprintf(out, "-- %s done in %v --\n\n", r.name, time.Since(start).Round(time.Millisecond))
+		// The wall-clock footer goes to stderr, so stdout is the same
+		// on every run.
+		fmt.Fprintf(os.Stderr, "-- %s done in %v --\n", r.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(out)
 	}
 	return 0
 }

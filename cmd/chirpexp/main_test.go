@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -64,5 +67,56 @@ func TestZeroInstrIsUsageError(t *testing.T) {
 				t.Errorf("-exp %s -instr 0 returned %d, want 2 (usage)", exp, code)
 			}
 		})
+	}
+}
+
+// TestStdoutDeterministic: the wall-clock "-- id done in T --" footer
+// goes to stderr, so two identical runs print byte-identical stdout.
+func TestStdoutDeterministic(t *testing.T) {
+	runOnce := func() (stdout, stderr []byte) {
+		dir := t.TempDir()
+		outFile, err := os.Create(filepath.Join(dir, "stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		errFile, err := os.Create(filepath.Join(dir, "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved, savedErr := os.Stdout, os.Stderr
+		os.Stdout, os.Stderr = outFile, errFile
+		fs := flag.NewFlagSet("chirpexp", flag.ContinueOnError)
+		code := run(fs, []string{"-exp", "table1,fig7", "-n", "2", "-instr", "100000"})
+		os.Stdout, os.Stderr = saved, savedErr
+		outFile.Close()
+		errFile.Close()
+		if code != 0 {
+			t.Fatalf("run returned %d", code)
+		}
+		stdout, err = os.ReadFile(outFile.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr, err = os.ReadFile(errFile.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout, stderr
+	}
+	first, stderr := runOnce()
+	second, _ := runOnce()
+	if !bytes.Contains(first, []byte("== fig7:")) {
+		t.Fatalf("stdout lacks fig7's section:\n%s", first)
+	}
+	if bytes.Contains(first, []byte("done in")) {
+		t.Errorf("stdout carries a wall-clock footer:\n%s", first)
+	}
+	for _, id := range []string{"table1", "fig7"} {
+		if !bytes.Contains(stderr, []byte("-- "+id+" done in ")) {
+			t.Errorf("stderr lacks %s's footer:\n%s", id, stderr)
+		}
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("two runs printed different stdout:\n%s\n--- and ---\n%s", first, second)
 	}
 }

@@ -1,23 +1,19 @@
 package branch
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"github.com/chirplab/chirp/internal/lru"
+)
 
 // BTB is a set-associative branch target buffer (4K entries in Table
-// II) with LRU replacement. Each set keeps its valid entries most
-// recently used first, as mem.Cache does: true LRU's hits depend only
-// on access order, not on way placement, so lookups and targets match
-// an age-counter LRU exactly while a hit or a fill is one memmove.
+// II) with LRU replacement: an lru.Sets whose payload is the target.
 type BTB struct {
-	ways int
 	// setMask and tagShift split pc>>2 into set index and tag;
 	// tagShift is log2(sets).
 	setMask  uint64
 	tagShift uint
-	// tags and targets are sets × ways; each set's valid prefix is
-	// MRU first, and targets[i] belongs to tags[i].
-	tags    []uint64
-	targets []uint64
-	used    []int32 // valid ways per set
+	entries  lru.Sets[uint64]
 
 	lookups uint64
 	hits    uint64
@@ -33,12 +29,9 @@ func NewBTB(entries, ways int) *BTB {
 		panic("branch: BTB set count must be a power of two")
 	}
 	return &BTB{
-		ways:     ways,
 		setMask:  uint64(sets - 1),
 		tagShift: uint(bits.TrailingZeros(uint(sets))),
-		tags:     make([]uint64, entries),
-		targets:  make([]uint64, entries),
-		used:     make([]int32, sets),
+		entries:  lru.New[uint64](sets, ways),
 	}
 }
 
@@ -48,30 +41,14 @@ func (b *BTB) index(pc uint64) (set, tag uint64) {
 	return line & b.setMask, line >> b.tagShift
 }
 
-// toFront shifts ways [0, i) of the set at base back by one and
-// installs (tag, target) as the MRU entry, overwriting way i.
-func (b *BTB) toFront(base, i int, tag, target uint64) {
-	if i > 0 {
-		copy(b.tags[base+1:base+i+1], b.tags[base:base+i])
-		copy(b.targets[base+1:base+i+1], b.targets[base:base+i])
-	}
-	b.tags[base], b.targets[base] = tag, target
-}
-
 // Lookup returns the predicted target for the branch at pc.
 //
 //chirp:hotpath
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.lookups++
-	set, tag := b.index(pc)
-	base := int(set) * b.ways
-	for i, t := range b.tags[base : base+int(b.used[set])] {
-		if t == tag {
-			b.hits++
-			target = b.targets[base+i]
-			b.toFront(base, i, tag, target)
-			return target, true
-		}
+	if t := b.entries.Lookup(b.index(pc)); t != nil {
+		b.hits++
+		return *t, true
 	}
 	return 0, false
 }
@@ -83,25 +60,11 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 //chirp:hotpath
 func (b *BTB) Update(pc, target uint64) {
 	set, tag := b.index(pc)
-	base := int(set) * b.ways
-	n := int(b.used[set])
-	// i is the way to vacate: the resident entry, else the first free
-	// way, else the LRU tail.
-	i := n
-	for j, t := range b.tags[base : base+n] {
-		if t == tag {
-			i = j
-			break
-		}
+	if t := b.entries.Lookup(set, tag); t != nil {
+		*t = target
+		return
 	}
-	if i == n {
-		if n < b.ways {
-			b.used[set] = int32(n + 1)
-		} else {
-			i = n - 1
-		}
-	}
-	b.toFront(base, i, tag, target)
+	b.entries.Fill(set, tag, target)
 }
 
 // HitRatio returns hits/lookups.

@@ -3,91 +3,43 @@ package branch
 import (
 	"fmt"
 	"testing"
+
+	"github.com/chirplab/chirp/internal/policy"
+	"github.com/chirplab/chirp/internal/tlb"
 )
 
-// ageBTB is the test-only reference model of the BTB: the age-counter
-// true-LRU design (per-way valid bit and recency rank; Update refreshes
-// a resident entry, else fills the first invalid way, else evicts the
-// oldest rank) that BTB must reproduce lookup for lookup.
-type ageBTB struct {
-	ways          int
-	setMask       uint64
-	tagShift      uint
-	tags, targets []uint64
-	valid         []bool
-	age           []int
+// lruBTB is the reference BTB: a tlb.TLB under policy.LRU (the direct
+// reference path's L1 model, written independently of lru.Sets) keyed
+// by pc>>2 holds the resident branches, and a map their last targets.
+type lruBTB struct {
+	resident *tlb.TLB
+	targets  map[uint64]uint64
 }
 
-func newAgeBTB(entries, ways int) *ageBTB {
-	sets := entries / ways
-	b := &ageBTB{
-		ways:    ways,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, entries),
-		targets: make([]uint64, entries),
-		valid:   make([]bool, entries),
-		age:     make([]int, entries),
+func newLRUBTB(t *testing.T, entries, ways int) *lruBTB {
+	t.Helper()
+	resident, err := tlb.New(tlb.Config{Name: "BTB", Entries: entries, Ways: ways, PageShift: 12}, policy.NewLRU())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for 1<<b.tagShift < sets {
-		b.tagShift++
-	}
-	for i := range b.age {
-		b.age[i] = i % ways
-	}
-	return b
+	t.Cleanup(resident.Release)
+	return &lruBTB{resident: resident, targets: map[uint64]uint64{}}
 }
 
-func (b *ageBTB) index(pc uint64) (base int, tag uint64) {
-	line := pc >> 2
-	return int(line&b.setMask) * b.ways, line >> b.tagShift
-}
-
-func (b *ageBTB) touch(base, way int) {
-	p := b.age[base+way]
-	for w := 0; w < b.ways; w++ {
-		if b.age[base+w] < p {
-			b.age[base+w]++
-		}
-	}
-	b.age[base+way] = 0
-}
-
-func (b *ageBTB) find(base int, tag uint64) int {
-	for w := 0; w < b.ways; w++ {
-		if b.valid[base+w] && b.tags[base+w] == tag {
-			return w
-		}
-	}
-	return -1
-}
-
-func (b *ageBTB) Lookup(pc uint64) (uint64, bool) {
-	base, tag := b.index(pc)
-	w := b.find(base, tag)
-	if w < 0 {
+func (b *lruBTB) Lookup(pc uint64) (uint64, bool) {
+	a := tlb.Access{VPN: pc >> 2}
+	if _, hit := b.resident.Lookup(&a); !hit {
 		return 0, false
 	}
-	b.touch(base, w)
-	return b.targets[base+w], true
+	return b.targets[pc>>2], true
 }
 
-func (b *ageBTB) Update(pc, target uint64) {
-	base, tag := b.index(pc)
-	victim := b.find(base, tag)
-	for w := 0; w < b.ways && victim < 0; w++ {
-		if !b.valid[base+w] {
-			victim = w
-		}
+func (b *lruBTB) Update(pc, target uint64) {
+	a := tlb.Access{VPN: pc >> 2}
+	if _, hit := b.resident.Lookup(&a); !hit {
+		b.resident.Insert(&a, 0)
 	}
-	if victim < 0 {
-		for w := 0; w < b.ways; w++ {
-			if victim < 0 || b.age[base+w] > b.age[base+victim] {
-				victim = w
-			}
-		}
-	}
-	b.tags[base+victim], b.targets[base+victim], b.valid[base+victim] = tag, target, true
-	b.touch(base, victim)
+	b.targets[pc>>2] = target
 }
 
 // refPerceptron is the test-only reference model of the hashed
@@ -158,8 +110,8 @@ func (s *splitmix) next() uint64 {
 	return z ^ z>>31
 }
 
-// TestBTBMatchesAgeLRUOracle drives BTB and the age-counter reference
-// with the same seeded operation streams — random PCs over a footprint
+// TestBTBMatchesAgeLRUOracle drives BTB and the tlb.TLB reference with
+// the same seeded operation streams — random PCs over a footprint
 // larger than the BTB, and set-thrashing runs of ways+k branches that
 // share one set — and requires the same hit and target on every
 // lookup and the same hit ratio.
@@ -169,7 +121,7 @@ func TestBTBMatchesAgeLRUOracle(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%dx%d/seed=%d", g.entries, g.ways, seed), func(t *testing.T) {
-				b, ref := NewBTB(g.entries, g.ways), newAgeBTB(g.entries, g.ways)
+				b, ref := NewBTB(g.entries, g.ways), newLRUBTB(t, g.entries, g.ways)
 				rng := splitmix(seed)
 				sets := uint64(g.entries / g.ways)
 				var pcs []uint64

@@ -1,21 +1,17 @@
 package l2stream
 
-import "github.com/chirplab/chirp/internal/tlb"
+import (
+	"github.com/chirplab/chirp/internal/lru"
+	"github.com/chirplab/chirp/internal/tlb"
+)
 
-// l1Filter is the capture path's stand-in for one L1 TLB simulation:
-// a set-associative true-LRU membership filter. Which accesses hit
-// under exact LRU depends only on the access order, never on way
-// placement or victim tie-breaking (stack positions are a permutation,
-// so the LRU entry is unique), so this produces the same hit/miss
-// sequence — and the same miss count — as a tlb.TLB running
-// policy.NewLRU, at a fraction of the cost: each set is kept
-// MRU-ordered in place, making lookup a short scan and both the
-// recency update and the fill a single memmove.
+// l1Filter is the capture path's stand-in for one L1 TLB simulation: a
+// true-LRU membership filter over an lru.Sets keyed by the whole VPN.
+// It produces the same hit/miss sequence, and so the same miss count,
+// as a tlb.TLB running policy.NewLRU, at a fraction of the cost.
 type l1Filter struct {
-	ways   int
 	mask   uint64
-	vpns   []uint64 // sets × ways; each set's valid prefix, MRU first
-	used   []int32  // valid entries per set
+	vpns   lru.Sets[struct{}]
 	misses uint64
 }
 
@@ -25,10 +21,8 @@ func newL1Filter(cfg tlb.Config) (*l1Filter, error) {
 	}
 	sets := cfg.Entries / cfg.Ways
 	return &l1Filter{
-		ways: cfg.Ways,
 		mask: uint64(sets - 1),
-		vpns: make([]uint64, cfg.Entries),
-		used: make([]int32, sets),
+		vpns: lru.New[struct{}](sets, cfg.Ways),
 	}, nil
 }
 
@@ -38,23 +32,10 @@ func newL1Filter(cfg tlb.Config) (*l1Filter, error) {
 //chirp:hotpath
 func (f *l1Filter) access(vpn uint64) bool {
 	set := vpn & f.mask
-	base := int(set) * f.ways
-	n := int(f.used[set])
-	w := f.vpns[base : base+n]
-	for i, v := range w {
-		if v == vpn {
-			copy(w[1:i+1], w[:i])
-			w[0] = vpn
-			return true
-		}
+	if f.vpns.Lookup(set, vpn) != nil {
+		return true
 	}
 	f.misses++
-	if n < f.ways {
-		f.used[set] = int32(n + 1)
-		n++
-		w = f.vpns[base : base+n]
-	}
-	copy(w[1:], w) // shifts right; the LRU tail entry falls off
-	w[0] = vpn
+	f.vpns.Fill(set, vpn, struct{}{})
 	return false
 }

@@ -9,6 +9,8 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+
+	"github.com/chirplab/chirp/internal/lru"
 )
 
 // Config describes one cache level.
@@ -50,23 +52,15 @@ type Stats struct {
 	Misses   uint64
 }
 
-// Cache is one set-associative, LRU-replaced cache level.
-//
-// Each set keeps its valid tags most-recently-used first, with a
-// per-set count of how many ways are valid. Under true LRU, which
-// accesses hit depends only on the access order, never on which way a
-// line occupies, so this layout reproduces an age-counter LRU's
-// hit/miss sequence exactly (the capture path's L1 TLB filter,
-// l2stream.l1Filter, rests on the same argument) while a hit costs a
-// short scan plus one memmove and a fill needs no victim search.
+// Cache is one set-associative, LRU-replaced cache level. Its lines
+// are an lru.Sets, whose doc comment gives the layout and why it is
+// exact.
 type Cache struct {
 	cfg       Config
-	ways      int
 	setMask   uint64
 	lineShift uint
-	tagShift  uint     // log2(sets): line bits above the set index
-	tags      []uint64 // sets × ways; each set's valid prefix, MRU first
-	used      []int32  // valid ways per set
+	tagShift  uint // log2(sets): line bits above the set index
+	lines     lru.Sets[struct{}]
 	stats     Stats
 	next      Level
 }
@@ -96,12 +90,10 @@ func NewCache(cfg Config, next Level) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:       cfg,
-		ways:      cfg.Ways,
 		setMask:   uint64(sets - 1),
 		lineShift: lineShift,
 		tagShift:  uint(bits.TrailingZeros(uint(sets))),
-		tags:      make([]uint64, sets*cfg.Ways),
-		used:      make([]int32, sets),
+		lines:     lru.New[struct{}](sets, cfg.Ways),
 		next:      next,
 	}, nil
 }
@@ -123,29 +115,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) Access(addr uint64, write bool) uint64 {
 	c.stats.Accesses++
 	line := addr >> c.lineShift
-	set := line & c.setMask
-	tag := line >> c.tagShift
-	base := int(set) * c.ways
-	n := int(c.used[set])
-	w := c.tags[base : base+n]
-	for i, t := range w {
-		if t == tag {
-			c.stats.Hits++
-			if i > 0 { // an MRU hit, the common case, moves nothing
-				copy(w[1:i+1], w[:i])
-				w[0] = tag
-			}
-			return c.cfg.LatencyCycles
-		}
+	set, tag := line&c.setMask, line>>c.tagShift
+	if c.lines.Lookup(set, tag) != nil {
+		c.stats.Hits++
+		return c.cfg.LatencyCycles
 	}
 	c.stats.Misses++
 	lower := c.next.Access(addr, write)
-	if n < c.ways {
-		c.used[set] = int32(n + 1)
-		w = c.tags[base : base+n+1]
-	}
-	copy(w[1:], w)
-	w[0] = tag
+	c.lines.Fill(set, tag, struct{}{})
 	return c.cfg.LatencyCycles + lower
 }
 

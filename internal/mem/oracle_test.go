@@ -2,102 +2,49 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"testing"
+
+	"github.com/chirplab/chirp/internal/policy"
+	"github.com/chirplab/chirp/internal/tlb"
 )
 
-// ageCache is the test-only reference model of a cache level: the
-// age-counter true-LRU design (a per-way valid bit and recency rank,
-// fill into the first invalid way, else evict the oldest rank) that
-// Cache must reproduce access for access. It is written independently
-// of Cache's layout so that the two cannot share a bug.
-type ageCache struct {
-	ways               int
-	latency            uint64
-	setMask, lineShift uint64
-	tagShift           uint
-	tags               []uint64
-	valid              []bool
-	age                []int
-	stats              Stats
-	next               Level
+// lruLevel is the reference cache level: a tlb.TLB under policy.LRU
+// (the direct reference path's L1 model, written independently of
+// lru.Sets) holding line numbers, with Cache's latency recursion and
+// counters. Its sets are indexed by a line's low bits, as Cache's are.
+type lruLevel struct {
+	lines     *tlb.TLB
+	lineShift uint
+	latency   uint64
+	stats     Stats
+	next      Level
 }
 
-func newAgeCache(cfg Config, next Level) *ageCache {
-	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	c := &ageCache{
-		ways:    cfg.Ways,
-		latency: cfg.LatencyCycles,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, sets*cfg.Ways),
-		valid:   make([]bool, sets*cfg.Ways),
-		age:     make([]int, sets*cfg.Ways),
-		next:    next,
+func newLRULevel(t *testing.T, cfg Config, next Level) *lruLevel {
+	t.Helper()
+	lines, err := tlb.New(tlb.Config{Name: cfg.Name, Entries: cfg.SizeBytes / cfg.LineBytes, Ways: cfg.Ways, PageShift: 12}, policy.NewLRU())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for 1<<c.lineShift < cfg.LineBytes {
-		c.lineShift++
-	}
-	for 1<<c.tagShift < sets {
-		c.tagShift++
-	}
-	for i := range c.age {
-		c.age[i] = i % cfg.Ways
-	}
-	return c
+	t.Cleanup(lines.Release)
+	return &lruLevel{lines: lines, lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))), latency: cfg.LatencyCycles, next: next}
 }
 
-func (c *ageCache) Name() string { return "ref" }
+func (c *lruLevel) Name() string { return "ref" }
 
-func (c *ageCache) touch(base, way int) {
-	p := c.age[base+way]
-	for w := 0; w < c.ways; w++ {
-		if c.age[base+w] < p {
-			c.age[base+w]++
-		}
-	}
-	c.age[base+way] = 0
-}
-
-func (c *ageCache) Access(addr uint64, write bool) uint64 {
+func (c *lruLevel) Access(addr uint64, write bool) uint64 {
 	c.stats.Accesses++
-	line := addr >> c.lineShift
-	base := int(line&c.setMask) * c.ways
-	tag := line >> c.tagShift
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stats.Hits++
-			c.touch(base, w)
-			return c.latency
-		}
+	a := tlb.Access{VPN: addr >> c.lineShift}
+	if _, hit := c.lines.Lookup(&a); hit {
+		c.stats.Hits++
+		return c.latency
 	}
 	c.stats.Misses++
 	lower := c.next.Access(addr, write)
-	victim := -1
-	for w := 0; w < c.ways && victim < 0; w++ {
-		if !c.valid[base+w] {
-			victim = w
-		}
-	}
-	if victim < 0 {
-		for w := 0; w < c.ways; w++ {
-			if victim < 0 || c.age[base+w] > c.age[base+victim] {
-				victim = w
-			}
-		}
-	}
-	c.tags[base+victim], c.valid[base+victim] = tag, true
-	c.touch(base, victim)
+	c.lines.Insert(&a, 0)
 	return c.latency + lower
-}
-
-// splitmix is a deterministic 64-bit generator for the address streams.
-type splitmix uint64
-
-func (s *splitmix) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // oracleStream returns a seeded address stream mixing three patterns:
@@ -106,32 +53,29 @@ func (s *splitmix) next() uint64 {
 // lines that all map to one set, replayed in cyclic and reversed order
 // so that LRU evicts every line just before its reuse.
 func oracleStream(cfg Config, seed uint64, n int) []uint64 {
-	rng := splitmix(seed)
+	rng := rand.New(rand.NewPCG(seed, 0))
 	sets := uint64(cfg.SizeBytes / (cfg.LineBytes * cfg.Ways))
 	line := uint64(cfg.LineBytes)
 	footprint := uint64(cfg.SizeBytes) * 4
 	out := make([]uint64, 0, n)
 	for len(out) < n {
-		switch rng.next() % 4 {
+		switch rng.IntN(4) {
 		case 0: // uniform over a footprint 4× the capacity
-			for i := 0; i < 64; i++ {
-				out = append(out, rng.next()%footprint)
+			for range 64 {
+				out = append(out, rng.Uint64N(footprint))
 			}
 		case 1: // hot region of half the capacity
-			for i := 0; i < 64; i++ {
-				out = append(out, rng.next()%(uint64(cfg.SizeBytes)/2))
+			for range 64 {
+				out = append(out, rng.Uint64N(uint64(cfg.SizeBytes)/2))
 			}
 		default: // thrash one set with ways+k conflicting lines
-			set := rng.next() % sets
-			k := uint64(cfg.Ways) + rng.next()%3
-			reverse := rng.next()%2 == 0
-			for rep := 0; rep < 4; rep++ {
-				for i := uint64(0); i < k; i++ {
-					j := i
+			set, k, reverse := rng.Uint64N(sets), uint64(cfg.Ways+rng.IntN(3)), rng.IntN(2) == 0
+			for rep := range 4 {
+				for i := range k {
 					if reverse && rep%2 == 1 {
-						j = k - 1 - i
+						i = k - 1 - i
 					}
-					out = append(out, (j*sets+set)*line+rng.next()%line)
+					out = append(out, (i*sets+set)*line+rng.Uint64N(line))
 				}
 			}
 		}
@@ -150,9 +94,9 @@ func oracleGeometries() []Config {
 	}
 }
 
-// TestCacheMatchesAgeLRUOracle drives Cache and the age-counter
-// reference with the same seeded streams, one level over DRAM, and
-// requires identical per-access latency, Stats and DRAM traffic.
+// TestCacheMatchesAgeLRUOracle drives Cache and the tlb.TLB reference
+// with the same seeded streams, one level over DRAM, and requires
+// identical per-access latency, Stats and DRAM traffic.
 func TestCacheMatchesAgeLRUOracle(t *testing.T) {
 	for _, cfg := range oracleGeometries() {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -162,7 +106,7 @@ func TestCacheMatchesAgeLRUOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := newAgeCache(cfg, refDRAM)
+				ref := newLRULevel(t, cfg, refDRAM)
 				for i, addr := range oracleStream(cfg, seed, 20_000) {
 					write := i%5 == 0
 					if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
@@ -183,13 +127,15 @@ func TestCacheMatchesAgeLRUOracle(t *testing.T) {
 // TestHierarchyMatchesAgeLRUOracle chains L1I/L1D → L2 → L3 → DRAM in
 // small geometries that evict at every level, interleaves fetch and
 // data streams through the shared L2, and compares every latency and
-// every level's counters with the same chain built from the oracle.
+// every level's counters with the same chain built from the reference.
+// tlb.TLB takes at most 64 ways, so the L3 is 64-way; lru.Sets itself
+// is checked at 256 ways by its own oracle test.
 func TestHierarchyMatchesAgeLRUOracle(t *testing.T) {
 	cfg := HierarchyConfig{
 		L1I:         Config{Name: "L1I", SizeBytes: 2 << 10, LineBytes: 64, Ways: 2, LatencyCycles: 4},
 		L1D:         Config{Name: "L1D", SizeBytes: 4 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 4},
 		L2:          Config{Name: "L2", SizeBytes: 16 << 10, LineBytes: 64, Ways: 16, LatencyCycles: 12},
-		L3:          Config{Name: "L3", SizeBytes: 32 << 10, LineBytes: 64, Ways: 256, LatencyCycles: 42},
+		L3:          Config{Name: "L3", SizeBytes: 32 << 10, LineBytes: 64, Ways: 64, LatencyCycles: 42},
 		DRAMLatency: 240,
 	}
 	h, err := NewHierarchy(cfg)
@@ -197,9 +143,9 @@ func TestHierarchyMatchesAgeLRUOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDRAM := NewMemory(cfg.DRAMLatency)
-	refL3 := newAgeCache(cfg.L3, refDRAM)
-	refL2 := newAgeCache(cfg.L2, refL3)
-	refL1I, refL1D := newAgeCache(cfg.L1I, refL2), newAgeCache(cfg.L1D, refL2)
+	refL3 := newLRULevel(t, cfg.L3, refDRAM)
+	refL2 := newLRULevel(t, cfg.L2, refL3)
+	refL1I, refL1D := newLRULevel(t, cfg.L1I, refL2), newLRULevel(t, cfg.L1D, refL2)
 
 	fetch := oracleStream(cfg.L2, 7, 40_000)
 	data := oracleStream(cfg.L3, 8, 40_000)
@@ -214,7 +160,7 @@ func TestHierarchyMatchesAgeLRUOracle(t *testing.T) {
 	}
 	for _, lv := range []struct {
 		got  *Cache
-		want *ageCache
+		want *lruLevel
 	}{{h.L1I, refL1I}, {h.L1D, refL1D}, {h.L2, refL2}, {h.L3, refL3}} {
 		if lv.got.Stats() != lv.want.stats {
 			t.Errorf("%s stats %+v, oracle %+v", lv.got.Name(), lv.got.Stats(), lv.want.stats)

@@ -1,27 +1,22 @@
 package pipeline
 
-import "github.com/chirplab/chirp/internal/tlb"
+import (
+	"github.com/chirplab/chirp/internal/lru"
+	"github.com/chirplab/chirp/internal/tlb"
+)
 
 // l1TLB is one of the machine's L1 TLBs: set-associative, exact LRU,
-// with no policy interface. Each set keeps its valid entries most
-// recently used first, the layout of mem.Cache and l2stream.l1Filter.
-// Under true LRU which lookups hit depends only on the access order,
-// never on way placement, so it reproduces the hits, misses and
-// evictions of a tlb.TLB under policy.LRU access for access (pinned
-// by TestL1TLBMatchesAgeLRUOracle). Each entry carries its frame, so a
-// hit returns it after a short scan and at most one memmove, and a
-// fill needs no victim search.
+// with no policy interface. Its entries are an lru.Sets keyed by the
+// whole VPN and carrying the frame, so it reproduces the hits, misses
+// and evictions of a tlb.TLB under policy.LRU access for access
+// (pinned by TestL1TLBMatchesAgeLRUOracle).
 type l1TLB struct {
 	name    string
-	ways    int
 	mask    uint64
-	entries []l1Entry // sets × ways; each set's valid prefix, MRU first
-	used    []int32   // valid entries per set
+	entries lru.Sets[uint64]
 	// stats counts lookups, hits, misses, inserts and evictions.
 	stats tlb.Stats
 }
-
-type l1Entry struct{ vpn, ppn uint64 }
 
 func newL1TLB(cfg tlb.Config) (*l1TLB, error) {
 	if err := cfg.Validate(); err != nil {
@@ -30,10 +25,8 @@ func newL1TLB(cfg tlb.Config) (*l1TLB, error) {
 	sets := cfg.Entries / cfg.Ways
 	return &l1TLB{
 		name:    cfg.Name,
-		ways:    cfg.Ways,
 		mask:    uint64(sets - 1),
-		entries: make([]l1Entry, cfg.Entries),
-		used:    make([]int32, sets),
+		entries: lru.New[uint64](sets, cfg.Ways),
 	}, nil
 }
 
@@ -43,19 +36,9 @@ func newL1TLB(cfg tlb.Config) (*l1TLB, error) {
 //chirp:hotpath
 func (t *l1TLB) lookup(vpn uint64) (ppn uint64, hit bool) {
 	t.stats.Accesses++
-	set := vpn & t.mask
-	base := int(set) * t.ways
-	es := t.entries[base : base+int(t.used[set])]
-	for i := range es {
-		if es[i].vpn == vpn {
-			e := es[i]
-			if i > 0 { // an MRU hit moves nothing
-				copy(es[1:i+1], es[:i])
-				es[0] = e
-			}
-			t.stats.Hits++
-			return e.ppn, true
-		}
+	if frame := t.entries.Lookup(vpn&t.mask, vpn); frame != nil {
+		t.stats.Hits++
+		return *frame, true
 	}
 	t.stats.Misses++
 	return 0, false
@@ -68,19 +51,10 @@ func (t *l1TLB) lookup(vpn uint64) (ppn uint64, hit bool) {
 //chirp:hotpath
 func (t *l1TLB) insert(vpn, ppn uint64) (evicted bool, evictedVPN uint64) {
 	t.stats.Inserts++
-	set := vpn & t.mask
-	base := int(set) * t.ways
-	n := int(t.used[set])
-	if n < t.ways {
-		t.used[set] = int32(n + 1)
-		n++
-	} else {
+	evicted, evictedVPN = t.entries.Fill(vpn&t.mask, vpn, ppn)
+	if evicted {
 		t.stats.Evictions++
-		evicted, evictedVPN = true, t.entries[base+n-1].vpn
 	}
-	es := t.entries[base : base+n]
-	copy(es[1:], es)
-	es[0] = l1Entry{vpn, ppn}
 	return evicted, evictedVPN
 }
 
