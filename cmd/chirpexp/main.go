@@ -22,6 +22,7 @@ import (
 
 	"github.com/chirplab/chirp/internal/cli"
 	"github.com/chirplab/chirp/internal/experiments"
+	"github.com/chirplab/chirp/internal/sim"
 	"github.com/chirplab/chirp/internal/workloads"
 )
 
@@ -147,12 +148,14 @@ func run(fs *flag.FlagSet, args []string) int {
 	// The planned experiments -exp names merge into one plan, which
 	// runs when the first of them is due: one engine job per workload
 	// serves all their passes from one capture, then drops it. Each
-	// then prints its reduced result in its turn; a failed merged run
-	// is reported under all their ids.
+	// then reduces and prints its rows in its turn; a failed merged run
+	// is reported under all their ids. The merged run's wall-clock
+	// footer names them all, and each experiment's own footer times
+	// its reduction and printing only.
 	var (
 		plans   []experiments.Plan
 		planIDs []string // runner names, in plans order
-		results []experiments.Result
+		rows    [][][]sim.SuiteResult
 	)
 	for _, r := range runners {
 		if want[r.name] && r.run == nil {
@@ -169,13 +172,16 @@ func run(fs *flag.FlagSet, args []string) int {
 		id, exp := r.name, r.run
 		if exp == nil {
 			exp = func(o experiments.Options) (err error) {
-				if results == nil {
-					if results, err = experiments.RunPlans(o, plans); err != nil {
-						id = strings.Join(planIDs, ",")
+				if rows == nil {
+					id = strings.Join(planIDs, ",")
+					if rows, err = experiments.RunPlans(o, plans); err != nil {
 						return err
 					}
+					fmt.Fprintf(os.Stderr, "-- %s plan done in %v --\n", id, time.Since(start).Round(time.Millisecond))
+					id, start = r.name, time.Now()
 				}
-				return results[slices.Index(planIDs, r.name)].Write(out)
+				i := slices.Index(planIDs, r.name)
+				return plans[i].Reduce(rows[i]).Write(out)
 			}
 		}
 		if err := exp(o); err != nil {

@@ -126,7 +126,7 @@ type Flags struct {
 // Register defines the run-resource flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.IntVar(&f.Workers, "workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+	fs.IntVar(&f.Workers, "workers", 0, "workload jobs run at once (0 = GOMAXPROCS); each job's replay also walks its policies across up to GOMAXPROCS goroutines")
 	fs.Int64Var(&f.L2Cache, "l2cache", 0, "capture/replay byte cap in MiB: each workload's trace is generated and L1-filtered once into an L2 event stream that is replayed per policy, and a capture whose encoded stream would exceed the cap runs on the direct path instead (0 = 256 MiB default, negative = direct reference path, no capture/replay)")
 	fs.StringVar(&f.CaptureDir, "capturedir", "", "persistent capture directory: captured L2 event streams are stored here (content-addressed) and reused by later runs in any process sharing the directory")
 	fs.Int64Var(&f.CaptureDirMax, "capturedir-max-bytes", 0, "byte budget for -capturedir: least-recently-used captures (and their derived sidecars) are evicted to stay under it (0 = unbounded)")

@@ -35,7 +35,9 @@ type Options struct {
 	// WalkPenalty is the L2 TLB miss penalty for timing experiments
 	// (the paper's headline speedups use 150).
 	WalkPenalty uint64
-	// Workers bounds simulation parallelism (0 = GOMAXPROCS).
+	// Workers bounds how many workload jobs run at once (0 =
+	// GOMAXPROCS). A job's replay walks its policies across up to
+	// GOMAXPROCS goroutines of its own.
 	Workers int
 	// Ctx cancels in-progress suite runs (nil = Background). A
 	// cancelled run stops dispatching jobs, drains the in-flight ones
@@ -144,9 +146,9 @@ var Plans = map[string]func(Options) Plan{
 }
 
 // RunPlans runs the passes of every plan in one sim.RunPasses call
-// over the suite and returns each plan's reduced result, in plans
-// order.
-func RunPlans(o Options, plans []Plan) ([]Result, error) {
+// over the suite and returns each plan's rows, in plans order, for its
+// Reduce.
+func RunPlans(o Options, plans []Plan) ([][][]sim.SuiteResult, error) {
 	var passes []sim.Pass
 	for _, p := range plans {
 		passes = append(passes, p.Passes...)
@@ -155,10 +157,9 @@ func RunPlans(o Options, plans []Plan) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(plans))
+	out := make([][][]sim.SuiteResult, len(plans))
 	for i, p := range plans {
-		out[i] = p.Reduce(rows[:len(p.Passes)])
-		rows = rows[len(p.Passes):]
+		out[i], rows = rows[:len(p.Passes)], rows[len(p.Passes):]
 	}
 	return out, nil
 }
@@ -166,12 +167,12 @@ func RunPlans(o Options, plans []Plan) ([]Result, error) {
 // runPlan runs one experiment's plan on its own; R is the result type
 // its reduction returns.
 func runPlan[R Result](o Options, p Plan) (R, error) {
-	rs, err := RunPlans(o, []Plan{p})
+	rows, err := RunPlans(o, []Plan{p})
 	if err != nil {
 		var zero R
 		return zero, err
 	}
-	return rs[0].(R), nil
+	return p.Reduce(rows[0]).(R), nil
 }
 
 // indexByPolicy indexes one pass's rows by policy name, each policy's rows

@@ -88,13 +88,13 @@ func writePlans(t *testing.T, o Options, ids ...string) string {
 	for i, id := range ids {
 		plans[i] = Plans[id](o)
 	}
-	rs, err := RunPlans(o, plans)
+	rows, err := RunPlans(o, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	for _, r := range rs {
-		if err := r.Write(&sb); err != nil {
+	for i, p := range plans {
+		if err := p.Reduce(rows[i]).Write(&sb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,8 +136,9 @@ func TestMPKIFigureSetMemo(t *testing.T) {
 // TestPrefetchPlanPersistsNoSchedule: the prefetch plan over a capture
 // directory writes no prefetch-schedule sidecar (no .l2d file holds a
 // pf1: key), since each replay builds its schedule from the access
-// view. A warm rerun over the same directory decodes nothing, and both
-// runs print what the nil-cache direct path prints.
+// columns. A warm rerun over the same directory takes one decode pass
+// per workload, which builds no view, and both runs print what the
+// nil-cache direct path prints.
 func TestPrefetchPlanPersistsNoSchedule(t *testing.T) {
 	dir := t.TempDir()
 	o := tiny(t)
@@ -165,11 +166,15 @@ func TestPrefetchPlanPersistsNoSchedule(t *testing.T) {
 		}
 	}
 	passes := obs.Default.Counter("chirp_l2stream_decode_passes_total", "")
+	builds := obs.Default.Counter("chirp_l2stream_derived_builds_total", "")
 	o.StreamCache = persistent()
-	passes0 := passes.Value()
+	passes0, builds0 := passes.Value(), builds.Value()
 	warm := writePlans(t, o, "prefetch")
-	if d := passes.Value() - passes0; d != 0 {
-		t.Errorf("warm rerun made %d decode passes, want 0", d)
+	if d := passes.Value() - passes0; d != uint64(o.Workloads) {
+		t.Errorf("warm rerun made %d decode passes, want one per workload (%d)", d, o.Workloads)
+	}
+	if d := builds.Value() - builds0; d != 0 {
+		t.Errorf("warm rerun built %d views, want 0", d)
 	}
 	o.StreamCache = nil
 	direct := writePlans(t, o, "prefetch")

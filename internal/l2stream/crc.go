@@ -7,12 +7,12 @@ import "hash/crc32"
 // amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Some checksums cover bytes that are written or read out of order:
-// a store file's header scalars come first in its checksum but are
-// known only once the capture ends, and the access view's two columns
-// are written and read side by side. crc32Combine joins the CRCs of
-// such pieces, as zlib's crc32_combine does for its polynomial, so no
-// piece is read twice or held back.
+// Some checksums cover bytes that are written out of order: a store
+// file's header scalars come first in its checksum but are known only
+// once the capture ends, and so are a derived sidecar's words, which
+// precede its column. crc32Combine joins the CRCs of such pieces, as
+// zlib's crc32_combine does for its polynomial, so no piece is read
+// twice or held back.
 
 // crc32cPoly is the Castagnoli polynomial in reversed bit order.
 const crc32cPoly = 0x82f63b78

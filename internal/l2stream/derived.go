@@ -1,18 +1,18 @@
 // Derived views: per-stream arrays that are pure functions of the
-// captured event stream plus a small configuration key — the dense
-// access columns and the folded predictor signature sequences. No
-// stream holds them. A consumer reads a view in blocks of accesses:
-// from its content-addressed sidecar file, when the stream belongs to
-// a capture store that has one, and otherwise from a decode pass over
-// the events (Stream.DecodeViews), which writes each block of the
-// view into a new sidecar as it goes, so warm sweeps across processes
-// skip the computation entirely.
+// captured event stream plus a small configuration key — the folded
+// predictor signature sequences. No stream holds them. A consumer
+// reads a view in blocks of accesses: from its content-addressed
+// sidecar file, when the stream belongs to a capture store that has
+// one, and otherwise from a decode pass over the events
+// (Stream.DecodeViews), which writes each block of the view into a new
+// sidecar as it goes, so warm sweeps across processes skip the
+// computation entirely.
 //
 // The l2stream package stays agnostic about what a derived view
 // contains: builders live with their consumers (internal/sim), which
 // hand in a DerivedSpec per view family. This package owns the
-// sidecar file protocol only: the frame, the layout of words and
-// columns, the checksum, staging and atomic rename.
+// sidecar file protocol only: the frame, the layout of the words and
+// the column, the checksum, staging and atomic rename.
 package l2stream
 
 import (
@@ -33,29 +33,26 @@ import (
 // Streams never compare keys semantically — distinct keys are distinct
 // views.
 //
-// The payload is Words little-endian uint64 words, then one column per
-// entry of Columns, in order, each holding one little-endian value of
-// that byte width (4 or 8) per access of the stream (Stream.Accesses).
+// The payload is Words little-endian uint64 words, then one column
+// that holds one little-endian value of Width bytes (4 or 8) per
+// access of the stream (Stream.Accesses). A family with Width 0 is its
+// words alone.
 type DerivedSpec struct {
-	Key     string
-	Words   int
-	Columns []int
+	Key   string
+	Words int
+	Width int
 }
 
 // payloadSize returns the payload length for a stream of n accesses.
 func (spec *DerivedSpec) payloadSize(n uint64) int64 {
-	size := 8 * int64(spec.Words)
-	for _, w := range spec.Columns {
-		size += int64(w) * int64(n)
-	}
-	return size
+	return 8*int64(spec.Words) + int64(spec.Width)*int64(n)
 }
 
 // sidecarChunk is the size of the buffer a sidecar reader or writer
 // moves its column values through: neither holds a whole column.
 const sidecarChunk = 32 << 10
 
-// sidecarCol is one column's place in a sidecar file: where it starts
+// sidecarCol is the column's place in a sidecar file: where it starts
 // and ends, the next offset to read or write, and the running CRC-32C
 // of the bytes up to it.
 type sidecarCol struct {
@@ -63,27 +60,32 @@ type sidecarCol struct {
 	crc             uint32
 }
 
-// columns lays spec's columns out after a frame of frame bytes and the
+// column lays spec's column out after a frame of frame bytes and the
 // words, for a stream of n accesses.
-func (spec *DerivedSpec) columns(frame int64, n uint64) []sidecarCol {
-	cols := make([]sidecarCol, len(spec.Columns))
-	off := frame + 8*int64(spec.Words)
-	for i, w := range spec.Columns {
-		end := off + int64(w)*int64(n)
-		cols[i] = sidecarCol{start: off, off: off, end: end}
-		off = end
-	}
-	return cols
+func (spec *DerivedSpec) column(frame int64, n uint64) sidecarCol {
+	start := frame + 8*int64(spec.Words)
+	return sidecarCol{start: start, off: start, end: start + int64(spec.Width)*int64(n)}
 }
 
-// payloadCRC combines the words' CRC-32C with every column's into the
-// payload's.
-func payloadCRC(words uint32, cols []sidecarCol) uint32 {
-	crc := words
-	for _, c := range cols {
-		crc = crc32Combine(crc, c.crc, c.end-c.start)
+// fits reports an error when n more bytes run past the column's end.
+func (c *sidecarCol) fits(n int) error {
+	if c.off+int64(n) > c.end {
+		return fmt.Errorf("l2stream: %d bytes run past the end of a %d-byte sidecar column", n, c.end-c.start)
 	}
-	return crc
+	return nil
+}
+
+// advance moves the column past b, the bytes at its offset, folding
+// them into its checksum.
+func (c *sidecarCol) advance(b []byte) {
+	c.off += int64(len(b))
+	c.crc = crc32.Update(c.crc, castagnoli, b)
+}
+
+// payloadCRC combines the words' CRC-32C, words, with the column's
+// into the payload's.
+func (c *sidecarCol) payloadCRC(words uint32) uint32 {
+	return crc32Combine(words, c.crc, c.end-c.start)
 }
 
 // errSidecarCorrupt marks a sidecar whose frame, length or checksum is
@@ -91,9 +93,9 @@ func payloadCRC(words uint32, cols []sidecarCol) uint32 {
 var errSidecarCorrupt = errors.New("l2stream: corrupt derived sidecar")
 
 // SidecarReader reads one derived view's sidecar in blocks: the words
-// at open, then each column's values in order. Every byte it reads is
+// at open, then the column's values in order. Every byte it reads is
 // folded into the payload's checksum, which the read that reaches the
-// end of the last column checks; a read that fails or a checksum that
+// end of the column checks; a read that fails or a checksum that
 // does not match is counted as corruption (or as a disk error), closes
 // the reader and — for a checksum — removes the file, so the view is
 // rebuilt and the sidecar rewritten. A SidecarReader is not safe for
@@ -104,7 +106,7 @@ type SidecarReader struct {
 	words []uint64
 	wcrc  uint32 // the words' CRC-32C
 	want  uint32 // the payload's, from the frame
-	cols  []sidecarCol
+	col   sidecarCol
 	buf   []byte
 	done  bool // the checksum matched
 }
@@ -176,7 +178,7 @@ func (r *SidecarReader) open(spec *DerivedSpec, n uint64) error {
 	for i := range r.words {
 		r.words[i] = binary.LittleEndian.Uint64(wb[8*i:])
 	}
-	r.cols = spec.columns(int64(len(frame)), n)
+	r.col = spec.column(int64(len(frame)), n)
 	return nil
 }
 
@@ -199,14 +201,14 @@ func (r *SidecarReader) Words() []uint64 { return r.words }
 // with the stream, counting it as corruption.
 func (r *SidecarReader) Reject() { r.fail(errSidecarCorrupt) }
 
-// U64s reads the next len(dst) values of column col, an 8-byte column,
-// and reports whether they, and the checksum when this read ends the
+// U64s reads the column's next len(dst) values, 8 bytes each, and
+// reports whether they, and the checksum when this read ends the
 // payload, are good.
-func (r *SidecarReader) U64s(col int, dst []uint64) bool {
+func (r *SidecarReader) U64s(dst []uint64) bool {
 	for len(dst) > 0 {
 		k := min(len(dst), len(r.buf)/8)
 		b := r.buf[:8*k]
-		if !r.read(col, b) {
+		if !r.read(b) {
 			return false
 		}
 		for i := range dst[:k] {
@@ -218,11 +220,11 @@ func (r *SidecarReader) U64s(col int, dst []uint64) bool {
 }
 
 // U32s is U64s for a 4-byte column.
-func (r *SidecarReader) U32s(col int, dst []uint32) bool {
+func (r *SidecarReader) U32s(dst []uint32) bool {
 	for len(dst) > 0 {
 		k := min(len(dst), len(r.buf)/4)
 		b := r.buf[:4*k]
-		if !r.read(col, b) {
+		if !r.read(b) {
 			return false
 		}
 		for i := range dst[:k] {
@@ -233,27 +235,25 @@ func (r *SidecarReader) U32s(col int, dst []uint32) bool {
 	return r.finish()
 }
 
-// read fills b from column col's next bytes and folds them into its
+// read fills b from the column's next bytes and folds them into its
 // checksum.
-func (r *SidecarReader) read(col int, b []byte) bool {
+func (r *SidecarReader) read(b []byte) bool {
 	if r.f == nil {
 		return false
 	}
-	c := &r.cols[col]
-	if c.off+int64(len(b)) > c.end {
-		r.fail(fmt.Errorf("l2stream: read past the end of a sidecar column"))
-		return false
+	err := r.col.fits(len(b))
+	if err == nil {
+		err = r.readAt(b, r.col.off)
 	}
-	if err := r.readAt(b, c.off); err != nil {
+	if err != nil {
 		r.fail(err)
 		return false
 	}
-	c.off += int64(len(b))
-	c.crc = crc32.Update(c.crc, castagnoli, b)
+	r.col.advance(b)
 	return true
 }
 
-// finish checks the payload once every column has been read through.
+// finish checks the payload once the column has been read through.
 func (r *SidecarReader) finish() bool {
 	if r.done {
 		return true
@@ -264,21 +264,14 @@ func (r *SidecarReader) finish() bool {
 	return !r.complete() || r.check()
 }
 
-// complete reports whether every column has been read through.
-func (r *SidecarReader) complete() bool {
-	for _, c := range r.cols {
-		if c.off < c.end {
-			return false
-		}
-	}
-	return true
-}
+// complete reports whether the column has been read through.
+func (r *SidecarReader) complete() bool { return r.col.off == r.col.end }
 
 // check compares the payload's checksum with the frame's: a match
 // counts a sidecar hit, a mismatch corruption, and the file is closed
 // either way.
 func (r *SidecarReader) check() bool {
-	if payloadCRC(r.wcrc, r.cols) != r.want {
+	if r.col.payloadCRC(r.wcrc) != r.want {
 		r.fail(errSidecarCorrupt)
 		os.Remove(r.path)
 		return false
@@ -309,9 +302,9 @@ func (r *SidecarReader) Close() {
 	}
 }
 
-// SidecarWriter writes one derived view's sidecar in blocks: each
-// column's values go to a staging file at the column's offset as they
-// are produced, and Commit writes the frame and the words and renames
+// SidecarWriter writes one derived view's sidecar in blocks: the
+// column's values go to a staging file at their offset as they are
+// produced, and Commit writes the frame and the words and renames
 // the file into place. A writer whose file fails stops writing, and
 // its Commit counts a disk error and leaves no file. A SidecarWriter
 // is not safe for concurrent use.
@@ -320,7 +313,7 @@ type SidecarWriter struct {
 	key  Key
 	spec *DerivedSpec
 	f    *os.File
-	cols []sidecarCol
+	col  sidecarCol
 	buf  []byte
 	err  error
 }
@@ -339,55 +332,49 @@ func (s *Stream) CreateSidecar(spec *DerivedSpec) *SidecarWriter {
 	}
 	return &SidecarWriter{
 		st: s.store, key: s.key, spec: spec, f: f,
-		cols: spec.columns(int64(derivedFrameSize(spec.Key)), s.accesses),
-		buf:  make([]byte, sidecarChunk),
+		col: spec.column(int64(derivedFrameSize(spec.Key)), s.accesses),
+		buf: make([]byte, sidecarChunk),
 	}
 }
 
-// U64s appends src to column col, an 8-byte column.
-func (w *SidecarWriter) U64s(col int, src []uint64) {
+// U64s appends src to the column, 8 bytes a value.
+func (w *SidecarWriter) U64s(src []uint64) {
 	for len(src) > 0 && w.err == nil {
 		k := min(len(src), len(w.buf)/8)
 		for i, x := range src[:k] {
 			binary.LittleEndian.PutUint64(w.buf[8*i:], x)
 		}
-		w.write(col, w.buf[:8*k])
+		w.write(w.buf[:8*k])
 		src = src[k:]
 	}
 }
 
-// U32s appends src to column col, a 4-byte column.
-func (w *SidecarWriter) U32s(col int, src []uint32) {
+// U32s appends src to the column, 4 bytes a value.
+func (w *SidecarWriter) U32s(src []uint32) {
 	for len(src) > 0 && w.err == nil {
 		k := min(len(src), len(w.buf)/4)
 		for i, x := range src[:k] {
 			binary.LittleEndian.PutUint32(w.buf[4*i:], x)
 		}
-		w.write(col, w.buf[:4*k])
+		w.write(w.buf[:4*k])
 		src = src[k:]
 	}
 }
 
-// write puts b at column col's next offset and folds it into the
+// write puts b at the column's next offset and folds it into the
 // column's checksum.
-func (w *SidecarWriter) write(col int, b []byte) {
-	c := &w.cols[col]
-	if c.off+int64(len(b)) > c.end {
-		w.err = fmt.Errorf("l2stream: sidecar column %d overflows %d bytes", col, c.end-c.start)
-		return
+func (w *SidecarWriter) write(b []byte) {
+	if w.err = w.col.fits(len(b)); w.err == nil {
+		if _, w.err = w.f.WriteAt(b, w.col.off); w.err == nil {
+			w.col.advance(b)
+		}
 	}
-	if _, err := w.f.WriteAt(b, c.off); err != nil {
-		w.err = err
-		return
-	}
-	c.off += int64(len(b))
-	c.crc = crc32.Update(c.crc, castagnoli, b)
 }
 
-// Commit completes the sidecar with its words, once every column is
+// Commit completes the sidecar with its words, once the column is
 // written through: the frame, with the payload's checksum combined
-// from the words' and the columns', and the words go before the
-// columns, and the file is renamed into place and added to the
+// from the words' and the column's, and the words go before the
+// column, and the file is renamed into place and added to the
 // directory's running size. It counts a sidecar write, or a disk error
 // when any step failed, in which case it leaves no file.
 func (w *SidecarWriter) Commit(words []uint64) {
@@ -397,10 +384,8 @@ func (w *SidecarWriter) Commit(words []uint64) {
 	if w.err == nil && len(words) != w.spec.Words {
 		w.err = fmt.Errorf("l2stream: sidecar %s takes %d words, not %d", w.spec.Key, w.spec.Words, len(words))
 	}
-	for i, c := range w.cols {
-		if w.err == nil && c.off != c.end {
-			w.err = fmt.Errorf("l2stream: sidecar %s column %d holds %d of %d bytes", w.spec.Key, i, c.off-c.start, c.end-c.start)
-		}
+	if c := w.col; w.err == nil && c.off != c.end {
+		w.err = fmt.Errorf("l2stream: sidecar %s column holds %d of %d bytes", w.spec.Key, c.off-c.start, c.end-c.start)
 	}
 	frame := make([]byte, derivedFrameSize(w.spec.Key), derivedFrameSize(w.spec.Key)+8*len(words))
 	copy(frame, derivedMagic)
@@ -412,13 +397,10 @@ func (w *SidecarWriter) Commit(words []uint64) {
 	for _, x := range words {
 		frame = binary.LittleEndian.AppendUint64(frame, x)
 	}
-	size := 8 * int64(len(words))
-	for _, c := range w.cols {
-		size += c.end - c.start
-	}
+	size := 8*int64(len(words)) + w.col.end - w.col.start
 	tail := frame[head-16 : head]
 	binary.LittleEndian.PutUint64(tail, uint64(size))
-	binary.LittleEndian.PutUint64(tail[8:], uint64(payloadCRC(crc32.Checksum(frame[head:], castagnoli), w.cols)))
+	binary.LittleEndian.PutUint64(tail[8:], uint64(w.col.payloadCRC(crc32.Checksum(frame[head:], castagnoli))))
 	if w.err == nil {
 		_, w.err = w.f.WriteAt(frame, 0)
 	}

@@ -239,13 +239,13 @@ func cacheStore(t *testing.T, dir string) *store {
 func TestDerivedSidecarEncodeFails(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentStreamFor(t, dir, "w", 4000)
-	spec := &DerivedSpec{Key: "test:encode-fails", Words: 1, Columns: []int{8}}
+	spec := &DerivedSpec{Key: "test:encode-fails", Words: 1, Width: 8}
 	errs0, writes0 := obsCacheDiskErrors.Value(), obsDerivedDiskWrites.Value()
 	w := s.CreateSidecar(spec)
 	if w == nil {
 		t.Fatal("a persistent stream staged no sidecar")
 	}
-	w.U64s(0, make([]uint64, s.Accesses()/2))
+	w.U64s(make([]uint64, s.Accesses()/2))
 	w.Commit([]uint64{s.Accesses()})
 	if d := obsCacheDiskErrors.Value() - errs0; d != 1 {
 		t.Errorf("disk errors delta = %d, want 1", d)

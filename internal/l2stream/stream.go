@@ -18,12 +18,13 @@
 // that file open and reads it with pread. With a capture store the
 // file is renamed into the store; without one it is an unnamed
 // temporary file, unlinked as soon as it is created, which the
-// stream's Close releases. Derived-view builds decode the file in
-// DecodeBlockSize blocks, and a sim replay pass builds every view it
-// lacks in one such pass; nothing else reads the events. A capture
-// whose encoded events would exceed the byte cap, or whose staging
-// file fails, stops with ErrAbandoned; its callers run the direct
-// reference path instead.
+// stream's Close releases. A sim replay pass decodes the file once,
+// in DecodeBlockSize blocks: that one pass yields the access sequence
+// and builds every derived view the pass lacks a sidecar for, and it
+// reads access events only when none of those views reads branches.
+// A capture whose encoded events would exceed the byte cap, or whose
+// staging file fails, stops with ErrAbandoned; its callers run the
+// direct reference path instead.
 package l2stream
 
 import (
@@ -566,8 +567,8 @@ func (s *Stream) L1DMisses() uint64 { return s.l1dMisses }
 func (s *Stream) Decode() *Decoder { return s.DecodeViews(0) }
 
 // DecodeViews is Decode for a pass that builds views derived views
-// from the events; each is counted in
-// chirp_l2stream_derived_builds_total.
+// from the events (0 for a pass that reads the access sequence only);
+// each is counted in chirp_l2stream_derived_builds_total.
 func (s *Stream) DecodeViews(views int) *Decoder {
 	obsDecodePasses.Inc()
 	obsDerivedBuilds.Add(uint64(views))

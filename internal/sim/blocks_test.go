@@ -95,11 +95,11 @@ func blockMarkers(t *testing.T, recs []trace.Record, bs int) map[string]int {
 // stream under cfg, each cell once.
 func blockRows(t *testing.T, stream *l2stream.Stream, cfg TLBOnlyConfig) []TLBOnlyResult {
 	t.Helper()
-	rows, err := replayCells(map[string]TLBOnlyResult{}, stream, cellsOf(cfg, allPolicies(t), nil))
+	rows, err := replayCells(stream, cellsOf(cfg, allPolicies(t), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := runOPT(context.Background(), RunSpec{Config: cfg}, stream, map[string]TLBOnlyResult{})
+	opt, err := runOPT(context.Background(), RunSpec{Config: cfg}, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,11 @@ func blockRows(t *testing.T, stream *l2stream.Stream, cfg TLBOnlyConfig) []TLBOn
 // every registered policy at prefetch distances 0, 1 and 4, and the
 // OPT oracle, replay row for row what RunTLBOnly reports — over a
 // stream without a store (the decode pass builds every block), cold in
-// a store (the decode pass writes the sidecars) and warm (every block
-// read from the sidecars, no decode pass) — with the warmup marker
-// before the first access, on a block boundary, and after the last
-// access.
+// a store (the decode pass writes the sidecars) and warm (every
+// signature block read from the sidecars, no view built) — with the
+// warmup marker before the first access, on a block boundary, and
+// after the last access. Every mode takes one decode pass per block
+// pass: the replay's, OPT's VPN collection and OPT's walk.
 func TestBlockPassMatchesDirect(t *testing.T) {
 	recs := blockTestRecords(7, blockRecordsN)
 	for _, bs := range []int{1, 7, 1000} {
@@ -157,11 +158,14 @@ func TestBlockPassMatchesDirect(t *testing.T) {
 					if s.Accesses() < uint64(3*bs) {
 						t.Fatalf("%s: test premise broken: %d accesses span fewer than three blocks", name, s.Accesses())
 					}
-					passes := decodePasses.Value()
+					passes, builds := decodePasses.Value(), derivedBuilds.Value()
 					got := blockRows(t, s, cfg)
 					s.Close()
-					if d := decodePasses.Value() - passes; (mode == "warm") != (d == 0) {
-						t.Errorf("%s %s: %d decode passes", name, mode, d)
+					if d := decodePasses.Value() - passes; d != 3 {
+						t.Errorf("%s %s: %d decode passes, want 3", name, mode, d)
+					}
+					if b := derivedBuilds.Value() - builds; (mode == "warm") != (b == 0) {
+						t.Errorf("%s %s: %d views built", name, mode, b)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s %s: replay diverged from RunTLBOnly\n got:  %+v\n want: %+v", name, mode, got, want)
@@ -210,7 +214,8 @@ func flipLastByte(path string) {
 // caught by the sidecar's checksum before any row is returned. The
 // pass runs again with fresh policies and that family built from the
 // stream, its rows equal the direct path's, and the flip counts one
-// corrupt sidecar.
+// corrupt sidecar. The warm pass decodes access events only; the
+// rerun's decode pass builds the CHiRP view.
 func TestBlockPassSidecarFlipReruns(t *testing.T) {
 	const bs = 1000
 	setBlockAccesses(t, bs)
@@ -261,8 +266,8 @@ func TestBlockPassSidecarFlipReruns(t *testing.T) {
 	if d := derivedCorrupt.Value() - corrupt; d != 1 {
 		t.Errorf("%d corrupt sidecars counted, want 1", d)
 	}
-	if d, b := decodePasses.Value()-passes0, derivedBuilds.Value()-builds; d != 1 || b != 1 {
-		t.Errorf("the rerun took %d decode passes building %d views, want 1 building the CHiRP view", d, b)
+	if d, b := decodePasses.Value()-passes0, derivedBuilds.Value()-builds; d != 2 || b != 1 {
+		t.Errorf("the walk and its rerun took %d decode passes building %d views, want 2 building the CHiRP view", d, b)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rows after the flip diverged from the direct path:\n got:  %+v\n want: %+v", got, want)

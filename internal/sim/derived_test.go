@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -155,6 +157,71 @@ func TestReplayMultiDerivedCorruptionRecovers(t *testing.T) {
 		if fused[i] != want[i] {
 			t.Errorf("%s: replay after sidecar corruption diverged from RunTLBOnly\n direct: %+v\n fused:  %+v", pname, want[i], fused[i])
 		}
+	}
+}
+
+// TestRunPassesPersistsSignaturesOnly: a cold RunPasses over a
+// persistent cache writes one sidecar per signature family and
+// workload, and none for the access columns. A warm rerun over the
+// same directory takes one decode pass per workload, builds no view,
+// reads each signature sidecar once, and its rows equal the direct
+// path's.
+func TestRunPassesPersistsSignaturesOnly(t *testing.T) {
+	ctx := context.Background()
+	ws := workloads.SuiteN(2)
+	cfg := DefaultTLBOnlyConfig(testInstr)
+	pf := cfg
+	pf.PrefetchDistance = 4
+	passes := []Pass{
+		{Scope: "base", Config: cfg, Policies: namedFactories(t, "lru", "chirp", "ghrp")},
+		{Scope: "pf", Config: pf, Policies: namedFactories(t, "lru", "chirp")},
+	}
+	families := []string{chirpSigsKey(core.DefaultConfig()), ghrpSigsD.spec.Key}
+	direct, err := RunPasses(ctx, ws, passes, SuiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() [][]SuiteResult {
+		cache, err := l2stream.NewPersistent(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := RunPasses(ctx, ws, passes, SuiteOptions{StreamCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	run()
+	var want []string
+	for _, key := range families {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		keyed, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("*-d%016x.l2d", h.Sum64())))
+		if len(keyed) != len(ws) {
+			t.Errorf("%s: %d sidecars, want one per workload (%d)", key, len(keyed), len(ws))
+		}
+		want = append(want, keyed...)
+	}
+	if got := sidecarFiles(t, dir); len(got) != len(want) {
+		t.Errorf("the cold run wrote sidecars %v, want only the signature families' %v", got, want)
+	}
+
+	diskHits := obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
+	passes0, builds0, hits0 := decodePasses.Value(), derivedBuilds.Value(), diskHits.Value()
+	warm := run()
+	if d := decodePasses.Value() - passes0; d != uint64(len(ws)) {
+		t.Errorf("the warm rerun took %d decode passes, want one per workload (%d)", d, len(ws))
+	}
+	if d := derivedBuilds.Value() - builds0; d != 0 {
+		t.Errorf("the warm rerun built %d views, want 0", d)
+	}
+	if d, want := diskHits.Value()-hits0, uint64(len(ws)*len(families)); d != want {
+		t.Errorf("the warm rerun read %d sidecars, want %d (one per signature family and workload)", d, want)
+	}
+	if !reflect.DeepEqual(warm, direct) {
+		t.Errorf("warm rows diverged from the direct path:\n got:    %+v\n direct: %+v", warm, direct)
 	}
 }
 

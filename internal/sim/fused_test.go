@@ -24,10 +24,10 @@ var (
 	derivedCorrupt = obs.Default.Counter("chirp_l2stream_derived_corrupt_total", "")
 )
 
-// viewDecls declares every view family that decodes the stream: the
-// access view, the signature view of each CHiRP history mix, and GHRP's.
+// viewDecls declares every signature family: the view of each CHiRP
+// history mix, and GHRP's.
 func viewDecls() []*decodedView {
-	ds := []*decodedView{accessViewD, ghrpSigsD}
+	ds := []*decodedView{ghrpSigsD}
 	for _, c := range chirpSigConfigs() {
 		ds = append(ds, chirpSigsDecl(c, chirpSigsKey(c)))
 	}
@@ -35,9 +35,10 @@ func viewDecls() []*decodedView {
 }
 
 // TestFusedViewBuildsMatchSingle: one fused decode pass over every
-// decoding view family builds, bit for bit, what one pass per family
-// builds — the access view over the access-only decoder, the rest over
-// the full one — on a stream from each of the eight categories. Then a
+// signature family builds, bit for bit, what one pass per family
+// builds, and yields the access columns a pass that reads nothing else
+// yields over the access-only decoder, on a stream from each of the
+// eight categories. Then a
 // fused ReplayMulti over every registered policy, whose views all come
 // from one pass, assembles the same replay view and signature
 // sequences as one fresh stream per policy does.
@@ -49,13 +50,18 @@ func TestFusedViewBuildsMatchSingle(t *testing.T) {
 		s := captureFor(t, name, cfg)
 		ds := viewDecls()
 		before := decodePasses.Value()
-		fused, err := decodedViews(s, ds)
+		fusedAV, fused, err := materialize(s, ds, 0)
 		if err != nil {
 			t.Fatalf("%s: fused build: %v", name, err)
 		}
 		if d := decodePasses.Value() - before; d != 1 {
 			t.Errorf("%s: fused build of %d views took %d decode passes, want 1", name, len(ds), d)
 		}
+		aloneAV, _, err := materialize(s, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: access columns alone: %v", name, err)
+		}
+		compareViews(t, name+"/access", fusedAV, aloneAV)
 		for i, d := range ds {
 			single, err := decodedViews(s, []*decodedView{d})
 			if err != nil {
@@ -103,8 +109,8 @@ func sidecarPath(t *testing.T, dir, dkey string) string {
 // except one deleted sidecar and one corrupt one, a ReplayMulti over
 // every policy builds exactly the missing and the corrupt view,
 // together in one decode pass, loads the others, and still matches the
-// direct reference. A second call, over the rewritten sidecars,
-// decodes nothing.
+// direct reference. A second call, over the rewritten sidecars, builds
+// nothing: its one decode pass reads access events only.
 func TestReplayMultiBuildsMissingViewsInOnePass(t *testing.T) {
 	const wname = "db-003"
 	cfg := DefaultTLBOnlyConfig(150000)
@@ -152,12 +158,12 @@ func TestReplayMultiBuildsMissingViewsInOnePass(t *testing.T) {
 			t.Errorf("%s: replay diverged from RunTLBOnly\n direct: %+v\n replay: %+v", want.Policy, want, got[i])
 		}
 	}
-	passes = decodePasses.Value()
+	passes, builds = decodePasses.Value(), derivedBuilds.Value()
 	if _, err := ReplayMulti(warm, allPolicies(t), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if d := decodePasses.Value() - passes; d != 0 {
-		t.Errorf("a replay with every view on disk decoded %d times, want 0", d)
+	if d, b := decodePasses.Value()-passes, derivedBuilds.Value()-builds; d != 1 || b != 0 {
+		t.Errorf("a replay with every view on disk decoded %d times building %d views, want 1 building none", d, b)
 	}
 }
 
@@ -279,7 +285,8 @@ func TestPCOnlySignatureViewsMatchPCBuilder(t *testing.T) {
 // no branch history builds the access view and its signature views —
 // one per signature key, shared by variants that differ only in table
 // size — in exactly one decode pass, which writes one sidecar per
-// view, and a second fetch reads them and decodes nothing.
+// view, and a second fetch reads them, builds nothing and decodes
+// access events only, in one pass.
 func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
 	pc, path, _, _ := fig6CHiRPs()
 	small := pc
@@ -297,21 +304,21 @@ func TestPCOnlySignatureViewsOneDecodePass(t *testing.T) {
 	if d := decodePasses.Value() - passes; d != 1 {
 		t.Errorf("%d decode passes, want 1", d)
 	}
-	if d := derivedBuilds.Value() - builds; d != 3 {
-		t.Errorf("%d views built, want 3 (the access view and two signature views)", d)
+	if d := derivedBuilds.Value() - builds; d != 2 {
+		t.Errorf("%d views built, want 2 (two signature views)", d)
 	}
-	for _, key := range []string{accessViewD.spec.Key, chirpSigsKey(pc), chirpSigsKey(path)} {
+	for _, key := range []string{chirpSigsKey(pc), chirpSigsKey(path)} {
 		sidecarPath(t, dir, key)
 	}
-	if got := sidecarFiles(t, dir); len(got) != 3 {
-		t.Errorf("the decode pass wrote sidecars %v, want 3", got)
+	if got := sidecarFiles(t, dir); len(got) != 2 {
+		t.Errorf("the decode pass wrote sidecars %v, want 2", got)
 	}
-	passes = decodePasses.Value()
+	passes, builds = decodePasses.Value(), derivedBuilds.Value()
 	if _, err := viewsFor(s, pols(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if d := decodePasses.Value() - passes; d != 0 {
-		t.Errorf("a second fetch decoded %d times, want 0", d)
+	if d, b := decodePasses.Value()-passes, derivedBuilds.Value()-builds; d != 1 || b != 0 {
+		t.Errorf("a second fetch decoded %d times building %d views, want 1 building none", d, b)
 	}
 }
 

@@ -1,13 +1,14 @@
-// The replay-result memo: RunMulti serves a (stream, TLBOnlyConfig,
-// policy) cell it has already walked from the stream instead of
-// walking it again. A replay is a deterministic function of the
-// stream, the configuration and the policy's freshly built state, so
-// the memo key is exactly those three: the stream by who owns the memo
-// (the one RunPasses job or RunMulti call that holds the stream), the
-// configuration in full, and the policy as policyKey's canonical
-// encoding of its type and state. The memo is in memory only: a stream
-// key does not cover policy code, so a persisted result could outlive
-// a policy bug fix.
+// The replay-result memo: one walk over a stream (replayCells) walks
+// each distinct (TLBOnlyConfig, policy) cell once and serves every
+// duplicate of it from that walk. A replay is a deterministic function
+// of the stream, the configuration and the policy's freshly built
+// state, so the memo key is exactly those three: the stream by the one
+// walk that holds it, the configuration in full, and the policy as
+// policyKey's canonical encoding of its type and state. The memo lives
+// for the one walk: a RunPasses job walks the cells of every pass in
+// one, so nothing a later call would ask for is left to serve, and a
+// stream key does not cover policy code, so a persisted result could
+// outlive a policy bug fix.
 package sim
 
 import (
@@ -23,7 +24,7 @@ import (
 	"github.com/chirplab/chirp/internal/tlb"
 )
 
-// Memo metrics, published once per RunMulti replay (never from the
+// Memo metrics, published once per replayCells walk (never from the
 // walker). A hit simulated nothing, so it publishes no TLB or policy
 // counters either.
 var (
@@ -33,33 +34,26 @@ var (
 		"Replayed (workload, policy) cells walked, including policies the memo cannot key.")
 )
 
-// replayCells replays cells over memo, the results its owner has
-// already walked from stream: every cell whose key — its configuration
-// and policyKey — memo holds takes the memoized result, and the rest,
-// the first cell of each new key plus every cell policyKey cannot key,
-// walk together in one block pass (walkCells), whose keyed results
-// then fill memo. Results are ordered like cells and equal each cell's
-// ReplayMulti field for field. Like walkCells, it takes the cells'
-// policies.
-func replayCells(memo map[string]TLBOnlyResult, stream *l2stream.Stream, cells []cell) ([]TLBOnlyResult, error) {
+// replayCells replays cells over stream: the first cell of each key —
+// its configuration and policyKey — plus every cell policyKey cannot
+// key walk together in one block pass (walkCells), and every other
+// cell takes the result of the walker of its key. Results are ordered
+// like cells and equal each cell's ReplayMulti field for field. Like
+// walkCells, it takes the cells' policies.
+func replayCells(stream *l2stream.Stream, cells []cell) ([]TLBOnlyResult, error) {
 	var (
-		keys  = make([]string, len(cells)) // "" when the policy has no key
 		walk  []cell
-		pos   = make([]int, len(cells)) // index into walk of each cell's walker, -1 on a memo hit
+		pos   = make([]int, len(cells)) // index into walk of each cell's walker
 		first = map[string]int{}        // key → index into walk of its walker
 	)
 	for i, c := range cells {
 		if k, ok := policyKey(c.p); ok {
-			keys[i] = fmt.Sprintf("%+v:", c.cfg) + k
-			if _, hit := memo[keys[i]]; hit {
-				pos[i] = -1
-				continue
-			}
-			if w, seen := first[keys[i]]; seen {
+			k = fmt.Sprintf("%+v:", c.cfg) + k
+			if w, seen := first[k]; seen {
 				pos[i] = w
 				continue
 			}
-			first[keys[i]] = len(walk)
+			first[k] = len(walk)
 		}
 		pos[i] = len(walk)
 		walk = append(walk, c)
@@ -67,23 +61,13 @@ func replayCells(memo map[string]TLBOnlyResult, stream *l2stream.Stream, cells [
 	for i := range cells {
 		cells[i].p = nil // taken by walk, or never walked
 	}
-	var walked []TLBOnlyResult
-	if len(walk) > 0 {
-		var err error
-		if walked, err = walkCells(stream, walk, runtime.GOMAXPROCS(0)); err != nil {
-			return nil, err
-		}
+	walked, err := walkCells(stream, walk, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
 	}
 	out := make([]TLBOnlyResult, len(cells))
 	for i := range cells {
-		if pos[i] < 0 {
-			out[i] = memo[keys[i]]
-			continue
-		}
 		out[i] = walked[pos[i]]
-		if keys[i] != "" {
-			memo[keys[i]] = out[i]
-		}
 	}
 	obsMemoMisses.Add(uint64(len(walk)))
 	obsMemoHits.Add(uint64(len(cells) - len(walk)))

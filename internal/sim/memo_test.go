@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/chirplab/chirp/internal/core"
@@ -159,8 +160,8 @@ func (p spyPolicy) Attach(sets, ways int) {
 }
 
 // TestRunMultiMemoSkipsUnkeyed: a policy with a func field gets no key
-// and walks on every replay of a stream, beside keyed siblings that
-// the second replay serves from the memo the two replays share.
+// and walks every time it appears in a replay of a stream, beside
+// keyed siblings whose repeats the replay serves from its memo.
 func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	attaches := 0
 	spy := func() tlb.Policy { return spyPolicy{LRU: policy.NewLRU(), attached: func() { attaches++ }} }
@@ -169,22 +170,20 @@ func TestRunMultiMemoSkipsUnkeyed(t *testing.T) {
 	}
 	spec := RunSpec{Workload: workloads.ByName("db-000"), Config: DefaultTLBOnlyConfig(testInstr), Cache: l2stream.NewCache(0)}
 	stream := streamOf(t, spec)
-	factories := []PolicyFactory{mustFactoryFor(t, "lru"), spy, mustFactoryFor(t, "srrip")}
+	once := []PolicyFactory{mustFactoryFor(t, "lru"), spy, mustFactoryFor(t, "srrip")}
 	hits, misses := obsMemoHits.Value(), obsMemoMisses.Value()
-	memo := map[string]TLBOnlyResult{}
-	first := replayFresh(t, memo, stream, factories, spec.Config)
-	second := replayFresh(t, memo, stream, factories, spec.Config)
+	rs := replayFresh(t, stream, slices.Concat(once, once), spec.Config)
 	if attaches != 2 {
-		t.Errorf("unkeyed policy walked %d times over two calls, want 2", attaches)
+		t.Errorf("unkeyed policy walked %d times in one call that holds it twice, want 2", attaches)
 	}
 	if d := obsMemoHits.Value() - hits; d != 2 {
-		t.Errorf("memo hits moved by %d, want 2 (the keyed policies of the second call)", d)
+		t.Errorf("memo hits moved by %d, want 2 (the repeated keyed policies)", d)
 	}
 	if d := obsMemoMisses.Value() - misses; d != 4 {
 		t.Errorf("memo misses moved by %d, want 4 (three cells, then the spy again)", d)
 	}
-	if !reflect.DeepEqual(first, second) || first[1] != first[0] {
-		t.Errorf("results differ: first %+v, second %+v (the spy is LRU)", first, second)
+	if !reflect.DeepEqual(rs[:3], rs[3:]) || rs[1] != rs[0] {
+		t.Errorf("results differ: first copy %+v, second %+v (the spy is LRU)", rs[:3], rs[3:])
 	}
 }
 
@@ -199,26 +198,26 @@ func streamOf(t *testing.T, spec RunSpec) *l2stream.Stream {
 	return stream
 }
 
-// replayFresh is RunMulti's memoized replay over a stream and a memo
-// the caller holds: fresh policies from factories, replayed under cfg.
-func replayFresh(t *testing.T, memo map[string]TLBOnlyResult, stream *l2stream.Stream, factories []PolicyFactory, cfg TLBOnlyConfig) []TLBOnlyResult {
+// replayFresh is RunMulti's memoized replay over a stream the caller
+// holds: fresh policies from factories, replayed under cfg.
+func replayFresh(t *testing.T, stream *l2stream.Stream, factories []PolicyFactory, cfg TLBOnlyConfig) []TLBOnlyResult {
 	t.Helper()
 	ps := make([]tlb.Policy, len(factories))
 	for i, f := range factories {
 		ps[i] = f()
 	}
-	rs, err := replayCells(memo, stream, cellsOf(cfg, ps, nil))
+	rs, err := replayCells(stream, cellsOf(cfg, ps, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rs
 }
 
-// TestRunMultiMemoMatchesDirect: a second replay of one stream is
-// served wholly from the memo — publishing no TLB counters, since it
-// simulated nothing — and equals both the first replay and the
+// TestRunMultiMemoMatchesDirect: a replay serves every cell whose key
+// an earlier cell holds from that cell's walk — the repeats publishing
+// no TLB counters, since they simulated nothing — and equals the
 // nil-cache direct path. Each prefetch distance is its own
-// configuration, so it misses the memo once.
+// configuration, replayed in its own call.
 func TestRunMultiMemoMatchesDirect(t *testing.T) {
 	fs := keyedFactories()
 	factories := make([]PolicyFactory, len(fs))
@@ -233,31 +232,31 @@ func TestRunMultiMemoMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	spec := RunSpec{Workload: workloads.ByName("web-001"), Config: DefaultTLBOnlyConfig(testInstr), Cache: l2stream.NewCache(0)}
 	stream := streamOf(t, spec) // the prefetch distance is not part of the capture
-	memo := map[string]TLBOnlyResult{}
 	lookups := obs.Default.CounterVec("chirp_tlb_lookups_total", "", "level").With("L2 TLB")
 	for _, pd := range []int{0, 4} {
 		cfg := DefaultTLBOnlyConfig(testInstr)
 		cfg.PrefetchDistance = pd
-		hits := obsMemoHits.Value()
-		first := replayFresh(t, memo, stream, factories, cfg)
-		if d, want := obsMemoHits.Value()-hits, uint64(len(fs)-len(distinct)); d != want {
-			t.Errorf("pd=%d: first call hit the memo %d times, want %d (the duplicate keys)", pd, d, want)
-		}
 		hits, l2 := obsMemoHits.Value(), lookups.Value()
-		second := replayFresh(t, memo, stream, factories, cfg)
-		if d := obsMemoHits.Value() - hits; d != uint64(len(fs)) {
-			t.Errorf("pd=%d: second call hit the memo %d times, want %d", pd, d, len(fs))
+		once := replayFresh(t, stream, factories, cfg)
+		if d, want := obsMemoHits.Value()-hits, uint64(len(fs)-len(distinct)); d != want {
+			t.Errorf("pd=%d: one copy hit the memo %d times, want %d (the duplicate keys)", pd, d, want)
 		}
-		if d := lookups.Value() - l2; d != 0 {
-			t.Errorf("pd=%d: memo hits published %d L2 lookups, want 0", pd, d)
+		onceL2 := lookups.Value() - l2
+		hits, l2 = obsMemoHits.Value(), lookups.Value()
+		twice := replayFresh(t, stream, slices.Concat(factories, factories), cfg)
+		if d, want := obsMemoHits.Value()-hits, uint64(2*len(fs)-len(distinct)); d != want {
+			t.Errorf("pd=%d: two copies hit the memo %d times, want %d (the duplicate keys, then the whole second copy)", pd, d, want)
+		}
+		if d := lookups.Value() - l2; d != onceL2 {
+			t.Errorf("pd=%d: two copies published %d L2 lookups, want one copy's %d", pd, d, onceL2)
 		}
 		direct, err := RunMulti(ctx, RunSpec{Workload: spec.Workload, Config: cfg}, factories)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range fs {
-			if first[i] != direct[i] || second[i] != direct[i] {
-				t.Errorf("pd=%d %s: direct %+v, first %+v, second %+v", pd, f.Name, direct[i], first[i], second[i])
+			if once[i] != direct[i] || twice[i] != direct[i] || twice[len(fs)+i] != direct[i] {
+				t.Errorf("pd=%d %s: direct %+v, one copy %+v, two copies %+v and %+v", pd, f.Name, direct[i], once[i], twice[i], twice[len(fs)+i])
 			}
 		}
 	}

@@ -17,12 +17,12 @@ import (
 
 // ReplayMulti is the replay path: it drives N policies (one is fine)
 // over a captured stream's derived views in one block pass. The pass
-// reads the dense access sequence (PC and VPN arrays, shared by every
-// L2 geometry) and the CHiRP and GHRP signature sequences the
+// reads, one block of accesses at a time, the dense access sequence
+// (PC and VPN arrays, shared by every L2 geometry), which its one
+// decode pass yields, and the CHiRP and GHRP signature sequences the
 // policies consume (tlb.SignatureFed), so no policy maintains history
-// registers at replay time, one block of accesses at a time: from
-// their sidecars, or from one decode pass that builds every family
-// without one. Each block's stride-prefetch fill schedule is built
+// registers at replay time: from their sidecars, or built by that
+// decode pass. Each block's stride-prefetch fill schedule is built
 // once. Every policy walks each block in turn, its TLB kept from block
 // to block, across min(N, GOMAXPROCS) goroutines sharing the
 // read-only block. Results are bit-identical to calling RunTLBOnly
@@ -119,11 +119,10 @@ func walkCells(stream *l2stream.Stream, cells []cell, workers int) ([]TLBOnlyRes
 func walkOnce(stream *l2stream.Stream, cells []cell, workers int) ([]TLBOnlyResult, error) {
 	ws := make([]walker, len(cells))
 	var (
-		fams  []*decodedView // beyond the access view, which is family 0
+		fams  []*decodedView
 		dists []int
 		ghrp  bool // a GHRP cell needs GHRP's family, which goes last
 	)
-	family := map[string]int{}
 	for j, c := range cells {
 		w := &ws[j]
 		w.cfg, w.p, w.pf = c.cfg, c.p, -1
@@ -131,11 +130,10 @@ func walkOnce(stream *l2stream.Stream, cells []cell, workers int) ([]TLBOnlyResu
 		switch pp := c.p.(type) {
 		case *core.CHiRP:
 			key := chirpSigsKey(pp.Config())
-			if family[key] == 0 {
+			if w.fam = slices.IndexFunc(fams, func(d *decodedView) bool { return d.spec.Key == key }); w.fam < 0 {
+				w.fam = len(fams)
 				fams = append(fams, chirpSigsDecl(pp.Config(), key))
-				family[key] = len(fams)
 			}
-			w.fam = family[key]
 		case *policy.GHRP:
 			ghrp = true
 		}
@@ -147,12 +145,12 @@ func walkOnce(stream *l2stream.Stream, cells []cell, workers int) ([]TLBOnlyResu
 		}
 	}
 	if ghrp {
-		fams = append(fams, ghrpSigsD)
 		for j := range ws {
 			if _, ok := ws[j].p.(*policy.GHRP); ok {
 				ws[j].fam = len(fams)
 			}
 		}
+		fams = append(fams, ghrpSigsD)
 	}
 	// The walkers walk each block one prefetch distance at a time, so
 	// the block holds one schedule at a time: group 0 without
@@ -187,8 +185,8 @@ func walkOnce(stream *l2stream.Stream, cells []cell, workers int) ([]TLBOnlyResu
 }
 
 // walker is one cell of a block pass: its policy and configuration,
-// the view family of its signature feed (0 for none) and its prefetch
-// distance's index in the pass (-1 for none), and the TLB and replay
+// the index in the pass of its signature feed's family (a CHiRP's or a
+// GHRP's) and of its prefetch distance (-1 for none), and the TLB and replay
 // state it keeps from block to block. The TLB exists from the
 // walker's first block to its last, so on a one-block stream a pass
 // holds only as many as it walks at once.
@@ -229,9 +227,9 @@ func (w *walker) step(stream *l2stream.Stream, b *viewBlock, strides []int64) {
 		ghrpSigs  []uint64
 	)
 	if d.chirp != nil {
-		chirpSigs = b.fams[w.fam].cols[0].u32[:b.n]
+		chirpSigs = b.fams[w.fam].col.u32[:b.n]
 	} else if d.ghrp != nil {
-		ghrpSigs = b.fams[w.fam].cols[0].u64[:b.n]
+		ghrpSigs = b.fams[w.fam].col.u64[:b.n]
 	}
 	d.walk(b.pc(), b.vpn(), b.warmIdx-b.base, chirpSigs, ghrpSigs, strides, w.cfg.PrefetchDistance)
 	if !b.final {
@@ -418,19 +416,18 @@ func (w *denseWalker) walk(pcs, vpns []uint64, warmAt int, chirpSigs []uint32, g
 // RunMulti measures one workload under every policy in factories,
 // sharing a single trace traversal when spec.Cache enables the
 // capture/replay path: capture (or load) the stream once, then one
-// ReplayMulti pass over the policies the call's replay-result memo
-// does not already hold. Each fresh policy is keyed by its type and
-// constructed state (policyKey) before it is attached; a policy whose
-// key, under the same full TLBOnlyConfig, was walked earlier in the
-// call takes that result, and a policy without a key is always walked
-// (memo.go). The stream and the memo live for the one call; a
-// RunPasses job holds one of each across every pass of a workload.
-// Without a cache, when any policy observes branches without a
-// signature feed (which a captured stream cannot drive), or when the
-// capture is over the cache's byte cap, it runs RunTLBOnly once per
-// policy over a fresh source instead — the reference the replay path
-// reproduces bit for bit — and the memo plays no part. spec.Policy is ignored;
-// factories drives the fan-out. Results are ordered like factories.
+// ReplayMulti pass over the policies. Each fresh policy is keyed by
+// its type and constructed state (policyKey) before it is attached; a
+// policy whose key, under the same full TLBOnlyConfig, another policy
+// of the call shares takes that policy's result, and a policy without
+// a key is always walked (memo.go). The stream lives for the one call;
+// a RunPasses job holds one across every pass of a workload. Without a
+// cache, when any policy observes branches without a signature feed
+// (which a captured stream cannot drive), or when the capture is over
+// the cache's byte cap, it runs RunTLBOnly once per policy over a
+// fresh source instead — the reference the replay path reproduces bit
+// for bit. spec.Policy is ignored; factories drives the fan-out.
+// Results are ordered like factories.
 func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]TLBOnlyResult, error) {
 	if len(factories) == 0 {
 		return nil, errors.New("sim: RunMulti needs at least one policy")
@@ -455,26 +452,20 @@ func RunMulti(ctx context.Context, spec RunSpec, factories []PolicyFactory) ([]T
 			defer stream.Close()
 		}
 	}
-	return measureCells(ctx, spec, stream, map[string]TLBOnlyResult{}, cellsOf(spec.Config, ps, factories))
+	return measureCells(ctx, spec, stream, cellsOf(spec.Config, ps, factories))
 }
 
 // replayable reports whether a captured stream can drive every policy
 // in ps: none observes branches without a signature feed.
 func replayable(ps []tlb.Policy) bool { return !slices.ContainsFunc(ps, needsBranchEvents) }
 
-// measure runs the fresh policies ps over spec's workload under
-// spec.Config: measureCells without a way to build them again.
-func measure(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult, ps []tlb.Policy) ([]TLBOnlyResult, error) {
-	return measureCells(ctx, spec, stream, memo, cellsOf(spec.Config, ps, nil))
-}
-
 // measureCells runs cells over spec's workload: a replay of stream
-// through memo, the results already walked from it, when there is a
-// stream and it can drive them all, and otherwise RunTLBOnly once per
-// cell over a fresh source. Results are ordered like cells.
-func measureCells(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult, cells []cell) ([]TLBOnlyResult, error) {
+// when there is a stream and it can drive them all, and otherwise
+// RunTLBOnly once per cell over a fresh source. Results are ordered
+// like cells.
+func measureCells(ctx context.Context, spec RunSpec, stream *l2stream.Stream, cells []cell) ([]TLBOnlyResult, error) {
 	if stream != nil && !slices.ContainsFunc(cells, func(c cell) bool { return needsBranchEvents(c.p) }) {
-		return replayCells(memo, stream, cells)
+		return replayCells(stream, cells)
 	}
 	out := make([]TLBOnlyResult, len(cells))
 	for i, c := range cells {

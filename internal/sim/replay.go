@@ -48,12 +48,12 @@ func StreamFor(cache *l2stream.Cache, workload, spec string, cfg TLBOnlyConfig, 
 // runOPT measures the offline Bélády optimum over spec's trace. The
 // oracle needs the whole L2 demand-access sequence before the run
 // starts, so runOPT collects it first and then runs OPT the way
-// RunMulti runs a policy: over stream through memo or, with a nil
-// stream (no cache, or a capture over the cap), with RunTLBOnly over a
-// fresh source. The demand-access VPN sequence comes from a block pass
-// over the stream's access view (streamVPNs), or from CollectL2Stream
-// over a fresh source. spec.Policy is ignored.
-func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map[string]TLBOnlyResult) (TLBOnlyResult, error) {
+// RunMulti runs a policy: over stream or, with a nil stream (no cache,
+// or a capture over the cap), with RunTLBOnly over a fresh source. The
+// demand-access VPN sequence comes from a block pass over the stream's
+// access columns (streamVPNs), or from CollectL2Stream over a fresh
+// source. spec.Policy is ignored.
+func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream) (TLBOnlyResult, error) {
 	var vpns []uint64
 	if stream != nil {
 		var err error
@@ -72,7 +72,7 @@ func runOPT(ctx context.Context, spec RunSpec, stream *l2stream.Stream, memo map
 		}
 	}
 	opt := func() tlb.Policy { return newOPT(vpns) }
-	rs, err := measureCells(ctx, spec, stream, memo, cellsOf(spec.Config, []tlb.Policy{opt()}, []PolicyFactory{opt}))
+	rs, err := measureCells(ctx, spec, stream, cellsOf(spec.Config, []tlb.Policy{opt()}, []PolicyFactory{opt}))
 	if err != nil {
 		return TLBOnlyResult{}, err
 	}

@@ -200,11 +200,11 @@ func TestReplayUnwarmedMatchesRunError(t *testing.T) {
 }
 
 // TestStreamVPNsMatchesCollect: the VPN column of a stream's access
-// view, which the OPT oracle reads in place, must equal
-// CollectL2Stream's sequence, for an in-memory capture and for a warm
-// persistent stream whose view loads from its .l2d sidecar. OPT driven
-// by that sequence through ReplayMulti must match the direct run with
-// the same oracle.
+// view, which the OPT oracle reads, must equal CollectL2Stream's
+// sequence, for an in-memory capture and for a cold and a warm
+// persistent stream, which decode it without writing or reading any
+// .l2d sidecar. OPT driven by that sequence through ReplayMulti must
+// match the direct run with the same oracle.
 func TestStreamVPNsMatchesCollect(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(100000)
 	w := workloads.ByName("web-001")
@@ -230,15 +230,15 @@ func TestStreamVPNsMatchesCollect(t *testing.T) {
 	dir := t.TempDir()
 	_, cold := persistentStreamFor(t, dir, "web-001", cfg)
 	check("cold persistent", cold)
-	if len(sidecarFiles(t, dir)) == 0 {
-		t.Fatal("the access view left no sidecar")
+	if files := sidecarFiles(t, dir); len(files) != 0 {
+		t.Errorf("the access view left sidecars %v", files)
 	}
 	diskHits := obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
 	before := diskHits.Value()
 	_, warm := persistentStreamFor(t, dir, "web-001", cfg)
 	check("warm persistent", warm)
-	if diskHits.Value() == before {
-		t.Error("warm stream rebuilt the access view instead of loading its sidecar")
+	if d := diskHits.Value() - before; d != 0 {
+		t.Errorf("the warm access view read %d sidecars, want 0", d)
 	}
 
 	direct, err := RunTLBOnly(trace.NewLimit(w.Source(), cfg.Instructions), policy.NewOPT(policy.BuildOracle(want)), cfg)
@@ -271,14 +271,14 @@ func TestRunOPTPaths(t *testing.T) {
 
 // optResult runs OPT over spec's workload as a RunPasses job does:
 // over the stream spec.Cache yields (none without a cache, or over the
-// cap), with a fresh replay memo.
+// cap).
 func optResult(t *testing.T, spec RunSpec) TLBOnlyResult {
 	t.Helper()
 	stream, err := spec.stream(spec.open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runOPT(context.Background(), spec, stream, map[string]TLBOnlyResult{})
+	res, err := runOPT(context.Background(), spec, stream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,20 +30,18 @@ func sidecarFor(t *testing.T, dir, dkey string) string {
 	return files[0]
 }
 
-// TestSidecarBytesPinned pins the on-disk bytes of the access view, the
-// default CHiRP signature view and the GHRP signature view that one
-// 3 M-instruction capture persists: each sidecar's length and CRC-32C,
-// recorded from the whole-payload codecs that wrote the format first.
-// The av3 figures are the av2 file's (297211 bytes, 0xad0be2e5) with
-// its trailing instruction-side byte column cut and the frame redone.
-// Every payload spans several of the codecs' column buffers, so a
-// streamed codec that moves a single byte of the format fails here.
+// TestSidecarBytesPinned pins the on-disk bytes of the default CHiRP
+// signature view and the GHRP signature view that one 3 M-instruction
+// capture persists: each sidecar's length and CRC-32C, recorded from
+// the whole-payload codecs that wrote the format first. Every payload
+// spans several of the codecs' column buffers, so a streamed codec
+// that moves a single byte of the format fails here.
 func TestSidecarBytesPinned(t *testing.T) {
 	cfg := DefaultTLBOnlyConfig(3000000)
 	dir := t.TempDir()
 	_, s := persistentStreamFor(t, dir, "db-003", cfg)
 	ccfg := core.DefaultConfig()
-	ds := []*decodedView{accessViewD, chirpSigsDecl(ccfg, chirpSigsKey(ccfg)), ghrpSigsD}
+	ds := []*decodedView{chirpSigsDecl(ccfg, chirpSigsKey(ccfg)), ghrpSigsD}
 	if _, err := decodedViews(s, ds); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +51,6 @@ func TestSidecarBytesPinned(t *testing.T) {
 		len int
 		crc uint32
 	}{
-		{"av3", 279731, 0x686c9239},
 		{chirpSigsKey(ccfg), 69995, 0xfaf9bce7},
 		{"ghrp:gs1", 139888, 0x5df1c241},
 	} {
@@ -117,30 +114,32 @@ func pageSweepStream(t *testing.T, dir string, records uint64, cfg TLBOnlyConfig
 }
 
 // TestSidecarStreamingAllocs pins the sidecar codec's memory: a block
-// pass that builds an access view of at least 16 MiB and writes its
-// sidecar allocates less than an eighth of the view, and so does a
-// pass that reads it back. Neither path may hold the whole view, or
-// stage the whole payload in a buffer. The view read back equals the
-// one a stream without a store builds.
+// pass that decodes the access columns and builds the GHRP signature
+// view, together at least 16 MiB, and writes the GHRP sidecar
+// allocates less than an eighth of the views, and so does a pass that
+// reads the sidecar back. Neither path may hold a whole view, or stage
+// the whole payload in a buffer. The view read back equals the one a
+// stream without a store builds.
 func TestSidecarStreamingAllocs(t *testing.T) {
 	const records = 530_000
 	cfg := DefaultTLBOnlyConfig(records)
 	dir := t.TempDir()
 	walkNothing := func(*viewBlock) error { return nil }
+	ghrpOnly := []*decodedView{ghrpSigsD}
 
 	s := pageSweepStream(t, dir, records, cfg)
-	viewBytes := s.Accesses() * 16
+	viewBytes := s.Accesses() * (16 + 8)
 	if viewBytes < 16<<20 {
-		t.Fatalf("test premise broken: the access view holds %d bytes, want at least 16 MiB", viewBytes)
+		t.Fatalf("test premise broken: the views hold %d bytes, want at least 16 MiB", viewBytes)
 	}
 	writes := obs.Default.Counter("chirp_l2stream_derived_disk_writes_total", "")
 	writes0 := writes.Value()
 	if n := heapAllocated(func() {
-		if err := newBlockPass(s, nil, nil).run(walkNothing); err != nil {
+		if err := newBlockPass(s, ghrpOnly, nil).run(walkNothing); err != nil {
 			t.Fatal(err)
 		}
 	}); n >= viewBytes/8 {
-		t.Errorf("building and persisting a %d-byte access view allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
+		t.Errorf("building and persisting %d bytes of views allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
 	}
 	if d := writes.Value() - writes0; d != 1 {
 		t.Fatalf("sidecar writes delta = %d, want 1", d)
@@ -150,17 +149,17 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 	hits := obs.Default.Counter("chirp_l2stream_derived_disk_hits_total", "")
 	hits0 := hits.Value()
 	if n := heapAllocated(func() {
-		if err := newBlockPass(warm, nil, nil).run(walkNothing); err != nil {
+		if err := newBlockPass(warm, ghrpOnly, nil).run(walkNothing); err != nil {
 			t.Fatal(err)
 		}
 	}); n >= viewBytes/8 {
-		t.Errorf("reading a %d-byte access view allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
+		t.Errorf("reading %d bytes of views allocated %d bytes, want under %d", viewBytes, n, viewBytes/8)
 	}
 	if d := hits.Value() - hits0; d != 1 {
 		t.Fatalf("sidecar hits delta = %d, want 1", d)
 	}
 
-	got, err := accessViewFor(warm)
+	got, err := decodedViews(warm, ghrpOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +168,12 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	want, err := accessViewFor(bare)
+	want, err := decodedViews(bare, ghrpOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.warmIdx != want.warmIdx || !slices.Equal(got.pc, want.pc) || !slices.Equal(got.vpn, want.vpn) {
-		t.Error("the access view read from its sidecar differs from the one built without a store")
+	if !slices.Equal(got[0].([]uint64), want[0].([]uint64)) {
+		t.Error("the GHRP view read from its sidecar differs from the one built without a store")
 	}
 }
 
@@ -184,7 +183,8 @@ func TestSidecarStreamingAllocs(t *testing.T) {
 // directory and into a persistent store, each allocating under an
 // eighth of its encoded size, and replayed under LRU, CHiRP and GHRP:
 // without a store (one decode pass that builds the views), cold (one
-// that also writes the sidecars) and warm (from the sidecars), each
+// that also writes the sidecars) and warm (the signatures from the
+// sidecars, through one decode pass of the access events), each
 // allocating under an eighth of the view bytes. Every replay equals
 // the direct path's rows.
 func TestReplayMemoryBounded(t *testing.T) {
@@ -248,8 +248,8 @@ func TestReplayMemoryBounded(t *testing.T) {
 		if n >= viewBytes/8 {
 			t.Errorf("%s replay over %d view bytes allocated %d bytes, want under %d", run, viewBytes, n, viewBytes/8)
 		}
-		if d, wantD := decodePasses.Value()-passes0, map[string]uint64{"no-dir": 1, "cold": 1, "warm": 0}[run]; d != wantD {
-			t.Errorf("%s replay ran %d decode passes, want %d", run, d, wantD)
+		if d := decodePasses.Value() - passes0; d != 1 {
+			t.Errorf("%s replay ran %d decode passes, want 1", run, d)
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s replay diverged from the direct path:\n got:  %+v\n want: %+v", run, got, want)

@@ -185,10 +185,10 @@ func TestFlippedStreamFileFailsRun(t *testing.T) {
 	f.Close()
 
 	spec := RunSpec{Workload: w, Config: cfg}
-	if rs, err := measure(ctx, spec, s, map[string]TLBOnlyResult{}, policies); err == nil {
+	if rs, err := measureCells(ctx, spec, s, cellsOf(cfg, policies, nil)); err == nil {
 		t.Errorf("a flipped stream file replayed into rows %+v", rs)
 	}
-	if res, err := runOPT(ctx, spec, s, map[string]TLBOnlyResult{}); err == nil {
+	if res, err := runOPT(ctx, spec, s); err == nil {
 		t.Errorf("a flipped stream file gave an OPT row %+v", res)
 	}
 

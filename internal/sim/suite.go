@@ -67,7 +67,9 @@ func (r SuiteResult) Timing(walkPenalty uint64) pipeline.Result {
 // SuiteOptions carries the cross-cutting controls of a suite run;
 // the zero value runs serially with no telemetry or checkpointing.
 type SuiteOptions struct {
-	// Workers bounds simulation parallelism (<= 0 means GOMAXPROCS).
+	// Workers bounds how many workload jobs run at once (<= 0 means
+	// GOMAXPROCS). A job's replay walks its policies across up to
+	// GOMAXPROCS goroutines of its own.
 	Workers int
 	// Sink observes per-job progress (nil = silent).
 	Sink engine.Sink
@@ -85,11 +87,10 @@ type SuiteOptions struct {
 	// loads) its workload's L2 event stream under the cache's
 	// per-capture byte cap, serves every cell of the call from it, and
 	// lets it go when it ends, so at most one stream per running job is
-	// in memory. Each job also owns a replay-result memo for as long as
-	// it lives, so a (configuration, policy) cell that an earlier pass
-	// of the same job already replayed is served instead of walked
-	// again. A second call captures again unless the cache is
-	// persistent. Nil selects the direct RunTLBOnly reference path for
+	// in memory. A job walks the cells of all its passes at once, so a
+	// (configuration, policy) cell that several passes share is walked
+	// once and served to each. A second call captures again unless the
+	// cache is persistent. Nil selects the direct RunTLBOnly reference path for
 	// every cell, as a nil RunSpec.Cache does for one run.
 	StreamCache *l2stream.Cache
 }
@@ -136,10 +137,9 @@ func RunSuiteTLBOnlyCtx(ctx context.Context, ws []*workloads.Workload, pols []Na
 // workload-major: one engine job per workload, across the engine's
 // worker pool. With opts.StreamCache set, the job gets the workload's
 // stream once and walks the cells of every pass in one block pass over
-// its views (so every view without a sidecar builds in a single decode
-// pass), less the cells the job's own replay-result memo already holds
-// or that repeat another's key, then runs the OPT oracle over the same
-// stream; the stream and the memo die with the job. With a nil cache,
+// its views (one decode pass, which also builds every view without a
+// sidecar), each distinct cell key once (replayCells), then runs the
+// OPT oracle over the same stream; the stream dies with the job. With a nil cache,
 // and for a pass with a branch observer no stream can drive, the pass
 // runs RunTLBOnly once per policy over a fresh source instead. Every
 // pass must share one capture configuration (CaptureConfig), since a
@@ -187,7 +187,7 @@ func RunPasses(ctx context.Context, ws []*workloads.Workload, passes []Pass, opt
 		jobs[i] = engine.Job[[][]SuiteResult]{
 			Key: key,
 			Run: func(ctx context.Context) ([][]SuiteResult, error) {
-				j := &passJob{w: w, profile: w.Profile(), passes: passes, cache: opts.StreamCache, memo: map[string]TLBOnlyResult{}}
+				j := &passJob{w: w, profile: w.Profile(), passes: passes, cache: opts.StreamCache}
 				return j.run(ctx)
 			},
 		}
@@ -237,10 +237,7 @@ type passJob struct {
 	// stream is the workload's captured stream once all has fetched
 	// it; nil means the direct path.
 	stream *l2stream.Stream
-	// memo holds the replay results walked from stream, shared by
-	// every pass and by the per-cell fallback.
-	memo  map[string]TLBOnlyResult
-	front *pipeline.Result // the front end's, once a timing pass needs it
+	front  *pipeline.Result // the front end's, once a timing pass needs it
 }
 
 // run measures every pass. If that fails — one broken policy errors
@@ -280,7 +277,7 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 		}
 		for k, f := range p.Policies {
 			rs, err := recovered(func() ([]TLBOnlyResult, error) {
-				return measureCells(ctx, j.spec(p), j.stream, j.memo, cellsOf(p.Config, []tlb.Policy{f.New()}, []PolicyFactory{f.New}))
+				return measureCells(ctx, j.spec(p), j.stream, cellsOf(p.Config, []tlb.Policy{f.New()}, []PolicyFactory{f.New}))
 			})
 			if err != nil {
 				blame(p, f.Name, err)
@@ -289,7 +286,7 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 			rows[i][k] = j.row(p, f.Name, rs[0])
 		}
 		if p.OPT {
-			res, err := recovered(func() (TLBOnlyResult, error) { return runOPT(ctx, j.spec(p), j.stream, j.memo) })
+			res, err := recovered(func() (TLBOnlyResult, error) { return runOPT(ctx, j.spec(p), j.stream) })
 			if err != nil {
 				blame(p, "opt", err)
 				continue
@@ -308,8 +305,8 @@ func (j *passJob) run(ctx context.Context) ([][]SuiteResult, error) {
 
 // all measures every pass over one fetch of the stream. Each pass's
 // policies are built fresh up front; the cells of every pass a stream
-// can drive then walk together in one block pass, less the memo's
-// hits and duplicate keys (replayCells), and the rest run direct.
+// can drive then walk together in one block pass, less duplicate keys
+// (replayCells), and the rest run direct.
 func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 	ps := make([][]tlb.Policy, len(j.passes))
 	replay, opt, timing := false, false, false
@@ -370,7 +367,7 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 	var rs []TLBOnlyResult
 	if len(cells) > 0 {
 		var err error
-		if rs, err = replayCells(j.memo, j.stream, cells); err != nil {
+		if rs, err = replayCells(j.stream, cells); err != nil {
 			return nil, err
 		}
 	}
@@ -381,7 +378,7 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 			res, rs = rs[:len(p.Policies)], rs[len(p.Policies):]
 		} else {
 			var err error
-			if res, err = measure(ctx, j.spec(p), j.stream, j.memo, ps[i]); err != nil {
+			if res, err = measureCells(ctx, j.spec(p), j.stream, cellsOf(p.Config, ps[i], nil)); err != nil {
 				return nil, err
 			}
 		}
@@ -390,7 +387,7 @@ func (j *passJob) all(ctx context.Context) ([][]SuiteResult, error) {
 			rows[i] = append(rows[i], j.row(p, p.Policies[k].Name, r))
 		}
 		if p.OPT {
-			r, err := runOPT(ctx, j.spec(p), j.stream, j.memo)
+			r, err := runOPT(ctx, j.spec(p), j.stream)
 			if err != nil {
 				return nil, err
 			}

@@ -33,9 +33,8 @@ type replayViews struct {
 
 // materialize runs one block pass over s that reads ds and the
 // prefetch schedule of distance pd (none when pd is 0), and joins its
-// blocks into whole views: the access view with the schedule, and
-// each of the pass's families' columns, indexed like the pass's
-// families (0 being the access view's, left nil).
+// blocks into whole views: the access columns with the schedule, and
+// each family's column, indexed like ds.
 func materialize(s *l2stream.Stream, ds []*decodedView, pd int) (*replayView, []any, error) {
 	var dists []int
 	rv := &replayView{}
@@ -44,7 +43,7 @@ func materialize(s *l2stream.Stream, ds []*decodedView, pd int) (*replayView, []
 		rv.pfOff = []uint32{0}
 	}
 	p := newBlockPass(s, ds, dists)
-	cols := make([]any, len(p.blk.fams))
+	cols := make([]any, len(ds))
 	err := p.run(func(b *viewBlock) error {
 		rv.pc = append(rv.pc, b.pc()...)
 		rv.vpn = append(rv.vpn, b.vpn()...)
@@ -59,13 +58,13 @@ func materialize(s *l2stream.Stream, ds []*decodedView, pd int) (*replayView, []
 				rv.pfOff = append(rv.pfOff, uint32(len(rv.pfVPN)))
 			}
 		}
-		for i, f := range b.fams[1:] {
-			if c := f.cols[0]; c.u32 != nil {
-				got, _ := cols[i+1].([]uint32)
-				cols[i+1] = append(got, c.u32[:b.n]...)
+		for i, f := range b.fams {
+			if f.col.u32 != nil {
+				got, _ := cols[i].([]uint32)
+				cols[i] = append(got, f.col.u32[:b.n]...)
 			} else {
-				got, _ := cols[i+1].([]uint64)
-				cols[i+1] = append(got, c.u64[:b.n]...)
+				got, _ := cols[i].([]uint64)
+				cols[i] = append(got, f.col.u64[:b.n]...)
 			}
 		}
 		return nil
@@ -77,51 +76,40 @@ func materialize(s *l2stream.Stream, ds []*decodedView, pd int) (*replayView, []
 	return rv, cols, nil
 }
 
-// decodedViews returns the views ds whole, through one block pass:
-// the access view as an *accessView, each signature view as its
-// column. The pass reads each from its sidecar, or builds it in one
-// decode pass that writes the sidecar when the stream has a store.
+// decodedViews returns the signature views ds whole, each as its
+// column, through one block pass. The pass reads each from its
+// sidecar, or builds it in its decode pass, which writes the sidecar
+// when the stream has a store.
 func decodedViews(s *l2stream.Stream, ds []*decodedView) ([]any, error) {
-	rv, cols, err := materialize(s, ds, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, len(ds))
-	k := 1
-	for i, d := range ds {
-		if d == accessViewD {
-			out[i] = &rv.accessView
-			continue
-		}
-		out[i] = cols[k]
-		k++
-	}
-	return out, nil
+	_, cols, err := materialize(s, ds, 0)
+	return cols, err
 }
 
-// accessViewFor returns the stream's whole access view.
+// accessViewFor returns the stream's whole access view, from a block
+// pass that reads nothing else.
 func accessViewFor(s *l2stream.Stream) (*accessView, error) {
-	vs, err := decodedViews(s, []*decodedView{accessViewD})
+	rv, _, err := materialize(s, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return vs[0].(*accessView), nil
+	return &rv.accessView, nil
 }
 
 // viewsFor returns whole every view a replay of policies under cfg
 // reads, from one block pass laid out as walkOnce lays it out.
 func viewsFor(s *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*replayViews, error) {
 	var ds []*decodedView
-	fam := make([]int, len(policies))
+	fam := make([]int, len(policies)) // index into ds of each CHiRP's family, -1 for the rest
 	byKey := map[string]int{}
 	ghrp := false
 	for j, p := range policies {
+		fam[j] = -1
 		switch pp := p.(type) {
 		case *core.CHiRP:
 			key := chirpSigsKey(pp.Config())
-			if byKey[key] == 0 {
-				ds = append(ds, chirpSigsDecl(pp.Config(), key))
+			if _, ok := byKey[key]; !ok {
 				byKey[key] = len(ds)
+				ds = append(ds, chirpSigsDecl(pp.Config(), key))
 			}
 			fam[j] = byKey[key]
 		case *policy.GHRP:
@@ -137,11 +125,11 @@ func viewsFor(s *l2stream.Stream, policies []tlb.Policy, cfg TLBOnlyConfig) (*re
 	}
 	out := &replayViews{rv: rv, chirpSigs: make([][]uint32, len(policies))}
 	for j, p := range policies {
-		if fam[j] > 0 {
+		if fam[j] >= 0 {
 			out.chirpSigs[j], _ = cols[fam[j]].([]uint32)
 		}
 		if _, ok := p.(*policy.GHRP); ok {
-			out.ghrpSigs, _ = cols[len(ds)].([]uint64)
+			out.ghrpSigs, _ = cols[len(ds)-1].([]uint64)
 		}
 	}
 	return out, nil
