@@ -2,11 +2,13 @@
 // (internal/analysis): stdlib-only go/ast + go/types rules that
 // mechanically enforce the hot-path allocation budget, the
 // obs-at-run-boundaries contract, workload bit-determinism, the
-// context-first API shape, and the deprecation ban list.
+// context-first API shape, the deprecation ban list, and (through CFG
+// dataflow) lock balance, pooled-array lifetimes and WaitGroup
+// discipline.
 //
 // Usage:
 //
-//	chirpvet [-rules r1,r2] [-json|-sarif] [-list] [packages ...]
+//	chirpvet [-rules r1,r2] [-sarif] [-list] [packages ...]
 //
 // With no arguments (or "./...") it analyzes every non-test package in
 // the module containing the working directory. Explicit directory
@@ -24,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,19 +44,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chirpvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rulesFlag := fs.String("rules", "", "comma-separated rule subset to run (default: all)")
-	jsonFlag := fs.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col lines")
 	sarifFlag := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log instead of file:line:col lines")
 	listFlag := fs.Bool("list", false, "list the registered rules and exit")
 	dirFlag := fs.String("C", "", "module root to analyze (default: locate go.mod above the working directory)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: chirpvet [-rules r1,r2] [-json|-sarif] [-list] [packages ...]\n")
+		fmt.Fprintf(stderr, "usage: chirpvet [-rules r1,r2] [-sarif] [-list] [packages ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintln(stderr, "chirpvet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -102,31 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := analysis.Run(mod, rules)
-	switch {
-	case *sarifFlag:
+	if *sarifFlag {
 		if err := writeSARIF(stdout, root, rules, diags); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-	case *jsonFlag:
-		type row struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Rule    string `json:"rule"`
-			Message string `json:"message"`
-		}
-		rows := make([]row, len(diags))
-		for i, d := range diags {
-			rows[i] = row{File: relTo(root, d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			d.Pos.Filename = relTo(root, d.Pos.Filename)
 			fmt.Fprintln(stdout, d)

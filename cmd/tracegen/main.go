@@ -98,7 +98,6 @@ func run(fs *flag.FlagSet, args []string) int {
 		ws := cli.Suite(compiled, *n)
 		jobs := make([]engine.Job[traceSummary], 0, len(ws))
 		for _, w := range ws {
-			w := w
 			jobs = append(jobs, engine.Job[traceSummary]{
 				Key: engine.Key{Workload: w.Name, Policy: "tracegen"},
 				Run: func(context.Context) (traceSummary, error) {

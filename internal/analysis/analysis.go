@@ -7,10 +7,9 @@
 //   - hotpath-alloc: functions annotated //chirp:hotpath (the
 //     replay/direct inner loops, TLB lookup/insert, the SWAR recency
 //     stacks, the folded-history push, the timing pipeline's record
-//     body) must stay allocation-free — the 3.3x replay win in
-//     BENCH_hotpath.json dies silently if an alloc sneaks into a
+//     body) must stay allocation-free: an alloc that sneaks into a
 //     per-event function, including a local whose address a callee
-//     keeps.
+//     keeps, silently costs replay speed.
 //   - obs-boundary: nothing reachable from a hotpath function may call
 //     into internal/obs; instrumented layers aggregate into plain
 //     counters and publish deltas at run boundaries.
@@ -32,12 +31,9 @@
 //     function (pooled TLB arrays, the tlbarrays pair) must reach a
 //     matching //chirp:releases call on every path, unless they
 //     escape the function.
-//   - atomic-mix: a struct field accessed through sync/atomic anywhere
-//     in the module must never be read or written plainly elsewhere.
 //   - goroutine-discipline: wg.Add precedes the go statement it
-//     covers on every path, the spawned function calls wg.Done on all
-//     paths, and goroutines referencing their loop variable are
-//     flagged for explicit rebinding.
+//     covers on every path, and the spawned function calls wg.Done on
+//     all paths.
 //
 // Comment directives steer the rules:
 //
@@ -114,7 +110,6 @@ func Rules() []Rule {
 		&DeprecatedRule{},
 		&LockBalanceRule{},
 		&PairLifetimeRule{},
-		&AtomicMixRule{},
 		&GoroutineRule{},
 	}
 }

@@ -154,8 +154,6 @@ func TestLockBalanceFixture(t *testing.T) { testFixture(t, "lock-balance", "lock
 // //chirp:releases directive hygiene (pairlife/hygiene.go).
 func TestPairLifetimeFixture(t *testing.T) { testFixture(t, "pair-lifetime", "pairlife") }
 
-func TestAtomicMixFixture(t *testing.T) { testFixture(t, "atomic-mix", "atomicmix") }
-
 func TestGoroutineFixture(t *testing.T) { testFixture(t, "goroutine-discipline", "goroutine") }
 
 // TestSelectRules covers the -rules selection surface.
@@ -176,6 +174,9 @@ func TestSelectRules(t *testing.T) {
 	}
 	if _, err := SelectRules("nope"); err == nil {
 		t.Fatal("unknown rule selection did not error")
+	}
+	if _, err := SelectRules("atomic-mix"); err == nil {
+		t.Fatal("atomic-mix selection did not error")
 	}
 	if _, err := SelectRules(","); err == nil {
 		t.Fatal("empty-after-split selection did not error")
@@ -208,9 +209,10 @@ func TestLoadModuleClean(t *testing.T) {
 }
 
 // BenchmarkChirpvet measures one full-module analysis pass — loader,
-// parser, type check, and all five rules — the cost every CI chirpvet
-// invocation pays. Each iteration builds a fresh loader: the memoized
-// package cache would otherwise turn iterations 2..N into no-ops.
+// parser, type check, and every registered rule — the cost every CI
+// chirpvet invocation pays. Each iteration builds a fresh loader: the
+// memoized package cache would otherwise turn iterations 2..N into
+// no-ops.
 func BenchmarkChirpvet(b *testing.B) {
 	root := moduleRoot(b)
 	b.ReportAllocs()

@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// GoroutineRule enforces three pieces of goroutine discipline:
+// GoroutineRule enforces two pieces of goroutine discipline:
 //
 //  1. wg.Add precedes the go statement on every path: a goroutine
 //     whose function literal calls wg.Done must be dominated by a
@@ -20,17 +20,12 @@ import (
 //     literal calls wg.Done anywhere, every return path must reach a
 //     Done (a defer wg.Done() at the top satisfies all of them, panic
 //     paths included).
-//  3. go statements whose function literal references a loop variable
-//     of an enclosing for/range are flagged: Go 1.22 made the capture
-//     per-iteration, but the repo pins explicit rebinding so the code
-//     reads the same under every toolchain and under copy-paste into
-//     older modules.
 type GoroutineRule struct{}
 
 func (r *GoroutineRule) Name() string { return "goroutine-discipline" }
 
 func (r *GoroutineRule) Doc() string {
-	return "wg.Add must dominate the go it covers; wg.Done on all paths of the goroutine; no loop-variable capture in go literals"
+	return "wg.Add must dominate the go it covers; wg.Done on all paths of the goroutine"
 }
 
 // wgCall matches a WaitGroup method call and returns its key.
@@ -259,9 +254,6 @@ func (r *GoroutineRule) Check(m *Module) []Diagnostic {
 			return true
 		})
 
-		// (3) loop-variable capture, checked per direct loop.
-		r.checkLoopCapture(m, fb, &out)
-
 		if len(goStmts) == 0 {
 			continue
 		}
@@ -295,67 +287,4 @@ func (r *GoroutineRule) Check(m *Module) []Diagnostic {
 		solveFlow(buildCFG(fb.body, fb.pkg.Info), wf)
 	}
 	return out
-}
-
-// checkLoopCapture flags go statements whose function literal
-// references a loop variable of a directly enclosing for/range.
-func (r *GoroutineRule) checkLoopCapture(m *Module, fb funcBody, out *[]Diagnostic) {
-	info := fb.pkg.Info
-	inspectNode(fb.body, func(n ast.Node) bool {
-		var loopVars []types.Object
-		var body *ast.BlockStmt
-		addVar := func(e ast.Expr) {
-			if id, ok := e.(*ast.Ident); ok {
-				if obj := info.Defs[id]; obj != nil {
-					loopVars = append(loopVars, obj)
-				}
-			}
-		}
-		switch loop := n.(type) {
-		case *ast.ForStmt:
-			if init, ok := loop.Init.(*ast.AssignStmt); ok {
-				for _, l := range init.Lhs {
-					addVar(l)
-				}
-			}
-			body = loop.Body
-		case *ast.RangeStmt:
-			if loop.Key != nil {
-				addVar(loop.Key)
-			}
-			if loop.Value != nil {
-				addVar(loop.Value)
-			}
-			body = loop.Body
-		default:
-			return true
-		}
-		if len(loopVars) == 0 {
-			return true
-		}
-		// Any go statement under this loop — including inside nested
-		// literals — whose literal captures one of the loop variables.
-		ast.Inspect(body, func(x ast.Node) bool {
-			g, ok := x.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			for _, obj := range loopVars {
-				if usesObject(info, lit.Body, map[types.Object]bool{obj: true}) {
-					*out = append(*out, Diagnostic{
-						Pos:  m.Fset.Position(g.Pos()),
-						Rule: "goroutine-discipline",
-						Message: fmt.Sprintf("goroutine literal captures loop variable %s; rebind it (%s := %s) before the go statement",
-							obj.Name(), obj.Name(), obj.Name()),
-					})
-				}
-			}
-			return true
-		})
-		return true
-	})
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // HotpathAllocRule enforces that //chirp:hotpath functions — the
-// per-event inner loops whose speed the BENCH_hotpath.json baselines
-// measure — contain no construct that allocates or schedules:
+// per-event inner loops, where one allocation per event silently costs
+// replay speed — contain no construct that allocates or schedules:
 //
 //   - make, new, and append (append may grow its backing array; reuse
 //     patterns that provably cannot grow take a //chirp:allow);

@@ -1,6 +1,6 @@
 // Package goroutine exercises the goroutine-discipline rule: Add
-// dominating the go it covers, Done on all paths of the spawned
-// literal, and loop-variable capture.
+// dominating the go it covers and Done on all paths of the spawned
+// literal.
 package goroutine
 
 import "sync"
@@ -96,12 +96,13 @@ func doneInDeferredClosure() {
 	wg.Wait()
 }
 
-// captureLoopVar references the loop variable from the goroutine.
+// captureLoopVar references the per-iteration loop variable from a
+// goroutine whose Add sits in the loop body: clean.
 func captureLoopVar(n int) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() { // want "captures loop variable i"
+		go func() {
 			defer wg.Done()
 			work(i)
 		}()
@@ -109,19 +110,18 @@ func captureLoopVar(n int) {
 	wg.Wait()
 }
 
-// captureRangeVar references the range value variable.
+// captureRangeVar references the per-iteration range value: clean.
 func captureRangeVar(xs []int) {
 	for _, x := range xs {
-		go func() { // want "captures loop variable x"
+		go func() {
 			work(x)
 		}()
 	}
 }
 
-// rebound copies the loop variable first: clean.
+// rebound spawns a literal over the loop variable: clean.
 func rebound(n int) {
 	for i := 0; i < n; i++ {
-		i := i
 		go func() {
 			work(i)
 		}()

@@ -22,7 +22,6 @@ func job(i int, run func(ctx context.Context) (int, error)) Job[int] {
 func okJobs(n int, ran *atomic.Int64) []Job[int] {
 	jobs := make([]Job[int], n)
 	for i := range jobs {
-		i := i
 		jobs[i] = job(i, func(context.Context) (int, error) {
 			if ran != nil {
 				ran.Add(1)
@@ -61,7 +60,6 @@ func TestCancelOnFirstFailure(t *testing.T) {
 	boom := errors.New("boom")
 	jobs := make([]Job[int], 10)
 	for i := range jobs {
-		i := i
 		jobs[i] = job(i, func(context.Context) (int, error) {
 			ran.Add(1)
 			if i == 2 {
@@ -143,7 +141,6 @@ func TestExternalCancellation(t *testing.T) {
 	var ran atomic.Int64
 	jobs := make([]Job[int], 20)
 	for i := range jobs {
-		i := i
 		jobs[i] = job(i, func(context.Context) (int, error) {
 			if ran.Add(1) == 3 {
 				cancel()

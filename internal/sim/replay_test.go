@@ -123,7 +123,6 @@ func TestPolicyParallelReplay(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for i, name := range names {
 			idx := r*len(names) + i
-			name := name
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

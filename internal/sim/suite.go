@@ -182,7 +182,6 @@ func RunPasses(ctx context.Context, ws []*workloads.Workload, passes []Pass, opt
 	key := engine.Key{Scope: strings.Join(scopes, ","), Policy: passesKey(passes)}
 	jobs := make([]engine.Job[[][]SuiteResult], len(ws))
 	for i, w := range ws {
-		w := w
 		key.Workload = w.Name
 		jobs[i] = engine.Job[[][]SuiteResult]{
 			Key: key,

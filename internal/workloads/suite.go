@@ -71,13 +71,6 @@ func (w *Workload) Describe() Description {
 	return d
 }
 
-// NewProgramWorkload wraps a program builder as a workload. The spec
-// compiler uses it for single-client programs; seed is the effective
-// (master-mixed) seed and specHash labels the originating spec.
-func NewProgramWorkload(name, category, specHash string, seed uint64, build func(name string, seed uint64) *Program) *Workload {
-	return &Workload{Name: name, Category: category, Seed: seed, SpecHash: specHash, build: build}
-}
-
 // NewSourceWorkload wraps an arbitrary deterministic source factory
 // (e.g. a multi-tenant scheduler) as a composite workload. profile
 // labels the population profile for suite reports; describe supplies
