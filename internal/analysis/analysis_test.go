@@ -209,10 +209,9 @@ func TestLoadModuleClean(t *testing.T) {
 }
 
 // BenchmarkChirpvet measures one full-module analysis pass — loader,
-// parser, type check, and every registered rule — the cost every CI
-// chirpvet invocation pays. Each iteration builds a fresh loader: the
-// memoized package cache would otherwise turn iterations 2..N into
-// no-ops.
+// parser, type check, and every rule — the cost every CI chirpvet
+// invocation pays. Each iteration builds a fresh loader: the memoized
+// package cache would otherwise turn iterations 2..N into no-ops.
 func BenchmarkChirpvet(b *testing.B) {
 	root := moduleRoot(b)
 	b.ReportAllocs()
